@@ -11,8 +11,8 @@ RPR001
 RPR002
     Nondeterminism sources: wall-clock reads (``time.time``,
     ``time.perf_counter``, ...) outside the modules whose *job* is
-    timing (``parallel/simmpi.py``, ``utils/timing.py``,
-    ``obs/timing.py``, ``obs/tracer.py``); iteration over
+    timing (``parallel/simmpi.py``, ``obs/timing.py``,
+    ``obs/tracer.py``); iteration over
     ``set``/``frozenset`` expressions (hash order of floats and arrays is
     run-dependent under PYTHONHASHSEED); order-dependent reductions
     (``sum``, ``functools.reduce``) over set expressions.  Normalise with
@@ -120,7 +120,6 @@ HOT_MODULES: Tuple[str, ...] = (
 WALLCLOCK_ALLOWED: Tuple[str, ...] = (
     "parallel/simmpi.py",
     "parallel/executor.py",
-    "utils/timing.py",
     "obs/timing.py",
     "obs/tracer.py",
 )
@@ -290,7 +289,7 @@ class _Linter(ast.NodeVisitor):
                 node, "RPR002",
                 f"wall-clock read {name}() outside the timing modules "
                 f"({', '.join(WALLCLOCK_ALLOWED)}); route timing through "
-                "utils.timing / the virtual-time scheduler",
+                "obs.timing / the virtual-time scheduler",
             )
 
     def _check_set_reduction(self, node: ast.Call, name: str) -> None:

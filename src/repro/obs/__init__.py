@@ -10,8 +10,7 @@
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with labeled
   series, same no-op-by-default pattern (:data:`NULL_METRICS`).
 * :mod:`repro.obs.timing` — the :class:`Timer` / :class:`TimingRegistry`
-  phase timers (previously ``repro.utils.timing``), bridged into the
-  active tracer.
+  phase timers, bridged into the active tracer.
 * :mod:`repro.obs.export` — native trace files, Chrome ``trace_event``
   JSON (Perfetto) and CSV exporters.
 * :mod:`repro.obs.gantt` — ASCII/SVG per-rank Gantt rendering of a

@@ -1,8 +1,7 @@
 """Wall-clock phase timing, bridged into the tracer.
 
-This module is the home of :class:`Timer` / :class:`TimingRegistry`
-(historically ``repro.utils.timing``, which remains as a re-exporting
-shim).  The tree code and the PFASST sweepers need fine-grained phase
+This module is the home of :class:`Timer` / :class:`TimingRegistry`.
+The tree code and the PFASST sweepers need fine-grained phase
 timings (tree build, moments, traversal, far/near summation; sweeps per
 level) so the benchmark harness can reproduce the per-phase breakdowns of
 the paper (Fig. 5) and feed measured compute costs into the virtual-time

@@ -147,7 +147,7 @@ class Compute:
     """Scheduler operation: run ``task`` on the attached execution backend.
 
     Yielded by rank programs (via the dispatch seam in
-    :func:`repro.sdc.sweeper.evaluate_rhs` /
+    :meth:`repro.sdc.sweeper.RhsContext.rhs` /
     ``SpaceParallelTreeEvaluator.field_program``); the value sent back
     into the generator is the task's return value.  Requires a scheduler
     constructed with ``executor=...``.

@@ -364,22 +364,26 @@ class VirtualComm:
                        (_tags.SUBCOMM, seq, color))
 
 
-class SubComm(VirtualComm):
-    """A sub-communicator produced by :meth:`VirtualComm.split`.
+class _TagView(VirtualComm):
+    """A communicator that is a pure tag-translation view of ``parent``.
 
-    Pure tag-translation layer: ops are constructed by the parent comm
-    with ranks mapped through the member list and tags wrapped as
-    ``(comm_id, tag)``, so traffic on different sub-communicators can
-    never collide even when they share scheduler-world rank pairs.  The
-    scheduler itself is untouched — a :class:`SubComm` is just a view.
+    Ops are constructed by the parent comm with peers mapped through
+    :meth:`_parent_rank` and tags wrapped by :meth:`_wrap`, so traffic on
+    different views can never collide even when they share scheduler-world
+    rank pairs.  The scheduler itself is untouched.
     """
 
-    def __init__(self, parent: VirtualComm, members: List[int], rank: int,
-                 comm_id: Hashable) -> None:
-        super().__init__(rank, len(members), parent._scheduler)
+    def __init__(self, parent: VirtualComm, rank: int, size: int) -> None:
+        super().__init__(rank, size, parent._scheduler)
         self.parent = parent
-        self.members = list(members)
-        self._comm_id = comm_id
+
+    def _parent_rank(self, rank: int) -> int:
+        """Rank of this view's member ``rank`` on the parent comm."""
+        return rank
+
+    def _wrap(self, tag: Hashable) -> Hashable:
+        """The parent-level tag carrying this view's ``tag``."""
+        raise NotImplementedError
 
     def send(self, dest: int, tag: Hashable, payload: Any) -> Send:
         if not 0 <= dest < self.size:
@@ -387,7 +391,7 @@ class SubComm(VirtualComm):
         if dest == self.rank:
             raise ValueError("self-sends are not supported")
         return self.parent.send(
-            self.members[dest], (self._comm_id, tag), payload
+            self._parent_rank(dest), self._wrap(tag), payload
         )
 
     def recv(
@@ -405,7 +409,7 @@ class SubComm(VirtualComm):
         if source == self.rank:
             raise ValueError("self-receives are not supported")
         return self.parent.recv(
-            self.members[source], (self._comm_id, tag),
+            self._parent_rank(source), self._wrap(tag),
             timeout=timeout, retries=retries, backoff=backoff,
         )
 
@@ -421,19 +425,39 @@ class SubComm(VirtualComm):
     def translate(self, rank: int) -> int:
         if not 0 <= rank < self.size:
             raise ValueError(f"rank {rank} out of range 0..{self.size - 1}")
-        return self.parent.translate(self.members[rank])
+        return self.parent.translate(self._parent_rank(rank))
 
 
-class EpochComm(VirtualComm):
+class SubComm(_TagView):
+    """A sub-communicator produced by :meth:`VirtualComm.split`.
+
+    Ranks map through the member list and tags wrap as
+    ``(comm_id, tag)``.
+    """
+
+    def __init__(self, parent: VirtualComm, members: List[int], rank: int,
+                 comm_id: Hashable) -> None:
+        super().__init__(parent, rank, len(members))
+        self.members = list(members)
+        self._comm_id = comm_id
+
+    def _parent_rank(self, rank: int) -> int:
+        return self.members[rank]
+
+    def _wrap(self, tag: Hashable) -> Hashable:
+        return (self._comm_id, tag)
+
+
+class EpochComm(_TagView):
     """An attempt-stamped view of a communicator for grid recovery.
 
-    Pure tag-translation layer like :class:`SubComm`: every tag becomes
-    ``(("ftepoch", epoch), tag)`` on the parent.  The PFASST controller
-    bumps :attr:`epoch` whenever a recovery attempt abandons in-flight
-    collective traffic: partial messages from the aborted attempt stay
-    on the old epoch's channels and are orphaned instead of being
-    consumed FIFO-style by the redo (space collectives such as the
-    branch-exchange ring carry no attempt component of their own).
+    Every tag becomes ``(("ftepoch", epoch), tag)`` on the parent.  The
+    PFASST controller bumps :attr:`epoch` whenever a recovery attempt
+    abandons in-flight collective traffic: partial messages from the
+    aborted attempt stay on the old epoch's channels and are orphaned
+    instead of being consumed FIFO-style by the redo (space collectives
+    such as the branch-exchange ring carry no attempt component of their
+    own).
 
     ``recv`` additionally injects a default ``timeout``/``retries``/
     ``backoff`` when the call site passes none, so collectives written
@@ -447,8 +471,7 @@ class EpochComm(VirtualComm):
         retries: int = 0,
         backoff: float = 0.0,
     ) -> None:
-        super().__init__(parent.rank, parent.size, parent._scheduler)
-        self.parent = parent
+        super().__init__(parent, parent.rank, parent.size)
         #: monotonically increasing; never reset (inner tags may not
         #: carry a block component, so reuse across blocks would collide)
         self.epoch = 0
@@ -456,14 +479,8 @@ class EpochComm(VirtualComm):
         self._default_retries = retries
         self._default_backoff = backoff
 
-    def send(self, dest: int, tag: Hashable, payload: Any) -> Send:
-        if not 0 <= dest < self.size:
-            raise ValueError(f"dest {dest} out of range 0..{self.size - 1}")
-        if dest == self.rank:
-            raise ValueError("self-sends are not supported")
-        return self.parent.send(
-            dest, ((_tags.FTEPOCH, self.epoch), tag), payload
-        )
+    def _wrap(self, tag: Hashable) -> Hashable:
+        return ((_tags.FTEPOCH, self.epoch), tag)
 
     def recv(
         self,
@@ -473,35 +490,14 @@ class EpochComm(VirtualComm):
         retries: int = 0,
         backoff: float = 0.0,
     ) -> Recv:
-        if not 0 <= source < self.size:
-            raise ValueError(
-                f"source {source} out of range 0..{self.size - 1}"
-            )
-        if source == self.rank:
-            raise ValueError("self-receives are not supported")
         if timeout is None and self._default_timeout is not None:
             timeout = self._default_timeout
             if retries == 0:
                 retries = self._default_retries
             if backoff == 0.0:
                 backoff = self._default_backoff
-        return self.parent.recv(
-            source, ((_tags.FTEPOCH, self.epoch), tag),
-            timeout=timeout, retries=retries, backoff=backoff,
-        )
-
-    @property
-    def clock(self) -> float:
-        return self.parent.clock
-
-    @property
-    def world_rank(self) -> int:
-        return self.parent.world_rank
-
-    def translate(self, rank: int) -> int:
-        if not 0 <= rank < self.size:
-            raise ValueError(f"rank {rank} out of range 0..{self.size - 1}")
-        return self.parent.translate(rank)
+        return super().recv(source, tag, timeout=timeout, retries=retries,
+                            backoff=backoff)
 
 
 RankProgram = Callable[[VirtualComm], Generator[Any, Any, Any]]

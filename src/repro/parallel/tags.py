@@ -236,8 +236,8 @@ SPACE_DIGEST = register(
     "space:digest", "space", None, "cross-column end-value digest allgather"
 )
 
-# node-parallel sweeps (repro/sdc/sweeper.py evaluate_node_values + the
-# 3D grid program) — the PFASST-ER per-node sub-comm traffic
+# node-parallel sweeps (repro/sdc/sweeper.py RhsContext.node_values + the
+# grid program) — the PFASST-ER per-node sub-comm traffic
 NODE_F = register(
     "node:f", "node", None,
     "per-node-slice RHS allgather over the PFASST-ER node comm"

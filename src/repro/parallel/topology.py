@@ -1,18 +1,15 @@
-"""Space-time(-node) process topology (paper Fig. 2 + PFASST-ER).
+"""Space-time-node process topology (paper Fig. 2 + PFASST-ER).
 
-A run with ``P_T`` time slices and ``P_S`` spatial ranks per slice uses a
-``P_T x P_S`` grid of processes.  Each process belongs to exactly two
-communicators: a *space* communicator (one PEPC instance, row of the grid)
-and a *time* communicator (the i-th member of every PEPC instance, column
-of the grid).  These helpers map between world ranks and grid coordinates
-and enumerate the communicator memberships.
-
-:class:`SpaceTimeNodeGrid` adds PFASST-ER's third dimension: ``P_N`` node
-ranks per time-space cell share the collocation nodes of that cell's SDC
-sweeps (diagonal sweeper, one *node* communicator per cell).  The layout
-is time-major then space-major then node:
-``r = (t * p_space + s) * p_nodes + n``, so a ``p_nodes = 1`` grid has
-exactly the 2D rank numbering.
+A run with ``P_T`` time slices, ``P_S`` spatial ranks per slice and
+``P_N`` node ranks per time-space cell uses a ``P_T x P_S x P_N`` grid of
+processes.  Each process belongs to one *space* communicator (one PEPC
+instance: vary ``s``), one *time* communicator (the matching member of
+every PEPC instance: vary ``t``) and one *node* communicator (PFASST-ER:
+the ranks sharing the collocation nodes of one cell's SDC sweeps: vary
+``n``).  The layout is time-major, then space, then node:
+``r = (t * p_space + s) * p_nodes + n``.  The paper's grid is the
+``p_nodes = 1`` case, whose numbering is ``divmod(r, p_space)``; an
+extent-1 axis simply has singleton communicators.
 """
 
 from __future__ import annotations
@@ -20,81 +17,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-__all__ = ["SpaceTimeGrid", "SpaceTimeNodeGrid"]
+__all__ = ["SpaceTimeGrid"]
 
 
 @dataclass(frozen=True)
 class SpaceTimeGrid:
-    """Cartesian decomposition of world ranks into (time, space) coords.
+    """Cartesian decomposition of world ranks into (time, space, node).
 
-    World rank layout is time-major: rank ``r`` has time slice
-    ``r // p_space`` and spatial index ``r % p_space``, matching the paper's
-    "duplicate the PEPC structure P_T times" construction.
+    Matches the paper's "duplicate the PEPC structure P_T times"
+    construction, with each ``(t, s)`` cell widened to ``p_nodes`` ranks
+    that share the diagonal sweeper's node-parallel RHS evaluations.
     """
 
     p_time: int
-    p_space: int
-
-    def __post_init__(self) -> None:
-        if self.p_time < 1 or self.p_space < 1:
-            raise ValueError(
-                f"grid extents must be >= 1, got ({self.p_time}, {self.p_space})"
-            )
-
-    @property
-    def world_size(self) -> int:
-        return self.p_time * self.p_space
-
-    def coords(self, world_rank: int) -> Tuple[int, int]:
-        """Return ``(time_slice, space_index)`` of a world rank."""
-        self._check(world_rank)
-        return divmod(world_rank, self.p_space)
-
-    def world_rank(self, time_slice: int, space_index: int) -> int:
-        if not 0 <= time_slice < self.p_time:
-            raise ValueError(f"time_slice {time_slice} out of range")
-        if not 0 <= space_index < self.p_space:
-            raise ValueError(f"space_index {space_index} out of range")
-        return time_slice * self.p_space + space_index
-
-    def space_comm(self, world_rank: int) -> List[int]:
-        """World ranks sharing this rank's PEPC (space) communicator."""
-        t, _ = self.coords(world_rank)
-        return [self.world_rank(t, s) for s in range(self.p_space)]
-
-    def time_comm(self, world_rank: int) -> List[int]:
-        """World ranks sharing this rank's PFASST (time) communicator."""
-        _, s = self.coords(world_rank)
-        return [self.world_rank(t, s) for t in range(self.p_time)]
-
-    def time_row(self, time_slice: int) -> List[int]:
-        """All world ranks of one time slice (the recovery resync unit)."""
-        if not 0 <= time_slice < self.p_time:
-            raise ValueError(f"time_slice {time_slice} out of range")
-        return [self.world_rank(time_slice, s) for s in range(self.p_space)]
-
-    def _check(self, world_rank: int) -> None:
-        if not 0 <= world_rank < self.world_size:
-            raise ValueError(
-                f"world rank {world_rank} out of range 0..{self.world_size - 1}"
-            )
-
-
-@dataclass(frozen=True)
-class SpaceTimeNodeGrid:
-    """Cartesian decomposition into (time, space, node) coordinates.
-
-    Extends :class:`SpaceTimeGrid` with PFASST-ER's node dimension: each
-    ``(t, s)`` cell holds ``p_nodes`` ranks that share the diagonal
-    sweeper's node-parallel RHS evaluations.  World rank layout is
-    ``r = (t * p_space + s) * p_nodes + n`` — time-major, then space,
-    then node — so the ``p_nodes = 1`` numbering coincides with the 2D
-    grid's.
-    """
-
-    p_time: int
-    p_space: int
-    p_nodes: int
+    p_space: int = 1
+    p_nodes: int = 1
 
     def __post_init__(self) -> None:
         if self.p_time < 1 or self.p_space < 1 or self.p_nodes < 1:
@@ -109,7 +46,10 @@ class SpaceTimeNodeGrid:
 
     def coords(self, world_rank: int) -> Tuple[int, int, int]:
         """Return ``(time_slice, space_index, node_index)``."""
-        self._check(world_rank)
+        if not 0 <= world_rank < self.world_size:
+            raise ValueError(
+                f"world rank {world_rank} out of range 0..{self.world_size - 1}"
+            )
         cell, n = divmod(world_rank, self.p_nodes)
         t, s = divmod(cell, self.p_space)
         return t, s, n
@@ -144,16 +84,8 @@ class SpaceTimeNodeGrid:
 
     def time_row(self, time_slice: int) -> List[int]:
         """All world ranks of one time slice (the recovery resync unit)."""
-        if not 0 <= time_slice < self.p_time:
-            raise ValueError(f"time_slice {time_slice} out of range")
         return [
             self.world_rank(time_slice, s, n)
             for s in range(self.p_space)
             for n in range(self.p_nodes)
         ]
-
-    def _check(self, world_rank: int) -> None:
-        if not 0 <= world_rank < self.world_size:
-            raise ValueError(
-                f"world rank {world_rank} out of range 0..{self.world_size - 1}"
-            )

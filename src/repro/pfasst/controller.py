@@ -66,7 +66,7 @@ from repro.parallel.simmpi import (
     Scheduler,
     VirtualComm,
 )
-from repro.parallel.topology import SpaceTimeGrid, SpaceTimeNodeGrid
+from repro.parallel.topology import SpaceTimeGrid
 from repro.pfasst.checkpoint import (
     RunCheckpoint,
     RunCheckpointer,
@@ -76,7 +76,7 @@ from repro.pfasst.checkpoint import (
 from repro.pfasst.fas import fas_correction
 from repro.pfasst.level import Level, LevelSpec
 from repro.pfasst.transfer import SpatialTransfer, TimeSpaceTransfer
-from repro.sdc.sweeper import evaluate_node_values, evaluate_rhs
+from repro.sdc.sweeper import RhsContext
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -240,45 +240,35 @@ def _merge_status(a, b):
     return (_merge_ranks(a[0], b[0]), max(a[1], b[1]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class _GridRecovery:
     """Grid-recovery context threaded into :func:`pfasst_rank_program`.
 
-    Present only when ``p_space > 1`` (or ``p_nodes > 1``) and a recovery
-    policy is active: failure detection then runs over the *world*
-    communicator (a crash in one space column must be visible to every
-    column — the columns share space-row collectives), and all space
-    traffic flows through an :class:`~repro.parallel.simmpi.EpochComm`
-    whose epoch the controller bumps on every restart, orphaning
-    in-flight ring messages from the aborted attempt.
+    Present only when the grid is wider than its time axis and a
+    recovery policy is active: failure detection then runs over the
+    *world* communicator (a crash in one space column must be visible to
+    every column — the columns share space-row collectives), and all
+    space/node traffic flows through
+    :class:`~repro.parallel.simmpi.EpochComm` views whose epoch the
+    controller bumps on every restart, orphaning in-flight ring messages
+    from the aborted attempt.
 
-    ``grid`` may be a :class:`SpaceTimeGrid` or a
-    :class:`SpaceTimeNodeGrid` — the protocol only needs ``coords``
-    (time slice first) and ``time_row``.  ``space`` is the comm the
-    row-resync broadcast runs over (the whole time-slice plane on the
-    3D grid) and ``row_index`` this rank's position in
-    ``grid.time_row(t_idx)`` (defaults to ``s_idx``, the 2D layout).
-    ``epoch_comms`` lists further epoch-tagged comms (the 3D grid's
-    evaluation-space and node comms) bumped alongside ``space`` by
-    :meth:`bump`.
+    ``row`` is the comm the row-resync broadcast runs over — all
+    ``p_space * p_nodes`` ranks of this time slice, ordered like
+    ``grid.time_row(t_idx)`` — and ``row_index`` this rank's position in
+    it.  ``epoch_comms`` lists every epoch-tagged comm of this rank
+    (``row`` included).
     """
 
     world: VirtualComm
-    grid: Any
-    space: EpochComm
+    grid: SpaceTimeGrid
     t_idx: int
-    s_idx: int
-    row_index: Optional[int] = None
-    epoch_comms: Tuple[EpochComm, ...] = ()
-
-    @property
-    def row_pos(self) -> int:
-        """This rank's index within ``grid.time_row(t_idx)``."""
-        return self.s_idx if self.row_index is None else self.row_index
+    row: EpochComm
+    row_index: int
+    epoch_comms: Tuple[EpochComm, ...]
 
     def bump(self) -> None:
         """Advance every epoch comm, orphaning the aborted attempt."""
-        self.space.epoch += 1
         for c in self.epoch_comms:
             c.epoch += 1
 
@@ -289,32 +279,32 @@ def pfasst_rank_program(
     specs: Sequence[LevelSpec],
     u0: np.ndarray,
     spatial: Optional[Sequence[SpatialTransfer]] = None,
-    space: Optional[VirtualComm] = None,
-    dispatch: Optional[DispatchContext] = None,
+    ctx: RhsContext = RhsContext(),
     ft_grid: Optional[_GridRecovery] = None,
     checkpointer: Optional[RunCheckpointer] = None,
     resume: Optional[RunCheckpoint] = None,
-    node: Optional[VirtualComm] = None,
 ) -> Generator[Any, Any, Dict[str, Any]]:
     """Rank program executing PFASST on one time rank.
 
     Yields simulated-MPI operations; returns a dict with the rank's end
     value, residual history and bookkeeping.
 
-    ``space`` optionally attaches a space communicator (a row of the
-    paper's Fig. 2 grid, typically from ``comm.split``): every RHS
-    evaluation is then driven collectively over its ranks via
-    :func:`repro.sdc.sweeper.evaluate_rhs`, sharding the tree work while
-    keeping the time algorithm — and, without a live ``space``, the op
-    stream — unchanged.
-
-    ``dispatch`` routes RHS evaluations of problems registered with the
+    ``ctx`` (a :class:`~repro.sdc.sweeper.RhsContext`) says where every
+    RHS evaluation runs.  Its space communicator (a row of the paper's
+    Fig. 2 grid, typically from ``comm.split``) drives each evaluation
+    collectively over the row, sharding the tree work; its PFASST-ER
+    node communicator (one per time-space cell) shards the collocation
+    nodes of multi-node evaluation rounds — the diagonal sweeper's
+    inner/final rounds and the controller's restriction/interpolation
+    re-evaluations — and reassembles ``F`` with a ring allgather; its
+    dispatch context routes evaluations of problems registered with the
     scheduler's execution backend through ``Compute`` ops (see
-    :mod:`repro.parallel.executor`): independent evaluations across time
-    ranks — and, on the grid, the per-row far/near tree segments — then
-    run concurrently on real cores under a process backend, while the
-    time algorithm, the message pattern and (with ``measure_compute``
-    off) the virtual clocks stay byte-identical.
+    :mod:`repro.parallel.executor`), so independent evaluations across
+    time ranks — and, on the grid, the per-row far/near tree segments —
+    run concurrently on real cores under a process backend.  None of
+    the three changes the time algorithm: sharding is bitwise-neutral
+    (each RHS is computed exactly once from the same inputs), and with
+    the default context the op stream is the plain time-parallel one.
 
     With ``config.recovery != "fail"`` the program survives injected rank
     crashes (:class:`~repro.parallel.faults.RankFailure` thrown at an op
@@ -329,24 +319,13 @@ def pfasst_rank_program(
     itself fails.
 
     ``ft_grid`` (set by :func:`_grid_rank_program` when a recovery
-    policy is active at ``p_space > 1``) extends the protocol to the
-    whole grid: detection collectives run over the *world* communicator
-    (a space rank's crash must be visible to every column), warm
-    restarts bitwise-resync every space row from its lowest surviving
-    member before column donors rebuild fully-lost rows, and the space
-    comm's epoch is bumped on each restart so in-flight ring traffic
-    from the aborted attempt is orphaned.
-
-    ``node`` optionally attaches a PFASST-ER node communicator (one per
-    time-space cell of the 3D grid): multi-node RHS evaluation rounds —
-    the diagonal sweeper's inner/final rounds and the controller's
-    restriction/interpolation re-evaluations — then shard the collocation
-    nodes over its ranks and reassemble ``F`` with a ring allgather
-    (:func:`repro.sdc.sweeper.evaluate_node_values`).  The sharding is
-    bitwise-neutral: each node's RHS is computed exactly once, on one
-    rank, from the same inputs, so a ``node`` of size 1 (or ``None``)
-    and any ``p_nodes > 1`` agree bitwise under the Gauss-Seidel
-    sweeper.
+    policy is active on a grid wider than its time axis) extends the
+    protocol to the whole grid: detection collectives run over the
+    *world* communicator (a space rank's crash must be visible to every
+    column), warm restarts bitwise-resync every time-slice row from its
+    lowest surviving member before column donors rebuild fully-lost
+    rows, and the epoch comms are bumped on each restart so in-flight
+    ring traffic from the aborted attempt is orphaned.
 
     ``checkpointer`` / ``resume`` attach durable checkpoint/restart
     (:mod:`repro.pfasst.checkpoint`): contributions are plain in-process
@@ -409,6 +388,12 @@ def pfasst_rank_program(
             return explicit
         return level.u0 if level.sweeper.needs_u0 else None
 
+    def _evaluate_all(level, t_slice):
+        """RHS at every collocation node of ``level`` (a ``ctx`` generator)."""
+        return ctx.node_values(
+            level.problem, level.sweeper.node_times(t_slice, dt), level.U
+        )
+
     def _interpolate_up(t_slice: float):
         """Fill the finer levels from the coarsest (predictor epilogue)."""
         for lev in range(n_levels - 2, -1, -1):
@@ -425,7 +410,7 @@ def pfasst_rank_program(
             # re-evaluate it from u0 (dirty flag)
             fine.u0_dirty = True
             if config.reeval_after_interp:
-                fine.F = yield from _evaluate_all(fine, t_slice, dt, space, dispatch, node)
+                fine.F = yield from _evaluate_all(fine, t_slice)
             else:
                 fine.F = tr.interpolate_nodes(coarse.F)
             fine.tau = None
@@ -433,8 +418,7 @@ def pfasst_rank_program(
     def _predictor(block, attempt, t_slice, u0_by_level):
         coarsest.u0 = u0_by_level[-1]
         coarsest.U, coarsest.F = yield from coarsest.sweeper.initialize_gen(
-            t_slice, dt, coarsest.u0, "spread", space=space, dispatch=dispatch,
-            node=node,
+            t_slice, dt, coarsest.u0, "spread", ctx=ctx,
         )
         for j in range(rank + 1):
             new_u0 = None
@@ -448,8 +432,7 @@ def pfasst_rank_program(
                 yield comm.annotate(f"begin:predict:{j}")
             coarsest.U, coarsest.F = yield from coarsest.sweeper.sweep_gen(
                 t_slice, dt, coarsest.U, coarsest.F,
-                u0=_sweep_u0(coarsest, new_u0), space=space, dispatch=dispatch,
-                node=node,
+                u0=_sweep_u0(coarsest, new_u0), ctx=ctx,
             )
             if config.trace:
                 yield comm.annotate(f"end:predict:{j}")
@@ -473,8 +456,7 @@ def pfasst_rank_program(
                 pass_u0 = level.u0 if (s == 0 and level.u0_dirty) else None
                 level.U, level.F = yield from level.sweeper.sweep_gen(
                     t_slice, dt, level.U, level.F,
-                    u0=_sweep_u0(level, pass_u0), tau=tau, space=space,
-                    dispatch=dispatch, node=node,
+                    u0=_sweep_u0(level, pass_u0), tau=tau, ctx=ctx,
                 )
             level.u0_dirty = False
             if config.trace:
@@ -492,7 +474,7 @@ def pfasst_rank_program(
             coarse.U = tr.restrict_nodes(level.U)
             coarse.U_at_restriction = coarse.U.copy()
             coarse.u0 = tr.restrict_state(level.u0)
-            coarse.F = yield from _evaluate_all(coarse, t_slice, dt, space, dispatch, node)
+            coarse.F = yield from _evaluate_all(coarse, t_slice)
             coarse.F_at_restriction = coarse.F.copy()
             coarse.tau = fas_correction(
                 dt, tr, level.F, coarse.F,
@@ -516,7 +498,7 @@ def pfasst_rank_program(
             coarsest.U, coarsest.F = yield from coarsest.sweeper.sweep_gen(
                 t_slice, dt, coarsest.U, coarsest.F,
                 u0=_sweep_u0(coarsest, new_u0 if s == 0 else None),
-                tau=coarsest.tau, space=space, dispatch=dispatch, node=node,
+                tau=coarsest.tau, ctx=ctx,
             )
         if config.trace:
             yield comm.annotate(f"end:sweep:L{n_levels - 1}:k{k}")
@@ -536,7 +518,7 @@ def pfasst_rank_program(
                 coarse.U - coarse.U_at_restriction
             )
             if config.reeval_after_interp:
-                level.F = yield from _evaluate_all(level, t_slice, dt, space, dispatch, node)
+                level.F = yield from _evaluate_all(level, t_slice)
             else:
                 # correct F by the interpolated increment of the
                 # coarse evaluations since restriction
@@ -563,8 +545,7 @@ def pfasst_rank_program(
                 pass_u0 = level.u0 if level.u0_dirty else None
                 level.U, level.F = yield from level.sweeper.sweep_gen(
                     t_slice, dt, level.U, level.F,
-                    u0=_sweep_u0(level, pass_u0), tau=level.tau, space=space,
-                    dispatch=dispatch, node=node,
+                    u0=_sweep_u0(level, pass_u0), tau=level.tau, ctx=ctx,
                 )
                 level.u0_dirty = False
             elif (config.reeval_after_interp and not level.u0_dirty
@@ -572,9 +553,8 @@ def pfasst_rank_program(
                 # keep the literal-Algorithm-1 mode's F fully
                 # consistent at node 0 as well (node 0 *is* u0 only for
                 # left-including families)
-                level.F[0] = yield from evaluate_rhs(
-                    level.problem, space, t_slice, level.u0,
-                    dispatch=dispatch,
+                level.F[0] = yield from ctx.rhs(
+                    level.problem, t_slice, level.u0
                 )
 
         fine = levels[0]
@@ -604,29 +584,6 @@ def pfasst_rank_program(
             ) from exc
         return result
 
-    def _bump_attempt(attempt, block, failed, phase):
-        if attempt + 1 > config.max_restarts:
-            raise RuntimeError(
-                f"PFASST recovery gave up: block {block} exceeded "
-                f"max_restarts={config.max_restarts} (policy "
-                f"{config.recovery!r}, last failure in {phase} phase, "
-                f"failed ranks {sorted(failed)})"
-            )
-        return attempt + 1
-
-    def _recovery_entry(block, attempt, phase, k, failed):
-        entry = {
-            "block": block, "attempt": attempt,
-            "phase": phase, "k": k,
-            "policy": config.recovery,
-            "failed_ranks": list(failed),
-        }
-        if ft_grid is not None:
-            # on the grid ``failed_ranks`` are world ranks; record the
-            # affected time slices too
-            entry["failed_time_ranks"] = list(_failed_time_ranks(failed))
-        return entry
-
     def _failed_time_ranks(failed):
         """Time ranks touched by a failed world-rank set (grid only)."""
         return tuple(sorted({ft_grid.grid.coords(w)[0] for w in failed}))
@@ -647,9 +604,8 @@ def pfasst_rank_program(
         diverged from each other mid-V-cycle; every row therefore
         adopts the level state of its lowest non-crashed member.  A row
         with *no* surviving member resets instead — it is rebuilt from
-        a column donor by ``_warm_rebuild``.  On the 3D grid the "row"
-        is the whole time-slice plane (``p_space * p_nodes`` ranks) and
-        ``ft_grid.space`` the plane comm.
+        a column donor by ``_warm_rebuild``.  With ``p_nodes > 1`` the
+        "row" is the whole time-slice plane (``p_space * p_nodes`` ranks).
         """
         row = ft_grid.grid.time_row(ft_grid.t_idx)
         alive_s = [i for i, w in enumerate(row) if w not in failed]
@@ -658,20 +614,20 @@ def pfasst_rank_program(
                 lv.reset()
             return
         root = alive_s[0]
-        blob = snapshot_levels(levels) if ft_grid.row_pos == root else None
+        blob = snapshot_levels(levels) if ft_grid.row_index == root else None
         blob = yield from _protocol(bcast(
-            ft_grid.space, blob, root=root,
+            ft_grid.row, blob, root=root,
             tag=(tags.FTROW, block, attempt), timeout=rt, retries=rr,
         ), "row-resync broadcast")
-        if ft_grid.row_pos != root:
+        if ft_grid.row_index != root:
             adopt_levels(levels, blob)
 
-    def _survivors(failed):
-        alive = [r for r in range(p_time) if r not in failed]
+    def _survivors(failed, size):
+        alive = [r for r in range(size) if r not in failed]
         if not alive:
             raise RuntimeError(
-                f"PFASST recovery impossible: all {p_time} time ranks "
-                f"failed simultaneously"
+                f"PFASST recovery impossible: all {size} ranks failed "
+                "simultaneously"
             )
         return alive
 
@@ -683,16 +639,7 @@ def pfasst_rank_program(
         grid), which doubles as the barrier that keeps the recovery
         lock-step.
         """
-        if ft_grid is not None:
-            alive = [r for r in range(detect.size) if r not in failed]
-            if not alive:
-                raise RuntimeError(
-                    f"PFASST recovery impossible: all {detect.size} grid "
-                    "ranks failed simultaneously"
-                )
-            root = alive[0]
-        else:
-            root = _survivors(failed)[0]
+        root = _survivors(failed, detect.size)[0]
         return (
             yield from bcast(
                 detect, u_block, root=root, tag=(tags.FTUB, block, attempt),
@@ -712,7 +659,7 @@ def pfasst_rank_program(
         coarse sweeps before rejoining the V-cycle.  Survivors keep all
         their state.  Returns the (possibly rebuilt) ``u0_by_level``.
         """
-        alive = _survivors(failed)
+        alive = _survivors(failed, p_time)
         if rank not in failed:
             for f in failed:
                 donors = [r for r in alive if r < f]
@@ -742,8 +689,7 @@ def pfasst_rank_program(
             u0s.append(tr.restrict_state(u0s[-1]))
         coarsest.u0 = u0s[-1]
         coarsest.U, coarsest.F = yield from coarsest.sweeper.initialize_gen(
-            t_slice, dt, coarsest.u0, "spread", space=space, dispatch=dispatch,
-            node=node,
+            t_slice, dt, coarsest.u0, "spread", ctx=ctx,
         )
         if config.trace:
             yield comm.annotate("begin:warm-rebuild")
@@ -751,7 +697,7 @@ def pfasst_rank_program(
             coarsest.U, coarsest.F = yield from coarsest.sweeper.sweep_gen(
                 t_slice, dt, coarsest.U, coarsest.F,
                 u0=_sweep_u0(coarsest, coarsest.u0 if s == 0 else None),
-                space=space, dispatch=dispatch, node=node,
+                ctx=ctx,
             )
         if config.trace:
             yield comm.annotate("end:warm-rebuild")
@@ -759,6 +705,85 @@ def pfasst_rank_program(
         # rank 0 consumes u0_by_level every iteration; its rebuilt chain
         # descends from u_blk, which is exactly what it must be
         return u0s if rank == 0 else u0_by_level
+
+    def _run_phase(phase, t_slice, u0_by_level, k=None):
+        """Drive the predictor or iteration ``k`` under crash detection.
+
+        Returns ``(result, worst, failed)``.  With recovery off this only
+        delegates: exceptions propagate and no op is added.  Otherwise a
+        crash or receive timeout inside the phase is caught and a status
+        allreduce over the detection comm merges the failed ranks (the
+        iteration's also carries the residual, so ``worst`` is its
+        maximum).  A non-empty ``failed`` voids the phase for everyone:
+        the block ``attempt`` is bumped into every later tag, the epoch
+        comms are bumped, the action is recorded and ``u_block`` is
+        re-fetched — the caller then applies its restart policy.
+        """
+        nonlocal attempt, u_block
+        crashed, timeout_exc, result, worst = False, None, None, None
+        try:
+            if phase == "predictor":
+                yield from _predictor(block, attempt, t_slice, u0_by_level)
+            else:
+                result = yield from _iteration(
+                    block, attempt, k, t_slice, u0_by_level
+                )
+        except RankFailure:
+            if not ft:
+                raise
+            crashed = True
+        except RecvTimeout as exc:
+            if not ft:
+                raise
+            timeout_exc = exc
+        if not ft:
+            return result, worst, ()
+        mine = (me,) if crashed else ()
+        if phase == "predictor":
+            failed = yield from _protocol(allreduce(
+                detect, mine,
+                op=_merge_ranks, tag=(tags.FTPRED, block, attempt),
+                timeout=ct, retries=rr,
+            ), "predictor status allreduce")
+        else:
+            status = (mine, float("inf") if result is None else result)
+            failed, worst = yield from _protocol(allreduce(
+                detect, status,
+                op=_merge_status, tag=(tags.FTSYNC, block, attempt, k),
+                timeout=ct, retries=rr,
+            ), "iteration status allreduce")
+        if failed:
+            if attempt + 1 > config.max_restarts:
+                raise RuntimeError(
+                    f"PFASST recovery gave up: block {block} exceeded "
+                    f"max_restarts={config.max_restarts} (policy "
+                    f"{config.recovery!r}, last failure in {phase} phase, "
+                    f"failed ranks {sorted(failed)})"
+                )
+            attempt += 1
+            entry = {
+                "block": block, "attempt": attempt,
+                "phase": phase, "k": k,
+                "policy": config.recovery,
+                "failed_ranks": list(failed),
+            }
+            if ft_grid is not None:
+                # orphan in-flight space/node-ring traffic from the
+                # aborted attempt; ``failed_ranks`` are world ranks here,
+                # so record the affected time slices too
+                ft_grid.bump()
+                entry["failed_time_ranks"] = list(_failed_time_ranks(failed))
+            recoveries.append(entry)
+            u_block = yield from _refetch_u_block(failed, block, attempt)
+        elif timeout_exc is not None:
+            raise RuntimeError(
+                "PFASST recovery protocol hole: a receive "
+                "timed out but the status allreduce reports "
+                "no failed rank — a message was lost past its "
+                f"retransmit budget (retries={rr}); original "
+                f"timeout: {timeout_exc}"
+            )
+        return result, worst, failed
 
     # ---- resume from a durable checkpoint ------------------------------
     start_block = 0
@@ -802,53 +827,16 @@ def pfasst_rank_program(
                 for tr in transfers:
                     u0_by_level.append(tr.restrict_state(u0_by_level[-1]))
 
-                my_crash = False
-                timeout_exc: Optional[RecvTimeout] = None
-                try:
-                    yield from _predictor(block, attempt, t_slice, u0_by_level)
-                except RankFailure:
-                    if not ft:
-                        raise
-                    my_crash = True
-                except RecvTimeout as exc:
-                    if not ft:
-                        raise
-                    timeout_exc = exc
-
-                if ft:
-                    failed = yield from _protocol(allreduce(
-                        detect, (me,) if my_crash else (),
-                        op=_merge_ranks, tag=(tags.FTPRED, block, attempt),
-                        timeout=ct, retries=rr,
-                    ), "predictor status allreduce")
-                    if failed:
-                        # a predictor-phase loss voids the staircase for
-                        # everyone downstream: both policies redo the block
-                        attempt = _bump_attempt(
-                            attempt, block, failed, "predictor"
-                        )
-                        if ft_grid is not None:
-                            # orphan in-flight space/node-ring traffic
-                            # from the aborted attempt
-                            ft_grid.bump()
-                        recoveries.append(_recovery_entry(
-                            block, attempt, "predictor", None, failed
-                        ))
-                        u_block = yield from _refetch_u_block(
-                            failed, block, attempt
-                        )
-                        if me in failed:
-                            for lv in levels:
-                                lv.reset()
-                        continue
-                    if timeout_exc is not None:
-                        raise RuntimeError(
-                            "PFASST recovery protocol hole: a receive "
-                            "timed out but the status allreduce reports "
-                            "no failed rank — a message was lost past its "
-                            f"retransmit budget (retries={rr}); original "
-                            f"timeout: {timeout_exc}"
-                        )
+                _, _, failed = yield from _run_phase(
+                    "predictor", t_slice, u0_by_level
+                )
+                if failed:
+                    # a predictor-phase loss voids the staircase for
+                    # everyone downstream: both policies redo the block
+                    if me in failed:
+                        for lv in levels:
+                            lv.reset()
+                    continue
                 need_predictor = False
                 residuals = []
                 k_done = 0
@@ -858,78 +846,34 @@ def pfasst_rank_program(
             finished_block = True
             while k < config.iterations:
                 iters_attempted += 1
-                my_crash = False
-                timeout_exc = None
-                res: Optional[float] = None
-                try:
-                    res = yield from _iteration(
-                        block, attempt, k, t_slice, u0_by_level
-                    )
-                except RankFailure:
-                    if not ft:
-                        raise
-                    my_crash = True
-                except RecvTimeout as exc:
-                    if not ft:
-                        raise
-                    timeout_exc = exc
-
-                if ft:
-                    status = (
-                        (me,) if my_crash else (),
-                        float("inf") if res is None else res,
-                    )
-                    failed, worst = yield from _protocol(allreduce(
-                        detect, status,
-                        op=_merge_status, tag=(tags.FTSYNC, block, attempt, k),
-                        timeout=ct, retries=rr,
-                    ), "iteration status allreduce")
-                    if failed:
-                        attempt = _bump_attempt(
-                            attempt, block, failed, "iteration"
+                res, worst, failed = yield from _run_phase(
+                    "iteration", t_slice, u0_by_level, k
+                )
+                if failed:
+                    if config.recovery == "cold-restart":
+                        if me in failed:
+                            for lv in levels:
+                                lv.reset()
+                        need_predictor = True
+                        finished_block = False
+                        break  # back out to redo the whole block
+                    # warm restart: rebuild the lost ranks in place, then
+                    # redo iteration k under the new attempt.  On the
+                    # grid, first bitwise-resync every space row (members
+                    # abort at different points), then rebuild only rows
+                    # that lost *all* members — partially-crashed rows
+                    # recover via the resync
+                    if ft_grid is not None:
+                        yield from _row_resync(block, attempt, failed)
+                        failed_t = _fully_dead_rows(failed)
+                    else:
+                        failed_t = tuple(failed)
+                    if failed_t:
+                        u0_by_level = yield from _warm_rebuild(
+                            failed_t, block, attempt, t_slice, u_block,
+                            u0_by_level,
                         )
-                        if ft_grid is not None:
-                            # orphan in-flight space/node-ring traffic
-                            # from the aborted attempt
-                            ft_grid.bump()
-                        recoveries.append(_recovery_entry(
-                            block, attempt, "iteration", k, failed
-                        ))
-                        u_block = yield from _refetch_u_block(
-                            failed, block, attempt
-                        )
-                        if config.recovery == "cold-restart":
-                            if me in failed:
-                                for lv in levels:
-                                    lv.reset()
-                            need_predictor = True
-                            finished_block = False
-                            break  # back out to redo the whole block
-                        # warm restart: rebuild the lost ranks in place,
-                        # then redo iteration k under the new attempt.
-                        # On the grid, first bitwise-resync every space
-                        # row (members abort at different points), then
-                        # rebuild only rows that lost *all* members —
-                        # partially-crashed rows recover via the resync
-                        if ft_grid is not None:
-                            yield from _row_resync(block, attempt, failed)
-                            failed_t = _fully_dead_rows(failed)
-                        else:
-                            failed_t = tuple(failed)
-                        if failed_t:
-                            u0_by_level = yield from _warm_rebuild(
-                                failed_t, block, attempt, t_slice, u_block,
-                                u0_by_level,
-                            )
-                        continue
-                    if timeout_exc is not None:
-                        raise RuntimeError(
-                            "PFASST recovery protocol hole: a receive "
-                            "timed out but the status allreduce reports "
-                            "no failed rank — a message was lost past its "
-                            f"retransmit budget (retries={rr}); original "
-                            f"timeout: {timeout_exc}"
-                        )
+                    continue
 
                 residuals.append(res)
                 k_done = k + 1
@@ -983,25 +927,6 @@ def pfasst_rank_program(
     }
 
 
-def _evaluate_all(
-    level: Level, t_slice: float, dt: float,
-    space: Optional[VirtualComm] = None,
-    dispatch: Optional[DispatchContext] = None,
-    node: Optional[VirtualComm] = None,
-) -> Generator[Any, Any, np.ndarray]:
-    """Evaluate the level's RHS at every collocation node (generator).
-
-    With a live ``node`` comm the nodes shard over its ranks and ``F``
-    is reassembled by allgather; without one this is the historical
-    plain loop with an identical op stream.
-    """
-    times = level.sweeper.node_times(t_slice, dt)
-    return (yield from evaluate_node_values(
-        level.problem, times, level.U, space=space, node=node,
-        dispatch=dispatch,
-    ))
-
-
 def _grid_rank_program(
     comm: VirtualComm,
     config: PfasstConfig,
@@ -1013,119 +938,75 @@ def _grid_rank_program(
     checkpointer: Optional[RunCheckpointer] = None,
     resume: Optional[RunCheckpoint] = None,
 ) -> Generator[Any, Any, Dict[str, Any]]:
-    """Rank program for the full P_T x P_S grid (paper Fig. 2).
-
-    Splits the world into this rank's space row and time column, runs
-    :func:`pfasst_rank_program` over the time communicator with the space
-    communicator sharding every RHS, then cross-checks that all space
-    ranks of the row hold bitwise-identical end values.
-
-    With a recovery policy active the space comm is wrapped in an
-    :class:`~repro.parallel.simmpi.EpochComm` (restart-safe space
-    collectives: default timeouts on every receive, epoch-tagged
-    messages that restarts orphan) and a :class:`_GridRecovery` context
-    moves failure detection to the world communicator.  Only the
-    ``s = 0`` column contributes to a checkpointer — row state is
-    replicated bitwise, so one column describes the whole grid.
-    """
-    t_idx, s_idx = grid.coords(comm.rank)
-    space = yield from comm.split(color=t_idx, key=s_idx)
-    tcomm = yield from comm.split(color=s_idx, key=t_idx)
-    ft_grid = None
-    if config.recovery != "fail":
-        space = EpochComm(
-            space, timeout=config.recovery_timeout,
-            retries=config.recovery_retries,
-        )
-        ft_grid = _GridRecovery(
-            world=comm, grid=grid, space=space, t_idx=t_idx, s_idx=s_idx
-        )
-    result = yield from pfasst_rank_program(
-        tcomm, config, specs, u0, spatial, space=space, dispatch=dispatch,
-        ft_grid=ft_grid,
-        checkpointer=checkpointer if s_idx == 0 else None,
-        resume=resume,
-    )
-    # every member of a space row drives identical time logic over
-    # identical full states, so end values must agree *bitwise* — any
-    # divergence means the space collective leaked rank-dependent data
-    digest = hashlib.blake2b(
-        np.ascontiguousarray(result["end_value"]).tobytes(), digest_size=16
-    ).hexdigest()
-    digests = yield from allgather(space, digest, tag=tags.SPACE_DIGEST)
-    if len(set(digests)) != 1:
-        raise RuntimeError(
-            f"space row {t_idx} diverged across its {space.size} ranks: "
-            f"end-value digests {digests}"
-        )
-    result["space_rank"] = s_idx
-    result["world_rank"] = comm.rank
-    return result
-
-
-def _node_grid_rank_program(
-    comm: VirtualComm,
-    config: PfasstConfig,
-    specs: Sequence[LevelSpec],
-    u0: np.ndarray,
-    spatial: Optional[Sequence[SpatialTransfer]],
-    grid: SpaceTimeNodeGrid,
-    dispatch: Optional[DispatchContext] = None,
-    checkpointer: Optional[RunCheckpointer] = None,
-    resume: Optional[RunCheckpoint] = None,
-) -> Generator[Any, Any, Dict[str, Any]]:
-    """Rank program for the P_T x P_S x P_N grid (PFASST-ER).
+    """Rank program for the P_T x P_S x P_N grid (paper Fig. 2, PFASST-ER).
 
     Splits the world into this rank's space row (vary ``s``), time
-    column (vary ``t``) and node group (vary ``n``), then runs
-    :func:`pfasst_rank_program` over the time comm with the space comm
-    sharding tree evaluations and the node comm sharding collocation
-    nodes across multi-node evaluation rounds.  All members of a time
-    slice drive identical time logic over identical full states, so
-    after the run the end values are cross-checked bitwise both across
-    the space row and across the node group.
+    column (vary ``t``) and — when ``p_nodes > 1`` — node group (vary
+    ``n``), then runs :func:`pfasst_rank_program` over the time comm
+    with the space comm sharding tree evaluations and the node comm
+    sharding collocation nodes across multi-node evaluation rounds.  A
+    grid with extent-1 space *and* node axes makes no split at all: the
+    world is the time comm.  All members of a time slice drive identical
+    time logic over identical full states, so after the run the end
+    values are cross-checked bitwise across the space row and across
+    the node group.
 
     With a recovery policy active the space and node comms are wrapped
-    in :class:`~repro.parallel.simmpi.EpochComm` and a fourth split
-    builds the *plane* comm — all ``p_space * p_nodes`` ranks of this
-    time slice — which takes the row-resync role ``_row_resync`` plays
-    on the 2D grid.  Only the ``(s, n) = (0, 0)`` member of each slice
-    contributes to a checkpointer.
+    in :class:`~repro.parallel.simmpi.EpochComm` (restart-safe
+    collectives: default timeouts on every receive, epoch-tagged
+    messages that restarts orphan) and a :class:`_GridRecovery` context
+    moves failure detection to the world communicator.  Its resync row
+    is the space comm at ``p_nodes = 1``; otherwise one more split
+    builds the *plane* comm of all ``p_space * p_nodes`` ranks of this
+    time slice.  Only the ``(s, n) = (0, 0)`` member of each slice
+    contributes to a checkpointer — slice state is replicated bitwise,
+    so one column describes the whole grid.
     """
     t_idx, s_idx, n_idx = grid.coords(comm.rank)
-    space = yield from comm.split(color=(t_idx, n_idx), key=s_idx)
-    tcomm = yield from comm.split(color=(s_idx, n_idx), key=t_idx)
-    node = yield from comm.split(color=(t_idx, s_idx), key=n_idx)
-    ft_grid = None
-    if config.recovery != "fail":
-        space = EpochComm(
-            space, timeout=config.recovery_timeout,
-            retries=config.recovery_retries,
-        )
-        node = EpochComm(
-            node, timeout=config.recovery_timeout,
-            retries=config.recovery_retries,
-        )
-        plane = yield from comm.split(
-            color=t_idx, key=s_idx * grid.p_nodes + n_idx
-        )
-        plane = EpochComm(
-            plane, timeout=config.recovery_timeout,
-            retries=config.recovery_retries,
-        )
-        ft_grid = _GridRecovery(
-            world=comm, grid=grid, space=plane, t_idx=t_idx, s_idx=s_idx,
-            row_index=s_idx * grid.p_nodes + n_idx,
-            epoch_comms=(space, node),
-        )
+    tcomm, space, node, ft_grid = comm, None, None, None
+    ft = config.recovery != "fail"
+    epoch_comms: List[EpochComm] = []
+
+    def view(sub):
+        """``sub`` itself, or its epoch-tagged view when recovery is on."""
+        if ft:
+            sub = EpochComm(sub, timeout=config.recovery_timeout,
+                            retries=config.recovery_retries)
+            epoch_comms.append(sub)
+        return sub
+
+    if grid.world_size > grid.p_time:
+        # p_nodes = 1 keeps the scalar split colours of the paper's 2D
+        # grid: colours are part of every sub-comm tag, so widening them
+        # to tuples would change that grid's certificates and clocks
+        flat = grid.p_nodes == 1
+        space = view((yield from comm.split(
+            color=t_idx if flat else (t_idx, n_idx), key=s_idx)))
+        tcomm = yield from comm.split(
+            color=s_idx if flat else (s_idx, n_idx), key=t_idx)
+        if not flat:
+            node = view((yield from comm.split(
+                color=(t_idx, s_idx), key=n_idx)))
+        if ft:
+            row, row_index = space, s_idx * grid.p_nodes + n_idx
+            if not flat:
+                row = view((yield from comm.split(
+                    color=t_idx, key=row_index)))
+            ft_grid = _GridRecovery(
+                world=comm, grid=grid, t_idx=t_idx, row=row,
+                row_index=row_index, epoch_comms=tuple(epoch_comms),
+            )
     result = yield from pfasst_rank_program(
         tcomm, config, specs, u0, spatial,
-        space=space if grid.p_space > 1 else None,
-        dispatch=dispatch, ft_grid=ft_grid,
-        checkpointer=checkpointer if (s_idx == 0 and n_idx == 0) else None,
+        ctx=RhsContext(space, node, dispatch),
+        ft_grid=ft_grid,
+        checkpointer=checkpointer if (s_idx, n_idx) == (0, 0) else None,
         resume=resume,
-        node=node,
     )
+    # every member of a time slice drives identical time logic over
+    # identical full states, so end values must agree *bitwise* — any
+    # divergence means a space or node collective leaked rank-dependent
+    # data
     digest = hashlib.blake2b(
         np.ascontiguousarray(result["end_value"]).tobytes(), digest_size=16
     ).hexdigest()
@@ -1136,12 +1017,13 @@ def _node_grid_rank_program(
                 f"space row (t={t_idx}, n={n_idx}) diverged across its "
                 f"{space.size} ranks: end-value digests {digests}"
             )
-    ndigests = yield from allgather(node, digest, tag=tags.NODE_DIGEST)
-    if len(set(ndigests)) != 1:
-        raise RuntimeError(
-            f"node group (t={t_idx}, s={s_idx}) diverged across its "
-            f"{node.size} ranks: end-value digests {ndigests}"
-        )
+    if grid.p_nodes > 1:
+        digests = yield from allgather(node, digest, tag=tags.NODE_DIGEST)
+        if len(set(digests)) != 1:
+            raise RuntimeError(
+                f"node group (t={t_idx}, s={s_idx}) diverged across its "
+                f"{node.size} ranks: end-value digests {digests}"
+            )
     result["space_rank"] = s_idx
     result["node_rank"] = n_idx
     result["world_rank"] = comm.rank
@@ -1240,9 +1122,9 @@ def run_pfasst(
     epoch-tagged so a restart orphans stale ring messages.
 
     ``p_nodes > 1`` adds PFASST-ER's third dimension: the scheduler
-    world grows to ``p_time * p_space * p_nodes`` ranks on a
-    :class:`~repro.parallel.topology.SpaceTimeNodeGrid`, and every
-    multi-node RHS evaluation round shards the collocation nodes over
+    world grows to ``p_time * p_space * p_nodes`` ranks (one
+    :class:`~repro.parallel.topology.SpaceTimeGrid`, the same rank
+    program at every shape), and every multi-node RHS evaluation round shards the collocation nodes over
     the ``p_nodes`` ranks of each time-space cell (ring allgather over
     the node comm).  Under the default Gauss-Seidel sweeper only the
     controller's restriction/interpolation re-evaluations are multi-node
@@ -1261,8 +1143,8 @@ def run_pfasst(
     killed run from its last checkpoint: the resumed run adopts the
     level state bitwise, skips the completed blocks and iterations, and
     reaches final u-blocks and residuals identical to an uninterrupted
-    run.  Resuming under a different config/``p_time``/``p_space`` is
-    rejected (digest mismatch).
+    run.  Resuming under a different config/``p_time``/``p_space``/
+    ``p_nodes`` is rejected (digest mismatch).
 
     Set ``measure_compute=True`` (and a cost model) for speedup studies;
     leave it off for pure accuracy experiments, where virtual time is
@@ -1369,38 +1251,20 @@ def run_pfasst(
         if resume.config_digest and resume.config_digest != run_digest:
             raise ValueError(
                 "checkpoint config digest mismatch: the checkpoint was "
-                "written under a different (config, p_time, p_space); "
-                "resume with the original run configuration"
+                "written under a different (config, p_time, p_space, "
+                "p_nodes); resume with the original run configuration"
             )
-    if p_nodes > 1:
-        grid3 = SpaceTimeNodeGrid(p_time, p_space, p_nodes)
-        results = scheduler.run(
-            _node_grid_rank_program,
-            args=(config, specs, np.asarray(u0), spatial, grid3, dispatch,
-                  checkpointer, resume),
-        )
-        # space columns and node groups are bitwise-identical (checked
-        # inside the program); report (s, n) = (0, 0) as canonical
-        results = [
-            r for r in results
-            if r["space_rank"] == 0 and r["node_rank"] == 0
-        ]
-    elif p_space > 1:
-        grid = SpaceTimeGrid(p_time, p_space)
-        results = scheduler.run(
-            _grid_rank_program,
-            args=(config, specs, np.asarray(u0), spatial, grid, dispatch,
-                  checkpointer, resume),
-        )
-        # all space columns are bitwise-identical (checked inside the
-        # program); report the s=0 column as the canonical one
-        results = [r for r in results if r["space_rank"] == 0]
-    else:
-        results = scheduler.run(
-            pfasst_rank_program,
-            args=(config, specs, np.asarray(u0), spatial, None, dispatch,
-                  None, checkpointer, resume),
-        )
+    results = scheduler.run(
+        _grid_rank_program,
+        args=(config, specs, np.asarray(u0), spatial,
+              SpaceTimeGrid(p_time, p_space, p_nodes), dispatch,
+              checkpointer, resume),
+    )
+    # space columns and node groups are bitwise-identical (checked inside
+    # the program); report (s, n) = (0, 0) as canonical
+    results = [
+        r for r in results if (r["space_rank"], r["node_rank"]) == (0, 0)
+    ]
     by_rank = sorted(results, key=lambda r: r["rank"])
     return PfasstResult(
         u_end=by_rank[-1]["end_value"],

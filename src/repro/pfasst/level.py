@@ -119,7 +119,7 @@ class Level:
 
     @property
     def timings(self):
-        """This level's sweep-phase :class:`~repro.utils.timing.TimingRegistry`."""
+        """This level's sweep-phase :class:`~repro.obs.timing.TimingRegistry`."""
         return self.sweeper.timings
 
     @property

@@ -10,7 +10,7 @@ from repro.sdc.quadrature import (
     diagonal_coefficients,
     DIAGONAL_COEFFICIENT_CHOICES,
 )
-from repro.sdc.sweeper import ExplicitSDCSweeper, evaluate_node_values, node_slice
+from repro.sdc.sweeper import ExplicitSDCSweeper, RhsContext, node_slice
 from repro.sdc.diagonal import DiagonalSDCSweeper
 from repro.sdc.sdc_stepper import SDCStepper, SDCRunStats
 from repro.sdc.imex import (
@@ -31,7 +31,7 @@ __all__ = [
     "lagrange_integration_weights",
     "ExplicitSDCSweeper",
     "DiagonalSDCSweeper",
-    "evaluate_node_values",
+    "RhsContext",
     "node_slice",
     "diagonal_coefficients",
     "DIAGONAL_COEFFICIENT_CHOICES",

@@ -14,8 +14,8 @@ a sweep update **independently** — the collocation nodes become a third
 process dimension next to time and space.  Executed under a node
 sub-comm (``p_nodes`` ranks per time-space cell), each node rank
 evaluates only its own slice of the node axis and the full ``F`` block
-is reassembled with an allgather (:func:`repro.sdc.sweeper.
-evaluate_node_values`).
+is reassembled with an allgather (:meth:`repro.sdc.sweeper.
+RhsContext.node_values`).
 
 For the explicit N-body right-hand sides of this repository the
 per-node implicit relation is resolved by fixed-point (Picard)
@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from repro.sdc.quadrature import QuadratureRule, diagonal_coefficients
-from repro.sdc.sweeper import ExplicitSDCSweeper, evaluate_node_values
+from repro.sdc.sweeper import ExplicitSDCSweeper, RhsContext
 from repro.vortex.problem import ODEProblem
 
 __all__ = ["DiagonalSDCSweeper"]
@@ -103,11 +103,9 @@ class DiagonalSDCSweeper(ExplicitSDCSweeper):
         F: np.ndarray,
         u0: Optional[np.ndarray] = None,
         tau: Optional[np.ndarray] = None,
-        space=None,
-        dispatch=None,
-        node=None,
+        ctx: RhsContext = RhsContext(),
     ):
-        """One Jacobi-style sweep; node-parallel over ``node`` when live.
+        """One Jacobi-style sweep; node-parallel over ``ctx.node`` when live.
 
         All node updates read only the previous iterate ``(U, F)`` and
         ``u0``, so the evaluation rounds shard over the node comm and
@@ -136,13 +134,9 @@ class DiagonalSDCSweeper(ExplicitSDCSweeper):
                 d_eff = (dt * self.d).reshape((m1,) + (1,) * (U.ndim - 1))
                 b = base - d_eff * F
                 for _ in range(self.inner_iterations):
-                    F_star = yield from evaluate_node_values(
-                        self.problem, times, U_new,
-                        space=space, node=node, dispatch=dispatch,
+                    F_star = yield from ctx.node_values(
+                        self.problem, times, U_new
                     )
                     U_new = b + d_eff * F_star
-            F_new = yield from evaluate_node_values(
-                self.problem, times, U_new,
-                space=space, node=node, dispatch=dispatch,
-            )
+            F_new = yield from ctx.node_values(self.problem, times, U_new)
             return U_new, F_new

@@ -26,58 +26,26 @@ call — there is no left-endpoint node to carry it implicitly.
 
 from __future__ import annotations
 
-from typing import Literal, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Literal, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.sanitize import boundary
+from repro.obs.timing import TimingRegistry
 from repro.parallel import tags
 from repro.parallel.collectives import allgather
 from repro.parallel.executor import Compute, ComputeTask
 from repro.sdc.quadrature import QuadratureRule
-from repro.utils.timing import TimingRegistry
 from repro.vortex.problem import ODEProblem
 
 __all__ = [
     "ExplicitSDCSweeper",
-    "evaluate_rhs",
-    "evaluate_node_values",
+    "RhsContext",
     "node_slice",
 ]
 
 InitStrategy = Literal["spread", "euler"]
-
-
-def evaluate_rhs(problem: ODEProblem, space, t: float, u: np.ndarray,
-                 dispatch=None):
-    """RHS evaluation generator, space-parallel when ``space`` is live.
-
-    With a space communicator of size > 1 and a problem exposing
-    ``rhs_program`` the evaluation is driven collectively via
-    ``yield from``; otherwise it is a plain ``problem.rhs`` call with
-    *zero* yields, so serial op streams are byte-identical to the direct
-    call.  All sweeper/controller RHS sites route through here.
-
-    ``dispatch`` (a :class:`repro.parallel.executor.DispatchContext`)
-    turns the evaluation into the scheduler's dispatch unit: when the
-    problem is registered with the execution backend, the call is yielded
-    as a :class:`~repro.parallel.executor.Compute` operation — on a
-    process backend, independent RHS evaluations across time ranks then
-    run concurrently on real cores.  Without a dispatch context (or for
-    unregistered problems) behaviour is unchanged.
-    """
-    program = getattr(problem, "rhs_program", None)
-    if space is not None and space.size > 1 and program is not None:
-        result = yield from program(space, t, u, dispatch=dispatch)
-        return result
-    if dispatch is not None:
-        key = dispatch.key_of(problem)
-        if key is not None:
-            result = yield Compute(
-                ComputeTask(key, "rhs", args=(t,), arrays=(u,))
-            )
-            return result
-    return problem.rhs(t, u)
 
 
 def node_slice(n_nodes: int, parts: int, index: int) -> Tuple[int, int]:
@@ -92,44 +60,76 @@ def node_slice(n_nodes: int, parts: int, index: int) -> Tuple[int, int]:
     return lo, lo + base + (1 if index < extra else 0)
 
 
-def evaluate_node_values(problem: ODEProblem, times, values,
-                         space=None, node=None, dispatch=None):
-    """Evaluate the RHS at a set of collocation nodes, sharded over ``node``.
+@dataclass(frozen=True)
+class RhsContext:
+    """Where and how one rank evaluates right-hand sides.
 
-    The PFASST-ER node comm (``node``, one rank per slice of the node
-    axis): each node rank evaluates only its own contiguous slice of the
-    ``(t, u)`` pairs — space-parallel and/or dispatched per
-    :func:`evaluate_rhs` — and the full ``F`` block is reassembled with a
-    ring allgather over the node comm.  Every node rank returns the same
-    array *bitwise*: each entry is computed on exactly one rank and
-    shared, which is what keeps ``p_nodes > 1`` runs bit-comparable to
-    ``p_nodes = 1``.
-
-    With ``node`` absent (or of size 1) the loop runs inline with zero
-    extra yields, so existing op streams are unchanged.
+    Built once per rank program and handed to every sweeper/controller
+    RHS site as ``ctx=``.  ``space`` is the rank's space communicator (a
+    row of the paper's Fig. 2 grid), ``node`` its PFASST-ER node
+    communicator and ``dispatch`` a
+    :class:`repro.parallel.executor.DispatchContext`.  A communicator of
+    size 1 is as good as none, so the default context evaluates serially
+    with *zero* yields and serial op streams stay byte-identical to
+    direct ``problem.rhs`` calls.
     """
-    m1 = len(times)
-    if node is None or node.size <= 1:
-        out = []
-        for m in range(m1):
-            out.append((yield from evaluate_rhs(
-                problem, space, times[m], values[m], dispatch=dispatch
-            )))
-        return np.stack(out, axis=0)
-    lo, hi = node_slice(m1, node.size, node.rank)
-    mine = []
-    for m in range(lo, hi):
-        mine.append((yield from evaluate_rhs(
-            problem, space, times[m], values[m], dispatch=dispatch
-        )))
-    yield node.annotate("begin:node:rhs-allgather")
-    nbytes = int(sum(np.asarray(f).nbytes for f in mine))
-    node.metrics.counter("node.rhs_bytes").inc(nbytes)
-    node.metrics.counter("node.rhs_bytes", rank=node.world_rank).inc(nbytes)
-    parts = yield from allgather(node, mine, tag=tags.NODE_F)
-    yield node.annotate("end:node:rhs-allgather")
-    flat = [f for part in parts for f in part]
-    return np.stack(flat, axis=0)
+
+    space: Optional[Any] = None
+    node: Optional[Any] = None
+    dispatch: Optional[Any] = None
+
+    def rhs(self, problem: ODEProblem, t: float, u: np.ndarray):
+        """One RHS evaluation (generator).
+
+        With a live space comm and a problem exposing ``rhs_program`` the
+        evaluation is driven collectively over the row.  Otherwise, when
+        the problem is registered with the dispatch context's execution
+        backend, the call is yielded as a
+        :class:`~repro.parallel.executor.Compute` operation — the
+        scheduler's dispatch unit: on a process backend, independent
+        evaluations across time ranks run concurrently on real cores.
+        Failing both it is a plain ``problem.rhs`` call.
+        """
+        space, dispatch = self.space, self.dispatch
+        program = getattr(problem, "rhs_program", None)
+        if space is not None and space.size > 1 and program is not None:
+            return (yield from program(space, t, u, dispatch=dispatch))
+        if dispatch is not None:
+            key = dispatch.key_of(problem)
+            if key is not None:
+                return (yield Compute(
+                    ComputeTask(key, "rhs", args=(t,), arrays=(u,))
+                ))
+        return problem.rhs(t, u)
+
+    def node_values(self, problem: ODEProblem, times, values):
+        """Evaluate the RHS at a set of collocation nodes (generator).
+
+        With a live node comm each node rank evaluates only its own
+        contiguous slice of the ``(t, u)`` pairs via :meth:`rhs` and the
+        full ``F`` block is reassembled with a ring allgather.  Every
+        node rank returns the same array *bitwise*: each entry is
+        computed on exactly one rank and shared, which is what keeps
+        ``p_nodes > 1`` runs bit-comparable to ``p_nodes = 1``.  Without
+        one the loop runs inline with no extra yields.
+        """
+        node = self.node
+        serial = node is None or node.size <= 1
+        lo, hi = 0, len(times)
+        if not serial:
+            lo, hi = node_slice(hi, node.size, node.rank)
+        mine = []
+        for m in range(lo, hi):
+            mine.append((yield from self.rhs(problem, times[m], values[m])))
+        if serial:
+            return np.stack(mine, axis=0)
+        yield node.annotate("begin:node:rhs-allgather")
+        nbytes = int(sum(np.asarray(f).nbytes for f in mine))
+        node.metrics.counter("node.rhs_bytes").inc(nbytes)
+        node.metrics.counter("node.rhs_bytes", rank=node.world_rank).inc(nbytes)
+        parts = yield from allgather(node, mine, tag=tags.NODE_F)
+        yield node.annotate("end:node:rhs-allgather")
+        return np.stack([f for part in parts for f in part], axis=0)
 
 
 def _drain(gen):
@@ -184,20 +184,16 @@ class ExplicitSDCSweeper:
         dt: float,
         u0: np.ndarray,
         strategy: InitStrategy = "spread",
-        space=None,
-        dispatch=None,
-        node=None,
+        ctx: RhsContext = RhsContext(),
     ):
-        """Generator form of :meth:`initialize` (RHS via :func:`evaluate_rhs`).
-
-        ``node`` (a PFASST-ER node comm) is accepted for call-site
-        uniformity; initialization is node-sequential (``spread`` makes
-        one evaluation, ``euler`` marches), so it is unused here.
+        """Generator form of :meth:`initialize` (RHS via ``ctx.rhs``).
 
         Drive with ``yield from`` inside a rank program to shard the RHS
-        work over ``space`` and/or dispatch it to an execution backend
-        via ``dispatch``; without either it performs zero yields and
-        computes exactly what :meth:`initialize` does.
+        work over ``ctx.space`` and/or dispatch it to an execution
+        backend; with the default context it performs zero yields and
+        computes exactly what :meth:`initialize` does.  Initialization
+        is node-sequential (``spread`` makes one evaluation, ``euler``
+        marches), so ``ctx.node`` is unused here.
         """
         with self.timings.phase("initialize"):
             m1 = self.num_nodes
@@ -205,9 +201,7 @@ class ExplicitSDCSweeper:
             U = np.empty((m1,) + u0.shape, dtype=np.float64)
             F = np.empty_like(U)
             U[0] = u0
-            F[0] = yield from evaluate_rhs(
-                self.problem, space, times[0], u0, dispatch=dispatch
-            )
+            F[0] = yield from ctx.rhs(self.problem, times[0], u0)
             if strategy == "spread":
                 for m in range(1, m1):
                     U[m] = u0
@@ -216,10 +210,7 @@ class ExplicitSDCSweeper:
                 delta = dt * self.rule.delta
                 for m in range(1, m1):
                     U[m] = U[m - 1] + delta[m - 1] * F[m - 1]
-                    F[m] = yield from evaluate_rhs(
-                        self.problem, space, times[m], U[m],
-                        dispatch=dispatch,
-                    )
+                    F[m] = yield from ctx.rhs(self.problem, times[m], U[m])
             else:
                 raise ValueError(f"unknown init strategy {strategy!r}")
             return U, F
@@ -247,17 +238,13 @@ class ExplicitSDCSweeper:
         F: np.ndarray,
         u0: Optional[np.ndarray] = None,
         tau: Optional[np.ndarray] = None,
-        space=None,
-        dispatch=None,
-        node=None,
+        ctx: RhsContext = RhsContext(),
     ):
-        """Generator form of :meth:`sweep` (RHS via :func:`evaluate_rhs`).
+        """Generator form of :meth:`sweep` (RHS via ``ctx.rhs``).
 
-        ``node`` is accepted for call-site uniformity with
-        :class:`~repro.sdc.diagonal.DiagonalSDCSweeper`; the
-        Gauss-Seidel substitution chain is inherently node-sequential,
-        so it is unused here (node ranks compute redundantly and stay
-        bitwise identical).
+        The Gauss-Seidel substitution chain is inherently
+        node-sequential, so ``ctx.node`` is unused here (node ranks
+        compute redundantly and stay bitwise identical).
         """
         with self.timings.phase("sweep"):
             m1 = self.num_nodes
@@ -281,16 +268,14 @@ class ExplicitSDCSweeper:
                 F_new[0] = F[0]
             elif self.rule.node_set.includes_left:
                 U_new[0] = u0
-                F_new[0] = yield from evaluate_rhs(
-                    self.problem, space, times[0], u0, dispatch=dispatch
-                )
+                F_new[0] = yield from ctx.rhs(self.problem, times[0], u0)
             else:
                 # node 0 sits at tau_0 > 0: its SDC update starts from u0
                 # with row 0 of S, which integrates the interpolant (plus
                 # any FAS correction) over [0, tau_0]
                 U_new[0] = u0 + integral[0]
-                F_new[0] = yield from evaluate_rhs(
-                    self.problem, space, times[0], U_new[0], dispatch=dispatch
+                F_new[0] = yield from ctx.rhs(
+                    self.problem, times[0], U_new[0]
                 )
             for m in range(m1 - 1):
                 U_new[m + 1] = (
@@ -298,9 +283,8 @@ class ExplicitSDCSweeper:
                     + delta[m] * (F_new[m] - F[m])
                     + integral[m + 1]
                 )
-                F_new[m + 1] = yield from evaluate_rhs(
-                    self.problem, space, times[m + 1], U_new[m + 1],
-                    dispatch=dispatch,
+                F_new[m + 1] = yield from ctx.rhs(
+                    self.problem, times[m + 1], U_new[m + 1]
                 )
             return U_new, F_new
 

@@ -1,6 +1,6 @@
 """Small shared utilities: timers, chunk iteration, validation helpers."""
 
-from repro.utils.timing import Timer, TimingRegistry, timed
+from repro.obs.timing import Timer, TimingRegistry, timed
 from repro.utils.chunking import chunk_ranges, chunk_pairs_budget
 from repro.utils.validation import (
     check_positive,

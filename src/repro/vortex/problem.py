@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.utils.timing import Timer
+from repro.obs.timing import Timer
 from repro.utils.validation import check_array, check_positive
 from repro.vortex.kernels import SmoothingKernel, get_kernel
 from repro.vortex.particles import pack_state, unpack_state

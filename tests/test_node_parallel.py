@@ -13,7 +13,7 @@ import pytest
 from repro.parallel.chaos import ChaosODE
 from repro.parallel.executor import ProcessExecutor, SerialExecutor
 from repro.parallel.faults import FaultPlan, RankCrash
-from repro.parallel.topology import SpaceTimeGrid, SpaceTimeNodeGrid
+from repro.parallel.topology import SpaceTimeGrid
 from repro.pfasst.controller import PfasstConfig, run_pfasst
 from repro.pfasst.level import LevelSpec
 from repro.tree.parallel import SpaceParallelTreeEvaluator
@@ -23,10 +23,10 @@ from repro.vortex.problem import VortexProblem
 
 class TestSpaceTimeNodeGrid:
     def test_world_size(self):
-        assert SpaceTimeNodeGrid(3, 2, 4).world_size == 24
+        assert SpaceTimeGrid(3, 2, 4).world_size == 24
 
     def test_coords_world_rank_roundtrip(self):
-        grid = SpaceTimeNodeGrid(2, 3, 2)
+        grid = SpaceTimeGrid(2, 3, 2)
         for r in range(grid.world_size):
             t, s, n = grid.coords(r)
             assert grid.world_rank(t, s, n) == r
@@ -35,12 +35,12 @@ class TestSpaceTimeNodeGrid:
         """Node ranks of one (t, s) cell are contiguous world ranks, so
         the node ring is the tightest loop — mirroring how node sweeps
         nest inside space exchanges inside the time ring."""
-        grid = SpaceTimeNodeGrid(2, 2, 3)
+        grid = SpaceTimeGrid(2, 2, 3)
         assert grid.node_comm(0) == [0, 1, 2]
         assert grid.node_comm(4) == [3, 4, 5]
 
     def test_comms_partition_the_world(self):
-        grid = SpaceTimeNodeGrid(2, 2, 2)
+        grid = SpaceTimeGrid(2, 2, 2)
         for comm_of in (grid.space_comm, grid.time_comm, grid.node_comm):
             seen = sorted(
                 r for lead in range(grid.world_size)
@@ -51,7 +51,7 @@ class TestSpaceTimeNodeGrid:
             assert sorted(set(seen)) == list(range(grid.world_size))
 
     def test_comm_members_share_the_other_coords(self):
-        grid = SpaceTimeNodeGrid(2, 3, 2)
+        grid = SpaceTimeGrid(2, 3, 2)
         r = grid.world_rank(1, 2, 1)
         t, s, n = grid.coords(r)
         assert all(grid.coords(m)[0] == t and grid.coords(m)[2] == n
@@ -62,27 +62,26 @@ class TestSpaceTimeNodeGrid:
                    for m in grid.node_comm(r))
 
     def test_time_row_collects_all_space_and_node_ranks(self):
-        grid = SpaceTimeNodeGrid(2, 2, 2)
+        grid = SpaceTimeGrid(2, 2, 2)
         row = grid.time_row(1)
         assert row == [r for r in range(8) if grid.coords(r)[0] == 1]
         assert len(row) == 4
 
     def test_p_nodes_one_matches_2d_numbering(self):
-        g2 = SpaceTimeGrid(3, 2)
-        g3 = SpaceTimeNodeGrid(3, 2, 1)
-        for r in range(g2.world_size):
-            t, s = g2.coords(r)
-            assert g3.coords(r) == (t, s, 0)
-            assert g3.space_comm(r) == g2.space_comm(r)
-            assert g3.time_comm(r) == g2.time_comm(r)
-            assert g3.time_row(t) == g2.time_row(t)
+        grid = SpaceTimeGrid(3, 2, 1)
+        for r in range(grid.world_size):
+            t, s = divmod(r, 2)
+            assert grid.coords(r) == (t, s, 0)
+            assert grid.space_comm(r) == [2 * t, 2 * t + 1]
+            assert grid.time_comm(r) == [s, 2 + s, 4 + s]
+            assert grid.time_row(t) == [2 * t, 2 * t + 1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SpaceTimeNodeGrid(0, 1, 1)
+            SpaceTimeGrid(0, 1, 1)
         with pytest.raises(ValueError):
-            SpaceTimeNodeGrid(1, 1, -1)
-        grid = SpaceTimeNodeGrid(2, 2, 2)
+            SpaceTimeGrid(1, 1, -1)
+        grid = SpaceTimeGrid(2, 2, 2)
         with pytest.raises(ValueError):
             grid.coords(8)
         with pytest.raises(ValueError):

@@ -60,18 +60,6 @@ class TestNullFastPath:
         assert not hasattr(NullTracer(), "__dict__")
 
 
-class TestUtilsTimingShim:
-    def test_shim_reexports_the_obs_implementation(self):
-        """repro.utils.timing must stay import-compatible but share the
-        classes with repro.obs.timing (one implementation, two names)."""
-        import repro.obs.timing as obs_timing
-        import repro.utils.timing as utils_timing
-
-        assert utils_timing.Timer is obs_timing.Timer
-        assert utils_timing.TimingRegistry is obs_timing.TimingRegistry
-        assert utils_timing.timed is obs_timing.timed
-
-
 class TestTracerRecording:
     def test_wall_span_records_interval(self):
         tracer = Tracer()

@@ -76,7 +76,7 @@ class TestRPR002Nondeterminism:
 
     def test_wallclock_allowed_in_timing_modules(self):
         src = "import time\nt0 = time.perf_counter()\n"
-        assert lint_source(src, "repro/utils/timing.py") == []
+        assert lint_source(src, "repro/obs/timing.py") == []
         assert lint_source(src, "repro/parallel/simmpi.py") == []
 
     def test_iteration_over_set_call(self):

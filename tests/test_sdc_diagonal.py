@@ -12,7 +12,7 @@ from repro.sdc.quadrature import (
 )
 from repro.sdc.sweeper import (
     ExplicitSDCSweeper,
-    evaluate_node_values,
+    RhsContext,
     node_slice,
 )
 
@@ -233,8 +233,8 @@ class TestShardedEvaluation:
         times = rule.nodes * 0.3
         values = np.array([[1.0 + m, 0.5 * m] for m in range(4)])
 
-        # serial path (node=None) makes no yields for this problem
-        gen = evaluate_node_values(linear_problem, times, values)
+        # serial path (default ctx) makes no yields for this problem
+        gen = RhsContext().node_values(linear_problem, times, values)
         try:
             while True:
                 next(gen)
@@ -242,8 +242,8 @@ class TestShardedEvaluation:
             serial = stop.value
 
         def prog(comm, problem, times, values):
-            out = yield from evaluate_node_values(
-                problem, times, values, node=comm
+            out = yield from RhsContext(node=comm).node_values(
+                problem, times, values
             )
             return out
 

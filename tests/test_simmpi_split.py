@@ -17,7 +17,7 @@ class TestSplit:
         grid = SpaceTimeGrid(2, 3)
 
         def program(comm):
-            t, s = grid.coords(comm.rank)
+            t, s, _ = grid.coords(comm.rank)
             space = yield from comm.split(color=t, key=s)
             tcomm = yield from comm.split(color=s, key=t)
             return {
@@ -27,7 +27,7 @@ class TestSplit:
 
         results = run(6, program)
         for world, res in enumerate(results):
-            t, s = grid.coords(world)
+            t, s, _ = grid.coords(world)
             assert res["space"] == (s, 3, grid.space_comm(world))
             assert res["time"] == (t, 2, grid.time_comm(world))
 

@@ -1,10 +1,10 @@
-"""Tests for repro.utils.timing."""
+"""Tests for the phase timers (repro.obs.timing, re-exported by repro.utils)."""
 
 import time
 
 import pytest
 
-from repro.utils.timing import Timer, TimingRegistry, timed
+from repro.obs.timing import Timer, TimingRegistry, timed
 
 
 class TestTimer:
