@@ -45,6 +45,11 @@ Interaction lists are laid out once per traversal by
 per-group segment table shared by the far and near phases (replacing the
 seed's two stable argsorts + four ``searchsorted`` calls; a sort is only
 performed when the traversal output is not already group-ordered).
+:class:`TraversalLayout` keeps everything at *list-entry* granularity —
+a ``(count, shift)`` per ``(cluster node, target group)`` and per
+``(group, source leaf)`` entry — and the drivers expand the per-pair
+gather/scatter indices batch by batch (:func:`_pairs_to_slots`), so its
+memory is O(list entries), not O(particle pairs).
 
 **Backends.** Each pass takes an optional kernel backend
 (:mod:`repro.backends`) selecting the execution strategy and array
@@ -79,7 +84,6 @@ from repro.backends import KernelBackend, get_backend
 from repro.nbody.direct import coulomb_pairs
 from repro.tree.build import Octree
 from repro.tree.evaluate import (
-    _cross,
     _cross_matrix_add,
     _eps_add,
     evaluate_coulomb_far_pairs,
@@ -234,6 +238,14 @@ def segment_layout(
 class TraversalLayout:
     """Everything the batched engine needs, precomputed per traversal.
 
+    Every table is *entry-level* — one element per list entry (a
+    ``(cluster node, target group)`` or ``(group, source leaf)`` pair),
+    per group or per particle slot — never per particle pair.  An entry
+    stands for a run of consecutive pairs that map to consecutive
+    particle slots, so it is stored as ``count`` and ``shift = first slot
+    - first global pair index``; the drivers expand a batch's padded
+    global pair indices into slots on the fly (:func:`_pairs_to_slots`).
+
     Group-indexed arrays follow the order of ``lists.groups``; per-slot
     arrays are indexed by *sorted particle slot* (the Morton order the
     tree stores) and serve the flat chunked Coulomb path, whose ``cum``
@@ -246,27 +258,36 @@ class TraversalLayout:
     group_start: np.ndarray
     group_count: np.ndarray
     group_center: np.ndarray
-    #: concatenated near source slots, one contiguous block per group
-    src_concat: np.ndarray
-    #: per-group range into ``src_concat``
+    #: group index of every sorted particle slot
+    group_of_slot: np.ndarray
+    #: per-group range of global near source indices (a group's sources
+    #: are its near leaves' slots, concatenated in ``near.node`` order)
     src_start: np.ndarray
     src_count: np.ndarray
-    #: far pairs per slot / segment base offset per slot / prefix sum
-    far_count: np.ndarray
-    far_base: np.ndarray
+    #: per near entry (``near.node`` order): leaf size and slot shift
+    near_entry_count: np.ndarray
+    near_entry_shift: np.ndarray
+    #: (n + 1,) prefix sums of the far / near pairs per slot
     far_cum: np.ndarray
-    near_count: np.ndarray
-    near_base: np.ndarray
     near_cum: np.ndarray
-    #: unique far cluster nodes (ascending) with their pair CSR: node
-    #: ``far_nodes_u[k]`` interacts with targets ``far_pair_targets[
-    #: far_node_pair_start[k]:far_node_pair_start[k + 1]]`` (sorted slots)
-    far_nodes_u: np.ndarray = field(default=None)
-    far_node_pair_start: np.ndarray = field(default=None)
-    far_pair_targets: np.ndarray = field(default=None)
+    #: unique far cluster nodes (ascending).  Node ``far_nodes_u[k]`` owns
+    #: the far entries ``far_node_entry_start[k]:far_node_entry_start[k +
+    #: 1]`` of the node-sorted entry tables and the global far pair
+    #: indices ``far_node_pair_start[k]:far_node_pair_start[k + 1]``
+    far_nodes_u: np.ndarray
+    far_node_entry_start: np.ndarray
+    far_node_pair_start: np.ndarray
+    #: per far entry (node-sorted): target-group size and slot shift
+    far_entry_count: np.ndarray
+    far_entry_shift: np.ndarray
     #: max squared distance of any target to its group center — drives
     #: the near product-expansion gate (see ``_NEAR_EXPAND_SIGMA``)
     group_radius2: float = 0.0
+    #: the *traversal* accepted far pairs (a genuine multipole regime) —
+    #: the second half of the near expansion gate.  A shard's sub-list
+    #: may hold none while the full traversal does, so segment layouts
+    #: carry the parent traversal's answer (``_segment_layout``).
+    multipole_regime: bool = False
     #: cached cluster-frame far weights, keyed by ``(moments.token,
     #: order, gradient)``.  The weights are built from moment *values*,
     #: while the layout itself is purely geometric and outlives any one
@@ -287,6 +308,15 @@ class TraversalLayout:
     def near_pairs(self) -> int:
         return int(self.near_cum[-1])
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: index tables plus the cached far weights."""
+        parts = [
+            *vars(self).values(), *vars(self.far).values(),
+            *vars(self.near).values(), *self.far_weights.values(),
+        ]
+        return sum(a.nbytes for a in parts if isinstance(a, np.ndarray))
+
 
 def _group_of_slot(tree: Octree, groups: np.ndarray) -> np.ndarray:
     """Group index of every sorted particle slot (leaves tile the slots)."""
@@ -300,7 +330,8 @@ def _group_of_slot(tree: Octree, groups: np.ndarray) -> np.ndarray:
 def build_traversal_layout(
     tree: Octree, lists: InteractionLists
 ) -> TraversalLayout:
-    """Expand interaction lists into the per-group and per-slot tables."""
+    """Lay the interaction lists out as per-entry / per-group / per-slot
+    tables; nothing here has particle-pair length."""
     n_groups = lists.n_groups
     far = segment_layout(lists.far_group, lists.far_node, n_groups)
     near = segment_layout(lists.near_group, lists.near_node, n_groups)
@@ -310,27 +341,14 @@ def build_traversal_layout(
     group_count = tree.node_end[lists.groups] - group_start
     group_center = tree.node_center[lists.groups]
 
-    far_count = far.counts[gi]
-    far_base = far.starts[:-1][gi]
-    far_cum = _cumsum0(far_count)
-
-    # near: concatenate every group's source leaf ranges once
+    # near: a group's sources are its leaves' slot ranges, back to back
     leaf_sizes = tree.node_count(near.node)
-    total_src = int(leaf_sizes.sum())
-    src_concat = (
-        np.repeat(tree.node_start[near.node], leaf_sizes)
-        + _segment_arange(leaf_sizes, total_src)
-    )
     cum_sizes = _cumsum0(leaf_sizes)
     sources_per_group = cum_sizes[near.starts[1:]] - cum_sizes[near.starts[:-1]]
-    group_src_offset = _cumsum0(sources_per_group)
-    near_count = sources_per_group[gi]
-    near_base = group_src_offset[:-1][gi]
-    near_cum = _cumsum0(near_count)
 
-    # far pairs regrouped by cluster node: the cluster-frame far driver
-    # walks unique nodes, each paired with the concatenated target slots
-    # of every group that accepted it
+    # far entries regrouped by cluster node: the cluster-frame far driver
+    # walks unique nodes, each paired with the target slots of every
+    # group that accepted it, back to back
     n_far_entries = far.node.size
     if n_far_entries:
         entry_group = np.repeat(
@@ -346,12 +364,10 @@ def build_traversal_layout(
         ecount = group_count[gsort]
         pair_cum = _cumsum0(ecount)
         far_node_pair_start = pair_cum[bounds]
-        far_pair_targets = np.repeat(group_start[gsort], ecount)
-        far_pair_targets += _segment_arange(ecount, int(pair_cum[-1]))
+        far_entry_shift = group_start[gsort] - pair_cum[:-1]
     else:
-        far_nodes_u = np.empty(0, np.int64)
-        far_node_pair_start = np.zeros(1, np.int64)
-        far_pair_targets = np.empty(0, np.int64)
+        bounds = far_node_pair_start = np.zeros(1, np.int64)
+        far_nodes_u = ecount = far_entry_shift = np.empty(0, np.int64)
 
     if gi.size:
         d = tree.positions - group_center[gi]
@@ -365,19 +381,20 @@ def build_traversal_layout(
         group_start=group_start,
         group_count=group_count,
         group_center=group_center,
-        src_concat=src_concat,
-        src_start=group_src_offset[:-1],
+        group_of_slot=gi,
+        src_start=cum_sizes[near.starts[:-1]],
         src_count=sources_per_group,
-        far_count=far_count,
-        far_base=far_base,
-        far_cum=far_cum,
-        near_count=near_count,
-        near_base=near_base,
-        near_cum=near_cum,
+        near_entry_count=leaf_sizes,
+        near_entry_shift=tree.node_start[near.node] - cum_sizes[:-1],
+        far_cum=_cumsum0(far.counts[gi]),
+        near_cum=_cumsum0(sources_per_group[gi]),
         far_nodes_u=far_nodes_u,
+        far_node_entry_start=bounds,
         far_node_pair_start=far_node_pair_start,
-        far_pair_targets=far_pair_targets,
+        far_entry_count=ecount,
+        far_entry_shift=far_entry_shift,
         group_radius2=group_radius2,
+        multipole_regime=n_far_entries > 0,
     )
 
 
@@ -431,6 +448,37 @@ def _padded_lanes(
     return start[:, None] + lane, np.arange(width) < count[:, None]
 
 
+def _pairs_to_slots(
+    q: np.ndarray,
+    first: np.ndarray,
+    nent: np.ndarray,
+    count: np.ndarray,
+    shift: np.ndarray,
+    pad: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Turn a block of global pair indices into particle slots.
+
+    ``slot = q + shift[entry(q)]``: row ``i`` of ``q`` walks the list
+    entries ``first[i] : first[i] + nent[i]`` in order, entry ``e`` owning
+    ``count[e]`` consecutive indices; with ``pad`` the row's last real
+    index is repeated ``pad[i]`` more times (:func:`_padded_lanes`) and
+    takes its last entry's shift.  Padded rows need ``nent >= 1``, and
+    every ``count`` is positive (tree nodes are never empty).  Consumes
+    ``q`` (a contiguous block is updated in place) and returns the slots
+    in its shape.  This is the one place entry-level tables become
+    per-pair indices — batch-sized, never stored.
+    """
+    ecum = _cumsum0(nent)
+    ent = np.arange(ecum[-1], dtype=np.int64)
+    ent += np.repeat(first - ecum[:-1], nent)
+    reps = count[ent]
+    if pad is not None:
+        reps[ecum[1:] - 1] += pad
+    flat = q.reshape(-1)
+    flat += np.repeat(shift[ent], reps)
+    return flat.reshape(q.shape)
+
+
 def _slot_chunks(
     cum: np.ndarray, chunk_pairs: int
 ) -> Iterator[Tuple[int, int]]:
@@ -449,22 +497,22 @@ def _slot_chunks(
 
 
 def _expand(
-    count: np.ndarray, base: np.ndarray, a: int, b: int
+    count: np.ndarray, base: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Pair expansion for slots ``[a, b)``.
+    """Pair expansion for a range of slots with ``count`` pairs each.
 
     Returns ``(reps, flat_index, total)`` where ``reps`` is the slot
-    offset (relative to ``a``) of each pair — non-decreasing, so segment
-    sums per target are contiguous — and ``flat_index`` points into the
-    layout's segment array.
+    offset (relative to the range start) of each pair — non-decreasing,
+    so segment sums per target are contiguous — and ``flat_index`` runs
+    from ``base`` of the pair's slot: a position in the layout's segment
+    array (far) or a global near source index.
     """
-    c = count[a:b]
-    total = int(c.sum())
+    total = int(count.sum())
     if total == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64), 0
-    reps = np.repeat(np.arange(b - a, dtype=np.int64), c)
-    within = _segment_arange(c, total)
-    return reps, base[a:b][reps] + within, total
+    reps = np.repeat(np.arange(count.size, dtype=np.int64), count)
+    within = _segment_arange(count, total)
+    return reps, base[reps] + within, total
 
 
 def _scatter_add(
@@ -534,6 +582,8 @@ def batched_far_vortex(
 
     pstart = layout.far_node_pair_start
     pcount = pstart[1:] - pstart[:-1]
+    estart = layout.far_node_entry_start
+    ecount = estart[1:] - estart[:-1]
     korder = np.argsort(-pcount, kind="stable")
     # consecutive runs of the count-sorted nodes; the first (largest)
     # node of a run fixes the padded width
@@ -557,7 +607,11 @@ def batched_far_vortex(
         p = int(pcount[kbatch].max())
         pall = bsz * p
         lanes, valid = _padded_lanes(pstart[:-1][kbatch], pcount[kbatch], p)
-        tflat = layout.far_pair_targets[lanes].reshape(-1)
+        tflat = _pairs_to_slots(
+            lanes, estart[:-1][kbatch], ecount[kbatch],
+            layout.far_entry_count, layout.far_entry_shift,
+            pad=p - pcount[kbatch],
+        ).reshape(-1)
         ppos = pos[tflat]
         ctr = centers[kbatch]
         rtv = rt[:, :pall]
@@ -598,6 +652,28 @@ def batched_far_vortex(
                 )
 
 
+def _near_batch_indices(
+    layout: TraversalLayout, batch: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Padded target / source slot blocks of one near batch of groups.
+
+    Returns ``(tidx, tvalid, sidx, svalid)``: ``(B, C)`` target slots,
+    ``(B, S)`` source slots and their validity masks, as host arrays.
+    """
+    tc = layout.group_count[batch]
+    sc = layout.src_count[batch]
+    smax = int(sc.max())
+    tidx, tvalid = _padded_lanes(
+        layout.group_start[batch], tc, int(tc.max())
+    )
+    slane, svalid = _padded_lanes(layout.src_start[batch], sc, smax)
+    sidx = _pairs_to_slots(
+        slane, layout.near.starts[:-1][batch], layout.near.counts[batch],
+        layout.near_entry_count, layout.near_entry_shift, pad=smax - sc,
+    )
+    return tidx, tvalid, sidx, svalid
+
+
 def batched_near_vortex(
     tree: Octree,
     charges_sorted: np.ndarray,
@@ -618,9 +694,11 @@ def batched_near_vortex(
     target rows of its groups), so the CPU backends dispatch them
     through :meth:`~repro.backends.KernelBackend.map_batches` — serial
     for ``numpy``, a thread pool for ``threaded``, both bitwise
-    identical — while the ``cupy`` backend runs the whole pass on the
-    device (transfer points at this function's boundary only).  ``None``
-    resolves via ``REPRO_BACKEND`` / the NumPy default.
+    identical — while the ``cupy`` backend runs the same batch body on
+    the device (transfer points at this function's boundary only;
+    results match the host to rounding error, not bitwise — device GEMMs
+    reduce in a different order).  ``None`` resolves via
+    ``REPRO_BACKEND`` / the NumPy default.
 
     Dense form of :func:`~repro.vortex.rhs.biot_savart_pairs`: with
     ``r = t - s`` the cross products split into per-target and
@@ -654,20 +732,19 @@ def batched_near_vortex(
     """
     if layout.near_pairs == 0:
         return
-    pos = tree.positions
-
     counts = layout.src_count
     active = np.flatnonzero(counts > 0)
     if active.size == 0:
         return
     active = active[np.argsort(-counts[active], kind="stable")]
-    # The expanded path also requires a genuine multipole regime
-    # (far pairs exist): theta ~ 0 degenerates every interaction to a
-    # near pair spanning the whole domain, where the product expansion
-    # amplifies rounding beyond reference accuracy.
+    # The expanded path also requires a genuine multipole regime (the
+    # traversal accepted far pairs — not just this layout's share of
+    # them): theta ~ 0 degenerates every interaction to a near pair
+    # spanning the whole domain, where the product expansion amplifies
+    # rounding beyond reference accuracy.
     expand = (
         not exclude_zero
-        and layout.far_pairs > 0
+        and layout.multipole_regime
         and layout.group_radius2 <= (_NEAR_EXPAND_SIGMA * sigma) ** 2
     )
     if budget_bytes is not None:
@@ -683,192 +760,53 @@ def batched_near_vortex(
         elem_bytes, _NEAR_PAIR_BYTES[gradient], budget,
     )
     bk = get_backend(backend)
-    if bk.device == "gpu":
-        _near_vortex_device(
-            bk, tree, charges_sorted, layout, kernel, sigma,
-            gradient, exclude_zero, vel, grad, batches, expand,
+    xp = bk.xp
+    # One batch body serves every backend: it runs in the backend's
+    # array namespace on wherever the backend keeps arrays.  Host
+    # backends (``to_device`` is the identity) accumulate straight into
+    # ``vel`` / ``grad``; a device backend gets positions, charges and
+    # group centers moved once here, the per-batch index blocks as they
+    # are built (index math stays on the host — integer bookkeeping, not
+    # GEMM work), and its accumulators moved back once at the end.
+    on_device = bk.device == "gpu"
+    if on_device and not getattr(kernel, "xp_generic", False):
+        raise TypeError(
+            f"kernel {type(kernel).__name__} is not array-namespace "
+            "generic; device backends support the algebraic family and "
+            "the singular kernel (see docs/backends.md)"
         )
-        return
+    pos = bk.to_device(tree.positions)
+    chg = bk.to_device(charges_sorted)
+    ctr = bk.to_device(layout.group_center)
+    if on_device:
+        vel_acc = xp.zeros(vel.shape, dtype=np.float64)
+        grad_acc = xp.zeros(grad.shape, dtype=np.float64) if gradient else None
+    else:
+        vel_acc, grad_acc = vel, grad
 
     def run_batch(batch: np.ndarray) -> None:
         b = batch.size
-        tc = layout.group_count[batch]
-        sc = counts[batch]
-        cmax, smax = int(tc.max()), int(sc.max())
-        tidx, tvalid = _padded_lanes(layout.group_start[batch], tc, cmax)
-        slane, svalid = _padded_lanes(layout.src_start[batch], sc, smax)
-        sidx = layout.src_concat[slane]
+        tidx, tvalid, sidx, svalid = (
+            bk.to_device(x) for x in _near_batch_indices(layout, batch)
+        )
+        cmax, smax = tidx.shape[1], sidx.shape[1]
 
-        gc = layout.group_center[batch][:, None, :]
+        gc = ctr[bk.to_device(batch)][:, None, :]
         t = pos[tidx] - gc  # (B, C, 3), group-local frame
         s = pos[sidx] - gc  # (B, S, 3)
-        a = charges_sorted[sidx]
+        a = chg[sidx]
         flat = tidx[tvalid]
 
         if expand:
             # every feature column is linear in the charge, so zeroed
             # padded lanes contribute nothing to either GEMM
             a[~svalid] = 0.0
-            sxa = _cross(s, a)
-            r2 = np.matmul(t, s.transpose(0, 2, 1))
-            r2 *= -2.0
-            r2 += np.einsum("bci,bci->bc", t, t)[:, :, None]
-            r2 += np.einsum("bsi,bsi->bs", s, s)[:, None, :]
-            np.maximum(r2, 0.0, out=r2)  # GEMM form can round below zero
-            f, g = kernel.f_g_from_r2(r2, sigma, gradient)
-            nf = 24 if gradient else 6
-            feat = np.empty((b, smax, nf), dtype=np.float64)
-            feat[:, :, 0:3] = a
-            feat[:, :, 3:6] = sxa
-            if gradient:
-                np.multiply(
-                    a[:, :, :, None], s[:, :, None, :],
-                    out=feat[:, :, 6:15].reshape(b, smax, 3, 3),
-                )
-                np.multiply(
-                    sxa[:, :, :, None], s[:, :, None, :],
-                    out=feat[:, :, 15:24].reshape(b, smax, 3, 3),
-                )
-            ff = np.matmul(f, feat[:, :, 0:6])
-            u = _cross(t, ff[..., 0:3])
-            u -= ff[..., 3:6]
-            u *= -_INV_FOUR_PI
-            vel[flat] += u[tvalid]
-            if gradient:
-                gg = np.matmul(g, feat)
-                # sum_s h = t x (sum g a) - sum g (s x a)
-                hsum = _cross(t, gg[..., 0:3])
-                hsum -= gg[..., 3:6]
-                g3 = gg[..., 6:15].reshape(b, cmax, 3, 3)
-                g4 = gg[..., 15:24].reshape(b, cmax, 3, 3)
-                # sum_s h_a s_d = (t X sum g a (x) s) - sum g (s x a)(x)s
-                gm = hsum[..., :, None] * t[..., None, :]
-                np.negative(g3, out=g3)
-                _cross_matrix_add(gm, t, g3)
-                gm += g4
-                _eps_add(gm, ff[..., 0:3])
-                gm *= -_INV_FOUR_PI
-                grad[flat] += gm[tvalid]
-            return
-
-        r = t[:, :, None, :] - s[:, None, :, :]
-        r2 = np.einsum("bcsi,bcsi->bcs", r, r)
-        if not gradient:
-            del r
-        if exclude_zero:
-            zero = r2 == 0.0
-            r2[zero] = 1.0
-        f, g = kernel.f_g_from_r2(r2, sigma, gradient)
-        f *= svalid[:, None, :]
-        if exclude_zero:
-            f[zero] = 0.0
-        fg = np.empty((b, smax, 6), dtype=np.float64)
-        fg[:, :, 0:3] = a
-        fg[:, :, 3:6] = _cross(s, a)
-        ff = np.matmul(f, fg)
-        u = _cross(t, ff[..., 0:3])
-        u -= ff[..., 3:6]
-        u *= -_INV_FOUR_PI
-        vel[flat] += u[tvalid]
-
-        if gradient:
-            g *= svalid[:, None, :]
-            if exclude_zero:
-                g[zero] = 0.0
-            h = _cross(r, a[:, None, :, :])
-            del r
-            h *= g[..., None]
-            gm = np.einsum("bcsa->bca", h)[..., :, None] * t[..., None, :]
-            gm -= np.matmul(h.transpose(0, 1, 3, 2), s[:, None, :, :])
-            _eps_add(gm, ff[..., 0:3])
-            gm *= -_INV_FOUR_PI
-            grad[flat] += gm[tvalid]
-
-    bk.map_batches(run_batch, batches)
-
-
-def _xp_cross(xp, a, b):
-    """``a x b`` for (..., 3) arrays in an arbitrary array namespace.
-
-    Device-path twin of :func:`repro.tree.evaluate._cross`, which
-    allocates through ``np.empty`` and therefore pins the result to the
-    host; everything else in the cross product is ufunc arithmetic that
-    dispatches through the namespace protocols unchanged.
-    """
-    out = xp.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.float64)
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return out
-
-
-def _near_vortex_device(
-    backend: KernelBackend,
-    tree: Octree,
-    charges_sorted: np.ndarray,
-    layout: TraversalLayout,
-    kernel: SmoothingKernel,
-    sigma: float,
-    gradient: bool,
-    exclude_zero: bool,
-    vel: np.ndarray,
-    grad: Optional[np.ndarray],
-    batches: List[np.ndarray],
-    expand: bool,
-) -> None:
-    """Device-resident near-field pass (GPU backends).
-
-    Mirrors the host batch body with the backend's array namespace:
-    positions, charges and group centers cross to the device once per
-    evaluation, per-batch index blocks cross as they are built (index
-    math stays on the host — it is integer bookkeeping, not GEMM work),
-    and the accumulated outputs cross back once at the end.  Those are
-    the only transfer points.  Requires an array-namespace-generic
-    kernel (``kernel.xp_generic``; the algebraic family and the singular
-    kernel qualify — their radial factors are pure ufunc arithmetic).
-
-    Results match the host backends to rounding error, not bitwise: the
-    device GEMMs reduce in a different order.
-    """
-    if not getattr(kernel, "xp_generic", False):
-        raise TypeError(
-            f"kernel {type(kernel).__name__} is not array-namespace "
-            "generic; device backends support the algebraic family and "
-            "the singular kernel (see docs/backends.md)"
-        )
-    xp = backend.xp
-    pos_d = backend.to_device(tree.positions)
-    chg_d = backend.to_device(charges_sorted)
-    ctr_d = backend.to_device(layout.group_center)
-    vel_d = xp.zeros(vel.shape, dtype=np.float64)
-    grad_d = xp.zeros(grad.shape, dtype=np.float64) if gradient else None
-
-    for batch in batches:
-        b = batch.size
-        tc = layout.group_count[batch]
-        sc = layout.src_count[batch]
-        cmax, smax = int(tc.max()), int(sc.max())
-        tidx, tvalid = _padded_lanes(layout.group_start[batch], tc, cmax)
-        slane, svalid = _padded_lanes(layout.src_start[batch], sc, smax)
-        sidx = layout.src_concat[slane]
-
-        tidx_d = backend.to_device(tidx)
-        tvalid_d = backend.to_device(tvalid)
-        svalid_d = backend.to_device(svalid)
-        gc = ctr_d[backend.to_device(batch)][:, None, :]
-        t = pos_d[tidx_d] - gc
-        s = pos_d[backend.to_device(sidx)] - gc
-        a = chg_d[backend.to_device(sidx)]
-        flat = tidx_d[tvalid_d]
-
-        if expand:
-            a[~svalid_d] = 0.0
             sxa = _xp_cross(xp, s, a)
             r2 = xp.matmul(t, s.transpose(0, 2, 1))
             r2 *= -2.0
             r2 += xp.einsum("bci,bci->bc", t, t)[:, :, None]
             r2 += xp.einsum("bsi,bsi->bs", s, s)[:, None, :]
-            xp.maximum(r2, 0.0, out=r2)
+            xp.maximum(r2, 0.0, out=r2)  # GEMM form can round below zero
             f, g = kernel.f_g_from_r2(r2, sigma, gradient)
             nf = 24 if gradient else 6
             feat = xp.empty((b, smax, nf), dtype=np.float64)
@@ -887,21 +825,23 @@ def _near_vortex_device(
             u = _xp_cross(xp, t, ff[..., 0:3])
             u -= ff[..., 3:6]
             u *= -_INV_FOUR_PI
-            vel_d[flat] += u[tvalid_d]
+            vel_acc[flat] += u[tvalid]
             if gradient:
                 gg = xp.matmul(g, feat)
+                # sum_s h = t x (sum g a) - sum g (s x a)
                 hsum = _xp_cross(xp, t, gg[..., 0:3])
                 hsum -= gg[..., 3:6]
                 g3 = gg[..., 6:15].reshape(b, cmax, 3, 3)
                 g4 = gg[..., 15:24].reshape(b, cmax, 3, 3)
+                # sum_s h_a s_d = (t X sum g a (x) s) - sum g (s x a)(x)s
                 gm = hsum[..., :, None] * t[..., None, :]
                 xp.negative(g3, out=g3)
                 _cross_matrix_add(gm, t, g3)
                 gm += g4
                 _eps_add(gm, ff[..., 0:3])
                 gm *= -_INV_FOUR_PI
-                grad_d[flat] += gm[tvalid_d]
-            continue
+                grad_acc[flat] += gm[tvalid]
+            return
 
         r = t[:, :, None, :] - s[:, None, :, :]
         r2 = xp.einsum("bcsi,bcsi->bcs", r, r)
@@ -911,7 +851,7 @@ def _near_vortex_device(
             zero = r2 == 0.0
             r2[zero] = 1.0
         f, g = kernel.f_g_from_r2(r2, sigma, gradient)
-        f *= svalid_d[:, None, :]
+        f *= svalid[:, None, :]
         if exclude_zero:
             f[zero] = 0.0
         fg = xp.empty((b, smax, 6), dtype=np.float64)
@@ -921,10 +861,10 @@ def _near_vortex_device(
         u = _xp_cross(xp, t, ff[..., 0:3])
         u -= ff[..., 3:6]
         u *= -_INV_FOUR_PI
-        vel_d[flat] += u[tvalid_d]
+        vel_acc[flat] += u[tvalid]
 
         if gradient:
-            g *= svalid_d[:, None, :]
+            g *= svalid[:, None, :]
             if exclude_zero:
                 g[zero] = 0.0
             h = _xp_cross(xp, r, a[:, None, :, :])
@@ -934,11 +874,28 @@ def _near_vortex_device(
             gm -= xp.matmul(h.transpose(0, 1, 3, 2), s[:, None, :, :])
             _eps_add(gm, ff[..., 0:3])
             gm *= -_INV_FOUR_PI
-            grad_d[flat] += gm[tvalid_d]
+            grad_acc[flat] += gm[tvalid]
 
-    vel += backend.from_device(vel_d)
-    if gradient:
-        grad += backend.from_device(grad_d)
+    bk.map_batches(run_batch, batches)
+    if on_device:
+        vel += bk.from_device(vel_acc)
+        if gradient:
+            grad += bk.from_device(grad_acc)
+
+
+def _xp_cross(xp, a, b):
+    """``a x b`` for (..., 3) arrays in an arbitrary array namespace.
+
+    Namespace-generic form of :func:`repro.tree.evaluate._cross`, which
+    allocates through ``np.empty`` and therefore pins the result to the
+    host; everything else in the cross product is ufunc arithmetic that
+    dispatches through the namespace protocols unchanged.
+    """
+    out = xp.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.float64)
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -986,7 +943,10 @@ def batched_far_coulomb(
 
     def run_chunk(ab: Tuple[int, int]) -> None:
         a, b = ab
-        reps, idx, total = _expand(layout.far_count, layout.far_base, a, b)
+        g = layout.group_of_slot[a:b]
+        reps, idx, total = _expand(
+            layout.far.counts[g], layout.far.starts[g]
+        )
         if total == 0:
             return
         nodes = layout.far.node[idx]
@@ -1033,10 +993,16 @@ def batched_near_coulomb(
 
     def run_chunk(ab: Tuple[int, int]) -> None:
         a, b = ab
-        reps, idx, total = _expand(layout.near_count, layout.near_base, a, b)
+        g = layout.group_of_slot[a:b]
+        reps, idx, total = _expand(
+            layout.src_count[g], layout.src_start[g]
+        )
         if total == 0:
             return
-        src = layout.src_concat[idx]
+        src = _pairs_to_slots(
+            idx, layout.near.starts[g], layout.near.counts[g],
+            layout.near_entry_count, layout.near_entry_shift,
+        )
         p, e = coulomb_pairs(
             tree.positions[a:b][reps],
             tree.positions[src],

@@ -37,12 +37,15 @@ virtual-time model measures.  The arithmetic work of steps 2/5 is
 genuinely sharded: each rank computes only its own segment sums and its
 own far/near interactions.
 
-Because the engine batches interactions differently for a segment than
-for the full particle set (different GEMM paddings, different
-``bincount`` accumulation orders), the assembled field matches the serial
-:class:`~repro.tree.evaluator.TreeEvaluator` to floating-point roundoff
-(relative ~1e-15 per call), not bitwise — the equivalence tests pin this
-down at fine and coarse theta.
+Every segment takes the same near-field path as the serial
+:class:`~repro.tree.evaluator.TreeEvaluator` (the expansion gate is
+decided from the full traversal and carried on the segment layout), so
+on the pinned sheet shapes the assembled field is bitwise identical to
+the serial one.  In general the engine may batch a segment differently
+from the full particle set (different GEMM paddings, different
+``bincount`` accumulation orders), which bounds the difference at
+floating-point roundoff (relative ~1e-15 per call) — the equivalence
+tests pin both down.
 
 Fault tolerance: when the grid controller runs with a recovery policy
 (``PfasstConfig.recovery != "fail"``), the space communicator handed to
@@ -369,6 +372,9 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
         sub = _sub_lists(lists, mask)
         with self.phases.phase("layout"):
             layout = build_traversal_layout(state.tree, sub)
+        # the near expansion gate is a property of the traversal, not of
+        # this shard's share of its far pairs
+        layout.multipole_regime = lists.far_group.size > 0
         found = (sub, layout)
         state.engine_layouts[key] = found
         return found

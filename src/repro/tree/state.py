@@ -25,7 +25,9 @@ state, moments are keyed by the charge-array fingerprint and traversals by
 phases on misses, so a :class:`~repro.obs.timing.TimingRegistry` report
 directly shows the work saved.  When a global metrics registry is active
 (:func:`repro.obs.use_metrics`), every hit/miss also increments a
-``tree.cache.<stage>.<hits|misses>`` counter there.
+``tree.cache.<stage>.<hits|misses>`` counter there, and every
+:meth:`TreeStateCache.state` call sets the ``tree.cache.bytes`` gauge to
+the bytes the cache holds (:attr:`TreeStateCache.nbytes`).
 """
 
 from __future__ import annotations
@@ -49,6 +51,20 @@ from repro.obs.timing import TimingRegistry
 from repro.tree.traversal import InteractionLists, dual_traversal
 
 __all__ = ["array_fingerprint", "CacheStats", "TreeState", "TreeStateCache"]
+
+
+def _nbytes(obj: object) -> int:
+    """Bytes held by a cached product: its own ``nbytes`` when it reports
+    one (arrays, engine layouts), else the sum over its ndarray
+    attributes (tree, moments, interaction lists); tuples are summed."""
+    if isinstance(obj, tuple):
+        return sum(_nbytes(o) for o in obj)
+    own = getattr(obj, "nbytes", None)
+    if own is not None:
+        return int(own)
+    return sum(
+        v.nbytes for v in vars(obj).values() if isinstance(v, np.ndarray)
+    )
 
 
 def array_fingerprint(array: np.ndarray) -> bytes:
@@ -117,6 +133,17 @@ class TreeState:
     # A handful of charge sets coexist per state (e.g. gradient on/off
     # callers, multirate freeze snapshots); keep the map tiny.
     _MOMENT_SLOTS = 4
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes this state keeps alive: tree, moment sets, interaction
+        lists and engine layouts (with their cached far weights)."""
+        held = [
+            self.tree, *self._vortex_moments.values(),
+            *self._coulomb_moments.values(), *self._traversals.values(),
+            *self.engine_layouts.values(),
+        ]
+        return sum(_nbytes(h) for h in held)
 
     @property
     def groups(self) -> np.ndarray:
@@ -222,6 +249,11 @@ class TreeStateCache:
     def clear(self) -> None:
         self._states.clear()
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by all cached states (see :attr:`TreeState.nbytes`)."""
+        return sum(state.nbytes for state in self._states.values())
+
     def state(
         self,
         positions: np.ndarray,
@@ -230,19 +262,22 @@ class TreeStateCache:
     ) -> Tuple[TreeState, bool]:
         """Tree state for a particle configuration; ``(state, was_cached)``."""
         key = (array_fingerprint(positions), int(leaf_size))
-        hit = self._states.get(key)
-        if hit is not None:
-            self.stats.count("build", hit=True)
+        state = self._states.get(key)
+        cached = state is not None
+        self.stats.count("build", hit=cached)
+        if cached:
             self._states.move_to_end(key)
-            return hit, True
-        self.stats.count("build", hit=False)
-        if phases is not None:
-            with phases.phase("tree_build"):
-                tree = build_octree(positions, leaf_size=leaf_size)
         else:
-            tree = build_octree(positions, leaf_size=leaf_size)
-        state = TreeState(tree, self.stats)
-        self._states[key] = state
-        while len(self._states) > self.maxsize:
-            self._states.popitem(last=False)
-        return state, False
+            if phases is not None:
+                with phases.phase("tree_build"):
+                    tree = build_octree(positions, leaf_size=leaf_size)
+            else:
+                tree = build_octree(positions, leaf_size=leaf_size)
+            state = TreeState(tree, self.stats)
+            self._states[key] = state
+            while len(self._states) > self.maxsize:
+                self._states.popitem(last=False)
+        m = get_metrics()
+        if m.enabled:
+            m.gauge("tree.cache.bytes").set(self.nbytes)
+        return state, cached

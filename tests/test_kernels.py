@@ -1,5 +1,8 @@
 """Tests for the smoothing kernels (repro.vortex.kernels)."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,6 +139,29 @@ class TestGaussianSeries:
         series = k.w(rho)[0]
         closed = (rho[0] * k.qprime(rho)[0] - 3 * k.q(rho)[0]) / rho[0] ** 5
         assert series == pytest.approx(closed, rel=1e-7)
+
+
+class TestLazyScipy:
+    """Only the Gaussian profile needs ``scipy.special``; nothing else
+    may pay its import (~0.25 s, ~25 MiB in every child process)."""
+
+    def test_import_repro_leaves_scipy_unloaded(self):
+        code = (
+            "import sys, repro, repro.tree, repro.pfasst, repro.parallel\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded[:5]\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_gaussian_q_matches_quadrature(self):
+        # q(rho) = int_0^rho q'(s) ds, trapezoid rule on a fine grid
+        k = GaussianKernel()
+        rho = np.linspace(0.0, 8.0, 80_001)
+        qp = k.qprime(rho)
+        quad = np.concatenate(
+            ([0.0], np.cumsum(0.5 * (qp[1:] + qp[:-1]) * np.diff(rho)))
+        )
+        assert np.allclose(k.q(rho), quad, rtol=0.0, atol=1e-8)
 
 
 @settings(max_examples=50, deadline=None)

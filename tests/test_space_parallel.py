@@ -97,6 +97,41 @@ class TestFieldEquivalence:
         )
 
 
+class TestShardGate:
+    """The near expansion gate is a property of the traversal, not of a
+    shard's share of its far pairs."""
+
+    @pytest.mark.parametrize("p_space", [2, 3, 4])
+    def test_segments_bitwise_match_serial(self, p_space):
+        # N=384 sheet: the tree accepts 43 far pairs, but at p_space=4
+        # shards 0 and 3 hold none of them — they must still take the
+        # GEMM-expanded near path the serial evaluator takes
+        from repro.vortex import SheetConfig, get_kernel, spherical_vortex_sheet
+
+        cfg = SheetConfig(n=384, sigma_over_h=3.0)
+        ps = spherical_vortex_sheet(cfg)
+        kw = dict(theta=0.3, leaf_size=48)
+        kernel = get_kernel("algebraic6")
+        ref = TreeEvaluator(kernel, cfg.sigma, **kw).field(
+            ps.positions, ps.charges
+        )
+        par = SpaceParallelTreeEvaluator(kernel, cfg.sigma, **kw)
+        segments = [
+            par.segment_field(ps.positions, ps.charges, rank, p_space)
+            for rank in range(p_space)
+        ]
+        state, _ = par.cache.state(ps.positions, par.leaf_size)
+        order = state.tree.order
+        far = [layout.far_pairs for key, (_, layout)
+               in state.engine_layouts.items() if len(key) == 3]
+        if p_space == 4:
+            assert min(far) == 0 < max(far)  # the case under test
+        vel = np.concatenate([seg[0] for seg in segments])
+        grad = np.concatenate([seg[1] for seg in segments])
+        assert np.array_equal(vel, ref.velocity[order])
+        assert np.array_equal(grad, ref.gradient[order])
+
+
 class TestShardAndBranches:
     def test_shard_segments_partition_particles(self, cloud):
         positions, charges = cloud

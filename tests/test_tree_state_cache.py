@@ -208,6 +208,57 @@ class TestEviction:
             TreeStateCache(maxsize=0)
 
 
+class TestCacheBytes:
+    def test_state_bytes_cover_every_product(self, sheet):
+        ps, _, _ = sheet
+        ev = _fresh_evaluator(sheet)
+        state, _ = ev.cache.state(ps.positions, ev.leaf_size)
+        tree_only = state.nbytes
+        assert tree_only >= state.tree.positions.nbytes
+        ev.field(ps.positions, ps.charges)
+        (layout,) = state.engine_layouts.values()
+        assert layout.far_weights  # the far pass cached its weights
+        moments, _ = state.vortex_moments(ps.charges)
+        assert state.nbytes >= tree_only + layout.nbytes + moments.m2.nbytes
+        assert ev.cache.nbytes == state.nbytes
+
+    def test_monotone_under_inserts_and_drops_on_eviction(self, sheet):
+        ps, _, _ = sheet
+        ev = _fresh_evaluator(sheet)
+        ev.cache.maxsize = 2
+        assert ev.cache.nbytes == 0
+        sizes = []
+        for k in range(2):
+            ev.field(ps.positions + 0.01 * k, ps.charges)
+            sizes.append(ev.cache.nbytes)
+        assert 0 < sizes[0] < sizes[1]
+        # a third configuration evicts the first: the bare new tree
+        # replaces a state that carried moments, lists and a layout
+        ev.cache.state(ps.positions + 0.02, ev.leaf_size)
+        assert len(ev.cache) == 2
+        assert ev.cache.nbytes < sizes[1]
+        ev.cache.clear()
+        assert ev.cache.nbytes == 0
+
+    def test_gauge_follows_the_cache(self, sheet):
+        from repro.obs import MetricsRegistry, use_metrics
+
+        ps, _, _ = sheet
+        ev = _fresh_evaluator(sheet)
+        metrics = MetricsRegistry()
+        with use_metrics(metrics):
+            ev.field(ps.positions, ps.charges)
+            first = metrics.as_dict()["gauges"]["tree.cache.bytes"]
+            # state() sets the gauge before this evaluation's moments,
+            # lists and layout exist; the next state() call sees them
+            ev.cache.state(ps.positions, ev.leaf_size)
+            second = metrics.as_dict()["gauges"]["tree.cache.bytes"]
+        assert 0 < first < second == ev.cache.nbytes
+        # no registry, no gauge (and no cost)
+        ev.field(ps.positions + 0.01, ps.charges)
+        assert metrics.as_dict()["gauges"]["tree.cache.bytes"] == second
+
+
 class TestStatsPlumbing:
     def test_cache_stats_as_dict_keys(self, sheet):
         ps, _, _ = sheet
