@@ -82,6 +82,7 @@ import numpy as np
 
 from repro.backends import KernelBackend, get_backend
 from repro.nbody.direct import coulomb_pairs
+from repro.obs.metrics import get_metrics
 from repro.tree.build import Octree
 from repro.tree.evaluate import (
     _cross_matrix_add,
@@ -595,13 +596,24 @@ def batched_far_vortex(
         batches.append(korder[i:i + nb])
         i += nb
 
+    m = get_metrics()
+    if m.enabled:
+        m.counter("tree.far.batches").inc(len(batches))
+
     pcap = max(int(pcount[kb[0]]) * kb.size for kb in batches)
     rt = np.empty((3, pcap), dtype=np.float64)
     psi = np.empty((n_mono, pcap), dtype=np.float64)
     ycat = np.empty((ncols, pcap), dtype=np.float64)
     n = vel.shape[0]
-    gflat = grad.reshape(n, 9) if gradient else None
-    pos = tree.positions
+    # structure-of-arrays operands: coordinates are gathered per
+    # component straight into the rows of ``rt`` and every output
+    # component accumulates into its own contiguous row (same additions
+    # in the same order as a strided ``vel[:, c] +=``), written back once
+    post = np.ascontiguousarray(tree.positions.T)
+    acc = np.empty((nout, n), dtype=np.float64)
+    acc[0:3] = vel.T
+    if gradient:
+        acc[3:12] = grad.reshape(n, 9).T
     for kbatch in batches:
         bsz = kbatch.size
         p = int(pcount[kbatch].max())
@@ -612,14 +624,12 @@ def batched_far_vortex(
             layout.far_entry_count, layout.far_entry_shift,
             pad=p - pcount[kbatch],
         ).reshape(-1)
-        ppos = pos[tflat]
         ctr = centers[kbatch]
         rtv = rt[:, :pall]
         for c in range(3):
-            np.subtract(
-                ppos[:, c].reshape(bsz, p), ctr[:, c, None],
-                out=rtv[c].reshape(bsz, p),
-            )
+            np.take(post[c], tflat, out=rtv[c], mode="clip")
+            row = rtv[c].reshape(bsz, p)
+            row -= ctr[:, c, None]
         r2 = rtv[0] * rtv[0]
         r2 += rtv[1] * rtv[1]
         r2 += rtv[2] * rtv[2]
@@ -641,15 +651,13 @@ def batched_far_vortex(
             )
         yb = ycv.reshape(ncols, bsz, p).transpose(1, 0, 2)
         out = np.matmul(wt[kbatch], yb)  # (bsz, nout, p)
-        for c in range(3):
-            vel[:, c] += np.bincount(
+        for c in range(nout):
+            acc[c] += np.bincount(
                 tflat, weights=out[:, c, :].ravel(), minlength=n
             )
-        if gradient:
-            for c in range(9):
-                gflat[:, c] += np.bincount(
-                    tflat, weights=out[:, 3 + c, :].ravel(), minlength=n
-                )
+    vel[:] = acc[0:3].T
+    if gradient:
+        grad.reshape(n, 9)[:] = acc[3:12].T
 
 
 def _near_batch_indices(
@@ -759,6 +767,13 @@ def batched_near_vortex(
         active, layout.group_count, counts,
         elem_bytes, _NEAR_PAIR_BYTES[gradient], budget,
     )
+    m = get_metrics()
+    if m.enabled:
+        m.counter("tree.near.batches").inc(len(batches))
+        m.counter("tree.near.padded_pairs").inc(sum(
+            b.size * int(layout.group_count[b].max()) * int(counts[b].max())
+            for b in batches
+        ))
     bk = get_backend(backend)
     xp = bk.xp
     # One batch body serves every backend: it runs in the backend's
@@ -783,6 +798,14 @@ def batched_near_vortex(
         grad_acc = xp.zeros(grad.shape, dtype=np.float64) if gradient else None
     else:
         vel_acc, grad_acc = vel, grad
+    if expand:
+        # group-local target coordinates and the contracted feature sums
+        # of every target slot: batches only fill their rows of ``fsum``
+        # / ``gsum``, the velocity/gradient epilogue runs once at the end
+        n = vel.shape[0]
+        tloc = pos - ctr[bk.to_device(layout.group_of_slot)]
+        fsum = xp.zeros((n, 6), dtype=np.float64)
+        gsum = xp.zeros((n, 24), dtype=np.float64) if gradient else None
 
     def run_batch(batch: np.ndarray) -> None:
         b = batch.size
@@ -792,12 +815,12 @@ def batched_near_vortex(
         cmax, smax = tidx.shape[1], sidx.shape[1]
 
         gc = ctr[bk.to_device(batch)][:, None, :]
-        t = pos[tidx] - gc  # (B, C, 3), group-local frame
-        s = pos[sidx] - gc  # (B, S, 3)
+        s = pos[sidx] - gc  # (B, S, 3), group-local frame
         a = chg[sidx]
         flat = tidx[tvalid]
 
         if expand:
+            t = tloc[tidx]  # (B, C, 3)
             # every feature column is linear in the charge, so zeroed
             # padded lanes contribute nothing to either GEMM
             a[~svalid] = 0.0
@@ -821,28 +844,13 @@ def batched_near_vortex(
                     sxa[:, :, :, None], s[:, :, None, :],
                     out=feat[:, :, 15:24].reshape(b, smax, 3, 3),
                 )
-            ff = xp.matmul(f, feat[:, :, 0:6])
-            u = _xp_cross(xp, t, ff[..., 0:3])
-            u -= ff[..., 3:6]
-            u *= -_INV_FOUR_PI
-            vel_acc[flat] += u[tvalid]
+            # leaves tile disjoint slot ranges: plain assignment
+            fsum[flat] = xp.matmul(f, feat[:, :, 0:6])[tvalid]
             if gradient:
-                gg = xp.matmul(g, feat)
-                # sum_s h = t x (sum g a) - sum g (s x a)
-                hsum = _xp_cross(xp, t, gg[..., 0:3])
-                hsum -= gg[..., 3:6]
-                g3 = gg[..., 6:15].reshape(b, cmax, 3, 3)
-                g4 = gg[..., 15:24].reshape(b, cmax, 3, 3)
-                # sum_s h_a s_d = (t X sum g a (x) s) - sum g (s x a)(x)s
-                gm = hsum[..., :, None] * t[..., None, :]
-                xp.negative(g3, out=g3)
-                _cross_matrix_add(gm, t, g3)
-                gm += g4
-                _eps_add(gm, ff[..., 0:3])
-                gm *= -_INV_FOUR_PI
-                grad_acc[flat] += gm[tvalid]
+                gsum[flat] = xp.matmul(g, feat)[tvalid]
             return
 
+        t = pos[tidx] - gc  # (B, C, 3)
         r = t[:, :, None, :] - s[:, None, :, :]
         r2 = xp.einsum("bcsi,bcsi->bcs", r, r)
         if not gradient:
@@ -877,10 +885,47 @@ def batched_near_vortex(
             grad_acc[flat] += gm[tvalid]
 
     bk.map_batches(run_batch, batches)
+    if expand:
+        _near_epilogue(
+            xp, bk.to_device(np.flatnonzero(counts[layout.group_of_slot] > 0)),
+            tloc, fsum, gsum, vel_acc, grad_acc,
+        )
     if on_device:
         vel += bk.from_device(vel_acc)
         if gradient:
             grad += bk.from_device(grad_acc)
+
+
+def _near_epilogue(xp, sel, tloc, ff, gg, vel_acc, grad_acc) -> None:
+    """Velocity/gradient of the target slots ``sel`` from their
+    contracted feature sums, added onto the accumulators.
+
+    ``ff`` holds ``sum f [a | s x a]`` (6 columns) and ``gg`` holds
+    ``sum g [a | s x a | a (x) s | (s x a) (x) s]`` (24 columns, None
+    without gradient) per target slot, positions group-local.
+    """
+    t = tloc[sel]
+    fa = ff[sel]
+    u = _xp_cross(xp, t, fa[:, 0:3])
+    u -= fa[:, 3:6]
+    u *= -_INV_FOUR_PI
+    vel_acc[sel] += u
+    if gg is None:
+        return
+    ga = gg[sel]
+    # sum_s h = t x (sum g a) - sum g (s x a)
+    hsum = _xp_cross(xp, t, ga[:, 0:3])
+    hsum -= ga[:, 3:6]
+    g3 = ga[:, 6:15].reshape(-1, 3, 3)
+    g4 = ga[:, 15:24].reshape(-1, 3, 3)
+    # sum_s h_a s_d = (t X sum g a (x) s) - sum g (s x a)(x)s
+    gm = hsum[:, :, None] * t[:, None, :]
+    xp.negative(g3, out=g3)
+    _cross_matrix_add(gm, t, g3)
+    gm += g4
+    _eps_add(gm, fa[:, 0:3])
+    gm *= -_INV_FOUR_PI
+    grad_acc[sel] += gm
 
 
 def _xp_cross(xp, a, b):

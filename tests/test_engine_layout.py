@@ -7,8 +7,14 @@ slots on the fly (``engine._pairs_to_slots``).  These tests keep the
 segment_arange`` — as the reference formula and check the expansion
 against them index for index, and pin the layout's memory to
 O(list entries) so a per-pair table cannot come back unnoticed.
+
+The far pass is pinned to the bytes it produced before its operands went
+structure-of-arrays (digests recorded at that commit, accumulating onto
+*non-zero* entry buffers), and the exact batch counters are checked for
+repeatability.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -21,8 +27,9 @@ from repro.tree import (
     dual_traversal,
 )
 from repro.tree import engine
+from repro.obs import MetricsRegistry, use_metrics
 from repro.tree.parallel import _sub_lists
-from repro.vortex import SheetConfig, spherical_vortex_sheet
+from repro.vortex import SheetConfig, get_kernel, spherical_vortex_sheet
 
 THETAS = (0.0, 0.3, 0.6, 1.0)
 P_SPACES = (1, 2, 3, 4)
@@ -204,3 +211,73 @@ class TestLayoutMemory:
         bare = layout.nbytes
         layout.far_weights[(0, 2, True)] = np.zeros((7, 12, 5))
         assert layout.nbytes == bare + 7 * 12 * 5 * 8
+
+
+def _jittered_sheet(n, seed, leaf_size, theta):
+    cfg = SheetConfig(n=n, sigma_over_h=3.0)
+    ps = spherical_vortex_sheet(cfg)
+    rng = np.random.default_rng(seed)
+    positions = ps.positions + 1e-3 * cfg.h * rng.uniform(-1, 1, (n, 3))
+    tree = build_octree(positions, leaf_size=leaf_size)
+    moments = compute_vortex_moments(tree, ps.charges)
+    lists = dual_traversal(tree, theta, node_bmax=moments.bmax)
+    layout = build_traversal_layout(tree, lists)
+    return rng, cfg, ps, tree, moments, layout
+
+
+class TestFarPassBytes:
+    """``batched_far_vortex`` adds onto whatever the buffers hold, batch
+    after batch in a fixed order; the digests were recorded with the
+    strided ``vel[:, c] += bincount`` form it had before the contiguous
+    ``(12, n)`` accumulator."""
+
+    RECORDED = {
+        True: "7e7b5603c247c51807a7eab6625abc2a",
+        False: "413cbc7ba8777876f6180b14d0daf735",
+    }
+
+    @pytest.mark.parametrize("gradient", [True, False])
+    def test_nonzero_entry_buffers(self, gradient):
+        rng, cfg, _, tree, moments, layout = _jittered_sheet(700, 41, 16, 0.5)
+        vel = rng.standard_normal((700, 3))
+        grad = rng.standard_normal((700, 3, 3)) if gradient else None
+        # small budget: several batches add onto the same targets in turn
+        engine.batched_far_vortex(
+            tree, moments, layout, get_kernel("algebraic6"), cfg.sigma, 2,
+            gradient, vel, grad, budget_bytes=300_000,
+        )
+        h = hashlib.blake2b(digest_size=16)
+        h.update(vel.tobytes())
+        if gradient:
+            h.update(grad.tobytes())
+        assert h.hexdigest() == self.RECORDED[gradient]
+
+
+class TestBatchCounters:
+    """``tree.{near,far}.batches`` / ``tree.near.padded_pairs`` are exact."""
+
+    def _counts(self, n, theta):
+        _, cfg, ps, tree, moments, layout = _jittered_sheet(n, 5, 48, theta)
+        kernel = get_kernel("algebraic6")
+        vel, grad = np.zeros((n, 3)), np.zeros((n, 3, 3))
+        metrics = MetricsRegistry()
+        with use_metrics(metrics):
+            engine.batched_far_vortex(
+                tree, moments, layout, kernel, cfg.sigma, 2, True, vel, grad
+            )
+            engine.batched_near_vortex(
+                tree, ps.charges[tree.order], layout, kernel, cfg.sigma,
+                True, False, vel, grad,
+            )
+        return layout, metrics.as_dict()["counters"]
+
+    @pytest.mark.parametrize("theta", [0.3, 0.6])
+    def test_repeat_exactly_and_bound_the_real_pairs(self, theta):
+        layout, first = self._counts(1500, theta)
+        _, second = self._counts(1500, theta)
+        assert first == second
+        assert first["tree.far.batches"] >= 1
+        assert 1 <= first["tree.near.batches"] <= layout.group_count.size
+        assert first["tree.near.padded_pairs"] >= layout.near_pairs
+        # groups arrive sorted by source count, so padding stays small
+        assert first["tree.near.padded_pairs"] <= 1.5 * layout.near_pairs
