@@ -7,16 +7,20 @@ module evaluates whole *batches of groups* at once, padded to rectangular
 blocks so the inner loops are dense matrix products:
 
 * **near** (vortex): in the production regime (smooth kernel, leaves a
-  few core sizes across) each batch builds per-source feature rows
-  ``[alpha | s x alpha | alpha (x) s | (s x alpha) (x) s]``, computes
-  ``r^2`` from the GEMM identity ``|t|^2 + |s|^2 - 2 t.s``, the two
-  radial factors straight from ``r^2``
-  (:meth:`~repro.vortex.kernels.SmoothingKernel.f_g_from_r2`), and
-  contracts them against the feature block with two GEMMs; a short
-  per-target epilogue reassembles velocity and gradient from the 6/24
-  contracted columns.  Outside the expansion gate (theta = 0 stress
-  shapes, singular kernels) a fully explicit ``r = t - s`` path keeps
-  exact-zero detection and reference-level rounding.
+  few core sizes across) each batch gathers its sources as
+  structure-of-arrays rows, builds the per-source feature rows
+  ``[alpha | s x alpha | alpha (x) s | (s x alpha) (x) s]``, gets the
+  scaled squared distances ``rho^2`` of the whole block from one K = 5
+  GEMM over augmented operands (``[s, 1, |s|^2] . [-2 t, |t|^2, 1]``),
+  the two radial factors straight from ``rho^2``
+  (:meth:`~repro.vortex.kernels.SmoothingKernel.f_g_from_rho2`: for the
+  algebraic family one reciprocal, one square root and a Horner pair in
+  ``u = 1/(1 + rho^2)``), and contracts them against the feature rows
+  with two GEMMs; the 6/24 contracted sums are stored per target slot
+  and one epilogue per evaluation reassembles velocity and gradient.
+  Outside the expansion gate (theta = 0 stress shapes, singular
+  kernels) a fully explicit ``r = t - s`` path keeps exact-zero
+  detection and reference-level rounding.
 * **far** (vortex): the multipole expansion is factored over the
   *cluster-frame* monomial basis (:mod:`repro.tree.localbasis`): every
   unique cluster node gets one weight matrix mapping the D-weighted
@@ -160,7 +164,9 @@ DEFAULT_BUDGET_BYTES = 64 * 2**20
 #: tighter defaults for the GEMM passes — blocks that stay cache-resident
 #: make the many short elementwise sweeps (radial factors, monomials)
 #: run at cache bandwidth instead of streaming from memory.  Values from
-#: a budget sweep on the N=8192 sheet benchmark (single-core BLAS).
+#: a budget sweep on the N=8192 sheet benchmark (single-core BLAS); the
+#: near pass times flat between 1 and 4 MiB on the N=2048 / N=16384
+#: sheets.
 NEAR_GEMM_BUDGET_BYTES = 3 * 2**20
 FAR_BUDGET_BYTES = 16 * 2**20
 
@@ -168,8 +174,14 @@ FAR_BUDGET_BYTES = 16 * 2**20
 # magnitude accuracy suffices.  "elem" is per padded (target, source)
 # pair; the near "pair" bytes are per padded source lane.
 _NEAR_ELEM_BYTES = {True: 112, False: 56}
-_NEAR_GEMM_ELEM_BYTES = {True: 64, False: 40}
 _NEAR_PAIR_BYTES = {True: 264, False: 96}
+# the expanded (GEMM) near branch, counted from its batch body: the pair
+# blocks are u (the distance GEMM's output, overwritten in place),
+# u^(3/2), f and — with gradient — g; a source lane holds 3 position,
+# 5 distance-operand and 6 / 24 feature rows, its slot index and the
+# index expansion's temporary
+_NEAR_GEMM_ELEM_BYTES = {True: 32, False: 24}
+_NEAR_GEMM_PAIR_BYTES = {True: 272, False: 128}
 #: per padded (target, cluster-node) far pair: monomial + Ycat rows,
 #: radial chain, gather/output blocks
 _FAR_PAIR_BYTES = 904
@@ -190,6 +202,14 @@ _FAR_WEIGHT_SLOTS = 16
 #: (|t| ~ 2 sigma) stay at reference accuracy while coarse-leaf stress
 #: shapes fall back to the explicit path.
 _NEAR_EXPAND_SIGMA = 4.0
+#: target lanes of an expanded near block are padded to whole 512-bit
+#: vectors of doubles.  Targets are the unit-stride axis of the block,
+#: and BLAS runs a trailing partial vector of them through an edge
+#: kernel that rounds differently from the full-vector one; with whole
+#: vectors a group's sums do not depend on which batch mate set the
+#: padded width, so a shard's batches reproduce the serial evaluator's
+#: bits (as the parent's fixed-width feature GEMM did).
+_NEAR_TARGET_MULTIPLE = 8
 
 
 def _cumsum0(a: np.ndarray) -> np.ndarray:
@@ -661,19 +681,20 @@ def batched_far_vortex(
 
 
 def _near_batch_indices(
-    layout: TraversalLayout, batch: np.ndarray
+    layout: TraversalLayout, batch: np.ndarray, cmax: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Padded target / source slot blocks of one near batch of groups.
 
     Returns ``(tidx, tvalid, sidx, svalid)``: ``(B, C)`` target slots,
     ``(B, S)`` source slots and their validity masks, as host arrays.
+    ``C`` is ``cmax`` target lanes (default: the largest group's count).
     """
     tc = layout.group_count[batch]
     sc = layout.src_count[batch]
     smax = int(sc.max())
-    tidx, tvalid = _padded_lanes(
-        layout.group_start[batch], tc, int(tc.max())
-    )
+    if cmax is None:
+        cmax = int(tc.max())
+    tidx, tvalid = _padded_lanes(layout.group_start[batch], tc, cmax)
     slane, svalid = _padded_lanes(layout.src_start[batch], sc, smax)
     sidx = _pairs_to_slots(
         slane, layout.near.starts[:-1][batch], layout.near.counts[batch],
@@ -730,13 +751,21 @@ def batched_near_vortex(
 
     When every target lies within ``_NEAR_EXPAND_SIGMA`` core sizes of
     its group center (the production tree regime: leaves a few ``sigma``
-    across) the pass switches to a fully expanded form —
-    ``r^2`` from the GEMM identity ``|t|^2 + |s|^2 - 2 t.s`` and the
-    gradient from 24 per-source feature columns contracted by two GEMMs
-    per batch — which never materialises a (targets x sources x 3) pair
-    tensor.  The expansion noise is bounded by the gate; ``exclude_zero``
-    (singular kernels) always takes the explicit path, which detects
-    exact zero distances reliably.
+    across) the pass switches to a fully expanded form that never
+    materialises a (targets x sources x 3) pair tensor.  Per batch, the
+    scaled squared distances ``rho^2 = |t - s|^2 / sigma^2`` of the
+    whole block come from one K = 5 GEMM over augmented operands,
+    ``[s, 1, |s|^2] . [-2 t, |t|^2, 1]`` (group-local coordinates in
+    units of ``sigma``), the radial pair from
+    :meth:`~repro.vortex.kernels.SmoothingKernel.f_g_from_rho2`, and
+    the sums over the sources from 6 (velocity) / 24 (gradient)
+    per-source feature rows contracted by two GEMMs.  Operands are
+    structure-of-arrays (one contiguous row per component), the
+    contracted sums are stored per target slot, and one epilogue per
+    evaluation (:func:`_near_epilogue`) turns them into velocity and
+    gradient.  The expansion noise is bounded by the gate;
+    ``exclude_zero`` (singular kernels) always takes the explicit path,
+    which detects exact zero distances reliably.
     """
     if layout.near_pairs == 0:
         return
@@ -759,19 +788,23 @@ def batched_near_vortex(
         budget = budget_bytes
     else:
         budget = NEAR_GEMM_BUDGET_BYTES if expand else DEFAULT_BUDGET_BYTES
-    elem_bytes = (
-        _NEAR_GEMM_ELEM_BYTES[gradient] if expand
-        else _NEAR_ELEM_BYTES[gradient]
-    )
+    # padded target lanes per group, and the temporaries per lane
+    tlanes = layout.group_count
+    if expand:
+        tlanes = -(-tlanes // _NEAR_TARGET_MULTIPLE) * _NEAR_TARGET_MULTIPLE
+        elem_bytes = _NEAR_GEMM_ELEM_BYTES[gradient]
+        pair_bytes = _NEAR_GEMM_PAIR_BYTES[gradient]
+    else:
+        elem_bytes = _NEAR_ELEM_BYTES[gradient]
+        pair_bytes = _NEAR_PAIR_BYTES[gradient]
     batches = _pack_groups(
-        active, layout.group_count, counts,
-        elem_bytes, _NEAR_PAIR_BYTES[gradient], budget,
+        active, tlanes, counts, elem_bytes, pair_bytes, budget
     )
     m = get_metrics()
     if m.enabled:
         m.counter("tree.near.batches").inc(len(batches))
         m.counter("tree.near.padded_pairs").inc(sum(
-            b.size * int(layout.group_count[b].max()) * int(counts[b].max())
+            b.size * int(tlanes[b].max()) * int(counts[b].max())
             for b in batches
         ))
     bk = get_backend(backend)
@@ -790,8 +823,6 @@ def batched_near_vortex(
             "generic; device backends support the algebraic family and "
             "the singular kernel (see docs/backends.md)"
         )
-    pos = bk.to_device(tree.positions)
-    chg = bk.to_device(charges_sorted)
     ctr = bk.to_device(layout.group_center)
     if on_device:
         vel_acc = xp.zeros(vel.shape, dtype=np.float64)
@@ -799,58 +830,81 @@ def batched_near_vortex(
     else:
         vel_acc, grad_acc = vel, grad
     if expand:
-        # group-local target coordinates and the contracted feature sums
-        # of every target slot: batches only fill their rows of ``fsum``
-        # / ``gsum``, the velocity/gradient epilogue runs once at the end
+        # structure-of-arrays operands, built once per evaluation:
+        # component rows of positions / charges for the per-batch source
+        # gathers, and per target slot the group-local coordinates plus
+        # the augmented distance operand ``[-2 t, |t|^2, 1]`` in units
+        # of sigma.  Batches only fill their rows of ``fsum`` / ``gsum``
+        # (the contracted feature sums); the velocity/gradient epilogue
+        # runs once over all target slots at the end.
         n = vel.shape[0]
-        tloc = pos - ctr[bk.to_device(layout.group_of_slot)]
+        tloc = tree.positions - layout.group_center[layout.group_of_slot]
+        taug = np.empty((5, n), dtype=np.float64)
+        np.multiply(tloc.T, 1.0 / sigma, out=taug[0:3])
+        np.einsum("in,in->n", taug[0:3], taug[0:3], out=taug[3])
+        taug[0:3] *= -2.0
+        taug[4] = 1.0
+        tloc, taug = bk.to_device(tloc), bk.to_device(taug)
+        post = bk.to_device(np.ascontiguousarray(tree.positions.T))
+        chgt = bk.to_device(np.ascontiguousarray(charges_sorted.T))
+        nf = 24 if gradient else 6
         fsum = xp.zeros((n, 6), dtype=np.float64)
         gsum = xp.zeros((n, 24), dtype=np.float64) if gradient else None
+    else:
+        pos = bk.to_device(tree.positions)
+        chg = bk.to_device(charges_sorted)
 
     def run_batch(batch: np.ndarray) -> None:
         b = batch.size
         tidx, tvalid, sidx, svalid = (
-            bk.to_device(x) for x in _near_batch_indices(layout, batch)
+            bk.to_device(x) for x in _near_batch_indices(
+                layout, batch, int(tlanes[batch].max())
+            )
         )
-        cmax, smax = tidx.shape[1], sidx.shape[1]
-
-        gc = ctr[bk.to_device(batch)][:, None, :]
-        s = pos[sidx] - gc  # (B, S, 3), group-local frame
-        a = chg[sidx]
+        smax = sidx.shape[1]
         flat = tidx[tvalid]
 
         if expand:
-            t = tloc[tidx]  # (B, C, 3)
-            # every feature column is linear in the charge, so zeroed
-            # padded lanes contribute nothing to either GEMM
-            a[~svalid] = 0.0
-            sxa = _xp_cross(xp, s, a)
-            r2 = xp.matmul(t, s.transpose(0, 2, 1))
-            r2 *= -2.0
-            r2 += xp.einsum("bci,bci->bc", t, t)[:, :, None]
-            r2 += xp.einsum("bsi,bsi->bs", s, s)[:, None, :]
-            xp.maximum(r2, 0.0, out=r2)  # GEMM form can round below zero
-            f, g = kernel.f_g_from_r2(r2, sigma, gradient)
-            nf = 24 if gradient else 6
-            feat = xp.empty((b, smax, nf), dtype=np.float64)
-            feat[:, :, 0:3] = a
-            feat[:, :, 3:6] = sxa
+            # source rows (component, B, S): group-local positions, then
+            # the feature rows [a | s x a | a (x) s | (s x a) (x) s]
+            s = xp.empty((3, b, smax), dtype=np.float64)
+            feat = xp.empty((nf, b, smax), dtype=np.float64)
+            for c in range(3):
+                xp.take(post[c], sidx, out=s[c])
+                xp.take(chgt[c], sidx, out=feat[c])
+            s -= ctr[bk.to_device(batch)].T[:, :, None]
+            # every feature row is linear in the charge, so zeroed
+            # padded lanes contribute nothing to either feature GEMM
+            feat[0:3][:, ~svalid] = 0.0
+            _cross_rows(xp, s, feat[0:3], feat[3:6])
             if gradient:
                 xp.multiply(
-                    a[:, :, :, None], s[:, :, None, :],
-                    out=feat[:, :, 6:15].reshape(b, smax, 3, 3),
+                    feat[0:6].reshape(2, 3, 1, b, smax), s,
+                    out=feat[6:24].reshape(2, 3, 3, b, smax),
                 )
-                xp.multiply(
-                    sxa[:, :, :, None], s[:, :, None, :],
-                    out=feat[:, :, 15:24].reshape(b, smax, 3, 3),
-                )
+            # rho^2 = |s - t|^2 / sigma^2 of the whole (B, S, C) block
+            # from one K = 5 GEMM: [s, 1, |s|^2] . [-2 t, |t|^2, 1]
+            saug = xp.empty((5, b, smax), dtype=np.float64)
+            xp.multiply(s, 1.0 / sigma, out=saug[0:3])
+            saug[3] = 1.0
+            saug[4] = xp.einsum("ibs,ibs->bs", saug[0:3], saug[0:3])
+            rho2 = xp.matmul(
+                saug.transpose(1, 2, 0),
+                xp.take(taug, tidx, axis=1).transpose(1, 0, 2),
+            )
+            f, g = kernel.f_g_from_rho2(rho2, sigma, gradient)
             # leaves tile disjoint slot ranges: plain assignment
-            fsum[flat] = xp.matmul(f, feat[:, :, 0:6])[tvalid]
+            fb = xp.matmul(feat[0:6].transpose(1, 0, 2), f)  # (B, 6, C)
+            fsum[flat] = fb.transpose(0, 2, 1)[tvalid]
             if gradient:
-                gsum[flat] = xp.matmul(g, feat)[tvalid]
+                gb = xp.matmul(feat.transpose(1, 0, 2), g)  # (B, 24, C)
+                gsum[flat] = gb.transpose(0, 2, 1)[tvalid]
             return
 
-        t = pos[tidx] - gc  # (B, C, 3)
+        gc = ctr[bk.to_device(batch)][:, None, :]
+        t = pos[tidx] - gc  # (B, C, 3), group-local frame
+        s = pos[sidx] - gc  # (B, S, 3)
+        a = chg[sidx]
         r = t[:, :, None, :] - s[:, None, :, :]
         r2 = xp.einsum("bcsi,bcsi->bcs", r, r)
         if not gradient:
@@ -941,6 +995,14 @@ def _xp_cross(xp, a, b):
     out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
     out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
     return out
+
+
+def _cross_rows(xp, a, b, out) -> None:
+    """``out = a x b`` with the component on the *first* axis (row form
+    of :func:`_xp_cross`: same products, same subtraction order)."""
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        xp.multiply(a[j], b[k], out=out[i])
+        out[i] -= a[k] * b[j]
 
 
 # ---------------------------------------------------------------------------

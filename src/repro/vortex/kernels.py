@@ -34,6 +34,7 @@ singularities; force loops never need small-``r`` guards.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from fractions import Fraction
 from typing import Dict, Tuple, Type
 
 import numpy as np
@@ -128,6 +129,20 @@ class SmoothingKernel(ABC):
         g = self.g_radial(dist, sigma) if gradient else None
         return f, g
 
+    def f_g_from_rho2(
+        self, rho2: np.ndarray, sigma: float, gradient: bool = True
+    ) -> Tuple[np.ndarray, "np.ndarray | None"]:
+        """``(F, G)`` from *scaled* squared distances ``rho^2 = r^2/sigma^2``.
+
+        Entry point of the batched near field, whose distance GEMM
+        produces ``rho^2`` directly — possibly a rounding error below
+        zero.  ``rho2`` is consumed (overwritten in place).  The generic
+        form clamps, rescales and defers to :meth:`f_g_from_r2`.
+        """
+        np.maximum(rho2, 0.0, out=rho2)
+        rho2 *= sigma * sigma
+        return self.f_g_from_r2(rho2, sigma, gradient)
+
     def moment(self, k: int, rmax: float = 80.0, n: int = 200_001) -> float:
         """Numerical radial moment ``M_k = int |x|^k zeta d^3x`` (tests)."""
         rho = np.linspace(0.0, rmax, n)
@@ -136,6 +151,25 @@ class SmoothingKernel(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(order={self.order})"
+
+
+def _u_form(coeffs: Tuple[float, ...]) -> Tuple[float, ...]:
+    """Rewrite a polynomial in ``t`` for the variable ``u = 1/(1 + t)``.
+
+    With ``t = (1 - u)/u`` a degree-``m`` polynomial ``C(t)`` becomes
+    ``u^-m C~(u)`` where ``C~(u) = sum_k c_k (1 - u)^k u^(m-k)`` has the
+    same degree.  Exact rational arithmetic; coefficients low-order first
+    on both sides.
+    """
+    m = len(coeffs) - 1
+    out = [Fraction(0)] * (m + 1)
+    for k, c in enumerate(coeffs):
+        # c (1 - u)^k u^(m-k): binomial expansion of (1 - u)^k
+        term = Fraction(c)
+        for j in range(k + 1):
+            out[m - k + j] += term
+            term = -term * (k - j) / (j + 1)
+    return tuple(float(c) for c in out)
 
 
 class AlgebraicKernel(SmoothingKernel):
@@ -239,6 +273,72 @@ class AlgebraicKernel(SmoothingKernel):
             g *= fden
             g *= inv
             g *= inv
+        return f, g
+
+    #: ``_P`` / ``_W`` rewritten for ``u = 1/(1 + t)`` (see
+    #: :func:`_u_form`), derived when a family member is defined
+    _PU: Tuple[float, ...]
+    _WU: Tuple[float, ...]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if len(cls._W) != len(cls._P) or cls._D - 2 * len(cls._P) != 3:
+            raise TypeError(
+                f"{cls.__name__}: the u-form radial pair needs _P and _W "
+                "of one degree m with _D - 2 m = 5"
+            )
+        cls._PU = _u_form(cls._P)
+        cls._WU = _u_form(cls._W)
+
+    @staticmethod
+    def _scaled_horner(
+        coeffs: Tuple[float, ...], scale: float, u: np.ndarray,
+        tail: np.ndarray,
+    ) -> np.ndarray:
+        """``scale * C(u) * tail`` by in-place Horner, exact zeros skipped."""
+        c = [x * scale for x in coeffs]
+        if len(c) == 1:
+            return tail * c[0]
+        acc = u * c[-1]
+        if c[-2]:
+            acc += c[-2]
+        for ck in c[-3::-1]:
+            acc *= u
+            if ck:
+                acc += ck
+        acc *= tail
+        return acc
+
+    def f_g_from_rho2(
+        self, rho2: np.ndarray, sigma: float, gradient: bool = True
+    ) -> Tuple[np.ndarray, "np.ndarray | None"]:
+        """The radial pair in the variable ``u = 1/(1 + rho^2)``.
+
+        For every family member ``D - 2 m = 5`` (``m`` the degree of
+        ``_P`` and ``_W``), so
+
+            F = sigma^-3 u^(3/2) P~(u),    G = sigma^-5 u^(5/2) W~(u)
+
+        with ``P~, W~`` from :func:`_u_form`: one reciprocal, one square
+        root and two in-place Horner loops over ``u`` in (0, 1].  Every
+        ``P~`` coefficient is >= 0 and every ``W~`` coefficient <= 0, so
+        the loops never cancel, and ``1 + rho^2`` stays positive for a
+        ``rho^2`` that the distance GEMM rounded slightly below zero — no
+        clamp.  ``rho2`` is consumed (it becomes ``u``).
+        """
+        u = rho2
+        u += 1.0
+        np.reciprocal(u, out=u)
+        h = np.sqrt(u)
+        h *= u  # u^(3/2)
+        inv_sig3 = 1.0 / (sigma * sigma * sigma)
+        f = self._scaled_horner(self._PU, inv_sig3, u, h)
+        g = None
+        if gradient:
+            g = self._scaled_horner(
+                self._WU, inv_sig3 / (sigma * sigma), u, h
+            )
+            g *= u
         return f, g
 
 
