@@ -164,10 +164,11 @@ DEFAULT_BUDGET_BYTES = 64 * 2**20
 #: tighter defaults for the GEMM passes — blocks that stay cache-resident
 #: make the many short elementwise sweeps (radial factors, monomials)
 #: run at cache bandwidth instead of streaming from memory.  Values from
-#: a budget sweep on the N=8192 sheet benchmark (single-core BLAS); the
-#: near pass times flat between 1 and 4 MiB on the N=2048 / N=16384
-#: sheets.
-NEAR_GEMM_BUDGET_BYTES = 3 * 2**20
+#: a budget sweep on the N=8192 sheet benchmark (single-core BLAS).  The
+#: near value holds a batch's blocks inside a 2 MiB L2: timings are flat
+#: from 1 to 3 MiB on an idle host, but with the shared last-level cache
+#: busy 3 MiB batches of the N=2048 sheet ran up to 1.8x slower.
+NEAR_GEMM_BUDGET_BYTES = 3 * 2**19
 FAR_BUDGET_BYTES = 16 * 2**20
 
 # approximate float64 temporaries, used only to size batches — order of
@@ -647,6 +648,8 @@ def batched_far_vortex(
         ctr = centers[kbatch]
         rtv = rt[:, :pall]
         for c in range(3):
+            # slots are in range; "clip" only avoids the buffered copy
+            # the default "raise" mode makes when writing into ``out``
             np.take(post[c], tflat, out=rtv[c], mode="clip")
             row = rtv[c].reshape(bsz, p)
             row -= ctr[:, c, None]
@@ -681,19 +684,17 @@ def batched_far_vortex(
 
 
 def _near_batch_indices(
-    layout: TraversalLayout, batch: np.ndarray, cmax: Optional[int] = None
+    layout: TraversalLayout, batch: np.ndarray, cmax: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Padded target / source slot blocks of one near batch of groups.
 
-    Returns ``(tidx, tvalid, sidx, svalid)``: ``(B, C)`` target slots,
-    ``(B, S)`` source slots and their validity masks, as host arrays.
-    ``C`` is ``cmax`` target lanes (default: the largest group's count).
+    Returns ``(tidx, tvalid, sidx, svalid)``: ``(B, cmax)`` target slots
+    (``cmax`` at least the largest group's count), ``(B, S)`` source
+    slots and their validity masks, as host arrays.
     """
     tc = layout.group_count[batch]
     sc = layout.src_count[batch]
     smax = int(sc.max())
-    if cmax is None:
-        cmax = int(tc.max())
     tidx, tvalid = _padded_lanes(layout.group_start[batch], tc, cmax)
     slane, svalid = _padded_lanes(layout.src_start[batch], sc, smax)
     sidx = _pairs_to_slots(

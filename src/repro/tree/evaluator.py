@@ -157,8 +157,12 @@ class TreeEvaluator(FieldEvaluator):
         fine/coarse theta pair) share trees and moments; by default each
         evaluator owns a private cache (still reused across its own calls).
     batch_budget_bytes :
-        Approximate temporary-memory budget per engine chunk; ``None``
-        uses the engine default (64 MiB).
+        Approximate temporary-memory budget per engine batch, applied to
+        every pass; ``None`` lets each pass use its own engine default:
+        1.5 MiB for the GEMM-expanded near pass
+        (``NEAR_GEMM_BUDGET_BYTES``), 16 MiB for the far pass
+        (``FAR_BUDGET_BYTES``) and 64 MiB for the explicit near branch
+        (``DEFAULT_BUDGET_BYTES``).
     backend :
         Kernel-execution backend for the batched far/near passes — a
         registry name (``"numpy"``, ``"threaded"``, ``"cupy"``), an

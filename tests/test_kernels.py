@@ -198,3 +198,140 @@ def test_zeta_positive_mass_property(name, scale):
     rho = np.linspace(0, scale, 20001)
     integral = np.trapezoid(k.qprime(rho), rho)
     assert integral == pytest.approx(k.q(np.array([scale]))[0], abs=1e-5)
+
+
+def _u_form_reference(coeffs):
+    """``C~(u) = sum_k c_k (1 - u)^k u^(m-k)`` by polynomial products."""
+    from fractions import Fraction
+
+    def mul(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    m = len(coeffs) - 1
+    total = [Fraction(0)] * (m + 1)
+    for k, c in enumerate(coeffs):
+        term = [Fraction(c)]
+        for _ in range(k):
+            term = mul(term, [Fraction(1), Fraction(-1)])  # (1 - u)
+        for _ in range(m - k):
+            term = mul(term, [Fraction(0), Fraction(1)])  # u
+        for i, x in enumerate(term):
+            total[i] += x
+    return total
+
+
+def _radial_reference(k, rho2, sigma):
+    """``q/rho^3 / sigma^3`` and ``w / sigma^5`` in extended precision."""
+    ld = np.longdouble
+    t = rho2.astype(ld)
+
+    def horner(coeffs):
+        acc = np.full_like(t, ld(coeffs[-1]))
+        for c in coeffs[-2::-1]:
+            acc = acc * t + ld(c)
+        return acc
+
+    root = np.sqrt(t + ld(1))
+    f = horner(k._P) / root ** (k._D - 2) / ld(sigma) ** 3
+    g = horner(k._W) / root ** k._D / ld(sigma) ** 5
+    return f, g
+
+
+def _ulps(got, ref):
+    ref64 = ref.astype(np.float64)
+    err = np.abs(got.astype(np.longdouble) - ref)
+    return float((err / np.spacing(np.abs(ref64))).max())
+
+
+@pytest.mark.parametrize("name", ALGEBRAIC)
+class TestUFormRadialPair:
+    """``AlgebraicKernel.f_g_from_rho2``: the near field's radial pair."""
+
+    @staticmethod
+    def _points():
+        rng = np.random.default_rng(2024)
+        grid = np.concatenate(([0.0], 10.0 ** np.arange(-30.0, 13.0, 3.0)))
+        return np.concatenate((grid, 10.0 ** rng.uniform(-30.0, 12.0, 10_000)))
+
+    def test_coefficients_are_the_exact_expansion(self, name):
+        k = get_kernel(name)
+        for derived, source in ((k._PU, k._P), (k._WU, k._W)):
+            exact = _u_form_reference(source)
+            assert len(derived) == len(source)
+            assert all(float(e) == d for e, d in zip(exact, derived))
+
+    def test_no_cancellation_in_the_horner_loops(self, name):
+        k = get_kernel(name)
+        assert all(c >= 0.0 for c in k._PU)
+        assert all(c <= 0.0 for c in k._WU)
+        if name == "algebraic6":  # one Horner add fewer per factor
+            assert k._PU[3] == 0.0 and k._WU[3] == 0.0
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+        reason="needs an extended-precision long double as the reference",
+    )
+    @pytest.mark.parametrize("sigma", [0.5, 0.7])
+    def test_within_10_ulp_and_no_worse_than_r2_form(self, name, sigma):
+        # F and G fall like (1 + rho^2)^-5..-6 near the core, so the one
+        # ulp that u = 1/(1 + rho^2) carries costs 5-6 ulp by itself;
+        # measured on these points: 7.3 (F) / 8.2 (G) ulp for
+        # algebraic6, against 19.4 / 23.2 for the r^2 form
+        k = get_kernel(name)
+        rho2 = self._points()
+        ref_f, ref_g = _radial_reference(k, rho2, sigma)
+        f, g = k.f_g_from_rho2(rho2.copy(), sigma, True)
+        assert _ulps(f, ref_f) <= 10.0
+        assert _ulps(g, ref_g) <= 10.0
+        f_only, none = k.f_g_from_rho2(rho2.copy(), sigma, False)
+        assert none is None and np.array_equal(f_only, f)
+        if sigma == 0.5:
+            # a power of two: r^2 = sigma^2 rho^2 is exact, so the r^2
+            # form sees the very same points
+            pf, pg = k.f_g_from_r2(rho2 * sigma**2, sigma, True)
+            assert _ulps(f, ref_f) <= _ulps(pf, ref_f)
+            assert _ulps(g, ref_g) <= _ulps(pg, ref_g)
+
+    def test_slightly_negative_rho2_stays_finite(self, name):
+        k = get_kernel(name)
+        f0, g0 = k.f_g_from_rho2(np.zeros(1), 0.7, True)
+        f, g = k.f_g_from_rho2(np.array([-1e-16]), 0.7, True)
+        assert np.isfinite(f).all() and np.isfinite(g).all()
+        # u moves by one ulp; see the conditioning note above
+        assert abs(f[0] - f0[0]) <= 4e-15 * abs(f0[0])
+        assert abs(g[0] - g0[0]) <= 4e-15 * abs(g0[0])
+
+    def test_input_is_consumed_not_copied(self, name):
+        rho2 = np.array([0.0, 1.0, 3.0])
+        get_kernel(name).f_g_from_rho2(rho2, 1.0, True)
+        assert np.allclose(rho2, [1.0, 0.5, 0.25])  # now u = 1/(1 + rho^2)
+
+
+class TestRho2EntryPoint:
+    def test_family_member_must_have_the_u_form(self):
+        from repro.vortex.kernels import AlgebraicKernel
+
+        with pytest.raises(TypeError, match="u-form"):
+            class Broken(AlgebraicKernel):  # noqa: F841 - never created
+                _D = 7
+                _A = (3.0,)
+                _P = (1.0,)
+                _W = (-3.0,)
+
+    @pytest.mark.parametrize(
+        "kernel", [GaussianKernel(), SingularKernel(softening=0.1)],
+        ids=["gaussian", "singular"],
+    )
+    def test_other_kernels_clamp_and_defer_to_r2_form(self, kernel):
+        sigma = 0.7
+        rho2 = np.array([-1e-16, 0.0, 0.3, 2.0, 50.0])
+        want = kernel.f_g_from_r2(
+            sigma**2 * np.maximum(rho2, 0.0), sigma, True
+        )
+        got = kernel.f_g_from_rho2(rho2.copy(), sigma, True)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
