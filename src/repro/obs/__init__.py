@@ -11,6 +11,8 @@
   series, same no-op-by-default pattern (:data:`NULL_METRICS`).
 * :mod:`repro.obs.timing` — the :class:`Timer` / :class:`TimingRegistry`
   phase timers, bridged into the active tracer.
+* :mod:`repro.obs.ledger` — who is computing now and the compute seconds
+  a shared cache bills to a rank's virtual clock.
 * :mod:`repro.obs.export` — native trace files, Chrome ``trace_event``
   JSON (Perfetto) and CSV exporters.
 * :mod:`repro.obs.gantt` — ASCII/SVG per-rank Gantt rendering of a

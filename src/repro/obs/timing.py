@@ -56,6 +56,11 @@ class Timer:
         self.count += 1
         return dt
 
+    def cancel(self) -> None:
+        """Drop the running activation, if any: nothing is accumulated
+        and it does not count (the enclosing ``with`` exits cleanly)."""
+        self._started = None
+
     def reset(self) -> None:
         self.elapsed = 0.0
         self.count = 0
@@ -71,7 +76,8 @@ class Timer:
         return self
 
     def __exit__(self, *exc) -> None:
-        self.stop()
+        if self._started is not None:
+            self.stop()
 
 
 @dataclass

@@ -53,6 +53,7 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.obs.ledger import LEDGER
 from repro.obs.metrics import MetricsRegistry, use_metrics
 
 __all__ = [
@@ -130,6 +131,11 @@ class ComputeTask:
     and after the arrays in the call.  ``method`` must be a *string
     literal* naming a regular method on the registered object: lambdas
     and closures cannot cross a process boundary (``repro-lint`` RPR006).
+
+    ``owner`` is stamped by the scheduler at the ``Compute`` operation
+    (under ``measure_compute``): the ``(run id, rank)`` whose virtual
+    clock pays for the task.  The executing process installs it on its
+    :data:`~repro.obs.ledger.LEDGER` for the duration of the call.
     """
 
     payload: str
@@ -137,6 +143,7 @@ class ComputeTask:
     args: Tuple[Any, ...] = ()
     arrays: Tuple[np.ndarray, ...] = ()
     tail: Tuple[Any, ...] = ()
+    owner: Optional[Tuple[int, int]] = None
 
     def invoke(self, obj: Any) -> Any:
         return getattr(obj, self.method)(*self.args, *self.arrays, *self.tail)
@@ -167,6 +174,10 @@ class DispatchResult:
     worker: int = 0
     #: wall-clock seconds spent inside the task body
     elapsed: float = 0.0
+    #: seconds of other ranks' compute the task was handed by a shared
+    #: cache (:mod:`repro.obs.ledger`) — owed to the rank's virtual
+    #: clock on top of ``elapsed``, never part of it
+    billed_s: float = 0.0
     #: perf_counter endpoints in the *executing* process (CLOCK_MONOTONIC
     #: is system-wide on Linux, so worker spans overlay on one timeline)
     wall_t0: float = 0.0
@@ -308,19 +319,24 @@ class ExecutionBackend:
 
 
 def _run_task(obj: Any, task: ComputeTask) -> DispatchResult:
-    """Execute one task in this process under a fresh metrics registry."""
+    """Execute one task in this process under a fresh metrics registry,
+    on ``task.owner``'s account."""
     registry = MetricsRegistry()
     value: Any = None
     error: Optional[BaseException] = None
+    previous, LEDGER.owner = LEDGER.owner, task.owner
     t0 = time.perf_counter()
     try:
         with use_metrics(registry):
             value = task.invoke(obj)
     except Exception as exc:  # re-thrown into the rank program
         error = exc
+    finally:
+        LEDGER.owner = previous
     t1 = time.perf_counter()
     return DispatchResult(
         value=value, error=error, worker=0, elapsed=t1 - t0,
+        billed_s=LEDGER.drain(),
         wall_t0=t0, wall_t1=t1, shm_bytes=0, metrics=registry.as_dict(),
     )
 
@@ -388,7 +404,9 @@ def _worker_exec(
     args: Tuple[Any, ...],
     tail: Tuple[Any, ...],
     shm_specs: List[Tuple[str, Tuple[int, ...], str]],
-) -> Tuple[int, float, float, float, Any, Optional[BaseException], Dict[str, Any]]:
+    owner: Optional[Tuple[int, int]],
+) -> Tuple[int, float, float, float, float, Any, Optional[BaseException],
+           Dict[str, Any]]:
     """Run one task against shared-memory array views; return the outcome.
 
     The views are mapped read-only: task methods receive *inputs* through
@@ -411,6 +429,7 @@ def _worker_exec(
             arrays.append(view)
         obj = _WORKER_PAYLOADS[payload_key]
         task = ComputeTask(payload_key, method, args, tuple(arrays), tail)  # repro-lint: disable=RPR006 -- worker-side reconstruction, already across the boundary
+        LEDGER.owner = owner
         with use_metrics(registry):
             value = task.invoke(obj)
     except Exception as exc:
@@ -424,12 +443,13 @@ def _worker_exec(
             )
         value = None
     finally:
+        LEDGER.owner = None
         del arrays  # drop shm views before closing the blocks
         for shm in blocks:
             shm.close()
     elapsed = time.perf_counter() - t0
-    return (_WORKER_ID, t0, t0 + elapsed, elapsed, value, error,
-            registry.as_dict())
+    return (_WORKER_ID, t0, t0 + elapsed, elapsed, LEDGER.drain(), value,
+            error, registry.as_dict())
 
 
 class ProcessExecutor(ExecutionBackend):
@@ -627,16 +647,17 @@ class ProcessExecutor(ExecutionBackend):
                 shm_per_task.append(nbytes)
                 futures.append(pool.submit(
                     _worker_exec, task.payload, task.method,
-                    task.args, task.tail, specs,
+                    task.args, task.tail, specs, task.owner,
                 ))
             # barrier: collect in submission order
             results = []
             for fut, nbytes in zip(futures, shm_per_task):
-                wid, t0, t1, elapsed, value, error, metrics = fut.result()
+                (wid, t0, t1, elapsed, billed_s, value, error,
+                 metrics) = fut.result()
                 results.append(DispatchResult(
                     value=value, error=error, worker=wid, elapsed=elapsed,
-                    wall_t0=t0, wall_t1=t1, shm_bytes=nbytes,
-                    metrics=metrics,
+                    billed_s=billed_s, wall_t0=t0, wall_t1=t1,
+                    shm_bytes=nbytes, metrics=metrics,
                 ))
         finally:
             for shm in all_blocks:

@@ -54,11 +54,12 @@ import pickle
 import time
 import warnings
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Generator, Hashable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.obs.ledger import LEDGER, new_run_id
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.parallel import tags as _tags
@@ -530,8 +531,13 @@ class Scheduler:
         Communication/compute cost parameters.
     measure_compute :
         When True (default), real wall time between yields is added to the
-        rank's virtual clock (scaled by ``compute_scale``).  Disable for
-        pure-numerics runs where timing is irrelevant.
+        rank's virtual clock (scaled by ``compute_scale``).  The clock
+        means "one machine per rank": every resume names the rank as the
+        compute owner on :data:`repro.obs.ledger.LEDGER`, and seconds a
+        shared cache bills there — a result another rank computed (see
+        :mod:`repro.tree.state`) — are charged like measured ones.
+        Disable for pure-numerics runs where timing is irrelevant;
+        nothing is owned or billed then.
     verify :
         Replay mode (a practical race detector): after the primary run,
         re-execute the whole program under the *reversed* rank-service
@@ -699,6 +705,12 @@ class Scheduler:
         self._census: Dict[Tuple[int, int, Hashable], int] = {}
         #: (rank, task) pairs awaiting the next dispatch barrier
         self._compute_queue: List[Tuple[int, ComputeTask]] = []
+        #: ledger owner per rank, unique to this run so nothing paid for
+        #: in an earlier run is free in this one (``measure_compute``)
+        self._owners: Optional[List[Tuple[int, int]]] = None
+        if self.measure_compute:
+            run_id = new_run_id()
+            self._owners = [(run_id, r) for r in range(self.n_ranks)]
         if self.executor is not None:
             self.executor.reset_run()
         #: operations yielded per rank (crash triggers, diagnostics)
@@ -728,6 +740,8 @@ class Scheduler:
         try:
             results = self._run_pass(program, args)
         finally:
+            LEDGER.owner = None
+            LEDGER.drain()
             if self._faults is not None:
                 # per-rule activation counts (zero-activation rules are
                 # worth surfacing) — folded even when the run fails
@@ -1112,6 +1126,8 @@ class Scheduler:
         ``throw`` injects an exception (crash, receive timeout) into the
         generator instead of sending a value on the first resume.
         """
+        if self._owners is not None:
+            LEDGER.owner = self._owners[rank]
         while True:
             if self._faults is not None and throw is None:
                 crash = self._faults.crash_due(
@@ -1173,17 +1189,20 @@ class Scheduler:
                         "Scheduler(..., executor=SerialExecutor()) or run "
                         "without dispatch"
                     )
+                task = op.task
+                if self._owners is not None:
+                    task = replace(task, owner=self._owners[rank])
                 if self.executor.inline:
-                    result = self.executor.execute(op.task)
-                    self._account_compute(rank, op.task, result)
+                    result = self.executor.execute(task)
+                    self._account_compute(rank, task, result)
                     if result.error is not None:
                         throw = result.error
                         continue
                     state.send_value = result.value
                     continue
                 # non-inline: park the rank until the dispatch barrier
-                state.compute_pending = op.task
-                self._compute_queue.append((rank, op.task))
+                state.compute_pending = task
+                self._compute_queue.append((rank, task))
                 return
             if isinstance(op, Send):
                 if self._faults is not None:
@@ -1293,7 +1312,10 @@ class Scheduler:
             self.metrics.counter("executor.shm_bytes").inc(result.shm_bytes)
         if self.measure_compute and result.elapsed > 0:
             t0 = self.clocks[rank]
-            self.clocks[rank] += result.elapsed * self.cost_model.compute_scale
+            self.clocks[rank] += (
+                (result.elapsed + result.billed_s)
+                * self.cost_model.compute_scale
+            )
             if self.tracer.enabled:
                 self.tracer.vspan(
                     "compute", t0, self.clocks[rank], track=f"rank{rank}",
@@ -1378,6 +1400,8 @@ class Scheduler:
     def _charge_compute(self, rank: int, t_start: float) -> None:
         if self.measure_compute:
             elapsed = time.perf_counter() - t_start
+            if LEDGER.billed_s:
+                elapsed += LEDGER.drain()
             if elapsed > 0:
                 t0 = self.clocks[rank]
                 self.clocks[rank] += elapsed * self.cost_model.compute_scale

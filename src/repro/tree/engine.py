@@ -28,10 +28,10 @@ blocks so the inner loops are dense matrix products:
   gradient components.  The far pass walks unique nodes (regrouped by
   the layout into a node -> target-slots CSR), evaluates the radial
   chain and an incremental monomial table per pair, runs one batched
-  GEMM against the cached weights, and scatters with one
-  ``np.bincount`` per output component.  Per-pair work is independent
-  of how many groups share a cluster, and all per-cluster tensor
-  algebra happens once per traversal, not once per batch.
+  GEMM against the weights, and scatters with one ``np.bincount`` per
+  output component.  Per-pair work is independent of how many groups
+  share a cluster, and all per-cluster tensor algebra happens once per
+  pass, not once per batch.
 * **Coulomb** far/near keep the flat chunked pair streams over the
   pairwise kernels (:func:`~repro.tree.evaluate.evaluate_coulomb_far_pairs`,
   :func:`~repro.nbody.direct.coulomb_pairs`) — the scalar-charge path
@@ -79,8 +79,8 @@ passes touch them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -188,11 +188,6 @@ _NEAR_GEMM_PAIR_BYTES = {True: 272, False: 128}
 _FAR_PAIR_BYTES = 904
 _FAR_BYTES_PER_PAIR = {True: 1200, False: 600}  # flat Coulomb path
 _NEAR_BYTES_PER_PAIR = {True: 480, False: 240}
-
-#: cached far-weight sets per layout — one per live moment set times
-#: (order, gradient) combination; PFASST alternates a handful of charge
-#: sets over the same positions, so keep enough slots to avoid thrash
-_FAR_WEIGHT_SLOTS = 16
 
 #: near product-expansion gate: the GEMM distance/feature expansion is
 #: used only when every *target* sits within this many core sizes of its
@@ -310,17 +305,6 @@ class TraversalLayout:
     #: may hold none while the full traversal does, so segment layouts
     #: carry the parent traversal's answer (``_segment_layout``).
     multipole_regime: bool = False
-    #: cached cluster-frame far weights, keyed by ``(moments.token,
-    #: order, gradient)``.  The weights are built from moment *values*,
-    #: while the layout itself is purely geometric and outlives any one
-    #: charge set (the TreeState caches it per ``(theta, variant)``) —
-    #: so the moment token MUST be part of the key, or a charge change
-    #: over the same particle positions would be served weights of the
-    #: previous charge set.  Insertion-ordered; oldest entries are
-    #: evicted beyond ``_FAR_WEIGHT_SLOTS``.
-    far_weights: Dict[Tuple[int, int, bool], np.ndarray] = field(
-        default_factory=dict
-    )
 
     @property
     def far_pairs(self) -> int:
@@ -332,10 +316,10 @@ class TraversalLayout:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held: index tables plus the cached far weights."""
+        """Bytes held by the index tables."""
         parts = [
             *vars(self).values(), *vars(self.far).values(),
-            *vars(self.near).values(), *self.far_weights.values(),
+            *vars(self.near).values(),
         ]
         return sum(a.nbytes for a in parts if isinstance(a, np.ndarray))
 
@@ -575,9 +559,11 @@ def batched_far_vortex(
     monomials of ``r = target - center`` straight to velocity/gradient
     components, so the per-pair work is the radial chain, one incremental
     monomial table and a single batched GEMM; results land on the targets
-    via one ``np.bincount`` per output component.  ``W`` is built once
-    per (order, gradient) and cached on the layout.  Exact — matches the
-    pairwise kernel to rounding error.
+    via one ``np.bincount`` per output component.  ``W`` is built here,
+    once per pass (1-5% of it) and not kept: it depends on the moments,
+    and an evaluation that repeats an earlier one never gets this far —
+    the state cache answers it with the finished field.  Exact —
+    matches the pairwise kernel to rounding error.
     """
     if layout.far_pairs == 0 or layout.far_nodes_u.size == 0:
         return
@@ -587,19 +573,15 @@ def batched_far_vortex(
     nout = 12 if gradient else 3
     n_mono = DEG_START[need + 1]
     nodes_u = layout.far_nodes_u
-    wt = layout.far_weights.get((moments.token, order, gradient))
-    if wt is None:
-        w = node_far_weights(
-            moments.m0[nodes_u],
-            moments.m1[nodes_u] if order >= 1 else None,
-            moments.m2[nodes_u] if order >= 2 else None,
-            order, gradient,
-        )
-        # store transposed/sliced for the (B, nout, ncols) GEMM operand
-        wt = np.ascontiguousarray(w[:, :ncols, :nout].transpose(0, 2, 1))
-        layout.far_weights[(moments.token, order, gradient)] = wt
-        while len(layout.far_weights) > _FAR_WEIGHT_SLOTS:
-            layout.far_weights.pop(next(iter(layout.far_weights)))
+    w = node_far_weights(
+        moments.m0[nodes_u],
+        moments.m1[nodes_u] if order >= 1 else None,
+        moments.m2[nodes_u] if order >= 2 else None,
+        order, gradient,
+    )
+    # transposed/sliced for the (B, nout, ncols) GEMM operand
+    wt = np.ascontiguousarray(w[:, :ncols, :nout].transpose(0, 2, 1))
+    del w
     centers = moments.center[nodes_u]
 
     pstart = layout.far_node_pair_start

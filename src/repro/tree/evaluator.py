@@ -10,11 +10,14 @@ Both summation phases run through the batched engine
 (:mod:`repro.tree.engine`): interaction lists are expanded into flat
 (particle, node) / (particle, particle) pair streams and evaluated in
 memory-budgeted chunks, so Python-level iteration no longer scales with
-the number of target groups.  Tree build, moments and traversal are
-obtained through a :class:`~repro.tree.state.TreeStateCache` keyed by a
-content fingerprint of the particle arrays: repeated RHS evaluations at
-the same state (SDC node-0 re-evaluations, FAS restriction) skip straight
-to the summation phases.
+the number of target groups.  Tree build, moments, traversal and the
+finished field are obtained through a
+:class:`~repro.tree.state.TreeStateCache` keyed by a content fingerprint
+of the particle arrays: an RHS evaluation that repeats an earlier one
+(SDC node-0 re-evaluations, FAS restriction at unchanged states, a
+PFASST rank retracing its predecessors' predictor) is answered from the
+cache's memo of finished fields before any tree work, and one at known
+positions with new charges reuses the tree and the interaction lists.
 
 The multipole acceptance parameter ``theta`` controls the accuracy/cost
 trade-off; PFASST's particle-based coarsening (the paper's contribution)
@@ -30,8 +33,8 @@ counterpart, mirroring PEPC's multi-purpose design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -47,10 +50,15 @@ from repro.tree.engine import (
     build_traversal_layout,
 )
 from repro.obs.metrics import get_metrics
-from repro.obs.timing import TimingRegistry
+from repro.obs.timing import Timer, TimingRegistry
 from repro.tree.mac import MACVariant
 from repro.tree.profiles import supports_multipoles
-from repro.tree.state import CacheStats, TreeState, TreeStateCache
+from repro.tree.state import (
+    CacheStats,
+    TreeState,
+    TreeStateCache,
+    array_fingerprint,
+)
 from repro.tree.traversal import InteractionLists
 from repro.utils.validation import check_positive
 from repro.vortex.kernels import SingularKernel, SmoothingKernel, get_kernel
@@ -76,6 +84,9 @@ class TreeStats:
     build_cached: bool = False
     moments_cached: bool = False
     traversal_cached: bool = False
+    #: the whole evaluation was answered from the memo of finished
+    #: fields (which sets the three flags above as well)
+    field_cached: bool = False
 
     @property
     def interactions_per_particle(self) -> float:
@@ -91,7 +102,7 @@ def _make_stats(
     moments_cached: bool,
     traversal_cached: bool,
 ) -> TreeStats:
-    stats = TreeStats(
+    return _count_evaluation(TreeStats(
         n_particles=tree.n_particles,
         n_nodes=tree.n_nodes,
         n_groups=lists.n_groups,
@@ -103,7 +114,12 @@ def _make_stats(
         build_cached=build_cached,
         moments_cached=moments_cached,
         traversal_cached=traversal_cached,
-    )
+    ))
+
+
+def _count_evaluation(stats: TreeStats) -> TreeStats:
+    """Report one evaluation — computed or answered from the memo — to
+    the active metrics registry; returns ``stats``."""
     m = get_metrics()
     if m.enabled:
         m.counter("tree.evaluations").inc()
@@ -152,10 +168,11 @@ class TreeEvaluator(FieldEvaluator):
     mac_variant :
         ``"bh"`` (classical, the paper's choice) or ``"bmax"``.
     cache :
-        :class:`~repro.tree.state.TreeStateCache` for tree/moment/traversal
-        reuse.  Pass a shared instance to let several evaluators (e.g. a
-        fine/coarse theta pair) share trees and moments; by default each
-        evaluator owns a private cache (still reused across its own calls).
+        :class:`~repro.tree.state.TreeStateCache` for tree / moment /
+        traversal / finished-field reuse.  Pass a shared instance to let
+        several evaluators (e.g. a fine/coarse theta pair) share trees
+        and moments; by default each evaluator owns a private cache
+        (still reused across its own calls).
     batch_budget_bytes :
         Approximate temporary-memory budget per engine batch, applied to
         every pass; ``None`` lets each pass use its own engine default:
@@ -230,13 +247,14 @@ class TreeEvaluator(FieldEvaluator):
     def coarsened(
         self, theta: float, mac_variant: Optional[MACVariant] = None
     ) -> "TreeEvaluator":
-        """A theta-coarsened evaluator sharing this one's state cache.
+        """A theta-coarsened evaluator of this one's class sharing its
+        state cache.
 
         The returned evaluator reuses every tree build and moment pass of
         this evaluator (and vice versa) and only runs its own traversal —
         the paper's fine/coarse pair for the price of one tree pipeline.
         """
-        return TreeEvaluator(
+        return type(self)(
             self.kernel,
             self.sigma,
             theta=theta,
@@ -248,6 +266,41 @@ class TreeEvaluator(FieldEvaluator):
             backend=self.backend,
         )
 
+    # -- the memo of finished fields (last stage of the state cache) -----
+    def _field_key(
+        self,
+        positions: np.ndarray,
+        charges: np.ndarray,
+        gradient: bool,
+        include_far: bool = True,
+        segment: Optional[Tuple[int, int]] = None,
+    ) -> Tuple[Hashable, ...]:
+        """Memo key of one evaluation: array contents plus everything
+        else its bits depend on (``segment`` is ``(p_space, rank)``)."""
+        return (
+            array_fingerprint(positions), array_fingerprint(charges),
+            type(self.kernel), tuple(sorted(vars(self.kernel).items())),
+            self.sigma, self.theta, self.mac_variant, self.order,
+            self.leaf_size, gradient, include_far, self._exclude_zero,
+            self.backend.name, self.batch_budget_bytes, segment,
+        )
+
+    def _memoised(
+        self, key: Tuple[Hashable, ...]
+    ) -> Optional[Tuple[Optional[np.ndarray], ...]]:
+        """Copies of the arrays memoised under ``key``, or ``None``.  A
+        hit is reported like the evaluation it stands for, with every
+        ``*_cached`` flag of ``last_stats`` set."""
+        hit = self.cache.field(key)
+        if hit is None:
+            return None
+        arrays, stats = hit
+        self.last_stats = _count_evaluation(replace(
+            stats, build_cached=True, moments_cached=True,
+            traversal_cached=True, field_cached=True,
+        ))
+        return arrays
+
     @boundary("tree_evaluate", arrays=[
         ("positions", (None, 3)), ("charges", (None, 3)),
     ])
@@ -258,6 +311,14 @@ class TreeEvaluator(FieldEvaluator):
         gradient: bool,
         include_far: bool = True,
     ) -> VelocityField:
+        clock = Timer()
+        clock.start()
+        key = self._field_key(positions, charges, gradient, include_far)
+        memo = self._memoised(key)
+        if memo is not None:
+            # ``timer`` / ``mean_cost`` describe computed evaluations
+            self.timer.cancel()
+            return VelocityField(*memo)
         state, build_cached = self.cache.state(
             positions, self.leaf_size, self.phases
         )
@@ -299,6 +360,9 @@ class TreeEvaluator(FieldEvaluator):
         if gradient:
             out_g = np.empty_like(grad)
             out_g[tree.order] = grad
+        self.cache.store_field(
+            key, (out_v, out_g), self.last_stats, clock.stop()
+        )
         return VelocityField(out_v, out_g)
 
 

@@ -27,10 +27,7 @@ the cluster) is also accumulated for the Salmon-Warren style MAC variant.
 
 from __future__ import annotations
 
-import itertools
-
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,11 +36,6 @@ from repro.utils.validation import check_array
 
 __all__ = ["VortexMoments", "CoulombMoments", "compute_vortex_moments",
            "compute_coulomb_moments"]
-
-#: process-unique identity for each moment set.  Lazy caches derived
-#: from moment *values* (the engine's cluster-frame far weights) key on
-#: this instead of ``id(...)``, which the allocator reuses.
-_MOMENT_TOKENS = itertools.count()
 
 
 def _segment_sum(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -67,8 +59,6 @@ class VortexMoments:
     bmax: np.ndarray  # (n_nodes,)
     #: total absolute charge |alpha| per node (error-bound diagnostics)
     abs_charge: np.ndarray
-    #: identity of this moment set, for moment-derived lazy caches
-    token: int = field(default_factory=_MOMENT_TOKENS.__next__)
 
 
 @dataclass
@@ -81,8 +71,6 @@ class CoulombMoments:
     m2: np.ndarray  # (n_nodes, 3, 3) with the 1/2 included
     bmax: np.ndarray
     abs_charge: np.ndarray
-    #: identity of this moment set, for moment-derived lazy caches
-    token: int = field(default_factory=_MOMENT_TOKENS.__next__)
 
 
 def _upward_pass_centers(tree: Octree) -> np.ndarray:

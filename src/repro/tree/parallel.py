@@ -63,6 +63,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.obs.timing import Timer
 from repro.parallel import tags
 from repro.parallel.collectives import allgather
 from repro.parallel.simmpi import VirtualComm
@@ -75,7 +76,6 @@ from repro.tree.engine import (
     check_output_buffers,
 )
 from repro.tree.evaluator import TreeEvaluator, _make_stats
-from repro.tree.mac import MACVariant
 from repro.tree.morton import cell_of_key, morton_encode, quantize
 from repro.tree.multipole import VortexMoments, _segment_sum
 from repro.tree.state import TreeState
@@ -340,20 +340,6 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
     yields, keeping op streams byte-identical.
     """
 
-    def coarsened(
-        self, theta: float, mac_variant: Optional[MACVariant] = None
-    ) -> "SpaceParallelTreeEvaluator":
-        return SpaceParallelTreeEvaluator(
-            self.kernel,
-            self.sigma,
-            theta=theta,
-            order=self.order,
-            leaf_size=self.leaf_size,
-            mac_variant=self.mac_variant if mac_variant is None else mac_variant,
-            cache=self.cache,
-            batch_budget_bytes=self.batch_budget_bytes,
-        )
-
     # -- the space-parallel pipeline ------------------------------------
     def _segment_layout(
         self,
@@ -398,8 +384,17 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
         own output buffers — inputs may arrive as read-only
         shared-memory views.  Both the inline and the dispatched path of
         :meth:`field_program` call exactly this method, so their results
-        are bitwise identical.
+        are bitwise identical.  A repeat of an earlier call is answered
+        from the cache's memo of finished fields.
         """
+        clock = Timer()
+        clock.start()
+        key = self._field_key(
+            positions, charges, gradient, segment=(p_space, rank)
+        )
+        memo = self._memoised(key)
+        if memo is not None:
+            return memo
         state, build_cached = self.cache.state(
             positions, self.leaf_size, self.phases
         )
@@ -433,10 +428,12 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
         )
         p_lo = int(shard.bounds[rank])
         p_hi = int(shard.bounds[rank + 1])
-        return (
+        segment = (
             np.ascontiguousarray(vel[p_lo:p_hi]),
             np.ascontiguousarray(grad[p_lo:p_hi]) if gradient else None,
         )
+        self.cache.store_field(key, segment, self.last_stats, clock.stop())
+        return segment
 
     def field_program(
         self,

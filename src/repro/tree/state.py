@@ -1,4 +1,5 @@
-"""Reusable tree state: build + moments + traversal behind one cache.
+"""Reusable tree state: build + moments + traversal + finished fields
+behind one cache.
 
 PFASST calls the tree code over and over: M quadrature nodes x K sweeps x
 iterations, on two levels that share the *same particle set* and differ
@@ -6,10 +7,12 @@ only in ``theta``.  Rebuilding the octree, the multipole moments and the
 interaction lists from scratch on every RHS call therefore repeats a large
 amount of state-identical work:
 
-* repeated evaluations at the same ``(positions, charges)`` (the sweep's
-  node-0 re-evaluations, the FAS restriction re-evaluating the coarse RHS
-  at the states the fine level just visited) can reuse *everything* up to
-  the final far/near summation;
+* an evaluation that repeats an earlier one bit for bit — same
+  positions, charges and evaluator parameters (SDC's ``f(u_end)``
+  re-evaluated as the next step's ``f(u_0)``, sweep node-0
+  re-evaluations, the FAS restriction at unchanged states, a PFASST
+  rank's predictor retracing its predecessors') — needs no tree work at
+  all: the finished field is handed back;
 * the paper's fine/coarse evaluator pair (``theta = 0.3`` / ``0.6``) can
   share one tree and one moment pass, re-running only the
   ``theta``-dependent traversal.
@@ -19,15 +22,28 @@ content fingerprint (BLAKE2 over the raw array bytes) of ``positions``
 plus the build parameters, so in-place mutation of a caller array simply
 produces a miss — there is no way to observe a stale tree.  Within a
 state, moments are keyed by the charge-array fingerprint and traversals by
-``(theta, mac_variant)``.  Hit/miss counters per stage are kept in
-:class:`CacheStats`; the evaluators surface per-call flags in
-``TreeStats`` and only time the ``tree_build`` / ``moments`` / ``traverse``
-phases on misses, so a :class:`~repro.obs.timing.TimingRegistry` report
-directly shows the work saved.  When a global metrics registry is active
+``(theta, mac_variant)``.  The last stage, a memo of finished fields
+(:meth:`TreeStateCache.field` / :meth:`TreeStateCache.store_field`), is
+looked up before any of them, keyed by the two fingerprints plus
+everything else the field depends on (the evaluator builds the key).  Hit/miss
+counters per stage are kept in :class:`CacheStats`; the evaluators
+surface per-call flags in ``TreeStats`` and only time the ``tree_build``
+/ ``moments`` / ``traverse`` phases on misses, so a
+:class:`~repro.obs.timing.TimingRegistry` report directly shows the work
+saved.  When a global metrics registry is active
 (:func:`repro.obs.use_metrics`), every hit/miss also increments a
 ``tree.cache.<stage>.<hits|misses>`` counter there, and every
 :meth:`TreeStateCache.state` call sets the ``tree.cache.bytes`` gauge to
 the bytes the cache holds (:attr:`TreeStateCache.nbytes`).
+
+**Virtual time.**  The memo is shared by every rank program of a
+simulated-MPI run, but a real rank only has what it computed itself.
+Each entry therefore records the seconds its evaluation took and who
+has paid for it (:data:`repro.obs.ledger.LEDGER` names the rank
+computing now).  A repeat by a payer is free — a real rank would have
+the result too, and so does code outside any scheduler — while a hit by
+another rank is billed the recorded seconds on that rank's virtual
+clock (and makes it a payer).
 """
 
 from __future__ import annotations
@@ -35,7 +51,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Set, Tuple
 
 import numpy as np
 
@@ -46,6 +62,7 @@ from repro.tree.multipole import (
     compute_coulomb_moments,
     compute_vortex_moments,
 )
+from repro.obs.ledger import LEDGER
 from repro.obs.metrics import get_metrics
 from repro.obs.timing import TimingRegistry
 from repro.tree.traversal import InteractionLists, dual_traversal
@@ -79,7 +96,11 @@ def array_fingerprint(array: np.ndarray) -> bytes:
 
 @dataclass
 class CacheStats:
-    """Cumulative hit/miss counters, one pair per pipeline stage."""
+    """Cumulative hit/miss counters, one pair per pipeline stage.
+
+    A hit of the last stage (``field``) also counts as a hit of the
+    ``build``, ``moment`` and ``traversal`` stages it skipped.
+    """
 
     build_hits: int = 0
     build_misses: int = 0
@@ -87,6 +108,8 @@ class CacheStats:
     moment_misses: int = 0
     traversal_hits: int = 0
     traversal_misses: int = 0
+    field_hits: int = 0
+    field_misses: int = 0
 
     def count(self, stage: str, hit: bool) -> None:
         """Increment one stage's hit or miss counter (and the active
@@ -100,6 +123,8 @@ class CacheStats:
             ).inc()
 
     def as_dict(self) -> Dict[str, int]:
+        """The counters of the three tree stages (``field_hits`` /
+        ``field_misses`` are read as attributes)."""
         return {
             "build_hits": self.build_hits,
             "build_misses": self.build_misses,
@@ -137,7 +162,7 @@ class TreeState:
     @property
     def nbytes(self) -> int:
         """Bytes this state keeps alive: tree, moment sets, interaction
-        lists and engine layouts (with their cached far weights)."""
+        lists and engine layouts."""
         held = [
             self.tree, *self._vortex_moments.values(),
             *self._coulomb_moments.values(), *self._traversals.values(),
@@ -227,8 +252,28 @@ class TreeState:
         return lists, False
 
 
+@dataclass
+class _FieldEntry:
+    """One memoised evaluation."""
+
+    arrays: Tuple[Optional[np.ndarray], ...]
+    #: the evaluator's work statistics of the stored evaluation
+    stats: Any
+    #: wall seconds the evaluation took
+    seconds: float
+    #: ledger owners whose clocks have been charged for it
+    payers: Set[Hashable]
+
+
+def _copies(
+    arrays: Tuple[Optional[np.ndarray], ...]
+) -> Tuple[Optional[np.ndarray], ...]:
+    return tuple(None if a is None else a.copy() for a in arrays)
+
+
 class TreeStateCache:
-    """LRU cache of :class:`TreeState` keyed by particle positions.
+    """LRU cache of :class:`TreeState` keyed by particle positions, plus
+    the memo of finished fields.
 
     One cache instance may be *shared* by several evaluators — the paper's
     fine/coarse pair shares one tree and one moment pass and re-runs only
@@ -236,23 +281,81 @@ class TreeStateCache:
     configurations kept alive (PFASST touches a handful per time slice).
     """
 
+    #: finished fields kept.  On the Fig. 8 run (PFASST(2,2,4), 4 time
+    #: ranks in one process) no repeat lies more than 18 distinct
+    #: evaluations behind its original.
+    _FIELD_SLOTS = 24
+
     def __init__(self, maxsize: int = 8) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = int(maxsize)
         self.stats = CacheStats()
         self._states: "OrderedDict[Tuple[bytes, int], TreeState]" = OrderedDict()
+        self._fields: "OrderedDict[Tuple[Hashable, ...], _FieldEntry]" = (
+            OrderedDict()
+        )
 
     def __len__(self) -> int:
         return len(self._states)
 
     def clear(self) -> None:
         self._states.clear()
+        self._fields.clear()
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by all cached states (see :attr:`TreeState.nbytes`)."""
-        return sum(state.nbytes for state in self._states.values())
+        """Bytes held by all cached states (see :attr:`TreeState.nbytes`)
+        and memoised fields."""
+        return sum(state.nbytes for state in self._states.values()) + sum(
+            a.nbytes for entry in self._fields.values()
+            for a in entry.arrays if a is not None
+        )
+
+    def field(
+        self, key: Tuple[Hashable, ...]
+    ) -> Optional[Tuple[Tuple[Optional[np.ndarray], ...], Any]]:
+        """The finished field stored under ``key`` as ``(copies of its
+        arrays, stats)``, or ``None``.  The key must hold everything the
+        result depends on, array contents included
+        (:func:`array_fingerprint`).
+
+        A hit stands for a hit of every stage it skips.  If the rank
+        computing now (:data:`~repro.obs.ledger.LEDGER`) has not paid for
+        the entry it is billed the seconds the evaluation took.
+        """
+        entry = self._fields.get(key)
+        if entry is None:
+            self.stats.count("field", hit=False)
+            return None
+        self._fields.move_to_end(key)
+        for stage in ("build", "moment", "traversal", "field"):
+            self.stats.count(stage, hit=True)
+        owner = LEDGER.owner
+        if owner is not None and owner not in entry.payers:
+            entry.payers.add(owner)
+            LEDGER.bill(entry.seconds)
+            m = get_metrics()
+            if m.enabled:
+                m.counter("tree.cache.field.billed_s").inc(entry.seconds)
+        return _copies(entry.arrays), entry.stats
+
+    def store_field(
+        self,
+        key: Tuple[Hashable, ...],
+        arrays: Tuple[Optional[np.ndarray], ...],
+        stats: Any,
+        seconds: float,
+    ) -> None:
+        """Memoise a finished evaluation that took ``seconds``; the
+        arrays are copied, the oldest entry beyond ``_FIELD_SLOTS``
+        dropped."""
+        payers = set() if LEDGER.owner is None else {LEDGER.owner}
+        self._fields[key] = _FieldEntry(
+            _copies(arrays), stats, seconds, payers
+        )
+        while len(self._fields) > self._FIELD_SLOTS:
+            self._fields.popitem(last=False)
 
     def state(
         self,

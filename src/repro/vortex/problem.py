@@ -59,14 +59,19 @@ class FieldEvaluator(ABC):
     def field(
         self, positions: np.ndarray, charges: np.ndarray, gradient: bool = True
     ) -> VelocityField:
-        """Timed, counted evaluation of velocity (and gradient)."""
+        """Timed, counted evaluation of velocity (and gradient).
+
+        ``calls`` counts every request; ``timer`` only those that were
+        computed — an evaluator that answers from a memo cancels the
+        running activation (:meth:`repro.obs.timing.Timer.cancel`).
+        """
         self.calls += 1
         with self.timer:
             return self._evaluate(positions, charges, gradient)
 
     @property
     def mean_cost(self) -> float:
-        """Mean measured wall-clock seconds per evaluation."""
+        """Mean measured wall-clock seconds per computed evaluation."""
         return self.timer.mean
 
     def reset_stats(self) -> None:

@@ -34,6 +34,7 @@ from repro.backends import (
     usable_backends,
 )
 from repro.tree import TreeCoulombSolver, TreeEvaluator
+from repro.tree.parallel import SpaceParallelTreeEvaluator
 from repro.vortex import get_kernel, spherical_vortex_sheet
 from repro.vortex.sheet import SheetConfig
 
@@ -186,10 +187,15 @@ class TestThreadedEquivalence:
         out = ev.field(ps.positions, ps.charges)
         assert (out.velocity == ref.velocity).all()
 
-    def test_coarsened_inherits_backend(self, sheet):
+    @pytest.mark.parametrize(
+        "cls", [TreeEvaluator, SpaceParallelTreeEvaluator]
+    )
+    def test_coarsened_inherits_backend(self, sheet, cls):
         ps, cfg, kernel = sheet
-        fine = TreeEvaluator(kernel, cfg.sigma, backend="threaded")
-        assert fine.coarsened(0.6).backend is fine.backend
+        fine = cls(kernel, cfg.sigma, backend="threaded")
+        coarse = fine.coarsened(0.6)
+        assert type(coarse) is cls
+        assert coarse.backend is fine.backend
 
     def test_worker_count_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND_THREADS", raising=False)

@@ -220,13 +220,6 @@ class TestLayoutMemory:
             tracemalloc.stop()
         assert peak <= 4 * layout.nbytes
 
-    def test_nbytes_counts_cached_far_weights(self, sheet_lists):
-        tree, lists = sheet_lists
-        layout = build_traversal_layout(tree, lists[0.6])
-        bare = layout.nbytes
-        layout.far_weights[(0, 2, True)] = np.zeros((7, 12, 5))
-        assert layout.nbytes == bare + 7 * 12 * 5 * 8
-
 
 def _jittered_sheet(n, seed, leaf_size, theta):
     cfg = SheetConfig(n=n, sigma_over_h=3.0)

@@ -89,13 +89,15 @@ class TestRepeatedEvaluation:
         assert s.traversal_cached  # traversal is geometry-only
 
     def test_charge_change_is_bitwise_pure(self, sheet):
-        """Regression: the engine layout (cached per geometry) lazily
-        caches *moment-derived* far weights.  Before the weights were
-        keyed by moment identity, evaluating charge set A and then
-        charge set B over the same positions served B the weights built
-        from A's moments — the warm path returned a different answer
-        than a cold evaluator.  Caught in a P_T=4 x P_N=3 PFASST run by
-        the node-group digest cross-check."""
+        """Regression (PR 10): new charges over known positions reuse
+        the geometric products — tree, lists, engine layout — and nothing
+        derived from the previous charge set.  The engine layout used to
+        cache moment-derived far weights; keyed without the moment
+        identity, they served charge set B the weights built from A's
+        moments, and the warm path returned a different answer than a
+        cold evaluator.  Caught in a P_T=4 x P_N=3 PFASST run by the
+        node-group digest cross-check.  The weights are built per far
+        pass now; the behaviour stays pinned."""
         ps, _, _ = sheet
         other = ps.charges * 1.1 + 1e-3
         warm = _fresh_evaluator(sheet)
@@ -190,8 +192,10 @@ class TestEviction:
         for pos in configs:
             ev.field(pos, ps.charges)
         assert len(ev.cache) == 2
-        # oldest state evicted: re-evaluating it is a miss again
-        ev.field(configs[0], ps.charges)
+        # oldest state evicted: its tree is built again (new charges —
+        # the memo of finished fields outlives the state and would
+        # answer a bit-for-bit repeat)
+        ev.field(configs[0], 2.0 * ps.charges)
         assert not ev.last_stats.build_cached
 
     def test_clear(self, sheet):
@@ -215,12 +219,14 @@ class TestCacheBytes:
         state, _ = ev.cache.state(ps.positions, ev.leaf_size)
         tree_only = state.nbytes
         assert tree_only >= state.tree.positions.nbytes
-        ev.field(ps.positions, ps.charges)
+        out = ev.field(ps.positions, ps.charges)
         (layout,) = state.engine_layouts.values()
-        assert layout.far_weights  # the far pass cached its weights
         moments, _ = state.vortex_moments(ps.charges)
         assert state.nbytes >= tree_only + layout.nbytes + moments.m2.nbytes
-        assert ev.cache.nbytes == state.nbytes
+        # one state plus one memoised field
+        assert ev.cache.nbytes == (
+            state.nbytes + out.velocity.nbytes + out.gradient.nbytes
+        )
 
     def test_monotone_under_inserts_and_drops_on_eviction(self, sheet):
         ps, _, _ = sheet
@@ -269,6 +275,49 @@ class TestStatsPlumbing:
             "build_hits", "build_misses", "moment_hits", "moment_misses",
             "traversal_hits", "traversal_misses",
         }
+
+    def test_field_hit_counters(self, sheet):
+        from repro.obs import MetricsRegistry, use_metrics
+
+        ps, _, _ = sheet
+        ev = _fresh_evaluator(sheet)
+        metrics = MetricsRegistry()
+        with use_metrics(metrics):
+            ev.field(ps.positions, ps.charges)
+            ev.field(ps.positions, ps.charges)
+        counters = metrics.as_dict()["counters"]
+        assert counters["tree.cache.field.misses"] == 1
+        assert counters["tree.cache.field.hits"] == 1
+        # the hit stands for the stages it skipped and reports the
+        # evaluation it answered; it executes no batch
+        for stage in ("build", "moment", "traversal"):
+            assert counters[f"tree.cache.{stage}.hits"] == 1
+        assert counters["tree.evaluations"] == 2
+        assert counters["tree.mac_tests"] == 2 * ev.last_stats.mac_tests
+        ev2 = _fresh_evaluator(sheet)
+        once = MetricsRegistry()
+        with use_metrics(once):
+            ev2.field(ps.positions, ps.charges)
+        for name in ("tree.far.batches", "tree.near.batches"):
+            assert counters[name] == once.as_dict()["counters"][name]
+        assert (ev.cache_stats.field_hits, ev.cache_stats.field_misses) \
+            == (1, 1)
+        assert ev.last_stats.field_cached
+
+    def test_mean_cost_covers_computed_evaluations_only(self, sheet):
+        """The fine/coarse ratio that becomes alpha is a ratio of
+        ``mean_cost``: a repeat answered in microseconds must not make a
+        level look cheaper than its evaluations are."""
+        ps, _, _ = sheet
+        ev = _fresh_evaluator(sheet)
+        ev.field(ps.positions, ps.charges)
+        cost = ev.mean_cost
+        for _ in range(3):
+            ev.field(ps.positions, ps.charges)
+        assert ev.cache_stats.field_hits == 3
+        assert ev.calls == 4  # every request
+        assert ev.timer.count == 1  # computed ones
+        assert ev.mean_cost == cost > 0
 
     def test_pfasst_surfaces_evaluator_stats(self, sheet):
         from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst

@@ -41,6 +41,19 @@ class TestTimer:
         assert t.elapsed == 0.0
         assert t.count == 0
 
+    def test_cancel_drops_the_running_activation(self):
+        t = Timer(name="x")
+        with t:
+            pass
+        elapsed = t.elapsed
+        with t:
+            t.cancel()
+        assert (t.count, t.elapsed) == (1, elapsed)
+        t.cancel()  # not running: nothing to drop
+        with t:
+            pass
+        assert t.count == 2
+
     def test_mean_zero_when_never_run(self):
         assert Timer(name="x").mean == 0.0
 
