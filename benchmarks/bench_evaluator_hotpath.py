@@ -243,7 +243,7 @@ def _parse_backends(argv: List[str]) -> Optional[List[str]]:
         elif argv[i].startswith("--backend="):
             names.append(argv[i].split("=", 1)[1])
     for name in names:
-        get_backend(name).require()  # fail fast with the actionable message
+        get_backend(name)  # fail fast with the actionable message
     return names or None
 
 

@@ -46,12 +46,18 @@ def main() -> None:
     coarse = fine.with_evaluator(coarse_eval)
     u0 = particles.state()
 
-    # measure the coarsening ratio (paper: 2.65x for the small setup)
-    for ev in (fine_eval, coarse_eval):
-        ev.reset_stats()
+    # measure the coarsening ratio (paper: 2.65x for the small setup) on
+    # computed evaluations: after a warm-up every call gets a state of
+    # its own, because a repeated state is answered from the field memo
+    # (and not timed) and a state shared by the levels bills the tree
+    # build and the moments to whichever level went first
+    rng = np.random.default_rng(0)
+    for problem in (fine, coarse):
+        problem.rhs(0.0, u0)
+        problem.evaluator.reset_stats()
     for _ in range(3):
-        fine.rhs(0.0, u0)
-        coarse.rhs(0.0, u0)
+        for problem in (fine, coarse):
+            problem.rhs(0.0, u0 + 1e-9 * rng.standard_normal(u0.shape))
     ratio = fine_eval.mean_cost / coarse_eval.mean_cost
     alpha = (2.0 / 3.0) / ratio
     print(f"theta 0.3 vs 0.6 cost ratio: {ratio:.2f}  ->  alpha = {alpha:.3f}")

@@ -24,7 +24,7 @@ Packages
 --------
 ``repro.vortex``    vortex particle method (kernels, RHS, initial data)
 ``repro.tree``      Barnes-Hut tree code ("PEPC")
-``repro.backends``  pluggable kernel backends (numpy / threaded / cupy)
+``repro.backends``  kernel backends for the tree engine (numpy / threaded)
 ``repro.nbody``     direct reference solvers (Coulomb / gravity)
 ``repro.sdc``       spectral deferred corrections
 ``repro.pfasst``    PFASST and parareal parallel-in-time methods

@@ -108,10 +108,8 @@ HOT_MODULES: Tuple[str, ...] = (
     "vortex/kernels.py",
     "nbody/direct.py",
     # kernel backends: every backend must uphold the same float64
-    # discipline the engine assumes (RPR004), whatever its namespace
-    "backends/numpy_backend.py",
+    # discipline the engine assumes (RPR004)
     "backends/threaded.py",
-    "backends/cupy_backend.py",
 )
 
 #: modules allowed to read the wall clock (RPR002 scope) — the virtual

@@ -1,71 +1,52 @@
-"""Pluggable kernel-execution backends — the array-namespace seam.
+"""Kernel-execution backends for the batched tree engine.
 
-``BENCH_evaluator.json`` shows the near-field GEMM batches dominating a
-cold fine evaluation (~90%), and the batched far/near engine
-(:mod:`repro.tree.engine`) is already GEMM-shaped — exactly the form
-that ports unchanged to another array namespace (CuPy) or to a thread
-pool over independent batches.  This package provides the seam:
-
-* :class:`KernelBackend` — the contract.  A backend owns
-
-  - ``xp``: the array namespace the device-resident math runs in
-    (:mod:`numpy` for the CPU backends, :mod:`cupy` on the GPU);
-  - ``to_device`` / ``from_device``: the *only* sanctioned host/device
-    transfer points, called at the engine boundary (no other layer may
-    move arrays);
-  - ``map_batches``: the execution strategy for the engine's
-    write-disjoint near-field batch closures (serial loop, thread
-    pool, ...).
-
-* a registry (:func:`register_backend`, :func:`available_backends`,
-  :func:`usable_backends`) and per-run selection via
-  :func:`get_backend`: an explicit name wins, then the
-  ``REPRO_BACKEND`` environment variable, then the ``"numpy"``
-  reference backend.
-
-Three backends ship:
+The batched far/near engine (:mod:`repro.tree.engine`) cuts each pass
+into *write-disjoint* batches: every batch owns the target rows (or
+slot range) it scatters into and shares only read-only state with the
+others.  A :class:`KernelBackend` decides how those batches are run:
 
 ``numpy``
-    Reference implementation — a serial loop over batches, byte-identical
-    to the pre-seam engine by construction (same operations, same order).
+    The reference — the base class itself: a serial in-order loop over
+    the batches.  Every equivalence statement in the test suite is
+    anchored to it.
 ``threaded``
-    stdlib ``ThreadPoolExecutor`` over the near-field batches.  Batches
-    write disjoint target rows and every batch is internally serial, so
-    the result is *bitwise identical* to ``numpy`` regardless of thread
-    scheduling; the GEMMs release the GIL, so batches genuinely overlap
-    on multi-core hosts.  Worker count: ``REPRO_BACKEND_THREADS`` or
-    ``os.cpu_count()``.
-``cupy``
-    Optional GPU backend (import-guarded; cleanly unavailable without
-    CuPy + a CUDA device).  The near-field pass runs on the device with
-    one host→device transfer of positions/charges per evaluation and one
-    device→host transfer of the accumulated outputs; tree build,
-    traversal and the far pass stay on the host.  **Not** bitwise
-    reproducible against the CPU backends (different GEMM reduction
-    order) — see ``docs/backends.md`` for the per-backend guarantees.
+    stdlib ``ThreadPoolExecutor`` over the batches
+    (:mod:`repro.backends.threaded`).  Batches write disjoint rows and
+    each is internally serial, so the result is *bitwise identical* to
+    ``numpy`` regardless of thread scheduling; the GEMMs release the
+    GIL, so batches overlap on multi-core hosts.  Worker count:
+    ``REPRO_BACKEND_THREADS`` or ``os.cpu_count()``.
+
+Selection (:func:`get_backend`): an explicit name or instance wins, then
+the ``REPRO_BACKEND`` environment variable, then ``numpy``.
+
+A backend also names the array namespace the vortex near-field batch
+body runs in (``xp``) and the two points where arrays enter and leave
+it (``to_device`` / ``from_device``).  Both shipped backends are
+host-resident — ``xp`` is NumPy and the transfers are the identity;
+the hooks are the seam through which the tests substitute a stand-in
+(transfers that copy, so a body that reaches around them shows;
+transfers that hand out ufunc-counting arrays, for the near body's
+pass budget) without touching the engine.
 
 Backends pickle as their registry name (``__reduce__``), so a
-:class:`~repro.tree.TreeEvaluator` configured with any backend survives
-dispatch into :class:`~repro.parallel.executor.ProcessExecutor` workers:
-each worker re-resolves the backend on arrival (and raises
-:class:`BackendUnavailableError` there if the worker host lacks the
-dependency).
+:class:`~repro.tree.TreeEvaluator` configured with one survives
+dispatch into :class:`~repro.parallel.executor.ProcessExecutor`
+workers, which re-resolve it on arrival.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Sequence, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "ENV_VAR",
     "DEFAULT_BACKEND",
-    "BackendUnavailableError",
     "KernelBackend",
     "register_backend",
-    "available_backends",
     "usable_backends",
     "get_backend",
 ]
@@ -76,65 +57,21 @@ ENV_VAR = "REPRO_BACKEND"
 DEFAULT_BACKEND = "numpy"
 
 
-class BackendUnavailableError(ImportError):
-    """A registered backend cannot run in this environment.
-
-    Raised by :func:`get_backend` (and by backend resolution inside
-    executor workers) when the backend's dependency is missing or no
-    suitable hardware exists.  ``missing`` names the missing dependency
-    so the message is actionable (``pip install cupy-cuda12x``, run on a
-    GPU node, ...).
-    """
-
-    def __init__(self, backend: str, missing: str, hint: str = "") -> None:
-        self.backend = backend
-        self.missing = missing
-        msg = f"kernel backend {backend!r} is unavailable: {missing}"
-        if hint:
-            msg = f"{msg} — {hint}"
-        super().__init__(msg)
-
-
 class KernelBackend:
     """Execution + residency strategy for the batched far/near engine.
 
-    Subclasses override the class attributes and whichever hooks differ
-    from the host-serial defaults.  Instances are registered singletons;
+    The base class is the ``numpy`` reference backend: host arrays, a
+    serial loop over batches.  Subclasses override the class attributes
+    and whichever hooks differ.  Instances are registered singletons;
     identity comparisons (``backend is get_backend("numpy")``) are valid
     within a process, and pickling reduces to the registry name so the
     same identity is re-established across process boundaries.
     """
 
     #: registry name (also the ``REPRO_BACKEND`` value)
-    name: str = "abstract"
+    name: str = "numpy"
     #: ``"cpu"`` or ``"gpu"`` — drives the engine's residency decision
     device: str = "cpu"
-
-    # -- availability ------------------------------------------------------
-    def missing_dependency(self) -> Optional[str]:
-        """Human-readable description of what is missing, or ``None``.
-
-        ``None`` means the backend is usable right now.  The check must
-        be cheap and side-effect free — it runs inside error messages
-        and ``usable_backends()``.
-        """
-        return None
-
-    @property
-    def available(self) -> bool:
-        """Whether the backend can run in this environment."""
-        return self.missing_dependency() is None
-
-    def require(self) -> "KernelBackend":
-        """Return ``self`` or raise :class:`BackendUnavailableError`."""
-        missing = self.missing_dependency()
-        if missing is not None:
-            raise BackendUnavailableError(self.name, missing, hint=self._hint())
-        return self
-
-    def _hint(self) -> str:
-        """Remediation hint appended to the unavailability error."""
-        return ""
 
     # -- array namespace and transfer points -------------------------------
     @property
@@ -171,15 +108,10 @@ class KernelBackend:
     # -- introspection / plumbing ------------------------------------------
     def describe(self) -> Dict[str, object]:
         """Diagnostic metadata (recorded into benchmark rows)."""
-        return {
-            "name": self.name,
-            "device": self.device,
-            "available": self.available,
-        }
+        return {"name": self.name, "device": self.device}
 
     def __reduce__(self):
-        # pickle as the registry name: executor workers re-resolve the
-        # backend (and surface BackendUnavailableError on *their* host)
+        # pickle as the registry name: executor workers re-resolve it
         return (get_backend, (self.name,))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -195,14 +127,9 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
     return backend
 
 
-def available_backends() -> Tuple[str, ...]:
-    """Names of every *registered* backend (usable here or not)."""
-    return tuple(sorted(_REGISTRY))
-
-
 def usable_backends() -> Tuple[str, ...]:
-    """Names of the registered backends usable in this environment."""
-    return tuple(n for n in available_backends() if _REGISTRY[n].available)
+    """Names of the registered backends, sorted."""
+    return tuple(sorted(_REGISTRY))
 
 
 def get_backend(
@@ -211,14 +138,12 @@ def get_backend(
     """Resolve a backend: explicit name > ``REPRO_BACKEND`` > ``numpy``.
 
     Accepts a registry name, an already-resolved :class:`KernelBackend`
-    (validated and passed through), or ``None`` for the environment /
-    default resolution.  Raises :class:`BackendUnavailableError` when
-    the backend exists but cannot run here, and ``ValueError`` with the
-    valid names when the name (or a mis-set ``REPRO_BACKEND``) is
-    unknown.
+    (passed through), or ``None`` for the environment / default
+    resolution.  Raises ``ValueError`` with the valid names when the
+    name (or a mis-set ``REPRO_BACKEND``) is unknown.
     """
     if isinstance(name, KernelBackend):
-        return name.require()
+        return name
     source = "backend argument"
     if name is None:
         env = os.environ.get(ENV_VAR)
@@ -226,20 +151,19 @@ def get_backend(
             name, source = env, f"environment variable {ENV_VAR}"
         else:
             name = DEFAULT_BACKEND
-    key = str(name).strip().lower()
-    backend = _REGISTRY.get(key)
+    backend = _REGISTRY.get(str(name).strip().lower())
     if backend is None:
         raise ValueError(
             f"unknown kernel backend {name!r} (from {source}); "
-            f"valid names: {', '.join(available_backends())}. "
+            f"valid names: {', '.join(usable_backends())}. "
             f"Unset {ENV_VAR} or pass backend= explicitly to override."
         )
-    return backend.require()
+    return backend
 
 
-# self-registering backend modules — import order fixes registry order
-from repro.backends.numpy_backend import NumpyBackend  # noqa: E402
+register_backend(KernelBackend())
+
+# self-registering on import
 from repro.backends.threaded import ThreadedBackend  # noqa: E402
-from repro.backends.cupy_backend import CupyBackend  # noqa: E402
 
-__all__ += ["NumpyBackend", "ThreadedBackend", "CupyBackend"]
+__all__ += ["ThreadedBackend"]

@@ -12,12 +12,6 @@ lever on the ~90%-of-runtime near field.
 Worker count resolution: ``REPRO_BACKEND_THREADS`` env var, else
 ``os.cpu_count()``.  With one worker (or one batch) the pool is skipped
 entirely and the serial loop runs — a 1-core CI host pays nothing.
-
-:mod:`numba` is an *optional* accelerator dependency: its presence is
-detected behind a guarded import and reported via :meth:`describe` (the
-CI optional-dependency matrix runs the threaded near-field suite with
-numba installed to guard against interference with the threaded BLAS
-path); the backend itself is stdlib-only and never requires it.
 """
 
 from __future__ import annotations
@@ -32,13 +26,6 @@ import numpy as np
 from repro.backends import KernelBackend, register_backend
 
 __all__ = ["ThreadedBackend"]
-
-try:  # guarded optional accelerator — detection only, never required
-    import numba as _numba  # type: ignore
-
-    _NUMBA_VERSION: Optional[str] = getattr(_numba, "__version__", "unknown")
-except Exception:  # pragma: no cover - exercised on numba-equipped CI
-    _NUMBA_VERSION = None
 
 
 class ThreadedBackend(KernelBackend):
@@ -101,7 +88,6 @@ class ThreadedBackend(KernelBackend):
     def describe(self) -> Dict[str, object]:
         info = super().describe()
         info["workers"] = self.workers
-        info["numba"] = _NUMBA_VERSION
         return info
 
 

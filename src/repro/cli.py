@@ -123,6 +123,25 @@ def _cmd_sheet(args: argparse.Namespace) -> int:
     return 0
 
 
+def _measured_cost_ratio(fine, coarse, u0, samples: int = 3) -> float:
+    """Fine/coarse cost ratio of one RHS evaluation, as the mean over
+    ``samples`` computed evaluations per level.
+
+    Each measured evaluation gets a state of its own (a seeded jitter of
+    ``u0``): a repeated state would be answered from the evaluators'
+    field memo and not be timed, and a state shared by the levels would
+    bill the tree build and the moments to whichever level went first.
+    """
+    rng = np.random.default_rng(0)
+    for problem in (fine, coarse):
+        problem.rhs(0.0, u0)  # warm-up, not measured
+        problem.evaluator.reset_stats()
+    for _ in range(samples):
+        for problem in (fine, coarse):
+            problem.rhs(0.0, u0 + 1e-9 * rng.standard_normal(u0.shape))
+    return fine.evaluator.mean_cost / coarse.evaluator.mean_cost
+
+
 def _cmd_speedup(args: argparse.Namespace) -> int:
     from repro.parallel import CommCostModel, Scheduler
     from repro.pfasst import (LevelSpec, PfasstConfig, run_pfasst,
@@ -141,10 +160,7 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
     # shares the fine evaluator's tree-state cache (one tree, two traversals)
     coarse = fine.coarsened(theta=0.6)
     u0 = ps.state()
-    for _ in range(2):
-        fine.rhs(0.0, u0)
-        coarse.rhs(0.0, u0)
-    ratio = fine.evaluator.mean_cost / coarse.evaluator.mean_cost
+    ratio = _measured_cost_ratio(fine, coarse, u0)
     alpha = (2.0 / 3.0) / ratio
 
     def serial(comm):

@@ -1091,7 +1091,6 @@ def run_pfasst(
     checkpoint: Optional[Any] = None,
     checkpoint_interval: int = 1,
     resume_from: Optional[Any] = None,
-    backend: Optional[str] = None,
 ) -> PfasstResult:
     """Execute PFASST with ``p_time`` simulated time ranks.
 
@@ -1184,31 +1183,10 @@ def run_pfasst(
     channel census + any message races) lands in ``result.certificate``
     and in the ``comm.certificate`` metric.  Combined with ``verify=True``
     the replay's digest must match or the run fails.
-
-    ``backend`` selects the *kernel backend* (:mod:`repro.backends`) for
-    every level whose problem carries a backend-aware field evaluator
-    (``repro.tree.TreeEvaluator`` and subclasses): ``"numpy"`` (serial
-    reference), ``"threaded"`` (thread pool over the write-disjoint
-    near-field batches, bitwise identical to numpy) or ``"cupy"``
-    (GPU-resident near field, rounding-level equivalent).  ``None``
-    leaves each evaluator's own selection (constructor argument or
-    ``REPRO_BACKEND``) in place.  The kernel backend composes with
-    ``executor=``: backends pickle as their registry name, so evaluators
-    dispatched into :class:`~repro.parallel.executor.ProcessExecutor`
-    workers re-resolve the same backend on the worker host.  Problems
-    without a backend-aware evaluator are silently left untouched.
     """
     check_positive("p_time", p_time)
     check_positive("p_space", p_space)
     check_positive("p_nodes", p_nodes)
-    if backend is not None:
-        from repro.backends import get_backend
-
-        kernel_backend = get_backend(backend)  # raises early if unusable
-        for spec in specs:
-            ev = getattr(spec.problem, "evaluator", None)
-            if ev is not None and hasattr(ev, "backend"):
-                ev.backend = kernel_backend
     if checkpoint_interval < 1:
         raise ValueError(
             f"checkpoint_interval must be >= 1, got {checkpoint_interval}"

@@ -13,12 +13,6 @@ from repro.sdc.quadrature import (
 from repro.sdc.sweeper import ExplicitSDCSweeper, RhsContext, node_slice
 from repro.sdc.diagonal import DiagonalSDCSweeper
 from repro.sdc.sdc_stepper import SDCStepper, SDCRunStats
-from repro.sdc.imex import (
-    SplitODEProblem,
-    SplitDahlquist,
-    IMEXSDCSweeper,
-    IMEXSDCStepper,
-)
 
 __all__ = [
     "NodeSet",
@@ -37,8 +31,4 @@ __all__ = [
     "DIAGONAL_COEFFICIENT_CHOICES",
     "SDCStepper",
     "SDCRunStats",
-    "SplitODEProblem",
-    "SplitDahlquist",
-    "IMEXSDCSweeper",
-    "IMEXSDCStepper",
 ]

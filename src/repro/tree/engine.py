@@ -60,10 +60,11 @@ memory is O(list entries), not O(particle pairs).
 residency: the batch/chunk partitions built here are *write-disjoint*
 (each owns the target rows or slot range it scatters into), which is
 the invariant that lets the ``threaded`` backend run them on a thread
-pool bitwise-identically and the ``cupy`` backend move the vortex
-near-field pass — the ~90% cost center — onto the GPU with transfers
-only at the pass boundary.  ``backend=None`` resolves through
-``REPRO_BACKEND`` and defaults to the serial NumPy reference.
+pool bitwise-identically; a backend with ``device != "cpu"`` (the
+tests' host-memory stand-ins) gets the vortex near-field pass run on
+transferred copies, with transfers only at the pass boundary.
+``backend=None`` resolves through ``REPRO_BACKEND`` and defaults to
+the serial NumPy reference.
 
 **Process safety.** The batched kernels are safe to run inside worker
 processes of the executor backend (:mod:`repro.parallel.executor`):
@@ -71,10 +72,8 @@ module state is limited to immutable constants (``_INV_FOUR_PI``, the
 budget defaults), inputs are only read (positions/charges may arrive as
 read-only shared-memory views), and all mutation targets are the
 caller-allocated ``vel`` / ``grad`` output buffers.  Callers that cross a
-process boundary must therefore allocate *fresh, writable* outputs on the
-worker side — :func:`check_output_buffers` validates the contract
-(float64, C-contiguous, writable, correctly shaped) before the GEMM
-passes touch them.
+process boundary must therefore allocate *fresh, writable* float64
+outputs on the worker side, as the evaluator's pipeline does.
 """
 
 from __future__ import annotations
@@ -115,49 +114,9 @@ __all__ = [
     "batched_near_vortex",
     "batched_far_coulomb",
     "batched_near_coulomb",
-    "check_output_buffers",
 ]
 
 _INV_FOUR_PI = 1.0 / (4.0 * np.pi)
-
-
-def check_output_buffers(
-    vel: np.ndarray,
-    grad: Optional[np.ndarray],
-    n: int,
-    gradient: bool,
-) -> None:
-    """Validate accumulation buffers before the batched far/near passes.
-
-    The engine accumulates in place, so the buffers must be fresh float64
-    C-contiguous *writable* arrays of the full particle count.  Read-only
-    views (e.g. shared-memory inputs mapped into an executor worker) and
-    stale-shaped reuse are rejected here, with a clear message, instead
-    of failing deep inside a GEMM scatter.
-    """
-    def _check(name: str, a: np.ndarray, shape: Tuple[int, ...]) -> None:
-        if a.shape != shape:
-            raise ValueError(
-                f"{name} buffer has shape {a.shape}, expected {shape}"
-            )
-        if a.dtype != np.float64:
-            raise TypeError(
-                f"{name} buffer has dtype {a.dtype}, expected float64"
-            )
-        if not a.flags.c_contiguous:
-            raise ValueError(f"{name} buffer must be C-contiguous")
-        if not a.flags.writeable:
-            raise ValueError(
-                f"{name} buffer is read-only; the engine accumulates in "
-                "place — allocate a fresh array on this side of any "
-                "process boundary"
-            )
-
-    _check("velocity", vel, (n, 3))
-    if gradient:
-        if grad is None:
-            raise ValueError("gradient requested but grad buffer is None")
-        _check("gradient", grad, (n, 3, 3))
 
 #: default temporary-memory budget per evaluation batch/chunk
 DEFAULT_BUDGET_BYTES = 64 * 2**20
@@ -706,11 +665,9 @@ def batched_near_vortex(
     target rows of its groups), so the CPU backends dispatch them
     through :meth:`~repro.backends.KernelBackend.map_batches` — serial
     for ``numpy``, a thread pool for ``threaded``, both bitwise
-    identical — while the ``cupy`` backend runs the same batch body on
-    the device (transfer points at this function's boundary only;
-    results match the host to rounding error, not bitwise — device GEMMs
-    reduce in a different order).  ``None`` resolves via
-    ``REPRO_BACKEND`` / the NumPy default.
+    identical — while a device backend runs the same batch body on
+    transferred copies (transfer points at this function's boundary
+    only).  ``None`` resolves via ``REPRO_BACKEND`` / the NumPy default.
 
     Dense form of :func:`~repro.vortex.rhs.biot_savart_pairs`: with
     ``r = t - s`` the cross products split into per-target and

@@ -34,7 +34,7 @@ counterpart, mirroring PEPC's multi-purpose design.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Hashable, Optional, Tuple
+from typing import Any, Callable, Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -133,20 +133,67 @@ def _count_evaluation(stats: TreeStats) -> TreeStats:
 
 
 def _engine_layout(
+    solver: "TreeEvaluator | TreeCoulombSolver",
     state: TreeState,
     lists: InteractionLists,
-    theta: float,
-    variant: str,
-    phases: TimingRegistry,
 ) -> TraversalLayout:
     """Per-traversal engine layout, cached on the state object."""
-    key = (float(theta), str(variant))
+    key = (float(solver.theta), str(solver.mac_variant))
     layout = state.engine_layouts.get(key)
     if layout is None:
-        with phases.phase("layout"):
+        with solver.phases.phase("layout"):
             layout = build_traversal_layout(state.tree, lists)
         state.engine_layouts[key] = layout
     return layout
+
+
+def _tree_and_moments(
+    solver: "TreeEvaluator | TreeCoulombSolver",
+    positions: np.ndarray,
+    charges: np.ndarray,
+    moments_of: Callable[..., Tuple[Any, bool]],
+) -> Tuple[TreeState, Any, Tuple[bool, bool]]:
+    """Tree state of ``positions`` and ``moments_of`` (a
+    :class:`TreeState` moment method) of ``charges``, through the
+    solver's cache — as far as the branch exchange needs the pipeline.
+    Returns ``(state, moments, (build_cached, moments_cached))``."""
+    state, build_cached = solver.cache.state(
+        positions, solver.leaf_size, solver.phases
+    )
+    moments, moments_cached = moments_of(state, charges, solver.phases)
+    return state, moments, (build_cached, moments_cached)
+
+
+def _tree_stages(
+    solver: "TreeEvaluator | TreeCoulombSolver",
+    positions: np.ndarray,
+    charges: np.ndarray,
+    moments_of: Callable[..., Tuple[Any, bool]],
+    segment: Optional[Tuple[int, int]] = None,
+) -> Tuple[
+    TreeState, Any, InteractionLists, TraversalLayout, Tuple[bool, ...]
+]:
+    """Everything a tree evaluation needs before its summation passes:
+    tree, moments, the traversal at the solver's MAC and the engine
+    layout, each taken from the solver's cache or computed into it.
+
+    ``segment`` — ``(p_space, rank)``, given by
+    ``SpaceParallelTreeEvaluator.segment_field`` only — restricts lists
+    and layout to that shard's target groups.  Returns ``(state,
+    moments, lists, layout, cached)``; ``cached`` holds the ``build`` /
+    ``moments`` / ``traversal`` flags of :class:`TreeStats`.
+    """
+    state, moments, cached = _tree_and_moments(
+        solver, positions, charges, moments_of
+    )
+    lists, traversal_cached = state.traversal(
+        solver.theta, solver.mac_variant, moments.bmax, solver.phases
+    )
+    if segment is None:
+        layout = _engine_layout(solver, state, lists)
+    else:
+        lists, layout = solver._segment_layout(state, lists, *segment)
+    return state, moments, lists, layout, (*cached, traversal_cached)
 
 
 class TreeEvaluator(FieldEvaluator):
@@ -182,16 +229,15 @@ class TreeEvaluator(FieldEvaluator):
         (``DEFAULT_BUDGET_BYTES``).
     backend :
         Kernel-execution backend for the batched far/near passes — a
-        registry name (``"numpy"``, ``"threaded"``, ``"cupy"``), an
+        registry name (``"numpy"``, ``"threaded"``), an
         already-resolved :class:`~repro.backends.KernelBackend`, or
         ``None`` to resolve via the ``REPRO_BACKEND`` environment
         variable (default ``"numpy"``).  Resolution is eager, so an
-        unavailable backend raises
-        :class:`~repro.backends.BackendUnavailableError` here rather
-        than mid-run.  The resolved backend pickles as its name and is
-        re-resolved inside :class:`~repro.parallel.executor.ProcessExecutor`
-        workers.  See ``docs/backends.md`` for per-backend precision
-        and determinism guarantees.
+        unknown name raises ``ValueError`` here rather than mid-run.
+        The resolved backend pickles as its name and is re-resolved
+        inside :class:`~repro.parallel.executor.ProcessExecutor`
+        workers.  See ``docs/backends.md`` for the determinism
+        guarantee.
     """
 
     def __init__(
@@ -304,32 +350,41 @@ class TreeEvaluator(FieldEvaluator):
     @boundary("tree_evaluate", arrays=[
         ("positions", (None, 3)), ("charges", (None, 3)),
     ])
-    def _evaluate(
+    def _pipeline(
         self,
         positions: np.ndarray,
         charges: np.ndarray,
         gradient: bool,
-        include_far: bool = True,
-    ) -> VelocityField:
+        include_far: bool,
+        segment: Optional[Tuple[int, int]],
+        finish: Callable[
+            [TreeState, np.ndarray, Optional[np.ndarray]],
+            Tuple[np.ndarray, Optional[np.ndarray]],
+        ],
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The one tree evaluation behind :meth:`field` and
+        ``segment_field``: memo lookup, the cached stages, far and near
+        pass over the whole tree or over ``segment``'s share of it,
+        statistics, memo store.
+
+        ``finish(state, vel, grad)`` turns the tree-order accumulators
+        into the arrays the entrance returns, which are also what the
+        memo keeps.  A memo hit cancels a running ``timer`` activation:
+        ``timer`` / ``mean_cost`` describe computed evaluations.
+        """
         clock = Timer()
         clock.start()
-        key = self._field_key(positions, charges, gradient, include_far)
+        key = self._field_key(
+            positions, charges, gradient, include_far, segment
+        )
         memo = self._memoised(key)
         if memo is not None:
-            # ``timer`` / ``mean_cost`` describe computed evaluations
             self.timer.cancel()
-            return VelocityField(*memo)
-        state, build_cached = self.cache.state(
-            positions, self.leaf_size, self.phases
+            return memo
+        state, moments, lists, layout, cached = _tree_stages(
+            self, positions, charges, TreeState.vortex_moments, segment
         )
         tree = state.tree
-        moments, moments_cached = state.vortex_moments(charges, self.phases)
-        lists, traversal_cached = state.traversal(
-            self.theta, self.mac_variant, moments.bmax, self.phases
-        )
-        layout = _engine_layout(
-            state, lists, self.theta, self.mac_variant, self.phases
-        )
 
         n = positions.shape[0]
         vel = np.zeros((n, 3))
@@ -350,20 +405,31 @@ class TreeEvaluator(FieldEvaluator):
                 backend=self.backend,
             )
 
-        self.last_stats = _make_stats(
-            tree, lists, build_cached, moments_cached, traversal_cached
-        )
-        # scatter from Morton order back to caller order
-        out_v = np.empty_like(vel)
-        out_v[tree.order] = vel
-        out_g = None
-        if gradient:
-            out_g = np.empty_like(grad)
-            out_g[tree.order] = grad
-        self.cache.store_field(
-            key, (out_v, out_g), self.last_stats, clock.stop()
-        )
-        return VelocityField(out_v, out_g)
+        self.last_stats = _make_stats(tree, lists, *cached)
+        arrays = finish(state, vel, grad)
+        self.cache.store_field(key, arrays, self.last_stats, clock.stop())
+        return arrays
+
+    def _evaluate(
+        self,
+        positions: np.ndarray,
+        charges: np.ndarray,
+        gradient: bool,
+        include_far: bool = True,
+    ) -> VelocityField:
+        def scatter(state, vel, grad):
+            # from Morton order back to caller order
+            out_v = np.empty_like(vel)
+            out_v[state.tree.order] = vel
+            out_g = None
+            if gradient:
+                out_g = np.empty_like(grad)
+                out_g[state.tree.order] = grad
+            return out_v, out_g
+
+        return VelocityField(*self._pipeline(
+            positions, charges, gradient, include_far, None, scatter
+        ))
 
 
 class TreeCoulombSolver:
@@ -415,17 +481,10 @@ class TreeCoulombSolver:
         self, positions: np.ndarray, charges: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(potential, field)`` at every particle position."""
-        state, build_cached = self.cache.state(
-            positions, self.leaf_size, self.phases
+        state, moments, lists, layout, cached = _tree_stages(
+            self, positions, charges, TreeState.coulomb_moments
         )
         tree = state.tree
-        moments, moments_cached = state.coulomb_moments(charges, self.phases)
-        lists, traversal_cached = state.traversal(
-            self.theta, self.mac_variant, moments.bmax, self.phases
-        )
-        layout = _engine_layout(
-            state, lists, self.theta, self.mac_variant, self.phases
-        )
 
         n = positions.shape[0]
         phi = np.zeros(n)
@@ -445,9 +504,7 @@ class TreeCoulombSolver:
                 backend=self.backend,
             )
 
-        self.last_stats = _make_stats(
-            tree, lists, build_cached, moments_cached, traversal_cached
-        )
+        self.last_stats = _make_stats(tree, lists, *cached)
         out_phi = np.empty_like(phi)
         out_phi[tree.order] = phi
         out_field = np.empty_like(field)

@@ -99,8 +99,8 @@ def monomial_rows(rt: np.ndarray, n_mono: int, out: np.ndarray) -> None:
 
     Array-namespace generic: the recurrence is one ``np.multiply`` with
     an explicit ``out=`` per monomial, which dispatches through
-    ``__array_ufunc__`` — pass device-resident ``rt``/``out`` (e.g.
-    CuPy, :mod:`repro.backends`) and the table is built on the device.
+    ``__array_ufunc__`` — pass ``rt``/``out`` of another array type
+    (:mod:`repro.backends`) and the table is built in that type.
     (:func:`monomial_basis` is *not* generic: it allocates its result
     through ``np.empty`` and therefore stays on the host.)
     """

@@ -63,19 +63,13 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.timing import Timer
 from repro.parallel import tags
 from repro.parallel.collectives import allgather
 from repro.parallel.simmpi import VirtualComm
 from repro.tree.build import Octree
 from repro.tree.domain import cover_key_range
-from repro.tree.engine import (
-    batched_far_vortex,
-    batched_near_vortex,
-    build_traversal_layout,
-    check_output_buffers,
-)
-from repro.tree.evaluator import TreeEvaluator, _make_stats
+from repro.tree.engine import TraversalLayout, build_traversal_layout
+from repro.tree.evaluator import TreeEvaluator, _tree_and_moments
 from repro.tree.morton import cell_of_key, morton_encode, quantize
 from repro.tree.multipole import VortexMoments, _segment_sum
 from repro.tree.state import TreeState
@@ -340,20 +334,20 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
     yields, keeping op streams byte-identical.
     """
 
-    # -- the space-parallel pipeline ------------------------------------
     def _segment_layout(
         self,
         state: TreeState,
         lists: InteractionLists,
-        shard: SpaceShard,
+        p_space: int,
         rank: int,
-    ):
+    ) -> Tuple[InteractionLists, TraversalLayout]:
         """Masked interaction lists + engine layout for one segment."""
         key = (float(self.theta), str(self.mac_variant),
-               ("seg", shard.p_space, rank))
+               ("seg", p_space, rank))
         found = state.engine_layouts.get(key)
         if found is not None:
             return found
+        shard = compute_shard(state, p_space)
         mask = shard.group_mask(rank, lists.n_groups)
         sub = _sub_lists(lists, mask)
         with self.phases.phase("layout"):
@@ -384,56 +378,23 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
         own output buffers — inputs may arrive as read-only
         shared-memory views.  Both the inline and the dispatched path of
         :meth:`field_program` call exactly this method, so their results
-        are bitwise identical.  A repeat of an earlier call is answered
-        from the cache's memo of finished fields.
+        are bitwise identical.  It is the serial evaluator's pipeline
+        run over one shard's target groups, timed like :meth:`field`:
+        a repeat of an earlier call is answered from the cache's memo
+        of finished fields and does not count in ``timer``.
         """
-        clock = Timer()
-        clock.start()
-        key = self._field_key(
-            positions, charges, gradient, segment=(p_space, rank)
-        )
-        memo = self._memoised(key)
-        if memo is not None:
-            return memo
-        state, build_cached = self.cache.state(
-            positions, self.leaf_size, self.phases
-        )
-        tree = state.tree
-        moments, moments_cached = state.vortex_moments(charges, self.phases)
-        lists, traversal_cached = state.traversal(
-            self.theta, self.mac_variant, moments.bmax, self.phases
-        )
-        shard = compute_shard(state, p_space)
-        charges_sorted = charges[tree.order]
-        sub, layout = self._segment_layout(state, lists, shard, rank)
-        n = positions.shape[0]
-        vel = np.zeros((n, 3))
-        grad = np.zeros((n, 3, 3)) if gradient else None
-        check_output_buffers(vel, grad, n, gradient)
-        with self.phases.phase("far_field"):
-            batched_far_vortex(
-                tree, moments, layout, self.kernel, self.sigma,
-                self.order, gradient, vel, grad,
-                budget_bytes=self.batch_budget_bytes,
+        def compact(state, vel, grad):
+            bounds = compute_shard(state, p_space).bounds
+            own = slice(int(bounds[rank]), int(bounds[rank + 1]))
+            return (
+                np.ascontiguousarray(vel[own]),
+                np.ascontiguousarray(grad[own]) if gradient else None,
             )
-        with self.phases.phase("near_field"):
-            batched_near_vortex(
-                tree, charges_sorted, layout, self.kernel, self.sigma,
-                gradient, self._exclude_zero, vel, grad,
-                budget_bytes=self.batch_budget_bytes,
-                backend=self.backend,
+
+        with self.timer:
+            return self._pipeline(
+                positions, charges, gradient, True, (p_space, rank), compact
             )
-        self.last_stats = _make_stats(
-            tree, sub, build_cached, moments_cached, traversal_cached
-        )
-        p_lo = int(shard.bounds[rank])
-        p_hi = int(shard.bounds[rank + 1])
-        segment = (
-            np.ascontiguousarray(vel[p_lo:p_hi]),
-            np.ascontiguousarray(grad[p_lo:p_hi]) if gradient else None,
-        )
-        self.cache.store_field(key, segment, self.last_stats, clock.stop())
-        return segment
 
     def field_program(
         self,
@@ -467,9 +428,10 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
         # The branch exchange needs the tree and moments; the interaction
         # lists and segment layout are (re)derived inside segment_field —
         # a cache hit inline, a per-worker warm-up under a process backend.
-        state, _ = self.cache.state(positions, self.leaf_size, self.phases)
+        state, moments, _ = _tree_and_moments(
+            self, positions, charges, TreeState.vortex_moments
+        )
         tree = state.tree
-        moments, _ = state.vortex_moments(charges, self.phases)
         shard = compute_shard(state, p_space)
         charges_sorted = charges[tree.order]
 

@@ -67,8 +67,8 @@ class SmoothingKernel(ABC):
     #: formal order of accuracy of the regularisation
     order: int = 0
     #: whether :meth:`f_g_from_r2` is array-namespace generic — i.e. built
-    #: from ufunc/protocol arithmetic only, so it runs unchanged on CuPy
-    #: arrays inside a device backend (:mod:`repro.backends`).  Kernels
+    #: from ufunc/protocol arithmetic only, so it runs unchanged on the
+    #: arrays of a device backend (:mod:`repro.backends`).  Kernels
     #: that route through SciPy special functions must leave this False.
     xp_generic: bool = False
 

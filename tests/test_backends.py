@@ -3,8 +3,7 @@
 Covers the :mod:`repro.backends` contract:
 
 * registry and resolution order (argument > ``REPRO_BACKEND`` > numpy);
-* actionable errors — unknown names list the valid ones, unavailable
-  backends name the missing dependency;
+* actionable errors — unknown names list the valid ones;
 * the ``threaded`` backend is *bitwise identical* to the numpy
   reference at theta = 0 and theta = 0.6, including with a forced
   multi-worker pool and tiny batch budgets (many batches in flight);
@@ -14,7 +13,7 @@ Covers the :mod:`repro.backends` contract:
   accumulators, transfer out) runs here through a host-memory stand-in
   backend and agrees with the host pass on both the GEMM-expanded and
   the explicit path;
-* ``run_pfasst(backend=...)`` rebinds backend-aware evaluators.
+* a whole PFASST run on ``threaded`` evaluators is bitwise the numpy run.
 """
 
 import os
@@ -26,10 +25,8 @@ import pytest
 from repro.backends import (
     DEFAULT_BACKEND,
     ENV_VAR,
-    BackendUnavailableError,
     KernelBackend,
     ThreadedBackend,
-    available_backends,
     get_backend,
     usable_backends,
 )
@@ -53,7 +50,8 @@ def clean_env(monkeypatch):
 
 class TestRegistryAndResolution:
     def test_all_three_backends_registered(self):
-        assert available_backends() == ("cupy", "numpy", "threaded")
+        """Two since the cupy backend left; the id is pinned."""
+        assert usable_backends() == ("numpy", "threaded")
 
     def test_cpu_backends_always_usable(self):
         usable = usable_backends()
@@ -88,7 +86,7 @@ class TestRegistryAndResolution:
             get_backend("torch")
         msg = str(exc.value)
         assert "torch" in msg
-        assert "cupy, numpy, threaded" in msg
+        assert "numpy, threaded" in msg
 
     def test_misset_env_var_is_actionable(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "gpu-please")
@@ -97,37 +95,13 @@ class TestRegistryAndResolution:
         msg = str(exc.value)
         assert ENV_VAR in msg  # names the source of the bad value
         assert "gpu-please" in msg
-        assert "cupy, numpy, threaded" in msg
+        assert "numpy, threaded" in msg
 
     def test_describe_reports_contract_fields(self):
         for name in ("numpy", "threaded"):
             info = get_backend(name).describe()
             assert info["name"] == name
             assert info["device"] == "cpu"
-            assert info["available"] is True
-
-
-class TestUnavailableBackend:
-    def test_cupy_without_gpu_raises_named_error(self):
-        cupy_missing = "cupy" not in usable_backends()
-        if not cupy_missing:  # pragma: no cover - GPU-equipped host
-            pytest.skip("cupy is usable here; unavailability not testable")
-        with pytest.raises(BackendUnavailableError) as exc:
-            get_backend("cupy")
-        assert exc.value.backend == "cupy"
-        assert "cupy" in str(exc.value)  # names the missing dependency
-        assert "cupy" in exc.value.missing or "CUDA" in exc.value.missing
-
-    def test_unavailable_error_is_importerror(self):
-        # so `except ImportError` guards in user code keep working
-        assert issubclass(BackendUnavailableError, ImportError)
-
-    def test_evaluator_rejects_unavailable_backend_eagerly(self, sheet):
-        if "cupy" in usable_backends():  # pragma: no cover
-            pytest.skip("cupy is usable here")
-        ps, cfg, kernel = sheet
-        with pytest.raises(BackendUnavailableError):
-            TreeEvaluator(kernel, cfg.sigma, backend="cupy")
 
 
 class TestThreadedEquivalence:
@@ -245,33 +219,22 @@ class TestExecutorSurvival:
 
 class TestGpuGating:
     def test_gaussian_kernel_rejected_on_gpu_backend(self, sheet):
-        """Non-namespace-generic kernels must fail fast, not mid-run."""
-        if "cupy" in usable_backends():  # pragma: no cover
-            ps, cfg, _ = sheet
-            with pytest.raises(ValueError, match="namespace"):
-                TreeEvaluator(get_kernel("gaussian"), cfg.sigma,
-                              backend="cupy")
-        else:
-            # without cupy the availability error fires first — assert
-            # the gating attribute instead
-            assert get_kernel("gaussian").xp_generic is False
-            assert get_kernel("algebraic6").xp_generic is True
-            assert get_kernel("singular").xp_generic is True
+        """Non-namespace-generic kernels must fail fast, not mid-run.
 
-    @pytest.mark.skipif(
-        "cupy" not in usable_backends(),
-        reason="cupy backend unavailable (no cupy install / no GPU)",
-    )
-    def test_cupy_matches_numpy_at_theta_tolerance(self, sheet):
-        """GPU near field agrees to rounding error (not bitwise)."""
-        ps, cfg, kernel = sheet  # pragma: no cover - needs GPU hardware
-        ref = TreeEvaluator(kernel, cfg.sigma, theta=0.6).field(
-            ps.positions, ps.charges
-        )
-        out = TreeEvaluator(kernel, cfg.sigma, theta=0.6,
-                            backend="cupy").field(ps.positions, ps.charges)
-        assert np.allclose(out.velocity, ref.velocity, rtol=1e-10, atol=1e-12)
-        assert np.allclose(out.gradient, ref.gradient, rtol=1e-10, atol=1e-12)
+        The Gaussian is the shipped kernel of that kind (SciPy special
+        functions) but has no multipole chains, so the gate is driven
+        with a multipole-capable kernel carrying the Gaussian's flag.
+        """
+        ps, cfg, kernel = sheet
+
+        class HostOnly(type(kernel)):
+            xp_generic = get_kernel("gaussian").xp_generic
+
+        with pytest.raises(ValueError, match="namespace"):
+            TreeEvaluator(HostOnly(), cfg.sigma, backend=HostDeviceBackend())
+        # the same kernel on a host backend, a generic one on the device
+        TreeEvaluator(HostOnly(), cfg.sigma, backend="threaded")
+        TreeEvaluator(kernel, cfg.sigma, backend=HostDeviceBackend())
 
 
 class HostDeviceBackend(KernelBackend):
@@ -341,30 +304,24 @@ class TestRunPfasstPlumbing:
         from repro.vortex.problem import VortexProblem
 
         ps, cfg, kernel = sheet
-        fine = VortexProblem(
-            ps.volumes,
-            TreeEvaluator(kernel, cfg.sigma, theta=0.3, leaf_size=32),
-        )
-        coarse = fine.with_evaluator(
-            TreeEvaluator(kernel, cfg.sigma, theta=0.6, leaf_size=32)
-        )
-        specs = [LevelSpec(fine, 3, 1), LevelSpec(coarse, 2, 1)]
+
+        def specs(backend):
+            fine, coarse = (
+                VortexProblem(ps.volumes, TreeEvaluator(
+                    kernel, cfg.sigma, theta=theta, leaf_size=32,
+                    backend=backend,
+                ))
+                for theta in (0.3, 0.6)
+            )
+            assert fine.evaluator.backend.name == backend
+            return [LevelSpec(fine, 3, 1), LevelSpec(coarse, 2, 1)]
+
         u0 = ps.state()
         config = PfasstConfig(t0=0.0, t_end=0.01, n_steps=2, iterations=1)
-        ref = run_pfasst(config, specs, u0, p_time=2)
-        assert specs[0].problem.evaluator.backend.name == "numpy"
-        out = run_pfasst(config, specs, u0, p_time=2, backend="threaded")
-        assert specs[0].problem.evaluator.backend.name == "threaded"
-        assert specs[1].problem.evaluator.backend.name == "threaded"
+        ref = run_pfasst(config, specs("numpy"), u0, p_time=2)
+        out = run_pfasst(config, specs("threaded"), u0, p_time=2)
         # threaded is bitwise identical, so the whole run must be too
         assert (out.u_end == ref.u_end).all()
-
-    def test_backend_kwarg_validates_eagerly(self):
-        from repro.pfasst import PfasstConfig, run_pfasst
-
-        config = PfasstConfig(t0=0.0, t_end=0.01, n_steps=1, iterations=1)
-        with pytest.raises(ValueError, match="valid names"):
-            run_pfasst(config, [], np.zeros(3), p_time=1, backend="nope")
 
 
 class TestCustomBackend:

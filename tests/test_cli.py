@@ -74,3 +74,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "alpha" in out
         assert "theory" in out
+
+    def test_speedup_cost_ratio_times_every_measured_state(self):
+        """The alpha behind ``repro speedup`` is a mean over computed
+        evaluations: no measured state may be a field-memo hit."""
+        from repro.cli import _measured_cost_ratio
+        from repro.tree import TreeEvaluator
+        from repro.vortex import VortexProblem, spherical_vortex_sheet
+        from repro.vortex.sheet import SheetConfig
+
+        sheet = SheetConfig(n=100, sigma_over_h=3.0)
+        ps = spherical_vortex_sheet(sheet)
+        fine = VortexProblem(
+            ps.volumes, TreeEvaluator("algebraic6", sheet.sigma, theta=0.3)
+        )
+        coarse = fine.coarsened(theta=0.6)
+        ratio = _measured_cost_ratio(fine, coarse, ps.state(), samples=4)
+        for problem in (fine, coarse):
+            assert problem.evaluator.timer.count == 4
+            assert problem.evaluator.calls == 4
+        assert ratio > 0

@@ -9,12 +9,11 @@ The batched engine (``repro.tree.engine``) must reproduce
   lists and evaluate the *same* expansion formulas, so any discrepancy
   beyond float addition order is an engine indexing bug.
 
-The direct-comparison grids run once per *usable* kernel backend
-(``repro.backends.usable_backends``): CPU backends must hold the exact
+The direct-comparison grids run once per kernel backend
+(``repro.backends.usable_backends``): every backend must hold the exact
 same tolerances as the serial NumPy reference, because their batch
 decomposition is write-disjoint and each batch is evaluated with the
-identical serial arithmetic.  Backends whose optional dependency is
-missing (e.g. CuPy without a GPU) simply do not appear in the grid.
+identical serial arithmetic.
 """
 
 import numpy as np
@@ -32,7 +31,7 @@ from repro.vortex.sheet import SheetConfig
 
 THETA_TOL = {0.0: 1e-12, 0.3: 2e-3, 0.6: 2e-2}
 
-#: every backend whose dependencies are importable on this machine
+#: every registered backend
 BACKENDS = list(usable_backends())
 
 

@@ -1,6 +1,9 @@
 """Tests for the opt-in numerical sanitizers (repro.analysis.sanitize)."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -163,3 +166,37 @@ class TestSweeperBoundary:
         U, F = sweeper.initialize(0.0, 0.1, np.array([1.0]), "spread")
         U2, F2 = sweeper.sweep(0.0, 0.1, U, F)
         assert np.all(np.isfinite(U2)) and np.all(np.isfinite(F2))
+
+
+class TestTreeBoundary:
+    def test_both_tree_entrances_reject_a_nan_charge(self):
+        """``field`` and ``segment_field`` run one pipeline under one
+        ``tree_evaluate`` contract.  The tree modules are decorated at
+        import, so the armed path runs in a fresh interpreter."""
+        script = (
+            "import numpy as np\n"
+            "from repro.analysis.sanitize import SanitizeError\n"
+            "from repro.tree.parallel import SpaceParallelTreeEvaluator\n"
+            "rng = np.random.default_rng(0)\n"
+            "x = rng.normal(size=(64, 3))\n"
+            "q = rng.normal(size=(64, 3))\n"
+            "q[5, 1] = np.nan\n"
+            "ev = SpaceParallelTreeEvaluator('algebraic6', 0.3, leaf_size=8)\n"
+            "for call in (lambda: ev.field(x, q),\n"
+            "             lambda: ev.segment_field(x, q, 0, 2)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except SanitizeError as exc:\n"
+            "        print('rejected:', exc)\n"
+            "    else:\n"
+            "        print('accepted')\n"
+        )
+        env = dict(os.environ, REPRO_SANITIZE="1")
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, text=True,
+            capture_output=True, check=True, timeout=120,
+        ).stdout.splitlines()
+        assert len(out) == 2
+        for line in out:
+            assert line.startswith("rejected:") and \
+                "tree_evaluate:charges" in line

@@ -67,6 +67,22 @@ class TestFieldEquivalence:
         np.testing.assert_array_equal(fields[0].velocity, ref.velocity)
         np.testing.assert_array_equal(fields[0].gradient, ref.gradient)
 
+    @pytest.mark.parametrize("theta", [0.3, 0.6])
+    def test_single_shard_segment_is_the_serial_field(self, cloud, theta):
+        """Both entrances are one pipeline: the segment of a one-rank
+        shard is the serial field in tree order, bit for bit."""
+        positions, charges = cloud
+        kw = dict(sigma=0.05, theta=theta, leaf_size=16)
+        ref = SpaceParallelTreeEvaluator("algebraic2", **kw).field(
+            positions, charges
+        )
+        par = SpaceParallelTreeEvaluator("algebraic2", **kw)
+        vel, grad = par.segment_field(positions, charges, 0, 1)
+        state, _ = par.cache.state(positions, par.leaf_size)
+        order = state.tree.order
+        assert np.array_equal(vel, ref.velocity[order])
+        assert np.array_equal(grad, ref.gradient[order])
+
     def test_branch_byte_counters_recorded(self, cloud):
         positions, charges = cloud
         par = SpaceParallelTreeEvaluator("algebraic2", sigma=0.05,
@@ -229,6 +245,23 @@ class TestGridPfasst:
         assert res.residuals == ref.residuals
         assert len(res.slice_end_values) == 2  # one per *time* rank
         assert len(res.clocks) == 4  # one per world rank
+
+    def test_grid_run_times_computed_segments(self):
+        """``timer`` / ``mean_cost`` cover sharded evaluations as they
+        cover ``field()``: every computed segment, no memo hit."""
+        u0, volumes = _vortex_setup()
+        cfg = PfasstConfig(t0=0.0, t_end=0.05, n_steps=2, iterations=3)
+        specs = _specs(volumes)
+        run_pfasst(cfg, specs, u0, p_time=2, p_space=2)
+        fine, coarse = (spec.problem.evaluator for spec in specs)
+        assert fine.cache is coarse.cache
+        computed = fine.cache_stats.field_misses
+        assert fine.timer.count + coarse.timer.count == computed > 0
+        for ev in (fine, coarse):
+            assert 0 < ev.timer.count <= ev.calls
+            assert ev.mean_cost > 0
+        # the run repeats evaluations, so the memo answered some calls
+        assert fine.calls + coarse.calls > computed
 
     def test_grid_trace_has_space_spans_and_counters(self):
         u0, volumes = _vortex_setup()
