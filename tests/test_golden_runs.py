@@ -2,8 +2,10 @@
 
 ``tests/data/golden_runs.json`` pins, for each (P_T, P_S, P_N) shape x
 sweeper x recovery policy, the determinism-certificate digest, the bytes
-of ``u_end``, the residual history, the virtual clocks, the message count
-and the number of recoveries.  Nothing else in tier-1 compares op streams
+of ``u_end``, the residual history, the virtual clocks, the message count,
+the number of recoveries and a digest of the annotation stream (the
+``begin:`` / ``end:`` / ``residual`` events the Fig. 6 Gantt export and the
+tracer spans are folded from).  Nothing else in tier-1 compares op streams
 *across commits*: a refactor can change split colours or tag shapes and
 drift every certificate while each run stays self-consistent.
 
@@ -58,6 +60,7 @@ def run_case(case) -> dict:
     except Exception as exc:  # the failure itself is the pinned behaviour
         return {"raises": type(exc).__name__, "message": str(exc)[:160]}
     u_end = np.ascontiguousarray(res.u_end).tobytes()
+    trace = repr([(ev.rank, ev.label, ev.time) for ev in res.trace])
     return {
         "certificate": res.certificate.digest,
         "u_end": hashlib.blake2b(u_end, digest_size=16).hexdigest(),
@@ -65,6 +68,8 @@ def run_case(case) -> dict:
         "clocks": repr(res.clocks),
         "messages": res.metrics["counters"]["mpi.messages"],
         "recoveries": len(res.recoveries),
+        "trace": hashlib.blake2b(trace.encode("utf-8"),
+                                 digest_size=16).hexdigest(),
     }
 
 
