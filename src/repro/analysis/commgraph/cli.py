@@ -30,6 +30,7 @@ from repro.analysis.commgraph.skeleton import (
     roots_of,
     to_dot,
 )
+from repro.sdc.sweeper import SWEEPERS
 
 __all__ = ["main"]
 
@@ -189,7 +190,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="node ranks per (time, space) pair — "
                              "certifies the P_T x P_S x P_N grid")
     p_cert.add_argument("--sweeper",
-                        choices=["gauss-seidel", "diagonal"],
+                        choices=SWEEPERS,
                         default="gauss-seidel",
                         help="SDC sweep used on both levels")
     p_cert.add_argument("--particles", type=int, default=96)

@@ -10,12 +10,13 @@ static counterpart of the op stream the scheduler sees at run time.
 
 The extractor understands the idioms the code base actually uses:
 
-* nested closures (``pfasst_rank_program._predictor`` and friends) are
-  extracted as separate skeletons with qualified names, and call sites
-  to them become ``call`` ops that :func:`flatten` inlines;
+* methods and nested closures (``Step._predictor``,
+  ``Recovery._warm_rebuild`` and friends) are extracted as separate
+  skeletons with qualified names, and call sites to them become
+  ``call`` ops that :func:`flatten` inlines;
 * collectives invoked as *arguments* of wrapper generators —
-  ``yield from _protocol(allreduce(comm, ...), "...")`` — are found by
-  scanning the whole ``yield from`` expression tree;
+  ``yield from rec.protocol(allreduce(comm, ...), "...")`` — are found
+  by scanning the whole ``yield from`` expression tree;
 * tag expressions are resolved through the module's imports of
   :mod:`repro.parallel.tags` (``tags.PRED``-style attributes and direct
   constant imports), through simple local assignments
@@ -376,7 +377,7 @@ class _FnWalker:
 
     def _handle_yield_from(self, node: ast.YieldFrom) -> None:
         # collectives may sit anywhere in the delegated expression
-        # (``_protocol(allreduce(...), "...")``), so scan the whole tree
+        # (``protocol(allreduce(...), "...")``), so scan the whole tree
         calls = [c for c in ast.walk(node.value) if isinstance(c, ast.Call)]
         calls.sort(key=lambda c: (c.lineno, c.col_offset))
         direct_emitted = False
@@ -395,7 +396,7 @@ class _FnWalker:
                 direct_emitted = direct_emitted or call is node.value
         # a direct call to another generator becomes a call op so that
         # flatten can inline module-local targets (``_predictor``,
-        # ``_protocol`` — the latter's argument collectives were already
+        # ``protocol`` — the latter's argument collectives were already
         # emitted above, the call op only inlines ops of its own body)
         if isinstance(node.value, ast.Call) and not direct_emitted:
             name = self._callee_name(node.value.func)
@@ -539,7 +540,7 @@ def flatten(root: Skeleton, skeletons: Sequence[Skeleton],
     """Ops of ``root`` with local ``call`` ops inlined.
 
     Call targets resolve by qualified-name suffix within the same
-    module (``_predictor`` matches ``pfasst_rank_program._predictor``);
+    module (``_predictor`` matches ``Step._predictor``);
     cross-module calls stay as unresolved ``call`` ops and are dropped.
     Recursion is cycle-safe and depth-limited.
     """

@@ -22,6 +22,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.sdc.sweeper import SWEEPERS
+
 __all__ = ["main", "build_parser"]
 
 
@@ -50,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="node ranks per time rank — the PFASST-ER "
                        "third grid dimension (pfasst only)")
     sheet.add_argument("--sweeper", default="gauss-seidel",
-                       choices=["gauss-seidel", "diagonal"],
+                       choices=SWEEPERS,
                        help="SDC sweep: sequential Gauss-Seidel or the "
                        "node-parallel diagonal preconditioner")
     sheet.add_argument("--sigma-over-h", type=float, default=3.0)
@@ -64,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     speed.add_argument("--p-nodes", type=int, default=1,
                        help="node ranks per time rank (PFASST-ER)")
     speed.add_argument("--sweeper", default="gauss-seidel",
-                       choices=["gauss-seidel", "diagonal"])
+                       choices=SWEEPERS)
 
     trace = sub.add_parser(
         "trace", help="summarize/export/gantt/diff trace files "

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal, Optional
 
+from repro.sdc.sweeper import SWEEPERS
 from repro.utils.validation import check_in, check_positive
 
 __all__ = ["SpaceConfig", "TimeConfig", "SolverConfig"]
@@ -70,7 +71,7 @@ class TimeConfig:
         check_in(
             "method", self.method, ("euler", "rk2", "rk3", "rk4", "sdc", "pfasst")
         )
-        check_in("sweeper", self.sweeper, ("gauss-seidel", "diagonal"))
+        check_in("sweeper", self.sweeper, SWEEPERS)
         if self.p_nodes < 1:
             raise ValueError(f"p_nodes must be >= 1, got {self.p_nodes}")
         check_positive("dt", self.dt)

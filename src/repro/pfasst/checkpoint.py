@@ -40,6 +40,7 @@ from repro.io import (
     read_crc_container,
     write_crc_container,
 )
+from repro.pfasst.level import Level
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -56,8 +57,7 @@ CHECKPOINT_VERSION = 1
 PathLike = Union[str, pathlib.Path]
 
 #: per-level array fields captured by :func:`snapshot_levels`
-_LEVEL_FIELDS = ("U", "F", "tau", "u0", "U_at_restriction",
-                 "F_at_restriction")
+_LEVEL_FIELDS = Level.STATE
 
 
 def snapshot_levels(levels: List[Any]) -> List[Dict[str, Any]]:

@@ -77,7 +77,7 @@ from repro.pfasst.fas import fas_correction
 from repro.pfasst.level import Level, LevelSpec
 from repro.pfasst.transfer import SpatialTransfer, TimeSpaceTransfer
 from repro.sdc.sweeper import RhsContext
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_in, check_nonnegative, check_positive
 
 __all__ = [
     "PfasstConfig",
@@ -131,29 +131,16 @@ class PfasstConfig:
     max_restarts: int = 3
 
     def __post_init__(self) -> None:
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        for name in ("n_steps", "iterations", "max_restarts"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
         if not self.t_end > self.t0:
             raise ValueError(f"t_end {self.t_end} must be > t0 {self.t0}")
-        if self.recovery not in RECOVERY_POLICIES:
-            raise ValueError(
-                f"recovery must be one of {RECOVERY_POLICIES}, "
-                f"got {self.recovery!r}"
-            )
-        if not self.recovery_timeout > 0:
-            raise ValueError(
-                f"recovery_timeout must be > 0, got {self.recovery_timeout}"
-            )
-        if self.recovery_retries < 0:
-            raise ValueError(
-                f"recovery_retries must be >= 0, got {self.recovery_retries}"
-            )
-        if self.max_restarts < 1:
-            raise ValueError(
-                f"max_restarts must be >= 1, got {self.max_restarts}"
-            )
+        check_in("recovery", self.recovery, RECOVERY_POLICIES)
+        check_positive("recovery_timeout", self.recovery_timeout)
+        check_nonnegative("recovery_retries", self.recovery_retries)
 
     @property
     def dt(self) -> float:
@@ -207,18 +194,34 @@ class PfasstResult:
         return sum(self.total_iterations) - sum(self.iterations_done)
 
 
-def _build_levels(
-    specs: Sequence[LevelSpec], spatial: Optional[Sequence[SpatialTransfer]]
-) -> tuple[List[Level], List[TimeSpaceTransfer]]:
+def _check_run_shape(config, specs, spatial, p_time: int) -> None:
+    """Reject a hierarchy or step count the rank programs cannot run.
+
+    Shared by :func:`run_pfasst` (before anything is built) and the
+    rank-program entry (programs also run bare under a ``Scheduler``).
+    """
     if len(specs) < 2:
         raise ValueError("PFASST needs at least 2 levels (fine + coarse)")
-    levels = [Level(spec) for spec in specs]
-    transfers = []
-    for i in range(len(levels) - 1):
-        spatial_i = spatial[i] if spatial is not None else None
-        transfers.append(
-            TimeSpaceTransfer(levels[i].rule, levels[i + 1].rule, spatial_i)
+    if spatial is not None and len(spatial) != len(specs) - 1:
+        raise ValueError(
+            f"spatial must hold one transfer per level pair "
+            f"({len(specs) - 1} for {len(specs)} levels), got {len(spatial)}"
         )
+    if config.n_steps % p_time != 0:
+        raise ValueError(
+            f"n_steps={config.n_steps} must be a multiple of p_time={p_time}"
+        )
+
+
+def _build_levels(
+    specs: Sequence[LevelSpec], spatial, dt: Optional[float] = None
+) -> tuple[List[Level], List[TimeSpaceTransfer]]:
+    levels = [Level(spec, dt) for spec in specs]
+    transfers = [
+        TimeSpaceTransfer(fine.rule, coarse.rule,
+                          spatial[i] if spatial is not None else None)
+        for i, (fine, coarse) in enumerate(zip(levels, levels[1:]))
+    ]
     return levels, transfers
 
 
@@ -240,165 +243,58 @@ def _merge_status(a, b):
     return (_merge_ranks(a[0], b[0]), max(a[1], b[1]))
 
 
-@dataclass(frozen=True)
-class _GridRecovery:
-    """Grid-recovery context threaded into :func:`pfasst_rank_program`.
+class Step:
+    """One time rank's share of a PFASST run: its levels and its program.
 
-    Present only when the grid is wider than its time axis and a
-    recovery policy is active: failure detection then runs over the
-    *world* communicator (a crash in one space column must be visible to
-    every column — the columns share space-row collectives), and all
-    space/node traffic flows through
-    :class:`~repro.parallel.simmpi.EpochComm` views whose epoch the
-    controller bumps on every restart, orphaning in-flight ring messages
-    from the aborted attempt.
-
-    ``row`` is the comm the row-resync broadcast runs over — all
-    ``p_space * p_nodes`` ranks of this time slice, ordered like
-    ``grid.time_row(t_idx)`` — and ``row_index`` this rank's position in
-    it.  ``epoch_comms`` lists every epoch-tagged comm of this rank
-    (``row`` included).
+    The state the algorithm works on — the level hierarchy and its
+    transfers, the block initial value ``u_block`` and its restrictions
+    ``u0_by_level``, the ``block`` / ``attempt`` counters every message
+    tag carries, the histories — lives in attributes; the predictor, the
+    V-cycle and the block loop (:meth:`run`) are generator methods over
+    it.  Arguments as :func:`pfasst_rank_program`.  :attr:`recovery` is
+    ``None`` under ``config.recovery == "fail"`` (exactly the fault-free
+    op stream), else the :class:`Recovery` layer the loop consults.
     """
 
-    world: VirtualComm
-    grid: SpaceTimeGrid
-    t_idx: int
-    row: EpochComm
-    row_index: int
-    epoch_comms: Tuple[EpochComm, ...]
+    def __init__(self, comm: VirtualComm, config: PfasstConfig, specs, u0,
+                 spatial, ctx: RhsContext, checkpointer, resume) -> None:
+        _check_run_shape(config, specs, spatial, comm.size)
+        self.comm, self.config, self.ctx = comm, config, ctx
+        self.rank, self.p_time = comm.rank, comm.size
+        self.levels, self.transfers = _build_levels(specs, spatial, config.dt)
+        self.checkpointer, self.resume = checkpointer, resume
+        self.recovery = Recovery(self) if config.recovery != "fail" else None
+        self.u_block = np.array(u0 if resume is None else resume.u_block,
+                                dtype=np.float64)
+        self.u0_by_level: List[np.ndarray] = []
+        self.block = self.attempt = self.iters_attempted = 0
+        self.t_slice = config.t0
+        self.residuals: List[float] = []  # fine level, active block
+        self.iterations_done: List[int] = []
+        self.total_iterations: List[int] = []
+        self.recoveries: List[Dict[str, Any]] = []
+        if resume is not None:
+            self.iterations_done = [int(x) for x in resume.iterations_done]
+            self.total_iterations = [int(x) for x in resume.total_iterations]
+            self.recoveries = [dict(r) for r in resume.recoveries]
 
-    def bump(self) -> None:
-        """Advance every epoch comm, orphaning the aborted attempt."""
-        for c in self.epoch_comms:
-            c.epoch += 1
+    def _mark(self, label: str, data: Optional[Dict[str, Any]] = None):
+        """Trace marker (generator): one event under ``config.trace``."""
+        if self.config.trace:
+            yield self.comm.annotate(label, data=data)
 
+    def _restrict_chain(self, u: np.ndarray) -> List[np.ndarray]:
+        """``u`` restricted through the hierarchy, one state per level."""
+        chain = [u]
+        for tr in self.transfers:
+            chain.append(tr.restrict_state(chain[-1]))
+        return chain
 
-def pfasst_rank_program(
-    comm: VirtualComm,
-    config: PfasstConfig,
-    specs: Sequence[LevelSpec],
-    u0: np.ndarray,
-    spatial: Optional[Sequence[SpatialTransfer]] = None,
-    ctx: RhsContext = RhsContext(),
-    ft_grid: Optional[_GridRecovery] = None,
-    checkpointer: Optional[RunCheckpointer] = None,
-    resume: Optional[RunCheckpoint] = None,
-) -> Generator[Any, Any, Dict[str, Any]]:
-    """Rank program executing PFASST on one time rank.
-
-    Yields simulated-MPI operations; returns a dict with the rank's end
-    value, residual history and bookkeeping.
-
-    ``ctx`` (a :class:`~repro.sdc.sweeper.RhsContext`) says where every
-    RHS evaluation runs.  Its space communicator (a row of the paper's
-    Fig. 2 grid, typically from ``comm.split``) drives each evaluation
-    collectively over the row, sharding the tree work; its PFASST-ER
-    node communicator (one per time-space cell) shards the collocation
-    nodes of multi-node evaluation rounds — the diagonal sweeper's
-    inner/final rounds and the controller's restriction/interpolation
-    re-evaluations — and reassembles ``F`` with a ring allgather; its
-    dispatch context routes evaluations of problems registered with the
-    scheduler's execution backend through ``Compute`` ops (see
-    :mod:`repro.parallel.executor`), so independent evaluations across
-    time ranks — and, on the grid, the per-row far/near tree segments —
-    run concurrently on real cores under a process backend.  None of
-    the three changes the time algorithm: sharding is bitwise-neutral
-    (each RHS is computed exactly once from the same inputs), and with
-    the default context the op stream is the plain time-parallel one.
-
-    With ``config.recovery != "fail"`` the program survives injected rank
-    crashes (:class:`~repro.parallel.faults.RankFailure` thrown at an op
-    boundary) during the predictor or a V-cycle iteration: failure
-    detection is collective (a status allreduce after each phase), the
-    block ``attempt`` counter is bumped into every message tag so stale
-    messages from the abandoned phase can never be mistaken for live
-    traffic, and the failed rank rebuilds per the policy.  A crash that
-    lands *inside* the recovery protocol itself (status allreduce, block
-    refetch, donor hand-off, block-end broadcast) is fatal — the same
-    caveat a real fault-tolerant MPI has when the recovery collective
-    itself fails.
-
-    ``ft_grid`` (set by :func:`_grid_rank_program` when a recovery
-    policy is active on a grid wider than its time axis) extends the
-    protocol to the whole grid: detection collectives run over the
-    *world* communicator (a space rank's crash must be visible to every
-    column), warm restarts bitwise-resync every time-slice row from its
-    lowest surviving member before column donors rebuild fully-lost
-    rows, and the epoch comms are bumped on each restart so in-flight
-    ring traffic from the aborted attempt is orphaned.
-
-    ``checkpointer`` / ``resume`` attach durable checkpoint/restart
-    (:mod:`repro.pfasst.checkpoint`): contributions are plain in-process
-    calls after each iteration — zero extra ops, so the op stream stays
-    byte-identical — and a resumed program jumps to the checkpointed
-    block, adopts the level state bitwise and continues at iteration
-    ``k + 1``, reproducing the uninterrupted run exactly.
-    """
-    rank, p_time = comm.rank, comm.size
-    if config.n_steps % p_time != 0:
-        raise ValueError(
-            f"n_steps={config.n_steps} must be a multiple of p_time={p_time}"
-        )
-    n_blocks = config.n_steps // p_time
-    dt = config.dt
-    levels, transfers = _build_levels(specs, spatial)
-    n_levels = len(levels)
-    coarsest = levels[-1]
-    for lv in levels:
-        lv._dt = dt
-
-    ft = config.recovery != "fail"
-    # with recovery off these defaults make every Recv op byte-identical
-    # to the pre-fault-tolerance controller
-    rt = config.recovery_timeout if ft else None
-    rr = config.recovery_retries if ft else 0
-    # protocol collectives (status allreduces, block-end broadcast) use a
-    # longer timeout than the neighbour detection receives: a dropped
-    # collective leg still recovers by shadow retransmit, but at a crash
-    # stall the scheduler expires the *shortest* timeout first, so the
-    # neighbour receive — whose RecvTimeout the program catches — always
-    # fires before a collective leg, which cannot catch it
-    ct = rt * 8 if ft else None
-    # grid-wide recovery: detection collectives run over the world comm
-    # (a space rank's crash must be visible to every column); at
-    # p_space=1 ``detect`` is the time comm and ``me`` the time rank, so
-    # the op stream is byte-identical to the time-only controller
-    detect = ft_grid.world if ft_grid is not None else comm
-    me = detect.rank
-
-    u_block = np.asarray(u0, dtype=np.float64).copy()
-    residual_history: List[List[float]] = []
-    iterations_done: List[int] = []
-    total_iterations: List[int] = []
-    recoveries: List[Dict[str, Any]] = []
-
-    # ---- helpers (closures over the hierarchy) -------------------------
-    def _sweep_u0(level, explicit):
-        """The ``u0`` a sweep call must carry.
-
-        The controller's sites pass ``None`` whenever node 0 already
-        holds the current initial value — correct for the Gauss-Seidel
-        sweeper on left-including families (and byte-identical to the
-        historical call pattern).  Sweepers that *need* ``u0`` on every
-        call (diagonal sweeper; Gauss-Seidel on non-left families,
-        where node 0 is a genuine unknown) get the level's tracked
-        initial value instead.
-        """
-        if explicit is not None:
-            return explicit
-        return level.u0 if level.sweeper.needs_u0 else None
-
-    def _evaluate_all(level, t_slice):
-        """RHS at every collocation node of ``level`` (a ``ctx`` generator)."""
-        return ctx.node_values(
-            level.problem, level.sweeper.node_times(t_slice, dt), level.U
-        )
-
-    def _interpolate_up(t_slice: float):
+    def _interpolate_up(self):
         """Fill the finer levels from the coarsest (predictor epilogue)."""
-        for lev in range(n_levels - 2, -1, -1):
-            tr = transfers[lev]
-            fine, coarse = levels[lev], levels[lev + 1]
+        for lev in range(len(self.levels) - 2, -1, -1):
+            tr = self.transfers[lev]
+            fine, coarse = self.levels[lev], self.levels[lev + 1]
             fine.U = tr.interpolate_nodes(coarse.U)
             if fine.rule.node_set.includes_left:
                 fine.u0 = fine.U[0].copy()
@@ -409,163 +305,263 @@ def pfasst_rank_program(
             # interpolated F[0] is approximate: the next sweep must
             # re-evaluate it from u0 (dirty flag)
             fine.u0_dirty = True
-            if config.reeval_after_interp:
-                fine.F = yield from _evaluate_all(fine, t_slice)
+            if self.config.reeval_after_interp:
+                fine.F = yield from fine.evaluate_all(self.t_slice, self.ctx)
             else:
                 fine.F = tr.interpolate_nodes(coarse.F)
             fine.tau = None
 
-    def _predictor(block, attempt, t_slice, u0_by_level):
-        coarsest.u0 = u0_by_level[-1]
-        coarsest.U, coarsest.F = yield from coarsest.sweeper.initialize_gen(
-            t_slice, dt, coarsest.u0, "spread", ctx=ctx,
-        )
+    def _predictor(self):
+        """Staggered coarse sweeps (the staircase of Fig. 6), then up."""
+        comm, rank, ctx, t_slice = self.comm, self.rank, self.ctx, self.t_slice
+        block, attempt, coarsest = self.block, self.attempt, self.levels[-1]
+        # no timeout with recovery off: every Recv op is byte-identical
+        # to the fault-free controller's
+        recv_kw = self.recovery.neighbour if self.recovery else {}
+        coarsest.u0 = self.u0_by_level[-1]
+        yield from coarsest.spread(t_slice, ctx)
         for j in range(rank + 1):
             new_u0 = None
             if j > 0:
                 new_u0 = yield comm.recv(
-                    rank - 1, (tags.PRED, block, attempt, j),
-                    timeout=rt, retries=rr,
+                    rank - 1, (tags.PRED, block, attempt, j), **recv_kw
                 )
-                coarsest.u0 = new_u0
-            if config.trace:
-                yield comm.annotate(f"begin:predict:{j}")
-            coarsest.U, coarsest.F = yield from coarsest.sweeper.sweep_gen(
-                t_slice, dt, coarsest.U, coarsest.F,
-                u0=_sweep_u0(coarsest, new_u0), ctx=ctx,
-            )
-            if config.trace:
-                yield comm.annotate(f"end:predict:{j}")
-            if rank < p_time - 1:
+            yield from self._mark(f"begin:predict:{j}")
+            yield from coarsest.sweep(t_slice, ctx, new_u0, fas=False)
+            yield from self._mark(f"end:predict:{j}")
+            if rank < comm.size - 1:
                 yield comm.send(
                     rank + 1, (tags.PRED, block, attempt, j + 1),
                     coarsest.end_value,
                 )
         # interpolate the predicted solution up through the hierarchy
-        yield from _interpolate_up(t_slice)
+        yield from self._interpolate_up()
 
-    def _iteration(block, attempt, k, t_slice, u0_by_level):
-        """One V-cycle; returns the fine-level residual."""
-        # ---- down the V-cycle ----
-        for lev in range(n_levels - 1):
-            level = levels[lev]
-            tau = level.tau if lev > 0 else None
-            if config.trace:
-                yield comm.annotate(f"begin:sweep:L{lev}:k{k}")
-            for s in range(level.spec.sweeps):
-                pass_u0 = level.u0 if (s == 0 and level.u0_dirty) else None
-                level.U, level.F = yield from level.sweeper.sweep_gen(
-                    t_slice, dt, level.U, level.F,
-                    u0=_sweep_u0(level, pass_u0), tau=tau, ctx=ctx,
-                )
-            level.u0_dirty = False
-            if config.trace:
-                yield comm.annotate(f"end:sweep:L{lev}:k{k}")
-            if rank < p_time - 1:
+    def _iteration(self, k: int):
+        """One V-cycle of Algorithm 1; returns the fine-level residual."""
+        comm, rank, ctx, t_slice = self.comm, self.rank, self.ctx, self.t_slice
+        block, attempt, levels = self.block, self.attempt, self.levels
+        reeval = self.config.reeval_after_interp
+        recv_kw = self.recovery.neighbour if self.recovery else {}
+        bottom, coarsest = len(levels) - 1, levels[-1]
+        # ---- down: sweep, send the end value forward, restrict, FAS ----
+        for lev, tr in enumerate(self.transfers):
+            level, coarse = levels[lev], levels[lev + 1]
+            yield from self._mark(f"begin:sweep:L{lev}:k{k}")
+            for _ in range(level.spec.sweeps):
+                yield from level.sweep(t_slice, ctx)
+            yield from self._mark(f"end:sweep:L{lev}:k{k}")
+            if rank < comm.size - 1:
                 yield comm.send(
                     rank + 1, (tags.LVL, block, attempt, lev, k),
                     level.end_value,
                 )
-            # restrict and compute FAS for the next level down
-            if config.trace:
-                yield comm.annotate(f"begin:restrict:L{lev}:k{k}")
-            tr = transfers[lev]
-            coarse = levels[lev + 1]
+            yield from self._mark(f"begin:restrict:L{lev}:k{k}")
             coarse.U = tr.restrict_nodes(level.U)
             coarse.U_at_restriction = coarse.U.copy()
             coarse.u0 = tr.restrict_state(level.u0)
-            coarse.F = yield from _evaluate_all(coarse, t_slice)
+            coarse.F = yield from coarse.evaluate_all(t_slice, ctx)
             coarse.F_at_restriction = coarse.F.copy()
             coarse.tau = fas_correction(
-                dt, tr, level.F, coarse.F,
-                tau_fine=level.tau if lev > 0 else None,
+                level.dt, tr, level.F, coarse.F, tau_fine=level.tau
             )
-            if config.trace:
-                yield comm.annotate(f"end:restrict:L{lev}:k{k}")
-
-        # ---- coarsest level ----
+            yield from self._mark(f"end:restrict:L{lev}:k{k}")
+        # ---- coarsest: new initial value, sweep, send forward ----
         if rank > 0:
-            coarsest.u0 = yield comm.recv(
-                rank - 1, (tags.LVL, block, attempt, n_levels - 1, k),
-                timeout=rt, retries=rr,
+            new_u0 = yield comm.recv(
+                rank - 1, (tags.LVL, block, attempt, bottom, k), **recv_kw
             )
         else:
-            coarsest.u0 = u0_by_level[-1]
-        new_u0 = coarsest.u0
-        if config.trace:
-            yield comm.annotate(f"begin:sweep:L{n_levels - 1}:k{k}")
+            new_u0 = self.u0_by_level[-1]
+        yield from self._mark(f"begin:sweep:L{bottom}:k{k}")
         for s in range(coarsest.spec.sweeps):
-            coarsest.U, coarsest.F = yield from coarsest.sweeper.sweep_gen(
-                t_slice, dt, coarsest.U, coarsest.F,
-                u0=_sweep_u0(coarsest, new_u0 if s == 0 else None),
-                tau=coarsest.tau, ctx=ctx,
-            )
-        if config.trace:
-            yield comm.annotate(f"end:sweep:L{n_levels - 1}:k{k}")
-        if rank < p_time - 1:
+            yield from coarsest.sweep(t_slice, ctx, new_u0 if s == 0 else None)
+        yield from self._mark(f"end:sweep:L{bottom}:k{k}")
+        if rank < comm.size - 1:
             yield comm.send(
-                rank + 1, (tags.LVL, block, attempt, n_levels - 1, k),
+                rank + 1, (tags.LVL, block, attempt, bottom, k),
                 coarsest.end_value,
             )
-
-        # ---- up the V-cycle ----
-        for lev in range(n_levels - 2, -1, -1):
-            if config.trace:
-                yield comm.annotate(f"begin:interp:L{lev}:k{k}")
-            tr = transfers[lev]
+        # ---- up: coarse correction, new initial value, (re)sweep ----
+        for lev in range(bottom - 1, -1, -1):
+            yield from self._mark(f"begin:interp:L{lev}:k{k}")
+            tr = self.transfers[lev]
             level, coarse = levels[lev], levels[lev + 1]
             level.U = level.U + tr.interpolate_nodes(
                 coarse.U - coarse.U_at_restriction
             )
-            if config.reeval_after_interp:
-                level.F = yield from _evaluate_all(level, t_slice)
+            if reeval:
+                level.F = yield from level.evaluate_all(t_slice, ctx)
             else:
                 # correct F by the interpolated increment of the
                 # coarse evaluations since restriction
                 level.F = level.F + tr.interpolate_nodes(
                     coarse.F - coarse.F_at_restriction
                 )
-            if config.trace:
-                yield comm.annotate(f"end:interp:L{lev}:k{k}")
-            # new initial value for this level
+            yield from self._mark(f"end:interp:L{lev}:k{k}")
             if rank > 0:
                 recv_u0 = yield comm.recv(
-                    rank - 1, (tags.LVL, block, attempt, lev, k),
-                    timeout=rt, retries=rr,
+                    rank - 1, (tags.LVL, block, attempt, lev, k), **recv_kw
                 )
                 delta0 = coarse.u0 - tr.restrict_state(recv_u0)
                 level.u0 = recv_u0 + tr.interpolate_state(delta0)
                 level.u0_dirty = True
             else:
-                level.u0 = u0_by_level[lev]
+                level.u0 = self.u0_by_level[lev]
             if level.rule.node_set.includes_left:
                 level.U[0] = level.u0
-            # intermediate levels sweep once more on the way up
-            if 0 < lev:
-                pass_u0 = level.u0 if level.u0_dirty else None
-                level.U, level.F = yield from level.sweeper.sweep_gen(
-                    t_slice, dt, level.U, level.F,
-                    u0=_sweep_u0(level, pass_u0), tau=level.tau, ctx=ctx,
-                )
-                level.u0_dirty = False
-            elif (config.reeval_after_interp and not level.u0_dirty
+            if lev > 0:
+                # intermediate levels sweep once more on the way up
+                yield from level.sweep(t_slice, ctx)
+            elif (reeval and not level.u0_dirty
                   and level.rule.node_set.includes_left):
                 # keep the literal-Algorithm-1 mode's F fully
                 # consistent at node 0 as well (node 0 *is* u0 only for
                 # left-including families)
                 level.F[0] = yield from ctx.rhs(
-                    level.problem, t_slice, level.u0
+                    level.spec.problem, t_slice, level.u0
                 )
-
-        fine = levels[0]
-        res = fine.sweeper.residual(dt, fine.U, fine.F, fine.u0)
-        if config.trace:
-            yield comm.annotate(
-                "residual", data={"k": k, "residual": float(res)}
-            )
+        res = levels[0].residual()
+        yield from self._mark("residual", {"k": k, "residual": float(res)})
         return res
 
-    def _protocol(gen, what):
+    def _begin_block(self, block: int) -> Optional[int]:
+        """Enter ``block``; returns the first iteration to run.
+
+        ``None`` stands for "the predictor first".  The block a
+        checkpoint was taken in adopts that state bitwise and skips the
+        predictor: the continuation executes exactly the ops the
+        uninterrupted run would have from iteration ``k + 1`` on.
+        """
+        resume, config = self.resume, self.config
+        self.block, self.attempt, self.iters_attempted = block, 0, 0
+        step = block * self.p_time + self.rank
+        self.t_slice = config.t0 + step * config.dt
+        self.residuals = []
+        if resume is None or block != resume.block:
+            return None
+        self.attempt = resume.attempt
+        self.iters_attempted = resume.iters_attempted
+        self.residuals = [float(x) for x in resume.residuals[self.rank]]
+        adopt_levels(self.levels, resume.levels[self.rank])
+        self.u0_by_level = self._restrict_chain(self.u_block)
+        return resume.k + 1
+
+    def run(self):
+        """The block loop (generator); returns this rank's result dict.
+
+        Per block one loop over phases: ``k is None`` is the predictor,
+        then iteration ``k``.  After each the recovery layer, if any,
+        reports the ranks that ``failed`` in it and names the phase to
+        redo; without one a fault propagates and no op is added.
+        """
+        comm, config, rec = self.comm, self.config, self.recovery
+        ckpt = self.checkpointer
+        first = 0 if self.resume is None else self.resume.block
+        for block in range(first, config.n_steps // self.p_time):
+            k = self._begin_block(block)
+            while k is None or k < config.iterations:
+                res = fault = worst = None
+                try:
+                    if k is None:
+                        # the block initial value on every level
+                        self.u0_by_level = self._restrict_chain(self.u_block)
+                        yield from self._predictor()
+                    else:
+                        self.iters_attempted += 1
+                        res = yield from self._iteration(k)
+                except (RankFailure, RecvTimeout) as exc:
+                    if rec is None:
+                        raise
+                    fault = exc
+                if rec is not None:
+                    worst, failed = yield from rec.detect(k, res, fault)
+                    if failed:
+                        k = yield from rec.restart(k, failed)
+                        continue
+                if k is None:
+                    k, self.residuals = 0, []
+                    continue
+                self.residuals.append(res)
+                if config.residual_tol is not None:
+                    if rec is None:
+                        # the ftsync allreduce already carried the
+                        # residual when recovery is on
+                        worst = yield from allreduce(
+                            comm, res, op=max,
+                            tag=(tags.RTOL, block, self.attempt, k),
+                        )
+                    if worst <= config.residual_tol:
+                        break
+                if ckpt is not None and ckpt.wants(k):
+                    # a plain in-process call — no ops, no clock movement:
+                    # attaching a checkpointer keeps the run byte-identical
+                    ckpt.contribute(self.rank, block, k, self.attempt, {
+                        "u_block": np.array(self.u_block, copy=True),
+                        "levels": snapshot_levels(self.levels),
+                        "residuals": list(self.residuals),
+                        "iterations_done": list(self.iterations_done),
+                        "total_iterations": list(self.total_iterations),
+                        "recoveries": [dict(r) for r in self.recoveries],
+                        "iters_attempted": self.iters_attempted,
+                    })
+                k += 1
+            self.iterations_done.append(len(self.residuals))
+            self.total_iterations.append(self.iters_attempted)
+            # chain blocks: broadcast the final slice's end value
+            end, last = self.levels[0].end_value, self.p_time - 1
+            tag = (tags.BLOCKEND, block, self.attempt)
+            if rec is None:
+                self.u_block = yield from bcast(comm, end, root=last, tag=tag)
+            else:
+                self.u_block = yield from rec.protocol(bcast(
+                    comm, end, root=last, tag=tag, **rec.collective,
+                ), "block-end broadcast")
+        return {
+            "rank": self.rank,
+            "end_value": self.levels[0].end_value,
+            "residuals": self.residuals,  # the last block's history
+            "iterations_done": self.iterations_done,
+            "total_iterations": self.total_iterations,
+            "recoveries": self.recoveries,
+        }
+
+
+class Recovery:
+    """Crash detection and restart protocol around a :class:`Step`'s loop.
+
+    Built only when ``config.recovery != "fail"``.  After every phase
+    :meth:`detect` merges the crashed ranks with a status allreduce and,
+    if there are any, voids the attempt for everyone; :meth:`restart`
+    applies the policy and names the phase to redo.  It also owns the
+    timeouts that turn a dead sender into a
+    :class:`~repro.parallel.faults.RecvTimeout`.  ``world`` (the comm
+    detection runs over), ``grid``, ``row`` and ``epoch_comms`` are the
+    grid context :func:`_grid_rank_program` builds; without it the world
+    is the step's time comm: the op stream of the time-only controller.
+    """
+
+    def __init__(self, step: Step, world=None, grid=None, row=None,
+                 epoch_comms: Tuple[EpochComm, ...] = ()) -> None:
+        config = step.config
+        self.step = step
+        self.world = step.comm if world is None else world
+        self.world_rank = self.world.rank
+        self.grid, self.row, self.epoch_comms = grid, row, epoch_comms
+        self.retries = config.recovery_retries
+        #: timeout keywords of the neighbour (detection) receives
+        self.neighbour = {"timeout": config.recovery_timeout,
+                          "retries": self.retries}
+        #: protocol collectives (status allreduces, block-end broadcast)
+        #: use a longer timeout: a dropped collective leg still recovers
+        #: by shadow retransmit, but at a crash stall the scheduler
+        #: expires the *shortest* timeout first, so the neighbour
+        #: receive — whose RecvTimeout the block loop catches — always
+        #: fires before a collective leg, which cannot catch it
+        self.collective = {"timeout": config.recovery_timeout * 8,
+                           "retries": self.retries}
+
+    def protocol(self, gen, what: str):
         """Escalate a timeout on a protocol collective to a hard error.
 
         The collectives themselves recover dropped legs by shadow
@@ -577,52 +573,15 @@ def pfasst_rank_program(
             result = yield from gen
         except RecvTimeout as exc:
             raise RuntimeError(
-                f"PFASST recovery protocol failure in {what}: a "
-                "collective leg timed out — a peer rank crashed inside "
-                "the protocol or a message was lost beyond the "
-                f"retransmit budget (retries={rr}); original: {exc}"
+                f"PFASST recovery protocol failure in {what}: a collective "
+                "leg timed out — a peer rank crashed inside the protocol or "
+                "a message was lost beyond the retransmit budget "
+                f"(retries={self.retries}); original: {exc}"
             ) from exc
         return result
 
-    def _failed_time_ranks(failed):
-        """Time ranks touched by a failed world-rank set (grid only)."""
-        return tuple(sorted({ft_grid.grid.coords(w)[0] for w in failed}))
-
-    def _fully_dead_rows(failed):
-        """Time ranks whose *entire* space row crashed (grid only)."""
-        dead = []
-        for t in _failed_time_ranks(failed):
-            if set(ft_grid.grid.time_row(t)) <= set(failed):
-                dead.append(t)
-        return tuple(dead)
-
-    def _row_resync(block, attempt, failed):
-        """Bitwise-resync this rank's space row after a warm restart.
-
-        Row members abort an interrupted iteration at different receive
-        boundaries, so even rows with no crashed member can have
-        diverged from each other mid-V-cycle; every row therefore
-        adopts the level state of its lowest non-crashed member.  A row
-        with *no* surviving member resets instead — it is rebuilt from
-        a column donor by ``_warm_rebuild``.  With ``p_nodes > 1`` the
-        "row" is the whole time-slice plane (``p_space * p_nodes`` ranks).
-        """
-        row = ft_grid.grid.time_row(ft_grid.t_idx)
-        alive_s = [i for i, w in enumerate(row) if w not in failed]
-        if not alive_s:
-            for lv in levels:
-                lv.reset()
-            return
-        root = alive_s[0]
-        blob = snapshot_levels(levels) if ft_grid.row_index == root else None
-        blob = yield from _protocol(bcast(
-            ft_grid.row, blob, root=root,
-            tag=(tags.FTROW, block, attempt), timeout=rt, retries=rr,
-        ), "row-resync broadcast")
-        if ft_grid.row_index != root:
-            adopt_levels(levels, blob)
-
-    def _survivors(failed, size):
+    @staticmethod
+    def _survivors(failed, size: int) -> List[int]:
         alive = [r for r in range(size) if r not in failed]
         if not alive:
             raise RuntimeError(
@@ -631,35 +590,144 @@ def pfasst_rank_program(
             )
         return alive
 
-    def _refetch_u_block(failed, block, attempt):
-        """Replacement ranks re-fetch the block initial value.
+    def detect(self, k: Optional[int], result, fault):
+        """Settle the phase just run (``k is None``: the predictor).
 
-        Every rank participates (it is a broadcast from the lowest
-        surviving rank of the detection comm — the world comm on the
-        grid), which doubles as the barrier that keeps the recovery
-        lock-step.
+        ``fault`` is the crash or receive timeout it ended in, if any.
+        A status allreduce over the world merges the failed ranks (the
+        iteration's also carries the residual: ``worst`` is its
+        maximum).  A non-empty ``failed`` voids the phase for everyone:
+        ``attempt`` is bumped into every later tag, the epoch comms are
+        bumped, the action is recorded and ``u_block`` re-fetched.
+        Returns ``(worst, failed)``.
         """
-        root = _survivors(failed, detect.size)[0]
-        return (
-            yield from bcast(
-                detect, u_block, root=root, tag=(tags.FTUB, block, attempt),
-                timeout=rt, retries=rr,
+        step, config, worst = self.step, self.step.config, None
+        mine = (self.world_rank,) if isinstance(fault, RankFailure) else ()
+        if k is None:
+            failed = yield from self.protocol(allreduce(
+                self.world, mine, op=_merge_ranks,
+                tag=(tags.FTPRED, step.block, step.attempt),
+                **self.collective,
+            ), "predictor status allreduce")
+        else:
+            status = (mine, float("inf") if result is None else result)
+            failed, worst = yield from self.protocol(allreduce(
+                self.world, status, op=_merge_status,
+                tag=(tags.FTSYNC, step.block, step.attempt, k),
+                **self.collective,
+            ), "iteration status allreduce")
+        if not failed:
+            if fault is not None:
+                raise RuntimeError(
+                    "PFASST recovery protocol hole: a receive timed out but "
+                    "the status allreduce reports no failed rank — a "
+                    "message was lost past its retransmit budget "
+                    f"(retries={self.retries}); original timeout: {fault}"
+                )
+            return worst, failed
+        phase = "predictor" if k is None else "iteration"
+        if step.attempt + 1 > config.max_restarts:
+            raise RuntimeError(
+                f"PFASST recovery gave up: block {step.block} exceeded "
+                f"max_restarts={config.max_restarts} (policy "
+                f"{config.recovery!r}, last failure in {phase} phase, "
+                f"failed ranks {sorted(failed)})"
             )
+        step.attempt += 1
+        entry = {
+            "block": step.block, "attempt": step.attempt, "phase": phase,
+            "k": k, "policy": config.recovery, "failed_ranks": list(failed),
+        }
+        if self.grid is not None:
+            # orphan in-flight space/node-ring traffic from the aborted
+            # attempt; ``failed_ranks`` are world ranks here, so record
+            # the affected time slices too
+            for c in self.epoch_comms:
+                c.epoch += 1
+            entry["failed_time_ranks"] = sorted(
+                {self.grid.coords(w)[0] for w in failed}
+            )
+        step.recoveries.append(entry)
+        # replacement ranks re-fetch the block initial value: a
+        # broadcast from the lowest surviving rank of the world, which
+        # doubles as the barrier that keeps the recovery lock-step
+        step.u_block = yield from bcast(
+            self.world, step.u_block,
+            root=self._survivors(failed, self.world.size)[0],
+            tag=(tags.FTUB, step.block, step.attempt), **self.neighbour,
         )
+        return worst, failed
 
-    def _warm_rebuild(failed, block, attempt, t_slice, u_blk, u0_by_level):
-        """Warm restart: rebuild failed ranks from a coarse hand-off.
+    def restart(self, k: Optional[int], failed):
+        """Apply the policy to a voided phase; returns the phase to redo.
+
+        ``None`` sends everyone back to the predictor: a predictor-phase
+        loss voids the staircase for everyone downstream under both
+        policies, and a cold restart redoes the whole block (the lost
+        ranks from wiped levels).  A warm restart rebuilds the lost
+        ranks in place and redoes iteration ``k``; on the grid it first
+        bitwise-resyncs every space row (members abort at different
+        points), then rebuilds only rows that lost *all* members —
+        partially-crashed rows recover via the resync.
+        """
+        step = self.step
+        if k is None or step.config.recovery == "cold-restart":
+            if self.world_rank in failed:
+                for lv in step.levels:
+                    lv.reset()
+            return None
+        if self.grid is not None:
+            yield from self._row_resync(failed)
+            failed = tuple(
+                t for t in sorted({self.grid.coords(w)[0] for w in failed})
+                if set(self.grid.time_row(t)) <= set(failed)
+            )
+        if failed:
+            yield from self._warm_rebuild(failed)
+        return k
+
+    def _row_resync(self, failed):
+        """Bitwise-resync this rank's space row after a warm restart.
+
+        Row members abort an interrupted iteration at different receive
+        boundaries, so even rows with no crashed member can have diverged
+        from each other mid-V-cycle; every row therefore adopts the level
+        state of its lowest non-crashed member.  A row with *no*
+        surviving member resets instead — ``_warm_rebuild`` rebuilds it
+        from a column donor.  With ``p_nodes > 1`` the "row" is the whole
+        time-slice plane (``p_space * p_nodes`` ranks).
+        """
+        step = self.step
+        alive = [i for i, w in enumerate(self.grid.time_row(step.rank))
+                 if w not in failed]
+        if not alive:
+            for lv in step.levels:
+                lv.reset()
+            return
+        root = alive[0]
+        blob = snapshot_levels(step.levels) if self.row.rank == root else None
+        blob = yield from self.protocol(bcast(
+            self.row, blob, root=root,
+            tag=(tags.FTROW, step.block, step.attempt), **self.neighbour,
+        ), "row-resync broadcast")
+        if self.row.rank != root:
+            adopt_levels(step.levels, blob)
+
+    def _warm_rebuild(self, failed):
+        """Rebuild the ``failed`` time ranks from a coarse hand-off.
 
         The nearest *surviving* left neighbour donates its coarse-level
-        slice end value — for a single crash that is exactly the failed
-        slice's initial condition; with neighbouring crashes it is an
-        earlier-time approximation, still a usable predictor seed.  The
-        replacement interpolates it to the fine level, re-restricts,
-        spread-initialises the coarsest level and runs predictor-quality
-        coarse sweeps before rejoining the V-cycle.  Survivors keep all
-        their state.  Returns the (possibly rebuilt) ``u0_by_level``.
+        slice end value — for a single crash exactly the failed slice's
+        initial condition; with neighbouring crashes an earlier-time
+        approximation, still a usable predictor seed.  The replacement
+        interpolates it to the fine level, re-restricts and, like the
+        predictor, spread-initialises the coarsest level, sweeps it and
+        interpolates up.  Survivors keep all their state.
         """
-        alive = _survivors(failed, p_time)
+        step = self.step
+        comm, rank, coarsest = step.comm, step.rank, step.levels[-1]
+        block, attempt = step.block, step.attempt
+        alive = self._survivors(failed, step.p_time)
         if rank not in failed:
             for f in failed:
                 donors = [r for r in alive if r < f]
@@ -667,274 +735,93 @@ def pfasst_rank_program(
                     yield comm.send(
                         f, (tags.FTWARM, block, attempt, f), coarsest.end_value
                     )
-            return u0_by_level
+            return
         # --- this rank is the replacement: rebuild from scratch ---
         donors = [r for r in alive if r < rank]
         if donors:
-            v = yield comm.recv(
+            u0 = yield comm.recv(
                 donors[-1], (tags.FTWARM, block, attempt, rank),
-                timeout=rt, retries=rr,
+                **self.neighbour,
             )
-            for tr in reversed(transfers):
-                v = tr.interpolate_state(v)
-            u0_new = v
+            for tr in reversed(step.transfers):
+                u0 = tr.interpolate_state(u0)
         else:
             # no live rank to the left: this is the block's first slice,
             # whose initial condition is the (re-fetched) block value
-            u0_new = u_blk.copy()
-        for lv in levels:
+            u0 = step.u_block.copy()
+        for lv in step.levels:
             lv.reset()
-        u0s = [u0_new]
-        for tr in transfers:
-            u0s.append(tr.restrict_state(u0s[-1]))
+        u0s = step._restrict_chain(u0)
         coarsest.u0 = u0s[-1]
-        coarsest.U, coarsest.F = yield from coarsest.sweeper.initialize_gen(
-            t_slice, dt, coarsest.u0, "spread", ctx=ctx,
-        )
-        if config.trace:
-            yield comm.annotate("begin:warm-rebuild")
+        yield from coarsest.spread(step.t_slice, step.ctx)
+        yield from step._mark("begin:warm-rebuild")
         for s in range(coarsest.spec.sweeps):
-            coarsest.U, coarsest.F = yield from coarsest.sweeper.sweep_gen(
-                t_slice, dt, coarsest.U, coarsest.F,
-                u0=_sweep_u0(coarsest, coarsest.u0 if s == 0 else None),
-                ctx=ctx,
+            yield from coarsest.sweep(
+                step.t_slice, step.ctx, coarsest.u0 if s == 0 else None,
+                fas=False,
             )
-        if config.trace:
-            yield comm.annotate("end:warm-rebuild")
-        yield from _interpolate_up(t_slice)
-        # rank 0 consumes u0_by_level every iteration; its rebuilt chain
-        # descends from u_blk, which is exactly what it must be
-        return u0s if rank == 0 else u0_by_level
-
-    def _run_phase(phase, t_slice, u0_by_level, k=None):
-        """Drive the predictor or iteration ``k`` under crash detection.
-
-        Returns ``(result, worst, failed)``.  With recovery off this only
-        delegates: exceptions propagate and no op is added.  Otherwise a
-        crash or receive timeout inside the phase is caught and a status
-        allreduce over the detection comm merges the failed ranks (the
-        iteration's also carries the residual, so ``worst`` is its
-        maximum).  A non-empty ``failed`` voids the phase for everyone:
-        the block ``attempt`` is bumped into every later tag, the epoch
-        comms are bumped, the action is recorded and ``u_block`` is
-        re-fetched — the caller then applies its restart policy.
-        """
-        nonlocal attempt, u_block
-        crashed, timeout_exc, result, worst = False, None, None, None
-        try:
-            if phase == "predictor":
-                yield from _predictor(block, attempt, t_slice, u0_by_level)
-            else:
-                result = yield from _iteration(
-                    block, attempt, k, t_slice, u0_by_level
-                )
-        except RankFailure:
-            if not ft:
-                raise
-            crashed = True
-        except RecvTimeout as exc:
-            if not ft:
-                raise
-            timeout_exc = exc
-        if not ft:
-            return result, worst, ()
-        mine = (me,) if crashed else ()
-        if phase == "predictor":
-            failed = yield from _protocol(allreduce(
-                detect, mine,
-                op=_merge_ranks, tag=(tags.FTPRED, block, attempt),
-                timeout=ct, retries=rr,
-            ), "predictor status allreduce")
-        else:
-            status = (mine, float("inf") if result is None else result)
-            failed, worst = yield from _protocol(allreduce(
-                detect, status,
-                op=_merge_status, tag=(tags.FTSYNC, block, attempt, k),
-                timeout=ct, retries=rr,
-            ), "iteration status allreduce")
-        if failed:
-            if attempt + 1 > config.max_restarts:
-                raise RuntimeError(
-                    f"PFASST recovery gave up: block {block} exceeded "
-                    f"max_restarts={config.max_restarts} (policy "
-                    f"{config.recovery!r}, last failure in {phase} phase, "
-                    f"failed ranks {sorted(failed)})"
-                )
-            attempt += 1
-            entry = {
-                "block": block, "attempt": attempt,
-                "phase": phase, "k": k,
-                "policy": config.recovery,
-                "failed_ranks": list(failed),
-            }
-            if ft_grid is not None:
-                # orphan in-flight space/node-ring traffic from the
-                # aborted attempt; ``failed_ranks`` are world ranks here,
-                # so record the affected time slices too
-                ft_grid.bump()
-                entry["failed_time_ranks"] = list(_failed_time_ranks(failed))
-            recoveries.append(entry)
-            u_block = yield from _refetch_u_block(failed, block, attempt)
-        elif timeout_exc is not None:
-            raise RuntimeError(
-                "PFASST recovery protocol hole: a receive "
-                "timed out but the status allreduce reports "
-                "no failed rank — a message was lost past its "
-                f"retransmit budget (retries={rr}); original "
-                f"timeout: {timeout_exc}"
-            )
-        return result, worst, failed
-
-    # ---- resume from a durable checkpoint ------------------------------
-    start_block = 0
-    if resume is not None:
-        start_block = resume.block
-        iterations_done = [int(x) for x in resume.iterations_done]
-        total_iterations = [int(x) for x in resume.total_iterations]
-        recoveries = [dict(r) for r in resume.recoveries]
-        u_block = np.array(resume.u_block, dtype=np.float64, copy=True)
-
-    # ---- main block loop ----------------------------------------------
-    for block in range(start_block, n_blocks):
-        t_slice = config.t0 + (block * p_time + rank) * dt
-        attempt = 0
-        iters_attempted = 0
-        residuals: List[float] = []
-        k_done = 0
-        k = 0
-        need_predictor = True
-        u0_by_level: List[np.ndarray] = []
-
-        if resume is not None and block == resume.block:
-            # adopt the checkpointed iteration-end state bitwise and
-            # skip the predictor: the continuation executes exactly the
-            # ops the uninterrupted run would have from iteration k+1 on
-            attempt = resume.attempt
-            iters_attempted = resume.iters_attempted
-            residuals = [float(x) for x in resume.residuals[rank]]
-            k_done = resume.k + 1
-            k = k_done
-            need_predictor = False
-            adopt_levels(levels, resume.levels[rank])
-            u0_by_level = [u_block]
-            for tr in transfers:
-                u0_by_level.append(tr.restrict_state(u0_by_level[-1]))
-
-        while True:  # re-entered on cold restarts
-            if need_predictor:
-                # restrict the block initial value through the hierarchy
-                u0_by_level = [u_block]
-                for tr in transfers:
-                    u0_by_level.append(tr.restrict_state(u0_by_level[-1]))
-
-                _, _, failed = yield from _run_phase(
-                    "predictor", t_slice, u0_by_level
-                )
-                if failed:
-                    # a predictor-phase loss voids the staircase for
-                    # everyone downstream: both policies redo the block
-                    if me in failed:
-                        for lv in levels:
-                            lv.reset()
-                    continue
-                need_predictor = False
-                residuals = []
-                k_done = 0
-                k = 0
-
-            # -------------------- PFASST iterations --------------------
-            finished_block = True
-            while k < config.iterations:
-                iters_attempted += 1
-                res, worst, failed = yield from _run_phase(
-                    "iteration", t_slice, u0_by_level, k
-                )
-                if failed:
-                    if config.recovery == "cold-restart":
-                        if me in failed:
-                            for lv in levels:
-                                lv.reset()
-                        need_predictor = True
-                        finished_block = False
-                        break  # back out to redo the whole block
-                    # warm restart: rebuild the lost ranks in place, then
-                    # redo iteration k under the new attempt.  On the
-                    # grid, first bitwise-resync every space row (members
-                    # abort at different points), then rebuild only rows
-                    # that lost *all* members — partially-crashed rows
-                    # recover via the resync
-                    if ft_grid is not None:
-                        yield from _row_resync(block, attempt, failed)
-                        failed_t = _fully_dead_rows(failed)
-                    else:
-                        failed_t = tuple(failed)
-                    if failed_t:
-                        u0_by_level = yield from _warm_rebuild(
-                            failed_t, block, attempt, t_slice, u_block,
-                            u0_by_level,
-                        )
-                    continue
-
-                residuals.append(res)
-                k_done = k + 1
-                if config.residual_tol is not None:
-                    if not ft:
-                        # the ftsync allreduce already carried the
-                        # residual when recovery is on
-                        worst = yield from _protocol(allreduce(
-                            comm, residuals[-1], op=max,
-                            tag=(tags.RTOL, block, attempt, k),
-                            timeout=ct, retries=rr,
-                        ), "residual allreduce")
-                    if worst <= config.residual_tol:
-                        break
-                if checkpointer is not None and checkpointer.wants(k):
-                    # plain in-process call — no ops, no clock movement:
-                    # attaching a checkpointer keeps the run byte-identical
-                    checkpointer.contribute(rank, block, k, attempt, {
-                        "u_block": np.array(u_block, copy=True),
-                        "levels": snapshot_levels(levels),
-                        "residuals": list(residuals),
-                        "iterations_done": list(iterations_done),
-                        "total_iterations": list(total_iterations),
-                        "recoveries": [dict(r) for r in recoveries],
-                        "iters_attempted": iters_attempted,
-                    })
-                k += 1
-
-            if finished_block:
-                break
-
-        iterations_done.append(k_done)
-        total_iterations.append(iters_attempted)
-        residual_history = [residuals]  # keep the last block's history
-
-        # chain blocks: broadcast the final slice's end value
-        u_block = yield from _protocol(bcast(
-            comm, levels[0].end_value, root=p_time - 1,
-            tag=(tags.BLOCKEND, block, attempt),
-            timeout=ct, retries=rr,
-        ), "block-end broadcast")
-
-    return {
-        "rank": rank,
-        "end_value": levels[0].end_value,
-        "block_end": u_block,
-        "residuals": residual_history[0] if residual_history else [],
-        "iterations_done": iterations_done,
-        "total_iterations": total_iterations,
-        "recoveries": recoveries,
-    }
+        yield from step._mark("end:warm-rebuild")
+        yield from step._interpolate_up()
+        if rank == 0:
+            # rank 0 consumes u0_by_level every iteration; its rebuilt
+            # chain descends from u_block, which is exactly what it
+            # must be
+            step.u0_by_level = u0s
 
 
-def _grid_rank_program(
+def pfasst_rank_program(
     comm: VirtualComm,
     config: PfasstConfig,
     specs: Sequence[LevelSpec],
     u0: np.ndarray,
-    spatial: Optional[Sequence[SpatialTransfer]],
-    grid: SpaceTimeGrid,
-    dispatch: Optional[DispatchContext] = None,
+    spatial: Optional[Sequence[SpatialTransfer]] = None,
+    ctx: RhsContext = RhsContext(),
+    checkpointer: Optional[RunCheckpointer] = None,
+    resume: Optional[RunCheckpoint] = None,
+) -> Generator[Any, Any, Dict[str, Any]]:
+    """Rank program executing PFASST on one time rank.
+
+    Yields simulated-MPI operations; returns a dict with the rank's end
+    value, residual history and bookkeeping.  The program is one
+    :class:`Step`'s :meth:`~Step.run`.
+
+    ``ctx`` (a :class:`~repro.sdc.sweeper.RhsContext`) says where every
+    RHS evaluation runs: collectively over its space communicator (a row
+    of the paper's Fig. 2 grid, sharding the tree work), sharded over
+    its PFASST-ER node communicator in multi-node evaluation rounds (the
+    diagonal sweeper's, the controller's restriction/interpolation
+    re-evaluations), and/or as ``Compute`` ops through its dispatch
+    context, which a process backend runs concurrently on real cores.
+    None of the three changes the time algorithm: sharding is
+    bitwise-neutral (each RHS is computed exactly once from the same
+    inputs), and with the default context the op stream is the plain
+    time-parallel one.
+
+    With ``config.recovery != "fail"`` the program survives injected rank
+    crashes (:class:`~repro.parallel.faults.RankFailure` thrown at an op
+    boundary) during the predictor or a V-cycle iteration: detection is
+    collective, the block ``attempt`` counter is bumped into every
+    message tag so stale messages from the abandoned phase can never be
+    mistaken for live traffic, and the failed rank rebuilds per the
+    policy (:class:`Recovery`).  A crash that lands *inside* the
+    recovery protocol itself (status allreduce, block refetch, donor
+    hand-off, block-end broadcast) is fatal — the same caveat a real
+    fault-tolerant MPI has when the recovery collective itself fails.
+
+    ``checkpointer`` / ``resume`` attach durable checkpoint/restart
+    (:mod:`repro.pfasst.checkpoint`): contributions are plain in-process
+    calls after each iteration — zero extra ops, so the op stream stays
+    byte-identical — and a resumed program jumps to the checkpointed
+    block, adopts the level state bitwise and continues at iteration
+    ``k + 1``, reproducing the uninterrupted run exactly.
+    """
+    step = Step(comm, config, specs, u0, spatial, ctx, checkpointer, resume)
+    return (yield from step.run())
+
+
+def _grid_rank_program(
+    comm: VirtualComm, config: PfasstConfig, specs, u0, spatial,
+    grid: SpaceTimeGrid, dispatch: Optional[DispatchContext] = None,
     checkpointer: Optional[RunCheckpointer] = None,
     resume: Optional[RunCheckpoint] = None,
 ) -> Generator[Any, Any, Dict[str, Any]]:
@@ -942,28 +829,28 @@ def _grid_rank_program(
 
     Splits the world into this rank's space row (vary ``s``), time
     column (vary ``t``) and — when ``p_nodes > 1`` — node group (vary
-    ``n``), then runs :func:`pfasst_rank_program` over the time comm
-    with the space comm sharding tree evaluations and the node comm
-    sharding collocation nodes across multi-node evaluation rounds.  A
-    grid with extent-1 space *and* node axes makes no split at all: the
-    world is the time comm.  All members of a time slice drive identical
-    time logic over identical full states, so after the run the end
-    values are cross-checked bitwise across the space row and across
-    the node group.
+    ``n``), then runs the :class:`Step` program of
+    :func:`pfasst_rank_program` over the time comm with the space comm
+    sharding tree evaluations and the node comm sharding collocation
+    nodes across multi-node evaluation rounds.  A grid with extent-1
+    space *and* node axes makes no split at all: the world is the time
+    comm.  All members of a time slice drive identical time logic over
+    identical full states, so after the run the end values are
+    cross-checked bitwise across the space row and the node group.
 
     With a recovery policy active the space and node comms are wrapped
     in :class:`~repro.parallel.simmpi.EpochComm` (restart-safe
     collectives: default timeouts on every receive, epoch-tagged
-    messages that restarts orphan) and a :class:`_GridRecovery` context
+    messages that restarts orphan) and the step's :class:`Recovery` layer
     moves failure detection to the world communicator.  Its resync row
     is the space comm at ``p_nodes = 1``; otherwise one more split
     builds the *plane* comm of all ``p_space * p_nodes`` ranks of this
-    time slice.  Only the ``(s, n) = (0, 0)`` member of each slice
-    contributes to a checkpointer — slice state is replicated bitwise,
-    so one column describes the whole grid.
+    time slice, ordered like ``grid.time_row(t)``.  Only the ``(s, n) =
+    (0, 0)`` member of each slice contributes to a checkpointer — slice
+    state is replicated bitwise, so one column describes the whole grid.
     """
     t_idx, s_idx, n_idx = grid.coords(comm.rank)
-    tcomm, space, node, ft_grid = comm, None, None, None
+    tcomm, space, node, row = comm, None, None, None
     ft = config.recovery != "fail"
     epoch_comms: List[EpochComm] = []
 
@@ -988,21 +875,17 @@ def _grid_rank_program(
             node = view((yield from comm.split(
                 color=(t_idx, s_idx), key=n_idx)))
         if ft:
-            row, row_index = space, s_idx * grid.p_nodes + n_idx
+            row = space
             if not flat:
                 row = view((yield from comm.split(
-                    color=t_idx, key=row_index)))
-            ft_grid = _GridRecovery(
-                world=comm, grid=grid, t_idx=t_idx, row=row,
-                row_index=row_index, epoch_comms=tuple(epoch_comms),
-            )
-    result = yield from pfasst_rank_program(
-        tcomm, config, specs, u0, spatial,
-        ctx=RhsContext(space, node, dispatch),
-        ft_grid=ft_grid,
-        checkpointer=checkpointer if (s_idx, n_idx) == (0, 0) else None,
-        resume=resume,
+                    color=t_idx, key=s_idx * grid.p_nodes + n_idx)))
+    step = Step(
+        tcomm, config, specs, u0, spatial, RhsContext(space, node, dispatch),
+        checkpointer if (s_idx, n_idx) == (0, 0) else None, resume,
     )
+    if row is not None:
+        step.recovery = Recovery(step, comm, grid, row, tuple(epoch_comms))
+    result = yield from step.run()
     # every member of a time slice drives identical time logic over
     # identical full states, so end values must agree *bitwise* — any
     # divergence means a space or node collective leaked rank-dependent
@@ -1024,9 +907,7 @@ def _grid_rank_program(
                 f"node group (t={t_idx}, s={s_idx}) diverged across its "
                 f"{node.size} ranks: end-value digests {digests}"
             )
-    result["space_rank"] = s_idx
-    result["node_rank"] = n_idx
-    result["world_rank"] = comm.rank
+    result.update(space_rank=s_idx, node_rank=n_idx)
     return result
 
 
@@ -1049,9 +930,7 @@ def _run_config_digest(
     ).hexdigest()
 
 
-def _collect_evaluator_stats(
-    specs: Sequence[LevelSpec],
-) -> List[Dict[str, int]]:
+def _collect_evaluator_stats(specs) -> List[Dict[str, int]]:
     """RHS-call counts and tree-cache counters per level spec.
 
     Note that ``run_pfasst`` instantiates one :class:`Level` hierarchy per
@@ -1187,6 +1066,7 @@ def run_pfasst(
     check_positive("p_time", p_time)
     check_positive("p_space", p_space)
     check_positive("p_nodes", p_nodes)
+    _check_run_shape(config, specs, spatial, p_time)
     if checkpoint_interval < 1:
         raise ValueError(
             f"checkpoint_interval must be >= 1, got {checkpoint_interval}"

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.sdc.quadrature import QuadratureRule, make_rule
-from repro.sdc.sweeper import ExplicitSDCSweeper
+from repro.sdc.sweeper import (
+    SWEEPERS,
+    ExplicitSDCSweeper,
+    RhsContext,
+    make_sweeper,
+)
+from repro.utils.validation import check_in
 from repro.vortex.problem import ODEProblem
 
 __all__ = ["LevelSpec", "Level"]
@@ -57,40 +63,33 @@ class LevelSpec:
             raise ValueError(f"need >= 2 nodes per level, got {self.num_nodes}")
         if self.sweeps < 1:
             raise ValueError(f"need >= 1 sweep per level, got {self.sweeps}")
-        if self.sweeper not in ("gauss-seidel", "diagonal"):
-            raise ValueError(
-                f"unknown sweeper {self.sweeper!r}: "
-                "expected 'gauss-seidel' or 'diagonal'"
-            )
+        check_in("sweeper", self.sweeper, SWEEPERS)
 
 
 class Level:
-    """Mutable per-rank storage of one level's node data."""
+    """Mutable per-rank storage of one level's node data.
 
-    def __init__(self, spec: LevelSpec) -> None:
+    ``dt`` is the slice length every sweep, residual and (for families
+    without the right endpoint) end value of this level is taken over;
+    a level built without one can hold state but not advance it.
+    """
+
+    #: the array-valued runtime state: node values and evaluations
+    #: ``(M+1, *state)``, the node-to-node FAS term, the current initial
+    #: value, and the snapshots taken when this level is filled by
+    #: restriction (the coarse corrections on the way up the V-cycle are
+    #: ``U - U_snap`` / ``F - F_snap``).  :meth:`reset` and checkpoint
+    #: snapshot/adopt iterate it, so no field can be left out of either.
+    STATE = ("U", "F", "tau", "u0", "U_at_restriction", "F_at_restriction")
+
+    def __init__(self, spec: LevelSpec, dt: Optional[float] = None) -> None:
         self.spec = spec
+        self.dt = dt
         self.rule: QuadratureRule = make_rule(spec.num_nodes, spec.node_type)
-        if spec.sweeper == "diagonal":
-            from repro.sdc.diagonal import DiagonalSDCSweeper
-
-            self.sweeper: ExplicitSDCSweeper = DiagonalSDCSweeper(
-                spec.problem, self.rule,
-                coefficients=spec.diagonal_coefficients,
-            )
-        else:
-            self.sweeper = ExplicitSDCSweeper(spec.problem, self.rule)
-        self.U: Optional[np.ndarray] = None  # (M+1, *state)
-        self.F: Optional[np.ndarray] = None
-        self.tau: Optional[np.ndarray] = None  # node-to-node FAS
-        self.u0: Optional[np.ndarray] = None  # current initial value
-        #: True when u0 changed since the last sweep consumed it (the
-        #: sweep then re-evaluates F at node 0, otherwise it is reused)
-        self.u0_dirty: bool = True
-        #: snapshots taken when this level was filled by restriction,
-        #: used to form the coarse corrections U - U_snap / F - F_snap
-        #: on the way up the V-cycle
-        self.U_at_restriction: Optional[np.ndarray] = None
-        self.F_at_restriction: Optional[np.ndarray] = None
+        self.sweeper: ExplicitSDCSweeper = make_sweeper(
+            spec.problem, self.rule, spec.sweeper, spec.diagonal_coefficients
+        )
+        self.reset()
 
     def reset(self) -> None:
         """Discard all runtime state, as if the owning rank's node died.
@@ -100,34 +99,59 @@ class Level:
         neighbour's coarse solution (warm restart) or from the block's
         predictor (cold restart).
         """
-        self.U = None
-        self.F = None
-        self.tau = None
-        self.u0 = None
-        self.u0_dirty = True
-        self.U_at_restriction = None
-        self.F_at_restriction = None
-
-    @property
-    def problem(self) -> ODEProblem:
-        return self.spec.problem
-
-    @property
-    def evaluator(self):
-        """The problem's field evaluator, if it has one (else ``None``)."""
-        return getattr(self.spec.problem, "evaluator", None)
-
-    @property
-    def timings(self):
-        """This level's sweep-phase :class:`~repro.obs.timing.TimingRegistry`."""
-        return self.sweeper.timings
+        for name in self.STATE:
+            setattr(self, name, None)
+        #: True when u0 changed since the last sweep consumed it (the
+        #: sweep then re-evaluates F at node 0, otherwise it is reused)
+        self.u0_dirty: bool = True
 
     @property
     def end_value(self) -> np.ndarray:
         """Solution at the right edge of the slice."""
-        if self.U is None or self.F is None or self.u0 is None:
+        if self.U is None or self.F is None or self.u0 is None or (
+                self.dt is None and not self.rule.node_set.includes_right):
             raise RuntimeError("level has not been initialised")
-        return self.sweeper.end_value(self._dt, self.U, self.F, self.u0)
+        return self.sweeper.end_value(self.dt, self.U, self.F, self.u0)
 
-    # dt is threaded in by the controller before use
-    _dt: float = 0.0
+    def residual(self) -> float:
+        """Max-norm collocation residual of the current node values."""
+        return self.sweeper.residual(self.dt, self.U, self.F, self.u0)
+
+    def evaluate_all(self, t: float, ctx: RhsContext):
+        """RHS at every node of the slice at ``t`` (a ``ctx`` generator)."""
+        return ctx.node_values(
+            self.spec.problem, self.sweeper.node_times(t, self.dt), self.U
+        )
+
+    def spread(self, t: float, ctx: RhsContext):
+        """Spread :attr:`u0` and ``f(u0)`` over the slice at ``t``."""
+        self.U, self.F = yield from self.sweeper.initialize_gen(
+            t, self.dt, self.u0, "spread", ctx=ctx
+        )
+        self.u0_dirty = False
+
+    def sweep(self, t: float, ctx: RhsContext,
+              u0: Optional[np.ndarray] = None, fas: bool = True):
+        """One SDC sweep of the slice at ``t`` (generator).
+
+        ``u0`` is a new initial value (a neighbour's end value, say): it
+        becomes :attr:`u0` and lands on node 0.  Without one the sweeper
+        is handed the tracked value only where it needs it: when it
+        changed since the last sweep consumed it (:attr:`u0_dirty` — F
+        at node 0 must be re-evaluated), or always for sweepers with no
+        node carrying it (``needs_u0``: diagonal, Gauss-Seidel on
+        families without the left endpoint).  Otherwise node 0 already
+        holds it and its evaluation is reused.  ``fas=False`` leaves the
+        FAS term :attr:`tau` out: the predictor runs before any
+        restriction of its block, when ``tau`` may still hold the
+        previous block's correction.
+        """
+        if u0 is not None:
+            self.u0 = u0
+        elif self.u0_dirty or self.sweeper.needs_u0:
+            u0 = self.u0
+        self.U, self.F = yield from self.sweeper.sweep_gen(
+            t, self.dt, self.U, self.F, u0=u0,
+            tau=self.tau if fas else None, ctx=ctx,
+        )
+        self.u0_dirty = False

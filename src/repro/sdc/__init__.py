@@ -10,7 +10,13 @@ from repro.sdc.quadrature import (
     diagonal_coefficients,
     DIAGONAL_COEFFICIENT_CHOICES,
 )
-from repro.sdc.sweeper import ExplicitSDCSweeper, RhsContext, node_slice
+from repro.sdc.sweeper import (
+    SWEEPERS,
+    ExplicitSDCSweeper,
+    RhsContext,
+    make_sweeper,
+    node_slice,
+)
 from repro.sdc.diagonal import DiagonalSDCSweeper
 from repro.sdc.sdc_stepper import SDCStepper, SDCRunStats
 
@@ -26,6 +32,8 @@ __all__ = [
     "ExplicitSDCSweeper",
     "DiagonalSDCSweeper",
     "RhsContext",
+    "SWEEPERS",
+    "make_sweeper",
     "node_slice",
     "diagonal_coefficients",
     "DIAGONAL_COEFFICIENT_CHOICES",

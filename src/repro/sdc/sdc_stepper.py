@@ -14,7 +14,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.sdc.quadrature import QuadratureRule, make_rule
-from repro.sdc.sweeper import ExplicitSDCSweeper, InitStrategy
+from repro.sdc.sweeper import InitStrategy, make_sweeper
 from repro.utils.validation import check_positive
 from repro.vortex.problem import ODEProblem
 
@@ -75,19 +75,9 @@ class SDCStepper:
             raise ValueError(f"need at least 1 sweep, got {sweeps}")
         self.problem = problem
         self.rule: QuadratureRule = make_rule(num_nodes, node_type)
-        if sweeper == "gauss-seidel":
-            self.sweeper = ExplicitSDCSweeper(problem, self.rule)
-        elif sweeper == "diagonal":
-            from repro.sdc.diagonal import DiagonalSDCSweeper
-
-            self.sweeper = DiagonalSDCSweeper(
-                problem, self.rule, coefficients=diagonal_coefficients
-            )
-        else:
-            raise ValueError(
-                f"unknown sweeper {sweeper!r}: "
-                "expected 'gauss-seidel' or 'diagonal'"
-            )
+        self.sweeper = make_sweeper(
+            problem, self.rule, sweeper, diagonal_coefficients
+        )
         self.sweeps = int(sweeps)
         self.residual_tol = residual_tol
         self.init_strategy: InitStrategy = init_strategy

@@ -37,15 +37,22 @@ from repro.parallel import tags
 from repro.parallel.collectives import allgather
 from repro.parallel.executor import Compute, ComputeTask
 from repro.sdc.quadrature import QuadratureRule
+from repro.utils.validation import check_in
 from repro.vortex.problem import ODEProblem
 
 __all__ = [
     "ExplicitSDCSweeper",
     "RhsContext",
+    "SWEEPERS",
+    "make_sweeper",
     "node_slice",
 ]
 
 InitStrategy = Literal["spread", "euler"]
+
+#: sweeper names accepted by :func:`make_sweeper` (and by ``LevelSpec``,
+#: ``SDCStepper``, ``TimeConfig`` and the ``--sweeper`` CLI options)
+SWEEPERS = ("gauss-seidel", "diagonal")
 
 
 def node_slice(n_nodes: int, parts: int, index: int) -> Tuple[int, int]:
@@ -347,3 +354,22 @@ class ExplicitSDCSweeper:
         if self.rule.node_set.includes_right:
             return U[-1]
         return u0 + dt * self.rule.integrate_full(F)
+
+
+def make_sweeper(
+    problem: ODEProblem, rule: QuadratureRule, kind: str, coefficients="min"
+) -> ExplicitSDCSweeper:
+    """The sweeper named ``kind`` (one of :data:`SWEEPERS`) on ``rule``.
+
+    ``"gauss-seidel"`` is this module's sequential node-to-node
+    substitution, ``"diagonal"`` the PFASST-ER Jacobi-style
+    :class:`~repro.sdc.diagonal.DiagonalSDCSweeper` with its
+    ``coefficients`` choice (ignored under ``"gauss-seidel"``).
+    """
+    check_in("sweeper", kind, SWEEPERS)
+    if kind == "diagonal":
+        # diagonal.py subclasses this module's sweeper
+        from repro.sdc.diagonal import DiagonalSDCSweeper
+
+        return DiagonalSDCSweeper(problem, rule, coefficients=coefficients)
+    return ExplicitSDCSweeper(problem, rule)

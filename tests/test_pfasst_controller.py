@@ -1,5 +1,9 @@
 """Tests for the PFASST controller (Algorithm 1)."""
 
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -181,3 +185,243 @@ class TestPaperConfigurations:
             errors.append(abs((res.u_end - ref).item()))
         mean_rate = np.log2(errors[0] / errors[-1]) / 2.0
         assert mean_rate > iters + 1.0  # at least order iters+2 w/ slack
+
+
+class TestRunShape:
+    """One shape check, before the scheduler or any rank program exists."""
+
+    def _cfg(self):
+        return PfasstConfig(t0=0.0, t_end=1.0, n_steps=2, iterations=1)
+
+    def test_empty_spatial_names_the_argument(self, scalar_problem):
+        with pytest.raises(ValueError, match="spatial"):
+            run_pfasst(self._cfg(), _specs(scalar_problem), np.array([1.0]),
+                       p_time=2, spatial=[])
+
+    def test_too_long_spatial_rejected(self, scalar_problem):
+        from repro.pfasst import IdentitySpatialTransfer
+
+        two = [IdentitySpatialTransfer(), IdentitySpatialTransfer()]
+        with pytest.raises(ValueError, match="spatial"):
+            run_pfasst(self._cfg(), _specs(scalar_problem), np.array([1.0]),
+                       p_time=2, spatial=two)
+
+    def test_rejected_before_anything_is_built(self, scalar_problem,
+                                               monkeypatch, tmp_path):
+        """n_steps % p_time is raised by run_pfasst itself: no scheduler,
+        no registered problems, no checkpointer."""
+        import repro.pfasst.controller as controller
+
+        def boom(*args, **kwargs):
+            raise AssertionError("built before the run shape was checked")
+
+        monkeypatch.setattr(controller, "Scheduler", boom)
+        monkeypatch.setattr(controller, "RunCheckpointer", boom)
+        cfg = PfasstConfig(t0=0.0, t_end=1.0, n_steps=3, iterations=1)
+        with pytest.raises(ValueError, match="multiple"):
+            run_pfasst(cfg, _specs(scalar_problem), np.array([1.0]),
+                       p_time=2, checkpoint=tmp_path / "run.ckpt")
+        with pytest.raises(ValueError, match="2 levels"):
+            run_pfasst(self._cfg(), [LevelSpec(scalar_problem, 3)],
+                       np.array([1.0]), p_time=2)
+
+    def test_rank_program_entry_shares_the_check(self, scalar_problem):
+        from repro.parallel.simmpi import Scheduler
+        from repro.pfasst import pfasst_rank_program
+
+        with pytest.raises(ValueError, match="spatial"):
+            Scheduler(2, measure_compute=False).run(
+                pfasst_rank_program,
+                args=(self._cfg(), _specs(scalar_problem), np.array([1.0]),
+                      []),
+            )
+
+
+class TestLevelSeams:
+    """``Level`` owns dt, the sweep's ``u0`` rule and its state fields."""
+
+    def test_end_value_without_dt_raises(self, scalar_problem):
+        from repro.pfasst import Level
+
+        level = Level(LevelSpec(scalar_problem, 3, 1, node_type="legendre"))
+        level.U = np.ones((3, 1))
+        level.F = np.ones((3, 1))
+        level.u0 = np.array([1.0])
+        with pytest.raises(RuntimeError, match="not been initialised"):
+            level.end_value
+        with_dt = Level(level.spec, dt=0.5)
+        with_dt.U, with_dt.F, with_dt.u0 = level.U, level.F, level.u0
+        assert not np.array_equal(with_dt.end_value, level.u0)
+
+    def test_end_value_right_endpoint_needs_no_dt(self, scalar_problem):
+        from repro.pfasst import Level
+
+        level = Level(LevelSpec(scalar_problem, 3, 1))
+        level.U = np.arange(3.0).reshape(3, 1)
+        level.F = np.ones((3, 1))
+        level.u0 = np.array([0.0])
+        assert np.array_equal(level.end_value, level.U[-1])
+
+    @pytest.mark.parametrize("sweeper,node_type,needs_u0", [
+        ("gauss-seidel", "lobatto", False),
+        ("gauss-seidel", "radau-right", True),
+        ("diagonal", "lobatto", True),
+    ])
+    @pytest.mark.parametrize("state", ["dirty", "clean", "explicit"])
+    def test_sweep_u0_rule(self, scalar_problem, sweeper, node_type,
+                           needs_u0, state):
+        """What reaches ``sweeper.sweep_gen`` from ``Level.sweep``."""
+        from repro.pfasst import Level
+        from repro.sdc import RhsContext
+
+        level = Level(LevelSpec(scalar_problem, 3, 1, node_type=node_type,
+                                sweeper=sweeper), dt=0.1)
+        seen = {}
+
+        def fake_sweep_gen(t0, dt, U, F, u0=None, tau=None, ctx=None):
+            seen.update(t0=t0, dt=dt, U=U, F=F, u0=u0, tau=tau, ctx=ctx)
+            return "U'", "F'"
+            yield  # a generator, like the real one
+
+        level.sweeper.sweep_gen = fake_sweep_gen
+        tracked, new = np.array([1.0]), np.array([2.0])
+        level.U, level.F, level.u0 = "U", "F", tracked
+        level.tau = "tau"
+        level.u0_dirty = state == "dirty"
+        ctx = RhsContext()
+        gen = level.sweep(0.3, ctx, new if state == "explicit" else None)
+        with pytest.raises(StopIteration):
+            next(gen)
+        if state == "explicit":
+            assert seen["u0"] is new and level.u0 is new
+        elif state == "dirty" or needs_u0:
+            assert seen["u0"] is tracked
+        else:
+            assert seen["u0"] is None
+        assert (seen["t0"], seen["dt"], seen["U"], seen["F"]) == (
+            0.3, 0.1, "U", "F")
+        assert seen["tau"] == "tau" and seen["ctx"] is ctx
+        assert (level.U, level.F, level.u0_dirty) == ("U'", "F'", False)
+
+    def test_sweep_without_fas_leaves_tau_out(self, scalar_problem):
+        from repro.pfasst import Level
+        from repro.sdc import RhsContext
+
+        level = Level(LevelSpec(scalar_problem, 3, 1), dt=0.1)
+        level.u0 = np.array([1.0])
+        for _ in level.spread(0.0, RhsContext()):
+            pass
+        assert not level.u0_dirty and np.array_equal(level.U[2], level.u0)
+        level.tau = np.full((3, 1), 5.0)  # a previous block's correction
+        U_before = level.U.copy()
+        for _ in level.sweep(0.0, RhsContext(), fas=False):
+            pass
+        plain = level.sweeper.sweep(0.0, 0.1, U_before, level.sweeper
+                                    .initialize(0.0, 0.1, level.u0)[1])
+        assert np.array_equal(level.U, plain[0])
+        assert np.array_equal(level.tau, np.full((3, 1), 5.0))
+
+    def test_state_tuple_drives_reset_and_checkpoint(self, scalar_problem):
+        from repro.pfasst import Level, adopt_levels, snapshot_levels
+
+        level = Level(LevelSpec(scalar_problem, 3, 1), dt=0.1)
+        for i, name in enumerate(Level.STATE):
+            setattr(level, name, np.full((2,), float(i)))
+        level.u0_dirty = False
+        (entry,) = snapshot_levels([level])
+        assert sorted(entry) == sorted(Level.STATE + ("u0_dirty",))
+        level.reset()
+        assert all(getattr(level, name) is None for name in Level.STATE)
+        assert level.u0_dirty is True
+        adopt_levels([level], [entry])
+        for i, name in enumerate(Level.STATE):
+            assert np.array_equal(getattr(level, name), np.full((2,), float(i)))
+        assert level.u0_dirty is False
+
+
+class TestSweeperFactory:
+    def test_names_and_classes(self, scalar_problem):
+        from repro.sdc import (SWEEPERS, DiagonalSDCSweeper,
+                               ExplicitSDCSweeper, make_rule, make_sweeper)
+
+        rule = make_rule(3)
+        assert SWEEPERS == ("gauss-seidel", "diagonal")
+        gs = make_sweeper(scalar_problem, rule, "gauss-seidel")
+        assert type(gs) is ExplicitSDCSweeper
+        diag = make_sweeper(scalar_problem, rule, "diagonal", "ie")
+        assert isinstance(diag, DiagonalSDCSweeper)
+        assert diag.coefficients == "ie"
+
+    def test_one_error_for_every_entrance(self, scalar_problem):
+        from repro.core import TimeConfig
+        from repro.sdc import make_rule, make_sweeper
+
+        for build in (
+            lambda: make_sweeper(scalar_problem, make_rule(3), "jacobi"),
+            lambda: LevelSpec(scalar_problem, 3, sweeper="jacobi"),
+            lambda: SDCStepper(scalar_problem, sweeper="jacobi"),
+            lambda: TimeConfig(sweeper="jacobi"),
+        ):
+            with pytest.raises(ValueError, match="sweeper must be one of"):
+                build()
+
+
+class TestStructure:
+    """The controller closure is gone, not wrapped."""
+
+    SRC = Path(__file__).parent.parent / "src" / "repro" / "pfasst"
+
+    def _functions(self):
+        for path in sorted(self.SRC.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield path.name, node
+                assert not isinstance(node, ast.Nonlocal), path.name
+
+    def test_no_function_over_120_lines_and_no_nonlocal(self):
+        longest = {}
+        for name, fn in self._functions():
+            first = fn.body[0]
+            has_doc = (isinstance(first, ast.Expr)
+                       and isinstance(first.value, ast.Constant)
+                       and isinstance(first.value.value, str))
+            lines = fn.end_lineno - fn.lineno + 1
+            if has_doc:
+                lines -= first.end_lineno - first.lineno + 1
+            longest[f"{name}:{fn.name}"] = lines
+        worst = max(longest, key=longest.get)
+        assert longest[worst] <= 120, (worst, longest[worst])
+
+    def test_entry_point_signatures_are_the_parents(self):
+        from repro.pfasst import pfasst_rank_program
+
+        assert list(inspect.signature(run_pfasst).parameters) == [
+            "config", "specs", "u0", "p_time", "cost_model",
+            "measure_compute", "spatial", "verify", "fault_plan",
+            "service_order", "tracer", "p_space", "p_nodes", "executor",
+            "certify", "checkpoint", "checkpoint_interval", "resume_from",
+        ]
+        defaults = {
+            name: p.default
+            for name, p in inspect.signature(run_pfasst).parameters.items()
+            if p.default is not inspect.Parameter.empty
+        }
+        assert defaults == {
+            "cost_model": None, "measure_compute": False, "spatial": None,
+            "verify": False, "fault_plan": None,
+            "service_order": "ascending", "tracer": None, "p_space": 1,
+            "p_nodes": 1, "executor": None, "certify": False,
+            "checkpoint": None, "checkpoint_interval": 1,
+            "resume_from": None,
+        }
+        # the parent's signature minus the ``ft_grid`` context
+        params = inspect.signature(pfasst_rank_program).parameters
+        assert list(params) == ["comm", "config", "specs", "u0", "spatial",
+                                "ctx", "checkpointer", "resume"]
+        from repro.sdc import RhsContext
+
+        assert params["spatial"].default is None
+        assert params["ctx"].default == RhsContext()
+        assert params["checkpointer"].default is None
+        assert params["resume"].default is None
