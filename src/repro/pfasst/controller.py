@@ -590,6 +590,10 @@ class Recovery:
             )
         return alive
 
+    def _failed_time_ranks(self, failed) -> List[int]:
+        """Time ranks touched by a failed world-rank set (grid only)."""
+        return sorted({self.grid.coords(w)[0] for w in failed})
+
     def detect(self, k: Optional[int], result, fault):
         """Settle the phase just run (``k is None``: the predictor).
 
@@ -644,9 +648,7 @@ class Recovery:
             # the affected time slices too
             for c in self.epoch_comms:
                 c.epoch += 1
-            entry["failed_time_ranks"] = sorted(
-                {self.grid.coords(w)[0] for w in failed}
-            )
+            entry["failed_time_ranks"] = self._failed_time_ranks(failed)
         step.recoveries.append(entry)
         # replacement ranks re-fetch the block initial value: a
         # broadcast from the lowest surviving rank of the world, which
@@ -679,7 +681,7 @@ class Recovery:
         if self.grid is not None:
             yield from self._row_resync(failed)
             failed = tuple(
-                t for t in sorted({self.grid.coords(w)[0] for w in failed})
+                t for t in self._failed_time_ranks(failed)
                 if set(self.grid.time_row(t)) <= set(failed)
             )
         if failed:

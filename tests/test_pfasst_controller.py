@@ -7,8 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
-from repro.sdc import SDCStepper
+from repro.pfasst import (
+    Level,
+    LevelSpec,
+    PfasstConfig,
+    adopt_levels,
+    pfasst_rank_program,
+    run_pfasst,
+    snapshot_levels,
+)
+from repro.sdc import RhsContext, SDCStepper, make_rule, make_sweeper
 
 
 def _specs(problem, fine_nodes=3, coarse_nodes=2, coarse_sweeps=2,
@@ -227,8 +235,6 @@ class TestRunShape:
 
     def test_rank_program_entry_shares_the_check(self, scalar_problem):
         from repro.parallel.simmpi import Scheduler
-        from repro.pfasst import pfasst_rank_program
-
         with pytest.raises(ValueError, match="spatial"):
             Scheduler(2, measure_compute=False).run(
                 pfasst_rank_program,
@@ -241,8 +247,6 @@ class TestLevelSeams:
     """``Level`` owns dt, the sweep's ``u0`` rule and its state fields."""
 
     def test_end_value_without_dt_raises(self, scalar_problem):
-        from repro.pfasst import Level
-
         level = Level(LevelSpec(scalar_problem, 3, 1, node_type="legendre"))
         level.U = np.ones((3, 1))
         level.F = np.ones((3, 1))
@@ -254,8 +258,6 @@ class TestLevelSeams:
         assert not np.array_equal(with_dt.end_value, level.u0)
 
     def test_end_value_right_endpoint_needs_no_dt(self, scalar_problem):
-        from repro.pfasst import Level
-
         level = Level(LevelSpec(scalar_problem, 3, 1))
         level.U = np.arange(3.0).reshape(3, 1)
         level.F = np.ones((3, 1))
@@ -271,9 +273,6 @@ class TestLevelSeams:
     def test_sweep_u0_rule(self, scalar_problem, sweeper, node_type,
                            needs_u0, state):
         """What reaches ``sweeper.sweep_gen`` from ``Level.sweep``."""
-        from repro.pfasst import Level
-        from repro.sdc import RhsContext
-
         level = Level(LevelSpec(scalar_problem, 3, 1, node_type=node_type,
                                 sweeper=sweeper), dt=0.1)
         seen = {}
@@ -304,9 +303,6 @@ class TestLevelSeams:
         assert (level.U, level.F, level.u0_dirty) == ("U'", "F'", False)
 
     def test_sweep_without_fas_leaves_tau_out(self, scalar_problem):
-        from repro.pfasst import Level
-        from repro.sdc import RhsContext
-
         level = Level(LevelSpec(scalar_problem, 3, 1), dt=0.1)
         level.u0 = np.array([1.0])
         for _ in level.spread(0.0, RhsContext()):
@@ -316,14 +312,12 @@ class TestLevelSeams:
         U_before = level.U.copy()
         for _ in level.sweep(0.0, RhsContext(), fas=False):
             pass
-        plain = level.sweeper.sweep(0.0, 0.1, U_before, level.sweeper
-                                    .initialize(0.0, 0.1, level.u0)[1])
-        assert np.array_equal(level.U, plain[0])
+        F_before = level.sweeper.initialize(0.0, 0.1, level.u0)[1]
+        plain_U, _ = level.sweeper.sweep(0.0, 0.1, U_before, F_before)
+        assert np.array_equal(level.U, plain_U)
         assert np.array_equal(level.tau, np.full((3, 1), 5.0))
 
     def test_state_tuple_drives_reset_and_checkpoint(self, scalar_problem):
-        from repro.pfasst import Level, adopt_levels, snapshot_levels
-
         level = Level(LevelSpec(scalar_problem, 3, 1), dt=0.1)
         for i, name in enumerate(Level.STATE):
             setattr(level, name, np.full((2,), float(i)))
@@ -342,7 +336,7 @@ class TestLevelSeams:
 class TestSweeperFactory:
     def test_names_and_classes(self, scalar_problem):
         from repro.sdc import (SWEEPERS, DiagonalSDCSweeper,
-                               ExplicitSDCSweeper, make_rule, make_sweeper)
+                               ExplicitSDCSweeper)
 
         rule = make_rule(3)
         assert SWEEPERS == ("gauss-seidel", "diagonal")
@@ -354,7 +348,6 @@ class TestSweeperFactory:
 
     def test_one_error_for_every_entrance(self, scalar_problem):
         from repro.core import TimeConfig
-        from repro.sdc import make_rule, make_sweeper
 
         for build in (
             lambda: make_sweeper(scalar_problem, make_rule(3), "jacobi"),
@@ -394,8 +387,6 @@ class TestStructure:
         assert longest[worst] <= 120, (worst, longest[worst])
 
     def test_entry_point_signatures_are_the_parents(self):
-        from repro.pfasst import pfasst_rank_program
-
         assert list(inspect.signature(run_pfasst).parameters) == [
             "config", "specs", "u0", "p_time", "cost_model",
             "measure_compute", "spatial", "verify", "fault_plan",
@@ -419,8 +410,6 @@ class TestStructure:
         params = inspect.signature(pfasst_rank_program).parameters
         assert list(params) == ["comm", "config", "specs", "u0", "spatial",
                                 "ctx", "checkpointer", "resume"]
-        from repro.sdc import RhsContext
-
         assert params["spatial"].default is None
         assert params["ctx"].default == RhsContext()
         assert params["checkpointer"].default is None
