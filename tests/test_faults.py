@@ -1,5 +1,9 @@
 """Tests for fault injection in the simulated MPI (repro.parallel.faults)."""
 
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from repro.analysis.commcheck import freeze
 from repro.parallel import CommCostModel, Scheduler
 from repro.parallel.collectives import bcast
 from repro.parallel.faults import (
+    MESSAGE_FAULT_KINDS,
     CorruptedPayload,
     CorruptionError,
     FaultPlan,
@@ -556,3 +561,167 @@ class TestRecvArgumentValidation:
     def test_valid_arguments_accepted(self):
         assert self._run_single(timeout=1.0, retries=3, backoff=0.1) == \
             [0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# golden link-fault runs: the scheduler's fault paths pinned across commits
+# ---------------------------------------------------------------------------
+GOLDEN_LINK = Path(__file__).parent / "data" / "golden_link_faults.json"
+#: dyadic figures, so every virtual clock below is an exact float
+RING_MODEL = CommCostModel(latency=0.25, bandwidth=64.0, send_overhead=0.0625)
+RING_TAG = ("ring", 0)
+
+
+def _ring(comm, rounds, recv_kw):
+    """Pass an accumulating vector round a ring; a timed-out rank leaves."""
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    acc = np.arange(4, dtype=np.float64) + comm.rank
+    for k in range(rounds):
+        yield comm.send(right, ("ring", k), acc)
+        yield comm.work(0.125)
+        try:
+            got = yield comm.recv(left, ("ring", k), **recv_kw)
+        except RecvTimeout as exc:
+            return ("timeout", k, exc.source, exc.time)
+        acc = acc + got
+    return acc
+
+
+def _link_case(messages, crashes=(), **recv_kw):
+    return FaultPlan(messages=messages, crashes=crashes, seed=3), recv_kw
+
+
+RETRY = dict(timeout=0.5, retries=1, backoff=0.03125)
+LINK_CASES = {
+    # one per MESSAGE_FAULT_KINDS entry, on the second message 0 -> 1
+    **{
+        f"kind-{kind}": _link_case(
+            (MessageFault(kind=kind, source=0, dest=1, tag=("ring", 1),
+                          delay=0.375 if kind == "delay" else 0.0),),
+            **RETRY)
+        for kind in MESSAGE_FAULT_KINDS
+    },
+    # the three recovery outcomes of the link layer
+    "corrupt-then-retransmit": _link_case(
+        (MessageFault(kind="corrupt", tag=RING_TAG),), **RETRY),
+    "drop-timeout-retransmit": _link_case(
+        (MessageFault(kind="drop", tag=RING_TAG),), **RETRY),
+    "recv-timeout-thrown": _link_case(
+        (MessageFault(kind="drop", source=0, dest=1, tag=RING_TAG),),
+        timeout=0.5),
+    # every kind on one send, and faults racing a handled crash
+    "all-kinds-one-send": _link_case(
+        tuple(MessageFault(kind=kind, source=2, dest=0, tag=RING_TAG,
+                           delay=0.375 if kind == "delay" else 0.0)
+              for kind in ("delay", "corrupt", "duplicate")), **RETRY),
+    "retries-exhausted": _link_case(
+        (MessageFault(kind="corrupt", source=1, dest=2, tag=RING_TAG),),
+        timeout=0.5),
+    "probabilistic-mix": _link_case(
+        (MessageFault(kind="drop", probability=0.4),
+         MessageFault(kind="delay", delay=0.375, probability=0.5),
+         MessageFault(kind="duplicate", probability=0.3)), **RETRY),
+    "crash-uncaught-with-drop": _link_case(
+        (MessageFault(kind="drop", source=0, dest=1, tag=RING_TAG),),
+        crashes=(RankCrash(rank=2, after_ops=4),), **RETRY),
+    "crash-at-time": _link_case(
+        (MessageFault(kind="delay", delay=0.375, source=0),),
+        crashes=(RankCrash(rank=1, at_time=1.0),), **RETRY),
+}
+
+
+def run_link_case(name) -> dict:
+    plan, recv_kw = LINK_CASES[name]
+    sched = Scheduler(3, cost_model=RING_MODEL, measure_compute=False,
+                      certify=True, warn_orphans=False, fault_plan=plan)
+    try:
+        outcome = {"results": freeze(sched.run(_ring, args=(3, recv_kw))).hex()}
+    except (CorruptionError, RankFailure) as exc:
+        outcome = {"raises": type(exc).__name__, "message": str(exc)}
+    report = sched.resilience
+    return {
+        **outcome,
+        "clocks": repr(sched.clocks),
+        "injected": [ev.render() for ev in report.injected],
+        "recovered": [ev.render() for ev in report.recovered],
+        "rule_activations": report.rule_activations,
+        "certificate": (sched.certificate.digest
+                        if sched.certificate is not None else None),
+        "orphans": [o.render() for o in sched.orphans],
+        "messages": sched.stats_messages,
+        "retransmissions": sched.metrics.as_dict()["counters"].get(
+            "mpi.retransmissions", 0),
+    }
+
+
+class TestGoldenLinkFaults:
+    """Drop / duplicate / delay / corrupt and the three link-layer
+    recovery outcomes, pinned byte for byte in
+    ``tests/data/golden_link_faults.json``.  ``golden_runs.json`` holds
+    crash plans only; this is the cross-commit pin of the message-fault
+    paths.  Re-record (only when a change is *meant* to move them) with
+    ``PYTHONPATH=src python tests/test_faults.py --record``."""
+
+    @pytest.fixture(scope="class")
+    def golden(self) -> dict:
+        return json.loads(GOLDEN_LINK.read_text(encoding="utf-8"))
+
+    def test_golden_file_covers_the_cases(self, golden):
+        assert sorted(golden) == sorted(LINK_CASES)
+        assert {f"kind-{k}" for k in MESSAGE_FAULT_KINDS} <= set(golden)
+
+    @pytest.mark.parametrize("name", sorted(LINK_CASES))
+    def test_run_matches_golden(self, name, golden):
+        assert run_link_case(name) == golden[name]
+
+    def test_the_cases_reach_every_link_layer_path(self, golden):
+        kinds = {line.split()[1] for case in golden.values()
+                 for line in case["injected"] + case["recovered"]}
+        assert kinds >= {
+            "drop", "duplicate", "delay", "corrupt", "crash",
+            "corruption-detected", "retransmit", "timeout", "crash-uncaught",
+        }
+        assert golden["recv-timeout-thrown"]["results"] != \
+            golden["drop-timeout-retransmit"]["results"]
+        assert golden["retries-exhausted"]["raises"] == "CorruptionError"
+
+    def test_sanitizer_verdict_at_the_receive_boundary(self, monkeypatch):
+        """``REPRO_SANITIZE=1`` plus any plan scans delivered payloads; a
+        NaN that no rule injected has no pristine copy to fall back on."""
+        def prog(comm):
+            if comm.rank == 0:
+                yield comm.send(1, "t", np.array([1.0, np.nan]))
+            else:
+                return (yield comm.recv(0, "t", timeout=0.5, retries=1))
+
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        plan = FaultPlan(messages=(MessageFault(kind="drop", tag="other"),))
+        sched = Scheduler(2, cost_model=RING_MODEL, measure_compute=False,
+                          fault_plan=plan)
+        verdict = ("sanitizer rejected payload: recv produced 1 non-finite "
+                   "value(s) in an array of shape (2,)")
+        with pytest.raises(CorruptionError) as err:
+            sched.run(prog)
+        assert str(err.value) == (
+            "corrupted payload detected at receive boundary: rank 1 <- "
+            f"rank 0, tag='t', virtual time 0.5625; {verdict}; no pristine "
+            "copy available for retransmit"
+        )
+        assert [ev.render() for ev in sched.resilience.recovered] == [
+            f"[t=0.5625] corruption-detected rank=1 channel=0->1 tag='t' "
+            f"({verdict})"
+        ]
+        # without a plan the receive boundary is not guarded
+        assert np.isnan(Scheduler(2, measure_compute=False).run(prog)[1][1])
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_faults.py --record")
+    GOLDEN_LINK.write_text(
+        json.dumps({name: run_link_case(name) for name in sorted(LINK_CASES)},
+                   indent=1, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    print(f"recorded {len(LINK_CASES)} cases into {GOLDEN_LINK}")
