@@ -38,8 +38,9 @@ from __future__ import annotations
 import hashlib
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from collections import deque
+from dataclasses import dataclass, field, replace
+from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -439,6 +440,21 @@ class ResilienceReport:
             )
         return "\n".join(lines)
 
+    def trace_onto(self, tracer: Any) -> None:
+        """Mirror the fault and recovery events onto a tracer's timeline."""
+        for cat, events in (("fault", self.injected),
+                            ("recovery", self.recovered)):
+            for ev in events:
+                owner = ev.rank if ev.rank is not None else ev.source
+                track = f"rank{owner}" if owner is not None else "main"
+                args = {"source": ev.source, "dest": ev.dest,
+                        "tag": None if ev.tag is None else str(ev.tag),
+                        "detail": ev.detail, "cost": ev.cost}
+                tracer.instant(
+                    ev.kind, t=ev.time, track=track, cat=cat,
+                    args={k: v for k, v in args.items() if v is not None},
+                )
+
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable image, invertible via :meth:`from_dict`.
 
@@ -468,7 +484,7 @@ class ResilienceReport:
 # ---------------------------------------------------------------------------
 @dataclass
 class SendDisposition:
-    """What the fault layer decided for one send."""
+    """What the fault layer decided for one send; the default is clean."""
 
     drop: bool = False
     corrupt: bool = False
@@ -477,26 +493,32 @@ class SendDisposition:
     #: identity key for deterministic corruption bit choice
     key: Tuple[Any, ...] = ()
 
-    @property
-    def clean(self) -> bool:
-        return (
-            not self.drop
-            and not self.corrupt
-            and self.extra_delay == 0.0
-            and self.duplicates == 0
-        )
+
+#: an exact ``(source, dest, tag)`` channel of the scheduler
+Channel = Tuple[int, int, Hashable]
 
 
 class FaultRuntime:
-    """Mutable per-run consumer of a :class:`FaultPlan`.
+    """Mutable per-run consumer of a :class:`FaultPlan`: the fault layer.
 
-    Tracks which crash rules have fired and, per ``(rule, channel)``,
-    how many matching messages have been seen — the occurrence counters
-    are per channel so they are independent of the order in which the
-    scheduler interleaves different channels.
+    The scheduler builds one per run, and only when a plan is given;
+    everything that exists only under a plan lives here.  It tracks
+    which crash rules have fired and, per ``(rule, channel)``, how many
+    matching messages have been seen — the occurrence counters are per
+    channel so they are independent of the order in which the scheduler
+    interleaves different channels.  It turns a crash that has come due
+    into the :class:`RankFailure` to throw, carries out what
+    :meth:`on_send` decided on the wire message (:meth:`inject`), keeps
+    the pristine shadow copy of every message it dropped or corrupted
+    for the scheduler's bounded retransmit, judges delivered payloads
+    (:meth:`verdict`) and logs every ``injected`` event of the report.
+    Virtual time, channels, lazy timeouts and the ``recovered`` events
+    stay with the scheduler.
     """
 
     def __init__(self, plan: FaultPlan, report: ResilienceReport) -> None:
+        from repro.analysis.sanitize import enabled as sanitize_enabled
+
         self.plan = plan
         self.report = report
         self._fired_crashes: set = set()
@@ -504,6 +526,11 @@ class FaultRuntime:
         #: message-rule index -> number of sends the rule actually altered
         #: (passed the occurrence and probability gates, not just matched)
         self._rule_hits: Dict[int, int] = {}
+        #: pristine copies of dropped / corrupted messages, FIFO per
+        #: channel; the scheduler's bounded retransmit pops from them
+        self.shadow: Dict[Channel, Deque[Any]] = {}
+        #: ``REPRO_SANITIZE=1``: every delivered payload is scanned
+        self._sanitize = sanitize_enabled()
 
     def activation_summary(self) -> List[Dict[str, Any]]:
         """Per-rule activation counts, in plan order (crashes first).
@@ -541,8 +568,12 @@ class FaultRuntime:
     # -- crashes --------------------------------------------------------
     def crash_due(
         self, rank: int, ops_done: int, clock: float
-    ) -> Optional[RankCrash]:
-        """First unfired crash rule for ``rank`` whose trigger is reached."""
+    ) -> Optional[RankFailure]:
+        """The failure to throw into ``rank`` now, if a crash is due.
+
+        Fires the first unfired crash rule for ``rank`` whose trigger is
+        reached and logs it.
+        """
         for i, rule in enumerate(self.plan.crashes):
             if i in self._fired_crashes or rule.rank != rank:
                 continue
@@ -551,7 +582,16 @@ class FaultRuntime:
             ) or (rule.at_time is not None and clock >= rule.at_time)
             if due:
                 self._fired_crashes.add(i)
-                return rule
+                self.report.injected.append(
+                    FaultEvent(
+                        kind="crash", time=clock, rank=rank,
+                        detail=(
+                            f"after_ops={rule.after_ops} "
+                            f"at_time={rule.at_time}"
+                        ),
+                    )
+                )
+                return RankFailure(rank, clock)
         return None
 
     # -- messages -------------------------------------------------------
@@ -585,3 +625,52 @@ class FaultRuntime:
             elif rule.kind == "corrupt":
                 disp.corrupt = True
         return disp
+
+    def inject(self, disp: SendDisposition, channel: Channel,
+               msg: Any) -> List[Any]:
+        """Carry out the disposition of a send on its wire message ``msg``.
+
+        Returns the copies that reach the channel — none for a drop, one
+        plus the injected duplicates otherwise (one send event: they
+        share ``msg``'s stamp) — logs each injection at the send instant
+        ``msg.sent`` and keeps the pristine copy of a dropped or
+        corrupted message, the latter with its checksum.
+        """
+        source, dest, tag = channel
+
+        def log(kind: str, detail: str = "") -> None:
+            self.report.injected.append(
+                FaultEvent(kind=kind, time=msg.sent, source=source,
+                           dest=dest, tag=tag, detail=detail)
+            )
+
+        if disp.extra_delay:
+            log("delay", f"arrival postponed by {disp.extra_delay:.9g}s")
+        if disp.drop:
+            self.shadow.setdefault(channel, deque()).append(msg)
+            log("drop")
+            return []
+        if disp.corrupt:
+            msg.checksum = payload_checksum(msg.payload)
+            self.shadow.setdefault(channel, deque()).append(msg)
+            msg = replace(msg, payload=corrupt_payload(msg.payload, disp.key))
+            log("corrupt", "bit-level payload corruption")
+        for _ in range(disp.duplicates):
+            log("duplicate")
+        return [msg] * (1 + disp.duplicates)
+
+    def verdict(self, msg: Any) -> Optional[str]:
+        """None when a delivered payload is intact, else a diagnostic."""
+        if (
+            msg.checksum is not None
+            and payload_checksum(msg.payload) != msg.checksum
+        ):
+            return "payload checksum mismatch (injected corruption)"
+        if self._sanitize:
+            from repro.analysis.sanitize import SanitizeError, check_payload
+
+            try:
+                check_payload("recv", msg.payload)
+            except SanitizeError as exc:
+                return f"sanitizer rejected payload: {exc}"
+        return None

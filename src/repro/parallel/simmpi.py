@@ -22,18 +22,18 @@ The scheduler is deterministic: message matching is FIFO per
 so numerical results never depend on the (virtual) timing model.
 
 Fault injection (:mod:`repro.parallel.faults`) is opt-in per run: pass a
-``fault_plan`` and the scheduler throws :class:`~repro.parallel.faults.
-RankFailure` into crashing rank programs, drops/duplicates/delays/corrupts
-matching messages, and records everything in a
+``fault_plan`` and its fault layer has :class:`~repro.parallel.faults.
+RankFailure` thrown into crashing rank programs, drops / duplicates /
+delays / corrupts matching messages, and logs it all in a
 :class:`~repro.parallel.faults.ResilienceReport` (``scheduler.resilience``).
 Receives accept ``timeout=`` / ``retries=`` for link-layer recovery: a
-lost or corrupted message is retransmitted from a pristine shadow copy
-(bounded by ``retries``), and a receive that can never be satisfied raises
-:class:`~repro.parallel.faults.RecvTimeout` into the program instead of
-deadlocking.  Timeouts are *lazy*: they only fire when the scheduler has
-proven that no further progress is possible without them, so a timeout
-never fires spuriously, and the fault-free path with no plan installed is
-byte-identical to the plain scheduler.
+lost or corrupted message is retransmitted from the layer's pristine
+shadow copy (bounded by ``retries``), and a receive that can never be
+satisfied raises :class:`~repro.parallel.faults.RecvTimeout` into the
+program instead of deadlocking.  Timeouts are *lazy*: they fire only when
+the scheduler has proven that nothing else can progress, so never
+spuriously.  With no plan installed the same send and receive paths run
+and are byte-identical to the plain scheduler.
 
 Example
 -------
@@ -54,7 +54,7 @@ import pickle
 import time
 import warnings
 from collections import defaultdict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Generator, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -71,6 +71,7 @@ from repro.parallel.executor import (
     PayloadPicklingError,
 )
 from repro.parallel.faults import (
+    Channel,
     CorruptionError,
     FaultEvent,
     FaultPlan,
@@ -78,8 +79,7 @@ from repro.parallel.faults import (
     RankFailure,
     RecvTimeout,
     ResilienceReport,
-    corrupt_payload,
-    payload_checksum,
+    SendDisposition,
 )
 
 __all__ = [
@@ -503,11 +503,13 @@ class EpochComm(_TagView):
 
 RankProgram = Callable[[VirtualComm], Generator[Any, Any, Any]]
 
+#: what the link does to a send when no fault plan is installed
+_CLEAN = SendDisposition()
+
 
 @dataclass
 class _RankState:
     gen: Generator[Any, Any, Any]
-    comm: VirtualComm
     blocked_on: Optional[Tuple[int, Hashable]] = None
     finished: bool = False
     result: Any = None
@@ -516,12 +518,24 @@ class _RankState:
     retries_left: int = 0
     #: task awaiting the next dispatch barrier (non-inline executor)
     compute_pending: Optional[ComputeTask] = None
-    #: exception from a dispatched task, thrown into the generator on resume
+    #: thrown into the generator on its next resume: the error of a
+    #: dispatched task, the ``RecvTimeout`` of an expired receive
     pending_throw: Optional[BaseException] = None
 
 
 class Scheduler:
     """Run ``n_ranks`` rank programs to completion under virtual time.
+
+    Three parts.  The *core loop* (``_service``) advances every
+    runnable rank, round after round; when none can run it flushes the
+    parked compute batch, expires one timed-out receive, or reports the
+    deadlock.  The *resume loop* (``_advance``) runs one generator until
+    it blocks, parks or finishes and hands each yielded operation to its
+    handler: ``_post`` is the one path of a send, ``_deliver`` the one
+    end of a receive, ``_retransmit`` a ``_deliver`` of a shadow copy.
+    The *fault layer* (:class:`~repro.parallel.faults.FaultRuntime`)
+    exists only under a ``fault_plan`` and owns what only a plan brings;
+    clocks, channels, lazy timeouts and ``recovered`` events stay here.
 
     Parameters
     ----------
@@ -560,13 +574,12 @@ class Scheduler:
         :func:`repro.analysis.commcheck.find_orphans`); the structured
         report is kept in :attr:`orphans` either way.
     fault_plan :
-        Optional :class:`~repro.parallel.faults.FaultPlan`.  When set,
-        crash rules throw :class:`~repro.parallel.faults.RankFailure`
-        into the matching rank programs, message rules drop / duplicate /
-        delay / corrupt matching sends, and :attr:`resilience` records
-        every injection and recovery action.  When ``None`` (default)
-        the fault hooks are never entered and results and virtual clocks
-        are byte-identical to the plain scheduler.
+        Optional :class:`~repro.parallel.faults.FaultPlan` of crash and
+        message rules (see the module docstring); :attr:`resilience`
+        records every injection and recovery action.  When ``None``
+        (default) no fault layer is built and every send is disposed of
+        cleanly: results and clocks are byte-identical to the plain
+        scheduler.
     tracer :
         Optional :class:`repro.obs.Tracer`.  When attached, every run
         records virtual-time spans per rank (``compute`` / ``work`` /
@@ -621,6 +634,13 @@ class Scheduler:
         ``mpi.bytes`` (global and per ``{src,dest}`` pair) and
         ``mpi.retransmissions``.  The legacy ``stats_messages`` /
         ``stats_bytes`` integers remain as fast aliases.
+    ops, resumes, stalls :
+        The operation budget: operations yielded and times switched in,
+        per rank, and rounds in which no rank could run; folded into
+        :attr:`metrics` when ``run`` ends as ``sched.ops`` /
+        ``sched.resumes`` (total and per ``{rank}``) and
+        ``sched.stalls``.  ``ops`` does not depend on ``service_order``;
+        with an inline backend all three repeat from run to run.
     """
 
     def __init__(
@@ -667,9 +687,7 @@ class Scheduler:
         """
         self.clocks: List[float] = [0.0] * self.n_ranks
         #: messages in flight / delivered, FIFO per (src, dest, tag)
-        self._channels: Dict[Tuple[int, int, Hashable], deque] = defaultdict(
-            deque
-        )
+        self._channels: Dict[Channel, deque] = defaultdict(deque)
         self.stats_messages = 0
         self.stats_bytes = 0
         #: per-run message/byte/retransmission instruments
@@ -680,10 +698,6 @@ class Scheduler:
         self.orphans: List[Any] = []
         #: injected faults and recovery actions of the last run
         self.resilience = ResilienceReport()
-        #: pristine copies of dropped/corrupted messages for retransmit
-        self._shadow: Dict[Tuple[int, int, Hashable], deque] = defaultdict(
-            deque
-        )
         #: certificate of the last completed ``certify=True`` run
         self.certificate: Optional[Any] = None
         #: per-rank program-order event logs (certify only): an ``int``
@@ -702,7 +716,7 @@ class Scheduler:
         #: lazy import
         self._deliveries: List[Tuple[Any, ...]] = []
         #: wire-message census per exact channel (certify only)
-        self._census: Dict[Tuple[int, int, Hashable], int] = {}
+        self._census: Dict[Channel, int] = {}
         #: (rank, task) pairs awaiting the next dispatch barrier
         self._compute_queue: List[Tuple[int, ComputeTask]] = []
         #: ledger owner per rank, unique to this run so nothing paid for
@@ -713,20 +727,20 @@ class Scheduler:
             self._owners = [(run_id, r) for r in range(self.n_ranks)]
         if self.executor is not None:
             self.executor.reset_run()
-        #: operations yielded per rank (crash triggers, diagnostics)
-        self.op_counts: List[int] = [0] * self.n_ranks
+        #: operations yielded per rank (crash triggers, operation budget)
+        self.ops: List[int] = [0] * self.n_ranks
+        #: times each rank was switched in: ``_advance`` calls
+        self.resumes: List[int] = [0] * self.n_ranks
+        #: service rounds in which no rank could run
+        self.stalls = 0
         #: uncaught RankFailure per crashed rank
         self._crashed: Dict[int, RankFailure] = {}
+        #: the fault layer: everything that exists only under a plan
         self._faults: Optional[FaultRuntime] = (
             FaultRuntime(self.fault_plan, self.resilience)
             if self.fault_plan is not None
             else None
         )
-        self._sanitize_recv = False
-        if self.fault_plan is not None:
-            from repro.analysis.sanitize import enabled as _sanitize_enabled
-
-            self._sanitize_recv = _sanitize_enabled()
 
     # ------------------------------------------------------------------
     def run(self, program: RankProgram, args: Tuple = ()) -> List[Any]:
@@ -737,17 +751,7 @@ class Scheduler:
         two result lists must freeze to identical bytes.
         """
         self._reset_run_state()
-        try:
-            results = self._run_pass(program, args)
-        finally:
-            LEDGER.owner = None
-            LEDGER.drain()
-            if self._faults is not None:
-                # per-rule activation counts (zero-activation rules are
-                # worth surfacing) — folded even when the run fails
-                self.resilience.rule_activations = (
-                    self._faults.activation_summary()
-                )
+        results = self._run_pass(program, args)
         if self.executor is not None:
             # deterministic fold of per-worker compute metrics deltas
             self.executor.collect_into(self.metrics)
@@ -755,7 +759,15 @@ class Scheduler:
             self._build_certificate()
         self._report_orphans()
         if self.tracer.enabled:
-            self._trace_resilience()
+            self.resilience.trace_onto(self.tracer)
+        # folded once, here: a mid-run metrics snapshot (a checkpoint)
+        # never contains part of the operation budget
+        for name, per_rank in (("sched.ops", self.ops),
+                               ("sched.resumes", self.resumes)):
+            self.metrics.counter(name).inc(sum(per_rank))
+            for rank, count in enumerate(per_rank):
+                self.metrics.counter(name, rank=rank).inc(count)
+        self.metrics.counter("sched.stalls").inc(self.stalls)
         active = get_metrics()
         if active.enabled and active is not self.metrics:
             active.merge(self.metrics)
@@ -764,17 +776,36 @@ class Scheduler:
         return results
 
     def _run_pass(self, program: RankProgram, args: Tuple) -> List[Any]:
+        """One pass, primary or ``verify`` replay: either leaves the
+        ledger unowned and drained and the plan's rule activations
+        (dormant rules included) folded, also when it raises."""
         states: List[_RankState] = []
         for rank in range(self.n_ranks):
-            comm = VirtualComm(rank, self.n_ranks, self)
-            gen = program(comm, *args)
+            gen = program(VirtualComm(rank, self.n_ranks, self), *args)
             if not hasattr(gen, "send"):
                 raise TypeError(
                     "rank program must be a generator function "
                     "(use 'yield comm.send(...)' style)"
                 )
-            states.append(_RankState(gen=gen, comm=comm))
+            states.append(_RankState(gen=gen))
+        try:
+            self._service(states)
+        finally:
+            LEDGER.owner = None
+            LEDGER.drain()
+            if self._faults is not None:
+                self.resilience.rule_activations = (
+                    self._faults.activation_summary()
+                )
+        if self._crashed:
+            raise self._rank_died(
+                "crash was not handled by the rank program "
+                f"(crashed ranks: {sorted(self._crashed)})"
+            )
+        return [state.result for state in states]
 
+    def _service(self, states: List[_RankState]) -> None:
+        """The core loop: advance every runnable rank, round after round."""
         descending = self.service_order == "descending"
         pending = set(range(self.n_ranks))
         while pending:
@@ -783,19 +814,17 @@ class Scheduler:
                 state = states[rank]
                 if state.compute_pending is not None:
                     continue  # parked until the dispatch barrier
-                if state.blocked_on is not None:
-                    if not self._try_unblock(rank, state):
-                        continue
-                throw, state.pending_throw = state.pending_throw, None
-                self._advance(rank, state, throw=throw)
+                if (state.blocked_on is not None
+                        and not self._try_unblock(rank, state)):
+                    continue
+                self._advance(rank, state)
                 progressed = True
                 if state.finished:
                     pending.discard(rank)
             if not progressed:
-                # ready-set exhausted: flush the accumulated compute
-                # batch through the execution backend (barrier), then
-                # let a timed-out receive expire (retransmit or
-                # RecvTimeout) — lazy timeouts
+                # ready set exhausted: the dispatch barrier of the parked
+                # compute batch first, then one lazy timeout
+                self.stalls += 1
                 if self._flush_compute(states):
                     continue
                 if self._expire_one_timeout(states, pending):
@@ -803,17 +832,11 @@ class Scheduler:
                 self._raise_deadlock(
                     {r: states[r].blocked_on for r in sorted(pending)}
                 )
-        if self._crashed:
-            first = self._crashed[min(self._crashed)]
-            raise RankFailure(
-                first.rank,
-                first.time,
-                detail=(
-                    "crash was not handled by the rank program "
-                    f"(crashed ranks: {sorted(self._crashed)})"
-                ),
-            )
-        return [states[r].result for r in range(self.n_ranks)]
+
+    def _rank_died(self, detail: str) -> RankFailure:
+        """The error of a run whose first crashed rank never recovered."""
+        first = self._crashed[min(self._crashed)]
+        return RankFailure(first.rank, first.time, detail=detail)
 
     # ------------------------------------------------------------------
     def _raise_deadlock(
@@ -827,20 +850,15 @@ class Scheduler:
             f"simulated MPI deadlock; blocked ranks: {blocked}\n"
             + graph.render()
         )
-        if self._faults is not None:
-            dropped = [
-                ev for ev in self.resilience.injected if ev.kind == "drop"
-            ]
-            if dropped:
-                message += "\nmessages dropped by fault injection:\n" + (
-                    "\n".join("  " + ev.render() for ev in dropped)
-                )
+        dropped = [ev.render() for ev in self.resilience.injected
+                   if ev.kind == "drop"]
+        if dropped:
+            message += ("\nmessages dropped by fault injection:\n  "
+                        + "\n  ".join(dropped))
         if self._crashed:
             # a crashed rank is the root cause, not the deadlock itself
-            first = self._crashed[min(self._crashed)]
-            raise RankFailure(
-                first.rank, first.time,
-                detail="crash left the remaining ranks blocked\n" + message,
+            raise self._rank_died(
+                "crash left the remaining ranks blocked\n" + message
             )
         raise DeadlockError(message)
 
@@ -848,12 +866,11 @@ class Scheduler:
         from repro.analysis.commcheck import find_orphans
 
         self.orphans = find_orphans(self._channels)
-        if self.orphans and self.resilience.recovered:
-            # messages abandoned by a recovery protocol (a retag-and-redo
-            # after a crash) are an expected byproduct, not a protocol
-            # mismatch — keep the structured report, skip the warning
-            return
-        if self.orphans and self.warn_orphans:
+        # messages abandoned by a recovery protocol (a retag-and-redo
+        # after a crash) are an expected byproduct, not a protocol
+        # mismatch — keep the structured report, skip the warning
+        if (self.orphans and self.warn_orphans
+                and not self.resilience.recovered):
             report = "\n".join(o.render() for o in self.orphans)
             warnings.warn(
                 "simulated MPI program exited with undelivered messages "
@@ -926,230 +943,175 @@ class Scheduler:
                     f"{replay.certificate.digest}"
                 )
 
-    # ------------------------------------------------------------------
+    # -- receive side ----------------------------------------------------
     def _try_unblock(self, rank: int, state: _RankState) -> bool:
+        """Deliver the next message on the channel ``state`` waits for."""
         source, tag = state.blocked_on  # type: ignore[misc]
         channel = self._channels.get((source, rank, tag))
         if not channel:
             return False
         msg: _Message = channel.popleft()
-        if msg.checksum is not None or self._sanitize_recv:
-            verdict = self._payload_verdict(msg)
-            if verdict is not None:
-                return self._recover_corruption(
-                    rank, state, source, tag, msg, verdict
-                )
-        t_blocked = self.clocks[rank]
-        self.clocks[rank] = max(self.clocks[rank], msg.arrival)
-        if self._events is not None:
-            # _record_delivery inlined on the delivery hot path
-            self._events[rank].append(
-                (source, rank, tag, msg.vc, None, msg.sent,
-                 self.clocks[rank])
-            )
-        if self.tracer.enabled:
-            track = f"rank{rank}"
-            if self.clocks[rank] > t_blocked:
-                self.tracer.vspan(
-                    "wait:recv", t_blocked, self.clocks[rank], track=track,
-                    cat="comm", args={"source": source, "tag": str(tag)},
-                )
-            self.tracer.instant(
-                "recv", t=self.clocks[rank], track=track, cat="comm",
-                args={"source": source, "tag": str(tag)},
-            )
-        state.blocked_on = None
-        state.recv_op = None
-        state.send_value = msg.payload
-        return True
-
-    def _payload_verdict(self, msg: _Message) -> Optional[str]:
-        """None when the payload is intact, else a diagnostic string."""
-        if (
-            msg.checksum is not None
-            and payload_checksum(msg.payload) != msg.checksum
-        ):
-            return "payload checksum mismatch (injected corruption)"
-        if self._sanitize_recv:
-            from repro.analysis.sanitize import SanitizeError, check_payload
-
-            try:
-                check_payload("recv", msg.payload)
-            except SanitizeError as exc:
-                return f"sanitizer rejected payload: {exc}"
-        return None
-
-    def _recover_corruption(
-        self,
-        rank: int,
-        state: _RankState,
-        source: int,
-        tag: Hashable,
-        msg: _Message,
-        verdict: str,
-    ) -> bool:
-        """Bounded retransmit of a corrupted message from the shadow copy."""
-        t_detect = max(self.clocks[rank], msg.arrival)
+        at = max(self.clocks[rank], msg.arrival)
+        verdict = None if self._faults is None else self._faults.verdict(msg)
+        if verdict is None:
+            self._deliver(rank, state, msg, at)
+            return True
         self.resilience.recovered.append(
             FaultEvent(
-                kind="corruption-detected", time=t_detect, rank=rank,
+                kind="corruption-detected", time=at, rank=rank,
                 source=source, dest=rank, tag=tag, detail=verdict,
             )
         )
-        recv_op = state.recv_op
-        shadow = self._shadow.get((source, rank, tag))
-        if recv_op is not None and state.retries_left > 0 and shadow:
-            pristine: _Message = shadow.popleft()
-            state.retries_left -= 1
-            cost = recv_op.backoff + self.cost_model.transfer_time(
-                payload_bytes(pristine.payload)
-            )
-            self.clocks[rank] = t_detect + cost
-            self._record_delivery(rank, source, tag, pristine)
-            self.metrics.counter("mpi.retransmissions").inc()
-            self.resilience.recovered.append(
-                FaultEvent(
-                    kind="retransmit", time=self.clocks[rank], rank=rank,
-                    source=source, dest=rank, tag=tag, cost=cost,
-                    detail="pristine copy delivered after corruption",
-                )
-            )
-            state.blocked_on = None
-            state.recv_op = None
-            state.send_value = pristine.payload
+        if self._retransmit(rank, state, at, 0.0,
+                            "pristine copy delivered after corruption"):
             return True
-        detail = verdict
-        if recv_op is None or recv_op.retries == 0:
-            detail += "; receive specified no retries"
-        elif not shadow:
-            detail += "; no pristine copy available for retransmit"
+        retries = state.recv_op.retries  # type: ignore[union-attr]
+        if retries == 0:
+            verdict += "; receive specified no retries"
+        elif not self._faults.shadow.get((source, rank, tag)):
+            verdict += "; no pristine copy available for retransmit"
         else:
-            detail += f"; {recv_op.retries} retransmit attempt(s) exhausted"
-        raise CorruptionError(rank, source, tag, t_detect, detail)
+            verdict += f"; {retries} retransmit attempt(s) exhausted"
+        raise CorruptionError(rank, source, tag, at, verdict)
+
+    def _deliver(self, rank: int, state: _RankState,
+                 msg: Optional[_Message], at: float) -> None:
+        """The one receive epilogue: the wait of ``state`` ends at ``at``.
+
+        ``msg`` — off the wire or a retransmitted shadow copy — is logged
+        and its payload handed to the program; ``None`` ends a receive
+        whose timeout expired (the caller queued the ``RecvTimeout``).
+        """
+        source, tag = state.blocked_on  # type: ignore[misc]
+        t_blocked = self.clocks[rank]
+        self.clocks[rank] = at
+        state.blocked_on = None
+        state.recv_op = None
+        if msg is None:
+            return
+        self._record_delivery(rank, source, tag, msg)
+        if self.tracer.enabled:
+            track = f"rank{rank}"
+            if at > t_blocked:
+                self.tracer.vspan(
+                    "wait:recv", t_blocked, at, track=track,
+                    cat="comm", args={"source": source, "tag": str(tag)},
+                )
+            self.tracer.instant(
+                "recv", t=at, track=track, cat="comm",
+                args={"source": source, "tag": str(tag)},
+            )
+        state.send_value = msg.payload
+
+    def _pristine(self, rank: int, state: _RankState) -> Optional[deque]:
+        """Shadow copies a receive with a retry left may fall back on."""
+        if state.retries_left <= 0 or self._faults is None:
+            return None
+        source, tag = state.blocked_on  # type: ignore[misc]
+        return self._faults.shadow.get((source, rank, tag))
+
+    def _retransmit(self, rank: int, state: _RankState, at: float,
+                    waited: float, detail: str) -> bool:
+        """The one retransmit: deliver the awaited message's shadow copy.
+
+        Serves a corruption detected at ``at`` (``waited`` 0) and a
+        timeout that expired at ``at`` after ``waited`` seconds.  False,
+        and nothing changed, without a retry or a shadow copy left.
+        """
+        shadow = self._pristine(rank, state)
+        if not shadow:
+            return False
+        source, tag = state.blocked_on  # type: ignore[misc]
+        pristine: _Message = shadow.popleft()
+        state.retries_left -= 1
+        cost = state.recv_op.backoff + self.cost_model.transfer_time(
+            payload_bytes(pristine.payload)
+        )
+        self.metrics.counter("mpi.retransmissions").inc()
+        self._deliver(rank, state, pristine, at + cost)
+        self.resilience.recovered.append(
+            FaultEvent(
+                kind="retransmit", time=at + cost, rank=rank, source=source,
+                dest=rank, tag=tag, cost=waited + cost, detail=detail,
+            )
+        )
+        return True
 
     def _expire_one_timeout(self, states: List[_RankState],
                             pending: set) -> bool:
         """Expire one timed-out receive at a global stall.
 
-        Returns True when a receive was resolved (by shadow-copy
-        retransmit or by throwing :class:`RecvTimeout` into the
-        program), so the scheduling loop can continue.  Victim choice
-        is deterministic and independent of ``service_order``:
+        Returns True when a receive was resolved — by shadow-copy
+        retransmit or by throwing :class:`RecvTimeout` into the program
+        — so the core loop can continue.  The victim is chosen
+        independently of ``service_order``:
 
-        1. A receive that can *retransmit* (pristine shadow copy of a
-           dropped/corrupted message available, retries left) is always
-           preferred — retransmission is silent and side-effect free.
-           Ties break rank-ascending.
-        2. Otherwise :class:`RecvTimeout` is thrown into the receive
-           with the *smallest timeout value* (then earliest deadline,
-           then lowest rank).  Failure-detection receives are posted
-           with short timeouts and protocol collectives with long ones,
-           so the detection point designed to catch the exception fires
-           before a collective leg that cannot.
+        1. A receive that can *retransmit* (shadow copy available,
+           retries left) is preferred, lowest rank first: retransmission
+           is silent and side-effect free.
+        2. Otherwise :class:`RecvTimeout` goes to the receive with the
+           *smallest timeout value* (then earliest deadline, then lowest
+           rank).  Failure-detection receives are posted with short
+           timeouts and protocol collectives with long ones, so the
+           detection point designed to catch the exception fires before
+           a collective leg that cannot.
         """
-        retransmit_rank: Optional[int] = None
-        throw_key: Optional[Tuple[float, float, int]] = None
-        for rank in sorted(pending):
-            state = states[rank]
-            if state.blocked_on is None or state.recv_op is None:
-                continue
-            recv_op = state.recv_op
-            if recv_op.timeout is None:
-                continue
-            source, tag = state.blocked_on
-            shadow = self._shadow.get((source, rank, tag))
-            if shadow and state.retries_left > 0:
-                if retransmit_rank is None:
-                    retransmit_rank = rank
-                continue
-            key = (recv_op.timeout, self.clocks[rank] + recv_op.timeout, rank)
-            if throw_key is None or key < throw_key:
-                throw_key = key
-        if retransmit_rank is not None:
-            rank = retransmit_rank
-            state = states[rank]
-            recv_op = state.recv_op
-            source, tag = state.blocked_on
-            self.clocks[rank] += recv_op.timeout
-            pristine: _Message = self._shadow[(source, rank, tag)].popleft()
-            state.retries_left -= 1
-            cost = recv_op.backoff + self.cost_model.transfer_time(
-                payload_bytes(pristine.payload)
-            )
-            self.clocks[rank] += cost
-            self._record_delivery(rank, source, tag, pristine)
-            self.metrics.counter("mpi.retransmissions").inc()
+        def deadline(r: int) -> Tuple[float, float, int]:
+            timeout = states[r].recv_op.timeout
+            return (timeout, self.clocks[r] + timeout, r)
+
+        timed = [r for r in sorted(pending)
+                 if states[r].blocked_on is not None
+                 and states[r].recv_op.timeout is not None]
+        if not timed:
+            return False
+        rank = next((r for r in timed if self._pristine(r, states[r])), None)
+        if rank is None:
+            rank = min(timed, key=deadline)
+        state = states[rank]
+        source, tag = state.blocked_on
+        timeout, expired, _ = deadline(rank)
+        if not self._retransmit(rank, state, expired, timeout,
+                                "lost message recovered after timeout"):
             self.resilience.recovered.append(
                 FaultEvent(
-                    kind="retransmit", time=self.clocks[rank],
-                    rank=rank, source=source, dest=rank, tag=tag,
-                    cost=recv_op.timeout + cost,
-                    detail="lost message recovered after timeout",
-                )
-            )
-            state.blocked_on = None
-            state.recv_op = None
-            state.send_value = pristine.payload
-            self._advance(rank, state)
-        elif throw_key is not None:
-            rank = throw_key[2]
-            state = states[rank]
-            recv_op = state.recv_op
-            source, tag = state.blocked_on
-            self.clocks[rank] += recv_op.timeout
-            self.resilience.recovered.append(
-                FaultEvent(
-                    kind="timeout", time=self.clocks[rank], rank=rank,
-                    source=source, dest=rank, tag=tag,
-                    cost=recv_op.timeout,
+                    kind="timeout", time=expired, rank=rank, source=source,
+                    dest=rank, tag=tag, cost=timeout,
                     detail="no message and nothing to retransmit",
                 )
             )
-            exc = RecvTimeout(rank, source, tag, self.clocks[rank])
-            state.blocked_on = None
-            state.recv_op = None
-            self._advance(rank, state, throw=exc)
-        else:
-            return False
+            state.pending_throw = RecvTimeout(rank, source, tag, expired)
+            self._deliver(rank, state, None, expired)
+        self._advance(rank, state)
         if state.finished:
             pending.discard(rank)
         return True
 
-    def _advance(
-        self,
-        rank: int,
-        state: _RankState,
-        throw: Optional[BaseException] = None,
-    ) -> None:
-        """Resume a runnable rank until it blocks or finishes.
+    # -- the resume loop and one handler per operation -------------------
+    def _advance(self, rank: int, state: _RankState) -> None:
+        """Resume a runnable rank until it blocks, parks or finishes.
 
-        ``throw`` injects an exception (crash, receive timeout) into the
-        generator instead of sending a value on the first resume.
+        Each turn throws ``state.pending_throw`` or a crash come due
+        into the generator, or else sends it ``state.send_value``, and
+        hands the operation it yields to that operation's handler.
         """
         if self._owners is not None:
             LEDGER.owner = self._owners[rank]
-        while True:
-            if self._faults is not None and throw is None:
-                crash = self._faults.crash_due(
-                    rank, self.op_counts[rank], self.clocks[rank]
+        self.resumes[rank] += 1
+        running = True
+        while running:
+            throw, state.pending_throw = state.pending_throw, None
+            if throw is None and self._faults is not None:
+                throw = self._faults.crash_due(
+                    rank, self.ops[rank], self.clocks[rank]
                 )
-                if crash is not None:
-                    throw = RankFailure(rank, self.clocks[rank])
-                    self.resilience.injected.append(
-                        FaultEvent(
-                            kind="crash", time=self.clocks[rank], rank=rank,
-                            detail=(
-                                f"after_ops={crash.after_ops} "
-                                f"at_time={crash.at_time}"
-                            ),
-                        )
-                    )
             t_wall = time.perf_counter()
             try:
-                if throw is not None:
-                    exc, throw = throw, None
-                    op = state.gen.throw(exc)
-                    if isinstance(exc, RankFailure):
+                if throw is None:
+                    op = state.gen.send(state.send_value)
+                else:
+                    op = state.gen.throw(throw)
+                    if isinstance(throw, RankFailure):
                         self.resilience.recovered.append(
                             FaultEvent(
                                 kind="crash-handled", time=self.clocks[rank],
@@ -1157,8 +1119,6 @@ class Scheduler:
                                 detail="rank program caught RankFailure",
                             )
                         )
-                else:
-                    op = state.gen.send(state.send_value)
             except StopIteration as stop:
                 self._charge_compute(rank, t_wall)
                 state.finished = True
@@ -1179,76 +1139,92 @@ class Scheduler:
                 return
             self._charge_compute(rank, t_wall)
             state.send_value = None
+            self.ops[rank] += 1
+            kind = type(op)
+            if kind is Send:
+                self._post(rank, op)  # eager: the rank keeps running
+            elif kind is Recv:
+                running = self._on_recv(rank, state, op)
+            elif kind is Work:
+                self._spend(rank, "work", op.seconds)
+            elif kind is Annotate:
+                self._on_annotate(rank, op)
+            elif kind is Compute:
+                running = self._on_compute(rank, state, op)
+            else:
+                raise TypeError(
+                    f"rank {rank} yielded unsupported operation {op!r}"
+                )
 
-            self.op_counts[rank] += 1
-            if isinstance(op, Compute):
-                if self.executor is None:
-                    raise TypeError(
-                        f"rank {rank} yielded a Compute operation but the "
-                        "scheduler has no execution backend; construct "
-                        "Scheduler(..., executor=SerialExecutor()) or run "
-                        "without dispatch"
-                    )
-                task = op.task
-                if self._owners is not None:
-                    task = replace(task, owner=self._owners[rank])
-                if self.executor.inline:
-                    result = self.executor.execute(task)
-                    self._account_compute(rank, task, result)
-                    if result.error is not None:
-                        throw = result.error
-                        continue
-                    state.send_value = result.value
-                    continue
-                # non-inline: park the rank until the dispatch barrier
-                state.compute_pending = task
-                self._compute_queue.append((rank, task))
-                return
-            if isinstance(op, Send):
-                if self._faults is not None:
-                    self._faulty_send(rank, op)
-                    continue
-                nbytes = self._message_bytes(rank, op)
-                self.clocks[rank] += self.cost_model.send_overhead
-                arrival = self.clocks[rank] + self.cost_model.transfer_time(nbytes)
-                if self._events is None:
-                    vc = None
-                else:
-                    # _stamp_send inlined on the eager-send hot path
-                    self._send_counter = vc = self._send_counter + 1
-                    self._events[rank].append(vc)
-                self._channels[(rank, op.dest, op.tag)].append(
-                    _Message(payload=op.payload, arrival=arrival,
-                             sent=self.clocks[rank], vc=vc)
-                )
-                self._count_message(rank, op.dest, op.tag, nbytes, arrival)
-                continue  # eager send: keep running this rank
-            if isinstance(op, Recv):
-                state.blocked_on = (op.source, op.tag)
-                state.recv_op = op
-                state.retries_left = op.retries
-                if self._try_unblock(rank, state):
-                    continue
-                return
-            if isinstance(op, Work):
-                t0 = self.clocks[rank]
-                self.clocks[rank] += op.seconds
-                if self.tracer.enabled and op.seconds > 0:
-                    self.tracer.vspan("work", t0, self.clocks[rank],
-                                      track=f"rank{rank}", cat="compute")
-                continue
-            if isinstance(op, Annotate):
-                self.trace.append(
-                    TraceEvent(rank=rank, label=op.label,
-                               time=self.clocks[rank], data=op.data)
-                )
-                if self.tracer.enabled:
-                    self.tracer.annotate(f"rank{rank}", op.label,
-                                         self.clocks[rank], data=op.data)
-                continue
+    def _post(self, rank: int, op: Send) -> None:
+        """The one send path: price, stamp, count and enqueue ``op``.
+
+        Under a plan the fault layer decides the disposition and which
+        copies of the message reach the channel; without one, the clean
+        disposition and the message itself.
+        """
+        channel, faults = (rank, op.dest, op.tag), self._faults
+        disp = _CLEAN if faults is None else faults.on_send(*channel)
+        nbytes = self._message_bytes(rank, op)
+        self.clocks[rank] += self.cost_model.send_overhead
+        sent = self.clocks[rank]
+        arrival = sent + self.cost_model.transfer_time(nbytes) + disp.extra_delay
+        # one logical send event: shadow copies and injected duplicates
+        # all carry the same send stamp, so their reconstructed vector
+        # clocks are *equal* under happens-before — what certify flags
+        msg = _Message(payload=op.payload, arrival=arrival, sent=sent,
+                       vc=self._stamp_send(rank))
+        self._count_message(rank, op.dest, op.tag, nbytes, arrival)
+        wire = (msg,) if faults is None else faults.inject(disp, channel, msg)
+        if wire:  # a dropped message leaves no (empty) channel behind
+            self._channels[channel].extend(wire)
+        for _ in wire[1:]:  # injected duplicates are wire messages too
+            self._count_message(rank, op.dest, op.tag, nbytes, arrival)
+
+    def _on_recv(self, rank: int, state: _RankState, op: Recv) -> bool:
+        """Block on ``op``; True when its message was already there."""
+        state.blocked_on = (op.source, op.tag)
+        state.recv_op = op
+        state.retries_left = op.retries
+        return self._try_unblock(rank, state)
+
+    def _spend(self, rank: int, name: str, seconds: float,
+               args: Optional[Dict[str, Any]] = None) -> None:
+        """Advance ``rank``'s clock by modelled or measured compute time."""
+        t0 = self.clocks[rank]
+        self.clocks[rank] += seconds
+        if self.tracer.enabled and seconds > 0:
+            self.tracer.vspan(name, t0, self.clocks[rank],
+                              track=f"rank{rank}", cat="compute", args=args)
+
+    def _on_annotate(self, rank: int, op: Annotate) -> None:
+        self.trace.append(
+            TraceEvent(rank=rank, label=op.label,
+                       time=self.clocks[rank], data=op.data)
+        )
+        if self.tracer.enabled:
+            self.tracer.annotate(f"rank{rank}", op.label,
+                                 self.clocks[rank], data=op.data)
+
+    def _on_compute(self, rank: int, state: _RankState, op: Compute) -> bool:
+        """Run ``op`` inline, or park the rank until the dispatch barrier."""
+        if self.executor is None:
             raise TypeError(
-                f"rank {rank} yielded unsupported operation {op!r}"
+                f"rank {rank} yielded a Compute operation but the "
+                "scheduler has no execution backend; construct "
+                "Scheduler(..., executor=SerialExecutor()) or run "
+                "without dispatch"
             )
+        task = op.task
+        if self._owners is not None:
+            task = replace(task, owner=self._owners[rank])
+        if self.executor.inline:
+            self._complete_compute(rank, state, task,
+                                   self.executor.execute(task))
+            return True
+        state.compute_pending = task
+        self._compute_queue.append((rank, task))
+        return False
 
     def _message_bytes(self, rank: int, op: Send) -> int:
         """On-wire size of a send; strict under a process backend."""
@@ -1289,19 +1265,14 @@ class Scheduler:
             )
         self.metrics.histogram("executor.batch_width").observe(len(batch))
         for (rank, task), result in zip(batch, results):
-            state = states[rank]
-            state.compute_pending = None
-            self._account_compute(rank, task, result)
-            if result.error is not None:
-                state.pending_throw = result.error
-            else:
-                state.send_value = result.value
+            states[rank].compute_pending = None
+            self._complete_compute(rank, states[rank], task, result)
         return True
 
-    def _account_compute(
-        self, rank: int, task: ComputeTask, result: DispatchResult
-    ) -> None:
-        """Clock charge, metrics and trace spans for one executed task."""
+    def _complete_compute(self, rank: int, state: _RankState,
+                          task: ComputeTask, result: DispatchResult) -> None:
+        """Account one executed task and queue its value or its error."""
+        state.send_value, state.pending_throw = result.value, result.error
         self.metrics.counter(
             "executor.dispatches", backend=self.executor.name
         ).inc()
@@ -1311,17 +1282,12 @@ class Scheduler:
         if result.shm_bytes:
             self.metrics.counter("executor.shm_bytes").inc(result.shm_bytes)
         if self.measure_compute and result.elapsed > 0:
-            t0 = self.clocks[rank]
-            self.clocks[rank] += (
+            self._spend(
+                rank, "compute",
                 (result.elapsed + result.billed_s)
-                * self.cost_model.compute_scale
+                * self.cost_model.compute_scale,
+                args={"payload": task.payload, "method": task.method},
             )
-            if self.tracer.enabled:
-                self.tracer.vspan(
-                    "compute", t0, self.clocks[rank], track=f"rank{rank}",
-                    cat="compute",
-                    args={"payload": task.payload, "method": task.method},
-                )
         if self.tracer.enabled:
             # genuine wall-clock overlap: one Perfetto thread per worker
             self.tracer.wspan(
@@ -1331,91 +1297,20 @@ class Scheduler:
                 args={"rank": rank, "backend": self.executor.name},
             )
 
-    def _faulty_send(self, rank: int, op: Send) -> None:
-        """Send path with the fault plan's disposition applied."""
-        disp = self._faults.on_send(rank, op.dest, op.tag)
-        nbytes = self._message_bytes(rank, op)
-        self.clocks[rank] += self.cost_model.send_overhead
-        arrival = (
-            self.clocks[rank]
-            + self.cost_model.transfer_time(nbytes)
-            + disp.extra_delay
-        )
-        # one logical send event: shadow copies and injected duplicates
-        # all carry the same send stamp, so their reconstructed vector
-        # clocks are *equal* under happens-before — what certify flags
-        sent_t = self.clocks[rank]
-        send_vc = self._stamp_send(rank)
-        self._count_message(rank, op.dest, op.tag, nbytes, arrival)
-        if disp.extra_delay:
-            self.resilience.injected.append(
-                FaultEvent(
-                    kind="delay", time=self.clocks[rank], source=rank,
-                    dest=op.dest, tag=op.tag,
-                    detail=f"arrival postponed by {disp.extra_delay:.9g}s",
-                )
-            )
-        if disp.drop:
-            # keep the pristine copy for link-layer retransmission
-            self._shadow[(rank, op.dest, op.tag)].append(
-                _Message(payload=op.payload, arrival=arrival,
-                         sent=sent_t, vc=send_vc)
-            )
-            self.resilience.injected.append(
-                FaultEvent(
-                    kind="drop", time=self.clocks[rank], source=rank,
-                    dest=op.dest, tag=op.tag,
-                )
-            )
-            return
-        payload = op.payload
-        checksum = None
-        if disp.corrupt:
-            checksum = payload_checksum(payload)
-            self._shadow[(rank, op.dest, op.tag)].append(
-                _Message(payload=payload, arrival=arrival, checksum=checksum,
-                         sent=sent_t, vc=send_vc)
-            )
-            payload = corrupt_payload(payload, disp.key)
-            self.resilience.injected.append(
-                FaultEvent(
-                    kind="corrupt", time=self.clocks[rank], source=rank,
-                    dest=op.dest, tag=op.tag,
-                    detail="bit-level payload corruption",
-                )
-            )
-        message = _Message(payload=payload, arrival=arrival,
-                           checksum=checksum, sent=sent_t, vc=send_vc)
-        self._channels[(rank, op.dest, op.tag)].append(message)
-        for _ in range(disp.duplicates):
-            self._channels[(rank, op.dest, op.tag)].append(message)
-            self._count_message(rank, op.dest, op.tag, nbytes, arrival)
-            self.resilience.injected.append(
-                FaultEvent(
-                    kind="duplicate", time=self.clocks[rank], source=rank,
-                    dest=op.dest, tag=op.tag,
-                )
-            )
-
     def _charge_compute(self, rank: int, t_start: float) -> None:
         if self.measure_compute:
             elapsed = time.perf_counter() - t_start
             if LEDGER.billed_s:
                 elapsed += LEDGER.drain()
-            if elapsed > 0:
-                t0 = self.clocks[rank]
-                self.clocks[rank] += elapsed * self.cost_model.compute_scale
-                if self.tracer.enabled:
-                    self.tracer.vspan("compute", t0, self.clocks[rank],
-                                      track=f"rank{rank}", cat="compute")
+            self._spend(rank, "compute",
+                        elapsed * self.cost_model.compute_scale)
 
     def _stamp_send(self, rank: int) -> Optional[int]:
         """Log a send event; return its scalar stamp (certify only).
 
         The stamp is a globally unique sequence number — just enough
         for the offline reconstruction to identify the send event; no
-        vector clock is touched on the hot path.  (The eager-send fast
-        path inlines this; only fault-injection paths call it.)
+        vector clock is touched on the hot path.
         """
         if self._events is None:
             return None
@@ -1431,8 +1326,7 @@ class Scheduler:
         sent_time, deliver_time)`` so the commgraph subsystem stays a
         lazy import of the scheduler; :func:`repro.analysis.commgraph.
         hb.reconstruct_vector_clocks` later replays the event logs and
-        fills the send/recv vector clocks.  (The healthy delivery fast
-        path inlines this; only corruption-recovery paths call it.)
+        fills the send/recv vector clocks.
         """
         if self._events is None:
             return
@@ -1458,21 +1352,6 @@ class Scheduler:
                 args={"dest": dest, "tag": str(tag), "bytes": nbytes,
                       "arrival": arrival},
             )
-
-    def _trace_resilience(self) -> None:
-        """Mirror the run's fault/recovery events onto the trace."""
-        for cat, events in (("fault", self.resilience.injected),
-                            ("recovery", self.resilience.recovered)):
-            for ev in events:
-                owner = ev.rank if ev.rank is not None else ev.source
-                track = f"rank{owner}" if owner is not None else "main"
-                args: Dict[str, Any] = {}
-                for key in ("source", "dest", "tag", "detail", "cost"):
-                    value = getattr(ev, key, None)
-                    if value is not None:
-                        args[key] = (str(value) if key == "tag" else value)
-                self.tracer.instant(ev.kind, t=ev.time, track=track,
-                                    cat=cat, args=args or None)
 
     # ------------------------------------------------------------------
     @property

@@ -107,8 +107,8 @@ class PfasstConfig:
     #: corrects F by interpolating the *coarse F increment* instead —
     #: the practice of production PFASST codes, saving one full set of
     #: fine evaluations per iteration at no cost to the fixed point
-    #: (both variants converge to the fine collocation solution; the
-    #: ablation benchmark compares them).
+    #: (both variants converge to the fine collocation solution, which
+    #: ``tests/test_pfasst_modes.py`` checks; no benchmark sets it).
     reeval_after_interp: bool = False
     #: optional residual-based early stopping (adds one allreduce/iteration)
     residual_tol: Optional[float] = None

@@ -329,3 +329,17 @@ class TestCli:
 
     def test_graph_unknown_root(self, capsys):
         assert main(["graph", COMM_MODULES[0], "--root", "nope"]) == 2
+
+    #: ``repro-comm certify --verify`` on the two shapes CI runs; the
+    #: digests CHANGES.md quoted by hand from PR 21 on, now committed
+    CERTIFIED = {
+        (): "0da505f8dd94dca4abf9d00c941a11f3",
+        ("--p-time", "2", "--p-space", "1", "--p-nodes", "2",
+         "--sweeper", "diagonal"): "c69a121cbc2d4a6f41559a997b4628c2",
+    }
+
+    @pytest.mark.parametrize("shape", CERTIFIED, ids=["2x2x1", "2x1x2-diag"])
+    def test_certify_digest_is_the_committed_one(self, shape, capsys):
+        assert main(["certify", *shape, "--verify"]) == 0
+        assert (f"certified deterministic (digest {self.CERTIFIED[shape]})"
+                in capsys.readouterr().err)

@@ -149,6 +149,15 @@ class TestInline:
         assert BILLED not in metrics.as_dict()["counters"]
         assert LEDGER.billed_s == 0.0
 
+    def test_a_verified_run_leaves_the_ledger_unowned(self):
+        """The replay pass of ``verify=True`` releases the ledger like
+        the primary pass: evaluations after the run are nobody's."""
+        def program(comm):
+            yield comm.work(0.0)
+
+        Scheduler(2, measure_compute=True, verify=True).run(program)
+        assert LEDGER.owner is None and LEDGER.billed_s == 0.0
+
     def test_a_second_run_does_not_inherit_ownership(self, problem):
         vortex, u = problem
 
