@@ -21,9 +21,12 @@ under failure, reproducibly:
 * :class:`ResilienceReport` — every injected fault and every recovery
   action (retransmit, timeout, caught/uncaught crash) with its
   virtual-clock cost, collected per scheduler run.
+* :class:`FaultRuntime` — the per-run fault layer the scheduler builds
+  from a plan: it carries the injections out, keeps the shadow copies
+  the link-layer retransmit falls back on, and judges delivered payloads.
 
-With no plan installed the scheduler's fault hooks are never entered and
-the run is byte-identical to the fault-free scheduler.
+With no plan installed no fault layer is built and the run is
+byte-identical to the fault-free scheduler.
 
 Because every injection decision is a pure hash of message/op *identity*
 (never of wall-clock or scheduler state), fault plans are also

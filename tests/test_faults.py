@@ -610,7 +610,8 @@ LINK_CASES = {
     "recv-timeout-thrown": _link_case(
         (MessageFault(kind="drop", source=0, dest=1, tag=RING_TAG),),
         timeout=0.5),
-    # every kind on one send, and faults racing a handled crash
+    # several kinds on one send, retries exhausted, a seeded mix, and link
+    # faults beside an uncaught crash (after_ops and at_time triggers)
     "all-kinds-one-send": _link_case(
         tuple(MessageFault(kind=kind, source=2, dest=0, tag=RING_TAG,
                            delay=0.375 if kind == "delay" else 0.0)
