@@ -327,7 +327,7 @@ class Step:
                     rank - 1, (tags.PRED, block, attempt, j), **recv_kw
                 )
             yield from self._mark(f"begin:predict:{j}")
-            yield from coarsest.sweep(t_slice, ctx, new_u0, fas=False)
+            yield from coarsest.sweep(t_slice, ctx, new_u0)
             yield from self._mark(f"end:predict:{j}")
             if rank < comm.size - 1:
                 yield comm.send(
@@ -759,8 +759,7 @@ class Recovery:
         yield from step._mark("begin:warm-rebuild")
         for s in range(coarsest.spec.sweeps):
             yield from coarsest.sweep(
-                step.t_slice, step.ctx, coarsest.u0 if s == 0 else None,
-                fas=False,
+                step.t_slice, step.ctx, coarsest.u0 if s == 0 else None
             )
         yield from step._mark("end:warm-rebuild")
         yield from step._interpolate_up()

@@ -124,14 +124,19 @@ class Level:
         )
 
     def spread(self, t: float, ctx: RhsContext):
-        """Spread :attr:`u0` and ``f(u0)`` over the slice at ``t``."""
+        """Spread :attr:`u0` and ``f(u0)`` over the slice at ``t``.
+
+        A block starts here, before any restriction of its own, so the
+        previous block's FAS term :attr:`tau` goes.
+        """
         self.U, self.F = yield from self.sweeper.initialize_gen(
             t, self.dt, self.u0, "spread", ctx=ctx
         )
+        self.tau = None
         self.u0_dirty = False
 
     def sweep(self, t: float, ctx: RhsContext,
-              u0: Optional[np.ndarray] = None, fas: bool = True):
+              u0: Optional[np.ndarray] = None):
         """One SDC sweep of the slice at ``t`` (generator).
 
         ``u0`` is a new initial value (a neighbour's end value, say): it
@@ -141,17 +146,13 @@ class Level:
         at node 0 must be re-evaluated), or always for sweepers with no
         node carrying it (``needs_u0``: diagonal, Gauss-Seidel on
         families without the left endpoint).  Otherwise node 0 already
-        holds it and its evaluation is reused.  ``fas=False`` leaves the
-        FAS term :attr:`tau` out: the predictor runs before any
-        restriction of its block, when ``tau`` may still hold the
-        previous block's correction.
+        holds it and its evaluation is reused.
         """
         if u0 is not None:
             self.u0 = u0
         elif self.u0_dirty or self.sweeper.needs_u0:
             u0 = self.u0
         self.U, self.F = yield from self.sweeper.sweep_gen(
-            t, self.dt, self.U, self.F, u0=u0,
-            tau=self.tau if fas else None, ctx=ctx,
+            t, self.dt, self.U, self.F, u0=u0, tau=self.tau, ctx=ctx,
         )
         self.u0_dirty = False

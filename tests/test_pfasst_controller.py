@@ -304,19 +304,21 @@ class TestLevelSeams:
         assert (level.U, level.F, level.u0_dirty) == ("U'", "F'", False)
 
     def test_sweep_without_fas_leaves_tau_out(self, scalar_problem):
+        """A block's first sweeps carry no FAS term: ``spread`` drops the
+        previous block's, so the predictor needs no switch for it."""
         level = Level(LevelSpec(scalar_problem, 3, 1), dt=0.1)
         level.u0 = np.array([1.0])
+        level.tau = np.full((3, 1), 5.0)  # a previous block's correction
         for _ in level.spread(0.0, RhsContext()):
             pass
+        assert level.tau is None
         assert not level.u0_dirty and np.array_equal(level.U[2], level.u0)
-        level.tau = np.full((3, 1), 5.0)  # a previous block's correction
         U_before = level.U.copy()
-        for _ in level.sweep(0.0, RhsContext(), fas=False):
+        for _ in level.sweep(0.0, RhsContext()):
             pass
         F_before = level.sweeper.initialize(0.0, 0.1, level.u0)[1]
         plain_U, _ = level.sweeper.sweep(0.0, 0.1, U_before, F_before)
         assert np.array_equal(level.U, plain_U)
-        assert np.array_equal(level.tau, np.full((3, 1), 5.0))
 
     def test_state_tuple_drives_reset_and_checkpoint(self, scalar_problem):
         level = Level(LevelSpec(scalar_problem, 3, 1), dt=0.1)
