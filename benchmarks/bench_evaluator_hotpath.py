@@ -32,6 +32,15 @@ output records a ``machine`` block (CPU count, platform, library
 versions) — threaded speedups are only meaningful relative to
 ``machine.cpu_count``.
 
+The ``direct_rhs`` block times the O(N^2) baseline the tree rows are
+judged against: ``VortexProblem.rhs`` over a :class:`DirectEvaluator` at
+N in {64, 256, 2048} (us per call, ns per pair, error of sampled targets
+against a ``longdouble`` sum).  Each sample is a fresh child process with
+BLAS pinned to one thread; ``--parent-src DIR`` (the ``src/`` of a
+checkout of the parent commit) measures that tree in alternation with
+this one and records both sides.  ``--direct`` refreshes only this block
+of an existing ``BENCH_evaluator.json``.
+
 Run directly (``python benchmarks/bench_evaluator_hotpath.py``); the
 pytest entry points are marked ``slow`` and excluded from tier-1.
 """
@@ -41,6 +50,8 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -53,10 +64,21 @@ from repro.backends import get_backend, usable_backends
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.tree import TreeEvaluator
 from repro.tree.reference import reference_vortex_field
-from repro.vortex import get_kernel, spherical_vortex_sheet
+from repro.vortex import (
+    DirectEvaluator,
+    VortexProblem,
+    get_kernel,
+    spherical_vortex_sheet,
+)
 from repro.vortex.sheet import SheetConfig
 
 SIZES = (2048, 8192, 32768)
+DIRECT_SIZES = (64, 256, 2048)
+#: one BLAS thread in every direct-RHS child: the GEMMs are small and the
+#: comparison is per core
+PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+          "MKL_NUM_THREADS": "1"}
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 THETA_FINE, THETA_COARSE = 0.3, 0.6
 LEAF_SIZE = 48
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_evaluator.json"
@@ -185,6 +207,113 @@ def run_experiment(sizes=SIZES, backends=None) -> Dict:
 
 
 # ---------------------------------------------------------------------------
+# direct-summation RHS rows
+# ---------------------------------------------------------------------------
+
+def _longdouble_field(kernel, sigma, pos, ch, sample):
+    """Velocity and gradient at ``pos[sample]`` summed in ``longdouble``
+    from the docstring formula of :mod:`repro.vortex.rhs` (algebraic
+    kernels: the radial pair from their coefficient tables)."""
+    ld = np.longdouble
+    src, chg = pos.astype(ld), ch.astype(ld)
+    vel = np.zeros((len(sample), 3), dtype=ld)
+    grad = np.zeros((len(sample), 3, 3), dtype=ld)
+    for row, i in enumerate(sample):
+        r = src[i] - src
+        t = (r * r).sum(axis=1) / ld(sigma) ** 2
+        half = ld(kernel._D) / 2
+        f = (sum(ld(c) * t**k for k, c in enumerate(kernel._P))
+             / (t + 1) ** (half - 1) / ld(sigma) ** 3)
+        g = (sum(ld(c) * t**k for k, c in enumerate(kernel._W))
+             / (t + 1) ** half / ld(sigma) ** 5)
+        cross = np.cross(r, chg)
+        fa = (f[:, None] * chg).sum(axis=0)
+        vel[row] = (f[:, None] * cross).sum(axis=0)
+        grad[row] = np.einsum("p,pi,pk->ik", g, cross, r)
+        grad[row] += [[0, fa[2], -fa[1]], [-fa[2], 0, fa[0]],
+                      [fa[1], -fa[0], 0]]
+    four_pi = 16 * np.arctan(ld(1))
+    return -vel / four_pi, -grad / four_pi
+
+
+def direct_child(n: int) -> Dict:
+    """One sample of the direct RHS at ``n`` particles (runs in a child
+    process whose ``PYTHONPATH`` selects the tree under test)."""
+    cfg = SheetConfig(n=n, sigma_over_h=3.0)
+    ps = spherical_vortex_sheet(cfg)
+    kernel = get_kernel("algebraic6")
+    evaluator = DirectEvaluator(kernel, cfg.sigma)
+    problem = VortexProblem(ps.volumes, evaluator)
+    u = ps.state()
+    problem.rhs(0.0, u)
+    t0 = time.perf_counter()
+    problem.rhs(0.0, u)
+    calls = max(2, int(0.2 / (time.perf_counter() - t0)))
+    samples = []
+    for _ in range(7):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            problem.rhs(0.0, u)
+        samples.append((time.perf_counter() - t0) / calls)
+    sample = np.linspace(0, n - 1, min(n, 32)).astype(int)
+    field = evaluator.field(ps.positions, ps.charges)
+    vel, grad = _longdouble_field(kernel, cfg.sigma, ps.positions,
+                                  ps.charges, sample)
+    return {
+        "us_per_rhs": 1e6 * statistics.median(samples),
+        "velocity_rel_err": float(np.abs(field.velocity[sample] - vel).max()
+                                  / np.abs(vel).max()),
+        "gradient_rel_err": float(np.abs(field.gradient[sample] - grad).max()
+                                  / np.abs(grad).max()),
+    }
+
+
+def bench_direct_rhs(sizes=DIRECT_SIZES, parent_src: Optional[str] = None,
+                     rounds: int = 5) -> Dict:
+    """``rounds`` child samples per size and side, sides alternating."""
+    sides = {"change": str(SRC_DIR)}
+    if parent_src is not None:
+        sides["parent"] = str(Path(parent_src).resolve())
+    rows = []
+    for n in sizes:
+        samples: Dict[str, List[Dict]] = {side: [] for side in sides}
+        for k in range(rounds):
+            order = list(sides) if k % 2 == 0 else list(sides)[::-1]
+            for side in order:
+                env = dict(os.environ, PYTHONPATH=sides[side], **PINNED)
+                done = subprocess.run(
+                    [sys.executable, __file__, "--direct-child", str(n)],
+                    env=env, check=True, capture_output=True, text=True,
+                )
+                samples[side].append(json.loads(done.stdout))
+        row: Dict = {"n": n, "pairs": n * n}
+        for side, got in samples.items():
+            us = statistics.median(s["us_per_rhs"] for s in got)
+            row[side] = {
+                "us_per_rhs": round(us, 1),
+                "ns_per_pair": round(1e3 * us / (n * n), 2),
+                "us_per_rhs_samples": [round(s["us_per_rhs"], 1) for s in got],
+                "velocity_rel_err": got[0]["velocity_rel_err"],
+                "gradient_rel_err": got[0]["gradient_rel_err"],
+            }
+        if "parent" in row:
+            row["speedup"] = round(
+                row["parent"]["us_per_rhs"] / row["change"]["us_per_rhs"], 2)
+        rows.append(row)
+    return {
+        "description": "VortexProblem.rhs over DirectEvaluator "
+                       "(algebraic6, gradient, sigma = 3 h sheet): median "
+                       "of per-child medians, one fresh child per sample, "
+                       "sides alternating; errors of 32 sampled targets "
+                       "against a longdouble sum",
+        "blas_threads": 1,
+        "rounds": rounds,
+        "machine": machine_spec(),
+        "rows": rows,
+    }
+
+
+# ---------------------------------------------------------------------------
 # pytest entry points (excluded from tier-1 by the `slow` marker)
 # ---------------------------------------------------------------------------
 
@@ -247,11 +376,34 @@ def _parse_backends(argv: List[str]) -> Optional[List[str]]:
     return names or None
 
 
+def _option(argv: List[str], name: str) -> Optional[str]:
+    return argv[argv.index(name) + 1] if name in argv else None
+
+
 def main(argv: List[str]) -> None:
-    sizes = SIZES[:2] if "--quick" in argv else SIZES
-    data = run_experiment(sizes, backends=_parse_backends(argv))
+    if "--direct-child" in argv:
+        print(json.dumps(direct_child(int(_option(argv, "--direct-child")))))
+        return
+    if "--direct" in argv:  # refresh the direct rows, keep the tree rows
+        data = json.loads(OUT_PATH.read_text())
+    else:
+        sizes = SIZES[:2] if "--quick" in argv else SIZES
+        data = run_experiment(sizes, backends=_parse_backends(argv))
+    data["direct_rhs"] = bench_direct_rhs(
+        parent_src=_option(argv, "--parent-src"))
     OUT_PATH.write_text(json.dumps(data, indent=2) + "\n")
-    print(f"wrote {OUT_PATH} (cpu_count={data['machine']['cpu_count']})")
+    direct = data["direct_rhs"]
+    print(f"wrote {OUT_PATH} (cpu_count={direct['machine']['cpu_count']})")
+    for row in direct["rows"]:
+        sides = ", ".join(
+            f"{side} {row[side]['us_per_rhs']:.0f} us "
+            f"({row[side]['ns_per_pair']:.1f} ns/pair)"
+            for side in ("parent", "change") if side in row
+        )
+        print(f"direct N={row['n']:>5}: {sides}"
+              + (f", {row['speedup']:.2f}x" if "speedup" in row else ""))
+    if "--direct" in argv:
+        return
     for row in data["results"]:
         extra = (f", vs numpy {row['vs_numpy_speedup']:.2f}x"
                  if "vs_numpy_speedup" in row else "")

@@ -692,6 +692,9 @@ class Scheduler:
         self.stats_bytes = 0
         #: per-run message/byte/retransmission instruments
         self.metrics = MetricsRegistry()
+        #: the four ``mpi.*`` counters a message on link (src, dest)
+        #: bumps, resolved on the link's first message
+        self._link_counters: Dict[Tuple[int, int], Tuple[Any, ...]] = {}
         #: annotated timeline instants (populated by Annotate ops)
         self.trace: List[TraceEvent] = []
         #: undelivered-message report of the last completed run
@@ -1342,10 +1345,20 @@ class Scheduler:
         if self.certify:
             key = (src, dest, tag)
             self._census[key] = self._census.get(key, 0) + 1
-        self.metrics.counter("mpi.messages").inc()
-        self.metrics.counter("mpi.bytes").inc(nbytes)
-        self.metrics.counter("mpi.messages", src=src, dest=dest).inc()
-        self.metrics.counter("mpi.bytes", src=src, dest=dest).inc(nbytes)
+        counters = self._link_counters.get((src, dest))
+        if counters is None:
+            counter = self.metrics.counter
+            counters = self._link_counters[(src, dest)] = (
+                counter("mpi.messages"),
+                counter("mpi.bytes"),
+                counter("mpi.messages", src=src, dest=dest),
+                counter("mpi.bytes", src=src, dest=dest),
+            )
+        messages, volume, link_messages, link_volume = counters
+        messages.inc()
+        volume.inc(nbytes)
+        link_messages.inc()
+        link_volume.inc(nbytes)
         if self.tracer.enabled:
             self.tracer.instant(
                 "send", t=self.clocks[src], track=f"rank{src}", cat="comm",

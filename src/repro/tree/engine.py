@@ -669,7 +669,7 @@ def batched_near_vortex(
     transferred copies (transfer points at this function's boundary
     only).  ``None`` resolves via ``REPRO_BACKEND`` / the NumPy default.
 
-    Dense form of :func:`~repro.vortex.rhs.biot_savart_pairs`: with
+    Dense form of the pair sums of :mod:`repro.vortex.rhs`: with
     ``r = t - s`` the cross products split into per-target and
     per-source factors,
 

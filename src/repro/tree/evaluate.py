@@ -53,25 +53,6 @@ def _vec_antisym(mat: np.ndarray) -> np.ndarray:
     )
 
 
-def _eps_matrix(vec: np.ndarray) -> np.ndarray:
-    """``E(x)_ad = eps_adm x_m`` for arrays (..., 3) -> (..., 3, 3)."""
-    out = np.zeros(vec.shape[:-1] + (3, 3), dtype=np.float64)
-    out[..., 0, 1] = vec[..., 2]
-    out[..., 0, 2] = -vec[..., 1]
-    out[..., 1, 0] = -vec[..., 2]
-    out[..., 1, 2] = vec[..., 0]
-    out[..., 2, 0] = vec[..., 1]
-    out[..., 2, 1] = -vec[..., 0]
-    return out
-
-
-def _cross_matrix(r: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """``(r X B)_ad = eps_abc r_b B_cd`` for (..., 3) and (..., 3, 3)."""
-    out = np.zeros(mat.shape, dtype=np.float64)
-    _cross_matrix_add(out, r, mat)
-    return out
-
-
 def _cross_matrix_add(out: np.ndarray, r: np.ndarray, mat: np.ndarray) -> None:
     """Accumulate ``(r X B)_ad = eps_abc r_b B_cd`` onto ``out`` in place."""
     r1, r2, r3 = r[..., 0], r[..., 1], r[..., 2]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence, Tuple
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -83,8 +83,3 @@ def check_array(
             )
     return arr
 
-
-def as_shape3(name: str, x: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Coerce to a float64 (N, 3) array and return (array, N)."""
-    arr = check_array(name, x, shape=(None, 3), dtype=np.float64)
-    return arr, arr.shape[0]

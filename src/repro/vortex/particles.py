@@ -34,7 +34,9 @@ def pack_state(positions: np.ndarray, vorticity: np.ndarray) -> np.ndarray:
             f"positions {positions.shape} and vorticity {vorticity.shape} "
             "must have identical shapes"
         )
-    return np.stack([positions, vorticity], axis=0)
+    out = np.empty((2,) + positions.shape, dtype=np.float64)
+    out[0], out[1] = positions, vorticity
+    return out
 
 
 def unpack_state(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.vortex.kernels import SingularKernel, get_kernel
+from repro.vortex.kernels import AlgebraicKernel, SingularKernel, get_kernel
 from repro.vortex.rhs import biot_savart_direct, stretching_rhs
 
 KERNEL = get_kernel("algebraic6")
@@ -166,6 +166,155 @@ class TestGradient:
                                  exclude_zero=True)
         assert np.all(np.isfinite(out.velocity))
         assert np.all(np.isfinite(out.gradient))
+
+
+LD = np.longdouble
+
+
+def _radial_longdouble(kernel, dist, sigma):
+    """``(F, G)`` at ``longdouble`` distances from the kernel's defining
+    data: the coefficient tables of the algebraic family, the closed form
+    of the singular kernel.  The Gaussian has no extended-precision
+    ``erf`` to draw on, so its pair comes from the kernel's own float64
+    profiles — geometry and sums are still checked in ``longdouble``.
+    """
+    if isinstance(kernel, AlgebraicKernel):
+        t = (dist / LD(sigma)) ** 2
+        p = sum(LD(c) * t**k for k, c in enumerate(kernel._P))
+        w = sum(LD(c) * t**k for k, c in enumerate(kernel._W))
+        half = LD(kernel._D) / 2
+        return (p / (t + 1) ** (half - 1) / LD(sigma) ** 3,
+                w / (t + 1) ** half / LD(sigma) ** 5)
+    if isinstance(kernel, SingularKernel):
+        s2 = dist * dist + LD(kernel.softening) ** 2
+        return 1 / (s2 * np.sqrt(s2)), -3 / (s2 * s2 * np.sqrt(s2))
+    d = dist.astype(np.float64)
+    return LD(1) * kernel.f_radial(d, sigma), LD(1) * kernel.g_radial(d, sigma)
+
+
+def _oracle(targets, sources, charges, kernel, sigma, exclude_zero=False):
+    """The docstring formula of ``repro.vortex.rhs``, pair by pair in
+    ``np.longdouble``: explicit cross and outer products, no GEMM, no
+    shared code with the block kernel."""
+    tgt, src, chg = (np.asarray(x, dtype=LD) for x in (targets, sources, charges))
+    four_pi = 16 * np.arctan(LD(1))
+    vel = np.zeros((len(tgt), 3), dtype=LD)
+    grad = np.zeros((len(tgt), 3, 3), dtype=LD)
+    for c, x in enumerate(tgt):
+        for xp, a in zip(src, chg):
+            r = x - xp
+            dist = np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
+            if exclude_zero and dist == 0:
+                continue
+            f, g = _radial_longdouble(kernel, dist.reshape(1), sigma)
+            f, g = f[0], g[0]
+            cross = np.array([r[1] * a[2] - r[2] * a[1],
+                              r[2] * a[0] - r[0] * a[2],
+                              r[0] * a[1] - r[1] * a[0]])
+            vel[c] += f * cross
+            # G r_k (r x a)_i + F eps_{ikm} a_m
+            grad[c] += g * cross[:, None] * r[None, :]
+            grad[c] += f * np.array([[0, a[2], -a[1]],
+                                     [-a[2], 0, a[0]],
+                                     [a[1], -a[0], 0]])
+    return -vel / four_pi, -grad / four_pi
+
+
+def _rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _cloud(rng, n_targets=13, n_sources=22, offset=0.0):
+    sources = rng.normal(size=(n_sources, 3)) + offset
+    charges = rng.normal(size=(n_sources, 3)) / n_sources
+    targets = rng.normal(size=(n_targets, 3)) + offset
+    # two targets sit exactly on sources: the r = 0 pair
+    targets[:2] = sources[3:5]
+    return targets, sources, charges
+
+
+class TestLongdoubleOracle:
+    SIGMA = 0.3
+    #: (kernel, exclude_zero, tolerance).  Measured 2e-16 .. 1.2e-15 for
+    #: the closed-form oracles; the Gaussian one carries the float64
+    #: noise of its own profiles near their series switch.
+    CASES = {
+        "algebraic2": (get_kernel("algebraic2"), False, 1e-14),
+        "algebraic4": (get_kernel("algebraic4"), False, 1e-14),
+        "algebraic6": (get_kernel("algebraic6"), False, 1e-14),
+        "gaussian": (get_kernel("gaussian"), False, 1e-13),
+        "singular": (SingularKernel(), True, 1e-14),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_per_pair_loop(self, rng, name):
+        kernel, exclude_zero, tol = self.CASES[name]
+        targets, sources, charges = _cloud(rng)
+        vel, grad = _oracle(targets, sources, charges, kernel, self.SIGMA,
+                            exclude_zero)
+        out = biot_savart_direct(targets, sources, charges, kernel,
+                                 self.SIGMA, exclude_zero=exclude_zero)
+        assert out.velocity.shape == (13, 3) and out.gradient.shape == (13, 3, 3)
+        assert _rel(out.velocity, vel) <= tol
+        assert _rel(out.gradient, grad) <= tol
+        only_u = biot_savart_direct(targets, sources, charges, kernel,
+                                    self.SIGMA, gradient=False,
+                                    exclude_zero=exclude_zero)
+        assert only_u.gradient is None
+        assert _rel(only_u.velocity, vel) <= tol
+
+    def test_self_evaluation(self, rng):
+        """targets is sources: the aliased fast path, N self pairs."""
+        _, sources, charges = _cloud(rng)
+        vel, grad = _oracle(sources, sources, charges, KERNEL, self.SIGMA)
+        out = biot_savart_direct(sources, sources, charges, KERNEL, self.SIGMA)
+        assert _rel(out.velocity, vel) <= 1e-14
+        assert _rel(out.gradient, grad) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["algebraic6", "singular"])
+    def test_cloud_far_from_the_origin(self, rng, name):
+        """Explicit differences: an offset of 1e3 cloud radii costs
+        nothing (a product expansion of r^2 would lose six digits)."""
+        kernel, exclude_zero, _ = self.CASES[name]
+        targets, sources, charges = _cloud(rng, offset=1.0e3)
+        vel, grad = _oracle(targets, sources, charges, kernel, self.SIGMA,
+                            exclude_zero)
+        out = biot_savart_direct(targets, sources, charges, kernel,
+                                 self.SIGMA, exclude_zero=exclude_zero)
+        assert _rel(out.velocity, vel) <= 1e-13
+        assert _rel(out.gradient, grad) <= 1e-13
+
+    @pytest.mark.parametrize("gradient", [True, False])
+    def test_chunk_sizes_agree(self, rng, gradient):
+        targets, sources, charges = _cloud(rng, n_targets=33, n_sources=50)
+        fields = [
+            biot_savart_direct(targets, sources, charges, KERNEL, self.SIGMA,
+                               gradient=gradient, chunk=chunk)
+            for chunk in (None, 7, 33, 330)
+        ]
+        for other in fields[1:]:
+            assert _rel(other.velocity, fields[0].velocity) <= 1e-14
+            if gradient:
+                assert _rel(other.gradient, fields[0].gradient) <= 1e-14
+
+    def test_blocks_of_a_large_call_agree_with_one_block(self, rng):
+        """More pairs than one cache block: the default chunking runs
+        the loop with a short last block."""
+        n = 150
+        targets, sources, charges = _cloud(rng, n_targets=n, n_sources=n)
+        blocked = biot_savart_direct(targets, sources, charges, KERNEL,
+                                     self.SIGMA)
+        single = biot_savart_direct(targets, sources, charges, KERNEL,
+                                    self.SIGMA, chunk=n)
+        assert _rel(blocked.velocity, single.velocity) <= 1e-14
+        assert _rel(blocked.gradient, single.gradient) <= 1e-14
+
+    @pytest.mark.parametrize("m,n", [(3, 0), (0, 2)])
+    def test_empty_operands_give_zero_fields(self, m, n):
+        out = biot_savart_direct(np.zeros((m, 3)), np.zeros((n, 3)),
+                                 np.ones((n, 3)), KERNEL, self.SIGMA)
+        assert out.velocity.shape == (m, 3) and not out.velocity.any()
+        assert out.gradient.shape == (m, 3, 3) and not out.gradient.any()
 
 
 class TestStretchingSchemes:
