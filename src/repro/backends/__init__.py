@@ -20,13 +20,9 @@ others.  A :class:`KernelBackend` decides how those batches are run:
 Selection (:func:`get_backend`): an explicit name or instance wins, then
 the ``REPRO_BACKEND`` environment variable, then ``numpy``.
 
-A backend also names the array namespace the vortex near-field batch
-body runs in (``xp``) and the two points where arrays enter and leave
-it (``to_device`` / ``from_device``).  Both shipped backends are
-host-resident — ``xp`` is NumPy and the transfers are the identity;
-the hooks are the seam through which the tests substitute a stand-in
-(transfers that copy, so a body that reaches around them shows;
-transfers that hand out ufunc-counting arrays, for the near body's
+``to_device`` is the test hook: the vortex near-field pass hands its
+operands through it, the identity on both shipped backends, so a test
+backend can substitute arrays that count ufunc passes (the near body's
 pass budget) without touching the engine.
 
 Backends pickle as their registry name (``__reduce__``), so a
@@ -58,11 +54,11 @@ DEFAULT_BACKEND = "numpy"
 
 
 class KernelBackend:
-    """Execution + residency strategy for the batched far/near engine.
+    """Execution strategy for the batched far/near engine.
 
-    The base class is the ``numpy`` reference backend: host arrays, a
-    serial loop over batches.  Subclasses override the class attributes
-    and whichever hooks differ.  Instances are registered singletons;
+    The base class is the ``numpy`` reference backend: a serial loop
+    over batches.  Subclasses override the class attributes and
+    whichever hooks differ.  Instances are registered singletons;
     identity comparisons (``backend is get_backend("numpy")``) are valid
     within a process, and pickling reduces to the registry name so the
     same identity is re-established across process boundaries.
@@ -70,25 +66,12 @@ class KernelBackend:
 
     #: registry name (also the ``REPRO_BACKEND`` value)
     name: str = "numpy"
-    #: ``"cpu"`` or ``"gpu"`` — drives the engine's residency decision
+    #: always ``"cpu"``; the end-to-end benchmark's near-pass probe reads it
     device: str = "cpu"
 
-    # -- array namespace and transfer points -------------------------------
-    @property
-    def xp(self):
-        """The array namespace device-resident math runs in."""
-        return np
-
     def to_device(self, a: np.ndarray):
-        """Move a host array to the backend's device (identity on CPU).
-
-        One of the two sanctioned transfer points; called by the engine
-        at the start of a device-resident pass, never from inner loops.
-        """
-        return a
-
-    def from_device(self, a) -> np.ndarray:
-        """Move a device array back to the host (identity on CPU)."""
+        """Hand an operand of the near pass to the batch body (the
+        identity; the test hook, see the module docstring)."""
         return a
 
     # -- execution strategy -------------------------------------------------

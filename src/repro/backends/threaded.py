@@ -32,7 +32,6 @@ class ThreadedBackend(KernelBackend):
     """Thread-pool execution of the write-disjoint near-field batches."""
 
     name = "threaded"
-    device = "cpu"
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self._max_workers = max_workers

@@ -111,32 +111,31 @@ class DiagonalSDCSweeper(ExplicitSDCSweeper):
         ``u0``, so the evaluation rounds shard over the node comm and
         every node rank returns the same ``(U_new, F_new)`` bitwise.
         """
-        with self.timings.phase("sweep"):
-            m1 = self.num_nodes
-            times = self.node_times(t0, dt)
-            if u0 is None:
-                if self.rule.node_set.includes_left:
-                    u0 = U[0]
-                else:
-                    raise ValueError(
-                        f"{self.rule.node_set.node_type!r} nodes do not "
-                        "include the left endpoint, so node 0 is a genuine "
-                        "collocation unknown: every sweep needs the step "
-                        "initial value u0"
-                    )
-            base = u0 + dt * self.rule.integrate_from_start(F)
-            if tau is not None:
-                base = base + np.cumsum(tau, axis=0)
-            # Picard predictor == first fixed-point iterate started from
-            # the previous sweep's values (d_m F^k_m cancels exactly)
-            U_new = base.copy()
-            if self.inner_iterations > 0 and self.d.any():
-                d_eff = (dt * self.d).reshape((m1,) + (1,) * (U.ndim - 1))
-                b = base - d_eff * F
-                for _ in range(self.inner_iterations):
-                    F_star = yield from ctx.node_values(
-                        self.problem, times, U_new
-                    )
-                    U_new = b + d_eff * F_star
-            F_new = yield from ctx.node_values(self.problem, times, U_new)
-            return U_new, F_new
+        m1 = self.num_nodes
+        times = self.node_times(t0, dt)
+        if u0 is None:
+            if self.rule.node_set.includes_left:
+                u0 = U[0]
+            else:
+                raise ValueError(
+                    f"{self.rule.node_set.node_type!r} nodes do not "
+                    "include the left endpoint, so node 0 is a genuine "
+                    "collocation unknown: every sweep needs the step "
+                    "initial value u0"
+                )
+        base = u0 + dt * self.rule.integrate_from_start(F)
+        if tau is not None:
+            base = base + np.cumsum(tau, axis=0)
+        # Picard predictor == first fixed-point iterate started from
+        # the previous sweep's values (d_m F^k_m cancels exactly)
+        U_new = base.copy()
+        if self.inner_iterations > 0 and self.d.any():
+            d_eff = (dt * self.d).reshape((m1,) + (1,) * (U.ndim - 1))
+            b = base - d_eff * F
+            for _ in range(self.inner_iterations):
+                F_star = yield from ctx.node_values(
+                    self.problem, times, U_new
+                )
+                U_new = b + d_eff * F_star
+        F_new = yield from ctx.node_values(self.problem, times, U_new)
+        return U_new, F_new

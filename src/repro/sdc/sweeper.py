@@ -32,7 +32,6 @@ from typing import Any, Literal, Optional, Tuple
 import numpy as np
 
 from repro.analysis.sanitize import boundary
-from repro.obs.timing import TimingRegistry
 from repro.parallel import tags
 from repro.parallel.collectives import allgather
 from repro.parallel.executor import Compute, ComputeTask
@@ -157,14 +156,11 @@ class ExplicitSDCSweeper:
     The sweeper is stateless with respect to the solution: callers own the
     node arrays and thread them through :meth:`initialize` / :meth:`sweep`;
     this makes the PFASST controller's bookkeeping explicit and testable.
-    Wall-clock per phase (``initialize`` / ``sweep`` / ``residual``)
-    accumulates in :attr:`timings` for the benchmark breakdowns.
     """
 
     def __init__(self, problem: ODEProblem, rule: QuadratureRule) -> None:
         self.problem = problem
         self.rule = rule
-        self.timings = TimingRegistry()
 
     @property
     def num_nodes(self) -> int:
@@ -202,25 +198,24 @@ class ExplicitSDCSweeper:
         is node-sequential (``spread`` makes one evaluation, ``euler``
         marches), so ``ctx.node`` is unused here.
         """
-        with self.timings.phase("initialize"):
-            m1 = self.num_nodes
-            times = self.node_times(t0, dt)
-            U = np.empty((m1,) + u0.shape, dtype=np.float64)
-            F = np.empty_like(U)
-            U[0] = u0
-            F[0] = yield from ctx.rhs(self.problem, times[0], u0)
-            if strategy == "spread":
-                for m in range(1, m1):
-                    U[m] = u0
-                    F[m] = F[0]
-            elif strategy == "euler":
-                delta = dt * self.rule.delta
-                for m in range(1, m1):
-                    U[m] = U[m - 1] + delta[m - 1] * F[m - 1]
-                    F[m] = yield from ctx.rhs(self.problem, times[m], U[m])
-            else:
-                raise ValueError(f"unknown init strategy {strategy!r}")
-            return U, F
+        m1 = self.num_nodes
+        times = self.node_times(t0, dt)
+        U = np.empty((m1,) + u0.shape, dtype=np.float64)
+        F = np.empty_like(U)
+        U[0] = u0
+        F[0] = yield from ctx.rhs(self.problem, times[0], u0)
+        if strategy == "spread":
+            for m in range(1, m1):
+                U[m] = u0
+                F[m] = F[0]
+        elif strategy == "euler":
+            delta = dt * self.rule.delta
+            for m in range(1, m1):
+                U[m] = U[m - 1] + delta[m - 1] * F[m - 1]
+                F[m] = yield from ctx.rhs(self.problem, times[m], U[m])
+        else:
+            raise ValueError(f"unknown init strategy {strategy!r}")
+        return U, F
 
     def initialize(
         self,
@@ -253,47 +248,46 @@ class ExplicitSDCSweeper:
         node-sequential, so ``ctx.node`` is unused here (node ranks
         compute redundantly and stay bitwise identical).
         """
-        with self.timings.phase("sweep"):
-            m1 = self.num_nodes
-            times = self.node_times(t0, dt)
-            delta = dt * self.rule.delta
-            integral = dt * self.rule.integrate_node_to_node(F)
-            if tau is not None:
-                integral = integral + tau
+        m1 = self.num_nodes
+        times = self.node_times(t0, dt)
+        delta = dt * self.rule.delta
+        integral = dt * self.rule.integrate_node_to_node(F)
+        if tau is not None:
+            integral = integral + tau
 
-            U_new = np.empty_like(U)
-            F_new = np.empty_like(F)
-            if u0 is None:
-                if not self.rule.node_set.includes_left:
-                    raise ValueError(
-                        f"{self.rule.node_set.node_type!r} nodes do not "
-                        "include the left endpoint, so node 0 is a genuine "
-                        "collocation unknown: every sweep needs the step "
-                        "initial value u0"
-                    )
-                U_new[0] = U[0]
-                F_new[0] = F[0]
-            elif self.rule.node_set.includes_left:
-                U_new[0] = u0
-                F_new[0] = yield from ctx.rhs(self.problem, times[0], u0)
-            else:
-                # node 0 sits at tau_0 > 0: its SDC update starts from u0
-                # with row 0 of S, which integrates the interpolant (plus
-                # any FAS correction) over [0, tau_0]
-                U_new[0] = u0 + integral[0]
-                F_new[0] = yield from ctx.rhs(
-                    self.problem, times[0], U_new[0]
+        U_new = np.empty_like(U)
+        F_new = np.empty_like(F)
+        if u0 is None:
+            if not self.rule.node_set.includes_left:
+                raise ValueError(
+                    f"{self.rule.node_set.node_type!r} nodes do not "
+                    "include the left endpoint, so node 0 is a genuine "
+                    "collocation unknown: every sweep needs the step "
+                    "initial value u0"
                 )
-            for m in range(m1 - 1):
-                U_new[m + 1] = (
-                    U_new[m]
-                    + delta[m] * (F_new[m] - F[m])
-                    + integral[m + 1]
-                )
-                F_new[m + 1] = yield from ctx.rhs(
-                    self.problem, times[m + 1], U_new[m + 1]
-                )
-            return U_new, F_new
+            U_new[0] = U[0]
+            F_new[0] = F[0]
+        elif self.rule.node_set.includes_left:
+            U_new[0] = u0
+            F_new[0] = yield from ctx.rhs(self.problem, times[0], u0)
+        else:
+            # node 0 sits at tau_0 > 0: its SDC update starts from u0
+            # with row 0 of S, which integrates the interpolant (plus
+            # any FAS correction) over [0, tau_0]
+            U_new[0] = u0 + integral[0]
+            F_new[0] = yield from ctx.rhs(
+                self.problem, times[0], U_new[0]
+            )
+        for m in range(m1 - 1):
+            U_new[m + 1] = (
+                U_new[m]
+                + delta[m] * (F_new[m] - F[m])
+                + integral[m + 1]
+            )
+            F_new[m + 1] = yield from ctx.rhs(
+                self.problem, times[m + 1], U_new[m + 1]
+            )
+        return U_new, F_new
 
     @boundary("sweep", arrays=["U", "F", "u0", "tau"])
     def sweep(
@@ -330,18 +324,17 @@ class ExplicitSDCSweeper:
         This is the discrete analogue of the Picard equation (paper Eq. 12)
         and the convergence monitor the paper reports in Sec. IV-B.
         """
-        with self.timings.phase("residual"):
-            rhs = dt * self.rule.integrate_from_start(F)
-            if tau is not None:
-                rhs = rhs + np.cumsum(tau, axis=0)
-            res = 0.0
-            # node 0 is exact by construction only when it *is* the left
-            # endpoint (tau_0 = 0); for radau-right/legendre it is a
-            # genuine collocation node whose residual must be monitored
-            start = 1 if self.rule.node_set.includes_left else 0
-            for m in range(start, self.num_nodes):
-                res = max(res, self.problem.norm(u0 + rhs[m] - U[m]))
-            return res
+        rhs = dt * self.rule.integrate_from_start(F)
+        if tau is not None:
+            rhs = rhs + np.cumsum(tau, axis=0)
+        res = 0.0
+        # node 0 is exact by construction only when it *is* the left
+        # endpoint (tau_0 = 0); for radau-right/legendre it is a
+        # genuine collocation node whose residual must be monitored
+        start = 1 if self.rule.node_set.includes_left else 0
+        for m in range(start, self.num_nodes):
+            res = max(res, self.problem.norm(u0 + rhs[m] - U[m]))
+        return res
 
     def end_value(
         self, dt: float, U: np.ndarray, F: np.ndarray, u0: np.ndarray

@@ -45,7 +45,6 @@ from repro.tree.engine import (
     segment_layout,
 )
 from repro.tree.evaluator import TreeStats, TreeEvaluator, TreeCoulombSolver
-from repro.tree.multirate import MultirateTreeEvaluator
 from repro.tree.domain import (
     DomainDecomposition,
     sfc_partition,
@@ -94,7 +93,6 @@ __all__ = [
     "TreeStats",
     "TreeEvaluator",
     "TreeCoulombSolver",
-    "MultirateTreeEvaluator",
     "DomainDecomposition",
     "sfc_partition",
     "cover_key_range",

@@ -56,15 +56,12 @@ gather/scatter indices batch by batch (:func:`_pairs_to_slots`), so its
 memory is O(list entries), not O(particle pairs).
 
 **Backends.** Each pass takes an optional kernel backend
-(:mod:`repro.backends`) selecting the execution strategy and array
-residency: the batch/chunk partitions built here are *write-disjoint*
-(each owns the target rows or slot range it scatters into), which is
-the invariant that lets the ``threaded`` backend run them on a thread
-pool bitwise-identically; a backend with ``device != "cpu"`` (the
-tests' host-memory stand-ins) gets the vortex near-field pass run on
-transferred copies, with transfers only at the pass boundary.
-``backend=None`` resolves through ``REPRO_BACKEND`` and defaults to
-the serial NumPy reference.
+(:mod:`repro.backends`) selecting the execution strategy: the
+batch/chunk partitions built here are *write-disjoint* (each owns the
+target rows or slot range it scatters into), which is the invariant
+that lets the ``threaded`` backend run them on a thread pool
+bitwise-identically.  ``backend=None`` resolves through
+``REPRO_BACKEND`` and defaults to the serial NumPy reference.
 
 **Process safety.** The batched kernels are safe to run inside worker
 processes of the executor backend (:mod:`repro.parallel.executor`):
@@ -88,6 +85,7 @@ from repro.nbody.direct import coulomb_pairs
 from repro.obs.metrics import get_metrics
 from repro.tree.build import Octree
 from repro.tree.evaluate import (
+    _cross,
     _cross_matrix_add,
     _eps_add,
     evaluate_coulomb_far_pairs,
@@ -662,12 +660,10 @@ def batched_near_vortex(
 
     ``backend`` selects the kernel-execution backend
     (:mod:`repro.backends`): batches are write-disjoint (each owns the
-    target rows of its groups), so the CPU backends dispatch them
-    through :meth:`~repro.backends.KernelBackend.map_batches` — serial
-    for ``numpy``, a thread pool for ``threaded``, both bitwise
-    identical — while a device backend runs the same batch body on
-    transferred copies (transfer points at this function's boundary
-    only).  ``None`` resolves via ``REPRO_BACKEND`` / the NumPy default.
+    target rows of its groups), so they are dispatched through
+    :meth:`~repro.backends.KernelBackend.map_batches` — serial for
+    ``numpy``, a thread pool for ``threaded``, both bitwise identical.
+    ``None`` resolves via ``REPRO_BACKEND`` / the NumPy default.
 
     Dense form of the pair sums of :mod:`repro.vortex.rhs`: with
     ``r = t - s`` the cross products split into per-target and
@@ -748,27 +744,10 @@ def batched_near_vortex(
             for b in batches
         ))
     bk = get_backend(backend)
-    xp = bk.xp
-    # One batch body serves every backend: it runs in the backend's
-    # array namespace on wherever the backend keeps arrays.  Host
-    # backends (``to_device`` is the identity) accumulate straight into
-    # ``vel`` / ``grad``; a device backend gets positions, charges and
-    # group centers moved once here, the per-batch index blocks as they
-    # are built (index math stays on the host — integer bookkeeping, not
-    # GEMM work), and its accumulators moved back once at the end.
-    on_device = bk.device == "gpu"
-    if on_device and not getattr(kernel, "xp_generic", False):
-        raise TypeError(
-            f"kernel {type(kernel).__name__} is not array-namespace "
-            "generic; device backends support the algebraic family and "
-            "the singular kernel (see docs/backends.md)"
-        )
+    # ``to_device`` is the identity on both shipped backends and the
+    # tests' hook into the body: operands pass through it once per
+    # evaluation, per-batch index blocks as they are built.
     ctr = bk.to_device(layout.group_center)
-    if on_device:
-        vel_acc = xp.zeros(vel.shape, dtype=np.float64)
-        grad_acc = xp.zeros(grad.shape, dtype=np.float64) if gradient else None
-    else:
-        vel_acc, grad_acc = vel, grad
     if expand:
         # structure-of-arrays operands, built once per evaluation:
         # component rows of positions / charges for the per-batch source
@@ -788,8 +767,8 @@ def batched_near_vortex(
         post = bk.to_device(np.ascontiguousarray(tree.positions.T))
         chgt = bk.to_device(np.ascontiguousarray(charges_sorted.T))
         nf = 24 if gradient else 6
-        fsum = xp.zeros((n, 6), dtype=np.float64)
-        gsum = xp.zeros((n, 24), dtype=np.float64) if gradient else None
+        fsum = np.zeros((n, 6), dtype=np.float64)
+        gsum = np.zeros((n, 24), dtype=np.float64) if gradient else None
     else:
         pos = bk.to_device(tree.positions)
         chg = bk.to_device(charges_sorted)
@@ -807,37 +786,37 @@ def batched_near_vortex(
         if expand:
             # source rows (component, B, S): group-local positions, then
             # the feature rows [a | s x a | a (x) s | (s x a) (x) s]
-            s = xp.empty((3, b, smax), dtype=np.float64)
-            feat = xp.empty((nf, b, smax), dtype=np.float64)
+            s = np.empty((3, b, smax), dtype=np.float64)
+            feat = np.empty((nf, b, smax), dtype=np.float64)
             for c in range(3):
-                xp.take(post[c], sidx, out=s[c])
-                xp.take(chgt[c], sidx, out=feat[c])
+                np.take(post[c], sidx, out=s[c])
+                np.take(chgt[c], sidx, out=feat[c])
             s -= ctr[bk.to_device(batch)].T[:, :, None]
             # every feature row is linear in the charge, so zeroed
             # padded lanes contribute nothing to either feature GEMM
             feat[0:3][:, ~svalid] = 0.0
-            _cross_rows(xp, s, feat[0:3], feat[3:6])
+            _cross_rows(s, feat[0:3], feat[3:6])
             if gradient:
-                xp.multiply(
+                np.multiply(
                     feat[0:6].reshape(2, 3, 1, b, smax), s,
                     out=feat[6:24].reshape(2, 3, 3, b, smax),
                 )
             # rho^2 = |s - t|^2 / sigma^2 of the whole (B, S, C) block
             # from one K = 5 GEMM: [s, 1, |s|^2] . [-2 t, |t|^2, 1]
-            saug = xp.empty((5, b, smax), dtype=np.float64)
-            xp.multiply(s, 1.0 / sigma, out=saug[0:3])
+            saug = np.empty((5, b, smax), dtype=np.float64)
+            np.multiply(s, 1.0 / sigma, out=saug[0:3])
             saug[3] = 1.0
-            saug[4] = xp.einsum("ibs,ibs->bs", saug[0:3], saug[0:3])
-            rho2 = xp.matmul(
+            saug[4] = np.einsum("ibs,ibs->bs", saug[0:3], saug[0:3])
+            rho2 = np.matmul(
                 saug.transpose(1, 2, 0),
-                xp.take(taug, tidx, axis=1).transpose(1, 0, 2),
+                np.take(taug, tidx, axis=1).transpose(1, 0, 2),
             )
             f, g = kernel.f_g_from_rho2(rho2, sigma, gradient)
             # leaves tile disjoint slot ranges: plain assignment
-            fb = xp.matmul(feat[0:6].transpose(1, 0, 2), f)  # (B, 6, C)
+            fb = np.matmul(feat[0:6].transpose(1, 0, 2), f)  # (B, 6, C)
             fsum[flat] = fb.transpose(0, 2, 1)[tvalid]
             if gradient:
-                gb = xp.matmul(feat.transpose(1, 0, 2), g)  # (B, 24, C)
+                gb = np.matmul(feat.transpose(1, 0, 2), g)  # (B, 24, C)
                 gsum[flat] = gb.transpose(0, 2, 1)[tvalid]
             return
 
@@ -846,7 +825,7 @@ def batched_near_vortex(
         s = pos[sidx] - gc  # (B, S, 3)
         a = chg[sidx]
         r = t[:, :, None, :] - s[:, None, :, :]
-        r2 = xp.einsum("bcsi,bcsi->bcs", r, r)
+        r2 = np.einsum("bcsi,bcsi->bcs", r, r)
         if not gradient:
             del r
         if exclude_zero:
@@ -856,43 +835,39 @@ def batched_near_vortex(
         f *= svalid[:, None, :]
         if exclude_zero:
             f[zero] = 0.0
-        fg = xp.empty((b, smax, 6), dtype=np.float64)
+        fg = np.empty((b, smax, 6), dtype=np.float64)
         fg[:, :, 0:3] = a
-        fg[:, :, 3:6] = _xp_cross(xp, s, a)
-        ff = xp.matmul(f, fg)
-        u = _xp_cross(xp, t, ff[..., 0:3])
+        fg[:, :, 3:6] = _cross(s, a)
+        ff = np.matmul(f, fg)
+        u = _cross(t, ff[..., 0:3])
         u -= ff[..., 3:6]
         u *= -_INV_FOUR_PI
-        vel_acc[flat] += u[tvalid]
+        vel[flat] += u[tvalid]
 
         if gradient:
             g *= svalid[:, None, :]
             if exclude_zero:
                 g[zero] = 0.0
-            h = _xp_cross(xp, r, a[:, None, :, :])
+            h = _cross(r, a[:, None, :, :])
             del r
             h *= g[..., None]
-            gm = xp.einsum("bcsa->bca", h)[..., :, None] * t[..., None, :]
-            gm -= xp.matmul(h.transpose(0, 1, 3, 2), s[:, None, :, :])
+            gm = np.einsum("bcsa->bca", h)[..., :, None] * t[..., None, :]
+            gm -= np.matmul(h.transpose(0, 1, 3, 2), s[:, None, :, :])
             _eps_add(gm, ff[..., 0:3])
             gm *= -_INV_FOUR_PI
-            grad_acc[flat] += gm[tvalid]
+            grad[flat] += gm[tvalid]
 
     bk.map_batches(run_batch, batches)
     if expand:
         _near_epilogue(
-            xp, bk.to_device(np.flatnonzero(counts[layout.group_of_slot] > 0)),
-            tloc, fsum, gsum, vel_acc, grad_acc,
+            bk.to_device(np.flatnonzero(counts[layout.group_of_slot] > 0)),
+            tloc, fsum, gsum, vel, grad,
         )
-    if on_device:
-        vel += bk.from_device(vel_acc)
-        if gradient:
-            grad += bk.from_device(grad_acc)
 
 
-def _near_epilogue(xp, sel, tloc, ff, gg, vel_acc, grad_acc) -> None:
+def _near_epilogue(sel, tloc, ff, gg, vel, grad) -> None:
     """Velocity/gradient of the target slots ``sel`` from their
-    contracted feature sums, added onto the accumulators.
+    contracted feature sums, added onto ``vel`` / ``grad``.
 
     ``ff`` holds ``sum f [a | s x a]`` (6 columns) and ``gg`` holds
     ``sum g [a | s x a | a (x) s | (s x a) (x) s]`` (24 columns, None
@@ -900,67 +875,40 @@ def _near_epilogue(xp, sel, tloc, ff, gg, vel_acc, grad_acc) -> None:
     """
     t = tloc[sel]
     fa = ff[sel]
-    u = _xp_cross(xp, t, fa[:, 0:3])
+    u = _cross(t, fa[:, 0:3])
     u -= fa[:, 3:6]
     u *= -_INV_FOUR_PI
-    vel_acc[sel] += u
+    vel[sel] += u
     if gg is None:
         return
     ga = gg[sel]
     # sum_s h = t x (sum g a) - sum g (s x a)
-    hsum = _xp_cross(xp, t, ga[:, 0:3])
+    hsum = _cross(t, ga[:, 0:3])
     hsum -= ga[:, 3:6]
     g3 = ga[:, 6:15].reshape(-1, 3, 3)
     g4 = ga[:, 15:24].reshape(-1, 3, 3)
     # sum_s h_a s_d = (t X sum g a (x) s) - sum g (s x a)(x)s
     gm = hsum[:, :, None] * t[:, None, :]
-    xp.negative(g3, out=g3)
+    np.negative(g3, out=g3)
     _cross_matrix_add(gm, t, g3)
     gm += g4
     _eps_add(gm, fa[:, 0:3])
     gm *= -_INV_FOUR_PI
-    grad_acc[sel] += gm
+    grad[sel] += gm
 
 
-def _xp_cross(xp, a, b):
-    """``a x b`` for (..., 3) arrays in an arbitrary array namespace.
-
-    Namespace-generic form of :func:`repro.tree.evaluate._cross`, which
-    allocates through ``np.empty`` and therefore pins the result to the
-    host; everything else in the cross product is ufunc arithmetic that
-    dispatches through the namespace protocols unchanged.
-    """
-    out = xp.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.float64)
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return out
-
-
-def _cross_rows(xp, a, b, out) -> None:
+def _cross_rows(a, b, out) -> None:
     """``out = a x b`` with the component on the *first* axis (row form
-    of :func:`_xp_cross`: same products, same subtraction order)."""
+    of :func:`~repro.tree.evaluate._cross`: same products, same
+    subtraction order)."""
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        xp.multiply(a[j], b[k], out=out[i])
+        np.multiply(a[j], b[k], out=out[i])
         out[i] -= a[k] * b[j]
 
 
 # ---------------------------------------------------------------------------
 # Coulomb (scalar charge) drivers
 # ---------------------------------------------------------------------------
-
-def _map_host_chunks(backend: KernelBackend, fn, chunks) -> None:
-    """Run write-disjoint host chunks through a CPU backend's strategy.
-
-    Device backends have no device implementation of the scalar-charge
-    pair streams, so their chunks run on the host serial loop instead of
-    ``map_batches`` (whose semantics belong to the device).
-    """
-    if backend.device != "cpu":
-        for ab in chunks:
-            fn(ab)
-        return
-    backend.map_batches(fn, chunks)
 
 def batched_far_coulomb(
     tree: Octree,
@@ -976,11 +924,8 @@ def batched_far_coulomb(
 ) -> None:
     """Far-field multipole pass for scalar charges (sorted order).
 
-    Chunks cover disjoint slot ranges, so CPU backends may run them
-    concurrently (bitwise identical — no shared accumulation).  Device
-    backends fall back to the host serial loop here: the scalar-charge
-    pair stream is gather-bound, not GEMM-bound, and does not pay for a
-    transfer (see ``docs/backends.md``).
+    Chunks cover disjoint slot ranges, so backends may run them
+    concurrently (bitwise identical — no shared accumulation).
     """
     if layout.far_pairs == 0:
         return
@@ -1010,9 +955,8 @@ def batched_far_coulomb(
         _scatter_add(phi, a, reps, p)
         _scatter_add(field, a, reps, e)
 
-    _map_host_chunks(
-        get_backend(backend), run_chunk,
-        list(_slot_chunks(layout.far_cum, chunk)),
+    get_backend(backend).map_batches(
+        run_chunk, list(_slot_chunks(layout.far_cum, chunk))
     )
 
 
@@ -1031,8 +975,7 @@ def batched_near_coulomb(
     """Near-field direct pass for scalar charges (sorted order).
 
     Same backend semantics as :func:`batched_far_coulomb`: write-disjoint
-    slot chunks run through the CPU backend's execution strategy, device
-    backends stay on the host for the scalar pair stream.
+    slot chunks run through the backend's execution strategy.
     """
     if layout.near_pairs == 0:
         return
@@ -1061,7 +1004,6 @@ def batched_near_coulomb(
         _scatter_add(phi, a, reps, p)
         _scatter_add(field, a, reps, e)
 
-    _map_host_chunks(
-        get_backend(backend), run_chunk,
-        list(_slot_chunks(layout.near_cum, chunk)),
+    get_backend(backend).map_batches(
+        run_chunk, list(_slot_chunks(layout.near_cum, chunk))
     )

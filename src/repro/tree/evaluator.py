@@ -34,7 +34,7 @@ counterpart, mirroring PEPC's multi-purpose design.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Hashable, Optional, Tuple
+from typing import Any, Callable, Hashable, Optional, Tuple, get_args
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from repro.tree.state import (
     array_fingerprint,
 )
 from repro.tree.traversal import InteractionLists
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_in, check_nonnegative, check_positive
 from repro.vortex.kernels import SingularKernel, SmoothingKernel, get_kernel
 from repro.vortex.problem import FieldEvaluator
 from repro.vortex.rhs import VelocityField
@@ -130,6 +130,21 @@ def _count_evaluation(stats: TreeStats) -> TreeStats:
             stats.interactions_per_particle
         )
     return stats
+
+
+def _check_mac(
+    solver: "TreeEvaluator | TreeCoulombSolver",
+    theta: float,
+    order: int,
+    mac_variant: MACVariant,
+) -> None:
+    """Validate and set the solver's MAC parameters, so a bad value
+    fails at construction rather than at the first traversal."""
+    solver.theta = float(check_nonnegative("theta", theta))
+    solver.order = check_in("order", order, (0, 1, 2))
+    solver.mac_variant = check_in(
+        "mac_variant", mac_variant, get_args(MACVariant)
+    )
 
 
 def _engine_layout(
@@ -260,24 +275,11 @@ class TreeEvaluator(FieldEvaluator):
                 "expansion; use DirectEvaluator or an algebraic kernel"
             )
         self.sigma = check_positive("sigma", sigma)
-        if theta < 0:
-            raise ValueError(f"theta must be >= 0, got {theta}")
-        self.theta = float(theta)
-        if order not in (0, 1, 2):
-            raise ValueError(f"order must be 0, 1 or 2, got {order}")
-        self.order = order
+        _check_mac(self, theta, order, mac_variant)
         self.leaf_size = int(leaf_size)
-        self.mac_variant: MACVariant = mac_variant
         self.cache = cache if cache is not None else TreeStateCache()
         self.batch_budget_bytes = batch_budget_bytes
         self.backend = get_backend(backend)
-        if self.backend.device == "gpu" and not self.kernel.xp_generic:
-            raise ValueError(
-                f"kernel {self.kernel.name!r} is not array-namespace "
-                f"generic and cannot run on backend "
-                f"{self.backend.name!r}; use an algebraic or singular "
-                "kernel, or a CPU backend"
-            )
         self.phases = TimingRegistry()
         self.last_stats = TreeStats()
         self._exclude_zero = (
@@ -318,7 +320,6 @@ class TreeEvaluator(FieldEvaluator):
         positions: np.ndarray,
         charges: np.ndarray,
         gradient: bool,
-        include_far: bool = True,
         segment: Optional[Tuple[int, int]] = None,
     ) -> Tuple[Hashable, ...]:
         """Memo key of one evaluation: array contents plus everything
@@ -327,7 +328,7 @@ class TreeEvaluator(FieldEvaluator):
             array_fingerprint(positions), array_fingerprint(charges),
             type(self.kernel), tuple(sorted(vars(self.kernel).items())),
             self.sigma, self.theta, self.mac_variant, self.order,
-            self.leaf_size, gradient, include_far, self._exclude_zero,
+            self.leaf_size, gradient, self._exclude_zero,
             self.backend.name, self.batch_budget_bytes, segment,
         )
 
@@ -355,7 +356,6 @@ class TreeEvaluator(FieldEvaluator):
         positions: np.ndarray,
         charges: np.ndarray,
         gradient: bool,
-        include_far: bool,
         segment: Optional[Tuple[int, int]],
         finish: Callable[
             [TreeState, np.ndarray, Optional[np.ndarray]],
@@ -374,9 +374,7 @@ class TreeEvaluator(FieldEvaluator):
         """
         clock = Timer()
         clock.start()
-        key = self._field_key(
-            positions, charges, gradient, include_far, segment
-        )
+        key = self._field_key(positions, charges, gradient, segment)
         memo = self._memoised(key)
         if memo is not None:
             self.timer.cancel()
@@ -390,13 +388,12 @@ class TreeEvaluator(FieldEvaluator):
         vel = np.zeros((n, 3))
         grad = np.zeros((n, 3, 3)) if gradient else None
 
-        if include_far:
-            with self.phases.phase("far_field"):
-                batched_far_vortex(
-                    tree, moments, layout, self.kernel, self.sigma,
-                    self.order, gradient, vel, grad,
-                    budget_bytes=self.batch_budget_bytes,
-                )
+        with self.phases.phase("far_field"):
+            batched_far_vortex(
+                tree, moments, layout, self.kernel, self.sigma,
+                self.order, gradient, vel, grad,
+                budget_bytes=self.batch_budget_bytes,
+            )
         with self.phases.phase("near_field"):
             batched_near_vortex(
                 tree, charges[tree.order], layout, self.kernel, self.sigma,
@@ -411,11 +408,7 @@ class TreeEvaluator(FieldEvaluator):
         return arrays
 
     def _evaluate(
-        self,
-        positions: np.ndarray,
-        charges: np.ndarray,
-        gradient: bool,
-        include_far: bool = True,
+        self, positions: np.ndarray, charges: np.ndarray, gradient: bool
     ) -> VelocityField:
         def scatter(state, vel, grad):
             # from Morton order back to caller order
@@ -428,7 +421,7 @@ class TreeEvaluator(FieldEvaluator):
             return out_v, out_g
 
         return VelocityField(*self._pipeline(
-            positions, charges, gradient, include_far, None, scatter
+            positions, charges, gradient, None, scatter
         ))
 
 
@@ -440,8 +433,7 @@ class TreeCoulombSolver:
     same batched engine and state cache as :class:`TreeEvaluator`, and
     accepts the same ``backend`` selector — the scalar-charge pair
     streams are chunked over disjoint slot ranges, so the ``threaded``
-    backend runs them concurrently and bitwise-identically (device
-    backends keep these streams on the host; see ``docs/backends.md``).
+    backend runs them concurrently and bitwise-identically.
     """
 
     def __init__(
@@ -456,10 +448,8 @@ class TreeCoulombSolver:
         backend: "KernelBackend | str | None" = None,
     ) -> None:
         self.kernel = SingularKernel(softening=softening)
-        self.theta = float(theta)
-        self.order = order
+        _check_mac(self, theta, order, mac_variant)
         self.leaf_size = int(leaf_size)
-        self.mac_variant: MACVariant = mac_variant
         self.cache = cache if cache is not None else TreeStateCache()
         self.batch_budget_bytes = batch_budget_bytes
         self.backend = get_backend(backend)

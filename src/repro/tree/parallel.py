@@ -393,7 +393,7 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
 
         with self.timer:
             return self._pipeline(
-                positions, charges, gradient, True, (p_space, rank), compact
+                positions, charges, gradient, (p_space, rank), compact
             )
 
     def field_program(

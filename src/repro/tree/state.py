@@ -155,8 +155,7 @@ class TreeState:
         self.engine_layouts: Dict[Tuple[float, str], object] = {}
         self._groups: Optional[np.ndarray] = None
 
-    # A handful of charge sets coexist per state (e.g. gradient on/off
-    # callers, multirate freeze snapshots); keep the map tiny.
+    # A handful of charge sets may coexist per state; keep the map tiny.
     _MOMENT_SLOTS = 4
 
     @property

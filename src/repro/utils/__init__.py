@@ -1,6 +1,5 @@
-"""Small shared utilities: timers, chunk iteration, validation helpers."""
+"""Small shared utilities: chunk iteration, validation helpers."""
 
-from repro.obs.timing import Timer, TimingRegistry, timed
 from repro.utils.chunking import chunk_ranges, chunk_pairs_budget
 from repro.utils.validation import (
     check_positive,
@@ -10,9 +9,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "Timer",
-    "TimingRegistry",
-    "timed",
     "chunk_ranges",
     "chunk_pairs_budget",
     "check_positive",

@@ -66,11 +66,6 @@ class SmoothingKernel(ABC):
     name: str = "abstract"
     #: formal order of accuracy of the regularisation
     order: int = 0
-    #: whether :meth:`f_g_from_r2` is array-namespace generic — i.e. built
-    #: from ufunc/protocol arithmetic only, so it runs unchanged on the
-    #: arrays of a device backend (:mod:`repro.backends`).  Kernels
-    #: that route through SciPy special functions must leave this False.
-    xp_generic: bool = False
 
     # -- dimensionless profiles -------------------------------------------
     @abstractmethod
@@ -190,11 +185,6 @@ class AlgebraicKernel(SmoothingKernel):
     _P: Tuple[float, ...]
     _W: Tuple[float, ...]
     _D: int
-
-    #: the rational fast path below is Horner + integer powers — pure
-    #: ufunc arithmetic, so it dispatches through ``__array_ufunc__`` /
-    #: ``__array_function__`` and runs on device arrays unchanged
-    xp_generic = True
 
     @staticmethod
     def _horner(coeffs: Tuple[float, ...], t: np.ndarray) -> np.ndarray:
@@ -452,8 +442,6 @@ class SingularKernel(SmoothingKernel):
 
     name = "singular"
     order = 0
-    #: f_g_from_r2 below is sqrt/divide arithmetic — namespace generic
-    xp_generic = True
 
     def __init__(self, softening: float = 0.0) -> None:
         if softening < 0:

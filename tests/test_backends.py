@@ -9,10 +9,6 @@ Covers the :mod:`repro.backends` contract:
   multi-worker pool and tiny batch budgets (many batches in flight);
 * backends pickle as their registry name, so evaluators survive
   :class:`~repro.parallel.executor.ProcessExecutor` dispatch;
-* the device residency of the near pass (transfers in, device-side
-  accumulators, transfer out) runs here through a host-memory stand-in
-  backend and agrees with the host pass on both the GEMM-expanded and
-  the explicit path;
 * a whole PFASST run on ``threaded`` evaluators is bitwise the numpy run.
 """
 
@@ -216,87 +212,6 @@ class TestExecutorSurvival:
         state = pickle.dumps(b)  # ...but pickling reduces to the name
         assert b"ThreadPoolExecutor" not in state
 
-
-class TestGpuGating:
-    def test_gaussian_kernel_rejected_on_gpu_backend(self, sheet):
-        """Non-namespace-generic kernels must fail fast, not mid-run.
-
-        The Gaussian is the shipped kernel of that kind (SciPy special
-        functions) but has no multipole chains, so the gate is driven
-        with a multipole-capable kernel carrying the Gaussian's flag.
-        """
-        ps, cfg, kernel = sheet
-
-        class HostOnly(type(kernel)):
-            xp_generic = get_kernel("gaussian").xp_generic
-
-        with pytest.raises(ValueError, match="namespace"):
-            TreeEvaluator(HostOnly(), cfg.sigma, backend=HostDeviceBackend())
-        # the same kernel on a host backend, a generic one on the device
-        TreeEvaluator(HostOnly(), cfg.sigma, backend="threaded")
-        TreeEvaluator(kernel, cfg.sigma, backend=HostDeviceBackend())
-
-
-class HostDeviceBackend(KernelBackend):
-    """Host-memory stand-in for a device backend.
-
-    ``device = "gpu"`` makes ``engine.batched_near_vortex`` run its
-    batch body on transferred copies with device-side accumulators; the
-    "device" is NumPy and the two transfer points copy, so a write
-    through a transferred array can never reach the host original.
-    """
-
-    name = "host-device-test"
-    device = "gpu"
-
-    def to_device(self, a):
-        return np.array(a, copy=True)
-
-    def from_device(self, a):
-        return np.array(a, copy=True)
-
-
-class TestDeviceResidency:
-    """The device-resident near pass against the host pass, on this host."""
-
-    # (kernel, theta) -> the near path the pass must take
-    REGIMES = {
-        "expanded": ("algebraic6", 0.6),
-        "explicit": ("algebraic6", 0.0),  # no far pair: gate closed
-        "explicit-exclude-zero": ("singular", 0.6),
-    }
-
-    @pytest.mark.parametrize("gradient", [True, False])
-    @pytest.mark.parametrize("regime", sorted(REGIMES))
-    def test_matches_host_pass(self, sheet, regime, gradient):
-        from repro.tree.engine import _NEAR_EXPAND_SIGMA
-
-        ps, cfg, _ = sheet
-        name, theta = self.REGIMES[regime]
-        # small budget: several batches, rows of unequal length
-        kw = dict(theta=theta, leaf_size=16, batch_budget_bytes=200_000)
-        host = TreeEvaluator(get_kernel(name), cfg.sigma, **kw)
-        ref = host.field(ps.positions, ps.charges, gradient=gradient)
-        dev = TreeEvaluator(get_kernel(name), cfg.sigma,
-                            backend=HostDeviceBackend(), **kw)
-        out = dev.field(ps.positions, ps.charges, gradient=gradient)
-
-        state, _ = dev.cache.state(ps.positions, dev.leaf_size)
-        (layout,) = state.engine_layouts.values()
-        expanded = (
-            not dev._exclude_zero and layout.multipole_regime
-            and layout.group_radius2 <= (_NEAR_EXPAND_SIGMA * cfg.sigma) ** 2
-        )
-        assert expanded == (regime == "expanded")
-
-        def close(a, b):
-            return np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
-
-        assert close(out.velocity, ref.velocity)
-        if gradient:
-            assert close(out.gradient, ref.gradient)
-        else:
-            assert out.gradient is None
 
 class TestRunPfasstPlumbing:
     def test_backend_kwarg_rebinds_evaluators(self, sheet):

@@ -57,19 +57,14 @@ def _evaluator(variant, cache=None):
     )
 
 
-def _call(evaluator, positions, charges, gradient, include_far, segment):
+def _call(evaluator, positions, charges, gradient, segment):
     """One evaluation as a tuple of arrays (``None`` without gradient)."""
     if segment is not None:
         p_space, rank = segment
         return evaluator.segment_field(
             positions, charges, rank, p_space, gradient=gradient
         )
-    if include_far:
-        out = evaluator.field(positions, charges, gradient=gradient)
-    else:
-        out = evaluator._evaluate(
-            positions, charges, gradient, include_far=False
-        )
+    out = evaluator.field(positions, charges, gradient=gradient)
     return out.velocity, out.gradient
 
 
@@ -77,12 +72,12 @@ def _call(evaluator, positions, charges, gradient, include_far, segment):
 _COLD = {}
 
 
-def _cold(v, p, c, gradient, include_far=True, segment=None):
-    request = (v, p, c, gradient, include_far, segment)
+def _cold(v, p, c, gradient, segment=None):
+    request = (v, p, c, gradient, segment)
     if request not in _COLD:
         _COLD[request] = _call(
             _evaluator(_VARIANTS[v]), _POSITIONS[p], _CHARGES[c],
-            gradient, include_far, segment,
+            gradient, segment,
         )
     return _COLD[request]
 
@@ -107,14 +102,13 @@ class CachePurity(RuleBasedStateMachine):
         self.requests = 0
         self.flooded = False
 
-    def check(self, v, p, c, gradient, include_far=True, segment=None):
+    def check(self, v, p, c, gradient, segment=None):
         got = _call(
-            self.evaluators[v], _POSITIONS[p], _CHARGES[c],
-            gradient, include_far, segment,
+            self.evaluators[v], _POSITIONS[p], _CHARGES[c], gradient, segment
         )
         self.requests += 1
-        assert _same(got, _cold(v, p, c, gradient, include_far, segment)), (
-            v, p, c, gradient, include_far, segment
+        assert _same(got, _cold(v, p, c, gradient, segment)), (
+            v, p, c, gradient, segment
         )
         return got
 
@@ -128,11 +122,6 @@ class CachePurity(RuleBasedStateMachine):
         self.check(v, p, c, True)
         self.check(v, p, c2, True)
         self.check(v, p2, c2, True)
-
-    @rule(p=_sets, c=_sets, v=_variants, gradient=_flags)
-    def near_only_then_full(self, p, c, v, gradient):
-        self.check(v, p, c, gradient, include_far=False)
-        self.check(v, p, c, gradient)
 
     @rule(p=_sets, c=_sets, v=_variants, p_space=st.sampled_from([2, 3]),
           gradient=_flags)

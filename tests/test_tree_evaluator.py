@@ -114,6 +114,31 @@ class TestValidation:
         with pytest.raises(ValueError, match="order"):
             TreeEvaluator("algebraic6", 0.5, order=5)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"theta": float("nan")}, "theta"),
+        # theta 0 never consults the variant, 0.5 only at traversal time
+        ({"theta": 0.0, "mac_variant": "bogus"}, "mac_variant"),
+        ({"theta": 0.5, "mac_variant": "bogus"}, "mac_variant"),
+    ], ids=["nan-theta", "bogus-variant-theta0", "bogus-variant-theta0.5"])
+    def test_bad_mac_rejected_at_construction(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            TreeEvaluator("algebraic6", 0.5, **kwargs)
+        ev = TreeEvaluator("algebraic6", 0.5)
+        with pytest.raises(ValueError, match=name):
+            ev.coarsened(**{"theta": 0.6, **kwargs})
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"theta": -0.1}, "theta"),
+        ({"theta": float("nan")}, "theta"),
+        ({"order": 3}, "order"),
+        ({"theta": 0.0, "mac_variant": "bogus"}, "mac_variant"),
+        ({"theta": 0.5, "mac_variant": "bogus"}, "mac_variant"),
+    ], ids=["negative-theta", "nan-theta", "order-3", "bogus-variant-theta0",
+            "bogus-variant-theta0.5"])
+    def test_coulomb_solver_validates_mac(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            TreeCoulombSolver(**kwargs)
+
     def test_stats_populated(self, sheet_setup):
         ps, cfg, kernel, _ = sheet_setup
         ev = TreeEvaluator(kernel, cfg.sigma, theta=0.5, leaf_size=24)
