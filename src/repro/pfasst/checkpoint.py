@@ -2,10 +2,11 @@
 
 A :class:`RunCheckpoint` captures everything a ``run_pfasst`` invocation
 needs to resume mid-block and reproduce the uninterrupted run *bitwise*:
-the per-time-rank level state (U, F, tau, initial conditions and the
-restriction snapshots), the block-initial value ``u_block``, residual
-histories, the attempt counter of the active block, per-block iteration
-bookkeeping, an optional RNG state slot and a metrics snapshot.  The
+the per-time-rank level state (U, F, tau, initial values with their
+RHS and the restriction snapshots), the block-initial value
+``u_block``, residual histories, the attempt counter of the active
+block, per-block iteration bookkeeping, an optional RNG state slot and
+a metrics snapshot.  The
 container on disk is ``REPROCKPT1 + CRC32 + npz``, written via the
 atomic temp-file + fsync + ``os.replace`` path of :mod:`repro.io` — a
 driver-process kill can never leave a torn checkpoint, and bit rot is
@@ -52,12 +53,19 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"REPROCKPT1"
-CHECKPOINT_VERSION = 1
+#: version 2 holds each level's ``f0`` (absent: evaluate it) where
+#: version 1 held a ``u0_dirty`` flag; a version-1 file loads with
+#: ``f0 = None``
+CHECKPOINT_VERSION = 2
 
 PathLike = Union[str, pathlib.Path]
 
 #: per-level array fields captured by :func:`snapshot_levels`
 _LEVEL_FIELDS = Level.STATE
+
+
+def _copy(value: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    return None if value is None else np.array(value, copy=True)
 
 
 def snapshot_levels(levels: List[Any]) -> List[Dict[str, Any]]:
@@ -67,15 +75,8 @@ def snapshot_levels(levels: List[Any]) -> List[Dict[str, Any]]:
     and what checkpoints persist; adopting it via :func:`adopt_levels`
     reproduces the hierarchy bitwise.
     """
-    blob = []
-    for lv in levels:
-        entry: Dict[str, Any] = {"u0_dirty": bool(lv.u0_dirty)}
-        for name in _LEVEL_FIELDS:
-            value = getattr(lv, name)
-            entry[name] = None if value is None else np.array(value,
-                                                              copy=True)
-        blob.append(entry)
-    return blob
+    return [{name: _copy(getattr(lv, name)) for name in _LEVEL_FIELDS}
+            for lv in levels]
 
 
 def adopt_levels(levels: List[Any], blob: List[Dict[str, Any]]) -> None:
@@ -86,11 +87,13 @@ def adopt_levels(levels: List[Any], blob: List[Dict[str, Any]]) -> None:
             f"{len(levels)}"
         )
     for lv, entry in zip(levels, blob):
-        lv.u0_dirty = bool(entry["u0_dirty"])
         for name in _LEVEL_FIELDS:
-            value = entry[name]
-            setattr(lv, name,
-                    None if value is None else np.array(value, copy=True))
+            setattr(lv, name, _copy(entry[name]))
+
+
+def _stored(data, key: str) -> Optional[np.ndarray]:
+    """The array saved under ``key``; ``None`` was saved as no entry."""
+    return data[key].copy() if key in data.files else None
 
 
 @dataclass
@@ -141,10 +144,7 @@ class RunCheckpoint:
             "k": self.k,
             "attempt": self.attempt,
             "n_levels": n_levels,
-            "u0_dirty": {
-                str(rank): [bool(e["u0_dirty"]) for e in blob]
-                for rank, blob in self.levels.items()
-            },
+            "ranks": sorted(self.levels),
             "iterations_done": list(self.iterations_done),
             "total_iterations": list(self.total_iterations),
             "recoveries": self.recoveries,
@@ -170,22 +170,21 @@ class RunCheckpoint:
                     f"run checkpoint {path} has version {meta['version']}; "
                     f"this build reads up to {CHECKPOINT_VERSION}"
                 )
+            if meta["version"] < 2:
+                ranks = [int(r) for r in meta["u0_dirty"]]
+            else:
+                ranks = meta["ranks"]
             levels: Dict[int, List[Dict[str, Any]]] = {}
             residuals: Dict[int, List[float]] = {}
-            for rank_s, dirty_flags in meta["u0_dirty"].items():
-                rank = int(rank_s)
+            for rank in ranks:
                 residuals[rank] = [
                     float(x) for x in data[f"r{rank}_residuals"]
                 ]
-                blob = []
-                for lev, dirty in enumerate(dirty_flags):
-                    entry: Dict[str, Any] = {"u0_dirty": bool(dirty)}
-                    for name in _LEVEL_FIELDS:
-                        key = f"r{rank}_l{lev}_{name}"
-                        entry[name] = (data[key].copy()
-                                       if key in data.files else None)
-                    blob.append(entry)
-                levels[rank] = blob
+                levels[rank] = [
+                    {name: _stored(data, f"r{rank}_l{lev}_{name}")
+                     for name in _LEVEL_FIELDS}
+                    for lev in range(meta["n_levels"])
+                ]
             return cls(
                 config_digest=meta["config_digest"],
                 p_time=int(meta["p_time"]),

@@ -302,11 +302,10 @@ class Step:
                 # node 0 is interior: the initial value is not a node
                 # value, interpolate it from the coarse level's directly
                 fine.u0 = tr.interpolate_state(coarse.u0)
-            # interpolated F[0] is approximate: the next sweep must
-            # re-evaluate it from u0 (dirty flag)
-            fine.u0_dirty = True
+            # interpolated F[0] is approximate: the next sweep takes f0
+            # instead, evaluating it if the new u0 cleared it
             if self.config.reeval_after_interp:
-                fine.F = yield from fine.evaluate_all(self.t_slice, self.ctx)
+                yield from fine.evaluate_all(self.t_slice, self.ctx)
             else:
                 fine.F = tr.interpolate_nodes(coarse.F)
             fine.tau = None
@@ -360,7 +359,7 @@ class Step:
             coarse.U = tr.restrict_nodes(level.U)
             coarse.U_at_restriction = coarse.U.copy()
             coarse.u0 = tr.restrict_state(level.u0)
-            coarse.F = yield from coarse.evaluate_all(t_slice, ctx)
+            yield from coarse.evaluate_all(t_slice, ctx)
             coarse.F_at_restriction = coarse.F.copy()
             coarse.tau = fas_correction(
                 level.dt, tr, level.F, coarse.F, tau_fine=level.tau
@@ -391,7 +390,7 @@ class Step:
                 coarse.U - coarse.U_at_restriction
             )
             if reeval:
-                level.F = yield from level.evaluate_all(t_slice, ctx)
+                yield from level.evaluate_all(t_slice, ctx)
             else:
                 # correct F by the interpolated increment of the
                 # coarse evaluations since restriction
@@ -405,7 +404,6 @@ class Step:
                 )
                 delta0 = coarse.u0 - tr.restrict_state(recv_u0)
                 level.u0 = recv_u0 + tr.interpolate_state(delta0)
-                level.u0_dirty = True
             else:
                 level.u0 = self.u0_by_level[lev]
             if level.rule.node_set.includes_left:
@@ -413,14 +411,12 @@ class Step:
             if lev > 0:
                 # intermediate levels sweep once more on the way up
                 yield from level.sweep(t_slice, ctx)
-            elif (reeval and not level.u0_dirty
+            elif (reeval and level.f0 is not None
                   and level.rule.node_set.includes_left):
                 # keep the literal-Algorithm-1 mode's F fully
                 # consistent at node 0 as well (node 0 *is* u0 only for
                 # left-including families)
-                level.F[0] = yield from ctx.rhs(
-                    level.spec.problem, t_slice, level.u0
-                )
+                level.F[0] = level.f0
         res = levels[0].residual()
         yield from self._mark("residual", {"k": k, "residual": float(res)})
         return res
@@ -439,6 +435,8 @@ class Step:
         self.t_slice = config.t0 + step * config.dt
         self.residuals = []
         if resume is None or block != resume.block:
+            for lv in self.levels:
+                lv.f0 = None  # an evaluation at the previous slice's time
             return None
         self.attempt = resume.attempt
         self.iters_attempted = resume.iters_attempted

@@ -72,15 +72,25 @@ class Level:
     ``dt`` is the slice length every sweep, residual and (for families
     without the right endpoint) end value of this level is taken over;
     a level built without one can hold state but not advance it.
+
+    The level owns the pair ``(u0, f0)``: :attr:`f0` is the RHS of
+    :attr:`u0` at node 0's time, evaluated once and handed to every
+    spread, sweep and re-evaluation that needs it.  Assigning ``u0``
+    keeps ``f0`` only when the new value is bitwise equal to the held
+    one; ``f0 is None`` means the next RHS site evaluates it.  ``f0``
+    belongs to one slice time: whoever moves the level to another slice
+    clears it.
     """
 
     #: the array-valued runtime state: node values and evaluations
     #: ``(M+1, *state)``, the node-to-node FAS term, the current initial
-    #: value, and the snapshots taken when this level is filled by
-    #: restriction (the coarse corrections on the way up the V-cycle are
-    #: ``U - U_snap`` / ``F - F_snap``).  :meth:`reset` and checkpoint
-    #: snapshot/adopt iterate it, so no field can be left out of either.
-    STATE = ("U", "F", "tau", "u0", "U_at_restriction", "F_at_restriction")
+    #: value and its RHS, and the snapshots taken when this level is
+    #: filled by restriction (the coarse corrections on the way up the
+    #: V-cycle are ``U - U_snap`` / ``F - F_snap``).  :meth:`reset` and
+    #: checkpoint snapshot/adopt iterate it, so no field can be left out
+    #: of either; ``f0`` follows ``u0``, whose assignment may clear it.
+    STATE = ("U", "F", "tau", "u0", "f0", "U_at_restriction",
+             "F_at_restriction")
 
     def __init__(self, spec: LevelSpec, dt: Optional[float] = None) -> None:
         self.spec = spec
@@ -89,6 +99,7 @@ class Level:
         self.sweeper: ExplicitSDCSweeper = make_sweeper(
             spec.problem, self.rule, spec.sweeper, spec.diagonal_coefficients
         )
+        self._u0: Optional[np.ndarray] = None
         self.reset()
 
     def reset(self) -> None:
@@ -101,9 +112,22 @@ class Level:
         """
         for name in self.STATE:
             setattr(self, name, None)
-        #: True when u0 changed since the last sweep consumed it (the
-        #: sweep then re-evaluates F at node 0, otherwise it is reused)
-        self.u0_dirty: bool = True
+
+    @property
+    def u0(self) -> Optional[np.ndarray]:
+        """The slice's initial value."""
+        return self._u0
+
+    @u0.setter
+    def u0(self, value: Optional[np.ndarray]) -> None:
+        if value is None or not np.array_equal(value, self._u0):
+            self.f0 = None
+        self._u0 = value
+
+    def _hold_f0(self) -> None:
+        """Keep ``F[0]`` as :attr:`f0` if node 0 holds ``u0`` bitwise."""
+        if self.f0 is None and np.array_equal(self.U[0], self.u0):
+            self.f0 = self.F[0].copy()
 
     @property
     def end_value(self) -> np.ndarray:
@@ -118,41 +142,40 @@ class Level:
         return self.sweeper.residual(self.dt, self.U, self.F, self.u0)
 
     def evaluate_all(self, t: float, ctx: RhsContext):
-        """RHS at every node of the slice at ``t`` (a ``ctx`` generator)."""
-        return ctx.node_values(
-            self.spec.problem, self.sweeper.node_times(t, self.dt), self.U
+        """Set :attr:`F` to the RHS at every node of the slice at ``t``
+        (a ``ctx`` generator); node 0 takes :attr:`f0` if it holds
+        :attr:`u0`."""
+        held = self.f0 is not None and np.array_equal(self.U[0], self.u0)
+        self.F = yield from ctx.node_values(
+            self.spec.problem, self.sweeper.node_times(t, self.dt), self.U,
+            {0: self.f0} if held else None,
         )
+        self._hold_f0()
 
     def spread(self, t: float, ctx: RhsContext):
-        """Spread :attr:`u0` and ``f(u0)`` over the slice at ``t``.
+        """Spread :attr:`u0` and :attr:`f0` over the slice at ``t``.
 
         A block starts here, before any restriction of its own, so the
         previous block's FAS term :attr:`tau` goes.
         """
         self.U, self.F = yield from self.sweeper.initialize_gen(
-            t, self.dt, self.u0, "spread", ctx=ctx
+            t, self.dt, self.u0, "spread", ctx=ctx, f0=self.f0
         )
         self.tau = None
-        self.u0_dirty = False
+        self._hold_f0()
 
     def sweep(self, t: float, ctx: RhsContext,
               u0: Optional[np.ndarray] = None):
         """One SDC sweep of the slice at ``t`` (generator).
 
         ``u0`` is a new initial value (a neighbour's end value, say): it
-        becomes :attr:`u0` and lands on node 0.  Without one the sweeper
-        is handed the tracked value only where it needs it: when it
-        changed since the last sweep consumed it (:attr:`u0_dirty` — F
-        at node 0 must be re-evaluated), or always for sweepers with no
-        node carrying it (``needs_u0``: diagonal, Gauss-Seidel on
-        families without the left endpoint).  Otherwise node 0 already
-        holds it and its evaluation is reused.
+        becomes :attr:`u0`.  The sweeper always gets :attr:`u0` and
+        :attr:`f0`, so node 0 costs a call only when ``f0`` is unknown.
         """
         if u0 is not None:
             self.u0 = u0
-        elif self.u0_dirty or self.sweeper.needs_u0:
-            u0 = self.u0
         self.U, self.F = yield from self.sweeper.sweep_gen(
-            t, self.dt, self.U, self.F, u0=u0, tau=self.tau, ctx=ctx,
+            t, self.dt, self.U, self.F, u0=self.u0, tau=self.tau, ctx=ctx,
+            f0=self.f0,
         )
-        self.u0_dirty = False
+        self._hold_f0()

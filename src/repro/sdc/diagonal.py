@@ -23,12 +23,18 @@ iteration on the node equation, starting from the plain Picard value
 ``u0 + dt (Q F^k)_m + Tau_m``:
 
 * ``inner_iterations = 0`` — the plain Picard/spectral iteration
-  (``d`` drops out): one RHS evaluation per node per sweep, the same
-  wall cost per sweep as Gauss-Seidel but fully node-parallel.
+  (``d`` drops out): one evaluation round per sweep, the same wall
+  cost per sweep as Gauss-Seidel but fully node-parallel.
 * ``inner_iterations = j >= 1`` — ``j`` extra evaluation rounds apply
   the diagonal correction; with the default ``"min"`` coefficients
   (``d_m = tau_m / M``, which make ``Q - Q_delta`` nilpotent) one inner
   iteration already recovers Gauss-Seidel-like convergence per sweep.
+
+A round evaluates only the nodes that moved: a node the diagonal
+correction left bitwise where the previous round evaluated it (every
+node with ``d_m = 0``, and converged ones) reuses that evaluation, and
+on left-including families node 0 is ``u0`` itself and takes the
+caller's ``f0`` instead of a call.
 
 Cost trade-off vs Gauss-Seidel: one diagonal sweep makes
 ``inner_iterations + 1`` evaluation *rounds*, each round node-parallel
@@ -90,11 +96,6 @@ class DiagonalSDCSweeper(ExplicitSDCSweeper):
         )
         self.inner_iterations = int(inner_iterations)
 
-    @property
-    def needs_u0(self) -> bool:
-        """The Q-form update starts every node from ``u0`` directly."""
-        return True
-
     def sweep_gen(
         self,
         t0: float,
@@ -104,12 +105,14 @@ class DiagonalSDCSweeper(ExplicitSDCSweeper):
         u0: Optional[np.ndarray] = None,
         tau: Optional[np.ndarray] = None,
         ctx: RhsContext = RhsContext(),
+        f0: Optional[np.ndarray] = None,
     ):
         """One Jacobi-style sweep; node-parallel over ``ctx.node`` when live.
 
-        All node updates read only the previous iterate ``(U, F)`` and
-        ``u0``, so the evaluation rounds shard over the node comm and
-        every node rank returns the same ``(U_new, F_new)`` bitwise.
+        All node updates read only the previous iterate ``(U, F)``,
+        ``u0`` and ``f0`` (the RHS of ``u0``, if the caller holds it), so
+        the evaluation rounds shard over the node comm and every node
+        rank returns the same ``(U_new, F_new)`` bitwise.
         """
         m1 = self.num_nodes
         times = self.node_times(t0, dt)
@@ -129,13 +132,19 @@ class DiagonalSDCSweeper(ExplicitSDCSweeper):
         # Picard predictor == first fixed-point iterate started from
         # the previous sweep's values (d_m F^k_m cancels exactly)
         U_new = base.copy()
+        # node 0 of a left-including family is u0 (row 0 of Q and
+        # tau_0 vanish there), whose RHS the caller may hold
+        known = (None if f0 is None or not np.array_equal(base[0], u0)
+                 else {0: f0})
         if self.inner_iterations > 0 and self.d.any():
             d_eff = (dt * self.d).reshape((m1,) + (1,) * (U.ndim - 1))
             b = base - d_eff * F
             for _ in range(self.inner_iterations):
                 F_star = yield from ctx.node_values(
-                    self.problem, times, U_new
+                    self.problem, times, U_new, known
                 )
-                U_new = b + d_eff * F_star
-        F_new = yield from ctx.node_values(self.problem, times, U_new)
+                U_prev, U_new = U_new, b + d_eff * F_star
+                known = {m: F_star[m] for m in range(m1)
+                         if np.array_equal(U_new[m], U_prev[m])}
+        F_new = yield from ctx.node_values(self.problem, times, U_new, known)
         return U_new, F_new

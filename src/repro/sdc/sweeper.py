@@ -108,25 +108,32 @@ class RhsContext:
                 ))
         return problem.rhs(t, u)
 
-    def node_values(self, problem: ODEProblem, times, values):
+    def node_values(self, problem: ODEProblem, times, values, known=None):
         """Evaluate the RHS at a set of collocation nodes (generator).
 
+        ``known`` maps node indices to evaluations the caller already
+        holds (``f(u0)`` at node 0, say); those nodes make no call.
         With a live node comm each node rank evaluates only its own
         contiguous slice of the ``(t, u)`` pairs via :meth:`rhs` and the
-        full ``F`` block is reassembled with a ring allgather.  Every
+        full ``F`` block is reassembled with a ring allgather, a known
+        entry contributed by the rank owning it as if computed.  Every
         node rank returns the same array *bitwise*: each entry is
         computed on exactly one rank and shared, which is what keeps
         ``p_nodes > 1`` runs bit-comparable to ``p_nodes = 1``.  Without
         one the loop runs inline with no extra yields.
         """
         node = self.node
+        known = known or {}
         serial = node is None or node.size <= 1
         lo, hi = 0, len(times)
         if not serial:
             lo, hi = node_slice(hi, node.size, node.rank)
         mine = []
         for m in range(lo, hi):
-            mine.append((yield from self.rhs(problem, times[m], values[m])))
+            f = known.get(m)
+            if f is None:
+                f = yield from self.rhs(problem, times[m], values[m])
+            mine.append(f)
         if serial:
             return np.stack(mine, axis=0)
         yield node.annotate("begin:node:rhs-allgather")
@@ -166,16 +173,6 @@ class ExplicitSDCSweeper:
     def num_nodes(self) -> int:
         return self.rule.num_nodes
 
-    @property
-    def needs_u0(self) -> bool:
-        """True when every sweep must be handed the step initial value.
-
-        Families without the left endpoint (``radau-right``,
-        ``legendre``) have no node carrying ``u0`` implicitly, so node
-        0's SDC update needs it explicitly on each call.
-        """
-        return not self.rule.node_set.includes_left
-
     def node_times(self, t0: float, dt: float) -> np.ndarray:
         """Physical times of the collocation nodes for step ``[t0, t0+dt]``."""
         return t0 + dt * self.rule.nodes
@@ -188,6 +185,7 @@ class ExplicitSDCSweeper:
         u0: np.ndarray,
         strategy: InitStrategy = "spread",
         ctx: RhsContext = RhsContext(),
+        f0: Optional[np.ndarray] = None,
     ):
         """Generator form of :meth:`initialize` (RHS via ``ctx.rhs``).
 
@@ -196,14 +194,17 @@ class ExplicitSDCSweeper:
         backend; with the default context it performs zero yields and
         computes exactly what :meth:`initialize` does.  Initialization
         is node-sequential (``spread`` makes one evaluation, ``euler``
-        marches), so ``ctx.node`` is unused here.
+        marches), so ``ctx.node`` is unused here.  ``f0``, when given,
+        is the RHS of ``u0`` at node 0's time and replaces that call.
         """
         m1 = self.num_nodes
         times = self.node_times(t0, dt)
         U = np.empty((m1,) + u0.shape, dtype=np.float64)
         F = np.empty_like(U)
         U[0] = u0
-        F[0] = yield from ctx.rhs(self.problem, times[0], u0)
+        if f0 is None:
+            f0 = yield from ctx.rhs(self.problem, times[0], u0)
+        F[0] = f0
         if strategy == "spread":
             for m in range(1, m1):
                 U[m] = u0
@@ -223,13 +224,15 @@ class ExplicitSDCSweeper:
         dt: float,
         u0: np.ndarray,
         strategy: InitStrategy = "spread",
+        f0: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Provisional node values ``U^0`` and their evaluations ``F^0``.
 
-        ``spread`` copies ``u0`` to every node (one RHS evaluation);
-        ``euler`` marches forward Euler through the nodes (M+1 evaluations).
+        ``spread`` copies ``u0`` to every node (one RHS evaluation, none
+        when ``f0`` is given); ``euler`` marches forward Euler through
+        the nodes (M+1 evaluations, M with ``f0``).
         """
-        return _drain(self.initialize_gen(t0, dt, u0, strategy))
+        return _drain(self.initialize_gen(t0, dt, u0, strategy, f0=f0))
 
     # ------------------------------------------------------------------
     def sweep_gen(
@@ -241,6 +244,7 @@ class ExplicitSDCSweeper:
         u0: Optional[np.ndarray] = None,
         tau: Optional[np.ndarray] = None,
         ctx: RhsContext = RhsContext(),
+        f0: Optional[np.ndarray] = None,
     ):
         """Generator form of :meth:`sweep` (RHS via ``ctx.rhs``).
 
@@ -265,11 +269,12 @@ class ExplicitSDCSweeper:
                     "collocation unknown: every sweep needs the step "
                     "initial value u0"
                 )
-            U_new[0] = U[0]
-            F_new[0] = F[0]
-        elif self.rule.node_set.includes_left:
+            u0, f0 = U[0], F[0]
+        if self.rule.node_set.includes_left:
             U_new[0] = u0
-            F_new[0] = yield from ctx.rhs(self.problem, times[0], u0)
+            if f0 is None:
+                f0 = yield from ctx.rhs(self.problem, times[0], u0)
+            F_new[0] = f0
         else:
             # node 0 sits at tau_0 > 0: its SDC update starts from u0
             # with row 0 of S, which integrates the interpolant (plus
@@ -289,7 +294,7 @@ class ExplicitSDCSweeper:
             )
         return U_new, F_new
 
-    @boundary("sweep", arrays=["U", "F", "u0", "tau"])
+    @boundary("sweep", arrays=["U", "F", "u0", "tau", "f0"])
     def sweep(
         self,
         t0: float,
@@ -298,17 +303,20 @@ class ExplicitSDCSweeper:
         F: np.ndarray,
         u0: Optional[np.ndarray] = None,
         tau: Optional[np.ndarray] = None,
+        f0: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One correction sweep; returns new ``(U, F)`` (inputs untouched).
 
         ``u0`` overrides the step initial value (PFASST passes the
         freshly received left-boundary value here).  For left-including
-        families it lands directly on node 0; when omitted, ``U[0]`` is
-        kept and its evaluation ``F[0]`` is reused.  For families whose
-        node 0 sits inside the step (``needs_u0``), ``u0`` is mandatory
-        and node 0 gets a genuine SDC update from it.
+        families it lands directly on node 0, whose evaluation is ``f0``
+        when given (the RHS of ``u0``) and one call otherwise; when
+        ``u0`` is omitted, ``U[0]`` is kept and its evaluation ``F[0]``
+        is reused.  For families whose node 0 sits inside the step,
+        ``u0`` is mandatory and node 0 gets a genuine SDC update from
+        it.
         """
-        return _drain(self.sweep_gen(t0, dt, U, F, u0=u0, tau=tau))
+        return _drain(self.sweep_gen(t0, dt, U, F, u0=u0, tau=tau, f0=f0))
 
     # ------------------------------------------------------------------
     def residual(

@@ -8,20 +8,29 @@ replays exactly the iterations the uninterrupted run would have
 executed.
 """
 
+import io
+import json
+
 import numpy as np
 import pytest
 
 from repro.analysis.commcheck import freeze
-from repro.io import CheckpointCorruptionError
+from repro.analysis.commgraph.cli import _smoke_problem
+from repro.io import (
+    CheckpointCorruptionError,
+    read_crc_container,
+    write_crc_container,
+)
 from repro.parallel.faults import FaultPlan, RankCrash, RankFailure
 from repro.pfasst.checkpoint import (
+    CHECKPOINT_MAGIC,
     RunCheckpoint,
     RunCheckpointer,
     adopt_levels,
     snapshot_levels,
 )
 from repro.pfasst.controller import PfasstConfig, run_pfasst
-from repro.pfasst.level import LevelSpec
+from repro.pfasst.level import Level, LevelSpec
 
 TOL = 1e-11
 
@@ -125,10 +134,11 @@ class TestRoundTrip:
         assert again.block == ckpt.block and again.k == ckpt.k
         assert np.array_equal(again.u_block, ckpt.u_block)
         assert again.residuals == ckpt.residuals
+        assert any(entry["f0"] is not None
+                   for blob in ckpt.levels.values() for entry in blob)
         for rank in ckpt.levels:
             for a, b in zip(again.levels[rank], ckpt.levels[rank]):
-                assert a["u0_dirty"] == b["u0_dirty"]
-                for name in ("U", "F", "tau", "u0"):
+                for name in Level.STATE:
                     if b[name] is None:
                         assert a[name] is None
                     else:
@@ -147,6 +157,32 @@ class TestRoundTrip:
         assert np.array_equal(levels[0].U, np.ones((3, 2)))
         with pytest.raises(ValueError, match="level"):
             adopt_levels(levels[:1], blob)
+
+    def test_version_1_loads_without_f0(self, linear_problem, u0, tmp_path):
+        """A version-1 file (``u0_dirty`` flags, no ``f0``) still loads;
+        every level then evaluates its ``f0`` afresh."""
+        path = tmp_path / "run.ckpt"
+        run_pfasst(
+            _config(), _specs(linear_problem), u0, p_time=2, checkpoint=path
+        )
+        with np.load(io.BytesIO(read_crc_container(path, CHECKPOINT_MAGIC))
+                     ) as data:
+            arrays = {k: data[k] for k in data.files
+                      if k != "meta" and not k.endswith("_f0")}
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+        meta["version"] = 1
+        meta["u0_dirty"] = {str(r): [True] * meta["n_levels"]
+                            for r in meta.pop("ranks")}
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                       dtype=np.uint8)
+        buf = io.BytesIO()
+        np.savez_compressed(buf, **arrays)
+        write_crc_container(path, CHECKPOINT_MAGIC, buf.getvalue())
+        old = RunCheckpoint.load(path)
+        assert old.version == 1 and sorted(old.levels) == [0, 1]
+        for blob in old.levels.values():
+            assert [entry["f0"] for entry in blob] == [None, None]
+            assert all(entry["U"] is not None for entry in blob)
 
     def test_newer_version_rejected(self, linear_problem, u0, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -239,6 +275,34 @@ class TestKillAndResume:
         )
         assert np.array_equal(resumed.u_end, base.u_end)
         assert resumed.residuals == base.residuals
+
+    def test_grid_resume_keeps_f0(self, tmp_path):
+        """A mid-block checkpoint on the 2x2x1 smoke vortex problem, whose
+        RHS is a space-row collective: the resumed tail sends exactly the
+        messages the uninterrupted run sends for it, so no level
+        re-evaluates an ``f0`` the checkpoint held.
+
+        One block, one checkpoint after iteration 1 of 3: the tail is
+        iteration 2 (the 3-iteration run minus the 2-iteration run) plus
+        what every run sends outside the iterations (a resume from the
+        end of the 2-iteration block)."""
+        u0, specs = _smoke_problem(96)
+
+        def run(iterations, **kw):
+            cfg = PfasstConfig(t0=0.0, t_end=0.05, n_steps=2,
+                               iterations=iterations)
+            res = run_pfasst(cfg, specs, u0, p_time=2, p_space=2, **kw)
+            return res, res.metrics["counters"]["mpi.messages"]
+
+        full, m3 = run(3, checkpoint=tmp_path / "k1.ckpt",
+                       checkpoint_interval=2)
+        _, m2 = run(2, checkpoint=tmp_path / "end.ckpt")
+        _, outside = run(2, resume_from=tmp_path / "end.ckpt")
+        resumed, tail = run(3, resume_from=tmp_path / "k1.ckpt")
+        assert RunCheckpoint.load(tmp_path / "k1.ckpt").k == 1
+        assert tail == (m3 - m2) + outside
+        assert np.array_equal(resumed.u_end, full.u_end)
+        assert resumed.residuals == full.residuals
 
 
 class TestResumeValidation:

@@ -265,43 +265,68 @@ class TestLevelSeams:
         level.u0 = np.array([0.0])
         assert np.array_equal(level.end_value, level.U[-1])
 
-    @pytest.mark.parametrize("sweeper,node_type,needs_u0", [
-        ("gauss-seidel", "lobatto", False),
-        ("gauss-seidel", "radau-right", True),
+    @pytest.mark.parametrize("sweeper,node_type,adopts_f0", [
+        ("gauss-seidel", "lobatto", True),
+        ("gauss-seidel", "radau-right", False),
         ("diagonal", "lobatto", True),
     ])
     @pytest.mark.parametrize("state", ["dirty", "clean", "explicit"])
     def test_sweep_u0_rule(self, scalar_problem, sweeper, node_type,
-                           needs_u0, state):
-        """What reaches ``sweeper.sweep_gen`` from ``Level.sweep``."""
+                           adopts_f0, state):
+        """What reaches ``sweeper.sweep_gen`` from ``Level.sweep``, what
+        node 0 costs, and whether the level holds ``f0`` afterwards.
+
+        ``dirty`` holds no ``f0``, ``clean`` holds it and ``explicit``
+        hands the sweep a new ``u0``, which clears it.  The sweeper is
+        always given the level's ``u0`` and ``f0``; a sweep whose node 0
+        ends at ``u0`` (``adopts_f0``) leaves its evaluation as ``f0``.
+        """
         level = Level(LevelSpec(scalar_problem, 3, 1, node_type=node_type,
                                 sweeper=sweeper), dt=0.1)
         seen = {}
+        real_sweep_gen = level.sweeper.sweep_gen
 
-        def fake_sweep_gen(t0, dt, U, F, u0=None, tau=None, ctx=None):
-            seen.update(t0=t0, dt=dt, U=U, F=F, u0=u0, tau=tau, ctx=ctx)
-            return "U'", "F'"
-            yield  # a generator, like the real one
+        def recording_sweep_gen(*args, **kw):
+            seen.update(kw)
+            return (yield from real_sweep_gen(*args, **kw))
 
-        level.sweeper.sweep_gen = fake_sweep_gen
+        level.sweeper.sweep_gen = recording_sweep_gen
         tracked, new = np.array([1.0]), np.array([2.0])
-        level.U, level.F, level.u0 = "U", "F", tracked
-        level.tau = "tau"
-        level.u0_dirty = state == "dirty"
+        level.u0 = tracked
+        level.U, level.F = level.sweeper.initialize(0.3, 0.1, tracked)
+        held = level.F[0].copy() if state == "clean" else None
+        level.f0 = held
+        scalar_problem.evals = 0
         ctx = RhsContext()
-        gen = level.sweep(0.3, ctx, new if state == "explicit" else None)
-        with pytest.raises(StopIteration):
-            next(gen)
-        if state == "explicit":
-            assert seen["u0"] is new and level.u0 is new
-        elif state == "dirty" or needs_u0:
-            assert seen["u0"] is tracked
+        for _ in level.sweep(0.3, ctx, new if state == "explicit" else None):
+            pass
+        assert seen["u0"] is (new if state == "explicit" else tracked)
+        assert seen["f0"] is held and seen["ctx"] is ctx
+        # three nodes per round; the diagonal sweeper's second round
+        # reuses node 0 (d_0 = 0), and a held f0 spares node 0's call
+        rounds = 2 if sweeper == "diagonal" else 1
+        saved = int(state == "clean" and adopts_f0) + (rounds - 1)
+        assert scalar_problem.evals == 3 * rounds - saved
+        if state == "clean":
+            assert level.f0 is held
+        elif adopts_f0:
+            t_node0 = level.sweeper.node_times(0.3, 0.1)[0]
+            assert np.array_equal(
+                level.f0, scalar_problem.rhs(t_node0, level.u0))
         else:
-            assert seen["u0"] is None
-        assert (seen["t0"], seen["dt"], seen["U"], seen["F"]) == (
-            0.3, 0.1, "U", "F")
-        assert seen["tau"] == "tau" and seen["ctx"] is ctx
-        assert (level.U, level.F, level.u0_dirty) == ("U'", "F'", False)
+            assert level.f0 is None
+
+    def test_u0_assignment_keeps_f0_iff_bitwise_equal(self, scalar_problem):
+        level = Level(LevelSpec(scalar_problem, 3, 1), dt=0.1)
+        level.u0 = np.array([1.0])
+        f0 = level.f0 = np.array([-1.0])
+        level.u0 = np.array([1.0])  # a new array, the same bits
+        assert level.f0 is f0
+        level.u0 = np.array([np.nextafter(1.0, 2.0)])
+        assert level.f0 is None
+        level.u0, level.f0 = np.array([1.0]), f0
+        level.reset()
+        assert level.u0 is None and level.f0 is None
 
     def test_sweep_without_fas_leaves_tau_out(self, scalar_problem):
         """A block's first sweeps carry no FAS term: ``spread`` drops the
@@ -312,7 +337,8 @@ class TestLevelSeams:
         for _ in level.spread(0.0, RhsContext()):
             pass
         assert level.tau is None
-        assert not level.u0_dirty and np.array_equal(level.U[2], level.u0)
+        assert np.array_equal(level.U[2], level.u0)
+        assert np.array_equal(level.f0, level.F[0])
         U_before = level.U.copy()
         for _ in level.sweep(0.0, RhsContext()):
             pass
@@ -324,16 +350,13 @@ class TestLevelSeams:
         level = Level(LevelSpec(scalar_problem, 3, 1), dt=0.1)
         for i, name in enumerate(Level.STATE):
             setattr(level, name, np.full((2,), float(i)))
-        level.u0_dirty = False
         (entry,) = snapshot_levels([level])
-        assert sorted(entry) == sorted(Level.STATE + ("u0_dirty",))
+        assert sorted(entry) == sorted(Level.STATE)
         level.reset()
         assert all(getattr(level, name) is None for name in Level.STATE)
-        assert level.u0_dirty is True
         adopt_levels([level], [entry])
         for i, name in enumerate(Level.STATE):
             assert np.array_equal(getattr(level, name), np.full((2,), float(i)))
-        assert level.u0_dirty is False
 
 
 class TestSweeperFactory:

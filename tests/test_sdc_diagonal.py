@@ -135,8 +135,14 @@ class TestConvergence:
         assert np.array_equal(Fa, Fb)
 
     def test_needs_u0(self, linear_problem):
+        """The Q-form update starts every node from u0, not from U[0]."""
         sw = DiagonalSDCSweeper(linear_problem, make_rule(3))
-        assert sw.needs_u0
+        U, F = sw.initialize(0.0, 0.2, np.array([1.0, 0.0]))
+        u0 = np.array([2.0, 0.0])
+        U_kept, _ = sw.sweep(0.0, 0.2, U, F)
+        U_new, _ = sw.sweep(0.0, 0.2, U, F, u0=u0)
+        assert np.array_equal(U_new[0], u0)
+        assert np.all(U_new[1:] != U_kept[1:])
 
     def test_u0_none_lobatto_uses_node0(self, linear_problem):
         sw = DiagonalSDCSweeper(linear_problem, make_rule(3))

@@ -78,3 +78,23 @@ class TestStats:
         s.run(np.array([1.0, 0.0]), 0.0, 0.5, 0.25,
               callback=lambda t, u: seen.append(t))
         assert seen == pytest.approx([0.0, 0.25, 0.5])
+
+
+class TestCarriedRhs:
+    @pytest.mark.parametrize("node_type,reuses", [
+        ("lobatto", True), ("radau-right", False),
+    ])
+    def test_run_carries_f_end(self, scalar_problem, node_type, reuses):
+        """With both endpoints a step's last evaluation is the next step's
+        ``f(u0)`` (the problem is non-autonomous, so the times must
+        agree): one call fewer per later step, the bits of stepping one
+        step at a time.  ``radau-right``'s node 0 sits inside the step,
+        so it has nothing to carry."""
+        s = SDCStepper(scalar_problem, num_nodes=3, sweeps=2,
+                       node_type=node_type)
+        u0 = u = np.array([1.0])
+        for k in range(4):
+            u = s.step(0.25 * k, 0.25, u)
+        per_step, scalar_problem.evals = scalar_problem.evals, 0
+        assert np.array_equal(s.run(u0, 0.0, 1.0, 0.25), u)
+        assert scalar_problem.evals == per_step - 3 * reuses

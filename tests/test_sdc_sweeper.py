@@ -11,7 +11,6 @@ class TestConstruction:
     def test_non_left_family_accepted(self, scalar_problem):
         sw = ExplicitSDCSweeper(scalar_problem, make_rule(3, "radau-right"))
         assert sw.num_nodes == 3
-        assert sw.needs_u0  # node 0 is a genuine unknown
 
     def test_non_left_sweep_requires_u0(self, scalar_problem):
         sw = ExplicitSDCSweeper(scalar_problem, make_rule(3, "radau-right"))
@@ -20,8 +19,12 @@ class TestConstruction:
             sw.sweep(0.0, 0.1, U, F)
 
     def test_lobatto_does_not_need_u0(self, scalar_problem):
+        """Node 0 carries u0: a sweep without it keeps U[0] and F[0]."""
         sw = ExplicitSDCSweeper(scalar_problem, make_rule(3))
-        assert not sw.needs_u0
+        U, F = sw.initialize(0.0, 0.1, np.array([1.0]))
+        F[0] = 7.0  # a reused value, not a call
+        U2, F2 = sw.sweep(0.0, 0.1, U, F)
+        assert U2[0] == U[0] and F2[0] == 7.0
 
     def test_lobatto_accepted(self, scalar_problem):
         sw = ExplicitSDCSweeper(scalar_problem, make_rule(3))

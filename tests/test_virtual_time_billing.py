@@ -134,8 +134,9 @@ class TestInline:
         vortex, u = problem
         metrics = MetricsRegistry()
         with use_metrics(metrics):
-            # SDC's f(u_end) is the next step's f(u_0): a repeat per step
+            # a serial run, then a repeat of its first evaluation
             SDCStepper(vortex, num_nodes=3, sweeps=2).run(u, 0.0, 0.2, 0.1)
+            vortex.rhs(0.0, u)
             assert vortex.evaluator.cache_stats.field_hits >= 1
             # nor is a rank's work billed to code running after the run
 
