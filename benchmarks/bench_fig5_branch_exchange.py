@@ -1,15 +1,14 @@
-"""Fig. 5 (measured) — branch-exchange traffic of the *executed* space
-parallelism.
+"""Fig. 5 — branch-exchange traffic of the *executed* space parallelism.
 
-`bench_fig5_tree_scaling.py` reproduces the paper's strong-scaling
-curves from a calibrated analytic model.  This companion measures the
-same quantities directly from the space-parallel evaluator
-(`repro.tree.parallel`): each P_S-rank world really exchanges branch
-payloads over the simulated link, so branch bytes, branch-node counts
-and exchange/wait spans come from counters and virtual-time traces, not
-from a fitted log-law.  The qualitative Fig. 5 driver — total exchange
+The paper's Fig. 5 shows PEPC's strong scaling on Blue Gene/P saturating
+once the branch-node exchange overtakes the traversal.  This script
+measures the quantities behind that curve directly from the
+space-parallel evaluator (`repro.tree.parallel`): each P_S-rank world
+really exchanges branch payloads over the simulated link, so branch
+bytes, branch-node counts and exchange/wait spans come from counters and
+virtual-time traces.  The qualitative Fig. 5 driver — total exchange
 volume growing with P_S while per-rank compute shrinks — is asserted at
-CI scale.
+CI scale.  Core counts beyond P_S = 8 are not reproduced.
 
 CLI::
 

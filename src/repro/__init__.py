@@ -27,9 +27,8 @@ Packages
 ``repro.backends``  kernel backends for the tree engine (numpy / threaded)
 ``repro.nbody``     direct reference solvers (Coulomb / gravity)
 ``repro.sdc``       spectral deferred corrections
-``repro.pfasst``    PFASST and parareal parallel-in-time methods
+``repro.pfasst``    PFASST parallel-in-time method and its speedup theory
 ``repro.parallel``  deterministic simulated MPI
-``repro.perfmodel`` calibrated machine/scaling models
 ``repro.integrators`` classical Runge-Kutta baselines
 """
 
@@ -50,13 +49,7 @@ from repro.vortex import (
 )
 from repro.tree import TreeEvaluator, TreeCoulombSolver, build_octree
 from repro.sdc import SDCStepper
-from repro.pfasst import (
-    LevelSpec,
-    PfasstConfig,
-    run_pfasst,
-    parareal_serial,
-    run_parareal,
-)
+from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
 
 __version__ = "1.0.0"
 
@@ -79,7 +72,5 @@ __all__ = [
     "LevelSpec",
     "PfasstConfig",
     "run_pfasst",
-    "parareal_serial",
-    "run_parareal",
     "__version__",
 ]

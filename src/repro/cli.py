@@ -88,7 +88,7 @@ def _cmd_info() -> int:
     print(f"integrators:  {', '.join(available_integrators())}, sdc, pfasst")
     print(f"node types:   {', '.join(available_node_types())}")
     print("subsystems:   vortex, tree, nbody, sdc, pfasst, parallel, "
-          "perfmodel, integrators")
+          "integrators")
     return 0
 
 

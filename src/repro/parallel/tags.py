@@ -218,12 +218,6 @@ BLOCKEND = register(
     "blockend", "pfasst", 2, "block-chaining end-value bcast (block, attempt)",
     attempt_index=1,
 )
-PR_INIT = register(
-    "init", "pfasst", 1, "parareal pipelined coarse prediction (sender rank)",
-)
-PR_ITER = register(
-    "iter", "pfasst", 1, "parareal iteration hand-off (iteration k)",
-)
 
 # space-parallel tree evaluation (repro/tree/parallel.py + grid program)
 SPACE_BRX = register(

@@ -19,12 +19,6 @@ from repro.pfasst.checkpoint import (
     snapshot_levels,
     adopt_levels,
 )
-from repro.pfasst.parareal import (
-    PararealConfig,
-    PararealResult,
-    parareal_serial,
-    run_parareal,
-)
 from repro.pfasst.theory import (
     PfasstCostModel,
     speedup_two_level,
@@ -38,8 +32,6 @@ from repro.pfasst.analysis import (
     rk_stability,
     sdc_stability,
     sdc_sweep_matrices,
-    parareal_error_matrix,
-    parareal_convergence_factor,
 )
 
 __all__ = [
@@ -57,10 +49,6 @@ __all__ = [
     "RunCheckpointer",
     "snapshot_levels",
     "adopt_levels",
-    "PararealConfig",
-    "PararealResult",
-    "parareal_serial",
-    "run_parareal",
     "PfasstCostModel",
     "speedup_two_level",
     "efficiency_two_level",
@@ -71,6 +59,4 @@ __all__ = [
     "rk_stability",
     "sdc_stability",
     "sdc_sweep_matrices",
-    "parareal_error_matrix",
-    "parareal_convergence_factor",
 ]

@@ -1,37 +1,22 @@
-"""Linear stability and convergence analysis for the time integrators.
+"""Linear stability analysis for the time integrators.
 
 Complements the runtime experiments with the classical linear theory on
-the Dahlquist test equation ``u' = z u``:
+the Dahlquist test equation ``u' = z u``: stability functions ``R(z)``
+of the explicit RK baselines (via the Butcher formula) and of explicit
+SDC sweeps (via the exact matrix form of the node-to-node sweep).
 
-* stability functions ``R(z)`` of the explicit RK baselines (via the
-  Butcher formula) and of explicit SDC sweeps (via the exact matrix form
-  of the node-to-node sweep);
-* the parareal error-propagation matrix and its convergence factor
-  (Gander & Vandewalle 2007): parareal's iteration error satisfies
-  ``e^{k+1} = E e^k`` with a strictly lower-triangular Toeplitz ``E``
-  built from the fine and coarse stability values.
-
-These quantities back the paper's framing: SDC(k) reproduces ``exp(z)``
-to order k, and the parareal/PFASST iteration converges fast when the
-coarse propagator tracks the fine one.
+These back the paper's framing that SDC(k) reproduces ``exp(z)`` to
+order k.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from repro.integrators.runge_kutta import ButcherTableau
 from repro.sdc.quadrature import make_rule
 
-__all__ = [
-    "rk_stability",
-    "sdc_stability",
-    "sdc_sweep_matrices",
-    "parareal_error_matrix",
-    "parareal_convergence_factor",
-]
+__all__ = ["rk_stability", "sdc_stability", "sdc_sweep_matrices"]
 
 
 def rk_stability(tableau: ButcherTableau, z: complex | np.ndarray) -> np.ndarray:
@@ -92,35 +77,3 @@ def sdc_stability(
             u = np.linalg.solve(m_new, m_old @ u + e0)
         out[idx] = u[-1]
     return out if out.shape else out[()]
-
-
-def parareal_error_matrix(
-    r_fine: complex, r_coarse: complex, n_slices: int
-) -> np.ndarray:
-    """Error-propagation matrix ``E`` of parareal on ``u' = z u``.
-
-    With slice boundary errors ``e_n``, one parareal iteration gives
-    ``e^{k+1}_{n+1} = R_G e^{k+1}_n + (R_F - R_G) e^k_n`` so that
-    ``e^{k+1} = E e^k`` with
-    ``E = (I - R_G L)^{-1} (R_F - R_G) L`` and ``L`` the lower shift.
-    """
-    if n_slices < 1:
-        raise ValueError(f"n_slices must be >= 1, got {n_slices}")
-    shift = np.eye(n_slices, k=-1, dtype=complex)
-    lhs = np.eye(n_slices, dtype=complex) - r_coarse * shift
-    rhs = (r_fine - r_coarse) * shift
-    return np.linalg.solve(lhs, rhs)
-
-
-def parareal_convergence_factor(
-    r_fine: complex, r_coarse: complex, n_slices: int,
-    iterations: int = 1,
-) -> float:
-    """2-norm contraction of ``iterations`` parareal iterations.
-
-    Values below 1 mean the iteration converges; equal coarse and fine
-    propagators give exactly 0 (one-shot convergence).
-    """
-    e = parareal_error_matrix(r_fine, r_coarse, n_slices)
-    power = np.linalg.matrix_power(e, iterations)
-    return float(np.linalg.norm(power, 2))

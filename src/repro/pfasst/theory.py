@@ -45,8 +45,10 @@ def alpha_from_measurements(
     """
     if m_coarse < 1 or m_fine < 1:
         raise ValueError("node substep counts must be >= 1")
-    if theta_cost_ratio <= 0:
-        raise ValueError(f"cost ratio must be > 0, got {theta_cost_ratio}")
+    if not (np.isfinite(theta_cost_ratio) and theta_cost_ratio > 0):
+        raise ValueError(
+            f"cost ratio must be finite and > 0, got {theta_cost_ratio}"
+        )
     return (m_coarse / m_fine) / theta_cost_ratio
 
 
@@ -61,16 +63,20 @@ class PfasstCostModel:
     gamma: Sequence[float]  # FAS overhead per level per iteration
 
     def __post_init__(self) -> None:
-        if not (len(self.n_sweeps) == len(self.upsilon) == len(self.gamma)):
-            raise ValueError("per-level sequences must have equal lengths")
+        lengths = (len(self.n_sweeps), len(self.upsilon), len(self.gamma))
+        if len(set(lengths)) != 1:
+            raise ValueError(
+                "per-level sequences must have equal lengths, got "
+                f"n_sweeps/upsilon/gamma = {lengths}"
+            )
         if self.ks < 1 or self.kp < 1:
             raise ValueError("iteration counts must be >= 1")
 
-    def serial_cost(self, p_t: int) -> float:
+    def serial_cost(self, p_t: int | np.ndarray) -> float | np.ndarray:
         """Eq. 21: ``Cs = P_T Ks Upsilon_0``."""
         return p_t * self.ks * self.upsilon[0]
 
-    def parallel_cost(self, p_t: int) -> float:
+    def parallel_cost(self, p_t: int | np.ndarray) -> float | np.ndarray:
         """Eq. 22: ``Cp = P_T nL UpsilonL + Kp sum(n Upsilon + n Gamma)``."""
         predictor = p_t * self.n_sweeps[-1] * self.upsilon[-1]
         per_iter = sum(
@@ -79,7 +85,7 @@ class PfasstCostModel:
         )
         return predictor + self.kp * per_iter
 
-    def speedup(self, p_t: int) -> float:
+    def speedup(self, p_t: int | np.ndarray) -> float | np.ndarray:
         """Eq. 23."""
         return self.serial_cost(p_t) / self.parallel_cost(p_t)
 
@@ -138,11 +144,11 @@ def multi_level_speedup(
     upsilon: Sequence[float],
     gamma: Sequence[float] | None = None,
 ) -> np.ndarray:
-    """General L-level speedup via Eq. 23, vectorised over ``p_t``."""
-    gamma = gamma if gamma is not None else [0.0] * len(n_sweeps)
-    p = np.asarray(p_t, dtype=np.float64)
-    predictor = p * n_sweeps[-1] * upsilon[-1]
-    per_iter = sum(
-        n * (u + g) for n, u, g in zip(n_sweeps, upsilon, gamma)
-    )
-    return p * ks * upsilon[0] / (predictor + kp * per_iter)
+    """General L-level speedup via Eq. 23, vectorised over ``p_t``.
+
+    ``gamma`` defaults to no FAS overhead on every level.
+    """
+    if gamma is None:
+        gamma = [0.0] * len(n_sweeps)
+    model = PfasstCostModel(ks, kp, n_sweeps, upsilon, gamma)
+    return model.speedup(np.asarray(p_t, dtype=np.float64))

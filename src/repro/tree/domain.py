@@ -5,9 +5,8 @@ The parallel Barnes-Hut code partitions the space-filling curve across
 *branch nodes* — the minimal set of octree cells covering each rank's
 contiguous key range — to assemble the globally shared top of the tree.
 Fig. 5 shows that this branch exchange dominates the runtime at small
-particles-per-core counts; this module reproduces the decomposition so the
-performance model can be calibrated with *real* branch counts instead of a
-guessed formula.
+particles-per-core counts; this module reproduces the decomposition, so
+branch counts and bytes are measured rather than guessed.
 """
 
 from __future__ import annotations

@@ -44,7 +44,6 @@ from repro.vortex.problem import (
     DirectEvaluator,
     VortexProblem,
 )
-from repro.vortex.remesh import RemeshResult, remesh, m4prime, lambda1
 
 __all__ = [
     "SmoothingKernel",
@@ -77,8 +76,4 @@ __all__ = [
     "FieldEvaluator",
     "DirectEvaluator",
     "VortexProblem",
-    "RemeshResult",
-    "remesh",
-    "m4prime",
-    "lambda1",
 ]

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.integrators import rk2_midpoint, rk3_ssp, rk4_classic, forward_euler
-from repro.pfasst.analysis import (
-    parareal_convergence_factor,
-    parareal_error_matrix,
-    rk_stability,
-    sdc_stability,
-)
+from repro.pfasst.analysis import rk_stability, sdc_stability
 
 
 class TestRKStability:
@@ -91,68 +86,3 @@ class TestSDCStability:
         amplifies."""
         assert abs(sdc_stability(3, 4, -20.0)) > 1.0
         assert abs(sdc_stability(3, 4, -1.0)) < 1.0
-
-
-class TestPararealFactor:
-    def test_identical_propagators_converge_instantly(self):
-        e = parareal_error_matrix(0.9, 0.9, 6)
-        assert np.allclose(e, 0.0)
-        assert parareal_convergence_factor(0.9, 0.9, 6) == 0.0
-
-    def test_factor_below_one_for_good_coarse(self):
-        r_f = np.exp(-0.5)
-        r_g = 1.0 / (1.0 + 0.5)  # backward Euler
-        factor = parareal_convergence_factor(r_f, r_g, 8)
-        assert 0 < factor < 1
-
-    def test_factor_grows_with_coarse_error(self):
-        r_f = np.exp(-0.5)
-        good = parareal_convergence_factor(r_f, np.exp(-0.45), 8)
-        bad = parareal_convergence_factor(r_f, np.exp(-0.1), 8)
-        assert bad > good
-
-    def test_nilpotent_after_n_iterations(self):
-        """Parareal is exact after N iterations: E^N = 0."""
-        e = parareal_error_matrix(0.8, 0.5, 5)
-        assert np.allclose(np.linalg.matrix_power(e, 5), 0.0, atol=1e-12)
-
-    def test_strictly_lower_triangular(self):
-        e = parareal_error_matrix(0.8, 0.5, 5)
-        assert np.allclose(np.triu(e), 0.0)
-
-    def test_invalid_slices(self):
-        with pytest.raises(ValueError, match="n_slices"):
-            parareal_error_matrix(0.5, 0.4, 0)
-
-    def test_iterated_factor_decreases(self):
-        r_f, r_g = np.exp(-0.3), 1 / 1.3
-        f1 = parareal_convergence_factor(r_f, r_g, 10, iterations=1)
-        f2 = parareal_convergence_factor(r_f, r_g, 10, iterations=2)
-        assert f2 < f1
-
-    def test_factor_predicts_measured_parareal_convergence(self):
-        """The linear theory matches the actual algorithm on u' = z u."""
-        from repro.pfasst.parareal import PararealConfig, parareal_serial
-
-        z = -1.0
-        dt = 0.25
-        n = 8
-
-        def fine(t, dt_, u):
-            # exact propagator
-            return u * np.exp(z * dt_)
-
-        def coarse(t, dt_, u):
-            return u / (1.0 - z * dt_)  # backward Euler
-
-        cfg = PararealConfig(0.0, n * dt, n, 3)
-        res = parareal_serial(cfg, coarse, fine, np.array([1.0]))
-        measured_ratio = res.increments[2] / res.increments[1]
-        r_f, r_g = np.exp(z * dt), 1 / (1 - z * dt)
-        e = parareal_error_matrix(r_f, r_g, n)
-        rho = np.max(np.abs(np.linalg.eigvals(e)))
-        # nilpotent matrix: compare transient norms instead of rho
-        f2 = parareal_convergence_factor(r_f, r_g, n, 2)
-        f1 = parareal_convergence_factor(r_f, r_g, n, 1)
-        assert measured_ratio < 1.0
-        assert f2 / f1 < 1.0

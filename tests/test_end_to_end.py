@@ -97,27 +97,6 @@ class TestFullStack:
         rel = np.max(np.abs(res.u_end[0] - u_rk[0])) / np.max(np.abs(u_rk[0]))
         assert rel < 1e-4
 
-    def test_remesh_then_continue(self, setup):
-        """Remesh mid-run and keep integrating — states stay sane and the
-        total charge is carried across the remesh exactly."""
-        from repro.vortex.remesh import remesh
-
-        ps, cfg, kernel = setup
-        prob = VortexProblem(ps.volumes,
-                             DirectEvaluator(kernel, cfg.sigma))
-        rk2 = get_integrator("rk2")
-        u_mid = rk2.run(prob, ps.state(), 0.0, 1.0, 0.5)
-        mid = ps.with_state(u_mid)
-        result = remesh(mid, spacing=cfg.h, prune_below=1e-9)
-        new = result.particles
-        assert np.allclose(
-            new.charges.sum(axis=0), mid.charges.sum(axis=0), atol=1e-10
-        )
-        prob2 = VortexProblem(new.volumes,
-                              DirectEvaluator(kernel, cfg.sigma))
-        u_end = rk2.run(prob2, new.state(), 1.0, 2.0, 0.5)
-        assert np.all(np.isfinite(u_end))
-
     def test_coulomb_and_vortex_trees_share_structure(self, setup, rng):
         """One particle set, both interaction types, same tree shape."""
         from repro.tree import TreeCoulombSolver, build_octree

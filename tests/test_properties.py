@@ -120,11 +120,10 @@ def test_random_message_patterns_deliver_exactly_once(seed, n_ranks, n_msgs):
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10**6))
-def test_pfasst_parareal_sdc_consistency_property(seed):
-    """On random nonstiff linear 2x2 systems, converged PFASST, converged
-    parareal(fine=SDC) and serial SDC agree."""
-    from repro.pfasst import (LevelSpec, PararealConfig, PfasstConfig,
-                              parareal_serial, run_pfasst)
+def test_pfasst_sdc_consistency_property(seed):
+    """On random nonstiff linear 2x2 systems, converged PFASST and serial
+    SDC agree."""
+    from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
 
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(2, 2)) * 0.5
@@ -143,14 +142,3 @@ def test_pfasst_parareal_sdc_consistency_property(seed):
     specs = [LevelSpec(prob, 3, 1), LevelSpec(prob, 2, 2)]
     pf = run_pfasst(cfg, specs, u0, p_time=n)
     assert np.allclose(pf.u_end, sdc_ref, atol=1e-9)
-
-    def fine(t, dt, u):
-        return SDCStepper(prob, num_nodes=3, sweeps=12).run(u, t, t + dt, dt)
-
-    def coarse(t, dt, u):
-        return u + dt * prob.rhs(t, u)
-
-    par = parareal_serial(
-        PararealConfig(0.0, t_end, n, n), coarse, fine, u0
-    )
-    assert np.allclose(par.u_end, sdc_ref, atol=1e-9)

@@ -30,6 +30,12 @@ class TestAlpha:
         with pytest.raises(ValueError):
             alpha_from_measurements(2, 3, 0.0)
 
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf")])
+    def test_non_finite_ratio_rejected(self, ratio):
+        """A non-finite ratio has no alpha (it would read as nan or 0)."""
+        with pytest.raises(ValueError, match=f"got {ratio}"):
+            alpha_from_measurements(2, 3, ratio)
+
 
 class TestTwoLevelSpeedup:
     def test_bound_eq25_holds_everywhere(self):
@@ -119,6 +125,20 @@ class TestCostModel:
                             upsilon=upsilon, gamma=[0.0] * 3)
         s = multi_level_speedup(16, 4, 2, n_sweeps, upsilon)
         assert float(s) == pytest.approx(m.speedup(16))
+
+    def test_multi_level_speedup_vectorised_over_p(self):
+        p = np.array([1, 4, 16, 64])
+        s = multi_level_speedup(p, 4, 2, [1, 2], [1.0, 0.25])
+        assert s.shape == p.shape
+        assert np.array_equal(s, speedup_two_level(p, 0.25, 4, 2, 2))
+
+    def test_multi_level_speedup_rejects_mismatched_levels(self):
+        """Per-level sequences of different lengths are an error, not
+        truncated to the shortest (which would read 3.64, not 2.86)."""
+        with pytest.raises(ValueError, match="equal lengths"):
+            multi_level_speedup(4, 4, 2, [1, 2], [1.0, 0.3], gamma=[0.0])
+        with pytest.raises(ValueError, match="equal lengths"):
+            multi_level_speedup(4, 4, 2, [1, 2], [1.0])
 
     def test_validation(self):
         with pytest.raises(ValueError, match="equal lengths"):
