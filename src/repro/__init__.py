@@ -25,7 +25,6 @@ Packages
 ``repro.vortex``    vortex particle method (kernels, RHS, initial data)
 ``repro.tree``      Barnes-Hut tree code ("PEPC")
 ``repro.backends``  kernel backends for the tree engine (numpy / threaded)
-``repro.nbody``     direct reference solvers (Coulomb / gravity)
 ``repro.sdc``       spectral deferred corrections
 ``repro.pfasst``    PFASST parallel-in-time method and its speedup theory
 ``repro.parallel``  deterministic simulated MPI
@@ -47,7 +46,7 @@ from repro.vortex import (
     DirectEvaluator,
     VortexProblem,
 )
-from repro.tree import TreeEvaluator, TreeCoulombSolver, build_octree
+from repro.tree import TreeEvaluator, build_octree
 from repro.sdc import SDCStepper
 from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
 
@@ -66,7 +65,6 @@ __all__ = [
     "DirectEvaluator",
     "VortexProblem",
     "TreeEvaluator",
-    "TreeCoulombSolver",
     "build_octree",
     "SDCStepper",
     "LevelSpec",

@@ -106,7 +106,7 @@ HOT_MODULES: Tuple[str, ...] = (
     "tree/engine.py",
     "tree/evaluate.py",
     "vortex/kernels.py",
-    "nbody/direct.py",
+    "vortex/rhs.py",
     # kernel backends: every backend must uphold the same float64
     # discipline the engine assumes (RPR004)
     "backends/threaded.py",
@@ -443,7 +443,7 @@ class _Linter(ast.NodeVisitor):
                 node, "RPR003",
                 "Python-level loop over a per-particle/per-pair axis in a "
                 "hot module; batch it through the engine (chunk loops are "
-                "fine: iterate over chunk_ranges/_slot_chunks instead)",
+                "fine: iterate over chunk_ranges instead)",
             )
 
     @staticmethod

@@ -1,9 +1,8 @@
 """Kernel-execution backends for the batched tree engine.
 
-The batched far/near engine (:mod:`repro.tree.engine`) cuts each pass
-into *write-disjoint* batches: every batch owns the target rows (or
-slot range) it scatters into and shares only read-only state with the
-others.  A :class:`KernelBackend` decides how those batches are run:
+The batched tree engine (:mod:`repro.tree.engine`) cuts its near pass
+into *write-disjoint* batches: every batch owns the target rows it
+writes and shares only read-only state with the others.  A :class:`KernelBackend` decides how those batches are run:
 
 ``numpy``
     The reference — the base class itself: a serial in-order loop over
@@ -20,7 +19,7 @@ others.  A :class:`KernelBackend` decides how those batches are run:
 Selection (:func:`get_backend`): an explicit name or instance wins, then
 the ``REPRO_BACKEND`` environment variable, then ``numpy``.
 
-``to_device`` is the test hook: the vortex near-field pass hands its
+``to_device`` is the test hook: the near-field pass hands its
 operands through it, the identity on both shipped backends, so a test
 backend can substitute arrays that count ufunc passes (the near body's
 pass budget) without touching the engine.
@@ -54,7 +53,7 @@ DEFAULT_BACKEND = "numpy"
 
 
 class KernelBackend:
-    """Execution strategy for the batched far/near engine.
+    """Execution strategy for the batched near pass.
 
     The base class is the ``numpy`` reference backend: a serial loop
     over batches.  Subclasses override the class attributes and

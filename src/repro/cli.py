@@ -87,8 +87,7 @@ def _cmd_info() -> int:
     print(f"kernels:      {', '.join(available_kernels())}")
     print(f"integrators:  {', '.join(available_integrators())}, sdc, pfasst")
     print(f"node types:   {', '.join(available_node_types())}")
-    print("subsystems:   vortex, tree, nbody, sdc, pfasst, parallel, "
-          "integrators")
+    print("subsystems:   vortex, tree, sdc, pfasst, parallel, integrators")
     return 0
 
 

@@ -169,6 +169,11 @@ def load_particles(path: PathLike) -> tuple[ParticleSystem, float, Dict[str, Any
     """
     path = pathlib.Path(path)
     try:
+        # an empty file or one that is no archive would reach np.load's
+        # raw EOFError / "pickled data" ValueError
+        with open(path, "rb") as fh:
+            if not zipfile.is_zipfile(fh):
+                raise zipfile.BadZipFile("not a zip archive")
         with np.load(path, allow_pickle=False) as data:
             version = int(data["format_version"])
             if version > _FORMAT_VERSION:

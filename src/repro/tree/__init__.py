@@ -12,26 +12,15 @@ from repro.tree.morton import (
     cell_of_key,
 )
 from repro.tree.build import Octree, build_octree
-from repro.tree.multipole import (
-    VortexMoments,
-    CoulombMoments,
-    compute_vortex_moments,
-    compute_coulomb_moments,
-)
+from repro.tree.multipole import VortexMoments, compute_vortex_moments
 from repro.tree.profiles import (
     RationalProfile,
     radial_chain,
-    potential_profile,
     supports_multipoles,
 )
 from repro.tree.mac import MACVariant, mac_accept, mac_accept_sq
 from repro.tree.traversal import InteractionLists, dual_traversal
-from repro.tree.evaluate import (
-    evaluate_vortex_far,
-    evaluate_coulomb_far,
-    evaluate_vortex_far_pairs,
-    evaluate_coulomb_far_pairs,
-)
+from repro.tree.evaluate import evaluate_vortex_far, evaluate_vortex_far_pairs
 from repro.tree.state import (
     CacheStats,
     TreeState,
@@ -44,7 +33,7 @@ from repro.tree.engine import (
     build_traversal_layout,
     segment_layout,
 )
-from repro.tree.evaluator import TreeStats, TreeEvaluator, TreeCoulombSolver
+from repro.tree.evaluator import TreeStats, TreeEvaluator
 from repro.tree.domain import (
     DomainDecomposition,
     sfc_partition,
@@ -66,12 +55,9 @@ __all__ = [
     "Octree",
     "build_octree",
     "VortexMoments",
-    "CoulombMoments",
     "compute_vortex_moments",
-    "compute_coulomb_moments",
     "RationalProfile",
     "radial_chain",
-    "potential_profile",
     "supports_multipoles",
     "MACVariant",
     "mac_accept",
@@ -79,9 +65,7 @@ __all__ = [
     "InteractionLists",
     "dual_traversal",
     "evaluate_vortex_far",
-    "evaluate_coulomb_far",
     "evaluate_vortex_far_pairs",
-    "evaluate_coulomb_far_pairs",
     "CacheStats",
     "TreeState",
     "TreeStateCache",
@@ -92,7 +76,6 @@ __all__ = [
     "segment_layout",
     "TreeStats",
     "TreeEvaluator",
-    "TreeCoulombSolver",
     "DomainDecomposition",
     "sfc_partition",
     "cover_key_range",

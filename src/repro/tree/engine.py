@@ -6,7 +6,7 @@ dozens of small NumPy calls and a per-leaf ``np.concatenate``).  This
 module evaluates whole *batches of groups* at once, padded to rectangular
 blocks so the inner loops are dense matrix products:
 
-* **near** (vortex): in the production regime (smooth kernel, leaves a
+* **near**: in the production regime (smooth kernel, leaves a
   few core sizes across) each batch gathers its sources as
   structure-of-arrays rows, builds the per-source feature rows
   ``[alpha | s x alpha | alpha (x) s | (s x alpha) (x) s]``, gets the
@@ -21,7 +21,7 @@ blocks so the inner loops are dense matrix products:
   Outside the expansion gate (theta = 0 stress shapes, singular
   kernels) a fully explicit ``r = t - s`` path keeps exact-zero
   detection and reference-level rounding.
-* **far** (vortex): the multipole expansion is factored over the
+* **far**: the multipole expansion is factored over the
   *cluster-frame* monomial basis (:mod:`repro.tree.localbasis`): every
   unique cluster node gets one weight matrix mapping the D-weighted
   monomials of ``r = target - center`` straight to the 3 velocity + 9
@@ -32,11 +32,6 @@ blocks so the inner loops are dense matrix products:
   output component.  Per-pair work is independent of how many groups
   share a cluster, and all per-cluster tensor algebra happens once per
   pass, not once per batch.
-* **Coulomb** far/near keep the flat chunked pair streams over the
-  pairwise kernels (:func:`~repro.tree.evaluate.evaluate_coulomb_far_pairs`,
-  :func:`~repro.nbody.direct.coulomb_pairs`) — the scalar-charge path
-  has an order of magnitude less per-pair state, so gather-per-pair is
-  already cheap.
 
 Batches are packed greedily under a temporary-memory budget, groups
 sorted by size so padding stays tight; a batch always contains at least
@@ -55,12 +50,11 @@ a ``(count, shift)`` per ``(cluster node, target group)`` and per
 gather/scatter indices batch by batch (:func:`_pairs_to_slots`), so its
 memory is O(list entries), not O(particle pairs).
 
-**Backends.** Each pass takes an optional kernel backend
-(:mod:`repro.backends`) selecting the execution strategy: the
-batch/chunk partitions built here are *write-disjoint* (each owns the
-target rows or slot range it scatters into), which is the invariant
-that lets the ``threaded`` backend run them on a thread pool
-bitwise-identically.  ``backend=None`` resolves through
+**Backends.** The near pass takes an optional kernel backend
+(:mod:`repro.backends`) selecting the execution strategy: its batches
+are *write-disjoint* (each owns the target rows it writes), which is
+the invariant that lets the ``threaded`` backend run them on a thread
+pool bitwise-identically.  ``backend=None`` resolves through
 ``REPRO_BACKEND`` and defaults to the serial NumPy reference.
 
 **Process safety.** The batched kernels are safe to run inside worker
@@ -76,20 +70,14 @@ outputs on the worker side, as the evaluator's pipeline does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.backends import KernelBackend, get_backend
-from repro.nbody.direct import coulomb_pairs
 from repro.obs.metrics import get_metrics
 from repro.tree.build import Octree
-from repro.tree.evaluate import (
-    _cross,
-    _cross_matrix_add,
-    _eps_add,
-    evaluate_coulomb_far_pairs,
-)
+from repro.tree.evaluate import _cross, _cross_matrix_add, _eps_add
 from repro.tree.localbasis import (
     BLOCK_COL,
     BLOCK_END,
@@ -98,7 +86,7 @@ from repro.tree.localbasis import (
     monomial_rows,
     node_far_weights,
 )
-from repro.tree.multipole import CoulombMoments, VortexMoments
+from repro.tree.multipole import VortexMoments
 from repro.tree.profiles import radial_chain
 from repro.tree.traversal import InteractionLists
 from repro.vortex.kernels import SmoothingKernel
@@ -110,13 +98,11 @@ __all__ = [
     "build_traversal_layout",
     "batched_far_vortex",
     "batched_near_vortex",
-    "batched_far_coulomb",
-    "batched_near_coulomb",
 ]
 
 _INV_FOUR_PI = 1.0 / (4.0 * np.pi)
 
-#: default temporary-memory budget per evaluation batch/chunk
+#: default temporary-memory budget per evaluation batch
 DEFAULT_BUDGET_BYTES = 64 * 2**20
 #: tighter defaults for the GEMM passes — blocks that stay cache-resident
 #: make the many short elementwise sweeps (radial factors, monomials)
@@ -143,8 +129,6 @@ _NEAR_GEMM_PAIR_BYTES = {True: 272, False: 128}
 #: per padded (target, cluster-node) far pair: monomial + Ycat rows,
 #: radial chain, gather/output blocks
 _FAR_PAIR_BYTES = 904
-_FAR_BYTES_PER_PAIR = {True: 1200, False: 600}  # flat Coulomb path
-_NEAR_BYTES_PER_PAIR = {True: 480, False: 240}
 
 #: near product-expansion gate: the GEMM distance/feature expansion is
 #: used only when every *target* sits within this many core sizes of its
@@ -171,12 +155,6 @@ def _cumsum0(a: np.ndarray) -> np.ndarray:
     out[0] = 0
     np.cumsum(a, out=out[1:])
     return out
-
-
-def _segment_arange(counts: np.ndarray, total: int) -> np.ndarray:
-    """Concatenation of ``arange(c)`` for every ``c`` in ``counts``."""
-    starts = _cumsum0(counts)[:-1]
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
 
 
 @dataclass
@@ -220,10 +198,9 @@ class TraversalLayout:
     - first global pair index``; the drivers expand a batch's padded
     global pair indices into slots on the fly (:func:`_pairs_to_slots`).
 
-    Group-indexed arrays follow the order of ``lists.groups``; per-slot
-    arrays are indexed by *sorted particle slot* (the Morton order the
-    tree stores) and serve the flat chunked Coulomb path, whose ``cum``
-    prefix sums cut the pair streams into chunks.
+    Group-indexed arrays follow the order of ``lists.groups``;
+    ``group_of_slot`` is indexed by *sorted particle slot* (the Morton
+    order the tree stores).
     """
 
     far: SegmentLayout
@@ -241,9 +218,6 @@ class TraversalLayout:
     #: per near entry (``near.node`` order): leaf size and slot shift
     near_entry_count: np.ndarray
     near_entry_shift: np.ndarray
-    #: (n + 1,) prefix sums of the far / near pairs per slot
-    far_cum: np.ndarray
-    near_cum: np.ndarray
     #: unique far cluster nodes (ascending).  Node ``far_nodes_u[k]`` owns
     #: the far entries ``far_node_entry_start[k]:far_node_entry_start[k +
     #: 1]`` of the node-sorted entry tables and the global far pair
@@ -254,6 +228,10 @@ class TraversalLayout:
     #: per far entry (node-sorted): target-group size and slot shift
     far_entry_count: np.ndarray
     far_entry_shift: np.ndarray
+    #: (target particle, cluster node) far pairs and (target, source)
+    #: near pairs the layout stands for
+    far_pairs: int
+    near_pairs: int
     #: max squared distance of any target to its group center — drives
     #: the near product-expansion gate (see ``_NEAR_EXPAND_SIGMA``)
     group_radius2: float = 0.0
@@ -262,14 +240,6 @@ class TraversalLayout:
     #: may hold none while the full traversal does, so segment layouts
     #: carry the parent traversal's answer (``_segment_layout``).
     multipole_regime: bool = False
-
-    @property
-    def far_pairs(self) -> int:
-        return int(self.far_cum[-1])
-
-    @property
-    def near_pairs(self) -> int:
-        return int(self.near_cum[-1])
 
     @property
     def nbytes(self) -> int:
@@ -349,13 +319,13 @@ def build_traversal_layout(
         src_count=sources_per_group,
         near_entry_count=leaf_sizes,
         near_entry_shift=tree.node_start[near.node] - cum_sizes[:-1],
-        far_cum=_cumsum0(far.counts[gi]),
-        near_cum=_cumsum0(sources_per_group[gi]),
         far_nodes_u=far_nodes_u,
         far_node_entry_start=bounds,
         far_node_pair_start=far_node_pair_start,
         far_entry_count=ecount,
         far_entry_shift=far_entry_shift,
+        far_pairs=int(far_node_pair_start[-1]),
+        near_pairs=int(sources_per_group @ group_count),
         group_radius2=group_radius2,
         multipole_regime=n_far_entries > 0,
     )
@@ -417,16 +387,16 @@ def _pairs_to_slots(
     nent: np.ndarray,
     count: np.ndarray,
     shift: np.ndarray,
-    pad: Optional[np.ndarray] = None,
+    pad: np.ndarray,
 ) -> np.ndarray:
     """Turn a block of global pair indices into particle slots.
 
     ``slot = q + shift[entry(q)]``: row ``i`` of ``q`` walks the list
     entries ``first[i] : first[i] + nent[i]`` in order, entry ``e`` owning
-    ``count[e]`` consecutive indices; with ``pad`` the row's last real
-    index is repeated ``pad[i]`` more times (:func:`_padded_lanes`) and
-    takes its last entry's shift.  Padded rows need ``nent >= 1``, and
-    every ``count`` is positive (tree nodes are never empty).  Consumes
+    ``count[e]`` consecutive indices; the row's last real index is
+    repeated ``pad[i]`` more times (:func:`_padded_lanes`) and takes its
+    last entry's shift.  Rows need ``nent >= 1``, and every ``count`` is
+    positive (tree nodes are never empty).  Consumes
     ``q`` (a contiguous block is updated in place) and returns the slots
     in its shape.  This is the one place entry-level tables become
     per-pair indices — batch-sized, never stored.
@@ -435,66 +405,14 @@ def _pairs_to_slots(
     ent = np.arange(ecum[-1], dtype=np.int64)
     ent += np.repeat(first - ecum[:-1], nent)
     reps = count[ent]
-    if pad is not None:
-        reps[ecum[1:] - 1] += pad
+    reps[ecum[1:] - 1] += pad
     flat = q.reshape(-1)
     flat += np.repeat(shift[ent], reps)
     return flat.reshape(q.shape)
 
 
-def _slot_chunks(
-    cum: np.ndarray, chunk_pairs: int
-) -> Iterator[Tuple[int, int]]:
-    """Cut slots into ranges of roughly ``chunk_pairs`` pairs each.
-
-    A single slot whose pair count exceeds the budget still forms its own
-    chunk (progress is always made).
-    """
-    n = cum.size - 1
-    a = 0
-    while a < n:
-        b = int(np.searchsorted(cum, cum[a] + max(chunk_pairs, 1), "left"))
-        b = min(max(b, a + 1), n)
-        yield a, b
-        a = b
-
-
-def _expand(
-    count: np.ndarray, base: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Pair expansion for a range of slots with ``count`` pairs each.
-
-    Returns ``(reps, flat_index, total)`` where ``reps`` is the slot
-    offset (relative to the range start) of each pair — non-decreasing,
-    so segment sums per target are contiguous — and ``flat_index`` runs
-    from ``base`` of the pair's slot: a position in the layout's segment
-    array (far) or a global near source index.
-    """
-    total = int(count.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64), 0
-    reps = np.repeat(np.arange(count.size, dtype=np.int64), count)
-    within = _segment_arange(count, total)
-    return reps, base[reps] + within, total
-
-
-def _scatter_add(
-    out: np.ndarray, a: int, reps: np.ndarray, contrib: np.ndarray
-) -> None:
-    """Segment-sum per-pair contributions onto ``out`` (sorted order)."""
-    seg = np.concatenate(
-        ([0], np.flatnonzero(np.diff(reps)) + 1)
-    )
-    out[a + reps[seg]] += np.add.reduceat(contrib, seg, axis=0)
-
-
-def _chunk_size(budget_bytes: Optional[int], bytes_per_pair: int) -> int:
-    budget = DEFAULT_BUDGET_BYTES if budget_bytes is None else budget_bytes
-    return max(4096, budget // bytes_per_pair)
-
-
 # ---------------------------------------------------------------------------
-# vortex (vector charge) drivers
+# drivers
 # ---------------------------------------------------------------------------
 
 def batched_far_vortex(
@@ -904,106 +822,3 @@ def _cross_rows(a, b, out) -> None:
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(a[j], b[k], out=out[i])
         out[i] -= a[k] * b[j]
-
-
-# ---------------------------------------------------------------------------
-# Coulomb (scalar charge) drivers
-# ---------------------------------------------------------------------------
-
-def batched_far_coulomb(
-    tree: Octree,
-    moments: CoulombMoments,
-    layout: TraversalLayout,
-    kernel: SmoothingKernel,
-    sigma: float,
-    order: int,
-    phi: np.ndarray,
-    field: np.ndarray,
-    budget_bytes: Optional[int] = None,
-    backend: Optional[KernelBackend] = None,
-) -> None:
-    """Far-field multipole pass for scalar charges (sorted order).
-
-    Chunks cover disjoint slot ranges, so backends may run them
-    concurrently (bitwise identical — no shared accumulation).
-    """
-    if layout.far_pairs == 0:
-        return
-    m1 = moments.m1 if order >= 1 else None
-    m2 = moments.m2 if order >= 2 else None
-    chunk = _chunk_size(budget_bytes, _FAR_BYTES_PER_PAIR[False])
-
-    def run_chunk(ab: Tuple[int, int]) -> None:
-        a, b = ab
-        g = layout.group_of_slot[a:b]
-        reps, idx, total = _expand(
-            layout.far.counts[g], layout.far.starts[g]
-        )
-        if total == 0:
-            return
-        nodes = layout.far.node[idx]
-        p, e = evaluate_coulomb_far_pairs(
-            tree.positions[a:b][reps],
-            moments.center[nodes],
-            moments.m0[nodes],
-            m1[nodes] if m1 is not None else None,
-            m2[nodes] if m2 is not None else None,
-            kernel,
-            sigma,
-            order=order,
-        )
-        _scatter_add(phi, a, reps, p)
-        _scatter_add(field, a, reps, e)
-
-    get_backend(backend).map_batches(
-        run_chunk, list(_slot_chunks(layout.far_cum, chunk))
-    )
-
-
-def batched_near_coulomb(
-    tree: Octree,
-    charges_sorted: np.ndarray,
-    layout: TraversalLayout,
-    kernel: SmoothingKernel,
-    sigma: float,
-    exclude_zero: bool,
-    phi: np.ndarray,
-    field: np.ndarray,
-    budget_bytes: Optional[int] = None,
-    backend: Optional[KernelBackend] = None,
-) -> None:
-    """Near-field direct pass for scalar charges (sorted order).
-
-    Same backend semantics as :func:`batched_far_coulomb`: write-disjoint
-    slot chunks run through the backend's execution strategy.
-    """
-    if layout.near_pairs == 0:
-        return
-    chunk = _chunk_size(budget_bytes, _NEAR_BYTES_PER_PAIR[False])
-
-    def run_chunk(ab: Tuple[int, int]) -> None:
-        a, b = ab
-        g = layout.group_of_slot[a:b]
-        reps, idx, total = _expand(
-            layout.src_count[g], layout.src_start[g]
-        )
-        if total == 0:
-            return
-        src = _pairs_to_slots(
-            idx, layout.near.starts[g], layout.near.counts[g],
-            layout.near_entry_count, layout.near_entry_shift,
-        )
-        p, e = coulomb_pairs(
-            tree.positions[a:b][reps],
-            tree.positions[src],
-            charges_sorted[src],
-            kernel=kernel,
-            sigma=sigma,
-            exclude_zero=exclude_zero,
-        )
-        _scatter_add(phi, a, reps, p)
-        _scatter_add(field, a, reps, e)
-
-    get_backend(backend).map_batches(
-        run_chunk, list(_slot_chunks(layout.near_cum, chunk))
-    )

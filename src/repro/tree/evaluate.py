@@ -1,11 +1,11 @@
 """Far-field (multipole) evaluation of cluster interactions.
 
 Implements the curl of the expanded vector streamfunction for vortex
-clusters — velocity and velocity gradient through quadrupole order — and
-the expanded potential/field for Coulomb clusters.  All formulas reduce the
-derivative tensors of the radially symmetric Green's function to the radial
-chain ``D1..D4`` (see :mod:`repro.tree.profiles`), contracted analytically
-so no rank-4 tensors are ever materialised per pair:
+clusters — velocity and velocity gradient through quadrupole order.  All
+formulas reduce the derivative tensors of the radially symmetric Green's
+function to the radial chain ``D1..D4`` (see :mod:`repro.tree.profiles`),
+contracted analytically so no rank-4 tensors are ever materialised per
+pair:
 
     u      = D1 (r x M0)
              - D2 (r x w) - D1 vec(M1)                        [dipole]
@@ -35,9 +35,7 @@ from repro.vortex.kernels import SmoothingKernel
 
 __all__ = [
     "evaluate_vortex_far",
-    "evaluate_coulomb_far",
     "evaluate_vortex_far_pairs",
-    "evaluate_coulomb_far_pairs",
 ]
 
 
@@ -245,99 +243,3 @@ def evaluate_vortex_far(
     if gradient:
         grad = g.reshape(p, k, 3, 3).sum(axis=1)
     return velocity, grad
-
-
-def evaluate_coulomb_far_pairs(
-    targets: np.ndarray,
-    centers: np.ndarray,
-    m0: np.ndarray,
-    m1: Optional[np.ndarray],
-    m2: Optional[np.ndarray],
-    kernel: SmoothingKernel,
-    sigma: float,
-    order: int = 2,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-pair potential (P,) and field (P, 3) contributions.
-
-    Pairwise analogue of :func:`evaluate_vortex_far_pairs` for scalar
-    charges; contributions are unsummed.
-    """
-    from repro.tree.profiles import potential_profile
-
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    targets = np.asarray(targets, dtype=np.float64)
-    centers = np.asarray(centers, dtype=np.float64)
-    p = targets.shape[0]
-    if p == 0:
-        return np.zeros(0, dtype=np.float64), np.zeros((0, 3), dtype=np.float64)
-
-    r = targets - centers  # (P, 3)
-    r2 = np.einsum("pi,pi->p", r, r)
-    need = order + 1
-    d0 = potential_profile(kernel, r2, sigma)
-    chain = radial_chain(kernel, r2, sigma, need)
-    d1 = chain[0]
-    d2 = chain[1] if need >= 2 else None
-    d3 = chain[2] if need >= 3 else None
-
-    # phi = Q0 T0 - Q1_j T1_j + Q2_jk T2_jk ; E_d = -d(phi)/d(x_d).
-    # Every term of E parallel to r is folded into one scalar coefficient
-    # before the single (P, 3) broadcast, so the order-2 field costs two
-    # (P, 3) products instead of five.
-    pot = m0 * d0
-    radial = -(d1 * m0)
-    if order >= 1:
-        if m1 is None:
-            raise ValueError("order >= 1 requires m1 moments")
-        m1r = np.einsum("pj,pj->p", m1, r)
-        pot = pot - d1 * m1r
-        # -d/dx_d [ -Q1_j T1_j ] = +(D2 r_d m1r + D1 Q1_d)
-        radial += d2 * m1r
-    if order >= 2:
-        if m2 is None:
-            raise ValueError("order >= 2 requires m2 moments")
-        m2r = np.einsum("pjl,pl->pj", m2, r)
-        m2rr = np.einsum("pj,pj->p", m2r, r)
-        trq = np.einsum("pjj->p", m2)
-        pot = pot + d2 * m2rr + d1 * trq
-        radial -= d3 * m2rr + d2 * trq
-    e = radial[:, None] * r
-    if order >= 1:
-        e += d1[:, None] * m1
-    if order >= 2:
-        e -= 2.0 * d2[:, None] * m2r
-    return pot, e
-
-
-def evaluate_coulomb_far(
-    targets: np.ndarray,
-    centers: np.ndarray,
-    m0: np.ndarray,
-    m1: Optional[np.ndarray],
-    m2: Optional[np.ndarray],
-    kernel: SmoothingKernel,
-    sigma: float,
-    order: int = 2,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Potential (P,) and field ``E = -grad phi`` (P, 3) of K clusters.
-
-    Uses the same radial chain plus the potential profile D0; the
-    convention is ``phi = sum_p q_p G(|x - x_p|)`` with ``G ~ 1/(4 pi r)``
-    far away.  Thin wrapper over :func:`evaluate_coulomb_far_pairs` on the
-    full (target, cluster) grid.
-    """
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    targets = np.asarray(targets, dtype=np.float64)
-    centers = np.asarray(centers, dtype=np.float64)
-    p, k = targets.shape[0], centers.shape[0]
-    phi = np.zeros(p, dtype=np.float64)
-    field = np.zeros((p, 3), dtype=np.float64)
-    if p == 0 or k == 0:
-        return phi, field
-    flat_t, flat_c, f0, f1, f2 = _pair_grid(targets, centers, m0, m1, m2)
-    pot, e = evaluate_coulomb_far_pairs(
-        flat_t, flat_c, f0, f1, f2, kernel, sigma, order=order
-    )
-    return pot.reshape(p, k).sum(axis=1), e.reshape(p, k, 3).sum(axis=1)

@@ -7,10 +7,10 @@ group-collective dual traversal, then evaluate far interactions by
 multipole expansion and near interactions by direct summation.
 
 Both summation phases run through the batched engine
-(:mod:`repro.tree.engine`): interaction lists are expanded into flat
-(particle, node) / (particle, particle) pair streams and evaluated in
-memory-budgeted chunks, so Python-level iteration no longer scales with
-the number of target groups.  Tree build, moments, traversal and the
+(:mod:`repro.tree.engine`): interaction lists are laid out once per
+traversal and evaluated in memory-budgeted, padded batches, so
+Python-level iteration no longer scales with the number of target
+groups.  Tree build, moments, traversal and the
 finished field are obtained through a
 :class:`~repro.tree.state.TreeStateCache` keyed by a content fingerprint
 of the particle arrays: an RHS evaluation that repeats an earlier one
@@ -26,15 +26,12 @@ is simply two ``TreeEvaluator`` instances sharing everything but ``theta``
 derive the coarse evaluator: it shares the fine evaluator's state cache,
 so the pair shares one tree and one moment pass per particle
 configuration and re-runs only its own traversal.
-
-:class:`TreeCoulombSolver` provides the scalar-charge (Coulomb/gravity)
-counterpart, mirroring PEPC's multi-purpose design.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Hashable, Optional, Tuple, get_args
+from typing import Callable, Hashable, Optional, Tuple, get_args
 
 import numpy as np
 
@@ -43,15 +40,14 @@ from repro.backends import KernelBackend, get_backend
 from repro.tree.build import Octree
 from repro.tree.engine import (
     TraversalLayout,
-    batched_far_coulomb,
     batched_far_vortex,
-    batched_near_coulomb,
     batched_near_vortex,
     build_traversal_layout,
 )
 from repro.obs.metrics import get_metrics
 from repro.obs.timing import Timer, TimingRegistry
 from repro.tree.mac import MACVariant
+from repro.tree.multipole import VortexMoments
 from repro.tree.profiles import supports_multipoles
 from repro.tree.state import (
     CacheStats,
@@ -60,12 +56,12 @@ from repro.tree.state import (
     array_fingerprint,
 )
 from repro.tree.traversal import InteractionLists
-from repro.utils.validation import check_in, check_nonnegative, check_positive
+from repro.utils.validation import check_in, check_positive
 from repro.vortex.kernels import SingularKernel, SmoothingKernel, get_kernel
 from repro.vortex.problem import FieldEvaluator
 from repro.vortex.rhs import VelocityField
 
-__all__ = ["TreeStats", "TreeEvaluator", "TreeCoulombSolver"]
+__all__ = ["TreeStats", "TreeEvaluator"]
 
 
 @dataclass
@@ -132,23 +128,8 @@ def _count_evaluation(stats: TreeStats) -> TreeStats:
     return stats
 
 
-def _check_mac(
-    solver: "TreeEvaluator | TreeCoulombSolver",
-    theta: float,
-    order: int,
-    mac_variant: MACVariant,
-) -> None:
-    """Validate and set the solver's MAC parameters, so a bad value
-    fails at construction rather than at the first traversal."""
-    solver.theta = float(check_nonnegative("theta", theta))
-    solver.order = check_in("order", order, (0, 1, 2))
-    solver.mac_variant = check_in(
-        "mac_variant", mac_variant, get_args(MACVariant)
-    )
-
-
 def _engine_layout(
-    solver: "TreeEvaluator | TreeCoulombSolver",
+    solver: "TreeEvaluator",
     state: TreeState,
     lists: InteractionLists,
 ) -> TraversalLayout:
@@ -163,30 +144,29 @@ def _engine_layout(
 
 
 def _tree_and_moments(
-    solver: "TreeEvaluator | TreeCoulombSolver",
+    solver: "TreeEvaluator",
     positions: np.ndarray,
     charges: np.ndarray,
-    moments_of: Callable[..., Tuple[Any, bool]],
-) -> Tuple[TreeState, Any, Tuple[bool, bool]]:
-    """Tree state of ``positions`` and ``moments_of`` (a
-    :class:`TreeState` moment method) of ``charges``, through the
-    solver's cache — as far as the branch exchange needs the pipeline.
-    Returns ``(state, moments, (build_cached, moments_cached))``."""
+) -> Tuple[TreeState, VortexMoments, Tuple[bool, bool]]:
+    """Tree state of ``positions`` and moments of ``charges``, through
+    the solver's cache — as far as the branch exchange needs the
+    pipeline.  Returns ``(state, moments, (build_cached,
+    moments_cached))``."""
     state, build_cached = solver.cache.state(
         positions, solver.leaf_size, solver.phases
     )
-    moments, moments_cached = moments_of(state, charges, solver.phases)
+    moments, moments_cached = state.vortex_moments(charges, solver.phases)
     return state, moments, (build_cached, moments_cached)
 
 
 def _tree_stages(
-    solver: "TreeEvaluator | TreeCoulombSolver",
+    solver: "TreeEvaluator",
     positions: np.ndarray,
     charges: np.ndarray,
-    moments_of: Callable[..., Tuple[Any, bool]],
     segment: Optional[Tuple[int, int]] = None,
 ) -> Tuple[
-    TreeState, Any, InteractionLists, TraversalLayout, Tuple[bool, ...]
+    TreeState, VortexMoments, InteractionLists, TraversalLayout,
+    Tuple[bool, ...],
 ]:
     """Everything a tree evaluation needs before its summation passes:
     tree, moments, the traversal at the solver's MAC and the engine
@@ -198,9 +178,7 @@ def _tree_stages(
     moments, lists, layout, cached)``; ``cached`` holds the ``build`` /
     ``moments`` / ``traversal`` flags of :class:`TreeStats`.
     """
-    state, moments, cached = _tree_and_moments(
-        solver, positions, charges, moments_of
-    )
+    state, moments, cached = _tree_and_moments(solver, positions, charges)
     lists, traversal_cached = state.traversal(
         solver.theta, solver.mac_variant, moments.bmax, solver.phases
     )
@@ -243,7 +221,7 @@ class TreeEvaluator(FieldEvaluator):
         (``FAR_BUDGET_BYTES``) and 64 MiB for the explicit near branch
         (``DEFAULT_BUDGET_BYTES``).
     backend :
-        Kernel-execution backend for the batched far/near passes — a
+        Kernel-execution backend for the batched near pass — a
         registry name (``"numpy"``, ``"threaded"``), an
         already-resolved :class:`~repro.backends.KernelBackend`, or
         ``None`` to resolve via the ``REPRO_BACKEND`` environment
@@ -275,7 +253,21 @@ class TreeEvaluator(FieldEvaluator):
                 "expansion; use DirectEvaluator or an algebraic kernel"
             )
         self.sigma = check_positive("sigma", sigma)
-        _check_mac(self, theta, order, mac_variant)
+        # bad values fail here, not at the first traversal (which, under
+        # PFASST, runs inside a rank program).  NaN fails the comparison;
+        # an infinite theta would accept every cluster, a leaf's own
+        # included, as far
+        if not 0.0 <= theta < np.inf:
+            raise ValueError(f"theta must be finite and >= 0, got {theta!r}")
+        self.theta = float(theta)
+        self.order = check_in("order", order, (0, 1, 2))
+        self.mac_variant = check_in(
+            "mac_variant", mac_variant, get_args(MACVariant)
+        )
+        if not isinstance(leaf_size, (int, np.integer)) or leaf_size < 1:
+            raise ValueError(
+                f"leaf_size must be an integer >= 1, got {leaf_size!r}"
+            )
         self.leaf_size = int(leaf_size)
         self.cache = cache if cache is not None else TreeStateCache()
         self.batch_budget_bytes = batch_budget_bytes
@@ -380,7 +372,7 @@ class TreeEvaluator(FieldEvaluator):
             self.timer.cancel()
             return memo
         state, moments, lists, layout, cached = _tree_stages(
-            self, positions, charges, TreeState.vortex_moments, segment
+            self, positions, charges, segment
         )
         tree = state.tree
 
@@ -423,80 +415,3 @@ class TreeEvaluator(FieldEvaluator):
         return VelocityField(*self._pipeline(
             positions, charges, gradient, None, scatter
         ))
-
-
-class TreeCoulombSolver:
-    """Barnes-Hut potential/field solver for scalar charges.
-
-    Mirrors PEPC's original Coulomb/gravity mode; used by the Fig. 5-style
-    scaling benchmark ("homogeneous neutral Coulomb system").  Runs on the
-    same batched engine and state cache as :class:`TreeEvaluator`, and
-    accepts the same ``backend`` selector — the scalar-charge pair
-    streams are chunked over disjoint slot ranges, so the ``threaded``
-    backend runs them concurrently and bitwise-identically.
-    """
-
-    def __init__(
-        self,
-        theta: float = 0.6,
-        order: int = 2,
-        leaf_size: int = 32,
-        softening: float = 0.0,
-        mac_variant: MACVariant = "bh",
-        cache: Optional[TreeStateCache] = None,
-        batch_budget_bytes: Optional[int] = None,
-        backend: "KernelBackend | str | None" = None,
-    ) -> None:
-        self.kernel = SingularKernel(softening=softening)
-        _check_mac(self, theta, order, mac_variant)
-        self.leaf_size = int(leaf_size)
-        self.cache = cache if cache is not None else TreeStateCache()
-        self.batch_budget_bytes = batch_budget_bytes
-        self.backend = get_backend(backend)
-        self.phases = TimingRegistry()
-        self.last_stats = TreeStats()
-        # unsoftened coincident pairs diverge and are excluded, exactly as
-        # in the direct reference; softened ones contribute 1/(4 pi eps)
-        self._exclude_zero = self.kernel.softening == 0.0
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss counters of the underlying state cache."""
-        return self.cache.stats
-
-    @boundary("tree_coulomb", arrays=[
-        ("positions", (None, 3)), ("charges", (None,)),
-    ])
-    def compute(
-        self, positions: np.ndarray, charges: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(potential, field)`` at every particle position."""
-        state, moments, lists, layout, cached = _tree_stages(
-            self, positions, charges, TreeState.coulomb_moments
-        )
-        tree = state.tree
-
-        n = positions.shape[0]
-        phi = np.zeros(n)
-        field = np.zeros((n, 3))
-
-        with self.phases.phase("far_field"):
-            batched_far_coulomb(
-                tree, moments, layout, self.kernel, 1.0, self.order,
-                phi, field, budget_bytes=self.batch_budget_bytes,
-                backend=self.backend,
-            )
-        with self.phases.phase("near_field"):
-            batched_near_coulomb(
-                tree, charges[tree.order], layout, self.kernel, 1.0,
-                self._exclude_zero, phi, field,
-                budget_bytes=self.batch_budget_bytes,
-                backend=self.backend,
-            )
-
-        self.last_stats = _make_stats(tree, lists, *cached)
-        out_phi = np.empty_like(phi)
-        out_phi[tree.order] = phi
-        out_field = np.empty_like(field)
-        out_field[tree.order] = field
-        return out_phi, out_field

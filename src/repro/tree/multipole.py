@@ -8,11 +8,9 @@ cluster center ``c`` needs, with ``d_p = x_p - c``:
     M1_ij   = sum_p alpha_pi d_pj                (dipole,     3x3)
     M2_ijk  = 1/2 sum_p alpha_pi d_pj d_pk       (quadrupole, 3x3x3 sym jk)
 
-For *Coulomb/gravity* particles the charges are scalars and the same
-machinery runs with one fewer tensor slot.  Both are computed by one
-vectorised pass over the Morton-sorted particle arrays (``reduceat`` per
-leaf), followed by a level-by-level upward translation of child moments to
-parent centers:
+They are computed by one vectorised pass over the Morton-sorted particle
+arrays (segment sums per leaf), followed by a level-by-level upward
+translation of child moments to parent centers:
 
     M0^P  = sum_c M0^c
     M1^P  = sum_c M1^c + M0^c (x) s_c
@@ -34,8 +32,7 @@ import numpy as np
 from repro.tree.build import Octree
 from repro.utils.validation import check_array
 
-__all__ = ["VortexMoments", "CoulombMoments", "compute_vortex_moments",
-           "compute_coulomb_moments"]
+__all__ = ["VortexMoments", "compute_vortex_moments"]
 
 
 def _segment_sum(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -58,18 +55,6 @@ class VortexMoments:
     m2: np.ndarray  # (n_nodes, 3, 3, 3) with the 1/2 included
     bmax: np.ndarray  # (n_nodes,)
     #: total absolute charge |alpha| per node (error-bound diagnostics)
-    abs_charge: np.ndarray
-
-
-@dataclass
-class CoulombMoments:
-    """Per-node multipole moments for scalar (Coulomb/gravity) charges."""
-
-    center: np.ndarray
-    m0: np.ndarray  # (n_nodes,)
-    m1: np.ndarray  # (n_nodes, 3)
-    m2: np.ndarray  # (n_nodes, 3, 3) with the 1/2 included
-    bmax: np.ndarray
     abs_charge: np.ndarray
 
 
@@ -155,73 +140,5 @@ def compute_vortex_moments(
                 bmax[kids] + np.linalg.norm(s, axis=1)
             )
     return VortexMoments(
-        center=center, m0=m0, m1=m1, m2=m2, bmax=bmax, abs_charge=abs_charge
-    )
-
-
-def compute_coulomb_moments(
-    tree: Octree, charges: np.ndarray
-) -> CoulombMoments:
-    """Moments for scalar charges given in *original* particle order."""
-    charges = check_array(
-        "charges", charges, shape=(tree.n_particles,), dtype=np.float64
-    )
-    q = charges[tree.order]
-    pos = tree.positions
-    center = _upward_pass_centers(tree)
-    n_nodes = tree.n_nodes
-
-    m0 = np.zeros(n_nodes)
-    m1 = np.zeros((n_nodes, 3))
-    m2 = np.zeros((n_nodes, 3, 3))
-    bmax = np.zeros(n_nodes)
-    abs_charge = np.zeros(n_nodes)
-
-    leaves = tree.leaves()
-    starts, ends = tree.node_start[leaves], tree.node_end[leaves]
-    s0 = _segment_sum(q, starts, ends)
-    s1 = _segment_sum(q[:, None] * pos, starts, ends)
-    s2 = _segment_sum(
-        np.einsum("n,nj,nk->njk", q, pos, pos), starts, ends
-    )
-    c = center[leaves]
-    m0[leaves] = s0
-    m1[leaves] = s1 - s0[:, None] * c
-    m2[leaves] = 0.5 * (
-        s2
-        - np.einsum("lj,lk->ljk", s1, c)
-        - np.einsum("lk,lj->ljk", s1, c)
-        + np.einsum("l,lj,lk->ljk", s0, c, c)
-    )
-    abs_charge[leaves] = _segment_sum(np.abs(q), starts, ends)
-    leaf_of_slot = np.zeros(tree.n_particles, dtype=np.int64)
-    if leaves.size:
-        leaf_ids = np.repeat(np.arange(leaves.size), (ends - starts))
-        slot_index = np.concatenate(
-            [np.arange(s, e) for s, e in zip(starts, ends)]
-        )
-        leaf_of_slot[slot_index] = leaf_ids
-        dist = np.linalg.norm(pos - center[leaves][leaf_of_slot], axis=1)
-        np.maximum.at(bmax, leaves[leaf_of_slot], dist)
-
-    for lvl in range(tree.n_levels - 2, -1, -1):
-        lo, hi = tree.level_offsets[lvl], tree.level_offsets[lvl + 1]
-        nodes = np.arange(lo, hi)
-        internal = nodes[tree.node_first_child[nodes] >= 0]
-        for node in internal:
-            kids = tree.children(node)
-            s = center[kids] - center[node]
-            k0, k1, k2 = m0[kids], m1[kids], m2[kids]
-            m0[node] = k0.sum()
-            m1[node] = (k1 + k0[:, None] * s).sum(axis=0)
-            m2[node] = (
-                k2
-                + 0.5 * np.einsum("kj,kl->kjl", k1, s)
-                + 0.5 * np.einsum("kl,kj->kjl", k1, s)
-                + 0.5 * np.einsum("k,kj,kl->kjl", k0, s, s)
-            ).sum(axis=0)
-            abs_charge[node] = abs_charge[kids].sum()
-            bmax[node] = np.max(bmax[kids] + np.linalg.norm(s, axis=1))
-    return CoulombMoments(
         center=center, m0=m0, m1=m1, m2=m2, bmax=bmax, abs_charge=abs_charge
     )

@@ -428,9 +428,7 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
         # The branch exchange needs the tree and moments; the interaction
         # lists and segment layout are (re)derived inside segment_field —
         # a cache hit inline, a per-worker warm-up under a process backend.
-        state, moments, _ = _tree_and_moments(
-            self, positions, charges, TreeState.vortex_moments
-        )
+        state, moments, _ = _tree_and_moments(self, positions, charges)
         tree = state.tree
         shard = compute_shard(state, p_space)
         charges_sorted = charges[tree.order]

@@ -56,7 +56,6 @@ def _int_power(base: np.ndarray, n: int) -> np.ndarray:
 __all__ = [
     "RationalProfile",
     "radial_chain",
-    "potential_profile",
     "supports_multipoles",
 ]
 
@@ -190,46 +189,4 @@ def radial_chain(
     raise NotImplementedError(
         f"kernel {kernel.name!r} has no exact multipole radial chain; "
         "use the direct evaluator or an algebraic kernel"
-    )
-
-
-def _greens_numerator(p_coeffs: Tuple[float, ...], d_exp: int) -> Tuple[float, ...]:
-    """Solve ``2 B'(t)(t+1) - (D-4) B(t) = -P(t)`` for polynomial ``B``.
-
-    The streamfunction Green's function of an algebraic kernel with
-    ``q = rho^3 P(t)(t+1)^{-(D-2)/2}`` is ``G = B(t)(t+1)^{-(D-4)/2}/(4 pi
-    sigma)`` (obtained from ``G'(r) = -q/(4 pi r^2)``); matching
-    coefficients gives the recurrence ``b_j (2j - kappa) = -p_j -
-    2(j+1) b_{j+1}`` with ``kappa = D - 4`` odd, solved top-down.
-    """
-    kappa = d_exp - 4
-    deg = len(p_coeffs) - 1
-    b = [0.0] * (deg + 1)
-    for j in range(deg, -1, -1):
-        upper = 2.0 * (j + 1) * b[j + 1] if j + 1 <= deg else 0.0
-        b[j] = (-p_coeffs[j] - upper) / (2.0 * j - kappa)
-    return tuple(b)
-
-
-def potential_profile(
-    kernel: SmoothingKernel, r2: np.ndarray, sigma: float
-) -> np.ndarray:
-    """The Green's function ``D0 = G(r)`` itself (for potentials).
-
-    Includes the ``1/4pi`` prefactor; ``G -> 1/(4 pi r)`` far away.
-    """
-    inv_four_pi = 1.0 / (4.0 * np.pi)
-    r2 = np.asarray(r2, dtype=np.float64)
-    if isinstance(kernel, AlgebraicKernel):
-        t = r2 / (sigma * sigma)
-        profile = RationalProfile(
-            coeffs=_greens_numerator(tuple(kernel._P), kernel._D),
-            k=Fraction(kernel._D - 4, 2),
-        )
-        return inv_four_pi / sigma * profile(t)
-    if isinstance(kernel, SingularKernel):
-        s = r2 + kernel.softening**2
-        return inv_four_pi / np.sqrt(s)
-    raise NotImplementedError(
-        f"kernel {kernel.name!r} has no closed-form potential profile"
     )

@@ -25,17 +25,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.tree.build import build_octree
-from repro.tree.evaluate import evaluate_coulomb_far, evaluate_vortex_far
+from repro.tree.evaluate import evaluate_vortex_far
 from repro.tree.mac import MACVariant
-from repro.tree.multipole import (
-    compute_coulomb_moments,
-    compute_vortex_moments,
-)
+from repro.tree.multipole import compute_vortex_moments
 from repro.tree.traversal import dual_traversal
 from repro.vortex.kernels import SingularKernel, SmoothingKernel
 from repro.vortex.rhs import VelocityField, biot_savart_direct
 
-__all__ = ["reference_vortex_field", "reference_coulomb_fields"]
+__all__ = ["reference_vortex_field"]
 
 
 def _group_slices(
@@ -135,79 +132,3 @@ def reference_vortex_field(
         out_g = np.empty_like(grad)
         out_g[tree.order] = grad
     return VelocityField(out_v, out_g)
-
-
-def reference_coulomb_fields(
-    positions: np.ndarray,
-    charges: np.ndarray,
-    theta: float = 0.6,
-    order: int = 2,
-    leaf_size: int = 32,
-    softening: float = 0.0,
-    mac_variant: MACVariant = "bh",
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Coulomb potential/field by the original per-group loops."""
-    kernel = SingularKernel(softening=softening)
-    tree = build_octree(positions, leaf_size=leaf_size)
-    moments = compute_coulomb_moments(tree, charges)
-    lists = dual_traversal(
-        tree, theta, node_bmax=moments.bmax, variant=mac_variant
-    )
-    q_sorted = charges[tree.order]
-    n = positions.shape[0]
-    phi = np.zeros(n)
-    field = np.zeros((n, 3))
-
-    far_order = np.argsort(lists.far_group, kind="stable")
-    far_group = lists.far_group[far_order]
-    far_node = lists.far_node[far_order]
-    near_order = np.argsort(lists.near_group, kind="stable")
-    near_group = lists.near_group[near_order]
-    near_node = lists.near_node[near_order]
-    fstart, fend = _group_slices(far_group, lists.n_groups)
-    nstart, nend = _group_slices(near_group, lists.n_groups)
-
-    inv_four_pi = 1.0 / (4.0 * np.pi)
-    for gi in range(lists.n_groups):
-        leaf = lists.groups[gi]
-        lo, hi = tree.node_start[leaf], tree.node_end[leaf]
-        nodes = far_node[fstart[gi]:fend[gi]]
-        if nodes.size == 0:
-            continue
-        p, e = evaluate_coulomb_far(
-            tree.positions[lo:hi],
-            moments.center[nodes],
-            moments.m0[nodes],
-            moments.m1[nodes],
-            moments.m2[nodes],
-            kernel,
-            1.0,
-            order=order,
-        )
-        phi[lo:hi] += p
-        field[lo:hi] += e
-
-    for gi in range(lists.n_groups):
-        leaf = lists.groups[gi]
-        lo, hi = tree.node_start[leaf], tree.node_end[leaf]
-        src_leaves = near_node[nstart[gi]:nend[gi]]
-        if src_leaves.size == 0:
-            continue
-        seg = [
-            slice(tree.node_start[s], tree.node_end[s]) for s in src_leaves
-        ]
-        src_pos = np.concatenate([tree.positions[s] for s in seg])
-        src_q = np.concatenate([q_sorted[s] for s in seg])
-        r = tree.positions[lo:hi, None, :] - src_pos[None, :, :]
-        d2 = np.einsum("tsk,tsk->ts", r, r) + kernel.softening**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(d2 > 0.0, 1.0 / np.sqrt(d2), 0.0)
-        phi[lo:hi] += inv_four_pi * (inv @ src_q)
-        f3 = inv**3 * src_q[None, :]
-        field[lo:hi] += inv_four_pi * np.einsum("ts,tsk->tk", f3, r)
-
-    out_phi = np.empty_like(phi)
-    out_phi[tree.order] = phi
-    out_field = np.empty_like(field)
-    out_field[tree.order] = field
-    return out_phi, out_field

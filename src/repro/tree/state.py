@@ -56,12 +56,7 @@ from typing import Any, Dict, Hashable, Optional, Set, Tuple
 import numpy as np
 
 from repro.tree.build import Octree, build_octree
-from repro.tree.multipole import (
-    CoulombMoments,
-    VortexMoments,
-    compute_coulomb_moments,
-    compute_vortex_moments,
-)
+from repro.tree.multipole import VortexMoments, compute_vortex_moments
 from repro.obs.ledger import LEDGER
 from repro.obs.metrics import get_metrics
 from repro.obs.timing import TimingRegistry
@@ -138,9 +133,8 @@ class CacheStats:
 class TreeState:
     """One built octree plus its derived, lazily-cached products.
 
-    Holds the tree itself, multipole moments per charge set (vortex and
-    Coulomb kinds side by side) and interaction lists per
-    ``(theta, mac_variant)``.  Created and owned by
+    Holds the tree itself, multipole moments per charge set and
+    interaction lists per ``(theta, mac_variant)``.  Created and owned by
     :class:`TreeStateCache`; evaluators never build trees directly.
     """
 
@@ -148,7 +142,6 @@ class TreeState:
         self.tree = tree
         self._stats = stats
         self._vortex_moments: "OrderedDict[bytes, VortexMoments]" = OrderedDict()
-        self._coulomb_moments: "OrderedDict[bytes, CoulombMoments]" = OrderedDict()
         self._traversals: Dict[Tuple[float, str], InteractionLists] = {}
         #: per-traversal engine layouts, attached by the batched engine
         #: (keyed like ``_traversals``; opaque to this module)
@@ -164,8 +157,7 @@ class TreeState:
         lists and engine layouts."""
         held = [
             self.tree, *self._vortex_moments.values(),
-            *self._coulomb_moments.values(), *self._traversals.values(),
-            *self.engine_layouts.values(),
+            *self._traversals.values(), *self.engine_layouts.values(),
         ]
         return sum(_nbytes(h) for h in held)
 
@@ -195,27 +187,6 @@ class TreeState:
         self._vortex_moments[key] = moments
         while len(self._vortex_moments) > self._MOMENT_SLOTS:
             self._vortex_moments.popitem(last=False)
-        return moments, False
-
-    def coulomb_moments(
-        self, charges: np.ndarray, phases: Optional[TimingRegistry] = None
-    ) -> Tuple[CoulombMoments, bool]:
-        """Moments for scalar charges; returns ``(moments, was_cached)``."""
-        key = array_fingerprint(charges)
-        hit = self._coulomb_moments.get(key)
-        if hit is not None:
-            self._stats.count("moment", hit=True)
-            self._coulomb_moments.move_to_end(key)
-            return hit, True
-        self._stats.count("moment", hit=False)
-        if phases is not None:
-            with phases.phase("moments"):
-                moments = compute_coulomb_moments(self.tree, charges)
-        else:
-            moments = compute_coulomb_moments(self.tree, charges)
-        self._coulomb_moments[key] = moments
-        while len(self._coulomb_moments) > self._MOMENT_SLOTS:
-            self._coulomb_moments.popitem(last=False)
         return moments, False
 
     def traversal(

@@ -434,7 +434,7 @@ class GaussianKernel(SmoothingKernel):
 class SingularKernel(SmoothingKernel):
     """Unregularised kernel ``q = 1`` with optional Plummer softening.
 
-    With ``softening = 0`` this is the raw Biot-Savart / Coulomb kernel;
+    With ``softening = 0`` this is the raw Biot-Savart kernel;
     multipole far fields of every regularised kernel converge to it.  The
     "coarse-as-singular" limit is also what the tree code's multipole
     expansion actually computes for well-separated clusters.

@@ -26,7 +26,7 @@ from repro.backends import (
     get_backend,
     usable_backends,
 )
-from repro.tree import TreeCoulombSolver, TreeEvaluator
+from repro.tree import TreeEvaluator
 from repro.tree.parallel import SpaceParallelTreeEvaluator
 from repro.vortex import get_kernel, spherical_vortex_sheet
 from repro.vortex.sheet import SheetConfig
@@ -132,17 +132,6 @@ class TestThreadedEquivalence:
         ).field(ps.positions, ps.charges, gradient=False)
         assert (out.velocity == ref.velocity).all()
         assert out.gradient is None and ref.gradient is None
-
-    def test_coulomb_chunks_bitwise(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND_THREADS", "4")
-        rng = np.random.default_rng(7)
-        pos = rng.random((800, 3))
-        q = rng.standard_normal(800)
-        kw = dict(theta=0.5, batch_budget_bytes=100_000)
-        p_ref, f_ref = TreeCoulombSolver(**kw).compute(pos, q)
-        p, f = TreeCoulombSolver(backend="threaded", **kw).compute(pos, q)
-        assert (p == p_ref).all()
-        assert (f == f_ref).all()
 
     def test_env_selection_reaches_engine(self, sheet, monkeypatch):
         """REPRO_BACKEND alone must route the near pass (no kwargs)."""

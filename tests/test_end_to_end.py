@@ -96,15 +96,3 @@ class TestFullStack:
         res = run_pfasst(pf, specs, ps.state(), p_time=4)
         rel = np.max(np.abs(res.u_end[0] - u_rk[0])) / np.max(np.abs(u_rk[0]))
         assert rel < 1e-4
-
-    def test_coulomb_and_vortex_trees_share_structure(self, setup, rng):
-        """One particle set, both interaction types, same tree shape."""
-        from repro.tree import TreeCoulombSolver, build_octree
-
-        ps, cfg, kernel = setup
-        vortex = TreeEvaluator(kernel, cfg.sigma, theta=0.5, leaf_size=32)
-        vortex.field(ps.positions, ps.charges)
-        coulomb = TreeCoulombSolver(theta=0.5, leaf_size=32)
-        coulomb.compute(ps.positions, rng.normal(size=ps.n))
-        assert vortex.last_stats.n_nodes == coulomb.last_stats.n_nodes
-        assert vortex.last_stats.n_groups == coulomb.last_stats.n_groups

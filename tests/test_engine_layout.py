@@ -137,19 +137,6 @@ def _check_layout(rng, tree, layout):
         assert np.array_equal(sidx, src_concat[slane])
         assert np.array_equal(got_valid, svalid)
 
-    # Coulomb near: ragged rows, one per particle slot, no padding
-    n = tree.n_particles
-    a, b = sorted(int(x) for x in rng.integers(0, n + 1, size=2))
-    g = layout.group_of_slot[a:b]
-    _, idx, total = engine._expand(layout.src_count[g], layout.src_start[g])
-    assert total == int(layout.near_cum[b] - layout.near_cum[a])
-    if total:
-        want = src_concat[idx]
-        got = engine._pairs_to_slots(
-            idx, layout.near.starts[g], layout.near.counts[g],
-            layout.near_entry_count, layout.near_entry_shift,
-        )
-        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nbody import coulomb_direct
-from repro.tree.evaluate import evaluate_coulomb_far, evaluate_vortex_far
+from repro.tree.evaluate import evaluate_vortex_far
 from repro.vortex.kernels import SingularKernel, get_kernel
 from repro.vortex.rhs import biot_savart_direct
 
@@ -146,72 +145,3 @@ class TestVortexFar:
                 np.ones((1, 3)), np.zeros((1, 3)), np.ones((1, 3)),
                 None, None, k, 0.3, order=3,
             )
-
-
-class TestCoulombFar:
-    def test_point_charge_exact(self, rng):
-        k = SingularKernel()
-        src = np.array([[0.5, 0.0, -0.5]])
-        q = np.array([2.0])
-        tg = rng.normal(size=(5, 3)) * 2 + 4
-        phi_ref, e_ref = coulomb_direct(tg, src, q)
-        phi, e = evaluate_coulomb_far(
-            tg, src, q, None, None, k, 1.0, order=0
-        )
-        assert np.allclose(phi, phi_ref, atol=1e-14)
-        assert np.allclose(e, e_ref, atol=1e-14)
-
-    def test_extended_cluster_order_convergence(self, rng):
-        k = SingularKernel()
-        pos = rng.normal(size=(30, 3)) * 0.2
-        q = rng.normal(size=30)
-        center = pos.mean(axis=0)
-        d = pos - center
-        m0 = q.sum()
-        m1 = (q[:, None] * d).sum(axis=0)
-        m2 = 0.5 * np.einsum("n,nj,nk->jk", q, d, d)
-        # far enough out that the asymptotic ordering of the expansion
-        # orders holds for a single random cluster
-        tg = center + np.array([[4.0, 2.0, -1.0], [-3.0, 3.0, 2.0],
-                                [0.5, -4.0, 3.0]])
-        phi_ref, e_ref = coulomb_direct(tg, pos, q)
-        errs_phi, errs_e = [], []
-        for order in (0, 1, 2):
-            phi, e = evaluate_coulomb_far(
-                tg, center[None], np.array([m0]), m1[None], m2[None],
-                k, 1.0, order=order,
-            )
-            errs_phi.append(np.max(np.abs(phi - phi_ref)))
-            errs_e.append(np.max(np.abs(e - e_ref)))
-        assert errs_phi[2] < errs_phi[1] < errs_phi[0]
-        assert errs_e[2] < errs_e[0]
-
-    def test_field_is_minus_gradient_of_potential(self, rng):
-        k = get_kernel("algebraic4")
-        pos = rng.normal(size=(20, 3)) * 0.2
-        q = rng.normal(size=20)
-        center = pos.mean(axis=0)
-        d = pos - center
-        m0, m1 = q.sum(), (q[:, None] * d).sum(axis=0)
-        m2 = 0.5 * np.einsum("n,nj,nk->jk", q, d, d)
-        x0 = center + np.array([1.5, -0.7, 0.9])
-        eps = 1e-6
-        _, e = evaluate_coulomb_far(
-            x0[None], center[None], np.array([m0]), m1[None], m2[None],
-            k, 0.5, order=2,
-        )
-        fd = np.zeros(3)
-        for j in range(3):
-            xp, xm = x0.copy(), x0.copy()
-            xp[j] += eps
-            xm[j] -= eps
-            pp, _ = evaluate_coulomb_far(
-                xp[None], center[None], np.array([m0]), m1[None],
-                m2[None], k, 0.5, order=2,
-            )
-            pm, _ = evaluate_coulomb_far(
-                xm[None], center[None], np.array([m0]), m1[None],
-                m2[None], k, 0.5, order=2,
-            )
-            fd[j] = -(pp[0] - pm[0]) / (2 * eps)
-        assert np.allclose(e[0], fd, atol=1e-7)

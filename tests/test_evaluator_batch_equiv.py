@@ -20,12 +20,8 @@ import numpy as np
 import pytest
 
 from repro.backends import usable_backends
-from repro.nbody import coulomb_direct
-from repro.tree import TreeCoulombSolver, TreeEvaluator
-from repro.tree.reference import (
-    reference_coulomb_fields,
-    reference_vortex_field,
-)
+from repro.tree import TreeEvaluator
+from repro.tree.reference import reference_vortex_field
 from repro.vortex import DirectEvaluator, get_kernel, spherical_vortex_sheet
 from repro.vortex.sheet import SheetConfig
 
@@ -126,57 +122,9 @@ class TestVortexAgainstReference:
         assert ev.last_stats.far_pairs == 0
 
 
-class TestCoulombEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.6])
-    def test_against_direct(self, rng, theta, backend):
-        pos = rng.normal(size=(400, 3))
-        q = rng.normal(size=400)
-        phi_ref, e_ref = coulomb_direct(pos, pos, q)
-        phi, e = TreeCoulombSolver(theta=theta, leaf_size=24,
-                                   backend=backend).compute(pos, q)
-        if theta == 0.0:
-            assert np.allclose(phi, phi_ref, atol=1e-12)
-            assert np.allclose(e, e_ref, atol=1e-12)
-        else:
-            assert _rel_err(phi, phi_ref) < THETA_TOL[theta]
-            assert _rel_err(e, e_ref) < 2 * THETA_TOL[theta]
-
-    @pytest.mark.parametrize("theta", [0.0, 0.4, 0.6])
-    @pytest.mark.parametrize("variant", ["bh", "bmax"])
-    def test_against_reference(self, rng, theta, variant):
-        pos = rng.normal(size=(300, 3))
-        q = rng.normal(size=300)
-        solver = TreeCoulombSolver(theta=theta, leaf_size=24,
-                                   mac_variant=variant)
-        phi, e = solver.compute(pos, q)
-        phi_ref, e_ref = reference_coulomb_fields(
-            pos, q, theta=theta, leaf_size=24, mac_variant=variant
-        )
-        assert np.allclose(phi, phi_ref, atol=1e-12 * np.max(np.abs(phi_ref)))
-        assert np.allclose(e, e_ref, atol=1e-12 * np.max(np.abs(e_ref)))
-
-    def test_softened_coincident_pairs(self, rng):
-        """Softening keeps coincident pairs (at 1/eps), matching the seed
-        semantics: only the unsoftened kernel excludes them."""
-        pos = rng.normal(size=(60, 3))
-        pos[13] = pos[42]  # exact coincidence
-        q = rng.normal(size=60)
-        solver = TreeCoulombSolver(theta=0.0, leaf_size=16, softening=0.1)
-        phi, e = solver.compute(pos, q)
-        phi_ref, e_ref = reference_coulomb_fields(
-            pos, q, theta=0.0, leaf_size=16, softening=0.1
-        )
-        assert np.allclose(phi, phi_ref, atol=1e-12 * np.max(np.abs(phi_ref)))
-        assert np.allclose(e, e_ref, atol=1e-12 * np.max(np.abs(e_ref)))
-        # unsoftened: the coincident pair is excluded, results stay finite
-        phi0, e0 = TreeCoulombSolver(theta=0.0, leaf_size=16).compute(pos, q)
-        assert np.all(np.isfinite(phi0)) and np.all(np.isfinite(e0))
-
-
 class TestEngineBudget:
     def test_tiny_budget_matches_default(self, sheet):
-        """Chunking must not change results — exercise many small chunks."""
+        """Batching must not change results — exercise many small batches."""
         ps, cfg, kernel, _ = sheet
         ev_default = TreeEvaluator(kernel, cfg.sigma, theta=0.4, leaf_size=24)
         ev_tiny = TreeEvaluator(kernel, cfg.sigma, theta=0.4, leaf_size=24,

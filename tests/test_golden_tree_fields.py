@@ -2,10 +2,10 @@
 
 ``tests/data/golden_tree_fields.json`` pins blake2b digests of
 ``TreeEvaluator.field`` (theta 0.3 / 0.6, gradient on / off, backends
-numpy and threaded), ``SpaceParallelTreeEvaluator.segment_field``
-(``p_space = 2``, both ranks) and ``TreeCoulombSolver.compute`` on seeded
-vortex sheets (two in the production GEMM-expanded near-field regime, one
-forcing the explicit path).  An engine refactor that is meant to leave every
+numpy and threaded) and ``SpaceParallelTreeEvaluator.segment_field``
+(``p_space = 2``, both ranks) on seeded vortex sheets (two in the
+production GEMM-expanded near-field regime, one forcing the explicit
+path).  An engine refactor that is meant to leave every
 gather index, GEMM operand and scatter target alone (index-table
 layout, batching helpers) must pass this file unedited.
 
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.tree import TreeCoulombSolver, TreeEvaluator
+from repro.tree import TreeEvaluator
 from repro.tree.parallel import SpaceParallelTreeEvaluator
 from repro.vortex import SheetConfig, get_kernel, spherical_vortex_sheet
 
@@ -56,8 +56,7 @@ def _sheet(name):
     ps = spherical_vortex_sheet(cfg)
     rng = np.random.default_rng(seed)
     positions = ps.positions + 1e-3 * cfg.h * rng.uniform(-1, 1, (n, 3))
-    scalar = rng.standard_normal(n)
-    return positions, ps.charges, scalar, cfg.sigma, leaf_size
+    return positions, ps.charges, cfg.sigma, leaf_size
 
 
 def _field_cases():
@@ -73,10 +72,6 @@ def _segment_cases():
             for rank in range(P_SPACE)]
 
 
-def _coulomb_cases():
-    return [(sheet, backend) for sheet in SHEETS for backend in BACKENDS]
-
-
 def field_id(case) -> str:
     sheet, theta, gradient, backend = case
     return f"field-{sheet}-theta{theta}-{'grad' if gradient else 'vel'}-{backend}"
@@ -87,14 +82,9 @@ def segment_id(case) -> str:
     return f"segment-{sheet}-theta{theta}-rank{rank}of{P_SPACE}"
 
 
-def coulomb_id(case) -> str:
-    sheet, backend = case
-    return f"coulomb-{sheet}-{backend}"
-
-
 def run_field(case) -> str:
     sheet, theta, gradient, backend = case
-    positions, charges, _, sigma, leaf_size = _sheet(sheet)
+    positions, charges, sigma, leaf_size = _sheet(sheet)
     ev = TreeEvaluator(get_kernel("algebraic6"), sigma, theta=theta,
                        leaf_size=leaf_size, backend=backend)
     f = ev.field(positions, charges, gradient=gradient)
@@ -103,21 +93,11 @@ def run_field(case) -> str:
 
 def run_segment(case) -> str:
     sheet, theta, rank = case
-    positions, charges, _, sigma, leaf_size = _sheet(sheet)
+    positions, charges, sigma, leaf_size = _sheet(sheet)
     ev = SpaceParallelTreeEvaluator(get_kernel("algebraic6"), sigma,
                                     theta=theta, leaf_size=leaf_size)
     vel, grad = ev.segment_field(positions, charges, rank, P_SPACE)
     return _digest(vel, grad)
-
-
-def run_coulomb(case) -> str:
-    sheet, backend = case
-    positions, _, scalar, _, leaf_size = _sheet(sheet)
-    solver = TreeCoulombSolver(theta=0.5, leaf_size=leaf_size,
-                               softening=0.01, backend=backend,
-                               batch_budget_bytes=400_000)
-    phi, field = solver.compute(positions, scalar)
-    return _digest(phi, field)
 
 
 def _all_cases():
@@ -125,8 +105,6 @@ def _all_cases():
         yield field_id(case), run_field, case
     for case in _segment_cases():
         yield segment_id(case), run_segment, case
-    for case in _coulomb_cases():
-        yield coulomb_id(case), run_coulomb, case
 
 
 @pytest.fixture(scope="module")
@@ -146,11 +124,6 @@ def test_field_digest(golden, case):
 @pytest.mark.parametrize("case", _segment_cases(), ids=segment_id)
 def test_segment_digest(golden, case):
     assert run_segment(case) == golden[segment_id(case)]
-
-
-@pytest.mark.parametrize("case", _coulomb_cases(), ids=coulomb_id)
-def test_coulomb_digest(golden, case):
-    assert run_coulomb(case) == golden[coulomb_id(case)]
 
 
 if __name__ == "__main__":

@@ -98,11 +98,17 @@ class TestDurability:
         assert time == 9.0
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
-    def test_truncated_archive_reports_corruption(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["empty", "40-bytes", "not-an-archive"])
+    def test_truncated_archive_reports_corruption(self, tmp_path, damage):
         _, path = self._saved(tmp_path)
-        path.write_bytes(path.read_bytes()[:40])
-        with pytest.raises(CheckpointCorruptionError, match="truncated"):
+        path.write_bytes({
+            "empty": b"",
+            "40-bytes": path.read_bytes()[:40],
+            "not-an-archive": b"positions,vorticity\n0.0,1.0\n",
+        }[damage])
+        with pytest.raises(CheckpointCorruptionError, match="truncated") as exc:
             load_particles(path)
+        assert str(path) in str(exc.value)
 
     def test_crc_mismatch_reports_corruption(self, tmp_path):
         ps, path = self._saved(tmp_path)

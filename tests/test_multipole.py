@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tree.build import build_octree
-from repro.tree.multipole import (
-    compute_coulomb_moments,
-    compute_vortex_moments,
-)
+from repro.tree.multipole import compute_vortex_moments
 
 
 def _brute_vortex_moments(pos, charges, center):
@@ -84,38 +81,6 @@ class TestVortexMoments:
         tree = build_octree(pos)
         with pytest.raises(ValueError):
             compute_vortex_moments(tree, ch[:, :2])
-
-
-class TestCoulombMoments:
-    def test_all_nodes_match_brute_force(self, rng):
-        pos = rng.normal(size=(200, 3))
-        q = rng.normal(size=200)
-        tree = build_octree(pos, leaf_size=16)
-        mom = compute_coulomb_moments(tree, q)
-        for node in range(0, tree.n_nodes, 7):
-            idx = tree.particles_of(node)
-            d = pos[idx] - mom.center[node]
-            assert mom.m0[node] == pytest.approx(q[idx].sum(), abs=1e-12)
-            assert np.allclose(
-                mom.m1[node], (q[idx, None] * d).sum(axis=0), atol=1e-10
-            )
-            m2 = 0.5 * np.einsum("n,nj,nk->jk", q[idx], d, d)
-            assert np.allclose(mom.m2[node], m2, atol=1e-10)
-
-    def test_neutral_system_zero_monopole(self, rng):
-        pos = rng.normal(size=(100, 3))
-        q = np.concatenate([np.ones(50), -np.ones(50)])
-        tree = build_octree(pos, leaf_size=16)
-        mom = compute_coulomb_moments(tree, q)
-        assert mom.m0[0] == pytest.approx(0.0, abs=1e-12)
-        assert mom.abs_charge[0] == pytest.approx(100.0)
-
-    def test_quadrupole_symmetry(self, rng):
-        pos = rng.normal(size=(150, 3))
-        q = rng.normal(size=150)
-        tree = build_octree(pos, leaf_size=16)
-        mom = compute_coulomb_moments(tree, q)
-        assert np.allclose(mom.m2, mom.m2.swapaxes(1, 2), atol=1e-12)
 
 
 class TestTranslationExactness:

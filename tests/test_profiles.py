@@ -5,7 +5,6 @@ import pytest
 
 from repro.tree.profiles import (
     RationalProfile,
-    potential_profile,
     radial_chain,
     supports_multipoles,
 )
@@ -100,41 +99,3 @@ class TestChain:
     def test_invalid_order(self):
         with pytest.raises(ValueError, match="max_order"):
             radial_chain(SingularKernel(), np.array([1.0]), 1.0, 0)
-
-
-class TestPotentialProfile:
-    @pytest.mark.parametrize("name", ALGEBRAIC)
-    def test_derivative_consistent_with_d1(self, name):
-        """G'(r) = D1 * r (the chain's defining relation)."""
-        k = get_kernel(name)
-        sigma = 0.7
-        r = np.linspace(0.2, 4, 40)
-        eps = 1e-6
-        g_plus = potential_profile(k, (r + eps) ** 2, sigma)
-        g_minus = potential_profile(k, (r - eps) ** 2, sigma)
-        deriv = (g_plus - g_minus) / (2 * eps)
-        (d1,) = radial_chain(k, r**2, sigma, 1)
-        assert np.allclose(deriv, d1 * r, rtol=1e-5, atol=1e-9)
-
-    @pytest.mark.parametrize("name", ALGEBRAIC)
-    def test_far_field_is_coulomb(self, name):
-        k = get_kernel(name)
-        r2 = np.array([900.0])
-        g = potential_profile(k, r2, 0.5)
-        assert g[0] == pytest.approx(1 / (4 * np.pi * 30.0), rel=1e-3)
-
-    def test_plummer_for_second_order(self):
-        """algebraic2's potential is exactly the Plummer potential."""
-        k = get_kernel("algebraic2")
-        sigma = 0.8
-        r = np.linspace(0.0, 5, 30)
-        g = potential_profile(k, r**2, sigma)
-        assert np.allclose(g, 1 / (4 * np.pi * np.sqrt(r**2 + sigma**2)))
-
-    def test_singular_potential(self):
-        g = potential_profile(SingularKernel(), np.array([4.0]), 1.0)
-        assert g[0] == pytest.approx(1 / (8 * np.pi))
-
-    def test_gaussian_unsupported(self):
-        with pytest.raises(NotImplementedError):
-            potential_profile(GaussianKernel(), np.array([1.0]), 1.0)

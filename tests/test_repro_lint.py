@@ -151,7 +151,7 @@ class TestRPR003HotLoops:
 
 
 class TestRPR004DtypeDrift:
-    HOT = "repro/nbody/direct.py"
+    HOT = "repro/vortex/rhs.py"
 
     def test_allocation_without_dtype(self):
         src = "import numpy as np\nbuf = np.zeros((n, 3))\n"

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nbody import coulomb_direct
-from repro.tree import TreeCoulombSolver, TreeEvaluator
+from repro.tree import TreeEvaluator
+from repro.tree.parallel import SpaceParallelTreeEvaluator
 from repro.vortex import DirectEvaluator, get_kernel, spherical_vortex_sheet
 from repro.vortex.kernels import GaussianKernel
 from repro.vortex.sheet import SheetConfig
@@ -116,10 +116,13 @@ class TestValidation:
 
     @pytest.mark.parametrize("kwargs,name", [
         ({"theta": float("nan")}, "theta"),
+        # every leaf would take itself as a far cluster: no near pairs
+        ({"theta": float("inf")}, "theta"),
         # theta 0 never consults the variant, 0.5 only at traversal time
         ({"theta": 0.0, "mac_variant": "bogus"}, "mac_variant"),
         ({"theta": 0.5, "mac_variant": "bogus"}, "mac_variant"),
-    ], ids=["nan-theta", "bogus-variant-theta0", "bogus-variant-theta0.5"])
+    ], ids=["nan-theta", "inf-theta", "bogus-variant-theta0",
+            "bogus-variant-theta0.5"])
     def test_bad_mac_rejected_at_construction(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             TreeEvaluator("algebraic6", 0.5, **kwargs)
@@ -127,17 +130,14 @@ class TestValidation:
         with pytest.raises(ValueError, match=name):
             ev.coarsened(**{"theta": 0.6, **kwargs})
 
-    @pytest.mark.parametrize("kwargs,name", [
-        ({"theta": -0.1}, "theta"),
-        ({"theta": float("nan")}, "theta"),
-        ({"order": 3}, "order"),
-        ({"theta": 0.0, "mac_variant": "bogus"}, "mac_variant"),
-        ({"theta": 0.5, "mac_variant": "bogus"}, "mac_variant"),
-    ], ids=["negative-theta", "nan-theta", "order-3", "bogus-variant-theta0",
-            "bogus-variant-theta0.5"])
-    def test_coulomb_solver_validates_mac(self, kwargs, name):
-        with pytest.raises(ValueError, match=name):
-            TreeCoulombSolver(**kwargs)
+    @pytest.mark.parametrize("leaf_size", [0, -1, 2.7])
+    def test_bad_leaf_size_rejected_at_construction(self, leaf_size):
+        for cls in (TreeEvaluator, SpaceParallelTreeEvaluator):
+            with pytest.raises(ValueError, match="leaf_size"):
+                cls("algebraic6", 0.5, leaf_size=leaf_size)
+        # NumPy integers are integers
+        ev = TreeEvaluator("algebraic6", 0.5, leaf_size=np.int64(3))
+        assert type(ev.leaf_size) is int and ev.leaf_size == 3
 
     def test_stats_populated(self, sheet_setup):
         ps, cfg, kernel, _ = sheet_setup
@@ -148,33 +148,3 @@ class TestValidation:
         assert s.n_nodes > 0
         assert s.interactions_per_particle > 0
         assert ev.phases.elapsed("traverse") > 0
-
-
-class TestCoulombTree:
-    def test_matches_direct(self, rng):
-        pos = rng.normal(size=(500, 3))
-        q = rng.normal(size=500)
-        phi_ref, e_ref = coulomb_direct(pos, pos, q)
-        solver = TreeCoulombSolver(theta=0.4, leaf_size=24)
-        phi, e = solver.compute(pos, q)
-        assert np.max(np.abs(phi - phi_ref)) / np.max(np.abs(phi_ref)) < 5e-3
-        assert np.max(np.abs(e - e_ref)) / np.max(np.abs(e_ref)) < 5e-3
-
-    def test_theta_zero_exact(self, rng):
-        pos = rng.normal(size=(200, 3))
-        q = rng.normal(size=200)
-        phi_ref, e_ref = coulomb_direct(pos, pos, q)
-        phi, e = TreeCoulombSolver(theta=0.0, leaf_size=24).compute(pos, q)
-        assert np.allclose(phi, phi_ref, atol=1e-12)
-        assert np.allclose(e, e_ref, atol=1e-12)
-
-    def test_neutral_plasma_setup(self, rng):
-        """The Fig. 5 workload: homogeneous neutral Coulomb system."""
-        n = 400
-        pos = rng.random((n, 3))
-        q = np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
-        solver = TreeCoulombSolver(theta=0.6, leaf_size=24)
-        phi, e = solver.compute(pos, q)
-        assert np.all(np.isfinite(phi))
-        assert np.all(np.isfinite(e))
-        assert solver.last_stats.far_interactions > 0
