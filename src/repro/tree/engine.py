@@ -25,15 +25,17 @@ blocks so the inner loops are dense matrix products:
   *cluster-frame* monomial basis (:mod:`repro.tree.localbasis`): every
   unique cluster node gets one weight matrix mapping the D-weighted
   monomials of ``r = target - center`` straight to the 3 velocity + 9
-  gradient components.  The far pass walks unique nodes (regrouped by
-  the layout into a node -> target-slots CSR), evaluates the radial
-  chain and an incremental monomial table per pair, runs one batched
-  GEMM against the weights, and scatters with one ``np.bincount`` per
-  output component.  Per-pair work is independent of how many groups
-  share a cluster, and all per-cluster tensor algebra happens once per
-  pass, not once per batch.
+  gradient components; all weights come from one GEMM per pass.  The
+  far pass walks the node-sorted pairs (regrouped by the layout into a
+  node -> target-slots CSR) in chunks of whole list entries, each
+  node's run padded to whole vectors, and per cache-sized tile writes
+  the radial chain straight into the GEMM operand and grows the
+  D-weighted monomials from it (one broadcast multiply per row run, no
+  monomial table), runs one GEMM per node against its weights, and
+  scatters each chunk with one ``np.bincount`` per output component.
+  Per-pair work is independent of how many groups share a cluster.
 
-Batches are packed greedily under a temporary-memory budget, groups
+Near batches are packed greedily under a temporary-memory budget, groups
 sorted by size so padding stays tight; a batch always contains at least
 one group, so any positive budget makes progress.  Scatter back onto the
 targets uses plain fancy indexing — leaves tile disjoint slot ranges, so
@@ -78,14 +80,7 @@ from repro.backends import KernelBackend, get_backend
 from repro.obs.metrics import get_metrics
 from repro.tree.build import Octree
 from repro.tree.evaluate import _cross, _cross_matrix_add, _eps_add
-from repro.tree.localbasis import (
-    BLOCK_COL,
-    BLOCK_END,
-    BLOCK_LO,
-    DEG_START,
-    monomial_rows,
-    node_far_weights,
-)
+from repro.tree.localbasis import BLOCK_END, far_weight_map, ycat_program
 from repro.tree.multipole import VortexMoments
 from repro.tree.profiles import radial_chain
 from repro.tree.traversal import InteractionLists
@@ -104,15 +99,20 @@ _INV_FOUR_PI = 1.0 / (4.0 * np.pi)
 
 #: default temporary-memory budget per evaluation batch
 DEFAULT_BUDGET_BYTES = 64 * 2**20
-#: tighter defaults for the GEMM passes — blocks that stay cache-resident
-#: make the many short elementwise sweeps (radial factors, monomials)
-#: run at cache bandwidth instead of streaming from memory.  Values from
-#: a budget sweep on the N=8192 sheet benchmark (single-core BLAS).  The
-#: near value holds a batch's blocks inside a 2 MiB L2: timings are flat
-#: from 1 to 3 MiB on an idle host, but with the shared last-level cache
-#: busy 3 MiB batches of the N=2048 sheet ran up to 1.8x slower.
+#: tighter default for the expanded near pass: blocks that stay
+#: cache-resident make its short elementwise sweeps (radial factors) run
+#: at cache bandwidth instead of streaming from memory.  The value holds
+#: a batch's blocks inside a 2 MiB L2: timings are flat from 1 to 3 MiB
+#: on an idle host, but with the shared last-level cache busy 3 MiB
+#: batches of the N=2048 sheet ran up to 1.8x slower (budget sweep on the
+#: N=8192 sheet benchmark, single-core BLAS).
 NEAR_GEMM_BUDGET_BYTES = 3 * 2**19
-FAR_BUDGET_BYTES = 16 * 2**20
+#: far-pass chunk budget.  It bounds the chunk-wide tables (slots, GEMM
+#: output rows); cache residency is the tile's business
+#: (``_FAR_TILE_PAIRS``).  Each chunk's 12 bincounts also pass over every
+#: target once, so chunks are long: 8 MiB is ~75k pairs, and one pass at
+#: N = 16384, theta 0.3 peaks at 19.3 MiB, per-node weights included
+FAR_BUDGET_BYTES = 8 * 2**20
 
 # approximate float64 temporaries, used only to size batches — order of
 # magnitude accuracy suffices.  "elem" is per padded (target, source)
@@ -126,9 +126,20 @@ _NEAR_PAIR_BYTES = {True: 264, False: 96}
 # index expansion's temporary
 _NEAR_GEMM_ELEM_BYTES = {True: 32, False: 24}
 _NEAR_GEMM_PAIR_BYTES = {True: 272, False: 128}
-#: per padded (target, cluster-node) far pair: monomial + Ycat rows,
-#: radial chain, gather/output blocks
-_FAR_PAIR_BYTES = 904
+#: per (target, cluster-node) far lane of a chunk: its slot, the index
+#: expansion's temporary and the 12 / 3 GEMM output rows (counted from
+#: the body; ``TestFarPassBudget``)
+_FAR_PAIR_BYTES = {True: 112, False: 40}
+#: pairs per tile of the far row program: the chain, the ~60 rows of the
+#: GEMM operand and its scratch stay inside a 2 MiB L2 (1k-4k pairs
+#: measured; streaming the rows from memory cost 2x on the N=16384 sheet)
+_FAR_TILE_PAIRS = 2048
+#: far lanes per node segment are padded to whole 512-bit vectors of
+#: doubles, as near target lanes are (``_NEAR_TARGET_MULTIPLE``): every
+#: GEMM of the pass has pairs or nodes on its unit-stride axis, where
+#: BLAS rounds a trailing partial vector differently, so whole vectors
+#: keep a pair's bits independent of what else its chunk holds
+_FAR_LANE_MULTIPLE = 8
 
 #: near product-expansion gate: the GEMM distance/feature expansion is
 #: used only when every *target* sits within this many core sizes of its
@@ -415,6 +426,79 @@ def _pairs_to_slots(
 # drivers
 # ---------------------------------------------------------------------------
 
+def _far_chunks(
+    layout: TraversalLayout, entry_pair: np.ndarray, cap: int
+) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+    """Cut the node-sorted far entries into chunks of at most ``cap``
+    pairs, whole entries each (at least one, so any positive budget makes
+    progress).
+
+    A chunk is ``(k0, eb, lb)``: it touches the unique nodes ``k0, k0 + 1,
+    ...``, node ``k0 + i`` owning entries ``eb[i]:eb[i + 1]`` of the chunk
+    and lanes ``lb[i]:lb[i + 1]``, its pairs padded to whole
+    ``_FAR_LANE_MULTIPLE`` vectors.
+    """
+    estart = layout.far_node_entry_start
+    n_entries = entry_pair.size - 1
+    chunks = []
+    e0 = 0
+    while e0 < n_entries:
+        e1 = int(np.searchsorted(entry_pair, entry_pair[e0] + cap, "right"))
+        e1 = min(max(e1 - 1, e0 + 1), n_entries)
+        k0 = int(np.searchsorted(estart, e0, "right")) - 1
+        k1 = int(np.searchsorted(estart, e1, "left"))
+        eb = np.clip(estart[k0:k1 + 1], e0, e1)
+        real = np.diff(entry_pair[eb])
+        lanes = -(-real // _FAR_LANE_MULTIPLE) * _FAR_LANE_MULTIPLE
+        chunks.append((k0, eb, _cumsum0(lanes)))
+        e0 = e1
+    return chunks
+
+
+def _far_chunk_slots(
+    layout: TraversalLayout, entry_pair: np.ndarray, eb: np.ndarray,
+    lb: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Target slots of one far chunk's lanes, and its padding lanes.
+
+    A padding lane repeats its segment's last real pair, so every
+    gathered coordinate is a real far-pair offset; the caller sends its
+    output to a dropped bin.
+    """
+    lanes = np.diff(lb)
+    first = entry_pair[eb]
+    pad = lanes - np.diff(first)
+    q = np.arange(lb[-1], dtype=np.int64)
+    q += np.repeat(first[:-1] - lb[:-1], lanes)
+    # the padding lanes: the last pad[i] lanes of segment i
+    padded = np.flatnonzero(pad)
+    npad = pad[padded]
+    at = np.repeat(lb[1:][padded] - _cumsum0(npad)[1:], npad)
+    at += np.arange(at.size)
+    q[at] = np.repeat(first[1:][padded] - 1, npad)
+    slots = _pairs_to_slots(
+        q, eb[:-1], np.diff(eb), layout.far_entry_count,
+        layout.far_entry_shift, pad=pad,
+    )
+    return slots, at
+
+
+def _far_tiles(lb: List[int], tile: int):
+    """Tiles of ``tile`` lanes over a far chunk with segment bounds
+    ``lb``: yields ``(t0, t1, pieces)``, each piece ``(segment, lo, hi)``
+    the lanes of one segment inside the tile."""
+    i = 0
+    for t0 in range(0, lb[-1], tile):
+        t1 = min(t0 + tile, lb[-1])
+        pieces = []
+        while lb[i] < t1:
+            pieces.append((i, max(lb[i], t0), min(lb[i + 1], t1)))
+            if lb[i + 1] > t1:
+                break
+            i += 1
+        yield t0, t1, pieces
+
+
 def batched_far_vortex(
     tree: Octree,
     moments: VortexMoments,
@@ -432,12 +516,21 @@ def batched_far_vortex(
     Cluster-frame factorization (see :mod:`repro.tree.localbasis`): each
     unique cluster node carries a weight matrix ``W`` mapping D-weighted
     monomials of ``r = target - center`` straight to velocity/gradient
-    components, so the per-pair work is the radial chain, one incremental
-    monomial table and a single batched GEMM; results land on the targets
-    via one ``np.bincount`` per output component.  ``W`` is built here,
-    once per pass (1-5% of it) and not kept: it depends on the moments,
-    and an evaluation that repeats an earlier one never gets this far —
-    the state cache answers it with the finished field.  Exact —
+    components.  All ``W`` come from one GEMM of the nodes' moments
+    against the cached moments-to-weights map
+    (:func:`~repro.tree.localbasis.far_weight_map`) and are not kept:
+    they depend on the moments, and an evaluation that repeats an earlier
+    one never gets this far — the state cache answers it with the
+    finished field.
+
+    The node-sorted far pairs are cut into chunks of whole list entries
+    (:func:`_far_chunks`), each node's run padded to whole vectors.  Per
+    chunk: gather the target coordinates and subtract each node's center;
+    then, tile by cache-sized tile, write the radial chain straight into
+    the GEMM operand ``Ycat``, grow the D-weighted monomials from it
+    (:func:`~repro.tree.localbasis.ycat_program`) and run one GEMM per
+    node into component-major output rows; last, one ``np.bincount`` per
+    output component scatters the chunk onto the targets.  Exact —
     matches the pairwise kernel to rounding error.
     """
     if layout.far_pairs == 0 or layout.far_nodes_u.size == 0:
@@ -446,95 +539,69 @@ def batched_far_vortex(
     need = order + (2 if gradient else 1)
     ncols = BLOCK_END[need - 1]
     nout = 12 if gradient else 3
-    n_mono = DEG_START[need + 1]
     nodes_u = layout.far_nodes_u
-    w = node_far_weights(
-        moments.m0[nodes_u],
-        moments.m1[nodes_u] if order >= 1 else None,
-        moments.m2[nodes_u] if order >= 2 else None,
-        order, gradient,
-    )
-    # transposed/sliced for the (B, nout, ncols) GEMM operand
-    wt = np.ascontiguousarray(w[:, :ncols, :nout].transpose(0, 2, 1))
-    del w
+    # moments (node lanes padded to whole vectors) -> W, one GEMM
+    nm = (3, 12, 39)[order]
+    mt = np.zeros((nm, -(-nodes_u.size // _FAR_LANE_MULTIPLE)
+                   * _FAR_LANE_MULTIPLE), dtype=np.float64)
+    mt[0:3, :nodes_u.size] = moments.m0[nodes_u].T
+    if order >= 1:
+        mt[3:12, :nodes_u.size] = moments.m1[nodes_u].reshape(-1, 9).T
+    if order >= 2:
+        mt[12:39, :nodes_u.size] = moments.m2[nodes_u].reshape(-1, 27).T
+    # column k: node k's W as a flattened (nout, ncols) GEMM operand
+    wt = np.matmul(far_weight_map(order, gradient).T, mt)
+    del mt
     centers = moments.center[nodes_u]
+    seeds, coords, steps, nrows = ycat_program(need)
 
-    pstart = layout.far_node_pair_start
-    pcount = pstart[1:] - pstart[:-1]
-    estart = layout.far_node_entry_start
-    ecount = estart[1:] - estart[:-1]
-    korder = np.argsort(-pcount, kind="stable")
-    # consecutive runs of the count-sorted nodes; the first (largest)
-    # node of a run fixes the padded width
-    batches: List[np.ndarray] = []
-    i = 0
-    while i < korder.size:
-        pmax = int(pcount[korder[i]])
-        nb = max(1, int(budget // max(pmax * _FAR_PAIR_BYTES, 1)))
-        batches.append(korder[i:i + nb])
-        i += nb
-
+    entry_pair = _cumsum0(layout.far_entry_count)
+    chunks = _far_chunks(
+        layout, entry_pair, max(1, budget // _FAR_PAIR_BYTES[gradient])
+    )
     m = get_metrics()
     if m.enabled:
-        m.counter("tree.far.batches").inc(len(batches))
+        m.counter("tree.far.batches").inc(len(chunks))
 
-    pcap = max(int(pcount[kb[0]]) * kb.size for kb in batches)
-    rt = np.empty((3, pcap), dtype=np.float64)
-    psi = np.empty((n_mono, pcap), dtype=np.float64)
-    ycat = np.empty((ncols, pcap), dtype=np.float64)
+    width = max(int(lb[-1]) for _, _, lb in chunks)
+    tile = min(width, _FAR_TILE_PAIRS)
+    obuf = np.empty((nout, width), dtype=np.float64)
+    ybuf = np.empty((nrows, tile), dtype=np.float64)
     n = vel.shape[0]
     # structure-of-arrays operands: coordinates are gathered per
-    # component straight into the rows of ``rt`` and every output
-    # component accumulates into its own contiguous row (same additions
-    # in the same order as a strided ``vel[:, c] +=``), written back once
+    # component straight into the tile's coordinate rows and every output
+    # component accumulates into its own contiguous row, written back once
     post = np.ascontiguousarray(tree.positions.T)
     acc = np.empty((nout, n), dtype=np.float64)
     acc[0:3] = vel.T
     if gradient:
         acc[3:12] = grad.reshape(n, 9).T
-    for kbatch in batches:
-        bsz = kbatch.size
-        p = int(pcount[kbatch].max())
-        pall = bsz * p
-        lanes, valid = _padded_lanes(pstart[:-1][kbatch], pcount[kbatch], p)
-        tflat = _pairs_to_slots(
-            lanes, estart[:-1][kbatch], ecount[kbatch],
-            layout.far_entry_count, layout.far_entry_shift,
-            pad=p - pcount[kbatch],
-        ).reshape(-1)
-        ctr = centers[kbatch]
-        rtv = rt[:, :pall]
-        for c in range(3):
-            # slots are in range; "clip" only avoids the buffered copy
-            # the default "raise" mode makes when writing into ``out``
-            np.take(post[c], tflat, out=rtv[c], mode="clip")
-            row = rtv[c].reshape(bsz, p)
-            row -= ctr[:, c, None]
-        r2 = rtv[0] * rtv[0]
-        r2 += rtv[1] * rtv[1]
-        r2 += rtv[2] * rtv[2]
-        chain = radial_chain(kernel, r2, sigma, need)
-        if not valid.all():
-            # padding lanes repeat a real pair; zeroing their chain
-            # values zeroes every Ycat column they touch
-            invalid = ~valid
-            for arr in chain:
-                arr.reshape(bsz, p)[invalid] = 0.0
-        psiv = psi[:, :pall]
-        monomial_rows(rtv, n_mono, psiv)
-        ycv = ycat[:, :pall]
-        for blk in range(need):
-            lo, c0, c1 = BLOCK_LO[blk], BLOCK_COL[blk], BLOCK_END[blk]
-            np.multiply(
-                psiv[lo:lo + (c1 - c0)], chain[blk][None, :],
-                out=ycv[c0:c1],
-            )
-        yb = ycv.reshape(ncols, bsz, p).transpose(1, 0, 2)
-        out = np.matmul(wt[kbatch], yb)  # (bsz, nout, p)
+    for k0, eb, lb in chunks:
+        slots, padding = _far_chunk_slots(layout, entry_pair, eb, lb)
+        out = obuf[:, :lb[-1]]
+        for t0, t1, pieces in _far_tiles(lb.tolist(), tile):
+            y = ybuf[:, :t1 - t0]
+            xt = y[coords:coords + 3]
+            for c in range(3):
+                # slots are in range; "clip" only avoids the buffered
+                # copy the default "raise" mode makes into ``out``
+                np.take(post[c], slots[t0:t1], out=xt[c], mode="clip")
+            for i, lo, hi in pieces:
+                xt[:, lo - t0:hi - t0] -= centers[k0 + i][:, None]
+            r2 = np.einsum("ij,ij->j", xt, xt)
+            radial_chain(kernel, r2, sigma, need, out=[y[r] for r in seeds])
+            for a, b0, b1, d0 in steps:
+                np.multiply(y[a], y[b0:b1], out=y[d0:d0 + b1 - b0])
+            for i, lo, hi in pieces:
+                wk = np.ascontiguousarray(wt[:, k0 + i]).reshape(nout, ncols)
+                np.matmul(wk, y[:ncols, lo - t0:hi - t0], out=out[:, lo:hi])
+        # padding lanes scatter to bin n, one past the targets, dropped
+        slots[padding] = n
         for c in range(nout):
             acc[c] += np.bincount(
-                tflat, weights=out[:, c, :].ravel(), minlength=n
-            )
+                slots, weights=out[c], minlength=n + 1
+            )[:n]
+        del slots
     vel[:] = acc[0:3].T
     if gradient:
         grad.reshape(n, 9)[:] = acc[3:12].T

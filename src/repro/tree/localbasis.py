@@ -35,6 +35,7 @@ assert agreement with the pairwise path to rounding error.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Optional, Tuple
 
@@ -47,8 +48,9 @@ __all__ = [
     "BLOCK_LO",
     "BLOCK_END",
     "monomial_basis",
-    "monomial_rows",
+    "ycat_program",
     "node_far_weights",
+    "far_weight_map",
 ]
 
 #: monomials of degree <= 4, as sorted variable-index tuples, degree-major
@@ -90,17 +92,69 @@ def monomial_basis(delta: np.ndarray, n_mono: int) -> np.ndarray:
     return out
 
 
-def monomial_rows(rt: np.ndarray, n_mono: int, out: np.ndarray) -> None:
-    """Transposed monomial table: fill rows ``out[:n_mono]``, each (P,).
+@lru_cache(maxsize=None)
+def ycat_program(
+    need: int,
+) -> Tuple[Tuple[int, ...], int, Tuple[Tuple[int, int, int, int], ...], int]:
+    """Row program that builds ``Ycat`` straight from the radial chain.
 
-    ``rt`` is (3, P) — coordinate rows.  Same incremental recurrence as
-    :func:`monomial_basis`, but row-major so every multiply runs over a
-    contiguous lane vector (the layout the batched far driver wants).
+    Returns ``(seeds, coords, steps, rows)`` for a table of ``rows``
+    rows: rows below ``BLOCK_END[need - 1]`` are the ``Ycat`` columns,
+    the coordinates of ``r`` go into rows ``coords .. coords + 2`` and
+    ``D_{b+1}`` into row ``seeds[b]``; the other rows are scratch.  Each
+    step ``(a, b0, b1, d0)`` is one broadcast multiply
+    ``row[d0:d0 + b1 - b0] = row[a] * row[b0:b1]``, in order.
+
+    No monomial table is built: blocks 0 and 1 grow their monomials from
+    their seeds (:func:`monomial_basis`'s recurrence with ``D_{b+1}`` for
+    1), block 2 starts from ``D3`` times six plain quadratics, and block
+    3's quartics are ``D4`` times a quadratic times a quadratic.  That
+    is 55 row products for chain depth 4, in 22 steps.
     """
-    out[0] = 1.0
-    for i in range(1, n_mono):
-        c = MONOMIALS[i]
-        np.multiply(out[_MONO_INDEX[c[:-1]]], rt[c[-1]], out=out[i])
+    ncols = BLOCK_END[need - 1]
+    coords, rows = ncols, ncols + 3
+
+    def col(blk: int, m: int) -> int:
+        return BLOCK_COL[blk] + m - BLOCK_LO[blk]
+
+    products = []  # (dst, a, b): row[dst] = row[a] * row[b]
+
+    def grow(blk: int, start: int, stop: int) -> None:
+        for m in range(start, stop):
+            mono = MONOMIALS[m]
+            products.append((col(blk, m), col(blk, _MONO_INDEX[mono[:-1]]),
+                             coords + mono[-1]))
+
+    seeds = [0, 4, rows, rows + 1][:need]
+    grow(0, 1, DEG_START[2])
+    if need >= 2:
+        grow(1, 1, DEG_START[3])
+    if need >= 3:
+        quad = {MONOMIALS[m]: rows + m - 2 for m in range(4, 10)}
+        for mono, r in quad.items():
+            products.append((r, coords + mono[0], coords + mono[1]))
+        for mono, r in quad.items():
+            products.append((col(2, _MONO_INDEX[mono]), rows, r))
+        grow(2, DEG_START[3], DEG_START[4])
+        rows += 8
+    if need == 4:
+        d4quad = {mono: r + 6 for mono, r in quad.items()}
+        for mono, r in quad.items():
+            products.append((d4quad[mono], seeds[3], r))
+        for m in range(DEG_START[4], DEG_START[5]):
+            mono = MONOMIALS[m]
+            products.append((col(3, m), d4quad[mono[:2]], quad[mono[2:]]))
+        rows += 6
+    # merge runs that share the row factor and step both others by one
+    steps = []
+    for dst, a, b in products:
+        if steps:
+            pa, pb0, pb1, pd0 = steps[-1]
+            if a == pa and b == pb1 and dst == pd0 + pb1 - pb0:
+                steps[-1] = (pa, pb0, pb1 + 1, pd0)
+                continue
+        steps.append((a, b, b + 1, dst))
+    return tuple(seeds), coords, tuple(steps), rows
 
 
 def node_far_weights(
@@ -196,3 +250,33 @@ def node_far_weights(
             for d in range(3):
                 add(1, (d,), 3 + 3 * a + d, -vec1[:, a])     # -D2 vec(M1)(x)r
     return w
+
+
+@lru_cache(maxsize=None)
+def far_weight_map(order: int, gradient: bool) -> np.ndarray:
+    """Moments-to-weights matrix ``C`` of the batched far GEMM.
+
+    ``W`` is linear in a cluster's moments, so one run of
+    :func:`node_far_weights` on unit moments gives ``C`` with
+    ``W = [m0 | m1 | m2] @ C`` (moments flattened, 3 / 12 / 39 of them at
+    order 0 / 1 / 2).  Each row of ``C`` is a ``W`` laid out as the GEMM
+    operand: (nout, ncols) flattened, nout 12 with gradient and 3
+    without, ncols ``BLOCK_END[need - 1]``.  Read-only, built once per
+    ``(order, gradient)``.
+    """
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    ncols = BLOCK_END[order + (1 if gradient else 0)]
+    nout = 12 if gradient else 3
+    nm = (3, 12, 39)[order]
+    unit = np.eye(nm)
+    w = node_far_weights(
+        unit[:, 0:3],
+        unit[:, 3:12].reshape(nm, 3, 3) if order >= 1 else None,
+        unit[:, 12:39].reshape(nm, 3, 3, 3) if order >= 2 else None,
+        order, gradient,
+    )
+    c = np.ascontiguousarray(w[:, :ncols, :nout].transpose(0, 2, 1))
+    c = c.reshape(nm, nout * ncols)
+    c.setflags(write=False)
+    return c

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from functools import lru_cache
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,13 +42,13 @@ from repro.vortex.kernels import (
 )
 
 
-def _int_power(base: np.ndarray, n: int) -> np.ndarray:
-    """``base ** n`` for integer ``n >= 1`` by squaring (no float powers)."""
-    acc = None
+def _int_power(base: np.ndarray, n: int, acc: np.ndarray) -> np.ndarray:
+    """``acc *= base ** n`` in place for integer ``n >= 0``, by squaring
+    (no float powers); returns ``acc``."""
     sq = base
     while n:
         if n & 1:
-            acc = sq.copy() if acc is None else acc * sq
+            acc *= sq
         n >>= 1
         if n:
             sq = sq * sq
@@ -116,6 +117,28 @@ class _PowerProfile:
         return self.scale * t ** (-float(self.p))
 
 
+@lru_cache(maxsize=64)
+def _numerator_matrix(
+    p: Tuple[float, ...], d: int, sigma: float, max_order: int
+) -> np.ndarray:
+    """Row i: coefficients of ``D_{i+1}``'s numerator as a polynomial in
+    ``r^2`` (low order first) for the algebraic kernel ``(P, D)`` — the
+    profile derivative, its constant factor and the powers of
+    ``1/sigma^2`` multiplied in.  Read-only."""
+    profile = RationalProfile(coeffs=p, k=Fraction(d - 2, 2))
+    inv_s2 = 1.0 / (sigma * sigma)
+    scale = -1.0 / (4.0 * np.pi) / sigma**3
+    rows = []
+    for _ in range(max_order):
+        rows.append([c * scale * inv_s2**j
+                     for j, c in enumerate(profile.coeffs)])
+        profile = profile.diff()
+        scale *= 2.0 * inv_s2
+    coef = np.array(rows)
+    coef.setflags(write=False)
+    return coef
+
+
 def supports_multipoles(kernel: SmoothingKernel) -> bool:
     """Whether exact multipole radial chains exist for this kernel."""
     return isinstance(kernel, (AlgebraicKernel, SingularKernel))
@@ -126,11 +149,15 @@ def radial_chain(
     r2: np.ndarray,
     sigma: float,
     max_order: int,
+    out: Optional[Sequence[np.ndarray]] = None,
 ) -> Tuple[np.ndarray, ...]:
     """Evaluate ``(D1, ..., D_{max_order})`` at squared distances ``r2``.
 
     ``max_order`` up to 4 is needed for quadrupole velocity gradients.
     The ``1/4pi`` prefactor of the Green's function is *included*.
+    ``out``, if given, holds ``max_order`` float64 arrays shaped like
+    ``r2`` that receive the chain (the batched far pass writes it straight
+    into its GEMM operand); they are returned.
 
     Raises ``NotImplementedError`` for kernels without exact chains (use
     the direct evaluator for those).
@@ -141,50 +168,56 @@ def radial_chain(
     r2 = np.asarray(r2, dtype=np.float64)
 
     if isinstance(kernel, AlgebraicKernel):
-        t = r2 / (sigma * sigma)
-        # qq(t) = P(t) (t+1)^{-(D-2)/2};  D1 = -(1/4pi sigma^3) qq(t)
-        profile = RationalProfile(
-            coeffs=tuple(kernel._P), k=Fraction(kernel._D - 2, 2)
-        )
-        # Every chain member shares the denominator family (t+1)^{-(k0+i)}
-        # with k0 = (D-2)/2, so one inverse(-sqrt) power chain serves the
-        # whole tuple and only the numerators need Horner passes — no
-        # float-exponent powers on the hot path.
-        inv2 = 1.0 / (t + 1.0)
-        if (kernel._D - 2) % 2:
-            den = _int_power(np.sqrt(inv2), kernel._D - 2)
+        # D_{i+1} = c_i N_i(t) (t+1)^{-(k0+i)} with t = r^2/sigma^2,
+        # k0 = (D-2)/2 and numerators N_i of one degree (the profile is
+        # closed under d/dt).  The constants c_i and the powers of
+        # 1/sigma^2 ride on the numerator coefficients, so all numerators
+        # come from one small GEMM over the powers of r^2, and the shared
+        # denominator family from one reciprocal (and a square root for
+        # odd D) stepped by one multiply per member — no Horner passes,
+        # no float-exponent powers.
+        coef = _numerator_matrix(tuple(kernel._P), kernel._D, sigma, max_order)
+        inv_s2 = 1.0 / (sigma * sigma)
+        flat = r2.reshape(-1)
+        powers = np.empty((coef.shape[1], flat.size), dtype=np.float64)
+        powers[0] = 1.0
+        for j in range(1, powers.shape[0]):
+            np.multiply(powers[j - 1], flat, out=powers[j])
+        nums = np.matmul(coef, powers)
+        inv = r2 * inv_s2
+        inv += 1.0
+        np.reciprocal(inv, out=inv)
+        if kernel._D % 2:
+            den = _int_power(inv, (kernel._D - 3) // 2, np.sqrt(inv))
         else:
-            den = _int_power(inv2, (kernel._D - 2) // 2)
-        out = []
-        scale = -inv_four_pi / sigma**3
+            den = _int_power(inv, (kernel._D - 2) // 2 - 1, inv.copy())
+        chain = []
         for i in range(max_order):
-            coeffs = profile.coeffs
-            num = np.full_like(t, coeffs[-1])
-            for c in coeffs[-2::-1]:
-                num *= t
-                num += c
-            num *= den
-            num *= scale
-            out.append(num)
+            d = np.empty_like(r2) if out is None else out[i]
+            np.multiply(nums[i].reshape(r2.shape), den, out=d)
+            chain.append(d)
             if i + 1 < max_order:
-                profile = profile.diff()
-                scale *= 2.0 / sigma**2
-                den = den * inv2
-        return tuple(out)
+                den *= inv
+        return tuple(chain)
 
     if isinstance(kernel, SingularKernel):
         eps2 = kernel.softening**2
         s = r2 + eps2
         # D1 = -(1/4pi) s^{-3/2}; chain via power profile in s
         profile = _PowerProfile(scale=-inv_four_pi, p=Fraction(3, 2))
-        out = []
+        chain = []
         for _ in range(max_order):
-            out.append(profile(s))
+            chain.append(profile(s))
             profile = profile.diff()
         # D_{n+1} = dD_n/ds * ds/dr / r = 2 dD_n/ds -> factor handled: the
         # chain D_{n+1} = D_n'/r with D_n(r)=g(s), s=r^2+eps^2 gives
         # D_{n+1} = 2 g'(s); _PowerProfile.diff is d/ds, so multiply 2^n.
-        return tuple(out[i] * (2.0**i) for i in range(max_order))
+        chain = tuple(d * (2.0**i) for i, d in enumerate(chain))
+        if out is None:
+            return chain
+        for dst, src in zip(out, chain):
+            dst[...] = src
+        return tuple(out)
 
     raise NotImplementedError(
         f"kernel {kernel.name!r} has no exact multipole radial chain; "

@@ -39,6 +39,7 @@ from repro.tree import (
     dual_traversal,
 )
 from repro.tree import engine
+from repro.tree.localbasis import BLOCK_END, ycat_program
 from repro.obs import MetricsRegistry, use_metrics
 from repro.tree.parallel import _sub_lists
 from repro.vortex import SheetConfig, get_kernel, spherical_vortex_sheet
@@ -108,21 +109,32 @@ def _check_layout(rng, tree, layout):
         (layout.src_count * layout.group_count).sum()
     )
 
-    # far: rows are unique cluster nodes, padded to the longest
-    pstart = layout.far_node_pair_start
-    pcount = np.diff(pstart)
-    estart = layout.far_node_entry_start
-    assert int(pstart[-1]) == far_pair_targets.size
-    for kbatch in _ragged_batches(rng, np.arange(layout.far_nodes_u.size)):
-        p = int(pcount[kbatch].max())
-        lanes, _ = engine._padded_lanes(pstart[:-1][kbatch], pcount[kbatch], p)
-        want = far_pair_targets[lanes]  # padding = last real element
-        got = engine._pairs_to_slots(
-            lanes, estart[:-1][kbatch], np.diff(estart)[kbatch],
-            layout.far_entry_count, layout.far_entry_shift,
-            pad=p - pcount[kbatch],
-        )
-        assert np.array_equal(got, want)
+    # far: chunks of whole entries, each node's run padded to whole
+    # vectors with its last pair
+    entry_pair = engine._cumsum0(layout.far_entry_count)
+    pairs = far_pair_targets.size
+    assert int(entry_pair[-1]) == pairs
+    for cap in (max(1, pairs // int(rng.integers(2, 6))), pairs + 1):
+        seen = []
+        for k0, eb, lb in engine._far_chunks(layout, entry_pair, cap):
+            assert (entry_pair[eb[-1]] - entry_pair[eb[0]] <= cap
+                    or eb[-1] - eb[0] == 1)
+            # segment i lies inside the entries of node k0 + i
+            nodes = layout.far_node_entry_start[k0:k0 + lb.size]
+            assert np.all((nodes[:-1] <= eb[:-1]) & (eb[1:] <= nodes[1:]))
+            assert np.all(np.diff(lb) % engine._FAR_LANE_MULTIPLE == 0)
+            got, padding = engine._far_chunk_slots(layout, entry_pair, eb, lb)
+            seg = np.repeat(np.arange(lb.size - 1), np.diff(lb))
+            lane = np.arange(lb[-1]) - lb[seg]
+            real = np.diff(entry_pair[eb])[seg]
+            want = far_pair_targets[entry_pair[eb[seg]]
+                                    + np.minimum(lane, real - 1)]
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.sort(padding),
+                                  np.flatnonzero(lane >= real))
+            seen.append(want[lane < real])
+        got = np.concatenate(seen) if seen else np.empty(0, np.int64)
+        assert np.array_equal(got, far_pair_targets)
 
     # near (every backend's batch body starts here): rows are groups
     active = np.flatnonzero(layout.src_count > 0)
@@ -221,14 +233,14 @@ def _jittered_sheet(n, seed, leaf_size, theta):
 
 
 class TestFarPassBytes:
-    """``batched_far_vortex`` adds onto whatever the buffers hold, batch
-    after batch in a fixed order; the digests were recorded with the
-    strided ``vel[:, c] += bincount`` form it had before the contiguous
-    ``(12, n)`` accumulator."""
+    """``batched_far_vortex`` adds onto whatever the buffers hold, chunk
+    after chunk in a fixed order; the digests pin its summation order
+    (re-recorded when the body moved to row programs over padded chunks,
+    within 1e-15 of the batched body before it)."""
 
     RECORDED = {
-        True: "7e7b5603c247c51807a7eab6625abc2a",
-        False: "413cbc7ba8777876f6180b14d0daf735",
+        True: "4a9c582863bba350fb5cd7c7e11682a0",
+        False: "f217de7d84b3a919161ef2c098ba79fb",
     }
 
     @pytest.mark.parametrize("gradient", [True, False])
@@ -523,6 +535,52 @@ class TestNearPassBudget:
         # the byte constants describe the body: measured 0.98-1.00
         assert all(0.8 <= r[0] <= 1.25 for r in ratios)
         assert all(r[1] <= 1.25 for r in packed)
+
+
+
+class TestFarPassBudget:
+    """Temporaries of one far pass at the default budget, measured."""
+
+    @pytest.mark.parametrize("gradient", [True, False])
+    def test_call_peak_stays_inside_the_byte_model(self, gradient):
+        # the N=4096 start sheet at theta 0.6: 353k far pairs, so the
+        # default budget fills several chunks
+        _, cfg, _, tree, moments, layout = _jittered_sheet(4096, 3, 48, 0.6)
+        n, kernel = tree.n_particles, get_kernel("algebraic6")
+        need = 2 + (2 if gradient else 1)
+        nout = 12 if gradient else 3
+        ncols = BLOCK_END[need - 1]
+        entry_pair = engine._cumsum0(layout.far_entry_count)
+        lane_bytes = engine._FAR_PAIR_BYTES[gradient]
+        chunks = engine._far_chunks(
+            layout, entry_pair, engine.FAR_BUDGET_BYTES // lane_bytes
+        )
+        assert len(chunks) > 1
+        width = max(int(lb[-1]) for _, _, lb in chunks)
+        # padding adds at most 7 lanes per node a chunk touches
+        assert width * lane_bytes <= 1.05 * engine.FAR_BUDGET_BYTES
+        vel = np.zeros((n, 3))
+        grad = np.zeros((n, 3, 3)) if gradient else None
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            engine.batched_far_vortex(tree, moments, layout, kernel,
+                                      cfg.sigma, 2, gradient, vel, grad)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        rows = ycat_program(need)[3]
+        model = (
+            width * lane_bytes
+            # W, and its transpose while it is made contiguous
+            + 2 * layout.far_nodes_u.size * nout * ncols * 8
+            # the row program's tile
+            + rows * engine._FAR_TILE_PAIRS * 8
+            # accumulator, position rows and one bincount, per target
+            + (nout + 3 + 1) * n * 8
+        )
+        # the byte constants describe the body
+        assert 0.8 <= peak / model <= 1.25, (peak, model)
 
 
 if __name__ == "__main__":

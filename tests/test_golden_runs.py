@@ -10,7 +10,8 @@ tracer spans are folded from).  Nothing else in tier-1 compares op streams
 drift every certificate while each run stays self-consistent.
 
 Re-record (only when a change is *meant* to alter the op stream) with
-``PYTHONPATH=src python tests/test_golden_runs.py --record``.
+``PYTHONPATH=src python tests/test_golden_runs.py --record``; it prints
+every case and field that differs from the committed file.
 """
 
 from __future__ import annotations
@@ -90,10 +91,20 @@ def test_run_matches_golden(case, golden):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_golden_runs.py --record")
+    before = (json.loads(GOLDEN.read_text(encoding="utf-8"))
+              if GOLDEN.exists() else {})
+    recorded = {case_id(c): run_case(c) for c in CASES}
+    changed = 0
+    for cid in sorted(set(before) | set(recorded)):
+        was, now = before.get(cid, {}), recorded.get(cid, {})
+        fields = sorted(k for k in set(was) | set(now)
+                        if was.get(k) != now.get(k))
+        if fields:
+            changed += 1
+            print(f"{cid}: {', '.join(fields)}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(
-        json.dumps({case_id(c): run_case(c) for c in CASES},
-                   indent=1, sort_keys=True) + "\n",
+        json.dumps(recorded, indent=1, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    print(f"recorded {len(CASES)} cases into {GOLDEN}")
+    print(f"recorded {len(CASES)} cases into {GOLDEN}, {changed} changed")

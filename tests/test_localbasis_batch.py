@@ -6,11 +6,13 @@ Covers the APIs introduced by the batched-engine redesign:
   match ``f_radial`` / ``g_radial`` for every kernel (the algebraic
   family overrides it with a sqrt-free Horner form; the base class takes
   the square root).
-* ``localbasis.monomial_rows`` / ``monomial_basis`` — the incremental
-  monomial tables, checked against explicit products.
+* ``localbasis.monomial_basis`` — the incremental monomial table,
+  checked against explicit products, and ``localbasis.ycat_program`` —
+  the row program of the batched far pass, checked against it.
 * ``localbasis.node_far_weights`` — contracting the per-node weight
   matrix with the D-weighted monomial vector must reproduce
-  ``evaluate_vortex_far_pairs`` exactly.
+  ``evaluate_vortex_far_pairs`` exactly; ``localbasis.far_weight_map``
+  must reproduce ``node_far_weights`` as one GEMM.
 * The near-field GEMM expansion — must agree with the explicit
   cross-product branch to rounding error when forced onto the same
   interaction lists.
@@ -27,9 +29,10 @@ from repro.tree.localbasis import (
     BLOCK_LO,
     DEG_START,
     MONOMIALS,
+    far_weight_map,
     monomial_basis,
-    monomial_rows,
     node_far_weights,
+    ycat_program,
 )
 from repro.tree.profiles import radial_chain
 from repro.vortex import get_kernel, spherical_vortex_sheet
@@ -88,12 +91,28 @@ class TestMonomialTables:
                 expect = expect * delta[:, v]
             np.testing.assert_allclose(table[:, i], expect, rtol=1e-15)
 
-    def test_monomial_rows_is_transpose(self):
+    @pytest.mark.parametrize("need", [1, 2, 3, 4])
+    def test_ycat_program_builds_the_blocks(self, need):
         rng = np.random.default_rng(1)
         delta = rng.normal(size=(23, 3))
-        out = np.empty((20, delta.shape[0]))
-        monomial_rows(np.ascontiguousarray(delta.T), 20, out)
-        np.testing.assert_array_equal(out, monomial_basis(delta, 20).T)
+        chain = rng.normal(size=(need, delta.shape[0]))
+        seeds, coords, steps, rows = ycat_program(need)
+        table = np.full((rows, delta.shape[0]), np.nan)
+        table[coords:coords + 3] = delta.T
+        for blk, row in enumerate(seeds):
+            table[row] = chain[blk]
+        for a, b0, b1, d0 in steps:
+            np.multiply(table[a], table[b0:b1], out=table[d0:d0 + b1 - b0])
+        psi = monomial_basis(delta, DEG_START[need + 1])
+        for blk in range(need):
+            lo, c0, c1 = BLOCK_LO[blk], BLOCK_COL[blk], BLOCK_END[blk]
+            np.testing.assert_allclose(
+                table[c0:c1], chain[blk] * psi[:, lo:lo + (c1 - c0)].T,
+                rtol=1e-14)
+        # one product per Ycat column not seeded, plus the shared rows
+        products = sum(b1 - b0 for _, b0, b1, _ in steps)
+        assert products == {1: 3, 2: 12, 3: 34, 4: 55}[need]
+        assert len(steps) == {1: 1, 2: 5, 3: 15, 4: 22}[need]
 
 
 class TestNodeFarWeights:
@@ -147,10 +166,33 @@ class TestNodeFarWeights:
                 out[:, 3:12].reshape(-1, 3, 3), gref, rtol=0.0,
                 atol=1e-13 * gscale)
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("gradient", [False, True])
+    def test_weight_map_is_the_transcription(self, cloud, order, gradient):
+        _, m0, m1, m2, _, _ = cloud
+        w = node_far_weights(
+            m0, m1 if order >= 1 else None, m2 if order >= 2 else None,
+            order, gradient,
+        )
+        u = m0.shape[0]
+        moments = np.concatenate(
+            [m0, m1.reshape(u, 9), m2.reshape(u, 27)], axis=1
+        )[:, :(3, 12, 39)[order]]
+        cmap = far_weight_map(order, gradient)
+        need = order + (2 if gradient else 1)
+        ncols, nout = BLOCK_END[need - 1], (12 if gradient else 3)
+        got = (moments @ cmap).reshape(u, nout, ncols)
+        want = w[:, :ncols, :nout].transpose(0, 2, 1)
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-14 * np.abs(want).max())
+        assert not cmap.flags.writeable
+
     def test_bad_order_raises(self, cloud):
         _, m0, m1, m2, _, _ = cloud
         with pytest.raises(ValueError, match="order"):
             node_far_weights(m0, m1, m2, 3, True)
+        with pytest.raises(ValueError, match="order"):
+            far_weight_map(3, True)
 
     def test_missing_moments_raise(self, cloud):
         _, m0, _, m2, _, _ = cloud
