@@ -27,7 +27,6 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-import numpy as np
 import pytest
 
 from common import format_table, sheet_problem
@@ -35,6 +34,8 @@ from repro.parallel import CommCostModel, Scheduler
 from repro.pfasst import (
     LevelSpec,
     PfasstConfig,
+    alpha_from_measurements,
+    measured_cost_ratio,
     run_pfasst,
     speedup_bound,
     speedup_two_level,
@@ -86,18 +87,10 @@ def _problems(scale: SpeedupScale):
     return fine_problem, coarse_problem, u0
 
 
-def measure_theta_ratio(scale: SpeedupScale, repeats: int = 3) -> float:
+def measure_theta_ratio(scale: SpeedupScale) -> float:
     """Measured RHS cost ratio theta_fine vs theta_coarse (paper: 2.65 /
     3.23 for the small / large setup)."""
-    fine_problem, coarse_problem, u0 = _problems(scale)
-    for problem in (fine_problem, coarse_problem):
-        problem.evaluator.reset_stats()
-        for _ in range(repeats):
-            problem.rhs(0.0, u0)
-    return (
-        fine_problem.evaluator.mean_cost
-        / coarse_problem.evaluator.mean_cost
-    )
+    return measured_cost_ratio(*_problems(scale))
 
 
 def measure_serial_time(scale: SpeedupScale) -> float:
@@ -135,7 +128,7 @@ def measure_pfasst_time(scale: SpeedupScale, p_time: int) -> float:
 
 def run_experiment(scale: SpeedupScale) -> Dict[str, List[float]]:
     ratio = measure_theta_ratio(scale)
-    alpha = (2.0 / 3.0) / ratio  # Eq. 26: (M_c/M_f) / ratio
+    alpha = alpha_from_measurements(2, 3, ratio)  # Eq. 26
     serial = measure_serial_time(scale)
     rows: Dict[str, List[float]] = {
         "p_time": [], "cores": [], "measured": [], "theory": [],

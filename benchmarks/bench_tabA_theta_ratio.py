@@ -14,13 +14,12 @@ ordering; absolute values differ from the Fortran/BGP measurements.
 from __future__ import annotations
 
 import sys
-import time
 from typing import Dict, List
 
 import pytest
 
 from common import format_table, sheet_problem
-from repro.pfasst import alpha_from_measurements
+from repro.pfasst import alpha_from_measurements, measured_cost_ratio
 
 CI_SIZES = {"small": 1000, "large": 4000}
 PAPER_SIZES = {"small": 125_000, "large": 4_000_000}
@@ -28,26 +27,20 @@ PAPER_SIZES = {"small": 125_000, "large": 4_000_000}
 THETA_FINE, THETA_COARSE = 0.3, 0.6
 
 
-def measure_ratio(n: int, repeats: int = 3, sigma_over_h: float = 3.0) -> Dict[str, float]:
+def measure_ratio(n: int, sigma_over_h: float = 3.0) -> Dict[str, float]:
     """Wall-clock ratio of theta-fine to theta-coarse RHS evaluations."""
-    out = {}
-    for label, theta in (("fine", THETA_FINE), ("coarse", THETA_COARSE)):
-        problem, u0, _ = sheet_problem(
-            n, evaluator="tree", theta=theta, sigma_over_h=sigma_over_h
-        )
-        problem.rhs(0.0, u0)  # warm-up outside the timer
-        problem.evaluator.reset_stats()
-        for _ in range(repeats):
-            problem.rhs(0.0, u0)
-        out[label] = problem.evaluator.mean_cost
-        out[f"{label}_interactions"] = (
-            problem.evaluator.last_stats.far_interactions
-            + problem.evaluator.last_stats.near_interactions
-        )
-    out["ratio"] = out["fine"] / out["coarse"]
-    out["work_ratio"] = (
-        out["fine_interactions"] / out["coarse_interactions"]
+    fine, u0, _ = sheet_problem(
+        n, evaluator="tree", theta=THETA_FINE, sigma_over_h=sigma_over_h
     )
+    coarse = fine.coarsened(theta=THETA_COARSE)
+    out = {"ratio": measured_cost_ratio(fine, coarse, u0)}
+    # interaction counts of each level's last measured evaluation
+    work = [
+        p.evaluator.last_stats.far_interactions
+        + p.evaluator.last_stats.near_interactions
+        for p in (fine, coarse)
+    ]
+    out["work_ratio"] = work[0] / work[1]
     out["alpha"] = alpha_from_measurements(2, 3, out["ratio"])
     return out
 

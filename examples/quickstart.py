@@ -9,7 +9,8 @@ regularised vortex particles), then solves it three ways:
    (theta 0.3 fine / 0.6 coarse) — the paper's space-time parallel solver.
 
 All three must agree on the resulting flow; PFASST additionally reports
-the measured coarse/fine cost ratio that drives its parallel speedup.
+alpha (Eq. 26) from the measured fine/coarse cost ratio that drives its
+parallel speedup.
 
 Run:  python examples/quickstart.py
 """
@@ -17,12 +18,18 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import (
+    DirectEvaluator,
+    LevelSpec,
+    PfasstConfig,
+    SDCStepper,
     SheetConfig,
-    SolverConfig,
-    SpaceTimeSolver,
+    TreeEvaluator,
+    VortexProblem,
+    run_pfasst,
     spherical_vortex_sheet,
 )
-from repro.core import SpaceConfig, TimeConfig
+from repro.integrators import get_integrator
+from repro.pfasst import alpha_from_measurements, measured_cost_ratio
 from repro.vortex.diagnostics import compute_diagnostics
 
 
@@ -36,33 +43,48 @@ def main() -> None:
           compute_diagnostics(particles).as_dict())
 
     t_end, dt = 2.0, 0.5
-    runs = {
-        "RK4 (direct)": SolverConfig(
-            space=SpaceConfig(evaluator="direct"),
-            time=TimeConfig(method="rk4", t_end=t_end, dt=dt),
-        ),
-        "SDC(4) (direct)": SolverConfig(
-            space=SpaceConfig(evaluator="direct"),
-            time=TimeConfig(method="sdc", t_end=t_end, dt=dt, sweeps=4),
-        ),
-        "PFASST(2,2,4) (tree)": SolverConfig(
-            space=SpaceConfig(evaluator="tree", theta=0.3,
-                              theta_coarse=0.6, leaf_size=48),
-            time=TimeConfig(method="pfasst", t_end=t_end, dt=dt,
-                            iterations=2, coarse_sweeps=2, p_time=4),
-        ),
-    }
+    u0 = particles.state()
+
+    def direct():
+        return VortexProblem(particles.volumes,
+                             DirectEvaluator("algebraic6", sheet.sigma))
+
+    def rk4():
+        problem = direct()
+        u = get_integrator("rk4").run(problem, u0, 0.0, t_end, dt)
+        return u, problem, None
+
+    def sdc():
+        problem = direct()
+        u = SDCStepper(problem, sweeps=4).run(u0, 0.0, t_end, dt)
+        return u, problem, None
+
+    def pfasst():
+        fine = VortexProblem(particles.volumes, TreeEvaluator(
+            "algebraic6", sheet.sigma, theta=0.3, leaf_size=48))
+        coarse = fine.coarsened(theta=0.6)  # shares the fine tree cache
+        config = PfasstConfig(t0=0.0, t_end=t_end,
+                              n_steps=int(round(t_end / dt)), iterations=2)
+        specs = [LevelSpec(fine, num_nodes=3, sweeps=1),
+                 LevelSpec(coarse, num_nodes=2, sweeps=2)]
+        u = run_pfasst(config, specs, u0, p_time=4).u_end
+        return u, fine, coarse
+
+    runs = {"RK4 (direct)": rk4, "SDC(4) (direct)": sdc,
+            "PFASST(2,2,4) (tree)": pfasst}
 
     finals = {}
-    for name, config in runs.items():
-        solver = SpaceTimeSolver(particles, sheet.sigma, config)
-        result = solver.run()
-        finals[name] = result.final
-        line = (f"{name:<22s} fine evals: {result.fine_evals:4d}  "
-                f"wall in evaluator: {result.fine_eval_seconds:6.2f}s")
-        if result.coarse_evals:
-            line += (f"  coarse evals: {result.coarse_evals:4d}  "
-                     f"alpha measured: {result.alpha_measured:.2f}")
+    for name, run in runs.items():
+        u_end, fine, coarse = run()
+        finals[name] = particles.with_state(u_end)
+        line = (f"{name:<22s} fine evals: {fine.evaluator.calls:4d}  "
+                f"wall in evaluator: {fine.evaluator.timer.elapsed:6.2f}s")
+        if coarse is not None:
+            coarse_evals = coarse.evaluator.calls
+            alpha = alpha_from_measurements(
+                2, 3, measured_cost_ratio(fine, coarse, u0))
+            line += (f"  coarse evals: {coarse_evals:4d}  "
+                     f"alpha measured: {alpha:.2f}")
         print(line)
 
     # -- agreement check -------------------------------------------------

@@ -8,17 +8,18 @@ multipole acceptance criterion.
 
 Quickstart::
 
-    from repro import (SpaceTimeSolver, SolverConfig, SpaceConfig,
-                       TimeConfig, spherical_vortex_sheet, SheetConfig)
+    from repro import (LevelSpec, PfasstConfig, SheetConfig, TreeEvaluator,
+                       VortexProblem, run_pfasst, spherical_vortex_sheet)
 
     sheet = SheetConfig(n=2000)
     particles = spherical_vortex_sheet(sheet)
-    config = SolverConfig(
-        space=SpaceConfig(evaluator="tree", theta=0.3, theta_coarse=0.6),
-        time=TimeConfig(method="pfasst", t_end=2.0, dt=0.5,
-                        iterations=2, coarse_sweeps=2, p_time=4),
-    )
-    result = SpaceTimeSolver(particles, sheet.sigma, config).run()
+    fine = VortexProblem(particles.volumes,
+                         TreeEvaluator("algebraic6", sheet.sigma, theta=0.3))
+    coarse = fine.coarsened(theta=0.6)  # MAC coarsening, shared tree
+    config = PfasstConfig(t0=0.0, t_end=2.0, n_steps=4, iterations=2)
+    specs = [LevelSpec(fine, num_nodes=3, sweeps=1),
+             LevelSpec(coarse, num_nodes=2, sweeps=2)]
+    result = run_pfasst(config, specs, particles.state(), p_time=4)
 
 Packages
 --------
@@ -31,13 +32,6 @@ Packages
 ``repro.integrators`` classical Runge-Kutta baselines
 """
 
-from repro.core import (
-    SolverConfig,
-    SpaceConfig,
-    TimeConfig,
-    SpaceTimeSolver,
-    RunResult,
-)
 from repro.vortex import (
     ParticleSystem,
     SheetConfig,
@@ -53,11 +47,6 @@ from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
 __version__ = "1.0.0"
 
 __all__ = [
-    "SolverConfig",
-    "SpaceConfig",
-    "TimeConfig",
-    "SpaceTimeSolver",
-    "RunResult",
     "ParticleSystem",
     "SheetConfig",
     "spherical_vortex_sheet",

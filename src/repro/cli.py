@@ -20,8 +20,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from repro.sdc.sweeper import SWEEPERS
 
 __all__ = ["main", "build_parser"]
@@ -92,61 +90,72 @@ def _cmd_info() -> int:
 
 
 def _cmd_sheet(args: argparse.Namespace) -> int:
-    from repro import SolverConfig, SpaceTimeSolver, spherical_vortex_sheet
-    from repro.core import SpaceConfig, TimeConfig
+    from repro.integrators import get_integrator
+    from repro.pfasst import (LevelSpec, PfasstConfig,
+                              alpha_from_measurements, run_pfasst)
+    from repro.sdc import SDCStepper
+    from repro.tree import TreeEvaluator
+    from repro.vortex import (DirectEvaluator, VortexProblem, get_kernel,
+                              spherical_vortex_sheet)
     from repro.vortex.diagnostics import compute_diagnostics
     from repro.vortex.sheet import SheetConfig
 
     sheet = SheetConfig(n=args.n, sigma_over_h=args.sigma_over_h)
     ps = spherical_vortex_sheet(sheet)
-    config = SolverConfig(
-        space=SpaceConfig(evaluator=args.evaluator, theta=args.theta),
-        time=TimeConfig(method=args.method, t_end=args.t_end, dt=args.dt,
-                        p_time=args.p_time, p_nodes=args.p_nodes,
-                        sweeper=args.sweeper),
-    )
+    kernel = get_kernel("algebraic6")
+    if args.evaluator == "tree":
+        fine = VortexProblem(ps.volumes, TreeEvaluator(
+            kernel, sheet.sigma, theta=args.theta, leaf_size=48))
+        # shares the fine evaluator's tree-state cache
+        coarse = fine.coarsened(theta=0.6)
+    else:
+        fine = VortexProblem(ps.volumes, DirectEvaluator(kernel, sheet.sigma))
+        coarse = fine.with_evaluator(DirectEvaluator(kernel, sheet.sigma))
+    u0 = ps.state()
     before = compute_diagnostics(ps).as_dict()
-    result = SpaceTimeSolver(ps, sheet.sigma, config).run()
-    after = compute_diagnostics(result.final, time=args.t_end).as_dict()
+    if args.method == "sdc":
+        stepper = SDCStepper(fine, num_nodes=3, sweeps=4,
+                             sweeper=args.sweeper)
+        u_end = stepper.run(u0, 0.0, args.t_end, args.dt)
+    elif args.method == "pfasst":
+        n_steps = int(round(args.t_end / args.dt))
+        if abs(n_steps * args.dt - args.t_end) > 1e-9 * max(1.0, args.t_end):
+            raise ValueError(f"t_end = {args.t_end} is not an integer "
+                             f"multiple of dt = {args.dt}")
+        config = PfasstConfig(t0=0.0, t_end=args.t_end, n_steps=n_steps,
+                              iterations=2)
+        specs = [LevelSpec(fine, 3, 1, sweeper=args.sweeper),
+                 LevelSpec(coarse, 2, 2, sweeper=args.sweeper)]
+        u_end = run_pfasst(config, specs, u0, p_time=args.p_time,
+                           p_nodes=args.p_nodes).u_end
+    else:
+        u_end = get_integrator(args.method).run(fine, u0, 0.0, args.t_end,
+                                                args.dt)
+    final = ps.with_state(u_end)
+    after = compute_diagnostics(final, time=args.t_end).as_dict()
     print(f"method={args.method} evaluator={args.evaluator} N={args.n} "
           f"T={args.t_end} dt={args.dt}")
-    print(f"fine RHS evaluations: {result.fine_evals} "
-          f"({result.fine_eval_seconds:.2f}s)")
-    if result.alpha_measured is not None:
-        print(f"measured alpha: {result.alpha_measured:.3f}")
+    print(f"fine RHS evaluations: {fine.evaluator.calls} "
+          f"({fine.evaluator.timer.elapsed:.2f}s)")
+    if args.method == "pfasst":
+        # Eq. 26: (M_c / M_f) over the measured fine/coarse cost ratio
+        ratio = fine.evaluator.mean_cost / coarse.evaluator.mean_cost
+        print(f"measured alpha: {alpha_from_measurements(2, 3, ratio):.3f}")
     for key in ("total_vorticity_norm", "linear_impulse_norm", "enstrophy"):
         print(f"{key}: {before[key]:.6g} -> {after[key]:.6g}")
     if args.save:
         from repro.io import save_particles
 
-        path = save_particles(args.save, result.final, time=args.t_end)
+        path = save_particles(args.save, final, time=args.t_end)
         print(f"final state written to {path}")
     return 0
 
 
-def _measured_cost_ratio(fine, coarse, u0, samples: int = 3) -> float:
-    """Fine/coarse cost ratio of one RHS evaluation, as the mean over
-    ``samples`` computed evaluations per level.
-
-    Each measured evaluation gets a state of its own (a seeded jitter of
-    ``u0``): a repeated state would be answered from the evaluators'
-    field memo and not be timed, and a state shared by the levels would
-    bill the tree build and the moments to whichever level went first.
-    """
-    rng = np.random.default_rng(0)
-    for problem in (fine, coarse):
-        problem.rhs(0.0, u0)  # warm-up, not measured
-        problem.evaluator.reset_stats()
-    for _ in range(samples):
-        for problem in (fine, coarse):
-            problem.rhs(0.0, u0 + 1e-9 * rng.standard_normal(u0.shape))
-    return fine.evaluator.mean_cost / coarse.evaluator.mean_cost
-
-
 def _cmd_speedup(args: argparse.Namespace) -> int:
     from repro.parallel import CommCostModel, Scheduler
-    from repro.pfasst import (LevelSpec, PfasstConfig, run_pfasst,
-                              speedup_two_level)
+    from repro.pfasst import (LevelSpec, PfasstConfig,
+                              alpha_from_measurements, measured_cost_ratio,
+                              run_pfasst, speedup_two_level)
     from repro.sdc import SDCStepper
     from repro.tree import TreeEvaluator
     from repro.vortex import VortexProblem, get_kernel, spherical_vortex_sheet
@@ -161,8 +170,8 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
     # shares the fine evaluator's tree-state cache (one tree, two traversals)
     coarse = fine.coarsened(theta=0.6)
     u0 = ps.state()
-    ratio = _measured_cost_ratio(fine, coarse, u0)
-    alpha = (2.0 / 3.0) / ratio
+    ratio = measured_cost_ratio(fine, coarse, u0)
+    alpha = alpha_from_measurements(2, 3, ratio)
 
     def serial(comm):
         SDCStepper(fine, num_nodes=3, sweeps=4).run(

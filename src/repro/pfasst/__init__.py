@@ -1,11 +1,7 @@
 """PFASST: parallel full approximation scheme in space and time."""
 
 from repro.pfasst.level import Level, LevelSpec
-from repro.pfasst.transfer import (
-    TimeSpaceTransfer,
-    SpatialTransfer,
-    IdentitySpatialTransfer,
-)
+from repro.pfasst.transfer import TimeSpaceTransfer
 from repro.pfasst.fas import fas_correction
 from repro.pfasst.controller import (
     PfasstConfig,
@@ -26,6 +22,7 @@ from repro.pfasst.theory import (
     speedup_bound,
     parareal_speedup,
     alpha_from_measurements,
+    measured_cost_ratio,
     multi_level_speedup,
 )
 from repro.pfasst.analysis import (
@@ -38,8 +35,6 @@ __all__ = [
     "Level",
     "LevelSpec",
     "TimeSpaceTransfer",
-    "SpatialTransfer",
-    "IdentitySpatialTransfer",
     "fas_correction",
     "PfasstConfig",
     "PfasstResult",
@@ -55,6 +50,7 @@ __all__ = [
     "speedup_bound",
     "parareal_speedup",
     "alpha_from_measurements",
+    "measured_cost_ratio",
     "multi_level_speedup",
     "rk_stability",
     "sdc_stability",

@@ -18,8 +18,9 @@ Structure per block:
    going *down*: sweep, send the slice end value forward, restrict,
    compute the FAS correction; at the *coarsest* level: receive the new
    initial value, sweep, send forward; going *up*: add the interpolated
-   coarse correction, re-evaluate, receive the new fine initial value and
-   apply the interpolated initial-value correction.
+   coarse correction to the node values and to their evaluations,
+   receive the new fine initial value and apply the initial-value
+   correction.
 
 Multi-block runs chain blocks by broadcasting the last slice's end value.
 
@@ -75,7 +76,7 @@ from repro.pfasst.checkpoint import (
 )
 from repro.pfasst.fas import fas_correction
 from repro.pfasst.level import Level, LevelSpec
-from repro.pfasst.transfer import SpatialTransfer, TimeSpaceTransfer
+from repro.pfasst.transfer import TimeSpaceTransfer
 from repro.sdc.sweeper import RhsContext
 from repro.utils.validation import check_in, check_nonnegative, check_positive
 
@@ -102,14 +103,6 @@ class PfasstConfig:
     t_end: float
     n_steps: int
     iterations: int
-    #: When True, recompute F after every interpolation (the literal
-    #: ``FEval`` of the paper's Algorithm 1 listing).  The default False
-    #: corrects F by interpolating the *coarse F increment* instead —
-    #: the practice of production PFASST codes, saving one full set of
-    #: fine evaluations per iteration at no cost to the fixed point
-    #: (both variants converge to the fine collocation solution, which
-    #: ``tests/test_pfasst_modes.py`` checks; no benchmark sets it).
-    reeval_after_interp: bool = False
     #: optional residual-based early stopping (adds one allreduce/iteration)
     residual_tol: Optional[float] = None
     #: record begin/end annotations for every sweep on the scheduler's
@@ -194,7 +187,7 @@ class PfasstResult:
         return sum(self.total_iterations) - sum(self.iterations_done)
 
 
-def _check_run_shape(config, specs, spatial, p_time: int) -> None:
+def _check_run_shape(config, specs, p_time: int) -> None:
     """Reject a hierarchy or step count the rank programs cannot run.
 
     Shared by :func:`run_pfasst` (before anything is built) and the
@@ -202,11 +195,6 @@ def _check_run_shape(config, specs, spatial, p_time: int) -> None:
     """
     if len(specs) < 2:
         raise ValueError("PFASST needs at least 2 levels (fine + coarse)")
-    if spatial is not None and len(spatial) != len(specs) - 1:
-        raise ValueError(
-            f"spatial must hold one transfer per level pair "
-            f"({len(specs) - 1} for {len(specs)} levels), got {len(spatial)}"
-        )
     if config.n_steps % p_time != 0:
         raise ValueError(
             f"n_steps={config.n_steps} must be a multiple of p_time={p_time}"
@@ -214,14 +202,11 @@ def _check_run_shape(config, specs, spatial, p_time: int) -> None:
 
 
 def _build_levels(
-    specs: Sequence[LevelSpec], spatial, dt: Optional[float] = None
+    specs: Sequence[LevelSpec], dt: Optional[float] = None
 ) -> tuple[List[Level], List[TimeSpaceTransfer]]:
     levels = [Level(spec, dt) for spec in specs]
-    transfers = [
-        TimeSpaceTransfer(fine.rule, coarse.rule,
-                          spatial[i] if spatial is not None else None)
-        for i, (fine, coarse) in enumerate(zip(levels, levels[1:]))
-    ]
+    transfers = [TimeSpaceTransfer(fine.rule, coarse.rule)
+                 for fine, coarse in zip(levels, levels[1:])]
     return levels, transfers
 
 
@@ -247,26 +232,26 @@ class Step:
     """One time rank's share of a PFASST run: its levels and its program.
 
     The state the algorithm works on — the level hierarchy and its
-    transfers, the block initial value ``u_block`` and its restrictions
-    ``u0_by_level``, the ``block`` / ``attempt`` counters every message
-    tag carries, the histories — lives in attributes; the predictor, the
-    V-cycle and the block loop (:meth:`run`) are generator methods over
-    it.  Arguments as :func:`pfasst_rank_program`.  :attr:`recovery` is
+    transfers, the block initial value ``u_block`` and ``u0_block``, the
+    value of it every level of the active phase starts from, the
+    ``block`` / ``attempt`` counters every message tag carries, the
+    histories — lives in attributes; the predictor, the V-cycle and the
+    block loop (:meth:`run`) are generator methods over it.  Arguments as :func:`pfasst_rank_program`.  :attr:`recovery` is
     ``None`` under ``config.recovery == "fail"`` (exactly the fault-free
     op stream), else the :class:`Recovery` layer the loop consults.
     """
 
     def __init__(self, comm: VirtualComm, config: PfasstConfig, specs, u0,
-                 spatial, ctx: RhsContext, checkpointer, resume) -> None:
-        _check_run_shape(config, specs, spatial, comm.size)
+                 ctx: RhsContext, checkpointer, resume) -> None:
+        _check_run_shape(config, specs, comm.size)
         self.comm, self.config, self.ctx = comm, config, ctx
         self.rank, self.p_time = comm.rank, comm.size
-        self.levels, self.transfers = _build_levels(specs, spatial, config.dt)
+        self.levels, self.transfers = _build_levels(specs, config.dt)
         self.checkpointer, self.resume = checkpointer, resume
         self.recovery = Recovery(self) if config.recovery != "fail" else None
         self.u_block = np.array(u0 if resume is None else resume.u_block,
                                 dtype=np.float64)
-        self.u0_by_level: List[np.ndarray] = []
+        self.u0_block: Optional[np.ndarray] = None
         self.block = self.attempt = self.iters_attempted = 0
         self.t_slice = config.t0
         self.residuals: List[float] = []  # fine level, active block
@@ -283,13 +268,6 @@ class Step:
         if self.config.trace:
             yield self.comm.annotate(label, data=data)
 
-    def _restrict_chain(self, u: np.ndarray) -> List[np.ndarray]:
-        """``u`` restricted through the hierarchy, one state per level."""
-        chain = [u]
-        for tr in self.transfers:
-            chain.append(tr.restrict_state(chain[-1]))
-        return chain
-
     def _interpolate_up(self):
         """Fill the finer levels from the coarsest (predictor epilogue)."""
         for lev in range(len(self.levels) - 2, -1, -1):
@@ -300,14 +278,11 @@ class Step:
                 fine.u0 = fine.U[0].copy()
             else:
                 # node 0 is interior: the initial value is not a node
-                # value, interpolate it from the coarse level's directly
-                fine.u0 = tr.interpolate_state(coarse.u0)
+                # value, take the coarse level's directly
+                fine.u0 = coarse.u0
             # interpolated F[0] is approximate: the next sweep takes f0
             # instead, evaluating it if the new u0 cleared it
-            if self.config.reeval_after_interp:
-                yield from fine.evaluate_all(self.t_slice, self.ctx)
-            else:
-                fine.F = tr.interpolate_nodes(coarse.F)
+            fine.F = tr.interpolate_nodes(coarse.F)
             fine.tau = None
 
     def _predictor(self):
@@ -317,7 +292,7 @@ class Step:
         # no timeout with recovery off: every Recv op is byte-identical
         # to the fault-free controller's
         recv_kw = self.recovery.neighbour if self.recovery else {}
-        coarsest.u0 = self.u0_by_level[-1]
+        coarsest.u0 = self.u0_block
         yield from coarsest.spread(t_slice, ctx)
         for j in range(rank + 1):
             new_u0 = None
@@ -334,13 +309,12 @@ class Step:
                     coarsest.end_value,
                 )
         # interpolate the predicted solution up through the hierarchy
-        yield from self._interpolate_up()
+        self._interpolate_up()
 
     def _iteration(self, k: int):
         """One V-cycle of Algorithm 1; returns the fine-level residual."""
         comm, rank, ctx, t_slice = self.comm, self.rank, self.ctx, self.t_slice
         block, attempt, levels = self.block, self.attempt, self.levels
-        reeval = self.config.reeval_after_interp
         recv_kw = self.recovery.neighbour if self.recovery else {}
         bottom, coarsest = len(levels) - 1, levels[-1]
         # ---- down: sweep, send the end value forward, restrict, FAS ----
@@ -358,7 +332,7 @@ class Step:
             yield from self._mark(f"begin:restrict:L{lev}:k{k}")
             coarse.U = tr.restrict_nodes(level.U)
             coarse.U_at_restriction = coarse.U.copy()
-            coarse.u0 = tr.restrict_state(level.u0)
+            coarse.u0 = level.u0
             yield from coarse.evaluate_all(t_slice, ctx)
             coarse.F_at_restriction = coarse.F.copy()
             coarse.tau = fas_correction(
@@ -371,7 +345,7 @@ class Step:
                 rank - 1, (tags.LVL, block, attempt, bottom, k), **recv_kw
             )
         else:
-            new_u0 = self.u0_by_level[-1]
+            new_u0 = self.u0_block
         yield from self._mark(f"begin:sweep:L{bottom}:k{k}")
         for s in range(coarsest.spec.sweeps):
             yield from coarsest.sweep(t_slice, ctx, new_u0 if s == 0 else None)
@@ -389,34 +363,24 @@ class Step:
             level.U = level.U + tr.interpolate_nodes(
                 coarse.U - coarse.U_at_restriction
             )
-            if reeval:
-                yield from level.evaluate_all(t_slice, ctx)
-            else:
-                # correct F by the interpolated increment of the
-                # coarse evaluations since restriction
-                level.F = level.F + tr.interpolate_nodes(
-                    coarse.F - coarse.F_at_restriction
-                )
+            # correct F by the interpolated increment of the coarse
+            # evaluations since restriction, not by re-evaluating it
+            level.F = level.F + tr.interpolate_nodes(
+                coarse.F - coarse.F_at_restriction
+            )
             yield from self._mark(f"end:interp:L{lev}:k{k}")
             if rank > 0:
                 recv_u0 = yield comm.recv(
                     rank - 1, (tags.LVL, block, attempt, lev, k), **recv_kw
                 )
-                delta0 = coarse.u0 - tr.restrict_state(recv_u0)
-                level.u0 = recv_u0 + tr.interpolate_state(delta0)
+                level.u0 = recv_u0 + (coarse.u0 - recv_u0)
             else:
-                level.u0 = self.u0_by_level[lev]
+                level.u0 = self.u0_block
             if level.rule.node_set.includes_left:
                 level.U[0] = level.u0
             if lev > 0:
                 # intermediate levels sweep once more on the way up
                 yield from level.sweep(t_slice, ctx)
-            elif (reeval and level.f0 is not None
-                  and level.rule.node_set.includes_left):
-                # keep the literal-Algorithm-1 mode's F fully
-                # consistent at node 0 as well (node 0 *is* u0 only for
-                # left-including families)
-                level.F[0] = level.f0
         res = levels[0].residual()
         yield from self._mark("residual", {"k": k, "residual": float(res)})
         return res
@@ -442,7 +406,7 @@ class Step:
         self.iters_attempted = resume.iters_attempted
         self.residuals = [float(x) for x in resume.residuals[self.rank]]
         adopt_levels(self.levels, resume.levels[self.rank])
-        self.u0_by_level = self._restrict_chain(self.u_block)
+        self.u0_block = self.u_block
         return resume.k + 1
 
     def run(self):
@@ -463,7 +427,7 @@ class Step:
                 try:
                     if k is None:
                         # the block initial value on every level
-                        self.u0_by_level = self._restrict_chain(self.u_block)
+                        self.u0_block = self.u_block
                         yield from self._predictor()
                     else:
                         self.iters_attempted += 1
@@ -743,16 +707,13 @@ class Recovery:
                 donors[-1], (tags.FTWARM, block, attempt, rank),
                 **self.neighbour,
             )
-            for tr in reversed(step.transfers):
-                u0 = tr.interpolate_state(u0)
         else:
             # no live rank to the left: this is the block's first slice,
             # whose initial condition is the (re-fetched) block value
             u0 = step.u_block.copy()
         for lv in step.levels:
             lv.reset()
-        u0s = step._restrict_chain(u0)
-        coarsest.u0 = u0s[-1]
+        coarsest.u0 = u0
         yield from coarsest.spread(step.t_slice, step.ctx)
         yield from step._mark("begin:warm-rebuild")
         for s in range(coarsest.spec.sweeps):
@@ -760,12 +721,11 @@ class Recovery:
                 step.t_slice, step.ctx, coarsest.u0 if s == 0 else None
             )
         yield from step._mark("end:warm-rebuild")
-        yield from step._interpolate_up()
+        step._interpolate_up()
         if rank == 0:
-            # rank 0 consumes u0_by_level every iteration; its rebuilt
-            # chain descends from u_block, which is exactly what it
-            # must be
-            step.u0_by_level = u0s
+            # rank 0 consumes u0_block every iteration; its rebuilt one
+            # is a copy of u_block, which is exactly what it must be
+            step.u0_block = u0
 
 
 def pfasst_rank_program(
@@ -773,7 +733,6 @@ def pfasst_rank_program(
     config: PfasstConfig,
     specs: Sequence[LevelSpec],
     u0: np.ndarray,
-    spatial: Optional[Sequence[SpatialTransfer]] = None,
     ctx: RhsContext = RhsContext(),
     checkpointer: Optional[RunCheckpointer] = None,
     resume: Optional[RunCheckpoint] = None,
@@ -788,8 +747,8 @@ def pfasst_rank_program(
     RHS evaluation runs: collectively over its space communicator (a row
     of the paper's Fig. 2 grid, sharding the tree work), sharded over
     its PFASST-ER node communicator in multi-node evaluation rounds (the
-    diagonal sweeper's, the controller's restriction/interpolation
-    re-evaluations), and/or as ``Compute`` ops through its dispatch
+    diagonal sweeper's, the controller's restriction re-evaluations),
+    and/or as ``Compute`` ops through its dispatch
     context, which a process backend runs concurrently on real cores.
     None of the three changes the time algorithm: sharding is
     bitwise-neutral (each RHS is computed exactly once from the same
@@ -814,12 +773,12 @@ def pfasst_rank_program(
     block, adopts the level state bitwise and continues at iteration
     ``k + 1``, reproducing the uninterrupted run exactly.
     """
-    step = Step(comm, config, specs, u0, spatial, ctx, checkpointer, resume)
+    step = Step(comm, config, specs, u0, ctx, checkpointer, resume)
     return (yield from step.run())
 
 
 def _grid_rank_program(
-    comm: VirtualComm, config: PfasstConfig, specs, u0, spatial,
+    comm: VirtualComm, config: PfasstConfig, specs, u0,
     grid: SpaceTimeGrid, dispatch: Optional[DispatchContext] = None,
     checkpointer: Optional[RunCheckpointer] = None,
     resume: Optional[RunCheckpoint] = None,
@@ -879,7 +838,7 @@ def _grid_rank_program(
                 row = view((yield from comm.split(
                     color=t_idx, key=s_idx * grid.p_nodes + n_idx)))
     step = Step(
-        tcomm, config, specs, u0, spatial, RhsContext(space, node, dispatch),
+        tcomm, config, specs, u0, RhsContext(space, node, dispatch),
         checkpointer if (s_idx, n_idx) == (0, 0) else None, resume,
     )
     if row is not None:
@@ -957,7 +916,6 @@ def run_pfasst(
     p_time: int,
     cost_model: Optional[CommCostModel] = None,
     measure_compute: bool = False,
-    spatial: Optional[Sequence[SpatialTransfer]] = None,
     verify: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     service_order: str = "ascending",
@@ -976,9 +934,7 @@ def run_pfasst(
     :class:`LevelSpec` per level) and ``u0`` is the packed initial
     state at ``config.t0``.  ``cost_model`` prices message traffic for
     the virtual clocks (:class:`~repro.parallel.simmpi.CommCostModel`;
-    default free communication), ``spatial`` supplies per-level-pair
-    :class:`~repro.pfasst.transfer.SpatialTransfer` operators when the
-    levels differ in space, and ``service_order``
+    default free communication) and ``service_order``
     (``"ascending"``/``"descending"``) picks the scheduler's rank
     service order — numerics are service-order independent, which is
     exactly what ``verify=True`` checks.
@@ -1001,11 +957,11 @@ def run_pfasst(
     ``p_nodes > 1`` adds PFASST-ER's third dimension: the scheduler
     world grows to ``p_time * p_space * p_nodes`` ranks (one
     :class:`~repro.parallel.topology.SpaceTimeGrid`, the same rank
-    program at every shape), and every multi-node RHS evaluation round shards the collocation nodes over
-    the ``p_nodes`` ranks of each time-space cell (ring allgather over
-    the node comm).  Under the default Gauss-Seidel sweeper only the
-    controller's restriction/interpolation re-evaluations are multi-node
-    rounds (the sweep substitution chain stays sequential) and the run
+    program at every shape), and every multi-node RHS evaluation round
+    shards the collocation nodes over the ``p_nodes`` ranks of each
+    time-space cell (ring allgather over the node comm).  Under the
+    default Gauss-Seidel sweeper only the controller's restriction
+    re-evaluations are multi-node rounds (the sweep substitution chain stays sequential) and the run
     is *bitwise identical* to ``p_nodes = 1``; sweep-level node
     parallelism needs levels built with ``LevelSpec(sweeper="diagonal")``,
     whose Jacobi-style updates agree with ``p_nodes = 1`` bitwise as
@@ -1065,7 +1021,7 @@ def run_pfasst(
     check_positive("p_time", p_time)
     check_positive("p_space", p_space)
     check_positive("p_nodes", p_nodes)
-    _check_run_shape(config, specs, spatial, p_time)
+    _check_run_shape(config, specs, p_time)
     if checkpoint_interval < 1:
         raise ValueError(
             f"checkpoint_interval must be >= 1, got {checkpoint_interval}"
@@ -1113,7 +1069,7 @@ def run_pfasst(
             )
     results = scheduler.run(
         _grid_rank_program,
-        args=(config, specs, np.asarray(u0), spatial,
+        args=(config, specs, np.asarray(u0),
               SpaceTimeGrid(p_time, p_space, p_nodes), dispatch,
               checkpointer, resume),
     )

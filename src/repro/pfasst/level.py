@@ -44,11 +44,6 @@ class LevelSpec:
         :class:`~repro.sdc.diagonal.DiagonalSDCSweeper` with mutually
         independent node updates — required for sweep-level ``p_nodes``
         parallelism).
-    diagonal_coefficients :
-        Coefficient choice for the diagonal sweeper (``"ie"``,
-        ``"min"``, ``"picard"``; see
-        :func:`repro.sdc.quadrature.diagonal_coefficients`).  Ignored
-        under ``"gauss-seidel"``.
     """
 
     problem: ODEProblem
@@ -56,7 +51,6 @@ class LevelSpec:
     sweeps: int = 1
     node_type: str = "lobatto"
     sweeper: str = "gauss-seidel"
-    diagonal_coefficients: str = "min"
 
     def __post_init__(self) -> None:
         if self.num_nodes < 2:
@@ -97,7 +91,7 @@ class Level:
         self.dt = dt
         self.rule: QuadratureRule = make_rule(spec.num_nodes, spec.node_type)
         self.sweeper: ExplicitSDCSweeper = make_sweeper(
-            spec.problem, self.rule, spec.sweeper, spec.diagonal_coefficients
+            spec.problem, self.rule, spec.sweeper
         )
         self._u0: Optional[np.ndarray] = None
         self.reset()

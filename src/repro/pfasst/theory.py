@@ -29,8 +29,12 @@ __all__ = [
     "speedup_bound",
     "parareal_speedup",
     "alpha_from_measurements",
+    "measured_cost_ratio",
     "multi_level_speedup",
 ]
+
+#: computed RHS evaluations per level behind :func:`measured_cost_ratio`
+COST_SAMPLES = 3
 
 
 def alpha_from_measurements(
@@ -50,6 +54,26 @@ def alpha_from_measurements(
             f"cost ratio must be finite and > 0, got {theta_cost_ratio}"
         )
     return (m_coarse / m_fine) / theta_cost_ratio
+
+
+def measured_cost_ratio(fine, coarse, u0: np.ndarray) -> float:
+    """Fine/coarse cost ratio of one RHS evaluation (``ratio_theta``).
+
+    The mean over :data:`COST_SAMPLES` computed evaluations per level,
+    after one unmeasured warm-up each.  Every measured evaluation gets a
+    state of its own (a seeded jitter of ``u0``): a repeated state would
+    be answered from the evaluators' field memo and not be timed, and a
+    state shared by the levels would bill the tree build and the moments
+    to whichever level went first.
+    """
+    rng = np.random.default_rng(0)
+    for problem in (fine, coarse):
+        problem.rhs(0.0, u0)  # warm-up, not measured
+        problem.evaluator.reset_stats()
+    for _ in range(COST_SAMPLES):
+        for problem in (fine, coarse):
+            problem.rhs(0.0, u0 + 1e-9 * rng.standard_normal(u0.shape))
+    return fine.evaluator.mean_cost / coarse.evaluator.mean_cost
 
 
 @dataclass(frozen=True)

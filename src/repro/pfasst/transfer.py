@@ -7,40 +7,18 @@ paper's recommended choice).
 
 Space direction: the paper's particle coarsening keeps the *same particle
 set* on every level and changes only the multipole acceptance parameter of
-the RHS evaluator, so the spatial transfer is the identity.  The
-:class:`SpatialTransfer` hook still exists so grid-based problems (or
-future particle-subset coarsening, Sec. V outlook) can plug in genuine
-restriction/prolongation.
+the RHS evaluator, so there is no spatial transfer: a state restricts and
+interpolates to itself, and node arrays move in time only.
 """
 
 from __future__ import annotations
-
-from typing import Protocol
 
 import numpy as np
 
 from repro.analysis.sanitize import boundary
 from repro.sdc.quadrature import QuadratureRule, lagrange_interpolation_matrix
 
-__all__ = ["SpatialTransfer", "IdentitySpatialTransfer", "TimeSpaceTransfer"]
-
-
-class SpatialTransfer(Protocol):
-    """Restriction/prolongation acting on a single state vector."""
-
-    def restrict(self, u_fine: np.ndarray) -> np.ndarray: ...
-
-    def interpolate(self, u_coarse: np.ndarray) -> np.ndarray: ...
-
-
-class IdentitySpatialTransfer:
-    """No-op spatial transfer (the paper's particle-coarsening setting)."""
-
-    def restrict(self, u_fine: np.ndarray) -> np.ndarray:
-        return u_fine
-
-    def interpolate(self, u_coarse: np.ndarray) -> np.ndarray:
-        return u_coarse
+__all__ = ["TimeSpaceTransfer"]
 
 
 class TimeSpaceTransfer:
@@ -57,10 +35,7 @@ class TimeSpaceTransfer:
     """
 
     def __init__(
-        self,
-        fine_rule: QuadratureRule,
-        coarse_rule: QuadratureRule,
-        spatial: SpatialTransfer | None = None,
+        self, fine_rule: QuadratureRule, coarse_rule: QuadratureRule
     ) -> None:
         fine_set = fine_rule.node_set
         coarse_set = coarse_rule.node_set
@@ -81,7 +56,6 @@ class TimeSpaceTransfer:
             )
         self.fine_rule = fine_rule
         self.coarse_rule = coarse_rule
-        self.spatial: SpatialTransfer = spatial or IdentitySpatialTransfer()
         self.R_time = lagrange_interpolation_matrix(
             fine_rule.nodes, coarse_rule.nodes
         )
@@ -90,28 +64,12 @@ class TimeSpaceTransfer:
         )
 
     # -- node arrays: shape (M+1, *state) -----------------------------
-    def _apply_time(self, mat: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return np.tensordot(mat, values, axes=(1, 0))
-
     @boundary("restrict_nodes", arrays=["values_fine"])
     def restrict_nodes(self, values_fine: np.ndarray) -> np.ndarray:
-        """Restrict node values fine -> coarse (time then space)."""
-        coarse_time = self._apply_time(self.R_time, values_fine)
-        return np.stack(
-            [self.spatial.restrict(v) for v in coarse_time], axis=0
-        )
+        """Restrict node values fine -> coarse."""
+        return np.tensordot(self.R_time, values_fine, axes=(1, 0))
 
     @boundary("interpolate_nodes", arrays=["values_coarse"])
     def interpolate_nodes(self, values_coarse: np.ndarray) -> np.ndarray:
-        """Interpolate node values coarse -> fine (space then time)."""
-        fine_space = np.stack(
-            [self.spatial.interpolate(v) for v in values_coarse], axis=0
-        )
-        return self._apply_time(self.P_time, fine_space)
-
-    # -- single states (e.g. initial values at node 0) ----------------
-    def restrict_state(self, u_fine: np.ndarray) -> np.ndarray:
-        return self.spatial.restrict(u_fine)
-
-    def interpolate_state(self, u_coarse: np.ndarray) -> np.ndarray:
-        return self.spatial.interpolate(u_coarse)
+        """Interpolate node values coarse -> fine."""
+        return np.tensordot(self.P_time, values_coarse, axes=(1, 0))

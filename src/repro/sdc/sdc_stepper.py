@@ -14,7 +14,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.sdc.quadrature import QuadratureRule, make_rule
-from repro.sdc.sweeper import InitStrategy, make_sweeper
+from repro.sdc.sweeper import make_sweeper
 from repro.utils.validation import check_positive
 from repro.vortex.problem import ODEProblem
 
@@ -55,9 +55,6 @@ class SDCStepper:
         or ``"diagonal"`` (the PFASST-ER Jacobi-style
         :class:`~repro.sdc.diagonal.DiagonalSDCSweeper`, whose node
         updates are mutually independent).
-    diagonal_coefficients :
-        Coefficient choice for the diagonal sweeper (see
-        :func:`repro.sdc.quadrature.diagonal_coefficients`).
     """
 
     def __init__(
@@ -67,20 +64,15 @@ class SDCStepper:
         sweeps: int = 4,
         node_type: str = "lobatto",
         residual_tol: Optional[float] = None,
-        init_strategy: InitStrategy = "spread",
         sweeper: str = "gauss-seidel",
-        diagonal_coefficients: str = "min",
     ) -> None:
         if sweeps < 1:
             raise ValueError(f"need at least 1 sweep, got {sweeps}")
         self.problem = problem
         self.rule: QuadratureRule = make_rule(num_nodes, node_type)
-        self.sweeper = make_sweeper(
-            problem, self.rule, sweeper, diagonal_coefficients
-        )
+        self.sweeper = make_sweeper(problem, self.rule, sweeper)
         self.sweeps = int(sweeps)
         self.residual_tol = residual_tol
-        self.init_strategy: InitStrategy = init_strategy
         self.stats = SDCRunStats()
 
     def step(self, t0: float, dt: float, u0: np.ndarray) -> np.ndarray:
@@ -91,7 +83,7 @@ class SDCStepper:
         """One step from ``u0`` and its RHS ``f0`` (``None``: evaluate it);
         returns the end value and, on node sets with both endpoints, its
         RHS at ``t0 + dt`` (the next step's ``f0``)."""
-        U, F = self.sweeper.initialize(t0, dt, u0, self.init_strategy, f0=f0)
+        U, F = self.sweeper.initialize(t0, dt, u0, f0=f0)
         f0 = F[0]
         residual = float("inf")
         for _ in range(self.sweeps):

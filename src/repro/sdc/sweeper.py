@@ -50,7 +50,7 @@ __all__ = [
 InitStrategy = Literal["spread", "euler"]
 
 #: sweeper names accepted by :func:`make_sweeper` (and by ``LevelSpec``,
-#: ``SDCStepper``, ``TimeConfig`` and the ``--sweeper`` CLI options)
+#: ``SDCStepper`` and the ``--sweeper`` CLI options)
 SWEEPERS = ("gauss-seidel", "diagonal")
 
 
@@ -358,19 +358,19 @@ class ExplicitSDCSweeper:
 
 
 def make_sweeper(
-    problem: ODEProblem, rule: QuadratureRule, kind: str, coefficients="min"
+    problem: ODEProblem, rule: QuadratureRule, kind: str
 ) -> ExplicitSDCSweeper:
     """The sweeper named ``kind`` (one of :data:`SWEEPERS`) on ``rule``.
 
     ``"gauss-seidel"`` is this module's sequential node-to-node
     substitution, ``"diagonal"`` the PFASST-ER Jacobi-style
-    :class:`~repro.sdc.diagonal.DiagonalSDCSweeper` with its
-    ``coefficients`` choice (ignored under ``"gauss-seidel"``).
+    :class:`~repro.sdc.diagonal.DiagonalSDCSweeper` with its default
+    ``"min"`` coefficients.
     """
     check_in("sweeper", kind, SWEEPERS)
     if kind == "diagonal":
         # diagonal.py subclasses this module's sweeper
         from repro.sdc.diagonal import DiagonalSDCSweeper
 
-        return DiagonalSDCSweeper(problem, rule, coefficients=coefficients)
+        return DiagonalSDCSweeper(problem, rule)
     return ExplicitSDCSweeper(problem, rule)

@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -78,7 +77,7 @@ class TestCommands:
     def test_speedup_cost_ratio_times_every_measured_state(self):
         """The alpha behind ``repro speedup`` is a mean over computed
         evaluations: no measured state may be a field-memo hit."""
-        from repro.cli import _measured_cost_ratio
+        from repro.pfasst.theory import COST_SAMPLES, measured_cost_ratio
         from repro.tree import TreeEvaluator
         from repro.vortex import VortexProblem, spherical_vortex_sheet
         from repro.vortex.sheet import SheetConfig
@@ -89,8 +88,48 @@ class TestCommands:
             ps.volumes, TreeEvaluator("algebraic6", sheet.sigma, theta=0.3)
         )
         coarse = fine.coarsened(theta=0.6)
-        ratio = _measured_cost_ratio(fine, coarse, ps.state(), samples=4)
+        ratio = measured_cost_ratio(fine, coarse, ps.state())
         for problem in (fine, coarse):
-            assert problem.evaluator.timer.count == 4
-            assert problem.evaluator.calls == 4
+            assert problem.evaluator.timer.count == COST_SAMPLES
+            assert problem.evaluator.calls == COST_SAMPLES
         assert ratio > 0
+
+
+#: fine RHS evaluations ``repro sheet -n 80 --t-end 1 --dt 0.5 --p-time 2``
+#: makes per method (extra arguments, expected count)
+SHEET_RHS_COUNTS = {
+    "euler": ([], 2),
+    "rk2": ([], 4),
+    "rk4": ([], 8),
+    "sdc": ([], 17),
+    "pfasst": ([], 11),
+    "pfasst-direct-diagonal": (["--evaluator", "direct", "--p-nodes", "3",
+                                "--sweeper", "diagonal"], 19),
+}
+
+
+class TestSheet:
+    @pytest.mark.parametrize("case", SHEET_RHS_COUNTS)
+    def test_rhs_counts(self, case, capsys):
+        extra, count = SHEET_RHS_COUNTS[case]
+        code = main(["sheet", "-n", "80", "--t-end", "1", "--dt", "0.5",
+                     "--p-time", "2", "--method", case.split("-")[0]]
+                    + extra)
+        assert code == 0
+        assert f"fine RHS evaluations: {count} (" in capsys.readouterr().out
+
+    def test_alpha_is_eq26_of_the_evaluators_mean_cost(self, capsys,
+                                                       monkeypatch):
+        """``measured alpha`` is (M_c / M_f) over the fine/coarse mean
+        cost of the run's evaluators, not the bare coarse/fine cost."""
+        from repro.tree import TreeEvaluator
+
+        monkeypatch.setattr(
+            TreeEvaluator, "mean_cost",
+            property(lambda ev: 1.0 if ev.theta == 0.3 else 0.25),
+        )
+        code = main(["sheet", "-n", "80", "--t-end", "1", "--dt", "0.5",
+                     "--p-time", "2", "--method", "pfasst"])
+        assert code == 0
+        # (2 / 3) / (1.0 / 0.25)
+        assert "measured alpha: 0.167\n" in capsys.readouterr().out

@@ -224,7 +224,7 @@ def test_pfasst_controller_verifies_under_replay(p_time):
     ]
     scheduler = Scheduler(p_time, measure_compute=False, verify=True)
     results = scheduler.run(
-        pfasst_rank_program, args=(cfg, specs, u0, None)
+        pfasst_rank_program, args=(cfg, specs, u0)
     )
     assert len(results) == p_time
     assert scheduler.orphans == []

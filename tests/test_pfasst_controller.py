@@ -202,19 +202,6 @@ class TestRunShape:
     def _cfg(self):
         return PfasstConfig(t0=0.0, t_end=1.0, n_steps=2, iterations=1)
 
-    def test_empty_spatial_names_the_argument(self, scalar_problem):
-        with pytest.raises(ValueError, match="spatial"):
-            run_pfasst(self._cfg(), _specs(scalar_problem), np.array([1.0]),
-                       p_time=2, spatial=[])
-
-    def test_too_long_spatial_rejected(self, scalar_problem):
-        from repro.pfasst import IdentitySpatialTransfer
-
-        two = [IdentitySpatialTransfer(), IdentitySpatialTransfer()]
-        with pytest.raises(ValueError, match="spatial"):
-            run_pfasst(self._cfg(), _specs(scalar_problem), np.array([1.0]),
-                       p_time=2, spatial=two)
-
     def test_rejected_before_anything_is_built(self, scalar_problem,
                                                monkeypatch, tmp_path):
         """n_steps % p_time is raised by run_pfasst itself: no scheduler,
@@ -236,11 +223,11 @@ class TestRunShape:
 
     def test_rank_program_entry_shares_the_check(self, scalar_problem):
         from repro.parallel.simmpi import Scheduler
-        with pytest.raises(ValueError, match="spatial"):
+        cfg = PfasstConfig(t0=0.0, t_end=1.0, n_steps=3, iterations=1)
+        with pytest.raises(ValueError, match="multiple of p_time=2"):
             Scheduler(2, measure_compute=False).run(
                 pfasst_rank_program,
-                args=(self._cfg(), _specs(scalar_problem), np.array([1.0]),
-                      []),
+                args=(cfg, _specs(scalar_problem), np.array([1.0])),
             )
 
 
@@ -368,18 +355,15 @@ class TestSweeperFactory:
         assert SWEEPERS == ("gauss-seidel", "diagonal")
         gs = make_sweeper(scalar_problem, rule, "gauss-seidel")
         assert type(gs) is ExplicitSDCSweeper
-        diag = make_sweeper(scalar_problem, rule, "diagonal", "ie")
+        diag = make_sweeper(scalar_problem, rule, "diagonal")
         assert isinstance(diag, DiagonalSDCSweeper)
-        assert diag.coefficients == "ie"
+        assert diag.coefficients == "min"
 
     def test_one_error_for_every_entrance(self, scalar_problem):
-        from repro.core import TimeConfig
-
         for build in (
             lambda: make_sweeper(scalar_problem, make_rule(3), "jacobi"),
             lambda: LevelSpec(scalar_problem, 3, sweeper="jacobi"),
             lambda: SDCStepper(scalar_problem, sweeper="jacobi"),
-            lambda: TimeConfig(sweeper="jacobi"),
         ):
             with pytest.raises(ValueError, match="sweeper must be one of"):
                 build()
@@ -477,7 +461,7 @@ class TestStructure:
     def test_entry_point_signatures_are_the_parents(self):
         assert list(inspect.signature(run_pfasst).parameters) == [
             "config", "specs", "u0", "p_time", "cost_model",
-            "measure_compute", "spatial", "verify", "fault_plan",
+            "measure_compute", "verify", "fault_plan",
             "service_order", "tracer", "p_space", "p_nodes", "executor",
             "certify", "checkpoint", "checkpoint_interval", "resume_from",
         ]
@@ -487,18 +471,17 @@ class TestStructure:
             if p.default is not inspect.Parameter.empty
         }
         assert defaults == {
-            "cost_model": None, "measure_compute": False, "spatial": None,
-            "verify": False, "fault_plan": None,
+            "cost_model": None, "measure_compute": False, "verify": False, "fault_plan": None,
             "service_order": "ascending", "tracer": None, "p_space": 1,
             "p_nodes": 1, "executor": None, "certify": False,
             "checkpoint": None, "checkpoint_interval": 1,
             "resume_from": None,
         }
-        # the parent's signature minus the ``ft_grid`` context
+        # the parent's signature minus the ``ft_grid`` context and the
+        # ``spatial`` transfer seam
         params = inspect.signature(pfasst_rank_program).parameters
-        assert list(params) == ["comm", "config", "specs", "u0", "spatial",
-                                "ctx", "checkpointer", "resume"]
-        assert params["spatial"].default is None
+        assert list(params) == ["comm", "config", "specs", "u0", "ctx",
+                                "checkpointer", "resume"]
         assert params["ctx"].default == RhsContext()
         assert params["checkpointer"].default is None
         assert params["resume"].default is None

@@ -1,7 +1,6 @@
-"""Tests for PFASST controller variants: F-update modes and tracing."""
+"""Tests for the PFASST controller's F update and its tracing."""
 
 import numpy as np
-import pytest
 
 from repro.parallel.simmpi import TraceEvent
 from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
@@ -16,47 +15,17 @@ def _specs(problem):
 
 
 class TestFUpdateModes:
-    """Interpolating F increments vs re-evaluating (Algorithm 1 literal)."""
+    """The up-sweep corrects F by the interpolated coarse F increment
+    instead of re-evaluating it; the fixed point is still serial SDC's."""
 
-    def test_both_modes_converge_to_same_fixed_point(self, scalar_problem):
+    def test_interpolated_f_update_converges_to_sdc(self, scalar_problem):
         u0 = np.array([1.0])
         ref = SDCStepper(scalar_problem, num_nodes=3, sweeps=14).run(
             u0, 0.0, 1.0, 0.25
         )
-        results = {}
-        for reeval in (False, True):
-            cfg = PfasstConfig(t0=0.0, t_end=1.0, n_steps=4, iterations=12,
-                               reeval_after_interp=reeval)
-            res = run_pfasst(cfg, _specs(scalar_problem), u0, p_time=4)
-            results[reeval] = res.u_end
-            assert np.allclose(res.u_end, ref, atol=1e-11), f"reeval={reeval}"
-        assert np.allclose(results[False], results[True], atol=1e-11)
-
-    def test_cheap_mode_uses_fewer_evaluations(self, scalar_problem):
-        u0 = np.array([1.0])
-        counts = {}
-        for reeval in (False, True):
-            scalar_problem.evals = 0
-            cfg = PfasstConfig(t0=0.0, t_end=1.0, n_steps=4, iterations=3,
-                               reeval_after_interp=reeval)
-            run_pfasst(cfg, _specs(scalar_problem), u0, p_time=4)
-            counts[reeval] = scalar_problem.evals
-        assert counts[False] < counts[True]
-
-    def test_cheap_mode_accuracy_comparable(self, scalar_problem):
-        """At small iteration counts the two modes differ by at most an
-        order of magnitude in error."""
-        u0 = np.array([1.0])
-        ref = SDCStepper(scalar_problem, num_nodes=3, sweeps=14).run(
-            u0, 0.0, 1.0, 0.25
-        )
-        errs = {}
-        for reeval in (False, True):
-            cfg = PfasstConfig(t0=0.0, t_end=1.0, n_steps=4, iterations=2,
-                               reeval_after_interp=reeval)
-            res = run_pfasst(cfg, _specs(scalar_problem), u0, p_time=4)
-            errs[reeval] = abs((res.u_end - ref).item())
-        assert errs[False] < 10 * errs[True] + 1e-14
+        cfg = PfasstConfig(t0=0.0, t_end=1.0, n_steps=4, iterations=12)
+        res = run_pfasst(cfg, _specs(scalar_problem), u0, p_time=4)
+        assert np.allclose(res.u_end, ref, atol=1e-11)
 
 
 class TestTracing:

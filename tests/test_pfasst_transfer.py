@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.pfasst.transfer import IdentitySpatialTransfer, TimeSpaceTransfer
+from repro.pfasst.transfer import TimeSpaceTransfer
 from repro.sdc.quadrature import make_rule
 
 
@@ -55,31 +55,13 @@ class TestNodeArrays:
         vals = rng.normal(size=(2, 4, 3))
         assert transfer.interpolate_nodes(vals).shape == (3, 4, 3)
 
-    def test_identity_spatial_passthrough(self, rng):
-        sp = IdentitySpatialTransfer()
-        u = rng.normal(size=(5, 3))
-        assert sp.restrict(u) is u
-        assert sp.interpolate(u) is u
-
-    def test_custom_spatial_transfer_applied(self, rng):
-        class Halver:
-            def restrict(self, u):
-                return 0.5 * u
-
-            def interpolate(self, u):
-                return 2.0 * u
-
-        tr = TimeSpaceTransfer(make_rule(3), make_rule(2), spatial=Halver())
+    def test_node_arrays_move_in_time_only(self, transfer, rng):
+        """Every level holds the same particles: for nested nodes the
+        restriction is plain injection of whole states."""
         u = rng.normal(size=(3, 4))
-        restricted = tr.restrict_nodes(u)
-        # time injection then halving
-        assert np.allclose(restricted[0], 0.5 * u[0])
-        assert np.allclose(restricted[1], 0.5 * u[2])
-
-    def test_state_transfer(self, transfer, rng):
-        u = rng.normal(size=(7, 3))
-        assert np.allclose(transfer.restrict_state(u), u)
-        assert np.allclose(transfer.interpolate_state(u), u)
+        restricted = transfer.restrict_nodes(u)
+        assert np.array_equal(restricted[0], u[0])
+        assert np.array_equal(restricted[1], u[2])
 
 
 class TestFamilyPairing:
