@@ -16,7 +16,7 @@ freedom via a mini-simulation, before a single message is simulated.
 vector clock; deliveries form a happens-before DAG that is scanned for
 message races and hashed into a schedule-independent
 :class:`DeterminismCertificate`, comparable across service orders and
-execution backends and exportable as Chrome-trace DAG arrows.
+execution backends.
 
 CLI: ``repro-comm check`` (static), ``repro-comm certify`` (dynamic),
 ``repro-comm graph`` (skeleton rendering).  See
@@ -27,9 +27,7 @@ from repro.analysis.commgraph.checks import Finding, check_skeletons
 from repro.analysis.commgraph.hb import (
     DeterminismCertificate,
     MessageRace,
-    attach_flows,
     build_certificate,
-    chrome_flow_events,
     find_races,
     reconstruct_vector_clocks,
 )
@@ -52,11 +50,9 @@ __all__ = [
     "MessageRace",
     "Skeleton",
     "TagShape",
-    "attach_flows",
     "build_certificate",
     "reconstruct_vector_clocks",
     "check_skeletons",
-    "chrome_flow_events",
     "extract_module",
     "extract_paths",
     "find_races",

@@ -35,10 +35,6 @@ This module turns those records into:
   get the same digest regardless of service order or execution backend;
   ``verify=True`` + ``certify=True`` enforces exactly that, and the CLI
   compares digests across ``SerialExecutor`` / ``ProcessExecutor``.
-
-* Chrome ``trace_event`` **flow events** rendering every message as a
-  DAG arrow from the send instant on the sender's virtual-time track to
-  the delivery instant on the receiver's (:func:`chrome_flow_events`).
 """
 
 from __future__ import annotations
@@ -55,8 +51,6 @@ __all__ = [
     "DeterminismCertificate",
     "reconstruct_vector_clocks",
     "build_certificate",
-    "chrome_flow_events",
-    "attach_flows",
 ]
 
 #: delivery record layout produced by the scheduler (kept a plain tuple
@@ -275,36 +269,3 @@ def build_certificate(
         clocks=tuple(tuple(c) for c in clocks),
         races=tuple(races),
     )
-
-
-# -- Chrome trace_event DAG arrows -----------------------------------------
-_US = 1e6  # virtual seconds -> trace microseconds (matches repro.obs.export)
-
-
-def chrome_flow_events(deliveries: Sequence[Delivery]) -> List[Dict[str, Any]]:
-    """Flow-event pairs (``ph`` ``s``/``f``) for every recorded delivery.
-
-    Targets the layout of :func:`repro.obs.export.chrome_trace`: virtual
-    clock is process 0 with one thread per rank, timestamps in
-    microseconds.  Append these to a trace's ``traceEvents`` to render
-    the happens-before DAG as arrows in Perfetto.
-    """
-    events: List[Dict[str, Any]] = []
-    for n, d in enumerate(deliveries):
-        src, dst, tag, _svc, _rvc, sent, delivered = d
-        common = {"cat": "hb", "name": f"msg:{tag_class(tag)!r}",
-                  "id": n + 1, "pid": 0}
-        events.append({**common, "ph": "s", "tid": src, "ts": sent * _US,
-                       "args": {"tag": str(tag)}})
-        events.append({**common, "ph": "f", "bp": "e", "tid": dst,
-                       "ts": delivered * _US})
-    return events
-
-
-def attach_flows(trace_json: Dict[str, Any],
-                 deliveries: Sequence[Delivery]) -> Dict[str, Any]:
-    """Append DAG arrows to a ``chrome_trace`` JSON object (in place)."""
-    trace_json.setdefault("traceEvents", []).extend(
-        chrome_flow_events(deliveries)
-    )
-    return trace_json

@@ -55,10 +55,8 @@ COLLECTIVES: Dict[str, int] = {
     "bcast": 3,
     "reduce": 4,
     "allreduce": 3,
-    "gather": 3,
     "scatter": 3,
     "allgather": 2,
-    "barrier": 1,
 }
 
 #: default base tag per collective (mirrors repro.parallel.collectives)
@@ -66,10 +64,8 @@ COLLECTIVE_DEFAULT_TAGS: Dict[str, str] = {
     "bcast": _tags_module.BCAST,
     "reduce": _tags_module.REDUCE,
     "allreduce": _tags_module.ALLREDUCE,
-    "gather": _tags_module.GATHER,
     "scatter": _tags_module.SCATTER,
     "allgather": _tags_module.ALLGATHER,
-    "barrier": _tags_module.BARRIER,
 }
 
 #: names whose mention makes an expression rank-dependent

@@ -144,8 +144,7 @@ TAG_REGISTRY_MODULES: Tuple[str, ...] = ("parallel/tags.py",)
 
 #: collective helpers and the positional index of their ``tag`` parameter
 _COLLECTIVE_TAG_POS: Dict[str, int] = {
-    "bcast": 3, "reduce": 4, "allreduce": 3, "gather": 3,
-    "scatter": 3, "allgather": 2, "barrier": 1,
+    "bcast": 3, "reduce": 4, "allreduce": 3, "scatter": 3, "allgather": 2,
 }
 
 _PER_PARTICLE_NAME = re.compile(

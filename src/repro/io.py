@@ -35,8 +35,6 @@ from repro.vortex.particles import ParticleSystem
 __all__ = [
     "save_particles",
     "load_particles",
-    "save_run_summary",
-    "load_run_summary",
     "CheckpointCorruptionError",
     "atomic_write_bytes",
     "write_crc_container",
@@ -205,26 +203,3 @@ def load_particles(path: PathLike) -> tuple[ParticleSystem, float, Dict[str, Any
                 "the array bytes are corrupt"
             )
     return ps, time, metadata
-
-
-def save_run_summary(path: PathLike, summary: Dict[str, Any]) -> pathlib.Path:
-    """Write a JSON run summary (numpy scalars are converted)."""
-    path = pathlib.Path(path)
-
-    def convert(obj: Any) -> Any:
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        raise TypeError(f"cannot serialise {type(obj)!r}")
-
-    atomic_write_bytes(
-        path,
-        json.dumps(summary, indent=2, default=convert,
-                   sort_keys=True).encode("utf-8"),
-    )
-    return path
-
-
-def load_run_summary(path: PathLike) -> Dict[str, Any]:
-    return json.loads(pathlib.Path(path).read_text())

@@ -1,7 +1,7 @@
 """Metrics registry: named counters, gauges and histograms.
 
 Replaces the ad-hoc private counters that used to be scattered across the
-code base (``Scheduler.stats_messages``, ``TreeStateCache`` hit/miss
+code base (the scheduler's message totals, ``TreeStateCache`` hit/miss
 pairs, per-evaluator call counts) with one exportable substrate:
 
 * **counters** — monotonically increasing integers/floats (messages and

@@ -26,8 +26,7 @@ from typing import Any, Callable, Generator, List, Optional
 from repro.parallel import tags
 from repro.parallel.simmpi import VirtualComm
 
-__all__ = ["bcast", "reduce", "allreduce", "gather", "scatter", "allgather",
-           "barrier"]
+__all__ = ["bcast", "reduce", "allreduce", "scatter", "allgather"]
 
 
 def _vrank(rank: int, root: int, size: int) -> int:
@@ -133,31 +132,6 @@ def allreduce(
     ))
 
 
-def gather(
-    comm: VirtualComm,
-    value: Any,
-    root: int = 0,
-    tag: str = tags.GATHER,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    backoff: float = 0.0,
-) -> Generator[Any, Any, Optional[List[Any]]]:
-    """Gather one value per rank into a list at the root (flat schedule)."""
-    size, rank = comm.size, comm.rank
-    if rank == root:
-        out: List[Any] = [None] * size
-        out[root] = value
-        for src in range(size):
-            if src != root:
-                out[src] = yield comm.recv(
-                    src, (tag, src),
-                    timeout=timeout, retries=retries, backoff=backoff,
-                )
-        return out
-    yield comm.send(root, (tag, rank), value)
-    return None
-
-
 def scatter(
     comm: VirtualComm,
     values: Optional[List[Any]],
@@ -233,17 +207,3 @@ def allgather(
         )
         out[(rank - step - 1) % size] = cur
     return out
-
-
-def barrier(
-    comm: VirtualComm,
-    tag: str = tags.BARRIER,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    backoff: float = 0.0,
-) -> Generator[Any, Any, None]:
-    """Synchronise all ranks (allreduce of a token)."""
-    yield from allreduce(
-        comm, 0, tag=tag, timeout=timeout, retries=retries, backoff=backoff
-    )
-    return None

@@ -632,8 +632,7 @@ class Scheduler:
         A :class:`repro.obs.MetricsRegistry` owned by the scheduler,
         repopulated on every :meth:`run`: ``mpi.messages`` /
         ``mpi.bytes`` (global and per ``{src,dest}`` pair) and
-        ``mpi.retransmissions``.  The legacy ``stats_messages`` /
-        ``stats_bytes`` integers remain as fast aliases.
+        ``mpi.retransmissions``.
     ops, resumes, stalls :
         The operation budget: operations yielded and times switched in,
         per rank, and rounds in which no rank could run; folded into
@@ -688,8 +687,6 @@ class Scheduler:
         self.clocks: List[float] = [0.0] * self.n_ranks
         #: messages in flight / delivered, FIFO per (src, dest, tag)
         self._channels: Dict[Channel, deque] = defaultdict(deque)
-        self.stats_messages = 0
-        self.stats_bytes = 0
         #: per-run message/byte/retransmission instruments
         self.metrics = MetricsRegistry()
         #: the four ``mpi.*`` counters a message on link (src, dest)
@@ -1340,8 +1337,6 @@ class Scheduler:
     def _count_message(self, src: int, dest: int, tag: Hashable,
                        nbytes: int, arrival: float) -> None:
         """Account one sent message (counters, tracer instant)."""
-        self.stats_messages += 1
-        self.stats_bytes += nbytes
         if self.certify:
             key = (src, dest, tag)
             self._census[key] = self._census.get(key, 0) + 1

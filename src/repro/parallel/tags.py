@@ -69,10 +69,8 @@ __all__ = [
     "BCAST",
     "REDUCE",
     "ALLREDUCE",
-    "GATHER",
     "SCATTER",
     "ALLGATHER",
-    "BARRIER",
     # -- simulated-MPI infrastructure --
     "SPLIT",
     "SUBCOMM",
@@ -247,10 +245,8 @@ NODE_DIGEST = register(
 BCAST = register("_bcast", "collectives", None, shared=True)
 REDUCE = register("_reduce", "collectives", None, shared=True)
 ALLREDUCE = register("_allreduce", "collectives", None, shared=True)
-GATHER = register("_gather", "collectives", None, shared=True)
 SCATTER = register("_scatter", "collectives", None, shared=True)
 ALLGATHER = register("_allgather", "collectives", None, shared=True)
-BARRIER = register("_barrier", "collectives", None, shared=True)
 
 # simulated-MPI infrastructure (repro/parallel/simmpi.py)
 SPLIT = register(

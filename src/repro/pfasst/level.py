@@ -153,7 +153,7 @@ class Level:
         previous block's FAS term :attr:`tau` goes.
         """
         self.U, self.F = yield from self.sweeper.initialize_gen(
-            t, self.dt, self.u0, "spread", ctx=ctx, f0=self.f0
+            t, self.dt, self.u0, ctx=ctx, f0=self.f0
         )
         self.tau = None
         self._hold_f0()

@@ -27,7 +27,7 @@ call — there is no left-endpoint node to carry it implicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Literal, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -46,8 +46,6 @@ __all__ = [
     "make_sweeper",
     "node_slice",
 ]
-
-InitStrategy = Literal["spread", "euler"]
 
 #: sweeper names accepted by :func:`make_sweeper` (and by ``LevelSpec``,
 #: ``SDCStepper`` and the ``--sweeper`` CLI options)
@@ -183,7 +181,6 @@ class ExplicitSDCSweeper:
         t0: float,
         dt: float,
         u0: np.ndarray,
-        strategy: InitStrategy = "spread",
         ctx: RhsContext = RhsContext(),
         f0: Optional[np.ndarray] = None,
     ):
@@ -192,30 +189,18 @@ class ExplicitSDCSweeper:
         Drive with ``yield from`` inside a rank program to shard the RHS
         work over ``ctx.space`` and/or dispatch it to an execution
         backend; with the default context it performs zero yields and
-        computes exactly what :meth:`initialize` does.  Initialization
-        is node-sequential (``spread`` makes one evaluation, ``euler``
-        marches), so ``ctx.node`` is unused here.  ``f0``, when given,
-        is the RHS of ``u0`` at node 0's time and replaces that call.
+        computes exactly what :meth:`initialize` does.  Spreading makes
+        at most one evaluation, so ``ctx.node`` is unused here.  ``f0``,
+        when given, is the RHS of ``u0`` at node 0's time and replaces
+        that call.
         """
-        m1 = self.num_nodes
-        times = self.node_times(t0, dt)
-        U = np.empty((m1,) + u0.shape, dtype=np.float64)
+        U = np.empty((self.num_nodes,) + u0.shape, dtype=np.float64)
         F = np.empty_like(U)
-        U[0] = u0
         if f0 is None:
-            f0 = yield from ctx.rhs(self.problem, times[0], u0)
-        F[0] = f0
-        if strategy == "spread":
-            for m in range(1, m1):
-                U[m] = u0
-                F[m] = F[0]
-        elif strategy == "euler":
-            delta = dt * self.rule.delta
-            for m in range(1, m1):
-                U[m] = U[m - 1] + delta[m - 1] * F[m - 1]
-                F[m] = yield from ctx.rhs(self.problem, times[m], U[m])
-        else:
-            raise ValueError(f"unknown init strategy {strategy!r}")
+            t = self.node_times(t0, dt)[0]
+            f0 = yield from ctx.rhs(self.problem, t, u0)
+        U[:] = u0
+        F[:] = f0
         return U, F
 
     def initialize(
@@ -223,16 +208,14 @@ class ExplicitSDCSweeper:
         t0: float,
         dt: float,
         u0: np.ndarray,
-        strategy: InitStrategy = "spread",
         f0: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Provisional node values ``U^0`` and their evaluations ``F^0``.
 
-        ``spread`` copies ``u0`` to every node (one RHS evaluation, none
-        when ``f0`` is given); ``euler`` marches forward Euler through
-        the nodes (M+1 evaluations, M with ``f0``).
+        Spreads ``u0`` and its RHS to every node: one RHS evaluation,
+        none when ``f0`` is given.
         """
-        return _drain(self.initialize_gen(t0, dt, u0, strategy, f0=f0))
+        return _drain(self.initialize_gen(t0, dt, u0, f0=f0))
 
     # ------------------------------------------------------------------
     def sweep_gen(

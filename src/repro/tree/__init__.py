@@ -7,8 +7,6 @@ from repro.tree.morton import (
     morton_decode,
     hilbert_encode,
     quantize,
-    key_at_level,
-    child_index,
     cell_of_key,
 )
 from repro.tree.build import Octree, build_octree
@@ -18,7 +16,7 @@ from repro.tree.profiles import (
     radial_chain,
     supports_multipoles,
 )
-from repro.tree.mac import MACVariant, mac_accept, mac_accept_sq
+from repro.tree.mac import MACVariant, mac_accept_sq
 from repro.tree.traversal import InteractionLists, dual_traversal
 from repro.tree.evaluate import evaluate_vortex_far, evaluate_vortex_far_pairs
 from repro.tree.state import (
@@ -49,8 +47,6 @@ __all__ = [
     "morton_decode",
     "hilbert_encode",
     "quantize",
-    "key_at_level",
-    "child_index",
     "cell_of_key",
     "Octree",
     "build_octree",
@@ -60,7 +56,6 @@ __all__ = [
     "radial_chain",
     "supports_multipoles",
     "MACVariant",
-    "mac_accept",
     "mac_accept_sq",
     "InteractionLists",
     "dual_traversal",

@@ -195,8 +195,9 @@ class TreeEvaluator(FieldEvaluator):
     Parameters
     ----------
     kernel :
-        Smoothing kernel (must be algebraic or singular — those admit
-        exact multipole radial chains).
+        Smoothing kernel, a registry name or an instance.  It must have
+        an exact multipole radial chain (the algebraic and singular
+        kernels do); any other is rejected here.
     sigma :
         Core size.
     theta :
@@ -285,9 +286,7 @@ class TreeEvaluator(FieldEvaluator):
         """Hit/miss counters of the underlying state cache."""
         return self.cache.stats
 
-    def coarsened(
-        self, theta: float, mac_variant: Optional[MACVariant] = None
-    ) -> "TreeEvaluator":
+    def coarsened(self, theta: float) -> "TreeEvaluator":
         """A theta-coarsened evaluator of this one's class sharing its
         state cache.
 
@@ -301,7 +300,7 @@ class TreeEvaluator(FieldEvaluator):
             theta=theta,
             order=self.order,
             leaf_size=self.leaf_size,
-            mac_variant=self.mac_variant if mac_variant is None else mac_variant,
+            mac_variant=self.mac_variant,
             cache=self.cache,
             batch_budget_bytes=self.batch_budget_bytes,
             backend=self.backend,

@@ -26,57 +26,9 @@ from typing import Literal
 
 import numpy as np
 
-__all__ = ["MACVariant", "mac_accept", "mac_accept_sq"]
+__all__ = ["MACVariant", "mac_accept_sq"]
 
 MACVariant = Literal["bh", "bmax"]
-
-
-def _extent(
-    node_size: np.ndarray, node_bmax: np.ndarray, variant: MACVariant
-) -> np.ndarray:
-    if variant == "bh":
-        return node_size
-    if variant == "bmax":
-        return 2.0 * node_bmax
-    raise ValueError(f"unknown MAC variant {variant!r}")
-
-
-def mac_accept(
-    theta: float,
-    node_size: np.ndarray,
-    node_bmax: np.ndarray,
-    center_dist: np.ndarray,
-    group_radius: np.ndarray,
-    variant: MACVariant = "bh",
-) -> np.ndarray:
-    """Vectorised MAC decision for (group, node) candidate pairs.
-
-    Parameters
-    ----------
-    theta :
-        Opening parameter, >= 0.  Zero rejects everything.
-    node_size :
-        Cell edge lengths of the candidate nodes.
-    node_bmax :
-        Cluster radii of the candidate nodes (used by ``"bmax"``).
-    center_dist :
-        Distances between group centers and node centers.
-    group_radius :
-        Bounding radii of the target groups.
-    variant :
-        MAC flavour.
-
-    Returns
-    -------
-    Boolean mask of accepted pairs.
-    """
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
-    if theta == 0.0:
-        return np.zeros(np.broadcast(node_size, center_dist).shape, dtype=bool)
-    extent = _extent(node_size, node_bmax, variant)
-    d = center_dist - group_radius
-    return (d > 0.0) & (extent <= theta * d)
 
 
 def mac_accept_sq(
@@ -87,17 +39,20 @@ def mac_accept_sq(
     group_radius: np.ndarray,
     variant: MACVariant = "bh",
 ) -> np.ndarray:
-    """MAC decision from *squared* center distances (no square root).
+    """Vectorised MAC decision for (group, node) candidate pairs.
 
-    Mathematically equivalent to :func:`mac_accept`: with ``d = dist -
-    r_group`` the acceptance ``d > 0 and extent <= theta d`` rewrites (all
-    quantities non-negative) as
+    ``center_dist_sq`` holds squared group-to-node center distances and
+    ``group_radius`` the target groups' bounding radii; a node's
+    ``extent`` is ``node_size`` (``"bh"``) or ``2 * node_bmax``
+    (``"bmax"``).  With ``d = dist - r_group`` the acceptance
+    ``d > 0 and extent <= theta d`` rewrites (all quantities
+    non-negative) as
 
         dist^2 > r_group^2   and   theta^2 dist^2 >= (extent + theta r_group)^2
 
-    which lets the traversal skip the per-wave ``np.sqrt`` over the whole
-    frontier.  :func:`mac_accept` keeps its distance-based signature (and
-    exact comparison semantics) for backward compatibility.
+    so the traversal takes no ``np.sqrt`` over its frontier.  ``theta``
+    must be >= 0; zero rejects everything.  Returns the boolean mask of
+    accepted pairs.
     """
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
@@ -105,7 +60,12 @@ def mac_accept_sq(
         return np.zeros(
             np.broadcast(node_size, center_dist_sq).shape, dtype=bool
         )
-    extent = _extent(node_size, node_bmax, variant)
+    if variant == "bh":
+        extent = node_size
+    elif variant == "bmax":
+        extent = 2.0 * node_bmax
+    else:
+        raise ValueError(f"unknown MAC variant {variant!r}")
     thr = extent + theta * group_radius
     return (center_dist_sq > group_radius * group_radius) & (
         theta * theta * center_dist_sq >= thr * thr

@@ -31,8 +31,6 @@ __all__ = [
     "hilbert_encode",
     "quantize",
     "cell_of_key",
-    "key_at_level",
-    "child_index",
 ]
 
 #: 21 levels x 3 dimensions = 63 bits + 1 placeholder bit fits in uint64
@@ -165,23 +163,6 @@ def hilbert_encode(ijk: np.ndarray, depth: int = MAX_DEPTH) -> np.ndarray:
             key = (key << np.uint64(1)) | ((x[dim] >> np.uint64(bit)) & np.uint64(1))
     placeholder = np.uint64(1) << np.uint64(3 * depth)
     return key | placeholder
-
-
-def key_at_level(keys: np.ndarray, level: int, depth: int = MAX_DEPTH) -> np.ndarray:
-    """Truncate full-depth keys to their level-``level`` ancestor keys."""
-    if not 0 <= level <= depth:
-        raise ValueError(f"level must be in 0..{depth}, got {level}")
-    shift = np.uint64(3 * (depth - level))
-    return np.asarray(keys, dtype=np.uint64) >> shift
-
-
-def child_index(keys: np.ndarray, level: int, depth: int = MAX_DEPTH) -> np.ndarray:
-    """Octant (0..7) a full-depth key occupies within its level-``level-1``
-    parent."""
-    if not 1 <= level <= depth:
-        raise ValueError(f"level must be in 1..{depth}, got {level}")
-    shift = np.uint64(3 * (depth - level))
-    return (np.asarray(keys, dtype=np.uint64) >> shift) & np.uint64(7)
 
 
 def cell_of_key(

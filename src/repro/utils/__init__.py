@@ -1,6 +1,6 @@
 """Small shared utilities: chunk iteration, validation helpers."""
 
-from repro.utils.chunking import chunk_ranges, chunk_pairs_budget
+from repro.utils.chunking import chunk_ranges
 from repro.utils.validation import (
     check_positive,
     check_nonnegative,
@@ -10,7 +10,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "chunk_ranges",
-    "chunk_pairs_budget",
     "check_positive",
     "check_nonnegative",
     "check_array",

@@ -3,7 +3,7 @@
 Direct summation over N targets x N sources builds (chunk, N) distance
 matrices; the chunk size bounds the working set so temporaries stay inside
 cache instead of thrashing main memory (see the "beware of cache effects"
-guidance).  ``chunk_pairs_budget`` picks a chunk size from a bytes budget.
+guidance).
 """
 
 from __future__ import annotations
@@ -26,29 +26,3 @@ def chunk_ranges(n: int, chunk: int) -> Iterator[Tuple[int, int]]:
         stop = min(start + chunk, n)
         yield (start, stop)
         start = stop
-
-
-def chunk_pairs_budget(
-    n_sources: int,
-    bytes_per_pair: int = 8 * 12,
-    budget_bytes: int = 64 * 2**20,
-    minimum: int = 16,
-) -> int:
-    """Pick a target-chunk size so chunk*N_source temporaries fit a budget.
-
-    Parameters
-    ----------
-    n_sources:
-        Number of source particles each target interacts with.
-    bytes_per_pair:
-        Approximate bytes of temporaries allocated per (target, source)
-        pair; the default assumes ~12 float64 intermediates.
-    budget_bytes:
-        Total temporary-memory budget (default 64 MiB).
-    minimum:
-        Never return a chunk smaller than this.
-    """
-    if n_sources <= 0:
-        return minimum
-    chunk = budget_bytes // max(1, bytes_per_pair * n_sources)
-    return max(minimum, int(chunk))

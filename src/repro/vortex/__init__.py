@@ -9,9 +9,7 @@ parallel solver.
 from repro.vortex.kernels import (
     SmoothingKernel,
     SecondOrderAlgebraic,
-    FourthOrderAlgebraic,
     SixthOrderAlgebraic,
-    GaussianKernel,
     SingularKernel,
     get_kernel,
     available_kernels,
@@ -20,7 +18,6 @@ from repro.vortex.particles import (
     ParticleSystem,
     pack_state,
     unpack_state,
-    state_like,
 )
 from repro.vortex.rhs import VelocityField, biot_savart_direct, stretching_rhs
 from repro.vortex.sheet import (
@@ -48,16 +45,13 @@ from repro.vortex.problem import (
 __all__ = [
     "SmoothingKernel",
     "SecondOrderAlgebraic",
-    "FourthOrderAlgebraic",
     "SixthOrderAlgebraic",
-    "GaussianKernel",
     "SingularKernel",
     "get_kernel",
     "available_kernels",
     "ParticleSystem",
     "pack_state",
     "unpack_state",
-    "state_like",
     "VelocityField",
     "biot_savart_direct",
     "stretching_rhs",

@@ -43,9 +43,7 @@ __all__ = [
     "SmoothingKernel",
     "AlgebraicKernel",
     "SecondOrderAlgebraic",
-    "FourthOrderAlgebraic",
     "SixthOrderAlgebraic",
-    "GaussianKernel",
     "SingularKernel",
     "get_kernel",
     "available_kernels",
@@ -108,21 +106,17 @@ class SmoothingKernel(ABC):
         rho = np.asarray(r, dtype=np.float64) / sigma
         return self.w(rho) / sigma**5
 
+    @abstractmethod
     def f_g_from_r2(
         self, r2: np.ndarray, sigma: float, gradient: bool = True
     ) -> Tuple[np.ndarray, "np.ndarray | None"]:
         """Both radial factors straight from *squared* distances.
 
-        The batched near-field evaluator computes ``r^2`` anyway, and the
-        algebraic family is rational in ``t = r^2/sigma^2``, so subclasses
-        override this to skip the square root entirely (the generic
-        fallback takes one).  Returns ``(F, G)``; ``G`` is None when
+        The batched near-field evaluator computes ``r^2`` anyway, and
+        both families (algebraic and singular) evaluate their factors
+        from it directly.  Returns ``(F, G)``; ``G`` is None when
         ``gradient`` is False.
         """
-        dist = np.sqrt(r2)
-        f = self.f_radial(dist, sigma)
-        g = self.g_radial(dist, sigma) if gradient else None
-        return f, g
 
     def f_g_from_rho2(
         self, rho2: np.ndarray, sigma: float, gradient: bool = True
@@ -343,20 +337,6 @@ class SecondOrderAlgebraic(AlgebraicKernel):
     _W = (-3.0,)
 
 
-class FourthOrderAlgebraic(AlgebraicKernel):
-    """Fourth-order algebraic kernel (moments M0 = 1, M2 = 0).
-
-    ``zeta = (1/4pi)(525/16 - (105/4) t)/(t+1)^{11/2}``.
-    """
-
-    name = "algebraic4"
-    order = 4
-    _D = 11
-    _A = (525.0 / 16.0, -105.0 / 4.0)
-    _P = (175.0 / 16.0, 63.0 / 8.0, 4.5, 1.0)
-    _W = (-1323.0 / 16.0, -297.0 / 8.0, -16.5, -3.0)
-
-
 class SixthOrderAlgebraic(AlgebraicKernel):
     """Sixth-order algebraic kernel (M0 = 1, M2 = M4 = 0) — paper default.
 
@@ -371,64 +351,6 @@ class SixthOrderAlgebraic(AlgebraicKernel):
     _A = (3675.0 / 64.0, -735.0 / 8.0, 105.0 / 8.0)
     _P = (1225.0 / 64.0, 49.0 / 4.0, 99.0 / 8.0, 5.5, 1.0)
     _W = (-11907.0 / 64.0, -243.0 / 4.0, -429.0 / 8.0, -19.5, -3.0)
-
-
-class GaussianKernel(SmoothingKernel):
-    """Second-order Gaussian: ``zeta = (2 pi)^{-3/2} exp(-rho^2/2)``."""
-
-    name = "gaussian"
-    order = 2
-    #: below this rho, series expansions replace the closed forms
-    _series_cut = 0.5
-
-    _C = float(np.sqrt(2.0 / np.pi))
-
-    def q(self, rho: np.ndarray) -> np.ndarray:
-        # imported here: scipy.special costs ~0.25 s and ~25 MiB at
-        # import, and only this profile needs it
-        from scipy.special import erf
-
-        rho = np.asarray(rho, dtype=np.float64)
-        return erf(rho / np.sqrt(2.0)) - rho * self._C * np.exp(-0.5 * rho * rho)
-
-    def qprime(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=np.float64)
-        return self._C * rho * rho * np.exp(-0.5 * rho * rho)
-
-    def q_over_rho3(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=np.float64)
-        small = rho < self._series_cut
-        safe = np.where(small, 1.0, rho)
-        closed = self.q(safe) / safe**3
-        # q/rho^3 = C * sum_k (-1)^k rho^{2k} / (2^k k! (2k+3))
-        t = rho * rho
-        series = self._C * (
-            1.0 / 3.0
-            - t / 10.0
-            + t**2 / 56.0
-            - t**3 / 432.0
-            + t**4 / 4224.0
-            - t**5 / 49920.0
-            + t**6 / 691200.0
-        )
-        return np.where(small, series, closed)
-
-    def w(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=np.float64)
-        small = rho < self._series_cut
-        safe = np.where(small, 1.0, rho)
-        closed = (safe * self.qprime(safe) - 3.0 * self.q(safe)) / safe**5
-        # (rho q' - 3 q)/rho^5 = C * sum_k (-1)^k 2k rho^{2k-2}/(2^k k!(2k+3))
-        t = rho * rho
-        series = self._C * (
-            -1.0 / 5.0
-            + t / 14.0
-            - t**2 / 72.0
-            + t**3 / 528.0
-            - t**4 / 4992.0
-            + t**5 / 57600.0
-        )
-        return np.where(small, series, closed)
 
 
 class SingularKernel(SmoothingKernel):
@@ -482,9 +404,7 @@ class SingularKernel(SmoothingKernel):
 
 _REGISTRY: Dict[str, Type[SmoothingKernel]] = {
     SecondOrderAlgebraic.name: SecondOrderAlgebraic,
-    FourthOrderAlgebraic.name: FourthOrderAlgebraic,
     SixthOrderAlgebraic.name: SixthOrderAlgebraic,
-    GaussianKernel.name: GaussianKernel,
     SingularKernel.name: SingularKernel,
 }
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.utils.validation import check_array
 
-__all__ = ["ParticleSystem", "pack_state", "unpack_state", "state_like"]
+__all__ = ["ParticleSystem", "pack_state", "unpack_state"]
 
 
 def pack_state(positions: np.ndarray, vorticity: np.ndarray) -> np.ndarray:
@@ -45,11 +45,6 @@ def unpack_state(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if u.ndim != 3 or u.shape[0] != 2 or u.shape[2] != 3:
         raise ValueError(f"state must have shape (2, N, 3), got {u.shape}")
     return u[0], u[1]
-
-
-def state_like(u: np.ndarray) -> np.ndarray:
-    """Allocate an uninitialised state with the same shape/dtype."""
-    return np.empty_like(u)
 
 
 @dataclass

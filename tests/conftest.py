@@ -9,6 +9,7 @@ from repro.vortex import (
     DirectEvaluator,
     ParticleSystem,
     SheetConfig,
+    SmoothingKernel,
     VortexProblem,
     get_kernel,
     spherical_vortex_sheet,
@@ -34,6 +35,23 @@ def random_cloud(rng) -> tuple[np.ndarray, np.ndarray]:
     positions = rng.normal(size=(n, 3))
     charges = rng.normal(size=(n, 3)) * 0.1
     return positions, charges
+
+
+class NoChainKernel(SmoothingKernel):
+    """A caller-supplied kernel that is neither algebraic nor singular,
+    so it has no exact multipole radial chain."""
+
+    name = "no-chain"
+
+    def _profile(self, *args, **kwargs):
+        raise NotImplementedError("not needed by the rejection tests")
+
+    q = qprime = q_over_rho3 = w = f_g_from_r2 = _profile
+
+
+@pytest.fixture
+def no_chain_kernel() -> SmoothingKernel:
+    return NoChainKernel()
 
 
 class ScalarODE(ODEProblem):

@@ -1,6 +1,6 @@
 """Regression tests: collectives recover dropped messages via retransmit.
 
-Before the fix, ``reduce`` / ``allreduce`` / ``gather`` / ``scatter``
+Before the fix, ``reduce`` / ``allreduce`` / ``scatter``
 ignored the link-layer ``timeout`` / ``retries`` / ``backoff`` knobs, so
 a single dropped message on any collective leg deadlocked the whole
 world — in particular PFASST's failure-detection allreduce, whose entire
@@ -17,7 +17,6 @@ from repro.parallel.collectives import (
     allgather,
     allreduce,
     bcast,
-    gather,
     reduce,
     scatter,
 )
@@ -50,9 +49,6 @@ def _programs(link=LINK):
     def p_bcast(comm):
         return (yield from bcast(comm, comm.rank * 7 + 5, root=0, **link))
 
-    def p_gather(comm):
-        return (yield from gather(comm, comm.rank * 2, root=0, **link))
-
     def p_scatter(comm):
         values = list(range(10, 10 + comm.size)) if comm.rank == 0 else None
         return (yield from scatter(comm, values, root=0, **link))
@@ -65,8 +61,6 @@ def _programs(link=LINK):
         "reduce": (p_reduce, [sum(range(1, n + 1))] + [None] * (n - 1)),
         "allreduce": (p_allreduce, [sum(range(1, n + 1))] * n),
         "bcast": (p_bcast, [5] * n),
-        "gather": (p_gather, [[2 * r for r in range(n)]]
-                   + [None] * (n - 1)),
         "scatter": (p_scatter, [10 + r for r in range(n)]),
         "allgather": (p_allgather, [[3 * r for r in range(n)]] * n),
     }

@@ -108,7 +108,7 @@ class TestExtraction:
         assert "_grid_rank_program" in names
         assert "VirtualComm.split" in names
         assert "SpaceParallelTreeEvaluator.field_program" in names
-        assert {"bcast", "allreduce", "allgather", "barrier"} <= names
+        assert {"bcast", "allreduce", "allgather"} <= names
 
     def test_grid_program_is_root(self, skeletons):
         roots = {sk.name for sk in roots_of(skeletons)}
@@ -245,14 +245,14 @@ class TestChecks:
     def test_cg005_divergent_collective_sequence(self, tmp_path):
         fs = _check_snippet(tmp_path, """
             from repro.parallel import tags
-            from repro.parallel.collectives import allreduce, barrier
+            from repro.parallel.collectives import allreduce, bcast
 
             def prog(comm, rank):
                 if rank == 0:
                     total = yield from allreduce(
                         comm, 1.0, tag=(tags.RTOL, 0, 0, 0))
                 else:
-                    yield from barrier(comm)
+                    yield from bcast(comm, 1.0)
         """)
         assert "CG005" in {f.code for f in fs}
 

@@ -1,5 +1,5 @@
-"""Tests for the commgraph dynamic layer: vector clocks, message races,
-determinism certificates and Chrome-trace DAG arrows."""
+"""Tests for the commgraph dynamic layer: vector clocks, message races
+and determinism certificates."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.commcheck import VerificationError
 from repro.analysis.commgraph.hb import (
     build_certificate,
-    chrome_flow_events,
     find_races,
 )
 from repro.parallel import FaultPlan, MessageFault, Scheduler, tags
@@ -174,30 +173,6 @@ class TestVerifyIntegration:
         sched = Scheduler(2, certify=True, verify=True)
         with pytest.raises(VerificationError):
             sched.run(racy)
-
-
-class TestChromeFlows:
-    def test_flow_event_layout(self):
-        deliveries = [
-            (0, 1, (tags.PRED, 0, 0, 0), (1, 0), (1, 1), 0.25, 0.75),
-        ]
-        events = chrome_flow_events(deliveries)
-        assert len(events) == 2
-        start, finish = events
-        assert start["ph"] == "s" and finish["ph"] == "f"
-        assert finish["bp"] == "e"
-        assert start["id"] == finish["id"] == 1
-        assert start["pid"] == finish["pid"] == 0  # virtual-clock process
-        assert start["tid"] == 0 and finish["tid"] == 1
-        assert start["ts"] == pytest.approx(0.25e6)
-        assert finish["ts"] == pytest.approx(0.75e6)
-        assert "pred" in start["name"]
-
-    def test_scheduler_deliveries_export(self):
-        sched, _ = _run()
-        events = chrome_flow_events(sched._deliveries)
-        assert len(events) == 2 * sched.certificate.n_deliveries
-        assert {e["ph"] for e in events} == {"s", "f"}
 
 
 class TestBuildCertificate:

@@ -7,7 +7,7 @@ from repro.tree.evaluate import evaluate_vortex_far
 from repro.vortex.kernels import SingularKernel, get_kernel
 from repro.vortex.rhs import biot_savart_direct
 
-KERNELS = ["algebraic2", "algebraic4", "algebraic6"]
+KERNELS = ["algebraic2", "algebraic6"]
 
 
 def _cluster(rng, n=40, radius=0.15):

@@ -641,6 +641,7 @@ def run_link_case(name) -> dict:
     except (CorruptionError, RankFailure) as exc:
         outcome = {"raises": type(exc).__name__, "message": str(exc)}
     report = sched.resilience
+    counters = sched.metrics.as_dict()["counters"]
     return {
         **outcome,
         "clocks": repr(sched.clocks),
@@ -650,9 +651,8 @@ def run_link_case(name) -> dict:
         "certificate": (sched.certificate.digest
                         if sched.certificate is not None else None),
         "orphans": [o.render() for o in sched.orphans],
-        "messages": sched.stats_messages,
-        "retransmissions": sched.metrics.as_dict()["counters"].get(
-            "mpi.retransmissions", 0),
+        "messages": counters.get("mpi.messages", 0),
+        "retransmissions": counters.get("mpi.retransmissions", 0),
     }
 
 

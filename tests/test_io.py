@@ -7,10 +7,8 @@ from repro.io import (
     CheckpointCorruptionError,
     atomic_write_bytes,
     load_particles,
-    load_run_summary,
     read_crc_container,
     save_particles,
-    save_run_summary,
     write_crc_container,
 )
 from repro.vortex import spherical_vortex_sheet
@@ -65,19 +63,6 @@ class TestParticleCheckpoints:
         )
         u = get_integrator("rk2").run(prob, ps2.state(), t0, t0 + 0.5, 0.5)
         assert np.all(np.isfinite(u))
-
-
-class TestRunSummaries:
-    def test_roundtrip(self, tmp_path):
-        summary = {"speedup": np.float64(3.5), "p_t": np.int64(8),
-                   "curve": np.array([1.0, 2.0])}
-        path = save_run_summary(tmp_path / "run.json", summary)
-        loaded = load_run_summary(path)
-        assert loaded == {"speedup": 3.5, "p_t": 8, "curve": [1.0, 2.0]}
-
-    def test_unserialisable_rejected(self, tmp_path):
-        with pytest.raises(TypeError):
-            save_run_summary(tmp_path / "x.json", {"bad": object()})
 
 
 class TestDurability:

@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.vortex.kernels import (
-    GaussianKernel,
     SingularKernel,
     available_kernels,
     get_kernel,
 )
 
-REGULAR = ["algebraic2", "algebraic4", "algebraic6", "gaussian"]
-ALGEBRAIC = ["algebraic2", "algebraic4", "algebraic6"]
+ALGEBRAIC = ["algebraic2", "algebraic6"]
 
 
 class TestRegistry:
@@ -28,16 +26,14 @@ class TestRegistry:
             get_kernel("nope")
 
     def test_expected_names_present(self):
-        assert set(REGULAR) <= set(available_kernels())
+        assert available_kernels() == ("algebraic2", "algebraic6", "singular")
 
     def test_orders(self):
         assert get_kernel("algebraic2").order == 2
-        assert get_kernel("algebraic4").order == 4
         assert get_kernel("algebraic6").order == 6
-        assert get_kernel("gaussian").order == 2
 
 
-@pytest.mark.parametrize("name", REGULAR)
+@pytest.mark.parametrize("name", ALGEBRAIC)
 class TestProfileConsistency:
     def test_qprime_matches_finite_difference(self, name):
         k = get_kernel(name)
@@ -85,12 +81,12 @@ class TestProfileConsistency:
         assert np.all(np.isfinite(k.zeta(rho)))
 
 
-@pytest.mark.parametrize("name", REGULAR)
+@pytest.mark.parametrize("name", ALGEBRAIC)
 def test_mass_moment_is_one(name):
     assert get_kernel(name).moment(0) == pytest.approx(1.0, abs=2e-3)
 
 
-@pytest.mark.parametrize("name", ["algebraic4", "algebraic6"])
+@pytest.mark.parametrize("name", ["algebraic6"])
 def test_second_moment_vanishes(name):
     assert get_kernel(name).moment(2) == pytest.approx(0.0, abs=1e-4)
 
@@ -125,57 +121,32 @@ class TestSingularKernel:
         assert np.allclose(k.f_radial(r, 1.0), k.f_radial(r, 42.0))
 
 
-class TestGaussianSeries:
-    def test_series_matches_closed_form_at_same_point(self):
-        k = GaussianKernel()
-        rho = np.array([k._series_cut * 0.98])  # series branch
-        series = k.q_over_rho3(rho)[0]
-        closed = k.q(rho)[0] / rho[0] ** 3  # closed form, same point
-        assert series == pytest.approx(closed, rel=1e-7)
-
-    def test_w_series_matches_closed_form_at_same_point(self):
-        k = GaussianKernel()
-        rho = np.array([k._series_cut * 0.98])
-        series = k.w(rho)[0]
-        closed = (rho[0] * k.qprime(rho)[0] - 3 * k.q(rho)[0]) / rho[0] ** 5
-        assert series == pytest.approx(closed, rel=1e-7)
-
-
 class TestLazyScipy:
-    """Only the Gaussian profile needs ``scipy.special``; nothing else
-    may pay its import (~0.25 s, ~25 MiB in every child process)."""
+    """``scipy`` is a test-only dependency: importing the package must
+    not load it (it costs ~0.25 s and ~25 MiB in every child process)."""
 
     def test_import_repro_leaves_scipy_unloaded(self):
         code = (
             "import sys, repro, repro.tree, repro.pfasst, repro.parallel\n"
+            "import repro.vortex, repro.cli\n"
             "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             "assert not loaded, loaded[:5]\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
-    def test_gaussian_q_matches_quadrature(self):
-        # q(rho) = int_0^rho q'(s) ds, trapezoid rule on a fine grid
-        k = GaussianKernel()
-        rho = np.linspace(0.0, 8.0, 80_001)
-        qp = k.qprime(rho)
-        quad = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (qp[1:] + qp[:-1]) * np.diff(rho)))
-        )
-        assert np.allclose(k.q(rho), quad, rtol=0.0, atol=1e-8)
-
 
 @settings(max_examples=50, deadline=None)
 @given(
     rho=st.floats(min_value=0.6, max_value=50.0),
-    name=st.sampled_from(REGULAR),
+    name=st.sampled_from(ALGEBRAIC),
 )
 def test_radial_factors_relation_property(rho, name):
     """F and G are consistent: G = (rho q' - 3 q) / (sigma^5 rho^5).
 
     rho is kept away from 0 because the *reference* expression
     ``q(rho)/rho^3`` cancels catastrophically there (the implementation's
-    series/rational forms are the numerically correct branch; small-rho
-    accuracy is covered by the series-vs-closed-form tests above).
+    rational forms are the numerically correct branch; small-rho
+    accuracy is covered by the ulp tests of the u-form pair below).
     """
     k = get_kernel(name)
     sigma = 0.7
@@ -323,8 +294,7 @@ class TestRho2EntryPoint:
                 _W = (-3.0,)
 
     @pytest.mark.parametrize(
-        "kernel", [GaussianKernel(), SingularKernel(softening=0.1)],
-        ids=["gaussian", "singular"],
+        "kernel", [SingularKernel(softening=0.1)], ids=["singular"],
     )
     def test_other_kernels_clamp_and_defer_to_r2_form(self, kernel):
         sigma = 0.7

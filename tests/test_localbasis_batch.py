@@ -38,8 +38,7 @@ from repro.tree.profiles import radial_chain
 from repro.vortex import get_kernel, spherical_vortex_sheet
 from repro.vortex.sheet import SheetConfig
 
-ALL_KERNELS = ["algebraic2", "algebraic4", "algebraic6", "gaussian",
-               "singular"]
+ALL_KERNELS = ["algebraic2", "algebraic6", "singular"]
 
 
 class TestFGFromR2:

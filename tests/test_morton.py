@@ -9,9 +9,7 @@ from repro.tree.morton import (
     MAX_DEPTH,
     BoundingCube,
     cell_of_key,
-    child_index,
     hilbert_encode,
-    key_at_level,
     morton_decode,
     morton_encode,
     quantize,
@@ -85,21 +83,6 @@ class TestMorton:
         assert ky[0] - k0[0] == 2
         assert kz[0] - k0[0] == 4
 
-    def test_key_at_level_prefix(self):
-        ijk = np.array([[5, 3, 7]], dtype=np.uint64)
-        full = morton_encode(ijk, depth=5)
-        root = key_at_level(full, 0, depth=5)
-        assert root[0] == 1  # placeholder only
-        lvl5 = key_at_level(full, 5, depth=5)
-        assert lvl5[0] == full[0]
-
-    def test_child_index_in_range(self, rng):
-        ijk = rng.integers(0, 2**MAX_DEPTH, size=(100, 3)).astype(np.uint64)
-        keys = morton_encode(ijk)
-        for level in (1, 5, MAX_DEPTH):
-            ci = child_index(keys, level)
-            assert np.all(ci < 8)
-
     def test_sorted_keys_group_spatially(self, rng):
         """Consecutive Morton keys have nearby coordinates on average."""
         pts = rng.random((2000, 3))
@@ -135,7 +118,7 @@ class TestCellOfKey:
         cube = BoundingCube.of_points(pts)
         keys = morton_encode(quantize(pts, cube))
         for level in (1, 3, 6):
-            kl = key_at_level(keys, level)
+            kl = keys >> np.uint64(3 * (MAX_DEPTH - level))
             centers, edge = cell_of_key(kl, level, cube)
             assert np.all(np.abs(pts - centers) <= edge / 2 + 1e-9)
 

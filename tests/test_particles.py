@@ -6,7 +6,6 @@ import pytest
 from repro.vortex.particles import (
     ParticleSystem,
     pack_state,
-    state_like,
     unpack_state,
 )
 
@@ -28,11 +27,6 @@ class TestPackUnpack:
     def test_unpack_bad_shape(self):
         with pytest.raises(ValueError, match=r"\(2, N, 3\)"):
             unpack_state(np.zeros((3, 4, 3)))
-
-    def test_state_like_shape(self):
-        u = np.zeros((2, 5, 3))
-        assert state_like(u).shape == u.shape
-
 
 class TestParticleSystem:
     def test_default_volumes(self, rng):

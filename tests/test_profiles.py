@@ -8,14 +8,10 @@ from repro.tree.profiles import (
     radial_chain,
     supports_multipoles,
 )
-from repro.vortex.kernels import (
-    GaussianKernel,
-    SingularKernel,
-    get_kernel,
-)
+from repro.vortex.kernels import SingularKernel, get_kernel
 from fractions import Fraction
 
-ALGEBRAIC = ["algebraic2", "algebraic4", "algebraic6"]
+ALGEBRAIC = ["algebraic2", "algebraic6"]
 
 
 class TestRationalProfile:
@@ -46,10 +42,10 @@ class TestSupports:
     def test_singular_supported(self):
         assert supports_multipoles(SingularKernel())
 
-    def test_gaussian_not_supported(self):
-        assert not supports_multipoles(GaussianKernel())
+    def test_kernel_without_chain_not_supported(self, no_chain_kernel):
+        assert not supports_multipoles(no_chain_kernel)
         with pytest.raises(NotImplementedError):
-            radial_chain(GaussianKernel(), np.array([1.0]), 1.0, 2)
+            radial_chain(no_chain_kernel, np.array([1.0]), 1.0, 2)
 
 
 class TestChain:

@@ -174,9 +174,7 @@ LD = np.longdouble
 def _radial_longdouble(kernel, dist, sigma):
     """``(F, G)`` at ``longdouble`` distances from the kernel's defining
     data: the coefficient tables of the algebraic family, the closed form
-    of the singular kernel.  The Gaussian has no extended-precision
-    ``erf`` to draw on, so its pair comes from the kernel's own float64
-    profiles — geometry and sums are still checked in ``longdouble``.
+    of the singular kernel.
     """
     if isinstance(kernel, AlgebraicKernel):
         t = (dist / LD(sigma)) ** 2
@@ -185,11 +183,9 @@ def _radial_longdouble(kernel, dist, sigma):
         half = LD(kernel._D) / 2
         return (p / (t + 1) ** (half - 1) / LD(sigma) ** 3,
                 w / (t + 1) ** half / LD(sigma) ** 5)
-    if isinstance(kernel, SingularKernel):
-        s2 = dist * dist + LD(kernel.softening) ** 2
-        return 1 / (s2 * np.sqrt(s2)), -3 / (s2 * s2 * np.sqrt(s2))
-    d = dist.astype(np.float64)
-    return LD(1) * kernel.f_radial(d, sigma), LD(1) * kernel.g_radial(d, sigma)
+    assert isinstance(kernel, SingularKernel)
+    s2 = dist * dist + LD(kernel.softening) ** 2
+    return 1 / (s2 * np.sqrt(s2)), -3 / (s2 * s2 * np.sqrt(s2))
 
 
 def _oracle(targets, sources, charges, kernel, sigma, exclude_zero=False):
@@ -235,14 +231,10 @@ def _cloud(rng, n_targets=13, n_sources=22, offset=0.0):
 
 class TestLongdoubleOracle:
     SIGMA = 0.3
-    #: (kernel, exclude_zero, tolerance).  Measured 2e-16 .. 1.2e-15 for
-    #: the closed-form oracles; the Gaussian one carries the float64
-    #: noise of its own profiles near their series switch.
+    #: (kernel, exclude_zero, tolerance).  Measured 2e-16 .. 1.2e-15.
     CASES = {
         "algebraic2": (get_kernel("algebraic2"), False, 1e-14),
-        "algebraic4": (get_kernel("algebraic4"), False, 1e-14),
         "algebraic6": (get_kernel("algebraic6"), False, 1e-14),
-        "gaussian": (get_kernel("gaussian"), False, 1e-13),
         "singular": (SingularKernel(), True, 1e-14),
     }
 

@@ -140,7 +140,7 @@ class TestSweeperBoundary:
         san, swp = sanitized_modules
         rule = make_rule(3, "lobatto")
         sweeper = swp.ExplicitSDCSweeper(_NaNAfterFirstCall(), rule)
-        U, F = sweeper.initialize(0.0, 0.1, np.array([1.0]), "spread")
+        U, F = sweeper.initialize(0.0, 0.1, np.array([1.0]))
         with pytest.raises(san.SanitizeError, match="sweep:result"):
             sweeper.sweep(0.0, 0.1, U, F)
 
@@ -148,7 +148,7 @@ class TestSweeperBoundary:
         san, swp = sanitized_modules
         rule = make_rule(3, "lobatto")
         sweeper = swp.ExplicitSDCSweeper(_NaNAfterFirstCall(), rule)
-        U, F = sweeper.initialize(0.0, 0.1, np.array([1.0]), "spread")
+        U, F = sweeper.initialize(0.0, 0.1, np.array([1.0]))
         U = U.copy()
         U[1] = np.nan
         with pytest.raises(san.SanitizeError, match="sweep:U"):
@@ -163,7 +163,7 @@ class TestSweeperBoundary:
 
         rule = make_rule(3, "lobatto")
         sweeper = swp.ExplicitSDCSweeper(Decay(), rule)
-        U, F = sweeper.initialize(0.0, 0.1, np.array([1.0]), "spread")
+        U, F = sweeper.initialize(0.0, 0.1, np.array([1.0]))
         U2, F2 = sweeper.sweep(0.0, 0.1, U, F)
         assert np.all(np.isfinite(U2)) and np.all(np.isfinite(F2))
 

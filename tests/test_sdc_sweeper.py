@@ -39,28 +39,15 @@ class TestInitialize:
     def test_spread_copies_u0(self, scalar_problem):
         sw = ExplicitSDCSweeper(scalar_problem, make_rule(3))
         u0 = np.array([2.0])
-        U, F = sw.initialize(0.0, 0.1, u0, "spread")
+        U, F = sw.initialize(0.0, 0.1, u0)
         assert np.allclose(U, 2.0)
         assert np.allclose(F, F[0])
 
     def test_spread_costs_one_eval(self, scalar_problem):
         sw = ExplicitSDCSweeper(scalar_problem, make_rule(3))
         scalar_problem.evals = 0
-        sw.initialize(0.0, 0.1, np.array([1.0]), "spread")
+        sw.initialize(0.0, 0.1, np.array([1.0]))
         assert scalar_problem.evals == 1
-
-    def test_euler_initialization_marches(self, scalar_problem):
-        sw = ExplicitSDCSweeper(scalar_problem, make_rule(3))
-        u0 = np.array([1.0])
-        U, F = sw.initialize(0.0, 0.2, u0, "euler")
-        # node 1 = u0 + dt/2 * f(0, u0)
-        expected = u0 + 0.1 * scalar_problem.rhs(0.0, u0)
-        assert np.allclose(U[1], expected)
-
-    def test_unknown_strategy(self, scalar_problem):
-        sw = ExplicitSDCSweeper(scalar_problem, make_rule(3))
-        with pytest.raises(ValueError, match="strategy"):
-            sw.initialize(0.0, 0.1, np.array([1.0]), "magic")
 
 
 class TestSweepFixedPoint:

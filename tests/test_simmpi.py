@@ -11,9 +11,7 @@ from repro.parallel import (
     DeadlockError,
     Scheduler,
     allreduce,
-    barrier,
     bcast,
-    gather,
     payload_bytes,
     reduce,
     scatter,
@@ -178,8 +176,8 @@ class TestVirtualTime:
 
         s = Scheduler(2, measure_compute=False)
         s.run(prog)
-        assert s.stats_messages == 1
-        assert s.stats_bytes == 80
+        assert s.metrics.counter("mpi.messages").value == 1
+        assert s.metrics.counter("mpi.bytes").value == 80
 
     def test_negative_work_rejected(self):
         def prog(comm):
@@ -240,13 +238,6 @@ class TestCollectives:
         res = Scheduler(n_ranks, measure_compute=False).run(prog)
         assert res == [n_ranks - 1] * n_ranks
 
-    def test_gather(self, n_ranks):
-        def prog(comm):
-            return (yield from gather(comm, comm.rank**2, root=0))
-
-        res = Scheduler(n_ranks, measure_compute=False).run(prog)
-        assert res[0] == [r**2 for r in range(n_ranks)]
-
     def test_scatter(self, n_ranks):
         def prog(comm):
             values = list(range(100, 100 + comm.size)) if comm.rank == 0 else None
@@ -254,14 +245,6 @@ class TestCollectives:
 
         res = Scheduler(n_ranks, measure_compute=False).run(prog)
         assert res == [100 + r for r in range(n_ranks)]
-
-    def test_barrier_completes(self, n_ranks):
-        def prog(comm):
-            yield from barrier(comm)
-            return "done"
-
-        res = Scheduler(n_ranks, measure_compute=False).run(prog)
-        assert res == ["done"] * n_ranks
 
 
 def test_scatter_wrong_length():
@@ -326,18 +309,18 @@ class TestSchedulerReuse:
         model = CommCostModel(latency=0.5, bandwidth=1e6, send_overhead=0.1)
         s = Scheduler(2, cost_model=model, measure_compute=False)
         first = (
-            s.run(self._prog), tuple(s.clocks), s.stats_messages,
-            s.stats_bytes, len(s.trace),
+            s.run(self._prog), tuple(s.clocks), s.metrics.as_dict(),
+            len(s.trace),
         )
         second = (
-            s.run(self._prog), tuple(s.clocks), s.stats_messages,
-            s.stats_bytes, len(s.trace),
+            s.run(self._prog), tuple(s.clocks), s.metrics.as_dict(),
+            len(s.trace),
         )
         assert first == second
 
     def test_stats_do_not_accumulate_across_runs(self):
         s = Scheduler(2, measure_compute=False)
         s.run(self._prog)
-        msgs = s.stats_messages
+        msgs = s.metrics.counter("mpi.messages").value
         s.run(self._prog)
-        assert s.stats_messages == msgs  # not doubled
+        assert s.metrics.counter("mpi.messages").value == msgs  # not doubled

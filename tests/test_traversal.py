@@ -5,57 +5,68 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.tree.build import build_octree
-from repro.tree.mac import mac_accept
+from repro.tree.mac import mac_accept_sq
 from repro.tree.multipole import compute_vortex_moments
 from repro.tree.traversal import dual_traversal
 
 
 class TestMAC:
+    """``mac_accept_sq``, the MAC the traversal runs: squared center
+    distances, acceptance ``extent <= theta (dist - r_group)``."""
+
     def test_theta_zero_rejects_everything(self):
-        mask = mac_accept(
-            0.0, np.array([1.0]), np.array([0.5]), np.array([100.0]),
+        mask = mac_accept_sq(
+            0.0, np.array([1.0]), np.array([0.5]), np.array([100.0**2]),
             np.array([0.1]),
         )
         assert not mask.any()
 
     def test_far_small_node_accepted(self):
-        mask = mac_accept(
-            0.5, np.array([1.0]), np.array([0.5]), np.array([10.0]),
+        mask = mac_accept_sq(
+            0.5, np.array([1.0]), np.array([0.5]), np.array([10.0**2]),
             np.array([0.5]),
         )
         assert mask.all()
 
     def test_near_node_rejected(self):
-        mask = mac_accept(
-            0.5, np.array([1.0]), np.array([0.5]), np.array([1.5]),
+        mask = mac_accept_sq(
+            0.5, np.array([1.0]), np.array([0.5]), np.array([1.5**2]),
             np.array([0.5]),
         )
         assert not mask.any()
 
     def test_overlapping_group_rejected(self):
         """Negative effective distance must never accept."""
-        mask = mac_accept(
-            10.0, np.array([1.0]), np.array([0.5]), np.array([0.3]),
+        mask = mac_accept_sq(
+            10.0, np.array([1.0]), np.array([0.5]), np.array([0.3**2]),
             np.array([0.5]),
         )
         assert not mask.any()
 
     def test_bmax_variant_uses_cluster_radius(self):
         # big cell, tiny actual cluster: bmax accepts, bh rejects
-        args = (np.array([2.0]), np.array([0.1]), np.array([3.0]),
+        args = (np.array([2.0]), np.array([0.1]), np.array([3.0**2]),
                 np.array([0.0]))
-        assert not mac_accept(0.5, *args, variant="bh").any()
-        assert mac_accept(0.5, *args, variant="bmax").all()
+        assert not mac_accept_sq(0.5, *args, variant="bh").any()
+        assert mac_accept_sq(0.5, *args, variant="bmax").all()
+
+    def test_equality_accepts(self):
+        # extent 1 == theta * (2.5 - 0.5): every operand and both sides
+        # of the squared comparison (1.5625) are exact in binary
+        size = np.array([1.0, np.nextafter(1.0, 2.0)])
+        mask = mac_accept_sq(0.5, size, np.zeros(2), np.full(2, 2.5**2),
+                             np.full(2, 0.5))
+        assert mask.tolist() == [True, False]
 
     def test_negative_theta_rejected(self):
         with pytest.raises(ValueError, match="theta"):
-            mac_accept(-0.1, np.array([1.0]), np.array([1.0]),
-                       np.array([1.0]), np.array([1.0]))
+            mac_accept_sq(-0.1, np.array([1.0]), np.array([1.0]),
+                          np.array([1.0]), np.array([1.0]))
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
-            mac_accept(0.5, np.array([1.0]), np.array([1.0]),
-                       np.array([1.0]), np.array([1.0]), variant="xxl")
+            mac_accept_sq(0.5, np.array([1.0]), np.array([1.0]),
+                          np.array([1.0]), np.array([1.0]), variant="xxl")
 
 
 class TestTraversalCompleteness:

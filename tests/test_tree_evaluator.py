@@ -6,7 +6,6 @@ import pytest
 from repro.tree import TreeEvaluator
 from repro.tree.parallel import SpaceParallelTreeEvaluator
 from repro.vortex import DirectEvaluator, get_kernel, spherical_vortex_sheet
-from repro.vortex.kernels import GaussianKernel
 from repro.vortex.sheet import SheetConfig
 
 
@@ -102,9 +101,9 @@ class TestAccuracy:
 
 
 class TestValidation:
-    def test_gaussian_kernel_rejected(self):
+    def test_kernel_without_chain_rejected(self, no_chain_kernel):
         with pytest.raises(ValueError, match="multipole"):
-            TreeEvaluator(GaussianKernel(), 0.5)
+            TreeEvaluator(no_chain_kernel, 0.5)
 
     def test_negative_theta(self):
         with pytest.raises(ValueError, match="theta"):
@@ -126,9 +125,10 @@ class TestValidation:
     def test_bad_mac_rejected_at_construction(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             TreeEvaluator("algebraic6", 0.5, **kwargs)
-        ev = TreeEvaluator("algebraic6", 0.5)
-        with pytest.raises(ValueError, match=name):
-            ev.coarsened(**{"theta": 0.6, **kwargs})
+        if "mac_variant" not in kwargs:  # coarsening only sets theta
+            ev = TreeEvaluator("algebraic6", 0.5)
+            with pytest.raises(ValueError, match=name):
+                ev.coarsened(kwargs["theta"])
 
     @pytest.mark.parametrize("leaf_size", [0, -1, 2.7])
     def test_bad_leaf_size_rejected_at_construction(self, leaf_size):

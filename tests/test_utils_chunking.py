@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.chunking import chunk_pairs_budget, chunk_ranges
+from repro.utils.chunking import chunk_ranges
 
 
 class TestChunkRanges:
@@ -39,21 +39,3 @@ class TestChunkRanges:
             covered += stop - start
             prev_stop = stop
         assert covered == n
-
-
-class TestChunkPairsBudget:
-    def test_respects_minimum(self):
-        assert chunk_pairs_budget(10**9, minimum=16) == 16
-
-    def test_small_source_count_gives_big_chunks(self):
-        assert chunk_pairs_budget(10) > 1000
-
-    def test_zero_sources(self):
-        assert chunk_pairs_budget(0) == 16
-
-    @given(n=st.integers(1, 10**7))
-    def test_budget_bound(self, n):
-        chunk = chunk_pairs_budget(n, bytes_per_pair=96,
-                                   budget_bytes=64 * 2**20, minimum=16)
-        # either clamped to minimum or within the memory budget
-        assert chunk == 16 or chunk * n * 96 <= 64 * 2**20 + 96 * n
