@@ -23,6 +23,7 @@ to the repository root.
 from __future__ import annotations
 
 import sys
+import time
 from collections import defaultdict
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -38,11 +39,22 @@ P_TIME = 3
 ITERATIONS = 2
 
 
+#: wall time each RHS evaluation spins for
+RHS_SPIN_S = 5e-4
+
+
 class _CostedScalar(ODEProblem):
-    """Scalar ODE whose evaluations carry a deterministic virtual cost
-    via a large-but-fast busy loop — keeps the schedule legible."""
+    """Scalar ODE whose evaluations each spin for :data:`RHS_SPIN_S`.
+
+    Virtual time bills measured compute, so a bare scalar RHS would
+    leave the schedule at microsecond-scale wall-time noise; a fixed
+    spin that dwarfs the noise keeps the schedule legible.
+    """
 
     def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
+        end = time.perf_counter() + RHS_SPIN_S
+        while time.perf_counter() < end:
+            pass
         return -u * u + np.sin(3.0 * t)
 
 

@@ -1,10 +1,14 @@
 """Opt-in numerical sanitizers, gated behind ``REPRO_SANITIZE=1``.
 
 :func:`boundary` decorates the hand-off points of the solver pipeline —
-RHS evaluation (``vortex/rhs.py``), SDC sweeps (``sdc/sweeper.py``),
-PFASST level transfer (``pfasst/transfer.py``) and the tree evaluators
-(``tree/evaluator.py``) — with NaN/Inf guards and shape contracts built
-on :func:`repro.utils.validation.check_array`.
+RHS evaluation (``vortex/rhs.py``), the synchronous SDC sweep
+(``sdc/sweeper.py``: ``ExplicitSDCSweeper.sweep``, which ``SDCStepper``
+and the end-to-end probe call), PFASST level transfer
+(``pfasst/transfer.py``) and the tree evaluators (``tree/evaluator.py``)
+— with NaN/Inf guards and shape contracts built on
+:func:`repro.utils.validation.check_array`.  PFASST's ``Level.sweep``
+drives the generator ``sweep_gen``, which carries no boundary of its
+own: there the RHS and transfer boundaries it calls are the guards.
 
 The decision is taken **at decoration time**: when ``REPRO_SANITIZE`` is
 unset (the default), ``boundary(...)`` returns the function object

@@ -103,7 +103,8 @@ class PfasstConfig:
     t_end: float
     n_steps: int
     iterations: int
-    #: optional residual-based early stopping (adds one allreduce/iteration)
+    #: optional residual-based early stopping, positive when given (adds
+    #: one allreduce per iteration)
     residual_tol: Optional[float] = None
     #: record begin/end annotations for every sweep on the scheduler's
     #: trace — enables schedule diagrams like the paper's Fig. 6
@@ -134,6 +135,8 @@ class PfasstConfig:
         check_in("recovery", self.recovery, RECOVERY_POLICIES)
         check_positive("recovery_timeout", self.recovery_timeout)
         check_nonnegative("recovery_retries", self.recovery_retries)
+        if self.residual_tol is not None:
+            check_positive("residual_tol", self.residual_tol)
 
     @property
     def dt(self) -> float:
@@ -274,12 +277,7 @@ class Step:
             tr = self.transfers[lev]
             fine, coarse = self.levels[lev], self.levels[lev + 1]
             fine.U = tr.interpolate_nodes(coarse.U)
-            if fine.rule.node_set.includes_left:
-                fine.u0 = fine.U[0].copy()
-            else:
-                # node 0 is interior: the initial value is not a node
-                # value, take the coarse level's directly
-                fine.u0 = coarse.u0
+            fine.u0 = fine.U[0].copy()
             # interpolated F[0] is approximate: the next sweep takes f0
             # instead, evaluating it if the new u0 cleared it
             fine.F = tr.interpolate_nodes(coarse.F)
@@ -376,8 +374,7 @@ class Step:
                 level.u0 = recv_u0 + (coarse.u0 - recv_u0)
             else:
                 level.u0 = self.u0_block
-            if level.rule.node_set.includes_left:
-                level.U[0] = level.u0
+            level.U[0] = level.u0
             if lev > 0:
                 # intermediate levels sweep once more on the way up
                 yield from level.sweep(t_slice, ctx)

@@ -52,10 +52,8 @@ def fas_correction(
 
     Returns
     -------
-    (Mc+1, *state) array in node-to-node form.  Entry 0 corrects the
-    ``[0, tau_0]`` sub-interval: it is zero for left-including families
-    (``tau_0 = 0``) and genuinely nonzero for ``radau-right`` /
-    ``legendre`` levels, where the node-0 sweep update consumes it.
+    (Mc+1, *state) array in node-to-node form.  Entry 0 is zero: node 0
+    is the step start, so there is no sub-interval before it to correct.
     """
     fine_cum = dt * transfer.fine_rule.integrate_from_start(F_fine)
     if tau_fine is not None:

@@ -7,6 +7,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.sdc.nodes import available_node_types
 from repro.sdc.quadrature import QuadratureRule, make_rule
 from repro.sdc.sweeper import (
     SWEEPERS,
@@ -36,8 +37,9 @@ class LevelSpec:
         SDC sweeps performed at this level per PFASST iteration
         (``n_ell``; paper: 1 fine, Y coarse).
     node_type :
-        Collocation family; coarse nodes should be (near-)nested in the
-        fine ones.
+        Collocation family (one of
+        :func:`~repro.sdc.nodes.available_node_types`); coarse nodes
+        should be (near-)nested in the fine ones.
     sweeper :
         ``"gauss-seidel"`` (the sequential node-to-node substitution,
         default) or ``"diagonal"`` (the PFASST-ER Jacobi-style
@@ -58,14 +60,15 @@ class LevelSpec:
         if self.sweeps < 1:
             raise ValueError(f"need >= 1 sweep per level, got {self.sweeps}")
         check_in("sweeper", self.sweeper, SWEEPERS)
+        check_in("node_type", self.node_type, available_node_types())
 
 
 class Level:
     """Mutable per-rank storage of one level's node data.
 
-    ``dt`` is the slice length every sweep, residual and (for families
-    without the right endpoint) end value of this level is taken over;
-    a level built without one can hold state but not advance it.
+    ``dt`` is the slice length every sweep and residual of this level is
+    taken over; a level built without one can hold state but not
+    advance it.
 
     The level owns the pair ``(u0, f0)``: :attr:`f0` is the RHS of
     :attr:`u0` at node 0's time, evaluated once and handed to every
@@ -125,11 +128,10 @@ class Level:
 
     @property
     def end_value(self) -> np.ndarray:
-        """Solution at the right edge of the slice."""
-        if self.U is None or self.F is None or self.u0 is None or (
-                self.dt is None and not self.rule.node_set.includes_right):
+        """Solution at the right edge of the slice: the last node's value."""
+        if self.U is None or self.F is None or self.u0 is None:
             raise RuntimeError("level has not been initialised")
-        return self.sweeper.end_value(self.dt, self.U, self.F, self.u0)
+        return self.U[-1]
 
     def residual(self) -> float:
         """Max-norm collocation residual of the current node values."""

@@ -37,23 +37,6 @@ class TimeSpaceTransfer:
     def __init__(
         self, fine_rule: QuadratureRule, coarse_rule: QuadratureRule
     ) -> None:
-        fine_set = fine_rule.node_set
-        coarse_set = coarse_rule.node_set
-        if fine_set.includes_left != coarse_set.includes_left:
-            # the controller's FAS/initial-value handling treats node 0
-            # uniformly per hierarchy: a left-including family paired
-            # with a non-left one would silently mix "node 0 is u0"
-            # with "node 0 is an unknown" across the level interface
-            raise ValueError(
-                "unsupported level pairing: fine node family "
-                f"{fine_set.node_type!r} "
-                f"{'includes' if fine_set.includes_left else 'excludes'} "
-                "the left endpoint but coarse family "
-                f"{coarse_set.node_type!r} "
-                f"{'includes' if coarse_set.includes_left else 'excludes'} "
-                "it; use families that agree on the left endpoint on "
-                "every level"
-            )
         self.fine_rule = fine_rule
         self.coarse_rule = coarse_rule
         self.R_time = lagrange_interpolation_matrix(

@@ -33,8 +33,8 @@ iteration on the node equation, starting from the plain Picard value
 A round evaluates only the nodes that moved: a node the diagonal
 correction left bitwise where the previous round evaluated it (every
 node with ``d_m = 0``, and converged ones) reuses that evaluation, and
-on left-including families node 0 is ``u0`` itself and takes the
-caller's ``f0`` instead of a call.
+node 0, the step start, is ``u0`` itself and takes the caller's ``f0``
+instead of a call.
 
 Cost trade-off vs Gauss-Seidel: one diagonal sweep makes
 ``inner_iterations + 1`` evaluation *rounds*, each round node-parallel
@@ -117,23 +117,15 @@ class DiagonalSDCSweeper(ExplicitSDCSweeper):
         m1 = self.num_nodes
         times = self.node_times(t0, dt)
         if u0 is None:
-            if self.rule.node_set.includes_left:
-                u0 = U[0]
-            else:
-                raise ValueError(
-                    f"{self.rule.node_set.node_type!r} nodes do not "
-                    "include the left endpoint, so node 0 is a genuine "
-                    "collocation unknown: every sweep needs the step "
-                    "initial value u0"
-                )
+            u0 = U[0]
         base = u0 + dt * self.rule.integrate_from_start(F)
         if tau is not None:
             base = base + np.cumsum(tau, axis=0)
         # Picard predictor == first fixed-point iterate started from
         # the previous sweep's values (d_m F^k_m cancels exactly)
         U_new = base.copy()
-        # node 0 of a left-including family is u0 (row 0 of Q and
-        # tau_0 vanish there), whose RHS the caller may hold
+        # node 0 is u0 (row 0 of Q and tau_0 vanish), whose RHS the
+        # caller may hold
         known = (None if f0 is None or not np.array_equal(base[0], u0)
                  else {0: f0})
         if self.inner_iterations > 0 and self.d.any():

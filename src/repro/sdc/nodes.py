@@ -2,14 +2,16 @@
 
 Nodes are returned on the unit interval ``[0, 1]``; a time step
 ``[t_n, t_n + dt]`` uses ``t_n + dt * tau``.  The paper uses Gauss-Lobatto
-nodes (3 fine / 2 coarse); Radau and Legendre families are provided for the
-node-choice ablation (Layton & Minion 2005 discuss the trade-offs).
+nodes (3 fine / 2 coarse); equidistant nodes serve the node-choice
+ablation.  Every family contains both endpoints: node 0 is the step start
+and node M its end, which :class:`NodeSet` checks and the sweepers, the
+stepper and the PFASST levels rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -24,43 +26,20 @@ def _legendre_poly(n: int) -> np.polynomial.Legendre:
 
 def _lobatto_nodes(n: int) -> np.ndarray:
     """n Gauss-Lobatto points on [-1, 1] (includes both endpoints)."""
-    if n < 2:
-        raise ValueError(f"Gauss-Lobatto needs >= 2 nodes, got {n}")
     if n == 2:
         return np.array([-1.0, 1.0])
     interior = _legendre_poly(n - 1).deriv().roots()
     return np.concatenate(([-1.0], np.sort(np.real(interior)), [1.0]))
 
 
-def _radau_right_nodes(n: int) -> np.ndarray:
-    """n right-Radau points on [-1, 1] (includes +1, excludes -1)."""
-    if n < 1:
-        raise ValueError(f"Radau needs >= 1 node, got {n}")
-    # roots of P_{n-1} - P_n; x = +1 is always one of them
-    p = _legendre_poly(n - 1) - _legendre_poly(n)
-    roots = np.sort(np.real(p.roots()))
-    roots[-1] = 1.0  # pin the analytically known endpoint
-    return roots
-
-
-def _legendre_nodes(n: int) -> np.ndarray:
-    """n Gauss-Legendre points on [-1, 1] (excludes both endpoints)."""
-    if n < 1:
-        raise ValueError(f"Gauss-Legendre needs >= 1 node, got {n}")
-    return np.polynomial.legendre.leggauss(n)[0]
-
-
 def _equidistant_nodes(n: int) -> np.ndarray:
-    if n < 2:
-        raise ValueError(f"equidistant needs >= 2 nodes, got {n}")
     return np.linspace(-1.0, 1.0, n)
 
 
+#: family name -> (n points on [-1, 1], order of its n-point quadrature)
 _FAMILIES = {
-    "lobatto": (_lobatto_nodes, True, True),
-    "radau-right": (_radau_right_nodes, False, True),
-    "legendre": (_legendre_nodes, False, False),
-    "equidistant": (_equidistant_nodes, True, True),
+    "equidistant": (_equidistant_nodes, lambda n: n),
+    "lobatto": (_lobatto_nodes, lambda n: 2 * n - 2),
 }
 
 
@@ -70,20 +49,17 @@ def available_node_types() -> Tuple[str, ...]:
 
 @dataclass(frozen=True)
 class NodeSet:
-    """Collocation nodes on [0, 1] plus endpoint metadata.
+    """Collocation nodes on [0, 1]: ``nodes[0] == 0.0``, ``nodes[-1] == 1.0``.
 
     Attributes
     ----------
-    nodes : (M+1,) increasing array in [0, 1]
+    nodes : (M+1,) strictly increasing array from 0.0 to 1.0
     node_type : family name
-    includes_left / includes_right : whether 0.0 / 1.0 are nodes
     order : formal order of the underlying quadrature rule
     """
 
     nodes: np.ndarray
     node_type: str
-    includes_left: bool
-    includes_right: bool
     order: int
 
     @property
@@ -92,12 +68,15 @@ class NodeSet:
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=np.float64)
-        if nodes.ndim != 1 or nodes.size < 1:
-            raise ValueError("nodes must be a non-empty 1-D array")
+        if nodes.ndim != 1 or nodes.size < 2:
+            raise ValueError("nodes must be a 1-D array of >= 2 points")
+        if nodes[0] != 0.0 or nodes[-1] != 1.0:
+            raise ValueError(
+                "node 0 must be the step start 0.0 and the last node its "
+                f"end 1.0, got {nodes[0]!r} and {nodes[-1]!r}"
+            )
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
-        if nodes[0] < -1e-14 or nodes[-1] > 1 + 1e-14:
-            raise ValueError("nodes must lie in [0, 1]")
         object.__setattr__(self, "nodes", nodes)
 
 
@@ -108,28 +87,12 @@ def collocation_nodes(num_nodes: int, node_type: str = "lobatto") -> NodeSet:
     array([0. , 0.5, 1. ])
     """
     try:
-        fn, has_left, has_right = _FAMILIES[node_type]
+        fn, order = _FAMILIES[node_type]
     except KeyError:
         raise ValueError(
             f"unknown node type {node_type!r}; available: {available_node_types()}"
         ) from None
-    raw = fn(num_nodes)
-    nodes = 0.5 * (raw + 1.0)
-    if has_left:
-        nodes[0] = 0.0
-    if has_right:
-        nodes[-1] = 1.0
-    # quadrature order of exactness: Lobatto 2M-3(+1?), Radau 2M-1, GL 2M
-    order = {
-        "lobatto": 2 * num_nodes - 2,
-        "radau-right": 2 * num_nodes - 1,
-        "legendre": 2 * num_nodes,
-        "equidistant": num_nodes,
-    }[node_type]
-    return NodeSet(
-        nodes=nodes,
-        node_type=node_type,
-        includes_left=has_left,
-        includes_right=has_right,
-        order=order,
-    )
+    if num_nodes < 2:
+        raise ValueError(f"{node_type} needs >= 2 nodes, got {num_nodes}")
+    nodes = 0.5 * (fn(num_nodes) + 1.0)
+    return NodeSet(nodes=nodes, node_type=node_type, order=order(num_nodes))

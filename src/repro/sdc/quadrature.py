@@ -6,13 +6,12 @@ builds the matrices (all square ``(M+1) x (M+1)`` acting on node values of
 
 * ``Q``    — row ``m`` integrates the interpolating polynomial from
   0 (the step start ``t_n``) to ``tau_m``; the paper's rectangular ``Q``
-  is rows 1..M.  Row 0 is zero whenever the family includes the left
-  endpoint (``tau_0 = 0``).
+  is rows 1..M.  Row 0 is zero: node 0 is the step start (``tau_0 = 0``,
+  see :class:`~repro.sdc.nodes.NodeSet`), so ``Q[M]`` integrates the
+  full step.
 * ``S``    — row ``m >= 1`` integrates from ``tau_{m-1}`` to ``tau_m``
-  (node-to-node, used by the sweep Eq. 13); row 0 integrates from 0 to
-  ``tau_0``, so ``cumsum(S) == Q`` always.
-* ``q_end`` — weights integrating from 0 to 1 (the full step), needed
-  when the right endpoint is not a node.
+  (node-to-node, used by the sweep Eq. 13); row 0 integrates over the
+  empty interval ``[0, tau_0]`` and is zero, so ``cumsum(S) == Q``.
 
 All weights are exact for polynomials through degree ``M``: Lagrange basis
 polynomials are integrated with a Gauss-Legendre rule of sufficient order,
@@ -101,7 +100,6 @@ class QuadratureRule:
     node_set: NodeSet
     Q: np.ndarray
     S: np.ndarray
-    q_end: np.ndarray
 
     @property
     def nodes(self) -> np.ndarray:
@@ -126,10 +124,6 @@ class QuadratureRule:
     def integrate_from_start(self, f_nodes: np.ndarray) -> np.ndarray:
         """Apply Q: ``out[m] = int_0^{tau_m}``."""
         return np.tensordot(self.Q, f_nodes, axes=(1, 0))
-
-    def integrate_full(self, f_nodes: np.ndarray) -> np.ndarray:
-        """Integral from 0 to 1 (the full-step update weight)."""
-        return np.tensordot(self.q_end, f_nodes, axes=(0, 0))
 
 
 #: named diagonal-preconditioner coefficient choices for PFASST-ER
@@ -194,5 +188,4 @@ def make_rule(num_nodes: int, node_type: str = "lobatto") -> QuadratureRule:
     Q = lagrange_integration_weights(tau, [(0.0, tau[k]) for k in range(m)])
     s_intervals = [(0.0, tau[0])] + [(tau[k - 1], tau[k]) for k in range(1, m)]
     S = lagrange_integration_weights(tau, s_intervals)
-    q_end = lagrange_integration_weights(tau, [(0.0, 1.0)])[0]
-    return QuadratureRule(node_set=node_set, Q=Q, S=S, q_end=q_end)
+    return QuadratureRule(node_set=node_set, Q=Q, S=S)

@@ -49,7 +49,7 @@ class SDCStepper:
         Collocation family (default ``"lobatto"``).
     residual_tol :
         Optional early exit: stop sweeping once the collocation residual
-        falls below this tolerance.
+        falls below this tolerance (positive when given).
     sweeper :
         ``"gauss-seidel"`` (the node-to-node substitution chain, default)
         or ``"diagonal"`` (the PFASST-ER Jacobi-style
@@ -68,6 +68,8 @@ class SDCStepper:
     ) -> None:
         if sweeps < 1:
             raise ValueError(f"need at least 1 sweep, got {sweeps}")
+        if residual_tol is not None:
+            check_positive("residual_tol", residual_tol)
         self.problem = problem
         self.rule: QuadratureRule = make_rule(num_nodes, node_type)
         self.sweeper = make_sweeper(problem, self.rule, sweeper)
@@ -81,8 +83,8 @@ class SDCStepper:
 
     def _advance(self, t0, dt, u0, f0):
         """One step from ``u0`` and its RHS ``f0`` (``None``: evaluate it);
-        returns the end value and, on node sets with both endpoints, its
-        RHS at ``t0 + dt`` (the next step's ``f0``)."""
+        returns the end value and its RHS at ``t0 + dt`` (the next
+        step's ``f0``)."""
         U, F = self.sweeper.initialize(t0, dt, u0, f0=f0)
         f0 = F[0]
         residual = float("inf")
@@ -97,9 +99,7 @@ class SDCStepper:
             residual = self.sweeper.residual(dt, U, F, u0)
         self.stats.steps += 1
         self.stats.residuals.append(residual)
-        nodes = self.rule.node_set
-        f_end = F[-1] if nodes.includes_left and nodes.includes_right else None
-        return self.sweeper.end_value(dt, U, F, u0), f_end
+        return U[-1], F[-1]
 
     def run(
         self,
@@ -111,9 +111,9 @@ class SDCStepper:
     ) -> np.ndarray:
         """Integrate over ``[t0, t_end]`` with uniform steps of size ``dt``.
 
-        On node sets with both endpoints a step's last evaluation is the
-        next step's ``f0`` (whenever the two times agree bit for
-        bit), so each step after the first makes one call fewer.
+        A step's last evaluation is the next step's ``f0`` (whenever the
+        two times agree bit for bit), so each step after the first makes
+        one call fewer.
         """
         check_positive("dt", dt)
         span = t_end - t0

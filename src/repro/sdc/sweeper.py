@@ -4,8 +4,8 @@ State layout: node-value arrays ``U`` and ``F`` have shape
 ``(M+1, *state_shape)`` where ``M+1`` is the number of collocation nodes.
 FAS corrections ``tau`` use the *node-to-node* convention matching the
 ``S`` matrix: ``tau[m]`` corrects the integral over ``[tau_{m-1}, tau_m]``
-and ``tau[0]`` corrects ``[0, tau_0]`` (zero whenever the family includes
-the left endpoint); cumulative form is ``tau.cumsum(axis=0)``.
+and ``tau[0]`` is zero (node 0 is the step start); cumulative form is
+``tau.cumsum(axis=0)``.
 
 One sweep applies the first-order (forward-Euler type) corrector
 
@@ -14,14 +14,9 @@ One sweep applies the first-order (forward-Euler type) corrector
                     + dt (S F^k)_{m+1} + tau_{m+1}
 
 and each sweep raises the formal order by one, up to the order of the
-underlying quadrature.
-
-Node families whose first node sits *inside* the step (``radau-right``,
-``legendre``: ``tau_0 > 0``) are supported too: node 0 is then a genuine
-collocation unknown, updated from the step initial value ``u0`` with row
-0 of ``S`` (which integrates the interpolant over ``[0, tau_0]``), and
-the residual monitor includes it.  Such sweeps need ``u0`` on *every*
-call — there is no left-endpoint node to carry it implicitly.
+underlying quadrature.  Node 0 is the step start and node M its end
+(:class:`~repro.sdc.nodes.NodeSet`): node 0 holds the initial value
+``u0`` and ``U[-1]`` is the solution at the end of the step.
 """
 
 from __future__ import annotations
@@ -245,27 +240,11 @@ class ExplicitSDCSweeper:
         U_new = np.empty_like(U)
         F_new = np.empty_like(F)
         if u0 is None:
-            if not self.rule.node_set.includes_left:
-                raise ValueError(
-                    f"{self.rule.node_set.node_type!r} nodes do not "
-                    "include the left endpoint, so node 0 is a genuine "
-                    "collocation unknown: every sweep needs the step "
-                    "initial value u0"
-                )
             u0, f0 = U[0], F[0]
-        if self.rule.node_set.includes_left:
-            U_new[0] = u0
-            if f0 is None:
-                f0 = yield from ctx.rhs(self.problem, times[0], u0)
-            F_new[0] = f0
-        else:
-            # node 0 sits at tau_0 > 0: its SDC update starts from u0
-            # with row 0 of S, which integrates the interpolant (plus
-            # any FAS correction) over [0, tau_0]
-            U_new[0] = u0 + integral[0]
-            F_new[0] = yield from ctx.rhs(
-                self.problem, times[0], U_new[0]
-            )
+        U_new[0] = u0
+        if f0 is None:
+            f0 = yield from ctx.rhs(self.problem, times[0], u0)
+        F_new[0] = f0
         for m in range(m1 - 1):
             U_new[m + 1] = (
                 U_new[m]
@@ -291,13 +270,10 @@ class ExplicitSDCSweeper:
         """One correction sweep; returns new ``(U, F)`` (inputs untouched).
 
         ``u0`` overrides the step initial value (PFASST passes the
-        freshly received left-boundary value here).  For left-including
-        families it lands directly on node 0, whose evaluation is ``f0``
-        when given (the RHS of ``u0``) and one call otherwise; when
-        ``u0`` is omitted, ``U[0]`` is kept and its evaluation ``F[0]``
-        is reused.  For families whose node 0 sits inside the step,
-        ``u0`` is mandatory and node 0 gets a genuine SDC update from
-        it.
+        freshly received left-boundary value here).  It lands directly
+        on node 0, whose evaluation is ``f0`` when given (the RHS of
+        ``u0``) and one call otherwise; when ``u0`` is omitted, ``U[0]``
+        is kept and its evaluation ``F[0]`` is reused.
         """
         return _drain(self.sweep_gen(t0, dt, U, F, u0=u0, tau=tau, f0=f0))
 
@@ -319,25 +295,10 @@ class ExplicitSDCSweeper:
         if tau is not None:
             rhs = rhs + np.cumsum(tau, axis=0)
         res = 0.0
-        # node 0 is exact by construction only when it *is* the left
-        # endpoint (tau_0 = 0); for radau-right/legendre it is a
-        # genuine collocation node whose residual must be monitored
-        start = 1 if self.rule.node_set.includes_left else 0
-        for m in range(start, self.num_nodes):
+        # node 0 is the step start, exact by construction
+        for m in range(1, self.num_nodes):
             res = max(res, self.problem.norm(u0 + rhs[m] - U[m]))
         return res
-
-    def end_value(
-        self, dt: float, U: np.ndarray, F: np.ndarray, u0: np.ndarray
-    ) -> np.ndarray:
-        """Solution at the right end of the step.
-
-        For node sets containing the right endpoint this is ``U[-1]``;
-        otherwise the full-interval quadrature closes the step.
-        """
-        if self.rule.node_set.includes_right:
-            return U[-1]
-        return u0 + dt * self.rule.integrate_full(F)
 
 
 def make_sweeper(

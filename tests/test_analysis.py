@@ -5,6 +5,7 @@ import pytest
 
 from repro.integrators import rk2_midpoint, rk3_ssp, rk4_classic, forward_euler
 from repro.pfasst.analysis import rk_stability, sdc_stability
+from repro.sdc import available_node_types
 
 
 class TestRKStability:
@@ -65,8 +66,10 @@ class TestSDCStability:
         # and the collocation value itself is 4th-order close to exp(z)
         assert abs(u[-1] - np.exp(z)) < 1e-4
 
-    def test_matches_time_stepper(self, scalar_problem):
-        """The matrix form agrees with the actual sweeper on u' = z u."""
+    @pytest.mark.parametrize("node_type", available_node_types())
+    def test_matches_time_stepper(self, node_type):
+        """The matrix form agrees with the actual sweeper on u' = z u,
+        for every node family (at 4 nodes, where the families differ)."""
         from repro.sdc import SDCStepper
         from repro.vortex.problem import ODEProblem
 
@@ -76,9 +79,10 @@ class TestSDCStability:
             def rhs(self, t, u):
                 return z * u
 
-        stepper = SDCStepper(Dahl(), num_nodes=3, sweeps=3)
+        stepper = SDCStepper(Dahl(), num_nodes=4, sweeps=3,
+                             node_type=node_type)
         u = stepper.run(np.array([1.0]), 0.0, 1.0, 1.0)
-        r = sdc_stability(3, 3, z)
+        r = sdc_stability(4, 3, z, node_type=node_type)
         assert u[0] == pytest.approx(np.real(r), abs=1e-12)
 
     def test_explicit_sdc_stability_limited(self):

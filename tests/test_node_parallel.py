@@ -107,12 +107,10 @@ def _vortex_specs(volumes, sweeper="gauss-seidel"):
     ]
 
 
-def _linear_specs(problem, sweeper="gauss-seidel", node_type="lobatto"):
+def _linear_specs(problem, sweeper="gauss-seidel"):
     return [
-        LevelSpec(problem, num_nodes=3, sweeps=1, sweeper=sweeper,
-                  node_type=node_type),
-        LevelSpec(problem, num_nodes=2, sweeps=2, sweeper=sweeper,
-                  node_type=node_type),
+        LevelSpec(problem, num_nodes=3, sweeps=1, sweeper=sweeper),
+        LevelSpec(problem, num_nodes=2, sweeps=2, sweeper=sweeper),
     ]
 
 
@@ -159,18 +157,6 @@ class TestNodeParallelRuns:
             p_time=2, p_nodes=2,
         )
         np.testing.assert_allclose(dg.u_end, gs.u_end, atol=1e-10)
-
-    def test_radau_grid_run_converges(self, linear_problem):
-        """Non-left node family on the 3D grid (exercises the u0
-        threading that the node-family fixes made correct)."""
-        u0 = np.array([1.0, 0.0])
-        cfg = PfasstConfig(t0=0.0, t_end=0.4, n_steps=2, iterations=8)
-        specs = _linear_specs(linear_problem, sweeper="diagonal",
-                              node_type="radau-right")
-        res = run_pfasst(cfg, specs, u0, p_time=2, p_nodes=2)
-        assert max(r[-1] for r in res.residuals) < 1e-5
-        exact = linear_problem.exact(0.4, u0)
-        assert np.allclose(res.u_end, exact, atol=1e-4)
 
     def test_node_rhs_counters_per_rank(self, linear_problem):
         u0 = np.array([1.0, 0.0])

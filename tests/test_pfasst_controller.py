@@ -16,7 +16,13 @@ from repro.pfasst import (
     run_pfasst,
     snapshot_levels,
 )
-from repro.sdc import RhsContext, SDCStepper, make_rule, make_sweeper
+from repro.sdc import (
+    RhsContext,
+    SDCStepper,
+    available_node_types,
+    make_rule,
+    make_sweeper,
+)
 from repro.vortex import DirectEvaluator, VortexProblem, get_kernel, pack_state
 
 
@@ -31,9 +37,10 @@ def _specs(problem, fine_nodes=3, coarse_nodes=2, coarse_sweeps=2,
 
 
 def _collocation_reference(problem, u0, t_end, n_steps,
-                           node_type="lobatto"):
+                           node_type="lobatto", num_nodes=3):
     """Fine collocation solution via heavily-swept serial SDC."""
-    s = SDCStepper(problem, num_nodes=3, sweeps=14, node_type=node_type)
+    s = SDCStepper(problem, num_nodes=num_nodes, sweeps=14,
+                   node_type=node_type)
     return s.run(u0, 0.0, t_end, t_end / n_steps)
 
 
@@ -63,17 +70,33 @@ class TestValidation:
         with pytest.raises(ValueError, match="sweep"):
             LevelSpec(scalar_problem, num_nodes=3, sweeps=0)
 
+    def test_level_spec_rejects_unknown_node_type(self, scalar_problem):
+        """At construction, not from inside a rank program of the run."""
+        with pytest.raises(
+            ValueError, match="node_type.*equidistant.*lobatto.*radau-right"
+        ):
+            LevelSpec(scalar_problem, 3, node_type="radau-right")
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_residual_tol_must_be_positive(self, tol):
+        """A tolerance no residual can meet would silently disable the
+        early exit while every iteration still pays its allreduce."""
+        with pytest.raises(ValueError, match="residual_tol"):
+            PfasstConfig(t0=0.0, t_end=1.0, n_steps=2, iterations=1,
+                         residual_tol=tol)
+
 
 class TestConvergence:
-    @pytest.mark.parametrize("node_type", ["lobatto", "radau-right"])
+    @pytest.mark.parametrize("node_type", available_node_types())
     def test_converges_to_fine_collocation_solution(self, scalar_problem,
                                                     node_type):
+        """Four fine nodes, where the families differ."""
         u0 = np.array([1.0])
         ref = _collocation_reference(scalar_problem, u0, 2.0, 8,
-                                     node_type=node_type)
+                                     node_type=node_type, num_nodes=4)
         cfg = PfasstConfig(t0=0.0, t_end=2.0, n_steps=8, iterations=10)
-        res = run_pfasst(cfg, _specs(scalar_problem, node_type=node_type),
-                         u0, p_time=8)
+        specs = _specs(scalar_problem, fine_nodes=4, node_type=node_type)
+        res = run_pfasst(cfg, specs, u0, p_time=8)
         assert np.allclose(res.u_end, ref, atol=1e-10)
 
     def test_error_decreases_with_iterations(self, scalar_problem):
@@ -234,42 +257,28 @@ class TestRunShape:
 class TestLevelSeams:
     """``Level`` owns dt, the sweep's ``u0`` rule and its state fields."""
 
-    def test_end_value_without_dt_raises(self, scalar_problem):
-        level = Level(LevelSpec(scalar_problem, 3, 1, node_type="legendre"))
-        level.U = np.ones((3, 1))
-        level.F = np.ones((3, 1))
-        level.u0 = np.array([1.0])
-        with pytest.raises(RuntimeError, match="not been initialised"):
-            level.end_value
-        with_dt = Level(level.spec, dt=0.5)
-        with_dt.U, with_dt.F, with_dt.u0 = level.U, level.F, level.u0
-        assert not np.array_equal(with_dt.end_value, level.u0)
-
     def test_end_value_right_endpoint_needs_no_dt(self, scalar_problem):
         level = Level(LevelSpec(scalar_problem, 3, 1))
+        with pytest.raises(RuntimeError, match="not been initialised"):
+            level.end_value
         level.U = np.arange(3.0).reshape(3, 1)
         level.F = np.ones((3, 1))
         level.u0 = np.array([0.0])
         assert np.array_equal(level.end_value, level.U[-1])
 
-    @pytest.mark.parametrize("sweeper,node_type,adopts_f0", [
-        ("gauss-seidel", "lobatto", True),
-        ("gauss-seidel", "radau-right", False),
-        ("diagonal", "lobatto", True),
-    ])
+    @pytest.mark.parametrize("sweeper", ["gauss-seidel", "diagonal"])
     @pytest.mark.parametrize("state", ["dirty", "clean", "explicit"])
-    def test_sweep_u0_rule(self, scalar_problem, sweeper, node_type,
-                           adopts_f0, state):
+    def test_sweep_u0_rule(self, scalar_problem, sweeper, state):
         """What reaches ``sweeper.sweep_gen`` from ``Level.sweep``, what
         node 0 costs, and whether the level holds ``f0`` afterwards.
 
         ``dirty`` holds no ``f0``, ``clean`` holds it and ``explicit``
         hands the sweep a new ``u0``, which clears it.  The sweeper is
-        always given the level's ``u0`` and ``f0``; a sweep whose node 0
-        ends at ``u0`` (``adopts_f0``) leaves its evaluation as ``f0``.
+        always given the level's ``u0`` and ``f0``; node 0 ends at
+        ``u0``, so the sweep leaves its evaluation as ``f0``.
         """
-        level = Level(LevelSpec(scalar_problem, 3, 1, node_type=node_type,
-                                sweeper=sweeper), dt=0.1)
+        level = Level(LevelSpec(scalar_problem, 3, 1, sweeper=sweeper),
+                      dt=0.1)
         seen = {}
         real_sweep_gen = level.sweeper.sweep_gen
 
@@ -292,16 +301,14 @@ class TestLevelSeams:
         # three nodes per round; the diagonal sweeper's second round
         # reuses node 0 (d_0 = 0), and a held f0 spares node 0's call
         rounds = 2 if sweeper == "diagonal" else 1
-        saved = int(state == "clean" and adopts_f0) + (rounds - 1)
+        saved = int(state == "clean") + (rounds - 1)
         assert scalar_problem.evals == 3 * rounds - saved
         if state == "clean":
             assert level.f0 is held
-        elif adopts_f0:
+        else:
             t_node0 = level.sweeper.node_times(0.3, 0.1)[0]
             assert np.array_equal(
                 level.f0, scalar_problem.rhs(t_node0, level.u0))
-        else:
-            assert level.f0 is None
 
     def test_u0_assignment_keeps_f0_iff_bitwise_equal(self, scalar_problem):
         level = Level(LevelSpec(scalar_problem, 3, 1), dt=0.1)

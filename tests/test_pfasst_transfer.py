@@ -37,6 +37,14 @@ class TestTimeMatrices:
         vals = tau_f**4 - 2 * tau_f**2
         assert np.allclose(tr.R_time @ vals, tau_c**4 - 2 * tau_c**2)
 
+    def test_families_pair_freely(self):
+        """Every family has node 0 at the step start and node M at its
+        end, so any pairing maps those two nodes onto each other."""
+        tr = TimeSpaceTransfer(make_rule(4, "equidistant"), make_rule(3))
+        for M in (tr.R_time, tr.P_time):
+            assert np.array_equal(M[0], np.eye(M.shape[1])[0])
+            assert np.array_equal(M[-1], np.eye(M.shape[1])[-1])
+
     def test_restrict_then_interpolate_roundtrip_for_coarse_poly(self, transfer):
         """P R is identity on functions representable at the coarse level."""
         tau_f = make_rule(3).nodes
@@ -62,28 +70,3 @@ class TestNodeArrays:
         restricted = transfer.restrict_nodes(u)
         assert np.array_equal(restricted[0], u[0])
         assert np.array_equal(restricted[1], u[2])
-
-
-class TestFamilyPairing:
-    """Level pairs must agree on whether node 0 is the left endpoint."""
-
-    def test_mixed_left_endpoint_families_rejected(self):
-        with pytest.raises(ValueError, match="unsupported level pairing"):
-            TimeSpaceTransfer(make_rule(3, "lobatto"),
-                              make_rule(2, "radau-right"))
-
-    def test_error_names_both_families(self):
-        with pytest.raises(ValueError, match="radau-right.*lobatto"):
-            TimeSpaceTransfer(make_rule(3, "radau-right"),
-                              make_rule(2, "lobatto"))
-
-    def test_matching_non_left_families_accepted(self):
-        tr = TimeSpaceTransfer(make_rule(3, "radau-right"),
-                               make_rule(2, "radau-right"))
-        assert tr.R_time.shape == (2, 3)
-
-    def test_legendre_radau_pair_accepted(self):
-        """Both exclude the left endpoint — a legal (if unusual) pairing."""
-        tr = TimeSpaceTransfer(make_rule(3, "legendre"),
-                               make_rule(2, "radau-right"))
-        assert tr.P_time.shape == (3, 2)

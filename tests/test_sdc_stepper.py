@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sdc import SDCStepper
+from repro.sdc import SDCStepper, available_node_types
 
 
 class TestValidation:
@@ -20,6 +20,13 @@ class TestValidation:
         s = SDCStepper(scalar_problem)
         with pytest.raises(ValueError, match="dt"):
             s.run(np.array([1.0]), 0.0, 1.0, -0.5)
+
+    @pytest.mark.parametrize("tol", [-5.0, float("nan")])
+    def test_residual_tol_must_be_positive(self, scalar_problem, tol):
+        """A tolerance no residual can meet would silently disable the
+        early exit."""
+        with pytest.raises(ValueError, match="residual_tol"):
+            SDCStepper(scalar_problem, residual_tol=tol)
 
 
 class TestAccuracy:
@@ -81,15 +88,12 @@ class TestStats:
 
 
 class TestCarriedRhs:
-    @pytest.mark.parametrize("node_type,reuses", [
-        ("lobatto", True), ("radau-right", False),
-    ])
-    def test_run_carries_f_end(self, scalar_problem, node_type, reuses):
-        """With both endpoints a step's last evaluation is the next step's
-        ``f(u0)`` (the problem is non-autonomous, so the times must
-        agree): one call fewer per later step, the bits of stepping one
-        step at a time.  ``radau-right``'s node 0 sits inside the step,
-        so it has nothing to carry."""
+    @pytest.mark.parametrize("node_type", available_node_types())
+    def test_run_carries_f_end(self, scalar_problem, node_type):
+        """A step's last evaluation is the next step's ``f(u0)`` (the
+        problem is non-autonomous, so the times must agree): one call
+        fewer per later step, the bits of stepping one step at a
+        time."""
         s = SDCStepper(scalar_problem, num_nodes=3, sweeps=2,
                        node_type=node_type)
         u0 = u = np.array([1.0])
@@ -97,4 +101,4 @@ class TestCarriedRhs:
             u = s.step(0.25 * k, 0.25, u)
         per_step, scalar_problem.evals = scalar_problem.evals, 0
         assert np.array_equal(s.run(u0, 0.0, 1.0, 0.25), u)
-        assert scalar_problem.evals == per_step - 3 * reuses
+        assert scalar_problem.evals == per_step - 3

@@ -8,16 +8,6 @@ from repro.sdc.sweeper import ExplicitSDCSweeper
 
 
 class TestConstruction:
-    def test_non_left_family_accepted(self, scalar_problem):
-        sw = ExplicitSDCSweeper(scalar_problem, make_rule(3, "radau-right"))
-        assert sw.num_nodes == 3
-
-    def test_non_left_sweep_requires_u0(self, scalar_problem):
-        sw = ExplicitSDCSweeper(scalar_problem, make_rule(3, "radau-right"))
-        U, F = sw.initialize(0.0, 0.1, np.array([1.0]))
-        with pytest.raises(ValueError, match="u0"):
-            sw.sweep(0.0, 0.1, U, F)
-
     def test_lobatto_does_not_need_u0(self, scalar_problem):
         """Node 0 carries u0: a sweep without it keeps U[0] and F[0]."""
         sw = ExplicitSDCSweeper(scalar_problem, make_rule(3))
@@ -78,7 +68,7 @@ class TestSweepFixedPoint:
         for _ in range(40):
             U, F = sw.sweep(0.0, dt, U, F)
         exact = linear_problem.exact(dt, u0)
-        assert np.allclose(sw.end_value(dt, U, F, u0), exact, atol=1e-9)
+        assert np.allclose(U[-1], exact, atol=1e-9)
 
     def test_residual_decreases_monotonically_initially(self, linear_problem):
         sw = ExplicitSDCSweeper(linear_problem, make_rule(3))
@@ -133,11 +123,6 @@ class TestSweepMechanics:
         # without tau in the residual the equation does NOT hold
         assert sw.residual(dt, U, F, u0) > 1e-3
 
-    def test_end_value_right_endpoint(self, scalar_problem):
-        sw = ExplicitSDCSweeper(scalar_problem, make_rule(3))
-        U, F = sw.initialize(0.0, 0.1, np.array([1.0]))
-        assert sw.end_value(0.1, U, F, U[0]) == pytest.approx(U[-1])
-
 
 class TestOrderPerSweep:
     @pytest.mark.parametrize("sweeps,expected", [(1, 1), (2, 2), (3, 3)])
@@ -153,7 +138,7 @@ class TestOrderPerSweep:
                 U, F = sw.initialize(k * dt, dt, u)
                 for _ in range(sweeps):
                     U, F = sw.sweep(k * dt, dt, U, F)
-                u = sw.end_value(dt, U, F, u)
+                u = U[-1]
             errors.append(np.max(np.abs(u - linear_problem.exact(t_end, u0))))
         rate = np.log2(errors[0] / errors[1])
         assert rate > expected - 0.5
