@@ -9,17 +9,17 @@ equivalence the particle-coarsening result depends on).  This package
 machine-checks both:
 
 * :mod:`repro.analysis.lint` — ``repro-lint``, an AST-based project
-  linter (rules RPR001-RPR005: unseeded RNG, nondeterminism sources,
+  linter (rules RPR001-RPR006: unseeded RNG, nondeterminism sources,
   per-particle Python loops in hot modules, dtype drift, ``assert``-based
-  checks in library code);
+  checks in library code, unpicklable compute tasks);
 * :mod:`repro.analysis.commcheck` — protocol verification for the
   simulated MPI: wait-for-graph deadlock diagnostics, orphaned-message
   reports, and the byte-identity machinery behind
   ``Scheduler(verify=True)`` replay (a practical race detector for the
   event-driven runtime);
-* :mod:`repro.analysis.commgraph` — ``repro-comm``, two-layer
-  communication verification: static per-rank automata extracted from
-  the rank-program generators (checks CG001-CG006 against the central
+* :mod:`repro.analysis.commgraph` — ``repro-comm``, communication
+  verification: static per-rank automata extracted from the
+  rank-program generators (tag checks CG001-CG003 against the central
   tag registry :mod:`repro.parallel.tags`) and dynamic vector-clock
   certification (happens-before DAG, message races, schedule-independent
   determinism certificates);

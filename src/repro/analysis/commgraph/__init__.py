@@ -1,4 +1,4 @@
-"""Two-layer communication verification (``repro-comm``).
+"""Communication verification (``repro-comm``), static and dynamic.
 
 **Static layer** (:mod:`~repro.analysis.commgraph.skeleton` +
 :mod:`~repro.analysis.commgraph.checks`): an AST extractor walks the
@@ -6,10 +6,11 @@ rank-program generators — the PFASST controller, the space-tree field
 program, the collectives, the ``VirtualComm.split`` protocol — and
 reconstructs a per-rank automaton of sends/recvs/collectives with
 symbolic tag expressions resolved against the central tag registry
-(:mod:`repro.parallel.tags`).  Six checks (CG001–CG006) verify tag
-registration, cross-subsystem collision freedom, tag arity, send/recv
-pairing, collective symmetry under rank-dependent guards, and wait-cycle
-freedom via a mini-simulation, before a single message is simulated.
+(:mod:`repro.parallel.tags`).  Three checks (CG001–CG003) verify tag
+registration, cross-subsystem collision freedom and tag arity — the tag
+bugs that run without error yet are wrong.  Protocol shape (pairing,
+collective symmetry, wait cycles) is checked at run time by the
+scheduler's deadlock and orphan reports.
 
 **Dynamic layer** (:mod:`~repro.analysis.commgraph.hb`): a
 ``Scheduler(certify=True)`` run stamps every message with the sender's
@@ -37,9 +38,7 @@ from repro.analysis.commgraph.skeleton import (
     TagShape,
     extract_module,
     extract_paths,
-    flatten,
     render_skeleton,
-    roots_of,
     to_dot,
 )
 
@@ -56,8 +55,6 @@ __all__ = [
     "extract_module",
     "extract_paths",
     "find_races",
-    "flatten",
     "render_skeleton",
-    "roots_of",
     "to_dot",
 ]

@@ -1,52 +1,34 @@
-"""Static verification passes over extracted communication skeletons.
+"""Static tag-discipline checks over extracted communication skeletons.
 
 Checks (codes mirror the ``repro-lint`` RPR numbering style):
 
-* **CG001 — unregistered tag head** (error): a resolved tag head that is
-  not declared in :mod:`repro.parallel.tags`.  Every channel namespace
-  must be owned.
-* **CG002 — cross-subsystem tag collision** (error): a *raw literal*
-  head that re-spells a family registered to a different, non-shared
-  subsystem.  Two subsystems independently picking the same head would
-  silently interleave their channels; registry constants cannot collide
-  (registration is duplicate-checked), so only literals are flagged.
-* **CG003 — tag arity mismatch** (error): a directly constructed tag
-  whose component count contradicts the registered family arity
+* **CG001 — unregistered tag head**: a resolved tag head that is not
+  declared in :mod:`repro.parallel.tags`.  Every channel namespace must
+  be owned.
+* **CG002 — cross-subsystem tag collision**: a *raw literal* head that
+  re-spells a family registered to a different, non-shared subsystem,
+  from a module of another subsystem or of none.  Two subsystems
+  independently picking the same head would silently interleave their
+  channels; registry constants cannot collide (registration is
+  duplicate-checked), so only literals are flagged.
+* **CG003 — tag arity mismatch**: a directly constructed tag whose
+  component count contradicts the registered family arity
   (``(PRED, block)`` against arity 3) — the shape contract that keeps
   recovery attempts, blocks and iterations addressable.
-* **CG004 — dangling endpoint** (error for recv, warning for send): a
-  head that appears on only one side of the send/recv pairing in a
-  flattened root program.  A recv-only head is a static deadlock; a
-  send-only head is orphan-prone (undelivered messages at exit).
-* **CG005 — rank-dependent collective divergence** (error): the
-  collective sequences of the two branches of a rank-dependent ``if``
-  differ — the PR 5 deadlock class (some ranks enter a collective the
-  others skip), caught before running.
-* **CG006 — potential wait cycle** (warning): a mini-simulation of the
-  flattened skeleton over a small rank count, under the scheduler's
-  eager-send semantics (a recv blocks only until the matching send *op*
-  has executed at the sender; collectives are barriers), stalls with a
-  cycle in the wait-for graph — rendered exactly like
-  :class:`repro.analysis.commcheck.WaitForGraph` renders dynamic
-  deadlocks.
 
-Guards the mini-simulation cannot evaluate are treated as taken, and
-ops with unresolvable peers are skipped — both err on the side of *not*
-reporting, so CG006 findings are high-confidence.
+All three are errors.  They cover the bugs that run without a hang or
+an undelivered message yet are wrong; protocol shape (a recv nobody
+sends, a collective one rank skips, a wait cycle) is left to the
+runtime, whose ``DeadlockError`` and ``OrphanMessageWarning`` name the
+channel on the first run that reaches it.
 """
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
-from repro.analysis.commgraph.skeleton import (
-    CommOp,
-    Skeleton,
-    flatten,
-    roots_of,
-)
+from repro.analysis.commgraph.skeleton import Skeleton
 from repro.parallel.tags import REGISTRY
 
 __all__ = ["Finding", "check_skeletons", "module_subsystem"]
@@ -55,15 +37,13 @@ __all__ = ["Finding", "check_skeletons", "module_subsystem"]
 @dataclass(frozen=True)
 class Finding:
     code: str
-    severity: str  # "error" | "warning"
     module: str
     path: str
     line: int
     message: str
 
     def render(self) -> str:
-        return (f"{self.path}:{self.line}: {self.code} [{self.severity}] "
-                f"{self.message}")
+        return f"{self.path}:{self.line}: {self.code} {self.message}"
 
 
 def module_subsystem(path: str) -> Optional[str]:
@@ -83,22 +63,15 @@ def module_subsystem(path: str) -> Optional[str]:
 _RESOLVED = ("literal", "registry", "derived")
 
 
-def check_skeletons(skeletons: Sequence[Skeleton],
-                    sim_ranks: int = 4) -> List[Finding]:
-    """Run every static pass; findings sorted by (path, line, code)."""
+def check_skeletons(skeletons: Sequence[Skeleton]) -> List[Finding]:
+    """Run every check; findings sorted by (path, line, code)."""
     findings: List[Finding] = []
     for sk in skeletons:
         findings.extend(_check_tags(sk))
-    for root in roots_of(skeletons):
-        flat = flatten(root, skeletons)
-        findings.extend(_check_pairing(root, flat))
-        findings.extend(_check_collective_symmetry(root, flat))
-        findings.extend(_check_wait_cycles(root, flat, sim_ranks))
     findings.sort(key=lambda f: (f.path, f.line, f.code))
     return findings
 
 
-# -- CG001/CG002/CG003: per-op tag discipline ------------------------------
 def _check_tags(sk: Skeleton) -> List[Finding]:
     out: List[Finding] = []
     subsystem = module_subsystem(sk.path)
@@ -111,304 +84,31 @@ def _check_tags(sk: Skeleton) -> List[Finding]:
         family = REGISTRY.family_of(shape.head)
         if family is None:
             out.append(Finding(
-                "CG001", "error", sk.module, sk.path, op.line,
+                "CG001", sk.module, sk.path, op.line,
                 f"tag head {shape.head!r} (from {shape.source}) is not "
                 "declared in repro.parallel.tags — register the family "
                 "or use an existing constant",
             ))
             continue
-        if (shape.resolved_via == "literal" and subsystem is not None
-                and not family.shared and family.subsystem != subsystem):
+        if (shape.resolved_via == "literal" and not family.shared
+                and family.subsystem != subsystem):
+            where = (f"the {subsystem!r} subsystem" if subsystem
+                     else "a module no subsystem owns")
             out.append(Finding(
-                "CG002", "error", sk.module, sk.path, op.line,
-                f"literal tag head {shape.head!r} collides with the "
-                f"{family.subsystem!r} subsystem's registered family "
-                f"(used from {subsystem!r}) — channels would silently "
-                "interleave",
+                "CG002", sk.module, sk.path, op.line,
+                f"literal tag head {shape.head!r} re-spells the "
+                f"{family.subsystem!r} subsystem's registered family from "
+                f"{where} — channels would silently interleave; use the "
+                "registry constant",
             ))
         if (family.arity is not None
                 and shape.resolved_via in ("literal", "registry")
                 and shape.arity is not None
                 and shape.arity != family.arity):
             out.append(Finding(
-                "CG003", "error", sk.module, sk.path, op.line,
+                "CG003", sk.module, sk.path, op.line,
                 f"tag {shape.source} has {shape.arity} component(s) after "
                 f"the head but family {shape.head!r} declares arity "
                 f"{family.arity}",
             ))
-    return out
-
-
-# -- CG004: send/recv pairing ----------------------------------------------
-def _check_pairing(root: Skeleton, flat: Sequence[CommOp]) -> List[Finding]:
-    sends: Dict[str, CommOp] = {}
-    recvs: Dict[str, CommOp] = {}
-    for op in flat:
-        shape = op.tag
-        if shape is None or shape.head is None:
-            continue
-        if shape.resolved_via not in _RESOLVED:
-            continue
-        if op.kind == "send":
-            sends.setdefault(shape.head, op)
-        elif op.kind == "recv":
-            recvs.setdefault(shape.head, op)
-        elif op.kind == "collective":
-            # a collective's schedule contains both endpoints on every rank
-            sends.setdefault(shape.head, op)
-            recvs.setdefault(shape.head, op)
-    out: List[Finding] = []
-    for head in sorted(set(recvs) - set(sends)):
-        op = recvs[head]
-        out.append(Finding(
-            "CG004", "error", root.module, root.path, op.line,
-            f"dangling recv: head {head!r} is received in program "
-            f"{root.name!r} but no send with this head exists in its "
-            "flattened skeleton — this receive can never be satisfied",
-        ))
-    for head in sorted(set(sends) - set(recvs)):
-        op = sends[head]
-        out.append(Finding(
-            "CG004", "warning", root.module, root.path, op.line,
-            f"orphan-prone send: head {head!r} is sent in program "
-            f"{root.name!r} but never received in its flattened skeleton",
-        ))
-    return out
-
-
-# -- CG005: collective symmetry under rank-dependent guards ----------------
-def _check_collective_symmetry(root: Skeleton,
-                               flat: Sequence[CommOp]) -> List[Finding]:
-    branches: Dict[int, Dict[str, Any]] = {}
-    for op in flat:
-        if op.kind != "collective":
-            continue
-        entry = (op.fn, op.tag.head if op.tag else None)
-        for guard in op.guards:
-            if not guard.rank_dependent or guard.test is None:
-                continue
-            slot = branches.setdefault(id(guard.test), {
-                "source": guard.source, "line": op.line,
-                "body": [], "orelse": [],
-            })
-            slot["orelse" if guard.negated else "body"].append(entry)
-    out: List[Finding] = []
-    for slot in branches.values():
-        if slot["body"] != slot["orelse"]:
-            out.append(Finding(
-                "CG005", "error", root.module, root.path, slot["line"],
-                f"collective sequence diverges across the rank-dependent "
-                f"guard `if {slot['source']}`: one branch issues "
-                f"{slot['body'] or 'nothing'}, the other "
-                f"{slot['orelse'] or 'nothing'} — ranks taking different "
-                "branches deadlock inside the collective",
-            ))
-    return out
-
-
-# -- CG006: mini-simulation wait-cycle detection ---------------------------
-_BINOPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.FloorDiv: lambda a, b: a // b if b else None,
-    ast.Mod: lambda a, b: a % b if b else None,
-}
-_CMPOPS = {
-    ast.Eq: lambda a, b: a == b,
-    ast.NotEq: lambda a, b: a != b,
-    ast.Lt: lambda a, b: a < b,
-    ast.LtE: lambda a, b: a <= b,
-    ast.Gt: lambda a, b: a > b,
-    ast.GtE: lambda a, b: a >= b,
-}
-
-
-def _eval(node: Optional[ast.AST], env: Dict[str, Any]) -> Optional[Any]:
-    """Tiny const-folding evaluator over {rank, size, ...}; None = unknown."""
-    if node is None:
-        return None
-    if isinstance(node, ast.Constant):
-        return node.value if isinstance(node.value, (int, bool)) else None
-    if isinstance(node, ast.Name):
-        return env.get(node.id)
-    if isinstance(node, ast.Attribute):
-        if node.attr in ("rank", "world_rank"):
-            return env.get("rank")
-        if node.attr == "size":
-            return env.get("size")
-        return None
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        left, right = _eval(node.left, env), _eval(node.right, env)
-        if left is None or right is None:
-            return None
-        return _BINOPS[type(node.op)](left, right)
-    if isinstance(node, ast.UnaryOp):
-        operand = _eval(node.operand, env)
-        if operand is None:
-            return None
-        if isinstance(node.op, ast.USub):
-            return -operand
-        if isinstance(node.op, ast.Not):
-            return not operand
-        return None
-    if isinstance(node, ast.Compare) and len(node.ops) == 1:
-        left = _eval(node.left, env)
-        right = _eval(node.comparators[0], env)
-        if left is None or right is None:
-            return None
-        fn = _CMPOPS.get(type(node.ops[0]))
-        return fn(left, right) if fn else None
-    if isinstance(node, ast.BoolOp):
-        values = [_eval(v, env) for v in node.values]
-        if isinstance(node.op, ast.And):
-            if any(v is False for v in values):
-                return False
-            if all(v is True for v in values):
-                return True
-            return None
-        if any(v is True for v in values):
-            return True
-        if all(v is False for v in values):
-            return False
-        return None
-    return None
-
-
-def _rank_program(flat: Sequence[CommOp], rank: int,
-                  size: int) -> List[CommOp]:
-    """Ops rank ``rank`` would execute (evaluable guards applied)."""
-    env = {"rank": rank, "size": size, "p_time": size, "root": 0,
-           "p_space": size}
-    ops: List[CommOp] = []
-    for op in flat:
-        if op.kind not in ("send", "recv", "collective", "split"):
-            continue
-        include = True
-        for guard in op.guards:
-            value = _eval(guard.test, env)
-            if value is None:
-                continue  # unknown guard: assume taken (conservative)
-            if bool(value) == guard.negated:
-                include = False
-                break
-        if include:
-            ops.append(op)
-    return ops
-
-
-def _check_wait_cycles(root: Skeleton, flat: Sequence[CommOp],
-                       size: int) -> List[Finding]:
-    progs = [_rank_program(flat, r, size) for r in range(size)]
-    pcs = [0] * size
-    #: executed send ops: (src, dst-or-None, head-or-None)
-    sent: Set[Tuple[int, Optional[int], Optional[Hashable]]] = set()
-    #: completed collective occurrence counters per rank
-    coll_done: List[Dict[Tuple[str, Optional[Hashable]], int]] = [
-        {} for _ in range(size)
-    ]
-
-    def head_of(op: CommOp) -> Optional[Hashable]:
-        return op.tag.head if op.tag is not None else None
-
-    def recv_ready(rank: int, op: CommOp) -> bool:
-        env = {"rank": rank, "size": size, "p_time": size, "root": 0,
-               "p_space": size}
-        src = _eval(ast.parse(op.peer, mode="eval").body
-                    if op.peer_ast is None else op.peer_ast, env)
-        if src is None or not isinstance(src, int):
-            return True  # unresolvable peer: skip (no false positives)
-        if not 0 <= src < size or src == rank:
-            return True  # statically invalid peer: the real comm rejects it
-        head = head_of(op)
-        return (
-            (src, rank, head) in sent or (src, None, head) in sent
-            or (src, rank, None) in sent or (src, None, None) in sent
-        )
-
-    progressed = True
-    while progressed:
-        progressed = False
-        # phase 1: drain every rank to its next blocking op
-        for rank in range(size):
-            while pcs[rank] < len(progs[rank]):
-                op = progs[rank][pcs[rank]]
-                if op.kind == "send":
-                    env = {"rank": rank, "size": size, "p_time": size,
-                           "root": 0, "p_space": size}
-                    dst = _eval(op.peer_ast, env)
-                    if isinstance(dst, int) and not (
-                            0 <= dst < size and dst != rank):
-                        pcs[rank] += 1  # statically invalid: op never runs
-                        continue
-                    sent.add((rank,
-                              dst if isinstance(dst, int) else None,
-                              head_of(op)))
-                    pcs[rank] += 1
-                    progressed = True
-                    continue
-                if op.kind == "recv":
-                    if recv_ready(rank, op):
-                        pcs[rank] += 1
-                        progressed = True
-                        continue
-                    break  # blocked on this recv
-                break  # collective/split barrier
-        # phase 2: release collective barriers where every rank arrived
-        arrivals: Dict[Tuple[str, Optional[Hashable], int], List[int]] = {}
-        for rank in range(size):
-            if pcs[rank] >= len(progs[rank]):
-                continue
-            op = progs[rank][pcs[rank]]
-            if op.kind not in ("collective", "split"):
-                continue
-            key = (op.fn, head_of(op))
-            occurrence = coll_done[rank].get(key, 0)
-            arrivals.setdefault((op.fn, head_of(op), occurrence),
-                                []).append(rank)
-        for (fn, head, _occ), ranks in arrivals.items():
-            if len(ranks) == size:
-                for rank in ranks:
-                    coll_done[rank][(fn, head)] = (
-                        coll_done[rank].get((fn, head), 0) + 1
-                    )
-                    pcs[rank] += 1
-                progressed = True
-
-    stuck = {r for r in range(size) if pcs[r] < len(progs[r])}
-    if not stuck:
-        return []
-    # build the wait-for graph of blocked receives and look for cycles
-    from repro.analysis.commcheck import WaitForGraph
-
-    edges: Dict[int, Tuple[int, Hashable]] = {}
-    barrier_stuck: List[int] = []
-    for rank in sorted(stuck):
-        op = progs[rank][pcs[rank]]
-        if op.kind == "recv":
-            env = {"rank": rank, "size": size, "p_time": size, "root": 0,
-                   "p_space": size}
-            src = _eval(op.peer_ast, env)
-            if isinstance(src, int):
-                edges[rank] = (src, op.tag.source if op.tag else "?")
-        else:
-            barrier_stuck.append(rank)
-    graph = WaitForGraph(edges)
-    cycles = graph.cycles()
-    out: List[Finding] = []
-    if cycles:
-        first_line = min(progs[r][pcs[r]].line for r in stuck)
-        out.append(Finding(
-            "CG006", "warning", root.module, root.path, first_line,
-            f"potential wait cycle in {root.name!r} (mini-simulation over "
-            f"{size} ranks under eager-send semantics):\n" + graph.render(),
-        ))
-    elif barrier_stuck:
-        ops = {r: progs[r][pcs[r]].fn for r in barrier_stuck}
-        first_line = min(progs[r][pcs[r]].line for r in barrier_stuck)
-        out.append(Finding(
-            "CG006", "warning", root.module, root.path, first_line,
-            f"static stall in {root.name!r}: ranks {sorted(barrier_stuck)} "
-            f"wait at collectives {ops} that the other ranks never join",
-        ))
     return out

@@ -3,9 +3,8 @@
 Subcommands:
 
 * ``check [paths...]`` — run the static layer (skeleton extraction +
-  checks CG001–CG006) over files/directories (default ``src/``).
-  Exit 1 when any *error*-severity finding is reported, 0 otherwise
-  (warnings are printed but do not fail; ``--strict`` promotes them).
+  checks CG001–CG003) over files/directories (default ``src/``).
+  Exit 1 when any finding is reported, 0 otherwise.
 * ``certify`` — run the P_T x P_S vortex smoke grid with
   ``certify=True`` under the selected execution backend(s) and print the
   :class:`~repro.analysis.commgraph.DeterminismCertificate`.  With
@@ -27,7 +26,6 @@ from repro.analysis.commgraph.checks import check_skeletons
 from repro.analysis.commgraph.skeleton import (
     extract_paths,
     render_skeleton,
-    roots_of,
     to_dot,
 )
 from repro.sdc.sweeper import SWEEPERS
@@ -40,19 +38,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if not skeletons:
         print("repro-comm: no rank programs found", file=sys.stderr)
         return 2
-    findings = check_skeletons(skeletons, sim_ranks=args.sim_ranks)
+    findings = check_skeletons(skeletons)
     for f in findings:
         print(f.render())
-    n_err = sum(1 for f in findings if f.severity == "error")
-    n_warn = len(findings) - n_err
-    print(
-        f"repro-comm: {len(skeletons)} skeleton(s), "
-        f"{n_err} error(s), {n_warn} warning(s)",
-        file=sys.stderr,
-    )
-    if n_err or (args.strict and n_warn):
-        return 1
-    return 0
+    print(f"repro-comm: {len(skeletons)} skeleton(s), "
+          f"{len(findings)} finding(s)", file=sys.stderr)
+    return 1 if findings else 0
 
 
 def _smoke_problem(n: int, seed: int = 3, sweeper: str = "gauss-seidel"):
@@ -154,8 +145,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
             print(f"repro-comm: no skeleton named {args.root!r}",
                   file=sys.stderr)
             return 2
-    elif args.roots_only:
-        selected = roots_of(skeletons)
     if args.format == "dot":
         print(to_dot(selected))
     else:
@@ -169,16 +158,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-comm",
         description="static + dynamic communication verification "
-                    "(commgraph: CG001-CG006, determinism certificates)",
+                    "(commgraph: CG001-CG003, determinism certificates)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="static checks over rank programs")
     p_check.add_argument("paths", nargs="*", default=["src/"])
-    p_check.add_argument("--sim-ranks", type=int, default=4,
-                         help="rank count for the CG006 mini-simulation")
-    p_check.add_argument("--strict", action="store_true",
-                         help="treat warnings as errors")
     p_check.set_defaults(fn=_cmd_check)
 
     p_cert = sub.add_parser(
@@ -214,8 +199,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_graph.add_argument("--format", choices=["ascii", "dot"],
                          default="ascii")
     p_graph.add_argument("--root", help="render one skeleton by name")
-    p_graph.add_argument("--roots-only", action="store_true",
-                         help="render only root programs")
     p_graph.set_defaults(fn=_cmd_graph)
 
     args = parser.parse_args(argv)

@@ -13,7 +13,7 @@ The extractor understands the idioms the code base actually uses:
 * methods and nested closures (``Step._predictor``,
   ``Recovery._warm_rebuild`` and friends) are extracted as separate
   skeletons with qualified names, and call sites to them become
-  ``call`` ops that :func:`flatten` inlines;
+  ``call`` ops (rendered as call edges by :func:`to_dot`);
 * collectives invoked as *arguments* of wrapper generators —
   ``yield from rec.protocol(allreduce(comm, ...), "...")`` — are found
   by scanning the whole ``yield from`` expression tree;
@@ -45,7 +45,6 @@ __all__ = [
     "Skeleton",
     "extract_module",
     "extract_paths",
-    "flatten",
     "render_skeleton",
     "to_dot",
 ]
@@ -67,9 +66,6 @@ COLLECTIVE_DEFAULT_TAGS: Dict[str, str] = {
     "scatter": _tags_module.SCATTER,
     "allgather": _tags_module.ALLGATHER,
 }
-
-#: names whose mention makes an expression rank-dependent
-_RANK_NAMES = {"rank", "me", "vrank", "world_rank", "t_idx", "s_idx", "n_idx"}
 
 
 # -- resolved tag values ----------------------------------------------------
@@ -99,9 +95,7 @@ class Guard:
     """One enclosing ``if`` condition of a comm op."""
 
     source: str
-    rank_dependent: bool
     negated: bool
-    test: Any = field(compare=False, repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -121,8 +115,6 @@ class CommOp:
     #: nesting depth of enclosing for/while loops
     loops: int
     line: int
-    #: peer expression AST (mini-simulation), not part of equality
-    peer_ast: Any = field(compare=False, repr=False, default=None)
 
 
 @dataclass
@@ -190,16 +182,6 @@ def _src(node: Optional[ast.AST]) -> str:
         return ast.unparse(node)
     except Exception:
         return "<unparse-failed>"
-
-
-def _mentions_rank(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and sub.id in _RANK_NAMES:
-            return True
-        if isinstance(sub, ast.Attribute) and sub.attr in ("rank",
-                                                           "world_rank"):
-            return True
-    return False
 
 
 def _resolve(node: ast.AST, env: Dict[str, Any], params: Sequence[str],
@@ -286,17 +268,12 @@ class _FnWalker:
                              ast.ClassDef)):
             return  # nested defs are extracted as their own skeletons
         if isinstance(stmt, ast.If):
-            guard = Guard(source=_src(stmt.test),
-                          rank_dependent=_mentions_rank(stmt.test),
-                          negated=False, test=stmt.test)
-            self._guards.append(guard)
+            source = _src(stmt.test)
+            self._guards.append(Guard(source, negated=False))
             self._walk_body(stmt.body)
             self._guards.pop()
             if stmt.orelse:
-                self._guards.append(Guard(
-                    source=guard.source, rank_dependent=guard.rank_dependent,
-                    negated=True, test=stmt.test,
-                ))
+                self._guards.append(Guard(source, negated=True))
                 self._walk_body(stmt.orelse)
                 self._guards.pop()
             return
@@ -390,10 +367,9 @@ class _FnWalker:
                     loops=self._loops, line=node.lineno,
                 ))
                 direct_emitted = direct_emitted or call is node.value
-        # a direct call to another generator becomes a call op so that
-        # flatten can inline module-local targets (``_predictor``,
-        # ``protocol`` — the latter's argument collectives were already
-        # emitted above, the call op only inlines ops of its own body)
+        # a direct call to another generator becomes a call op
+        # (``_predictor``, ``protocol`` — the latter's argument
+        # collectives were already emitted above)
         if isinstance(node.value, ast.Call) and not direct_emitted:
             name = self._callee_name(node.value.func)
             if name and name not in COLLECTIVES:
@@ -418,7 +394,6 @@ class _FnWalker:
             kind=kind, fn=fn, comm=comm, peer=_src(peer),
             tag=_shape_of(resolved, _src(tag)),
             guards=tuple(self._guards), loops=self._loops, line=line,
-            peer_ast=peer,
         ))
 
     def _emit_collective(self, name: str, call: ast.Call,
@@ -528,56 +503,6 @@ def _module_name(path: Path) -> str:
     if "repro" in parts:
         parts = parts[parts.index("repro"):]
     return ".".join(parts)
-
-
-# -- flattening (call-op inlining) -----------------------------------------
-def flatten(root: Skeleton, skeletons: Sequence[Skeleton],
-            max_depth: int = 8) -> List[CommOp]:
-    """Ops of ``root`` with local ``call`` ops inlined.
-
-    Call targets resolve by qualified-name suffix within the same
-    module (``_predictor`` matches ``Step._predictor``);
-    cross-module calls stay as unresolved ``call`` ops and are dropped.
-    Recursion is cycle-safe and depth-limited.
-    """
-    by_suffix: Dict[str, List[Skeleton]] = {}
-    for sk in skeletons:
-        if sk.module != root.module:
-            continue
-        by_suffix.setdefault(sk.name.rsplit(".", 1)[-1], []).append(sk)
-
-    def expand(sk: Skeleton, depth: int, stack: Tuple[str, ...]
-               ) -> List[CommOp]:
-        if depth > max_depth or sk.name in stack:
-            return []
-        out: List[CommOp] = []
-        for op in sk.ops:
-            if op.kind != "call":
-                out.append(op)
-                continue
-            targets = by_suffix.get(op.fn, [])
-            # prefer a sibling/child of the current function
-            target: Optional[Skeleton] = None
-            for cand in targets:
-                if cand.name != sk.name:
-                    target = cand
-                    break
-            if target is not None:
-                out.extend(expand(target, depth + 1, stack + (sk.name,)))
-        return out
-
-    return expand(root, 0, ())
-
-
-def roots_of(skeletons: Sequence[Skeleton]) -> List[Skeleton]:
-    """Skeletons not inlined by any other skeleton of the same module."""
-    called: Dict[str, set] = {}
-    for sk in skeletons:
-        called.setdefault(sk.module, set()).update(sk.calls)
-    return [
-        sk for sk in skeletons
-        if sk.name.rsplit(".", 1)[-1] not in called.get(sk.module, set())
-    ]
 
 
 # -- rendering --------------------------------------------------------------

@@ -1,7 +1,7 @@
 """repro-lint — project-specific AST static analysis.
 
 The generic linters (flake8, ruff) cannot know which invariants this
-repository's results hang on; ``repro-lint`` encodes them as seven rules:
+repository's results hang on; ``repro-lint`` encodes them as six rules:
 
 RPR001
     Unseeded / legacy RNG: the module-level ``np.random.*`` API draws
@@ -42,16 +42,6 @@ RPR006
     the failure would only surface at runtime, under the process
     backend, as a :class:`~repro.parallel.executor.PayloadPicklingError`
     or worse).  Pass plain scalars/arrays and name methods statically.
-RPR007
-    Raw message-tag literal at a communication call site: a string (or a
-    tuple headed by a string) passed as the ``tag`` of
-    ``comm.send``/``comm.recv`` or of a collective outside
-    ``parallel/tags.py``.  Tag heads are a global namespace shared by
-    every subsystem of the simulated MPI; a literal spelled at the call
-    site bypasses the central registry's collision check
-    (:mod:`repro.parallel.tags`) and is invisible to the ``repro-comm``
-    static verifier's cross-subsystem analysis.  Declare the family in
-    the registry and reference the constant.
 
 Any violation can be suppressed for one line with a justified trailing
 comment::
@@ -81,7 +71,6 @@ __all__ = [
     "RULES",
     "HOT_MODULES",
     "WALLCLOCK_ALLOWED",
-    "TAG_REGISTRY_MODULES",
     "Violation",
     "lint_source",
     "lint_paths",
@@ -97,7 +86,6 @@ RULES: Dict[str, str] = {
     "RPR004": "dtype drift in a hot module (allocation without dtype=, float32)",
     "RPR005": "assert-based check in library code (stripped under -O)",
     "RPR006": "unpicklable ComputeTask (lambda argument or non-literal method)",
-    "RPR007": "raw tag literal at a comm call site (use repro.parallel.tags)",
 }
 
 #: modules whose inner loops must stay vectorised (RPR003/RPR004 scope),
@@ -137,15 +125,6 @@ _FLOAT32_ATTRS = frozenset({"np.float32", "numpy.float32", "np.single", "numpy.s
 _FLOAT32_STRS = frozenset({"float32", "single", "f4", "<f4", ">f4"})
 
 _ALLOC_DTYPE_POS = {"zeros": 1, "empty": 1, "ones": 1, "full": 2}
-
-#: modules allowed to spell tag literals (RPR007 scope): the registry
-#: itself is where the historical literal values are declared
-TAG_REGISTRY_MODULES: Tuple[str, ...] = ("parallel/tags.py",)
-
-#: collective helpers and the positional index of their ``tag`` parameter
-_COLLECTIVE_TAG_POS: Dict[str, int] = {
-    "bcast": 3, "reduce": 4, "allreduce": 3, "scatter": 3, "allgather": 2,
-}
 
 _PER_PARTICLE_NAME = re.compile(
     r"(?i)^n_?(particles?|pairs?|targets?|sources?|points|bodies)$"
@@ -204,12 +183,10 @@ class _Linter(ast.NodeVisitor):
     modules from the wall-clock half of RPR002.
     """
 
-    def __init__(self, path: str, is_hot: bool, wallclock_ok: bool,
-                 tag_literals_ok: bool = False) -> None:
+    def __init__(self, path: str, is_hot: bool, wallclock_ok: bool) -> None:
         self.path = path
         self.is_hot = is_hot
         self.wallclock_ok = wallclock_ok
-        self.tag_literals_ok = tag_literals_ok
         self.violations: List[Violation] = []
         #: bare names imported from the time module (``from time import ...``)
         self._time_names: Set[str] = set()
@@ -242,7 +219,6 @@ class _Linter(ast.NodeVisitor):
             self._check_wallclock(node, name)
             self._check_set_reduction(node, name)
             self._check_compute_task(node, name)
-            self._check_tag_literal(node, name)
             if self.is_hot:
                 self._check_allocation(node, name)
         self.generic_visit(node)
@@ -328,44 +304,6 @@ class _Linter(ast.NodeVisitor):
                         "the process execution backend; pass plain data and "
                         "a string method name instead",
                     )
-
-    # -- RPR007: raw tag literals at communication call sites ----------
-    @staticmethod
-    def _is_tag_literal(expr: ast.AST) -> bool:
-        if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-            return True
-        return (
-            isinstance(expr, ast.Tuple)
-            and bool(expr.elts)
-            and isinstance(expr.elts[0], ast.Constant)
-            and isinstance(expr.elts[0].value, str)
-        )
-
-    def _check_tag_literal(self, node: ast.Call, name: str) -> None:
-        if self.tag_literals_ok:
-            return
-        last = name.split(".")[-1]
-        tag_expr: Optional[ast.AST] = None
-        # p2p: comm.send(dest, tag, payload) / comm.recv(source, tag) —
-        # the arity requirement keeps generator .send(value) out of scope
-        if "." in name and last == "send" and len(node.args) >= 3:
-            tag_expr = node.args[1]
-        elif "." in name and last == "recv" and len(node.args) >= 2:
-            tag_expr = node.args[1]
-        elif last in _COLLECTIVE_TAG_POS:
-            pos = _COLLECTIVE_TAG_POS[last]
-            if len(node.args) > pos:
-                tag_expr = node.args[pos]
-            for kw in node.keywords:
-                if kw.arg == "tag":
-                    tag_expr = kw.value
-        if tag_expr is not None and self._is_tag_literal(tag_expr):
-            self._flag(
-                tag_expr, "RPR007",
-                "raw tag literal at a communication call site; tag heads "
-                "are a registry-owned namespace — declare the family in "
-                "repro.parallel.tags and use the constant",
-            )
 
     def _check_allocation(self, node: ast.Call, name: str) -> None:
         parts = name.split(".")
@@ -487,7 +425,6 @@ def lint_source(
     path: str = "<string>",
     hot_modules: Sequence[str] = HOT_MODULES,
     wallclock_allowed: Sequence[str] = WALLCLOCK_ALLOWED,
-    tag_registry_modules: Sequence[str] = TAG_REGISTRY_MODULES,
 ) -> List[Violation]:
     """Lint one module's source text; returns unsuppressed violations."""
     tree = ast.parse(source, filename=path)
@@ -495,7 +432,6 @@ def lint_source(
         path,
         is_hot=_path_matches(path, hot_modules),
         wallclock_ok=_path_matches(path, wallclock_allowed),
-        tag_literals_ok=_path_matches(path, tag_registry_modules),
     )
     linter.visit(tree)
     disabled = _suppressions(source)
@@ -527,7 +463,7 @@ def lint_paths(paths: Iterable[str]) -> List[Violation]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="project-specific reproducibility linter (RPR001-RPR007)",
+        description="project-specific reproducibility linter (RPR001-RPR006)",
     )
     parser.add_argument("paths", nargs="*", default=["src/"],
                         help="files or directories to lint (default: src/)")

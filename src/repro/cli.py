@@ -95,6 +95,7 @@ def _cmd_sheet(args: argparse.Namespace) -> int:
                               alpha_from_measurements, run_pfasst)
     from repro.sdc import SDCStepper
     from repro.tree import TreeEvaluator
+    from repro.utils.validation import uniform_step_count
     from repro.vortex import (DirectEvaluator, VortexProblem, get_kernel,
                               spherical_vortex_sheet)
     from repro.vortex.diagnostics import compute_diagnostics
@@ -118,10 +119,7 @@ def _cmd_sheet(args: argparse.Namespace) -> int:
                              sweeper=args.sweeper)
         u_end = stepper.run(u0, 0.0, args.t_end, args.dt)
     elif args.method == "pfasst":
-        n_steps = int(round(args.t_end / args.dt))
-        if abs(n_steps * args.dt - args.t_end) > 1e-9 * max(1.0, args.t_end):
-            raise ValueError(f"t_end = {args.t_end} is not an integer "
-                             f"multiple of dt = {args.dt}")
+        n_steps = uniform_step_count(0.0, args.t_end, args.dt)
         config = PfasstConfig(t0=0.0, t_end=args.t_end, n_steps=n_steps,
                               iterations=2)
         specs = [LevelSpec(fine, 3, 1, sweeper=args.sweeper),
@@ -189,8 +187,6 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
               f"({args.sweeper} sweeps)")
     print(f"{'P_T':>4} {'speedup':>8} {'theory':>7}")
     for p_t in args.p_times:
-        if args.steps % p_t:
-            continue
         cfg = PfasstConfig(t0=0.0, t_end=args.steps * 0.5,
                            n_steps=args.steps, iterations=2)
         specs = [LevelSpec(fine, 3, 1, sweeper=args.sweeper),
@@ -204,12 +200,18 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "info":
         return _cmd_info()
     if args.command == "sheet":
         return _cmd_sheet(args)
     if args.command == "speedup":
+        # each P_T must take whole blocks of the run's steps
+        bad = [p for p in args.p_times if p < 1 or args.steps % p]
+        if bad:
+            parser.error(f"--p-times {bad} do not divide --steps "
+                         f"{args.steps}")
         return _cmd_speedup(args)
     if args.command == "trace":
         from repro.obs.cli import main as trace_main

@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.utils.validation import check_positive
+from repro.utils.validation import uniform_step_count
 from repro.vortex.problem import ODEProblem
 
 __all__ = [
@@ -115,15 +115,7 @@ def integrate(
     callback: Optional[Callable[[float, np.ndarray], None]] = None,
 ) -> np.ndarray:
     """Drive any single-step method over a uniform time grid."""
-    check_positive("dt", dt)
-    span = t_end - t0
-    if span < 0:
-        raise ValueError(f"t_end {t_end} must be >= t0 {t0}")
-    n_steps = int(round(span / dt))
-    if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError(
-            f"interval length {span} is not an integer multiple of dt={dt}"
-        )
+    n_steps = uniform_step_count(t0, t_end, dt)
     u = u0.copy()
     t = t0
     if callback is not None:

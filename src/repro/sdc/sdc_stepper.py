@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.sdc.quadrature import QuadratureRule, make_rule
 from repro.sdc.sweeper import make_sweeper
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive, uniform_step_count
 from repro.vortex.problem import ODEProblem
 
 __all__ = ["SDCStepper", "SDCRunStats"]
@@ -115,13 +115,7 @@ class SDCStepper:
         two times agree bit for bit), so each step after the first makes
         one call fewer.
         """
-        check_positive("dt", dt)
-        span = t_end - t0
-        n_steps = int(round(span / dt))
-        if n_steps < 0 or abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
-            raise ValueError(
-                f"interval length {span} is not an integer multiple of dt={dt}"
-            )
+        n_steps = uniform_step_count(t0, t_end, dt)
         u = np.asarray(u0, dtype=np.float64).copy()
         if callback is not None:
             callback(t0, u)

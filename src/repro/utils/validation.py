@@ -21,6 +21,24 @@ def check_nonnegative(name: str, value: float) -> float:
     return value
 
 
+def uniform_step_count(t0: float, t_end: float, dt: float) -> int:
+    """Number of steps of size ``dt`` from ``t0`` to ``t_end``.
+
+    Raises ``ValueError`` unless ``dt > 0``, ``t_end >= t0`` and the
+    span is an integer multiple of ``dt`` (to round-off).
+    """
+    check_positive("dt", dt)
+    span = t_end - t0
+    if span < 0:
+        raise ValueError(f"t_end {t_end} must be >= t0 {t0}")
+    n_steps = int(round(span / dt))
+    if abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
+        raise ValueError(
+            f"interval length {span} is not an integer multiple of dt={dt}"
+        )
+    return n_steps
+
+
 def check_in(name: str, value: Any, allowed: Iterable[Any]) -> Any:
     """Raise ``ValueError`` unless ``value`` is one of ``allowed``."""
     allowed = tuple(allowed)

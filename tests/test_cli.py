@@ -74,6 +74,15 @@ class TestCommands:
         assert "alpha" in out
         assert "theory" in out
 
+    def test_speedup_rejects_p_time_not_dividing_steps(self, capsys):
+        # P_T values that do not divide the step count used to be
+        # skipped without a word
+        with pytest.raises(SystemExit) as exc_info:
+            main(["speedup", "-n", "50", "--steps", "3"])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--p-times [2, 4] do not divide --steps 3" in err
+
     def test_speedup_cost_ratio_times_every_measured_state(self):
         """The alpha behind ``repro speedup`` is a mean over computed
         evaluations: no measured state may be a field-memo hit."""

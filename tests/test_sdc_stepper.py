@@ -16,6 +16,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="integer multiple"):
             s.run(np.array([1.0]), 0.0, 1.0, 0.3)
 
+    def test_backward_interval(self, scalar_problem):
+        s = SDCStepper(scalar_problem)
+        with pytest.raises(ValueError, match="t_end -1.0 must be >= t0 0.0"):
+            s.run(np.array([1.0]), 0.0, -1.0, 0.5)
+
     def test_negative_dt(self, scalar_problem):
         s = SDCStepper(scalar_problem)
         with pytest.raises(ValueError, match="dt"):
