@@ -10,7 +10,7 @@ Subcommands:
   :class:`~repro.analysis.commgraph.DeterminismCertificate`.  With
   ``--executor both`` the serial and process digests must agree; with
   ``--verify`` the reversed-service-order replay must reproduce the
-  digest.  Exit 1 on any race or digest mismatch.
+  digest.  Exit 1 on any race, digest mismatch or undelivered message.
 * ``graph [paths...]`` — render extracted skeletons as ASCII
   (default) or Graphviz DOT (``--format dot``).
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from typing import List, Optional, Sequence
 
 from repro.analysis.commgraph.checks import check_skeletons
@@ -69,7 +70,9 @@ def _smoke_problem(n: int, seed: int = 3, sweeper: str = "gauss-seidel"):
 
 
 def _certify_once(args: argparse.Namespace, backend: Optional[str]):
+    """The run's certificate and its undelivered-message warnings."""
     from repro.parallel.executor import ProcessExecutor, SerialExecutor
+    from repro.parallel.simmpi import OrphanMessageWarning
     from repro.pfasst.controller import PfasstConfig, run_pfasst
 
     u0, specs = _smoke_problem(args.particles, sweeper=args.sweeper)
@@ -81,15 +84,23 @@ def _certify_once(args: argparse.Namespace, backend: Optional[str]):
     elif backend == "process":
         executor = ProcessExecutor(max_workers=args.max_workers)
     try:
-        result = run_pfasst(
-            cfg, specs, u0, p_time=args.p_time, p_space=args.p_space,
-            p_nodes=args.p_nodes,
-            executor=executor, verify=args.verify, certify=True,
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", OrphanMessageWarning)
+            result = run_pfasst(
+                cfg, specs, u0, p_time=args.p_time, p_space=args.p_space,
+                p_nodes=args.p_nodes,
+                executor=executor, verify=args.verify, certify=True,
+            )
     finally:
         if executor is not None:
             executor.close()
-    return result.certificate
+    orphans = []
+    for w in caught:
+        if issubclass(w.category, OrphanMessageWarning):
+            orphans.append(str(w.message))
+        else:  # recorded, so not yet shown
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return result.certificate, orphans
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
@@ -102,14 +113,16 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         backends = [args.executor]
 
     certificates = {}
+    failed = False
     for backend in backends:
         label = backend or "inline"
-        cert = _certify_once(args, backend)
+        cert, orphans = _certify_once(args, backend)
         certificates[label] = cert
         print(f"== executor: {label} ==")
         print(cert.summary())
-
-    failed = False
+        for report in orphans:
+            print(f"repro-comm: {report}", file=sys.stderr)
+            failed = True
     digests = {label: c.digest for label, c in certificates.items()}
     if len(set(digests.values())) > 1:
         print(f"repro-comm: DIGEST MISMATCH across backends: {digests}",

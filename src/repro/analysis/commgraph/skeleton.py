@@ -54,7 +54,6 @@ COLLECTIVES: Dict[str, int] = {
     "bcast": 3,
     "reduce": 4,
     "allreduce": 3,
-    "scatter": 3,
     "allgather": 2,
 }
 
@@ -63,7 +62,6 @@ COLLECTIVE_DEFAULT_TAGS: Dict[str, str] = {
     "bcast": _tags_module.BCAST,
     "reduce": _tags_module.REDUCE,
     "allreduce": _tags_module.ALLREDUCE,
-    "scatter": _tags_module.SCATTER,
     "allgather": _tags_module.ALLGATHER,
 }
 

@@ -92,7 +92,8 @@ def _cmd_info() -> int:
 def _cmd_sheet(args: argparse.Namespace) -> int:
     from repro.integrators import get_integrator
     from repro.pfasst import (LevelSpec, PfasstConfig,
-                              alpha_from_measurements, run_pfasst)
+                              alpha_from_measurements, measured_cost_ratio,
+                              run_pfasst)
     from repro.sdc import SDCStepper
     from repro.tree import TreeEvaluator
     from repro.utils.validation import uniform_step_count
@@ -136,8 +137,9 @@ def _cmd_sheet(args: argparse.Namespace) -> int:
     print(f"fine RHS evaluations: {fine.evaluator.calls} "
           f"({fine.evaluator.timer.elapsed:.2f}s)")
     if args.method == "pfasst":
-        # Eq. 26: (M_c / M_f) over the measured fine/coarse cost ratio
-        ratio = fine.evaluator.mean_cost / coarse.evaluator.mean_cost
+        # Eq. 26: (M_c / M_f) over the fine/coarse cost ratio, measured
+        # on distinct states like ``repro speedup`` (resets the counts)
+        ratio = measured_cost_ratio(fine, coarse, u0)
         print(f"measured alpha: {alpha_from_measurements(2, 3, ratio):.3f}")
     for key in ("total_vorticity_norm", "linear_impulse_norm", "enstrophy"):
         print(f"{key}: {before[key]:.6g} -> {after[key]:.6g}")

@@ -17,7 +17,6 @@ from repro.parallel.collectives import (
     bcast,
     reduce,
     allreduce,
-    scatter,
     allgather,
 )
 from repro.parallel.faults import (
@@ -49,7 +48,6 @@ __all__ = [
     "bcast",
     "reduce",
     "allreduce",
-    "scatter",
     "allgather",
     "FaultPlan",
     "RankCrash",

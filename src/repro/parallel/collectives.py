@@ -12,8 +12,8 @@ program::
     value = yield from bcast(comm, value, root=0)
     total = yield from allreduce(comm, my_part, op=operator.add)
 
-Every collective threads the ``timeout`` / ``retries`` / ``backoff``
-recovery kwargs into its receive legs, so a collective over a lossy link
+Every collective threads the ``timeout`` / ``retries`` recovery kwargs
+into its receive legs, so a collective over a lossy link
 (fault-injected drops or corruption) recovers by bounded link-layer
 retransmission instead of hanging — see :mod:`repro.parallel.faults`.
 """
@@ -26,7 +26,7 @@ from typing import Any, Callable, Generator, List, Optional
 from repro.parallel import tags
 from repro.parallel.simmpi import VirtualComm
 
-__all__ = ["bcast", "reduce", "allreduce", "scatter", "allgather"]
+__all__ = ["bcast", "reduce", "allreduce", "allgather"]
 
 
 def _vrank(rank: int, root: int, size: int) -> int:
@@ -44,7 +44,6 @@ def bcast(
     tag: str = tags.BCAST,
     timeout: Optional[float] = None,
     retries: int = 0,
-    backoff: float = 0.0,
 ) -> Generator[Any, Any, Any]:
     """Binomial-tree broadcast; returns the root's value on every rank."""
     size, rank = comm.size, comm.rank
@@ -57,7 +56,7 @@ def bcast(
         if me & mask:
             value = yield comm.recv(
                 _arank(me - mask, root, size), (tag, mask),
-                timeout=timeout, retries=retries, backoff=backoff,
+                timeout=timeout, retries=retries,
             )
             break
         mask <<= 1
@@ -87,7 +86,6 @@ def reduce(
     tag: str = tags.REDUCE,
     timeout: Optional[float] = None,
     retries: int = 0,
-    backoff: float = 0.0,
 ) -> Generator[Any, Any, Optional[Any]]:
     """Binomial-tree reduction; only the root returns the combined value."""
     size, rank = comm.size, comm.rank
@@ -101,7 +99,7 @@ def reduce(
         if peer < size:
             other = yield comm.recv(
                 _arank(peer, root, size), (tag, mask),
-                timeout=timeout, retries=retries, backoff=backoff,
+                timeout=timeout, retries=retries,
             )
             value = op(value, other)
         mask <<= 1
@@ -115,7 +113,6 @@ def allreduce(
     tag: Any = tags.ALLREDUCE,
     timeout: Optional[float] = None,
     retries: int = 0,
-    backoff: float = 0.0,
 ) -> Generator[Any, Any, Any]:
     """Reduce to rank 0, then broadcast the result (cost ~ 2 log P).
 
@@ -124,53 +121,12 @@ def allreduce(
     """
     reduced = yield from reduce(
         comm, value, op=op, root=0, tag=(tag, "r"),
-        timeout=timeout, retries=retries, backoff=backoff,
+        timeout=timeout, retries=retries,
     )
     return (yield from bcast(
         comm, reduced, root=0, tag=(tag, "b"),
-        timeout=timeout, retries=retries, backoff=backoff,
+        timeout=timeout, retries=retries,
     ))
-
-
-def scatter(
-    comm: VirtualComm,
-    values: Optional[List[Any]],
-    root: int = 0,
-    tag: str = tags.SCATTER,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    backoff: float = 0.0,
-) -> Generator[Any, Any, Any]:
-    """Scatter a list from the root; each rank returns its element."""
-    size, rank = comm.size, comm.rank
-    if rank == root:
-        if values is None or len(values) != size:
-            raise ValueError(
-                f"root must pass exactly {size} values, got "
-                f"{None if values is None else len(values)}"
-            )
-        for dest in range(size):
-            if dest != root:
-                yield comm.send(dest, (tag, dest), values[dest])
-        return values[root]
-    return (yield from _recv_one(
-        comm, root, (tag, rank),
-        timeout=timeout, retries=retries, backoff=backoff,
-    ))
-
-
-def _recv_one(
-    comm: VirtualComm,
-    src: int,
-    tag: Any,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    backoff: float = 0.0,
-) -> Generator[Any, Any, Any]:
-    value = yield comm.recv(
-        src, tag, timeout=timeout, retries=retries, backoff=backoff
-    )
-    return value
 
 
 def allgather(
@@ -179,7 +135,6 @@ def allgather(
     tag: str = tags.ALLGATHER,
     timeout: Optional[float] = None,
     retries: int = 0,
-    backoff: float = 0.0,
 ) -> Generator[Any, Any, List[Any]]:
     """Ring allgather: every rank returns ``[value_0, ..., value_{P-1}]``.
 
@@ -203,7 +158,7 @@ def allgather(
         yield comm.send(right, (tag, step), cur)
         cur = yield comm.recv(
             left, (tag, step),
-            timeout=timeout, retries=retries, backoff=backoff,
+            timeout=timeout, retries=retries,
         )
         out[(rank - step - 1) % size] = cur
     return out

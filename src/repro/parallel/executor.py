@@ -471,37 +471,26 @@ class ProcessExecutor(ExecutionBackend):
     Worker death (``BrokenProcessPool``) is recoverable: dispatch is
     deterministic and side-effect-free — tasks only read staged input
     arrays and return values — so :meth:`dispatch` respawns the pool and
-    re-runs the whole in-flight batch, up to ``max_retries`` times with
-    exponential ``retry_backoff`` sleeps between attempts.  Each respawn
-    is recorded as a backend event (folded into the scheduler's
-    resilience report) and counted in the ``executor.pool_restarts`` /
-    ``executor.redispatched_tasks`` metrics.
+    re-runs the whole in-flight batch, up to :attr:`MAX_RETRIES` times
+    with exponential :attr:`RETRY_BACKOFF` sleeps between attempts.
+    Each respawn is recorded as a backend event (folded into the
+    scheduler's resilience report) and counted in the
+    ``executor.pool_restarts`` / ``executor.redispatched_tasks`` metrics.
     """
 
     name = "process"
     inline = False
     requires_pickling = True
+    #: pool respawns per batch before a worker death is fatal
+    MAX_RETRIES = 2
+    #: seconds slept before the first respawn, doubling per attempt
+    RETRY_BACKOFF = 0.05
 
-    def __init__(
-        self,
-        max_workers: int = 4,
-        start_method: Optional[str] = None,
-        max_retries: int = 2,
-        retry_backoff: float = 0.05,
-    ) -> None:
+    def __init__(self, max_workers: int = 4) -> None:
         super().__init__()
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if retry_backoff < 0:
-            raise ValueError(
-                f"retry_backoff must be >= 0, got {retry_backoff}"
-            )
         self.max_workers = max_workers
-        self.start_method = start_method
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
         self._pool: Optional[ProcessPoolExecutor] = None
         self._run_restarts = 0
         self._run_redispatched = 0
@@ -521,11 +510,7 @@ class ProcessExecutor(ExecutionBackend):
                     type(obj).__name__, payload_key=key, cause=exc
                 ) from exc
         blob = pickle.dumps(self._payloads, protocol=pickle.HIGHEST_PROTOCOL)
-        ctx = (
-            multiprocessing.get_context(self.start_method)
-            if self.start_method is not None
-            else multiprocessing.get_context()
-        )
+        ctx = multiprocessing.get_context()
         counter = ctx.Value("i", 0)
         self._pool = ProcessPoolExecutor(
             max_workers=self.max_workers,
@@ -573,19 +558,19 @@ class ProcessExecutor(ExecutionBackend):
             try:
                 return self._dispatch_once(batch)
             except BrokenExecutor as exc:
-                if attempt >= self.max_retries:
+                if attempt >= self.MAX_RETRIES:
                     self._events.append({
                         "kind": "pool-failure",
                         "detail": (
                             f"worker pool died {attempt + 1} time(s) "
                             f"dispatching a batch of {len(batch)} task(s); "
-                            f"retries exhausted (max_retries="
-                            f"{self.max_retries})"
+                            f"retries exhausted (MAX_RETRIES="
+                            f"{self.MAX_RETRIES})"
                         ),
                     })
                     raise RuntimeError(
                         f"process pool worker death persisted through "
-                        f"{self.max_retries} respawn(s) for a batch of "
+                        f"{self.MAX_RETRIES} respawn(s) for a batch of "
                         f"{len(batch)} task(s): {exc!r}"
                     ) from exc
                 attempt += 1
@@ -596,11 +581,10 @@ class ProcessExecutor(ExecutionBackend):
                     "detail": (
                         f"worker death ({exc!r}); respawned pool and "
                         f"re-dispatched {len(batch)} task(s) "
-                        f"[attempt {attempt}/{self.max_retries}]"
+                        f"[attempt {attempt}/{self.MAX_RETRIES}]"
                     ),
                 })
-                if self.retry_backoff > 0:
-                    time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
+                time.sleep(self.RETRY_BACKOFF * (2 ** (attempt - 1)))
                 self._respawn()
 
     def _dispatch_once(

@@ -7,8 +7,7 @@ per-rank **virtual clocks**, and thereby measures the parallel wall-clock
 the same program would need on a message-passing machine:
 
 * compute time   — real ``perf_counter`` time a rank spends between yields,
-  scaled by ``compute_scale`` (so a Python tree walk can stand in for a
-  Fortran one), plus explicit ``work(seconds)`` charges for modelled costs;
+  plus explicit ``work(seconds)`` charges for modelled costs;
 * message time   — LogP-style ``latency + bytes/bandwidth`` per message,
   charged between the sender's send instant and the receiver's completion.
 
@@ -117,8 +116,6 @@ class CommCostModel:
     latency: float = 3.5e-6
     bandwidth: float = 375e6
     send_overhead: float = 1.0e-6
-    #: multiplier applied to measured real compute time
-    compute_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.latency < 0:
@@ -128,10 +125,6 @@ class CommCostModel:
         if self.send_overhead < 0:
             raise ValueError(
                 f"send_overhead must be >= 0, got {self.send_overhead}"
-            )
-        if self.compute_scale <= 0:
-            raise ValueError(
-                f"compute_scale must be > 0, got {self.compute_scale}"
             )
 
     def transfer_time(self, nbytes: int) -> float:
@@ -312,12 +305,6 @@ class VirtualComm:
         """The scheduler's per-run metrics registry (for rank programs)."""
         return self._scheduler.metrics
 
-    def translate(self, rank: int) -> int:
-        """Map a rank of *this* communicator to its scheduler-world rank."""
-        if not 0 <= rank < self.size:
-            raise ValueError(f"rank {rank} out of range 0..{self.size - 1}")
-        return rank
-
     def split(
         self, color: Optional[Hashable], key: Optional[int] = None
     ) -> Generator[Any, Any, Optional["SubComm"]]:
@@ -401,7 +388,6 @@ class _TagView(VirtualComm):
         tag: Hashable,
         timeout: Optional[float] = None,
         retries: int = 0,
-        backoff: float = 0.0,
     ) -> Recv:
         if not 0 <= source < self.size:
             raise ValueError(
@@ -409,10 +395,8 @@ class _TagView(VirtualComm):
             )
         if source == self.rank:
             raise ValueError("self-receives are not supported")
-        return self.parent.recv(
-            self._parent_rank(source), self._wrap(tag),
-            timeout=timeout, retries=retries, backoff=backoff,
-        )
+        return self.parent.recv(self._parent_rank(source), self._wrap(tag),
+                                timeout=timeout, retries=retries)
 
     @property
     def clock(self) -> float:
@@ -422,11 +406,6 @@ class _TagView(VirtualComm):
     @property
     def world_rank(self) -> int:
         return self.parent.world_rank
-
-    def translate(self, rank: int) -> int:
-        if not 0 <= rank < self.size:
-            raise ValueError(f"rank {rank} out of range 0..{self.size - 1}")
-        return self.parent.translate(self._parent_rank(rank))
 
 
 class SubComm(_TagView):
@@ -460,45 +439,30 @@ class EpochComm(_TagView):
     such as the branch-exchange ring carry no attempt component of their
     own).
 
-    ``recv`` additionally injects a default ``timeout``/``retries``/
-    ``backoff`` when the call site passes none, so collectives written
-    for the fault-free path become abortable when a row peer dies.
+    ``recv`` additionally injects a default ``timeout``/``retries`` when
+    the call site passes none, so collectives written for the fault-free
+    path become abortable when a row peer dies.
     """
 
-    def __init__(
-        self,
-        parent: VirtualComm,
-        timeout: Optional[float] = None,
-        retries: int = 0,
-        backoff: float = 0.0,
-    ) -> None:
+    def __init__(self, parent: VirtualComm, timeout: Optional[float] = None,
+                 retries: int = 0) -> None:
         super().__init__(parent, parent.rank, parent.size)
         #: monotonically increasing; never reset (inner tags may not
         #: carry a block component, so reuse across blocks would collide)
         self.epoch = 0
         self._default_timeout = timeout
         self._default_retries = retries
-        self._default_backoff = backoff
 
     def _wrap(self, tag: Hashable) -> Hashable:
         return ((_tags.FTEPOCH, self.epoch), tag)
 
-    def recv(
-        self,
-        source: int,
-        tag: Hashable,
-        timeout: Optional[float] = None,
-        retries: int = 0,
-        backoff: float = 0.0,
-    ) -> Recv:
+    def recv(self, source: int, tag: Hashable,
+             timeout: Optional[float] = None, retries: int = 0) -> Recv:
         if timeout is None and self._default_timeout is not None:
             timeout = self._default_timeout
             if retries == 0:
                 retries = self._default_retries
-            if backoff == 0.0:
-                backoff = self._default_backoff
-        return super().recv(source, tag, timeout=timeout, retries=retries,
-                            backoff=backoff)
+        return super().recv(source, tag, timeout=timeout, retries=retries)
 
 
 RankProgram = Callable[[VirtualComm], Generator[Any, Any, Any]]
@@ -545,34 +509,26 @@ class Scheduler:
         Communication/compute cost parameters.
     measure_compute :
         When True (default), real wall time between yields is added to the
-        rank's virtual clock (scaled by ``compute_scale``).  The clock
-        means "one machine per rank": every resume names the rank as the
-        compute owner on :data:`repro.obs.ledger.LEDGER`, and seconds a
+        rank's virtual clock.  The clock means "one machine per rank":
+        every resume names the rank as the compute owner on
+        :data:`repro.obs.ledger.LEDGER`, and seconds a
         shared cache bills there — a result another rank computed (see
         :mod:`repro.tree.state`) — are charged like measured ones.
         Disable for pure-numerics runs where timing is irrelevant;
         nothing is owned or billed then.
     verify :
-        Replay mode (a practical race detector): after the primary run,
-        re-execute the whole program under the *reversed* rank-service
-        order and require byte-identical results
-        (:func:`repro.analysis.commcheck.freeze`).  Schedule-dependent
-        numerics — shared mutable state across rank generators, matching
-        that leaks the interleaving — raise
+        Replay mode (a practical race detector): runnable ranks are
+        advanced in ascending rank order each scheduling round; after
+        the primary run, re-execute the whole program with that order
+        *reversed* and require byte-identical results
+        (:func:`repro.analysis.commcheck.freeze`) and the same per-rank
+        operation budget :attr:`ops`.  Schedule-dependent numerics —
+        shared mutable state across rank generators, matching that
+        leaks the interleaving — raise
         :class:`repro.analysis.commcheck.VerificationError`.  With
         ``measure_compute=False`` the virtual clocks must also agree.
         The program runs twice, so rank programs must tolerate
         re-execution from scratch.
-    service_order :
-        Order in which runnable ranks are advanced per scheduling round:
-        ``"ascending"`` (default) or ``"descending"``.  Deterministic
-        numerics must not depend on it; ``verify=True`` checks exactly
-        that.
-    warn_orphans :
-        Emit an :class:`OrphanMessageWarning` when messages remain
-        undelivered after every rank finished (see
-        :func:`repro.analysis.commcheck.find_orphans`); the structured
-        report is kept in :attr:`orphans` either way.
     fault_plan :
         Optional :class:`~repro.parallel.faults.FaultPlan` of crash and
         message rules (see the module docstring); :attr:`resilience`
@@ -638,8 +594,13 @@ class Scheduler:
         per rank, and rounds in which no rank could run; folded into
         :attr:`metrics` when ``run`` ends as ``sched.ops`` /
         ``sched.resumes`` (total and per ``{rank}``) and
-        ``sched.stalls``.  ``ops`` does not depend on ``service_order``;
-        with an inline backend all three repeat from run to run.
+        ``sched.stalls``.  ``ops`` does not depend on the service order
+        (``verify`` checks it); with an inline backend all three repeat
+        from run to run.
+    orphans :
+        Messages still undelivered after every rank finished (see
+        :func:`repro.analysis.commcheck.find_orphans`); the primary run
+        also emits them as an :class:`OrphanMessageWarning`.
     """
 
     def __init__(
@@ -648,8 +609,6 @@ class Scheduler:
         cost_model: CommCostModel | None = None,
         measure_compute: bool = True,
         verify: bool = False,
-        service_order: str = "ascending",
-        warn_orphans: bool = True,
         fault_plan: Optional[FaultPlan] = None,
         tracer: Optional[Tracer] = None,
         executor: Optional[ExecutionBackend] = None,
@@ -657,17 +616,10 @@ class Scheduler:
     ) -> None:
         if n_ranks < 1:
             raise ValueError(f"need at least 1 rank, got {n_ranks}")
-        if service_order not in ("ascending", "descending"):
-            raise ValueError(
-                f"service_order must be 'ascending' or 'descending', "
-                f"got {service_order!r}"
-            )
         self.n_ranks = n_ranks
         self.cost_model = cost_model or CommCostModel()
         self.measure_compute = measure_compute
         self.verify = verify
-        self.service_order = service_order
-        self.warn_orphans = warn_orphans
         self.fault_plan = fault_plan
         self.tracer: Tracer | NullTracer = tracer or NULL_TRACER
         self.executor = executor
@@ -775,10 +727,12 @@ class Scheduler:
             self._verify_replay(program, args, results)
         return results
 
-    def _run_pass(self, program: RankProgram, args: Tuple) -> List[Any]:
-        """One pass, primary or ``verify`` replay: either leaves the
-        ledger unowned and drained and the plan's rule activations
-        (dormant rules included) folded, also when it raises."""
+    def _run_pass(self, program: RankProgram, args: Tuple,
+                  descending: bool = False) -> List[Any]:
+        """One pass, primary or (``descending``) ``verify`` replay:
+        either leaves the ledger unowned and drained and the plan's rule
+        activations (dormant rules included) folded, also when it
+        raises."""
         states: List[_RankState] = []
         for rank in range(self.n_ranks):
             gen = program(VirtualComm(rank, self.n_ranks, self), *args)
@@ -789,7 +743,7 @@ class Scheduler:
                 )
             states.append(_RankState(gen=gen))
         try:
-            self._service(states)
+            self._service(states, descending)
         finally:
             LEDGER.owner = None
             LEDGER.drain()
@@ -804,9 +758,8 @@ class Scheduler:
             )
         return [state.result for state in states]
 
-    def _service(self, states: List[_RankState]) -> None:
+    def _service(self, states: List[_RankState], descending: bool) -> None:
         """The core loop: advance every runnable rank, round after round."""
-        descending = self.service_order == "descending"
         pending = set(range(self.n_ranks))
         while pending:
             progressed = False
@@ -869,8 +822,7 @@ class Scheduler:
         # messages abandoned by a recovery protocol (a retag-and-redo
         # after a crash) are an expected byproduct, not a protocol
         # mismatch — keep the structured report, skip the warning
-        if (self.orphans and self.warn_orphans
-                and not self.resilience.recovered):
+        if self.orphans and not self.resilience.recovered:
             report = "\n".join(o.render() for o in self.orphans)
             warnings.warn(
                 "simulated MPI program exited with undelivered messages "
@@ -906,11 +858,6 @@ class Scheduler:
             self.n_ranks,
             cost_model=self.cost_model,
             measure_compute=self.measure_compute,
-            service_order=(
-                "descending" if self.service_order == "ascending"
-                else "ascending"
-            ),
-            warn_orphans=False,
             # the plan's pseudo-randomness is hash-derived from message
             # identity, so the replay sees identical injections
             fault_plan=self.fault_plan,
@@ -923,11 +870,12 @@ class Scheduler:
             ),
             certify=self.certify,
         )
-        replay_results = replay._run_pass(program, args)
+        replay_results = replay._run_pass(program, args, descending=True)
+        compare_replays(primary, replay_results,
+                        detail="service orders: ascending vs descending")
         compare_replays(
-            primary, replay_results,
-            detail=f"service orders: {self.service_order} vs "
-                   f"{replay.service_order}",
+            self.ops, replay.ops,
+            detail="operation budget diverged under the replay order",
         )
         if not self.measure_compute:
             compare_replays(
@@ -1044,7 +992,7 @@ class Scheduler:
         Returns True when a receive was resolved — by shadow-copy
         retransmit or by throwing :class:`RecvTimeout` into the program
         — so the core loop can continue.  The victim is chosen
-        independently of ``service_order``:
+        independently of the service order:
 
         1. A receive that can *retransmit* (shadow copy available,
            retries left) is preferred, lowest rank first: retransmission
@@ -1283,9 +1231,7 @@ class Scheduler:
             self.metrics.counter("executor.shm_bytes").inc(result.shm_bytes)
         if self.measure_compute and result.elapsed > 0:
             self._spend(
-                rank, "compute",
-                (result.elapsed + result.billed_s)
-                * self.cost_model.compute_scale,
+                rank, "compute", result.elapsed + result.billed_s,
                 args={"payload": task.payload, "method": task.method},
             )
         if self.tracer.enabled:
@@ -1302,8 +1248,7 @@ class Scheduler:
             elapsed = time.perf_counter() - t_start
             if LEDGER.billed_s:
                 elapsed += LEDGER.drain()
-            self._spend(rank, "compute",
-                        elapsed * self.cost_model.compute_scale)
+            self._spend(rank, "compute", elapsed)
 
     def _stamp_send(self, rank: int) -> Optional[int]:
         """Log a send event; return its scalar stamp (certify only).

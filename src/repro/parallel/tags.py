@@ -69,7 +69,6 @@ __all__ = [
     "BCAST",
     "REDUCE",
     "ALLREDUCE",
-    "SCATTER",
     "ALLGATHER",
     # -- simulated-MPI infrastructure --
     "SPLIT",
@@ -245,7 +244,6 @@ NODE_DIGEST = register(
 BCAST = register("_bcast", "collectives", None, shared=True)
 REDUCE = register("_reduce", "collectives", None, shared=True)
 ALLREDUCE = register("_allreduce", "collectives", None, shared=True)
-SCATTER = register("_scatter", "collectives", None, shared=True)
 ALLGATHER = register("_allgather", "collectives", None, shared=True)
 
 # simulated-MPI infrastructure (repro/parallel/simmpi.py)

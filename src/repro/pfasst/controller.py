@@ -239,9 +239,11 @@ class Step:
     value of it every level of the active phase starts from, the
     ``block`` / ``attempt`` counters every message tag carries, the
     histories — lives in attributes; the predictor, the V-cycle and the
-    block loop (:meth:`run`) are generator methods over it.  Arguments as :func:`pfasst_rank_program`.  :attr:`recovery` is
-    ``None`` under ``config.recovery == "fail"`` (exactly the fault-free
-    op stream), else the :class:`Recovery` layer the loop consults.
+    block loop (:meth:`run`) are generator methods over it.
+    :func:`pfasst_rank_program` builds ``ctx`` and passes the checkpoint
+    arguments.  :attr:`recovery` is ``None`` under ``config.recovery ==
+    "fail"`` (exactly the fault-free op stream), else the
+    :class:`Recovery` layer the loop consults.
     """
 
     def __init__(self, comm: VirtualComm, config: PfasstConfig, specs, u0,
@@ -496,7 +498,7 @@ class Recovery:
     timeouts that turn a dead sender into a
     :class:`~repro.parallel.faults.RecvTimeout`.  ``world`` (the comm
     detection runs over), ``grid``, ``row`` and ``epoch_comms`` are the
-    grid context :func:`_grid_rank_program` builds; without it the world
+    grid context :func:`pfasst_rank_program` builds; without it the world
     is the step's time comm: the op stream of the time-only controller.
     """
 
@@ -726,31 +728,34 @@ class Recovery:
 
 
 def pfasst_rank_program(
-    comm: VirtualComm,
-    config: PfasstConfig,
-    specs: Sequence[LevelSpec],
-    u0: np.ndarray,
-    ctx: RhsContext = RhsContext(),
+    comm: VirtualComm, config: PfasstConfig, specs: Sequence[LevelSpec],
+    u0: np.ndarray, grid: SpaceTimeGrid,
+    dispatch: Optional[DispatchContext] = None,
     checkpointer: Optional[RunCheckpointer] = None,
     resume: Optional[RunCheckpoint] = None,
 ) -> Generator[Any, Any, Dict[str, Any]]:
-    """Rank program executing PFASST on one time rank.
+    """Rank program for the P_T x P_S x P_N grid (paper Fig. 2, PFASST-ER).
 
     Yields simulated-MPI operations; returns a dict with the rank's end
-    value, residual history and bookkeeping.  The program is one
-    :class:`Step`'s :meth:`~Step.run`.
+    value, residual history, bookkeeping and grid coordinates.  Splits
+    the world into this rank's space row (vary ``s``), time column (vary
+    ``t``) and — when ``p_nodes > 1`` — node group (vary ``n``), then
+    runs one :class:`Step`'s :meth:`~Step.run` over the time comm.  A
+    grid with extent-1 space *and* node axes makes no split at all: the
+    world is the time comm and the op stream is the plain time-parallel
+    one.
 
-    ``ctx`` (a :class:`~repro.sdc.sweeper.RhsContext`) says where every
-    RHS evaluation runs: collectively over its space communicator (a row
-    of the paper's Fig. 2 grid, sharding the tree work), sharded over
-    its PFASST-ER node communicator in multi-node evaluation rounds (the
-    diagonal sweeper's, the controller's restriction re-evaluations),
-    and/or as ``Compute`` ops through its dispatch
-    context, which a process backend runs concurrently on real cores.
-    None of the three changes the time algorithm: sharding is
-    bitwise-neutral (each RHS is computed exactly once from the same
-    inputs), and with the default context the op stream is the plain
-    time-parallel one.
+    The step's :class:`~repro.sdc.sweeper.RhsContext` says where every
+    RHS evaluation runs: collectively over the space comm (sharding the
+    tree work), sharded over the node comm in multi-node evaluation
+    rounds (the diagonal sweeper's, the controller's restriction
+    re-evaluations), and/or as ``Compute`` ops through ``dispatch``,
+    which a process backend runs concurrently on real cores.  None of
+    the three changes the time algorithm: sharding is bitwise-neutral
+    (each RHS is computed exactly once from the same inputs).  All
+    members of a time slice drive identical time logic over identical
+    full states, so after the run the end values are cross-checked
+    bitwise across the space row and the node group.
 
     With ``config.recovery != "fail"`` the program survives injected rank
     crashes (:class:`~repro.parallel.faults.RankFailure` thrown at an op
@@ -762,47 +767,24 @@ def pfasst_rank_program(
     recovery protocol itself (status allreduce, block refetch, donor
     hand-off, block-end broadcast) is fatal — the same caveat a real
     fault-tolerant MPI has when the recovery collective itself fails.
+    On a grid the space and node comms are then wrapped in
+    :class:`~repro.parallel.simmpi.EpochComm` (restart-safe collectives:
+    default timeouts on every receive, epoch-tagged messages that
+    restarts orphan) and the step's :class:`Recovery` layer moves
+    failure detection to the world communicator.  Its resync row is the
+    space comm at ``p_nodes = 1``; otherwise one more split builds the
+    *plane* comm of all ``p_space * p_nodes`` ranks of this time slice,
+    ordered like ``grid.time_row(t)``.
 
     ``checkpointer`` / ``resume`` attach durable checkpoint/restart
     (:mod:`repro.pfasst.checkpoint`): contributions are plain in-process
     calls after each iteration — zero extra ops, so the op stream stays
     byte-identical — and a resumed program jumps to the checkpointed
     block, adopts the level state bitwise and continues at iteration
-    ``k + 1``, reproducing the uninterrupted run exactly.
-    """
-    step = Step(comm, config, specs, u0, ctx, checkpointer, resume)
-    return (yield from step.run())
-
-
-def _grid_rank_program(
-    comm: VirtualComm, config: PfasstConfig, specs, u0,
-    grid: SpaceTimeGrid, dispatch: Optional[DispatchContext] = None,
-    checkpointer: Optional[RunCheckpointer] = None,
-    resume: Optional[RunCheckpoint] = None,
-) -> Generator[Any, Any, Dict[str, Any]]:
-    """Rank program for the P_T x P_S x P_N grid (paper Fig. 2, PFASST-ER).
-
-    Splits the world into this rank's space row (vary ``s``), time
-    column (vary ``t``) and — when ``p_nodes > 1`` — node group (vary
-    ``n``), then runs the :class:`Step` program of
-    :func:`pfasst_rank_program` over the time comm with the space comm
-    sharding tree evaluations and the node comm sharding collocation
-    nodes across multi-node evaluation rounds.  A grid with extent-1
-    space *and* node axes makes no split at all: the world is the time
-    comm.  All members of a time slice drive identical time logic over
-    identical full states, so after the run the end values are
-    cross-checked bitwise across the space row and the node group.
-
-    With a recovery policy active the space and node comms are wrapped
-    in :class:`~repro.parallel.simmpi.EpochComm` (restart-safe
-    collectives: default timeouts on every receive, epoch-tagged
-    messages that restarts orphan) and the step's :class:`Recovery` layer
-    moves failure detection to the world communicator.  Its resync row
-    is the space comm at ``p_nodes = 1``; otherwise one more split
-    builds the *plane* comm of all ``p_space * p_nodes`` ranks of this
-    time slice, ordered like ``grid.time_row(t)``.  Only the ``(s, n) =
-    (0, 0)`` member of each slice contributes to a checkpointer — slice
-    state is replicated bitwise, so one column describes the whole grid.
+    ``k + 1``, reproducing the uninterrupted run exactly.  Only the
+    ``(s, n) = (0, 0)`` member of each slice contributes to the
+    checkpointer — slice state is replicated bitwise, so one column
+    describes the whole grid.
     """
     t_idx, s_idx, n_idx = grid.coords(comm.rank)
     tcomm, space, node, row = comm, None, None, None
@@ -915,7 +897,6 @@ def run_pfasst(
     measure_compute: bool = False,
     verify: bool = False,
     fault_plan: Optional[FaultPlan] = None,
-    service_order: str = "ascending",
     tracer: Optional[Tracer] = None,
     p_space: int = 1,
     p_nodes: int = 1,
@@ -931,10 +912,7 @@ def run_pfasst(
     :class:`LevelSpec` per level) and ``u0`` is the packed initial
     state at ``config.t0``.  ``cost_model`` prices message traffic for
     the virtual clocks (:class:`~repro.parallel.simmpi.CommCostModel`;
-    default free communication) and ``service_order``
-    (``"ascending"``/``"descending"``) picks the scheduler's rank
-    service order — numerics are service-order independent, which is
-    exactly what ``verify=True`` checks.
+    default free communication).
 
     ``p_space > 1`` runs the full ``p_time x p_space`` space-time grid
     (paper Fig. 2): the scheduler world holds ``p_time * p_space`` ranks,
@@ -1033,7 +1011,7 @@ def run_pfasst(
     scheduler = Scheduler(
         p_time * p_space * p_nodes, cost_model=cost_model,
         measure_compute=measure_compute,
-        verify=verify, fault_plan=fault_plan, service_order=service_order,
+        verify=verify, fault_plan=fault_plan,
         tracer=tracer, executor=executor, certify=certify,
     )
     dispatch: Optional[DispatchContext] = None
@@ -1065,7 +1043,7 @@ def run_pfasst(
                 "p_nodes); resume with the original run configuration"
             )
     results = scheduler.run(
-        _grid_rank_program,
+        pfasst_rank_program,
         args=(config, specs, np.asarray(u0),
               SpaceTimeGrid(p_time, p_space, p_nodes), dispatch,
               checkpointer, resume),

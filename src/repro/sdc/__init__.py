@@ -7,8 +7,6 @@ from repro.sdc.quadrature import (
     barycentric_weights,
     lagrange_interpolation_matrix,
     lagrange_integration_weights,
-    diagonal_coefficients,
-    DIAGONAL_COEFFICIENT_CHOICES,
 )
 from repro.sdc.sweeper import (
     SWEEPERS,
@@ -35,8 +33,6 @@ __all__ = [
     "SWEEPERS",
     "make_sweeper",
     "node_slice",
-    "diagonal_coefficients",
-    "DIAGONAL_COEFFICIENT_CHOICES",
     "SDCStepper",
     "SDCRunStats",
 ]

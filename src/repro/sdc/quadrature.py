@@ -33,8 +33,6 @@ __all__ = [
     "lagrange_integration_weights",
     "QuadratureRule",
     "make_rule",
-    "diagonal_coefficients",
-    "DIAGONAL_COEFFICIENT_CHOICES",
 ]
 
 
@@ -124,55 +122,6 @@ class QuadratureRule:
     def integrate_from_start(self, f_nodes: np.ndarray) -> np.ndarray:
         """Apply Q: ``out[m] = int_0^{tau_m}``."""
         return np.tensordot(self.Q, f_nodes, axes=(1, 0))
-
-
-#: named diagonal-preconditioner coefficient choices for PFASST-ER
-#: Jacobi-style sweeps (``Q_delta = diag(d)``)
-DIAGONAL_COEFFICIENT_CHOICES = ("ie", "min", "picard")
-
-
-def diagonal_coefficients(rule: QuadratureRule, kind: str = "min") -> np.ndarray:
-    """Diagonal preconditioner coefficients ``d`` with ``Q_delta = diag(d)``.
-
-    The Jacobi-style (node-parallel) SDC iteration solves
-
-        u_m - dt d_m f(t_m, u_m) = u0 + dt ((Q - Q_delta) F^k)_m + Tau_m
-
-    independently per node.  Supported choices:
-
-    * ``"ie"`` — implicit-Euler diagonal ``d_m = tau_m`` (the ``IEpar``
-      preconditioner of the parallel-SDC literature: the diagonal of the
-      implicit-Euler ``Q_delta``).
-    * ``"min"`` — optimized non-stiff diagonal ``d_m = tau_m / M`` with
-      ``M`` the node count (the MIN-SR-NS choice): it renders
-      ``Q - Q_delta`` nilpotent, so the non-stiff iteration matrix
-      ``dt L (Q - Q_delta)`` has spectral radius ~0 and the sweep
-      converges like the Gauss-Seidel substitution despite being fully
-      node-parallel.  This is the default.
-    * ``"picard"`` — ``d = 0``: the plain Picard/spectral iteration,
-      the zero-cost reference point (one evaluation per node per sweep).
-
-    An array of length ``num_nodes`` may be passed instead of a name.
-    """
-    if isinstance(kind, str):
-        if kind == "ie":
-            return rule.nodes.copy()
-        if kind == "min":
-            return rule.nodes / float(rule.num_nodes)
-        if kind == "picard":
-            return np.zeros(rule.num_nodes, dtype=np.float64)
-        raise ValueError(
-            f"unknown diagonal coefficient choice {kind!r}: expected one "
-            f"of {DIAGONAL_COEFFICIENT_CHOICES} or an array of length "
-            f"{rule.num_nodes}"
-        )
-    d = np.asarray(kind, dtype=np.float64)
-    if d.shape != (rule.num_nodes,):
-        raise ValueError(
-            f"diagonal coefficient array has shape {d.shape}, "
-            f"expected ({rule.num_nodes},)"
-        )
-    return d.copy()
 
 
 def make_rule(num_nodes: int, node_type: str = "lobatto") -> QuadratureRule:

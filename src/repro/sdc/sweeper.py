@@ -308,8 +308,7 @@ def make_sweeper(
 
     ``"gauss-seidel"`` is this module's sequential node-to-node
     substitution, ``"diagonal"`` the PFASST-ER Jacobi-style
-    :class:`~repro.sdc.diagonal.DiagonalSDCSweeper` with its default
-    ``"min"`` coefficients.
+    :class:`~repro.sdc.diagonal.DiagonalSDCSweeper` (MIN-SR-NS diagonal).
     """
     check_in("sweeper", kind, SWEEPERS)
     if kind == "diagonal":

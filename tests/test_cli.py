@@ -142,3 +142,25 @@ class TestSheet:
         assert code == 0
         # (2 / 3) / (1.0 / 0.25)
         assert "measured alpha: 0.167\n" in capsys.readouterr().out
+
+    def test_alpha_is_measured_like_speedup_after_the_run(self, capsys,
+                                                          monkeypatch):
+        """``measured alpha`` comes from ``measured_cost_ratio`` (one
+        computed state per sample, as in ``repro speedup``), called
+        after the run's fine call count is printed."""
+        import repro.pfasst
+
+        counts = []
+
+        def spy(fine, coarse, u0):
+            counts.append(fine.evaluator.calls)
+            return 4.0
+
+        monkeypatch.setattr(repro.pfasst, "measured_cost_ratio", spy)
+        code = main(["sheet", "-n", "80", "--t-end", "1", "--dt", "0.5",
+                     "--p-time", "2", "--method", "pfasst"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert counts == [11]
+        assert "fine RHS evaluations: 11 (" in out
+        assert "measured alpha: 0.167\n" in out

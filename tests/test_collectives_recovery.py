@@ -1,7 +1,7 @@
 """Regression tests: collectives recover dropped messages via retransmit.
 
-Before the fix, ``reduce`` / ``allreduce`` / ``scatter``
-ignored the link-layer ``timeout`` / ``retries`` / ``backoff`` knobs, so
+Before the fix, ``reduce`` / ``allreduce`` ignored the link-layer
+``timeout`` / ``retries`` knobs, so
 a single dropped message on any collective leg deadlocked the whole
 world — in particular PFASST's failure-detection allreduce, whose entire
 job is to survive faults.  These tests pin the before-shape (deadlock
@@ -18,7 +18,6 @@ from repro.parallel.collectives import (
     allreduce,
     bcast,
     reduce,
-    scatter,
 )
 from repro.parallel.faults import FaultPlan, MessageFault
 from repro.pfasst.controller import PfasstConfig, run_pfasst
@@ -32,7 +31,7 @@ DROP_FIRST = FaultPlan(messages=(MessageFault(kind="drop", occurrences=(0,)),))
 def u0():
     return np.array([1.0, 2.0])
 
-LINK = dict(timeout=0.1, retries=1, backoff=0.01)
+LINK = dict(timeout=0.1, retries=1)
 
 
 def _programs(link=LINK):
@@ -49,10 +48,6 @@ def _programs(link=LINK):
     def p_bcast(comm):
         return (yield from bcast(comm, comm.rank * 7 + 5, root=0, **link))
 
-    def p_scatter(comm):
-        values = list(range(10, 10 + comm.size)) if comm.rank == 0 else None
-        return (yield from scatter(comm, values, root=0, **link))
-
     def p_allgather(comm):
         return (yield from allgather(comm, comm.rank * 3, **link))
 
@@ -61,7 +56,6 @@ def _programs(link=LINK):
         "reduce": (p_reduce, [sum(range(1, n + 1))] + [None] * (n - 1)),
         "allreduce": (p_allreduce, [sum(range(1, n + 1))] * n),
         "bcast": (p_bcast, [5] * n),
-        "scatter": (p_scatter, [10 + r for r in range(n)]),
         "allgather": (p_allgather, [[3 * r for r in range(n)]] * n),
     }
 

@@ -17,6 +17,7 @@ from repro.parallel import (
     OrphanMessageWarning,
     Scheduler,
 )
+from repro.parallel.topology import SpaceTimeGrid
 from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
 from repro.pfasst.controller import pfasst_rank_program
 from repro.vortex.problem import ODEProblem
@@ -117,6 +118,7 @@ class TestOrphans:
         assert s.orphans == []
 
     def test_warning_suppressible(self):
+        """The warnings filter silences the report, not the record."""
         def prog(comm):
             if comm.rank == 0:
                 yield comm.send(1, "lost", 1)
@@ -125,9 +127,10 @@ class TestOrphans:
 
         import warnings
 
-        s = Scheduler(2, measure_compute=False, warn_orphans=False)
+        s = Scheduler(2, measure_compute=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            warnings.simplefilter("ignore", OrphanMessageWarning)
             s.run(prog)
         assert len(s.orphans) == 1
 
@@ -190,9 +193,21 @@ class TestVerifyReplay:
         with pytest.raises(VerificationError, match="reversed rank-service"):
             Scheduler(3, measure_compute=False, verify=True).run(prog)
 
-    def test_invalid_service_order_rejected(self):
-        with pytest.raises(ValueError, match="service_order"):
-            Scheduler(2, service_order="sideways")
+    def test_schedule_dependent_op_budget_caught(self):
+        """Equal results and clocks, but the rank serviced first in a pass
+        yields one more operation: only the replay's ``ops`` check
+        catches it."""
+        first = set()
+
+        def prog(comm):
+            sched = comm._scheduler  # one per pass
+            if sched not in first:
+                first.add(sched)
+                yield comm.work(0.0)
+            yield comm.work(0.0)
+
+        with pytest.raises(VerificationError, match="operation budget"):
+            Scheduler(2, measure_compute=False, verify=True).run(prog)
 
     def test_descending_order_same_results(self):
         def prog(comm):
@@ -204,11 +219,9 @@ class TestVerifyReplay:
                 yield comm.send(comm.rank + 1, "x", v + 1)
             return v
 
-        asc = Scheduler(4, measure_compute=False).run(prog)
-        desc = Scheduler(
-            4, measure_compute=False, service_order="descending"
-        ).run(prog)
-        assert asc == desc == [100, 101, 102, 103]
+        # the replay runs the descending order and must match
+        sched = Scheduler(4, measure_compute=False, verify=True)
+        assert sched.run(prog) == [100, 101, 102, 103]
 
 
 @settings(max_examples=6, deadline=None)
@@ -224,7 +237,7 @@ def test_pfasst_controller_verifies_under_replay(p_time):
     ]
     scheduler = Scheduler(p_time, measure_compute=False, verify=True)
     results = scheduler.run(
-        pfasst_rank_program, args=(cfg, specs, u0)
+        pfasst_rank_program, args=(cfg, specs, u0, SpaceTimeGrid(p_time))
     )
     assert len(results) == p_time
     assert scheduler.orphans == []
@@ -286,8 +299,9 @@ class TestOrphanDedup:
                     yield comm.send(1, ("pred", block, 0, 1), float(block))
             return None
 
-        sched = Scheduler(2, warn_orphans=False)
-        sched.run(prog)
+        sched = Scheduler(2)
+        with pytest.warns(OrphanMessageWarning):
+            sched.run(prog)
         [orphan] = sched.orphans
         assert orphan.tag == "pred" and orphan.count == 3
         assert orphan.variants == 3
@@ -330,8 +344,9 @@ class TestNestedSubCommDiagnostics:
                 yield cell.send(1, (tags.PRED, 0, 0, 1), 1.0)
             return None
 
-        sched = Scheduler(4, warn_orphans=False)
-        sched.run(prog)
+        sched = Scheduler(4)
+        with pytest.warns(OrphanMessageWarning):
+            sched.run(prog)
         assert sched.orphans
         for orphan in sched.orphans:
             assert tag_class(orphan.tag) == "pred"

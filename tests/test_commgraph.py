@@ -111,7 +111,6 @@ class TestExtraction:
     def test_real_programs_extracted(self, skeletons):
         names = {sk.name for sk in skeletons}
         assert "pfasst_rank_program" in names
-        assert "_grid_rank_program" in names
         assert "VirtualComm.split" in names
         assert "SpaceParallelTreeEvaluator.field_program" in names
         assert {"bcast", "allreduce", "allgather"} <= names
@@ -142,7 +141,7 @@ class TestExtraction:
 
     def test_render_and_dot(self, skeletons):
         grid = next(sk for sk in skeletons
-                    if sk.name == "_grid_rank_program")
+                    if sk.name == "pfasst_rank_program")
         text = render_skeleton(grid)
         assert "space:digest" in text
         dot = to_dot(skeletons)
@@ -334,7 +333,7 @@ class TestCli:
 
     def test_graph_ascii(self, capsys):
         assert main(["graph", COMM_MODULES[0],
-                     "--root", "_grid_rank_program"]) == 0
+                     "--root", "pfasst_rank_program"]) == 0
         assert "space:digest" in capsys.readouterr().out
 
     def test_graph_dot(self, capsys):
@@ -357,3 +356,28 @@ class TestCli:
         assert main(["certify", *shape, "--verify"]) == 0
         assert (f"certified deterministic (digest {self.CERTIFIED[shape]})"
                 in capsys.readouterr().err)
+
+    def test_certify_fails_on_an_undelivered_message(self, monkeypatch,
+                                                     capsys):
+        """A run that leaves a message undelivered is not certified, even
+        with a race-free, replay-stable digest; the channel is named."""
+        from repro.pfasst import controller
+
+        def orphaning(program):
+            def wrapped(comm, *args):
+                result = yield from program(comm, *args)
+                if comm.rank == 0:  # a send no rank ever receives
+                    yield comm.send(1, (tags.FTUB, 9, 9), 1.0)
+                return result
+            return wrapped
+
+        class OrphaningScheduler(Scheduler):
+            def run(self, program, args=()):
+                return super().run(orphaning(program), args)
+
+        monkeypatch.setattr(controller, "Scheduler", OrphaningScheduler)
+        assert main(["certify", "--p-space", "1", "--particles", "32",
+                     "--verify"]) == 1
+        err = capsys.readouterr().err
+        assert "rank 0 -> rank 1 tag=('ftub', 9, 9)" in err
+        assert "certified deterministic" not in err

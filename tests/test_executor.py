@@ -418,10 +418,11 @@ class TestWorkerLossResilience:
         )
         assert "re-dispatched" in detail
 
-    def test_retries_exhausted_raises(self, tmp_path):
-        """max_retries=0 turns the first worker death fatal."""
+    def test_retries_exhausted_raises(self, monkeypatch):
+        """No respawn left turns the first worker death fatal."""
         u0 = np.array([1.0, 2.0])
-        with ProcessExecutor(max_workers=1, max_retries=0) as ex:
+        monkeypatch.setattr(ProcessExecutor, "MAX_RETRIES", 0)
+        with ProcessExecutor(max_workers=1) as ex:
             with pytest.raises(RuntimeError, match="worker death"):
                 run_pfasst(
                     _config(), _specs(_AlwaysDies()), u0, p_time=2,
@@ -429,10 +430,12 @@ class TestWorkerLossResilience:
                 )
 
     def test_retry_parameters_validated(self):
-        with pytest.raises(ValueError, match="max_retries"):
-            ProcessExecutor(max_retries=-1)
-        with pytest.raises(ValueError, match="retry_backoff"):
-            ProcessExecutor(retry_backoff=-0.1)
+        # the retry policy is a pair of class constants, fixed at the
+        # former constructor defaults; the worker count stays checked
+        assert ProcessExecutor.MAX_RETRIES == 2
+        assert ProcessExecutor.RETRY_BACKOFF == 0.05
+        with pytest.raises(ValueError, match="max_workers"):
+            ProcessExecutor(max_workers=0)
 
     def test_no_restart_leaves_counters_unset(self, linear_problem):
         """Fault-free process runs carry no executor.pool_restarts key —

@@ -191,11 +191,12 @@ class TestLossyLinks:
         assert res.resilience.counts()["delay"] >= 1
 
     def test_descending_service_order_bit_identical(self, linear_problem, u0):
-        """Satellite: multi-block PFASST numerics are schedule-independent."""
+        """Multi-block PFASST numerics are schedule-independent: the
+        verify replay runs the descending order and must match the
+        primary's results, clocks and operation budget."""
         base = run_pfasst(_config(), _specs(linear_problem), u0, p_time=2)
         res = run_pfasst(
-            _config(), _specs(linear_problem), u0, p_time=2,
-            service_order="descending",
+            _config(), _specs(linear_problem), u0, p_time=2, verify=True,
         )
         assert freeze(res.u_end) == freeze(base.u_end)
         assert freeze(res.residuals) == freeze(base.residuals)

@@ -6,11 +6,7 @@ import pytest
 from repro.parallel.simmpi import Scheduler
 from repro.sdc.diagonal import DiagonalSDCSweeper
 from repro.sdc.nodes import available_node_types
-from repro.sdc.quadrature import (
-    DIAGONAL_COEFFICIENT_CHOICES,
-    diagonal_coefficients,
-    make_rule,
-)
+from repro.sdc.quadrature import make_rule
 from repro.sdc.sweeper import (
     ExplicitSDCSweeper,
     RhsContext,
@@ -27,72 +23,48 @@ def _dense_collocation(problem, rule, dt, u0):
     return out.reshape(m1, n)
 
 
+def _picard_residual(problem, rule, dt, u0, sweeps):
+    """Residual after ``sweeps`` plain Picard sweeps (no diagonal)."""
+    sw = ExplicitSDCSweeper(problem, rule)
+    times = sw.node_times(0.0, dt)
+    U, F = sw.initialize(0.0, dt, u0)
+    for _ in range(sweeps):
+        U = u0 + dt * rule.integrate_from_start(F)
+        F = np.stack([problem.rhs(t, u) for t, u in zip(times, U)])
+    return sw.residual(dt, U, F, u0)
+
+
 class TestCoefficients:
-    def test_ie_is_the_nodes(self):
-        rule = make_rule(4, "equidistant")
-        assert np.allclose(diagonal_coefficients(rule, "ie"), rule.nodes)
-
-    def test_min_is_nodes_over_m(self):
+    def test_min_is_nodes_over_m(self, linear_problem):
         rule = make_rule(4)
-        assert np.allclose(
-            diagonal_coefficients(rule, "min"), rule.nodes / 4.0
-        )
-
-    def test_picard_is_zero(self):
-        rule = make_rule(3)
-        assert not diagonal_coefficients(rule, "picard").any()
-
-    def test_custom_array_passes_through(self):
-        rule = make_rule(3)
-        d = np.array([0.1, 0.2, 0.3])
-        out = diagonal_coefficients(rule, d)
-        assert np.array_equal(out, d)
-        out[0] = 99.0  # returned array is a copy
-        assert d[0] == 0.1
-
-    def test_unknown_choice_rejected(self):
-        with pytest.raises(ValueError, match="unknown diagonal"):
-            diagonal_coefficients(make_rule(3), "magic")
-
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            diagonal_coefficients(make_rule(3), np.zeros(4))
-
-    def test_choices_tuple_complete(self):
-        for kind in DIAGONAL_COEFFICIENT_CHOICES:
-            diagonal_coefficients(make_rule(3), kind)  # none raise
+        sw = DiagonalSDCSweeper(linear_problem, rule)
+        assert np.array_equal(sw.d, rule.nodes / 4.0)
 
     @pytest.mark.parametrize("node_type", available_node_types())
-    def test_min_makes_iteration_matrix_nilpotent(self, node_type):
+    def test_min_makes_iteration_matrix_nilpotent(self, linear_problem,
+                                                  node_type):
         """The MIN-SR-NS property: ``Q - diag(tau/M)`` has spectral
         radius ~0, while the implicit-Euler diagonal leaves it O(1)."""
         rule = make_rule(4, node_type)
 
-        def rho(kind):
-            E = rule.Q - np.diag(diagonal_coefficients(rule, kind))
-            return np.max(np.abs(np.linalg.eigvals(E)))
+        def rho(d):
+            return np.max(np.abs(np.linalg.eigvals(rule.Q - np.diag(d))))
 
         # nilpotent eigenvalues are ill-conditioned (~eps^(1/M)), so the
         # numerical radius is ~1e-7 rather than exactly 0 — still orders
         # of magnitude under the implicit-Euler diagonal's O(1)
-        assert rho("min") < 1e-4
-        assert rho("ie") > 0.1
-
-    def test_inner_iterations_validated(self, linear_problem):
-        with pytest.raises(ValueError, match="inner_iterations"):
-            DiagonalSDCSweeper(linear_problem, make_rule(3),
-                               inner_iterations=-1)
+        assert rho(DiagonalSDCSweeper(linear_problem, rule).d) < 1e-4
+        assert rho(rule.nodes) > 0.1
 
 
 class TestConvergence:
     @pytest.mark.parametrize("node_type", available_node_types())
-    @pytest.mark.parametrize("coeffs", ["min", "ie", "picard"])
     def test_converges_to_dense_collocation_solve(self, linear_problem,
-                                                  node_type, coeffs):
+                                                  node_type):
         rule = make_rule(3, node_type)
         ref = _dense_collocation(linear_problem, rule, 0.2,
                                  np.array([1.0, 0.0]))
-        sw = DiagonalSDCSweeper(linear_problem, rule, coefficients=coeffs)
+        sw = DiagonalSDCSweeper(linear_problem, rule)
         u0 = np.array([1.0, 0.0])
         U, F = sw.initialize(0.0, 0.2, u0)
         for _ in range(40):
@@ -116,36 +88,17 @@ class TestConvergence:
 
     def test_min_converges_faster_than_picard(self, linear_problem):
         """The diagonal correction must genuinely matter: with the
-        nilpotent ``min`` diagonal, few sweeps reach a residual plain
-        Picard cannot at the same sweep count."""
+        nilpotent diagonal, few sweeps reach a residual plain Picard
+        cannot at the same sweep count."""
         rule = make_rule(4)
         u0 = np.array([1.0, 0.0])
         dt = 0.5
-
-        def run(coeffs, sweeps):
-            sw = DiagonalSDCSweeper(linear_problem, rule,
-                                    coefficients=coeffs)
-            U, F = sw.initialize(0.0, dt, u0)
-            for _ in range(sweeps):
-                U, F = sw.sweep(0.0, dt, U, F, u0=u0)
-            return sw.residual(dt, U, F, u0)
-
-        assert run("min", 6) < run("picard", 6) * 1e-1
-
-    def test_inner_zero_reduces_to_picard(self, linear_problem):
-        """With no inner iterations ``d`` drops out of the update."""
-        rule = make_rule(3)
-        u0 = np.array([1.0, 0.0])
-        a = DiagonalSDCSweeper(linear_problem, rule, coefficients="min",
-                               inner_iterations=0)
-        b = DiagonalSDCSweeper(linear_problem, rule, coefficients="picard")
-        Ua, Fa = a.initialize(0.0, 0.2, u0)
-        Ub, Fb = b.initialize(0.0, 0.2, u0)
-        for _ in range(3):
-            Ua, Fa = a.sweep(0.0, 0.2, Ua, Fa, u0=u0)
-            Ub, Fb = b.sweep(0.0, 0.2, Ub, Fb, u0=u0)
-        assert np.array_equal(Ua, Ub)
-        assert np.array_equal(Fa, Fb)
+        sw = DiagonalSDCSweeper(linear_problem, rule)
+        U, F = sw.initialize(0.0, dt, u0)
+        for _ in range(6):
+            U, F = sw.sweep(0.0, dt, U, F, u0=u0)
+        picard = _picard_residual(linear_problem, rule, dt, u0, 6)
+        assert sw.residual(dt, U, F, u0) < picard * 1e-1
 
     def test_needs_u0(self, linear_problem):
         """The Q-form update starts every node from u0, not from U[0]."""

@@ -14,7 +14,6 @@ from repro.parallel import (
     bcast,
     payload_bytes,
     reduce,
-    scatter,
 )
 
 
@@ -238,22 +237,6 @@ class TestCollectives:
         res = Scheduler(n_ranks, measure_compute=False).run(prog)
         assert res == [n_ranks - 1] * n_ranks
 
-    def test_scatter(self, n_ranks):
-        def prog(comm):
-            values = list(range(100, 100 + comm.size)) if comm.rank == 0 else None
-            return (yield from scatter(comm, values, root=0))
-
-        res = Scheduler(n_ranks, measure_compute=False).run(prog)
-        assert res == [100 + r for r in range(n_ranks)]
-
-
-def test_scatter_wrong_length():
-    def prog(comm):
-        return (yield from scatter(comm, [1], root=0))
-
-    with pytest.raises(ValueError, match="exactly"):
-        Scheduler(2, measure_compute=False).run(prog)
-
 
 @settings(max_examples=25, deadline=None)
 @given(
@@ -280,10 +263,6 @@ class TestCostModelValidation:
     def test_negative_overhead_rejected(self):
         with pytest.raises(ValueError, match="send_overhead"):
             CommCostModel(send_overhead=-0.1)
-
-    def test_nonpositive_compute_scale_rejected(self):
-        with pytest.raises(ValueError, match="compute_scale"):
-            CommCostModel(compute_scale=0.0)
 
 
 def test_unpicklable_payload_warns_with_type_name():

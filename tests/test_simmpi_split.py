@@ -93,10 +93,8 @@ class TestSplit:
     def test_translate_and_world_rank(self):
         def program(comm):
             sub = yield from comm.split(color=comm.rank % 2, key=comm.rank)
-            return (
-                sub.world_rank,
-                [sub.translate(r) for r in range(sub.size)],
-            )
+            # ``members`` translates sub-ranks to parent (here world) ranks
+            return sub.world_rank, sub.members
 
         results = run(4, program)
         assert results[1] == (1, [1, 3])
@@ -125,8 +123,6 @@ class TestSplit:
                     sub.send(sub.size, "t", 1)
                 with pytest.raises(ValueError):
                     sub.recv(-1, "t")
-                with pytest.raises(ValueError):
-                    sub.translate(sub.size)
             yield from allgather(sub, None)
             return True
 
