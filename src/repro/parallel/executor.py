@@ -12,15 +12,17 @@ arguments"), and the backend decides where that call runs:
   yield point.  Results, virtual clocks and op streams are byte-identical
   to a scheduler without any executor attached (the byte-identity suite
   in ``tests/test_executor.py`` pins this).
-* :class:`ProcessExecutor` — runs tasks on a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  The scheduler defers
-  every ``Compute``-blocked rank until no further event-loop progress is
-  possible, then flushes the accumulated *batch* through
-  :meth:`ProcessExecutor.dispatch` — concurrently runnable work
+* :class:`ProcessExecutor` — runs tasks on worker processes, one
+  single-worker :class:`concurrent.futures.ProcessPoolExecutor` each.
+  The scheduler defers every ``Compute``-blocked rank until no further
+  event-loop progress is possible, then flushes the accumulated *batch*
+  through :meth:`ProcessExecutor.dispatch` — concurrently runnable work
   (independent RHS evaluations across time ranks, per-row space segments)
-  lands on real cores in one barrier round.  Input arrays travel through
-  :mod:`multiprocessing.shared_memory` blocks (created per dispatch,
-  unlinked immediately after the barrier); results return pickled.
+  lands on real cores in one barrier round.  Placement is rank-affine:
+  the task of world rank ``r`` always runs on worker ``r mod W``.  Input
+  arrays travel through :mod:`multiprocessing.shared_memory` blocks
+  (created per dispatch, unlinked immediately after the barrier);
+  results return pickled.
 
 Payload objects (problems with their evaluators and tree-state caches)
 are registered up front under stable string keys and shipped to the
@@ -28,14 +30,17 @@ workers **once**, at pool start-up, via the pool initializer — per-task
 traffic is only the state array, the small ``args``/``tail`` scalars and
 the result.  Workers keep their (forked/unpickled) payload copies alive
 across tasks, so tree-state caches warm up per worker exactly as the
-in-process evaluator's cache does.
+in-process evaluator's cache does.  Because a rank's tasks always land on
+the same worker, the sequence of states a worker's cache sees is a
+property of the program, not of timing: cache hit/miss counts repeat
+exactly from run to run.
 
 Every task runs under a fresh per-task :class:`MetricsRegistry`
 (installed via ``use_metrics``), and the deltas are bucketed per worker
 id.  The scheduler folds the buckets into its own registry at the end of
 the run, **sorted by worker id**, so merged counter totals are
 deterministic and — for everything except cache hit/miss splits, which
-depend on task placement — exactly equal between backends.
+depend on which tasks share a cache — exactly equal between backends.
 
 Process-safety of the task descriptors is enforced statically by
 ``repro-lint`` rule RPR006 (no lambdas inside ``ComputeTask(...)``
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 import pickle
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
@@ -132,9 +137,11 @@ class ComputeTask:
     literal* naming a regular method on the registered object: lambdas
     and closures cannot cross a process boundary (``repro-lint`` RPR006).
 
-    ``owner`` is stamped by the scheduler at the ``Compute`` operation
-    (under ``measure_compute``): the ``(run id, rank)`` whose virtual
-    clock pays for the task.  The executing process installs it on its
+    ``rank`` is stamped by the scheduler at the ``Compute`` operation:
+    the world rank that yielded the task, which places it on a worker of
+    a :class:`ProcessExecutor`.  ``owner`` is stamped there too (under
+    ``measure_compute``): the ``(run id, rank)`` whose virtual clock
+    pays for the task.  The executing process installs it on its
     :data:`~repro.obs.ledger.LEDGER` for the duration of the call.
     """
 
@@ -144,6 +151,7 @@ class ComputeTask:
     arrays: Tuple[np.ndarray, ...] = ()
     tail: Tuple[Any, ...] = ()
     owner: Optional[Tuple[int, int]] = None
+    rank: Optional[int] = None
 
     def invoke(self, obj: Any) -> Any:
         return getattr(obj, self.method)(*self.args, *self.arrays, *self.tail)
@@ -371,12 +379,11 @@ _WORKER_PAYLOADS: Dict[str, Any] = {}
 _WORKER_ID: int = 0
 
 
-def _worker_init(payload_blob: bytes, id_counter: Any) -> None:
-    """Pool initializer: unpack payloads once, claim a dense worker id."""
+def _worker_init(payload_blob: bytes, worker_id: int) -> None:
+    """Pool initializer: unpack payloads once, take the pool's index as
+    this worker's id."""
     global _WORKER_ID
-    with id_counter.get_lock():
-        _WORKER_ID = id_counter.value
-        id_counter.value += 1
+    _WORKER_ID = worker_id
     _WORKER_PAYLOADS.update(pickle.loads(payload_blob))
 
 
@@ -453,26 +460,32 @@ def _worker_exec(
 
 
 class ProcessExecutor(ExecutionBackend):
-    """Real-core backend over a :class:`ProcessPoolExecutor`.
+    """Real-core backend: ``max_workers`` worker processes, each the one
+    worker of its own :class:`ProcessPoolExecutor`.
 
-    Payloads are pickled once into the pool initializer.  Per task,
+    Payloads are pickled once into the pool initializers.  Per task,
     :meth:`dispatch` stages the input arrays into per-task
     ``multiprocessing.shared_memory`` blocks, submits the worker calls,
     waits for the whole batch (the scheduler's barrier), writes results
-    back and unlinks the blocks.  Workers claim dense ids 0..W-1 from a
-    shared counter; their per-task metric deltas are bucketed by id for
+    back and unlinks the blocks.  A task stamped with world rank ``r``
+    runs on worker ``r mod W``; one without a rank on worker ``i mod W``
+    for its index ``i`` in the batch.  So a rank's fine and coarse
+    evaluations share one worker's tree cache, as they share the one
+    cache inline.  Worker ids are the pool indices 0..W-1, handed to
+    each pool at start; per-task metric deltas are bucketed by id for
     the deterministic end-of-run merge.
 
     ``max_workers`` bounds genuine concurrency; ``max_workers=1`` is the
-    degenerate (still multi-process) case the test suite pins.  The pool
-    starts lazily on first dispatch so payload registration stays open
+    degenerate (still multi-process) case the test suite pins.  The pools
+    start lazily on first dispatch so payload registration stays open
     until the scheduler actually runs.
 
     Worker death (``BrokenProcessPool``) is recoverable: dispatch is
     deterministic and side-effect-free — tasks only read staged input
-    arrays and return values — so :meth:`dispatch` respawns the pool and
-    re-runs the whole in-flight batch, up to :attr:`MAX_RETRIES` times
-    with exponential :attr:`RETRY_BACKOFF` sleeps between attempts.
+    arrays and return values — so :meth:`dispatch` waits out the batch,
+    respawns every pool and re-runs the whole in-flight batch, up to
+    :attr:`MAX_RETRIES` times with exponential :attr:`RETRY_BACKOFF`
+    sleeps between attempts.
     Each respawn is recorded as a backend event (folded into the
     scheduler's resilience report) and counted in the
     ``executor.pool_restarts`` / ``executor.redispatched_tasks`` metrics.
@@ -491,14 +504,15 @@ class ProcessExecutor(ExecutionBackend):
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
-        self._pool: Optional[ProcessPoolExecutor] = None
+        #: one single-worker pool per worker, indexed by worker id
+        self._pools: List[ProcessPoolExecutor] = []
         self._run_restarts = 0
         self._run_redispatched = 0
 
     # -- pool lifecycle -------------------------------------------------
     def start(self) -> None:
-        """Pickle the payload registry and spin up the worker pool."""
-        if self._pool is not None:
+        """Pickle the payload registry and spin up the worker pools."""
+        if self._pools:
             return
         import multiprocessing
 
@@ -511,26 +525,28 @@ class ProcessExecutor(ExecutionBackend):
                 ) from exc
         blob = pickle.dumps(self._payloads, protocol=pickle.HIGHEST_PROTOCOL)
         ctx = multiprocessing.get_context()
-        counter = ctx.Value("i", 0)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            mp_context=ctx,
-            initializer=_worker_init,
-            initargs=(blob, counter),
-        )
+        self._pools = [
+            ProcessPoolExecutor(
+                max_workers=1,
+                mp_context=ctx,
+                initializer=_worker_init,
+                initargs=(blob, worker),
+            )
+            for worker in range(self.max_workers)
+        ]
         self._started = True
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        for pool in self._pools:
+            pool.shutdown(wait=True)
+        self._pools = []
 
     def _respawn(self) -> None:
-        """Tear down a broken pool and start a fresh one."""
-        if self._pool is not None:
-            # the pool is broken; don't wait on dead workers
-            self._pool.shutdown(wait=False)
-            self._pool = None
+        """Tear down the pools, one of them broken, and start fresh ones."""
+        for pool in self._pools:
+            # a broken pool's worker is dead; don't wait on it
+            pool.shutdown(wait=False)
+        self._pools = []
         self.start()
 
     def reset_run(self) -> None:
@@ -593,12 +609,11 @@ class ProcessExecutor(ExecutionBackend):
         from multiprocessing import shared_memory
 
         self.start()
-        pool = self._pool
         futures = []
         all_blocks: List[Any] = []
         shm_per_task: List[int] = []
         try:
-            for task in batch:
+            for index, task in enumerate(batch):
                 try:
                     pickle.dumps((task.args, task.tail),
                                  protocol=pickle.HIGHEST_PROTOCOL)
@@ -629,11 +644,15 @@ class ProcessExecutor(ExecutionBackend):
                     specs.append((shm.name, a.shape, a.dtype.str))
                     nbytes += int(a.nbytes)
                 shm_per_task.append(nbytes)
+                place = index if task.rank is None else task.rank
+                pool = self._pools[place % self.max_workers]
                 futures.append(pool.submit(
                     _worker_exec, task.payload, task.method,
                     task.args, task.tail, specs, task.owner,
                 ))
-            # barrier: collect in submission order
+            # barrier: wait for every task (a dead worker fails only its
+            # own pool's), then collect in submission order
+            wait(futures)
             results = []
             for fut, nbytes in zip(futures, shm_per_task):
                 (wid, t0, t1, elapsed, billed_s, value, error,

@@ -183,8 +183,6 @@ class Recv:
     timeout: Optional[float] = None
     #: bounded retransmit attempts for lost/corrupted messages
     retries: int = 0
-    #: extra virtual seconds charged per retransmit (backoff model)
-    backoff: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -266,7 +264,6 @@ class VirtualComm:
         tag: Hashable,
         timeout: Optional[float] = None,
         retries: int = 0,
-        backoff: float = 0.0,
     ) -> Recv:
         if not 0 <= source < self.size:
             raise ValueError(f"source {source} out of range 0..{self.size - 1}")
@@ -276,10 +273,7 @@ class VirtualComm:
             raise ValueError(f"timeout must be > 0 when given, got {timeout}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if backoff < 0:
-            raise ValueError(f"backoff must be >= 0, got {backoff}")
-        return Recv(source, tag, timeout=timeout, retries=retries,
-                    backoff=backoff)
+        return Recv(source, tag, timeout=timeout, retries=retries)
 
     def work(self, seconds: float) -> Work:
         if seconds < 0:
@@ -972,9 +966,7 @@ class Scheduler:
         source, tag = state.blocked_on  # type: ignore[misc]
         pristine: _Message = shadow.popleft()
         state.retries_left -= 1
-        cost = state.recv_op.backoff + self.cost_model.transfer_time(
-            payload_bytes(pristine.payload)
-        )
+        cost = self.cost_model.transfer_time(payload_bytes(pristine.payload))
         self.metrics.counter("mpi.retransmissions").inc()
         self._deliver(rank, state, pristine, at + cost)
         self.resilience.recovered.append(
@@ -1163,9 +1155,8 @@ class Scheduler:
                 "Scheduler(..., executor=SerialExecutor()) or run "
                 "without dispatch"
             )
-        task = op.task
-        if self._owners is not None:
-            task = replace(task, owner=self._owners[rank])
+        owner = None if self._owners is None else self._owners[rank]
+        task = replace(op.task, rank=rank, owner=owner)
         if self.executor.inline:
             self._complete_compute(rank, state, task,
                                    self.executor.execute(task))

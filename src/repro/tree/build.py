@@ -21,6 +21,7 @@ import numpy as np
 from repro.tree.morton import (
     MAX_DEPTH,
     BoundingCube,
+    cell_of_key,
     morton_encode,
     quantize,
 )
@@ -221,21 +222,11 @@ def build_octree(
             first_child.append(-1)
             n_children.append(0)
 
-    n_nodes = len(levels)
     node_level = np.array(levels, dtype=np.int64)
     # geometric cells of the nodes
-    from repro.tree.morton import cell_of_key
-
-    node_center = np.empty((n_nodes, 3), dtype=np.float64)
-    node_size = np.empty(n_nodes, dtype=np.float64)
-    cell_key_arr = np.array(cell_key, dtype=np.uint64)
-    for lvl in range(len(level_offsets) - 1):
-        sel = slice(level_offsets[lvl], level_offsets[lvl + 1])
-        if sel.start == sel.stop:
-            continue
-        centers, edge = cell_of_key(cell_key_arr[sel], lvl, cube, depth)
-        node_center[sel] = centers
-        node_size[sel] = edge
+    node_center, node_size = cell_of_key(
+        np.array(cell_key, dtype=np.uint64), node_level, cube, depth
+    )
 
     tree = Octree(
         cube=cube,

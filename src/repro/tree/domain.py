@@ -111,31 +111,49 @@ def sfc_partition(
     )
 
 
-def cover_key_range(lo: int, hi: int, depth: int = MAX_DEPTH) -> List[Tuple[int, int]]:
-    """Minimal set of aligned octree cells covering keys ``[lo, hi]``.
+def _cover_cells(lo: int, hi: int, depth: int) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`cover_key_range` as ascending ``(keys, levels)`` arrays.
 
-    Returns ``(cell_start_key, level)`` pairs; a level-``l`` cell spans
-    ``8^(depth - l)`` full-depth keys.  This is the branch-node set of a
-    rank owning that contiguous curve segment.
+    Computed per level, all levels at once: the aligned cells lying
+    wholly inside ``[lo, hi]`` that no such cell of the level above
+    contains — at most seven on either side of the parent level's run.
     """
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
     if lo < 0 or hi >= (1 << (3 * depth)):
         raise ValueError(f"range [{lo}, {hi}] outside key space")
-    cells: List[Tuple[int, int]] = []
-    pos = lo
-    while pos <= hi:
-        span = 1
-        level = depth
-        while level > 0:
-            nxt = span << 3
-            if pos % nxt != 0 or pos + nxt - 1 > hi:
-                break
-            span = nxt
-            level -= 1
-        cells.append((pos, level))
-        pos += span
-    return cells
+    one = np.uint64(1)
+    # k = depth - level: a cell spans 8**k keys (8**21 = 2**63 fits)
+    k = np.arange(depth + 1, dtype=np.uint64)
+    span = one << (np.uint64(3) * k)
+    # [first, end): indices of the cells wholly inside [lo, hi]
+    first = (np.uint64(lo) + span - one) // span
+    end = (np.uint64(hi) + one) // span
+    # the parent level's run, in this level's cell indices
+    up = np.zeros(depth + 1, dtype=bool)
+    up[:-1] = first[1:] < end[1:]
+    up_first = np.append(first[1:] << np.uint64(3), np.uint64(0))
+    up_end = np.append(end[1:] << np.uint64(3), np.uint64(0))
+    starts = np.concatenate([first, np.where(up, up_end, end)])
+    stops = np.concatenate([np.where(up, up_first, end), end])
+    counts = np.where(stops > starts, stops - starts, 0).astype(np.int64)
+    run = np.repeat(np.arange(counts.size), counts)
+    offset = np.arange(run.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    shift = np.tile(k, 2)[run]
+    keys = (starts[run] + offset.astype(np.uint64)) * span[shift]
+    order = np.argsort(keys, kind="stable")
+    return keys[order], depth - shift[order].astype(np.int64)
+
+
+def cover_key_range(lo: int, hi: int, depth: int = MAX_DEPTH) -> List[Tuple[int, int]]:
+    """Minimal set of aligned octree cells covering keys ``[lo, hi]``.
+
+    Returns ``(cell_start_key, level)`` pairs in ascending key order; a
+    level-``l`` cell spans ``8^(depth - l)`` full-depth keys.  This is
+    the branch-node set of a rank owning that contiguous curve segment.
+    """
+    keys, levels = _cover_cells(lo, hi, depth)
+    return list(zip(keys.tolist(), levels.tolist()))
 
 
 def branch_counts(decomp: DomainDecomposition, depth: int = MAX_DEPTH) -> np.ndarray:

@@ -143,22 +143,6 @@ def _engine_layout(
     return layout
 
 
-def _tree_and_moments(
-    solver: "TreeEvaluator",
-    positions: np.ndarray,
-    charges: np.ndarray,
-) -> Tuple[TreeState, VortexMoments, Tuple[bool, bool]]:
-    """Tree state of ``positions`` and moments of ``charges``, through
-    the solver's cache — as far as the branch exchange needs the
-    pipeline.  Returns ``(state, moments, (build_cached,
-    moments_cached))``."""
-    state, build_cached = solver.cache.state(
-        positions, solver.leaf_size, solver.phases
-    )
-    moments, moments_cached = state.vortex_moments(charges, solver.phases)
-    return state, moments, (build_cached, moments_cached)
-
-
 def _tree_stages(
     solver: "TreeEvaluator",
     positions: np.ndarray,
@@ -178,7 +162,10 @@ def _tree_stages(
     moments, lists, layout, cached)``; ``cached`` holds the ``build`` /
     ``moments`` / ``traversal`` flags of :class:`TreeStats`.
     """
-    state, moments, cached = _tree_and_moments(solver, positions, charges)
+    state, build_cached = solver.cache.state(
+        positions, solver.leaf_size, solver.phases
+    )
+    moments, moments_cached = state.vortex_moments(charges, solver.phases)
     lists, traversal_cached = state.traversal(
         solver.theta, solver.mac_variant, moments.bmax, solver.phases
     )
@@ -186,7 +173,9 @@ def _tree_stages(
         layout = _engine_layout(solver, state, lists)
     else:
         lists, layout = solver._segment_layout(state, lists, *segment)
-    return state, moments, lists, layout, (*cached, traversal_cached)
+    return state, moments, lists, layout, (
+        build_cached, moments_cached, traversal_cached
+    )
 
 
 class TreeEvaluator(FieldEvaluator):

@@ -166,16 +166,22 @@ def hilbert_encode(ijk: np.ndarray, depth: int = MAX_DEPTH) -> np.ndarray:
 
 
 def cell_of_key(
-    key_at_lvl: np.ndarray, level: int, cube: BoundingCube, depth: int = MAX_DEPTH
-) -> Tuple[np.ndarray, float]:
+    key_at_lvl: np.ndarray,
+    level: "int | np.ndarray",
+    cube: BoundingCube,
+    depth: int = MAX_DEPTH,
+) -> Tuple[np.ndarray, np.ndarray]:
     """Geometric (center, edge length) of level-``level`` Morton cells.
 
-    Only valid for Morton keys (Hilbert keys do not nest geometrically by
-    simple truncation).
+    ``level`` is one int for all keys, or an int array giving each key's
+    level (the edge is then an array too).  Only valid for
+    Morton keys (Hilbert keys do not nest geometrically by simple
+    truncation).
     """
     key = np.asarray(key_at_lvl, dtype=np.uint64)
-    placeholder = np.uint64(1) << np.uint64(3 * level)
-    stripped = key & (placeholder - np.uint64(1))
+    lvl = np.asarray(level, dtype=np.int64)
+    bits = np.uint64(3) * lvl.astype(np.uint64)
+    stripped = key & ((np.uint64(1) << bits) - np.uint64(1))
     ijk = np.column_stack(
         [
             _compact_bits(stripped),
@@ -183,6 +189,6 @@ def cell_of_key(
             _compact_bits(stripped >> np.uint64(2)),
         ]
     ).astype(np.float64)
-    edge = cube.size / (1 << level)
-    centers = cube.corner[None, :] + (ijk + 0.5) * edge
+    edge = cube.size / (np.int64(1) << lvl)
+    centers = cube.corner[None, :] + (ijk + 0.5) * edge[..., None]
     return centers, edge

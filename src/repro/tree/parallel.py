@@ -12,14 +12,16 @@ Fig. 3), each space rank
 2. derives its *branch nodes* — the minimal set of aligned octree cells
    covering its occupied key interval (:func:`repro.tree.domain.cover_key_range`)
    — and computes their multipole moments (m0/m1/m2 about the cell
-   centers) from its local particles alone,
+   centers) from its local particles alone, all cells in one vectorised
+   pass, memoised on the tree state per charge set and rank,
 3. exchanges the branch payloads with an ``allgather`` ring collective
    (:func:`repro.parallel.collectives.allgather`), byte-counted into the
    scheduler metrics (``space.branch_bytes{...}``) — the traffic Fig. 5
    shows dominating at small N/P_S,
 4. assembles the shared top-of-tree from the received branches (an upward
    multipole translation of every branch to the root center) and verifies
-   it against the globally built tree,
+   it against root moments summed directly from the particles (O(N); no
+   moment pass runs in the event loop),
 5. evaluates far and near interactions *only for its own target groups*
    (a masked view of the global interaction lists driven through the
    batched engine), and
@@ -67,12 +69,12 @@ from repro.parallel import tags
 from repro.parallel.collectives import allgather
 from repro.parallel.simmpi import VirtualComm
 from repro.tree.build import Octree
-from repro.tree.domain import cover_key_range
+from repro.tree.domain import _cover_cells
 from repro.tree.engine import TraversalLayout, build_traversal_layout
-from repro.tree.evaluator import TreeEvaluator, _tree_and_moments
+from repro.tree.evaluator import TreeEvaluator
 from repro.tree.morton import cell_of_key, morton_encode, quantize
-from repro.tree.multipole import VortexMoments, _segment_sum
-from repro.tree.state import TreeState
+from repro.tree.multipole import _segment_sum
+from repro.tree.state import TreeState, array_fingerprint
 from repro.tree.traversal import InteractionLists
 from repro.vortex.rhs import VelocityField
 
@@ -204,21 +206,19 @@ def branch_payload(
 ) -> Dict[str, np.ndarray]:
     """Branch cells and multipole payload of ``rank``'s key interval.
 
-    The branch set is :func:`cover_key_range` over the keys the rank's
-    particles actually occupy (the PEPC convention); each branch carries
-    monopole/dipole/quadrupole moments about its geometric cell center,
-    computed from the rank's local particles only.
+    The branch set is :func:`~repro.tree.domain.cover_key_range` over
+    the keys the rank's particles actually occupy (the PEPC convention);
+    each branch carries monopole/dipole/quadrupole moments about its
+    geometric cell center, computed from the rank's local particles
+    only.
     """
     depth = tree.depth
     p_lo = int(shard.bounds[rank])
     p_hi = int(shard.bounds[rank + 1])
     keys = shard.keys[p_lo:p_hi]
-    cells = cover_key_range(int(keys[0]), int(keys[-1]), depth)
-    ckey = np.array([c[0] for c in cells], dtype=np.uint64)
-    clevel = np.array([c[1] for c in cells], dtype=np.int64)
-    span = np.uint64(1) << (
-        np.uint64(3) * (np.uint64(depth) - clevel.astype(np.uint64))
-    )
+    ckey, clevel = _cover_cells(int(keys[0]), int(keys[-1]), depth)
+    below = np.uint64(3) * (np.uint64(depth) - clevel.astype(np.uint64))
+    span = np.uint64(1) << below
     bs = np.searchsorted(keys, ckey, side="left")
     be = np.searchsorted(keys, ckey + span, side="left")
     counts = (be - bs).astype(np.int64)
@@ -227,13 +227,7 @@ def branch_payload(
             f"branch cells of space rank {rank} cover {int(counts.sum())} "
             f"particles, expected {p_hi - p_lo}"
         )
-
-    centers = np.empty((len(cells), 3), dtype=np.float64)
-    for lvl in np.unique(clevel):
-        sel = clevel == lvl
-        key_at_lvl = ckey[sel] >> np.uint64(3 * (depth - int(lvl)))
-        c, _ = cell_of_key(key_at_lvl, int(lvl), tree.cube, depth)
-        centers[sel] = c
+    centers, _ = cell_of_key(ckey >> below, clevel, tree.cube, depth)
 
     alpha = charges_sorted[p_lo:p_hi]
     pos = tree.positions[p_lo:p_hi]
@@ -254,6 +248,29 @@ def branch_payload(
     }
 
 
+def _cached_branch_payload(
+    state: TreeState,
+    shard: SpaceShard,
+    charges: np.ndarray,
+    charges_sorted: np.ndarray,
+    rank: int,
+) -> Dict[str, np.ndarray]:
+    """:func:`branch_payload`, memoised on the state per ``(charges
+    fingerprint, p_space, rank)``: a repeated evaluation of a state (a
+    field-memo hit in the segment) does not rebuild its branches."""
+    key = (array_fingerprint(charges), shard.p_space, rank)
+    memo = state.branch_payloads
+    payload = memo.get(key)
+    if payload is None:
+        payload = branch_payload(state.tree, shard, charges_sorted, rank)
+        memo[key] = payload
+        while len(memo) > TreeState._MOMENT_SLOTS * shard.p_space:
+            memo.popitem(last=False)
+    else:
+        memo.move_to_end(key)
+    return payload
+
+
 def _payload_nbytes(payload: Dict[str, np.ndarray]) -> int:
     total = 0
     for arr in payload.values():
@@ -271,48 +288,52 @@ def assemble_root(
     root moments if (and only if) the branch exchange delivered a
     complete, disjoint cover of the domain.
     """
-    root_center = tree.node_center[0]
-    count = 0
-    m0 = np.zeros(3)
-    m1 = np.zeros((3, 3))
-    m2 = np.zeros((3, 3, 3))
-    for b in branches:
-        s = b["center"] - root_center  # (B, 3)
-        count += int(b["count"].sum())
-        m0 += b["m0"].sum(axis=0)
-        m1 += (b["m1"] + np.einsum("bi,bj->bij", b["m0"], s)).sum(axis=0)
-        m2 += (
-            b["m2"]
-            + 0.5 * np.einsum("bij,bl->bijl", b["m1"], s)
-            + 0.5 * np.einsum("bil,bj->bijl", b["m1"], s)
-            + 0.5 * np.einsum("bi,bj,bl->bijl", b["m0"], s, s)
-        ).sum(axis=0)
+    b0, b1, b2, center = (
+        np.concatenate([b[name] for b in branches])
+        for name in ("m0", "m1", "m2", "center")
+    )
+    s = center - tree.node_center[0]  # (B, 3)
+    count = sum(int(b["count"].sum()) for b in branches)
+    m0 = b0.sum(axis=0)
+    m1 = b1.sum(axis=0) + b0.T @ s
+    half = 0.5 * b1.reshape(-1, 9).T @ s  # (ij, l)
+    m2 = (
+        b2.sum(axis=0)
+        + half.reshape(3, 3, 3)
+        + half.reshape(3, 3, 3).transpose(0, 2, 1)
+        + 0.5 * np.einsum("bi,bj,bl->ijl", b0, s, s)
+    )
     return count, m0, m1, m2
 
 
 def _verify_top(
     tree: Octree,
-    moments: VortexMoments,
+    charges_sorted: np.ndarray,
     branches: List[Dict[str, np.ndarray]],
 ) -> None:
-    """Check the exchanged branches rebuild the global root moments."""
+    """Check the exchanged branches rebuild the root moments, summed
+    directly from the particles (O(N), no moment pass)."""
     count, m0, m1, m2 = assemble_root(tree, branches)
     if count != tree.n_particles:
         raise SpaceConsistencyError(
             f"exchanged branches cover {count} particles, tree holds "
             f"{tree.n_particles}"
         )
-    scale = float(moments.abs_charge[0])
+    alpha = charges_sorted
+    d = tree.positions - tree.node_center[0]
+    m2_ref = 0.5 * np.stack([(alpha[:, i, None] * d).T @ d for i in range(3)])
+    scale = float(np.sqrt(np.einsum("ni,ni->n", alpha, alpha)).sum())
     edge = tree.cube.size
     for name, got, ref, atol in (
-        ("m0", m0, moments.m0[0], 1e-12 * max(scale, 1e-30)),
-        ("m1", m1, moments.m1[0], 1e-12 * max(scale * edge, 1e-30)),
-        ("m2", m2, moments.m2[0], 1e-12 * max(scale * edge * edge, 1e-30)),
+        ("m0", m0, alpha.sum(axis=0), 1e-12 * max(scale, 1e-30)),
+        ("m1", m1, alpha.T @ d, 1e-12 * max(scale * edge, 1e-30)),
+        ("m2", m2, m2_ref, 1e-12 * max(scale * edge * edge, 1e-30)),
     ):
         if not bool(np.allclose(got, ref, rtol=1e-9, atol=atol)):
             raise SpaceConsistencyError(
                 f"root {name} assembled from exchanged branches deviates "
-                f"from the global tree: |diff|={float(np.max(np.abs(got - ref)))!r}"
+                f"from the particles' root moments: "
+                f"|diff|={float(np.max(np.abs(got - ref)))!r}"
             )
 
 
@@ -425,17 +446,19 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
 
         self.calls += 1
         rank, p_space = space.rank, space.size
-        # The branch exchange needs the tree and moments; the interaction
+        # The branch exchange needs the tree only; moments, interaction
         # lists and segment layout are (re)derived inside segment_field —
         # a cache hit inline, a per-worker warm-up under a process backend.
-        state, moments, _ = _tree_and_moments(self, positions, charges)
+        state, _ = self.cache.state(positions, self.leaf_size, self.phases)
         tree = state.tree
         shard = compute_shard(state, p_space)
         charges_sorted = charges[tree.order]
 
         # ---- branch exchange (paper Fig. 3 / Fig. 5) -------------------
         yield space.annotate("begin:space:branch-exchange")
-        payload = branch_payload(tree, shard, charges_sorted, rank)
+        payload = _cached_branch_payload(
+            state, shard, charges, charges_sorted, rank
+        )
         nbytes = _payload_nbytes(payload)
         metrics = space.metrics
         wr = space.world_rank
@@ -445,7 +468,7 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
             int(payload["key"].shape[0])
         )
         branches = yield from allgather(space, payload, tag=tags.SPACE_BRX)
-        _verify_top(tree, moments, branches)
+        _verify_top(tree, charges_sorted, branches)
         yield space.annotate("end:space:branch-exchange")
 
         # ---- local far/near evaluation ---------------------------------

@@ -146,6 +146,11 @@ class TreeState:
         #: per-traversal engine layouts, attached by the batched engine
         #: (keyed like ``_traversals``; opaque to this module)
         self.engine_layouts: Dict[Tuple[float, str], object] = {}
+        #: branch payloads of the space-parallel evaluator, keyed by
+        #: ``(charges fingerprint, p_space, rank)`` (opaque to this module)
+        self.branch_payloads: "OrderedDict[Hashable, Dict[str, np.ndarray]]" = (
+            OrderedDict()
+        )
         self._groups: Optional[np.ndarray] = None
 
     # A handful of charge sets may coexist per state; keep the map tiny.
@@ -154,10 +159,11 @@ class TreeState:
     @property
     def nbytes(self) -> int:
         """Bytes this state keeps alive: tree, moment sets, interaction
-        lists and engine layouts."""
+        lists, engine layouts and branch payloads."""
         held = [
             self.tree, *self._vortex_moments.values(),
             *self._traversals.values(), *self.engine_layouts.values(),
+            *(a for p in self.branch_payloads.values() for a in p.values()),
         ]
         return sum(_nbytes(h) for h in held)
 

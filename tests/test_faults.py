@@ -532,7 +532,7 @@ class TestRuleActivations:
 
 
 class TestRecvArgumentValidation:
-    """recv(timeout=, retries=, backoff=) argument validation."""
+    """recv(timeout=, retries=) argument validation."""
 
     def _run_single(self, **recv_kw):
         def prog(comm):
@@ -555,13 +555,8 @@ class TestRecvArgumentValidation:
         with pytest.raises(ValueError, match="retries must be >= 0"):
             self._run_single(timeout=1.0, retries=-1)
 
-    def test_negative_backoff_rejected(self):
-        with pytest.raises(ValueError, match="backoff must be >= 0"):
-            self._run_single(timeout=1.0, backoff=-0.5)
-
     def test_valid_arguments_accepted(self):
-        assert self._run_single(timeout=1.0, retries=3, backoff=0.1) == \
-            [0, 1.0]
+        assert self._run_single(timeout=1.0, retries=3) == [0, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +588,7 @@ def _link_case(messages, crashes=(), **recv_kw):
     return FaultPlan(messages=messages, crashes=crashes, seed=3), recv_kw
 
 
-RETRY = dict(timeout=0.5, retries=1, backoff=0.03125)
+RETRY = dict(timeout=0.5, retries=1)
 LINK_CASES = {
     # one per MESSAGE_FAULT_KINDS entry, on the second message 0 -> 1
     **{

@@ -505,8 +505,7 @@ class TestStructure:
             Scheduler.__init__: ["self", "n_ranks", "cost_model",
                                  "measure_compute", "verify", "fault_plan",
                                  "tracer", "executor", "certify"],
-            # ``backoff`` stays: the golden link-fault runs set it
-            VirtualComm.recv: ["self", "source", "tag", *link, "backoff"],
+            VirtualComm.recv: ["self", "source", "tag", *link],
             EpochComm.__init__: ["self", "parent", *link],
             bcast: ["comm", "value", "root", "tag", *link],
             reduce: ["comm", "value", "op", "root", "tag", *link],

@@ -292,3 +292,147 @@ class TestGridPfasst:
         with pytest.raises(RankFailure):
             run_pfasst(cfg, _specs(volumes), u0, p_time=2, p_space=2,
                        fault_plan=plan)
+
+
+def _old_cover(lo, hi, depth):
+    """The per-key cover loop ``cover_key_range`` ran before it was
+    vectorised."""
+    cells = []
+    pos = lo
+    while pos <= hi:
+        span, level = 1, depth
+        while level > 0 and pos % (span << 3) == 0 and pos + (span << 3) - 1 <= hi:
+            span <<= 3
+            level -= 1
+        cells.append((pos, level))
+        pos += span
+    return cells
+
+
+def _old_branch_payload(tree, shard, charges_sorted, rank):
+    """Oracle: the branch payload as built with one ``cell_of_key``
+    formula per tree level."""
+    from repro.tree.morton import morton_decode
+    from repro.tree.multipole import _segment_sum
+
+    depth = tree.depth
+    p_lo, p_hi = int(shard.bounds[rank]), int(shard.bounds[rank + 1])
+    keys = shard.keys[p_lo:p_hi]
+    cells = _old_cover(int(keys[0]), int(keys[-1]), depth)
+    ckey = np.array([c[0] for c in cells], dtype=np.uint64)
+    clevel = np.array([c[1] for c in cells], dtype=np.int64)
+    span = np.uint64(1) << (
+        np.uint64(3) * (np.uint64(depth) - clevel.astype(np.uint64))
+    )
+    bs = np.searchsorted(keys, ckey, side="left")
+    be = np.searchsorted(keys, ckey + span, side="left")
+    centers = np.empty((len(cells), 3))
+    for lvl in np.unique(clevel):
+        sel = clevel == lvl
+        key_at_lvl = ckey[sel] >> np.uint64(3 * (depth - int(lvl)))
+        ijk = morton_decode(key_at_lvl, int(lvl)).astype(np.float64)
+        edge = tree.cube.size / (1 << int(lvl))
+        centers[sel] = tree.cube.corner[None, :] + (ijk + 0.5) * edge
+    alpha = charges_sorted[p_lo:p_hi]
+    pos = tree.positions[p_lo:p_hi]
+    s0 = _segment_sum(alpha, bs, be)
+    s1 = _segment_sum(np.einsum("ni,nj->nij", alpha, pos), bs, be)
+    s2 = _segment_sum(np.einsum("ni,nj,nk->nijk", alpha, pos, pos), bs, be)
+    return {
+        "key": ckey, "level": clevel, "count": (be - bs).astype(np.int64),
+        "center": centers, "m0": s0,
+        "m1": s1 - np.einsum("bi,bj->bij", s0, centers),
+        "m2": 0.5 * (
+            s2
+            - np.einsum("bij,bk->bijk", s1, centers)
+            - np.einsum("bik,bj->bijk", s1, centers)
+            + np.einsum("bi,bj,bk->bijk", s0, centers, centers)
+        ),
+    }
+
+
+class TestBranchExchangeCost:
+    """The event-loop half of the branch exchange: vectorised payloads,
+    bit for bit the per-level ones, memoised per state and charge set,
+    and no moment pass outside the segment."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("p_space", [2, 3, 4])
+    def test_payload_bitwise_equals_per_level_formula(self, seed, p_space):
+        rng = np.random.default_rng(seed)
+        n = 300 + 100 * seed
+        positions = rng.normal(size=(n, 3)) * rng.uniform(0.1, 2.0, 3)
+        charges = rng.normal(size=(n, 3))
+        ev = SpaceParallelTreeEvaluator("algebraic2", sigma=0.05,
+                                        leaf_size=8)
+        state, _ = ev.cache.state(positions, ev.leaf_size)
+        tree = state.tree
+        shard = compute_shard(state, p_space)
+        charges_sorted = charges[tree.order]
+        for rank in range(p_space):
+            got = branch_payload(tree, shard, charges_sorted, rank)
+            want = _old_branch_payload(tree, shard, charges_sorted, rank)
+            assert sorted(got) == sorted(want)
+            for name in want:
+                assert got[name].dtype == want[name].dtype, name
+                assert got[name].tobytes() == want[name].tobytes(), name
+
+    def _run(self, ev, positions, charges, p_space=2):
+        def program(comm):
+            return (yield from ev.field_program(comm, positions, charges))
+
+        return Scheduler(p_space).run(program)
+
+    def test_payload_memoised_per_state_and_charges(self, cloud,
+                                                    monkeypatch):
+        import repro.tree.parallel as parallel
+
+        built = []
+        original = parallel.branch_payload
+
+        def spy(tree, shard, charges_sorted, rank):
+            built.append(rank)
+            return original(tree, shard, charges_sorted, rank)
+
+        monkeypatch.setattr(parallel, "branch_payload", spy)
+        positions, charges = cloud
+        ev = SpaceParallelTreeEvaluator("algebraic2", sigma=0.05,
+                                        leaf_size=16)
+        first = self._run(ev, positions, charges)
+        assert built == [0, 1]
+        again = self._run(ev, positions, charges)
+        assert built == [0, 1]  # served from the memo
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a.velocity, b.velocity)
+        self._run(ev, positions, charges * 2.0)
+        assert built == [0, 1, 0, 1]  # a new charge set is rebuilt
+        state, _ = ev.cache.state(positions, ev.leaf_size)
+        assert len(state.branch_payloads) == 4
+
+    def test_process_event_loop_runs_no_moment_pass(self, monkeypatch):
+        """Under a process backend the event loop builds trees for the
+        branch exchange but leaves every moment pass to the workers; the
+        inline run's moments come from its segments."""
+        import repro.tree.state as state_module
+        from repro.parallel.executor import ProcessExecutor, SerialExecutor
+
+        calls = []
+        original = state_module.compute_vortex_moments
+
+        def spy(tree, charges):
+            calls.append(tree.n_particles)
+            return original(tree, charges)
+
+        monkeypatch.setattr(state_module, "compute_vortex_moments", spy)
+        u0, volumes = _vortex_setup()
+        cfg = PfasstConfig(t0=0.0, t_end=0.05, n_steps=2, iterations=2)
+        with SerialExecutor() as ex:
+            serial = run_pfasst(cfg, _specs(volumes), u0, p_time=2,
+                                p_space=2, executor=ex)
+        assert calls  # the spy sees the in-process moment passes
+        calls.clear()
+        with ProcessExecutor(max_workers=2) as ex:
+            process = run_pfasst(cfg, _specs(volumes), u0, p_time=2,
+                                 p_space=2, executor=ex)
+        assert calls == []
+        np.testing.assert_array_equal(process.u_end, serial.u_end)
