@@ -35,12 +35,21 @@ This module turns those records into:
   get the same digest regardless of service order or execution backend;
   ``verify=True`` + ``certify=True`` enforces exactly that, and the CLI
   compares digests across ``SerialExecutor`` / ``ProcessExecutor``.
+
+Derivation walks every delivery (50,864 in ``ctrl-n64``), so clocks are
+compared in C (``map(operator.le, ...)``) and each census channel's tag
+is ``repr``-ed once; the replay's merge loop stays Python (``map(max,
+...)`` measured slower).  Every delivery is on a census channel (each
+send is counted), and it is hashed under that channel's text: the repr
+of the first tag object sent on it, so tags that compare equal but repr
+differently (``2`` and ``np.int64(2)``) hash as one channel.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from operator import le
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.parallel.tags import tag_class
@@ -61,8 +70,7 @@ Delivery = Tuple[int, int, Hashable, Optional[Tuple[int, ...]],
 
 def _vc_less(a: Sequence[int], b: Sequence[int]) -> bool:
     """Strict vector-clock order: a <= b element-wise and a != b."""
-    le = all(x <= y for x, y in zip(a, b))
-    return le and any(x < y for x, y in zip(a, b))
+    return all(map(le, a, b)) and tuple(a) != tuple(b)
 
 
 @dataclass(frozen=True)
@@ -246,15 +254,16 @@ def build_certificate(
 ) -> DeterminismCertificate:
     """Derive the certificate for one completed ``certify=True`` run."""
     races = find_races(deliveries)
+    # one tag repr per census channel, shared with its deliveries
+    text = {key: repr(key[2]) for key in census}
     channels = tuple(sorted(
-        (src, dst, repr(tag), count)
-        for (src, dst, tag), count in census.items()
+        (key[0], key[1], tag, census[key]) for key, tag in text.items()
     ))
     # canonical, time-free projection: per-destination delivery sequences
     # (destination-local order is program order, hence schedule-free)
     per_dst: List[List[Tuple[Any, ...]]] = [[] for _ in range(n_ranks)]
     for d in deliveries:
-        per_dst[d[1]].append((d[0], repr(d[2]), d[3], d[4]))
+        per_dst[d[1]].append((d[0], text[d[:3]], d[3], d[4]))
     h = hashlib.blake2b(digest_size=16)
     h.update(repr(("census", channels)).encode())
     h.update(repr(("clocks", tuple(tuple(c) for c in clocks))).encode())

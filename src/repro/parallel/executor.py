@@ -21,7 +21,7 @@ arguments"), and the backend decides where that call runs:
   lands on real cores in one barrier round.  Placement is rank-affine:
   the task of world rank ``r`` always runs on worker ``r mod W``.  Input
   arrays travel through :mod:`multiprocessing.shared_memory` blocks
-  (created per dispatch, unlinked immediately after the barrier);
+  (one per batch position and array slot, kept until ``close()``);
   results return pickled.
 
 Payload objects (problems with their evaluators and tree-state caches)
@@ -51,6 +51,7 @@ construction, ``method`` must be a string literal) and dynamically by
 from __future__ import annotations
 
 import pickle
+import sys
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -377,6 +378,8 @@ class SerialExecutor(ExecutionBackend):
 # -- worker-process side of ProcessExecutor ---------------------------------
 _WORKER_PAYLOADS: Dict[str, Any] = {}
 _WORKER_ID: int = 0
+#: (batch position, array slot) -> this worker's mapping of its block
+_WORKER_BLOCKS: Dict[Tuple[int, int], Any] = {}
 
 
 def _worker_init(payload_blob: bytes, worker_id: int) -> None:
@@ -387,22 +390,24 @@ def _worker_init(payload_blob: bytes, worker_id: int) -> None:
     _WORKER_PAYLOADS.update(pickle.loads(payload_blob))
 
 
-def _attach_shm(name: str):
-    """Attach a shared-memory block without adopting its lifetime.
+def _worker_block(key: Tuple[int, int], name: str):
+    """Map staging block ``key`` without adopting its lifetime; the
+    mapping is kept until ``key`` names a new block.
 
-    The *scheduler* process owns creation and unlinking (the block is
-    gone right after the dispatch barrier); the worker only maps and
-    closes.  Pool workers share the scheduler's resource-tracker process
-    (both fork and spawn hand the tracker fd to children), so the
-    worker-side attach merely re-adds the already-tracked name to the
-    tracker's set — a no-op — and the single unregister happens inside
-    the scheduler-side ``unlink()``.  Nothing to compensate for here;
-    explicitly unregistering in the worker would *remove* the shared
-    entry and make the later unlink trip a tracker KeyError.
+    The *scheduler* process owns creation and unlinking.  Pool workers
+    share its resource-tracker process, so the worker-side attach only
+    re-adds a tracked name (a no-op) and the one unregister happens in
+    the scheduler's ``unlink()``; unregistering here would make that
+    unlink trip a tracker KeyError.
     """
     from multiprocessing import shared_memory
 
-    return shared_memory.SharedMemory(name=name)
+    shm = _WORKER_BLOCKS.get(key)
+    if shm is None or shm.name != name:
+        if shm is not None:
+            shm.close()
+        shm = _WORKER_BLOCKS[key] = shared_memory.SharedMemory(name=name)
+    return shm
 
 
 def _worker_exec(
@@ -410,7 +415,7 @@ def _worker_exec(
     method: str,
     args: Tuple[Any, ...],
     tail: Tuple[Any, ...],
-    shm_specs: List[Tuple[str, Tuple[int, ...], str]],
+    shm_specs: List[Tuple[Tuple[int, int], str, Tuple[int, ...], str]],
     owner: Optional[Tuple[int, int]],
 ) -> Tuple[int, float, float, float, float, Any, Optional[BaseException],
            Dict[str, Any]]:
@@ -419,18 +424,22 @@ def _worker_exec(
     The views are mapped read-only: task methods receive *inputs* through
     shared memory and must allocate their own outputs (which return
     pickled) — the explicit buffer-handoff contract of
-    :mod:`repro.tree.engine`.
+    :mod:`repro.tree.engine`.  The next dispatch rewrites the blocks, so
+    no view may outlive its task; under ``REPRO_SANITIZE=1`` a task that
+    keeps one fails.  (A NumPy view's base is the block's ``mmap``, so
+    the views alive are the growth of the ``mmap``'s reference count.)
     """
+    from repro.analysis.sanitize import SanitizeError, enabled
+
     registry = MetricsRegistry()
-    blocks = []
     value: Any = None
     error: Optional[BaseException] = None
     t0 = time.perf_counter()
     try:
+        blocks = [_worker_block(key, name) for key, name, _, _ in shm_specs]
+        held = [sys.getrefcount(shm._mmap) for shm in blocks]
         arrays = []
-        for name, shape, dtype in shm_specs:
-            shm = _attach_shm(name)
-            blocks.append(shm)
+        for shm, (_, _, shape, dtype) in zip(blocks, shm_specs):
             view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
             view.flags.writeable = False
             arrays.append(view)
@@ -439,6 +448,14 @@ def _worker_exec(
         LEDGER.owner = owner
         with use_metrics(registry):
             value = task.invoke(obj)
+        del task, arrays
+        view = None
+        if enabled() and held != [sys.getrefcount(shm._mmap)
+                                  for shm in blocks]:
+            raise SanitizeError(
+                f"compute task {payload_key}.{method} kept a view of its "
+                f"shared-memory inputs, which the next dispatch rewrites"
+            )
     except Exception as exc:
         try:
             pickle.dumps(exc)
@@ -451,9 +468,6 @@ def _worker_exec(
         value = None
     finally:
         LEDGER.owner = None
-        del arrays  # drop shm views before closing the blocks
-        for shm in blocks:
-            shm.close()
     elapsed = time.perf_counter() - t0
     return (_WORKER_ID, t0, t0 + elapsed, elapsed, LEDGER.drain(), value,
             error, registry.as_dict())
@@ -464,12 +478,13 @@ class ProcessExecutor(ExecutionBackend):
     worker of its own :class:`ProcessPoolExecutor`.
 
     Payloads are pickled once into the pool initializers.  Per task,
-    :meth:`dispatch` stages the input arrays into per-task
+    :meth:`dispatch` stages the input arrays into
     ``multiprocessing.shared_memory`` blocks, submits the worker calls,
-    waits for the whole batch (the scheduler's barrier), writes results
-    back and unlinks the blocks.  A task stamped with world rank ``r``
-    runs on worker ``r mod W``; one without a rank on worker ``i mod W``
-    for its index ``i`` in the batch.  So a rank's fine and coarse
+    waits for the whole batch (the scheduler's barrier) and writes
+    results back (see :meth:`_stage` for the blocks' lifetime).  A task
+    stamped with world rank ``r`` runs on worker ``r mod W``; one
+    without a rank on worker ``i mod W`` for its index ``i`` in the
+    batch.  So a rank's fine and coarse
     evaluations share one worker's tree cache, as they share the one
     cache inline.  Worker ids are the pool indices 0..W-1, handed to
     each pool at start; per-task metric deltas are bucketed by id for
@@ -483,9 +498,9 @@ class ProcessExecutor(ExecutionBackend):
     Worker death (``BrokenProcessPool``) is recoverable: dispatch is
     deterministic and side-effect-free — tasks only read staged input
     arrays and return values — so :meth:`dispatch` waits out the batch,
-    respawns every pool and re-runs the whole in-flight batch, up to
-    :attr:`MAX_RETRIES` times with exponential :attr:`RETRY_BACKOFF`
-    sleeps between attempts.
+    respawns every pool and re-runs the whole in-flight batch from the
+    same staging blocks, up to :attr:`MAX_RETRIES` times with
+    exponential :attr:`RETRY_BACKOFF` sleeps between attempts.
     Each respawn is recorded as a backend event (folded into the
     scheduler's resilience report) and counted in the
     ``executor.pool_restarts`` / ``executor.redispatched_tasks`` metrics.
@@ -506,6 +521,8 @@ class ProcessExecutor(ExecutionBackend):
         self.max_workers = max_workers
         #: one single-worker pool per worker, indexed by worker id
         self._pools: List[ProcessPoolExecutor] = []
+        #: (batch position, array slot) -> that slot's staging block
+        self._blocks: Dict[Tuple[int, int], Any] = {}
         self._run_restarts = 0
         self._run_redispatched = 0
 
@@ -540,6 +557,10 @@ class ProcessExecutor(ExecutionBackend):
         for pool in self._pools:
             pool.shutdown(wait=True)
         self._pools = []
+        for shm in self._blocks.values():
+            shm.close()
+            shm.unlink()
+        self._blocks = {}
 
     def _respawn(self) -> None:
         """Tear down the pools, one of them broken, and start fresh ones."""
@@ -603,14 +624,36 @@ class ProcessExecutor(ExecutionBackend):
                 time.sleep(self.RETRY_BACKOFF * (2 ** (attempt - 1)))
                 self._respawn()
 
+    def _stage(self, index: int,
+               task: ComputeTask) -> Tuple[List[Any], int]:
+        """Copy the inputs of the batch's ``index``-th task into staging
+        blocks; return the worker's block specs and the bytes staged.
+        Array slot ``i`` at batch position ``index`` has one block for the
+        executor's life: created on first use, replaced when an input
+        outgrows it, unlinked in :meth:`close`."""
+        from multiprocessing import shared_memory
+
+        specs, nbytes = [], 0
+        for i, arr in enumerate(task.arrays):
+            a = np.ascontiguousarray(arr)
+            shm = self._blocks.get((index, i))
+            if shm is None or shm.size < a.nbytes:
+                if shm is not None:
+                    shm.close()
+                    shm.unlink()
+                shm = self._blocks[index, i] = shared_memory.SharedMemory(
+                    create=True, size=max(1, a.nbytes)
+                )
+            np.ndarray(a.shape, dtype=a.dtype, buffer=shm.buf)[...] = a
+            specs.append(((index, i), shm.name, a.shape, a.dtype.str))
+            nbytes += int(a.nbytes)
+        return specs, nbytes
+
     def _dispatch_once(
         self, batch: List[ComputeTask]
     ) -> List[DispatchResult]:
-        from multiprocessing import shared_memory
-
         self.start()
         futures = []
-        all_blocks: List[Any] = []
         shm_per_task: List[int] = []
         try:
             for index, task in enumerate(batch):
@@ -632,17 +675,7 @@ class ProcessExecutor(ExecutionBackend):
                         payload_key=task.payload, method=task.method,
                         cause=exc,
                     ) from exc
-                specs = []
-                nbytes = 0
-                for arr in task.arrays:
-                    a = np.ascontiguousarray(arr)
-                    shm = shared_memory.SharedMemory(
-                        create=True, size=max(1, a.nbytes)
-                    )
-                    all_blocks.append(shm)
-                    np.ndarray(a.shape, dtype=a.dtype, buffer=shm.buf)[...] = a
-                    specs.append((shm.name, a.shape, a.dtype.str))
-                    nbytes += int(a.nbytes)
+                specs, nbytes = self._stage(index, task)
                 shm_per_task.append(nbytes)
                 place = index if task.rank is None else task.rank
                 pool = self._pools[place % self.max_workers]
@@ -650,22 +683,20 @@ class ProcessExecutor(ExecutionBackend):
                     _worker_exec, task.payload, task.method,
                     task.args, task.tail, specs, task.owner,
                 ))
-            # barrier: wait for every task (a dead worker fails only its
-            # own pool's), then collect in submission order
-            wait(futures)
-            results = []
-            for fut, nbytes in zip(futures, shm_per_task):
-                (wid, t0, t1, elapsed, billed_s, value, error,
-                 metrics) = fut.result()
-                results.append(DispatchResult(
-                    value=value, error=error, worker=wid, elapsed=elapsed,
-                    billed_s=billed_s, wall_t0=t0, wall_t1=t1,
-                    shm_bytes=nbytes, metrics=metrics,
-                ))
         finally:
-            for shm in all_blocks:
-                shm.close()
-                shm.unlink()
+            # barrier, also when staging or a submission failed: the next
+            # dispatch rewrites the blocks these tasks read (a dead worker
+            # fails only its own pool's futures)
+            wait(futures)
+        results = []
+        for fut, nbytes in zip(futures, shm_per_task):
+            (wid, t0, t1, elapsed, billed_s, value, error,
+             metrics) = fut.result()
+            results.append(DispatchResult(
+                value=value, error=error, worker=wid, elapsed=elapsed,
+                billed_s=billed_s, wall_t0=t0, wall_t1=t1,
+                shm_bytes=nbytes, metrics=metrics,
+            ))
         for result in results:
             self._bucket(result)
         return results

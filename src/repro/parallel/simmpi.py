@@ -166,6 +166,29 @@ def payload_bytes(payload: Any, strict: bool = False) -> int:
         return 64
 
 
+def _pickle_signature(payload: Any) -> Optional[Tuple[Any, ...]]:
+    """What fixes the pickled length of a list or tuple of plain arrays
+    (see docs/architecture.md, "Message bytes"); ``None`` for any other
+    payload.  Pickle memoises repeated objects, hence the first-seen
+    index of each item and dtype object."""
+    if type(payload) is not list and type(payload) is not tuple:
+        return None
+    seen: Dict[int, int] = {}
+    signature: List[Any] = [type(payload)]
+    for item in payload:
+        if type(item) is not np.ndarray:
+            return None
+        dtype, flags = item.dtype, item.flags
+        if dtype.isbuiltin != 1 or dtype.hasobject:
+            return None
+        signature.append((
+            item.shape, dtype.str, flags.c_contiguous, flags.f_contiguous,
+            flags.writeable, seen.setdefault(id(item), len(seen)),
+            seen.setdefault(id(dtype), len(seen)),
+        ))
+    return tuple(signature)
+
+
 # -- operations a rank program may yield -----------------------------------
 @dataclass(frozen=True)
 class Send:
@@ -621,6 +644,9 @@ class Scheduler:
         self._strict_payloads = (
             executor is not None and executor.requires_pickling
         )
+        from repro.analysis.sanitize import enabled
+
+        self._sanitize = enabled()  # re-pickle every size-memo hit
         self._reset_run_state()
 
     def _reset_run_state(self) -> None:
@@ -638,6 +664,8 @@ class Scheduler:
         #: the four ``mpi.*`` counters a message on link (src, dest)
         #: bumps, resolved on the link's first message
         self._link_counters: Dict[Tuple[int, int], Tuple[Any, ...]] = {}
+        #: pickled length per :func:`_pickle_signature` seen this run
+        self._sizes: Dict[Tuple[Any, ...], int] = {}
         #: annotated timeline instants (populated by Annotate ops)
         self.trace: List[TraceEvent] = []
         #: undelivered-message report of the last completed run
@@ -966,7 +994,8 @@ class Scheduler:
         source, tag = state.blocked_on  # type: ignore[misc]
         pristine: _Message = shadow.popleft()
         state.retries_left -= 1
-        cost = self.cost_model.transfer_time(payload_bytes(pristine.payload))
+        nbytes = self._sized(pristine.payload, (source, rank, tag))
+        cost = self.cost_model.transfer_time(nbytes)
         self.metrics.counter("mpi.retransmissions").inc()
         self._deliver(rank, state, pristine, at + cost)
         self.resilience.recovered.append(
@@ -1105,7 +1134,7 @@ class Scheduler:
         """
         channel, faults = (rank, op.dest, op.tag), self._faults
         disp = _CLEAN if faults is None else faults.on_send(*channel)
-        nbytes = self._message_bytes(rank, op)
+        nbytes = self._sized(op.payload, channel, self._strict_payloads)
         self.clocks[rank] += self.cost_model.send_overhead
         sent = self.clocks[rank]
         arrival = sent + self.cost_model.transfer_time(nbytes) + disp.extra_delay
@@ -1165,17 +1194,32 @@ class Scheduler:
         self._compute_queue.append((rank, task))
         return False
 
-    def _message_bytes(self, rank: int, op: Send) -> int:
-        """On-wire size of a send; strict under a process backend."""
-        if not self._strict_payloads:
-            return payload_bytes(op.payload)
-        try:
-            return payload_bytes(op.payload, strict=True)
-        except PayloadPicklingError as exc:
-            raise PayloadPicklingError(
-                exc.type_name, rank=rank, dest=op.dest, tag=op.tag,
-                cause=exc.__cause__,
-            ) from exc
+    def _sized(self, payload: Any, channel: Channel,
+               strict: bool = False) -> int:
+        """:func:`payload_bytes` of a message on ``channel``, memoised per
+        :func:`_pickle_signature`: a signature is pickled the first time
+        this run sees it."""
+        signature = _pickle_signature(payload)
+        nbytes = None if signature is None else self._sizes.get(signature)
+        if nbytes is None:
+            try:
+                nbytes = payload_bytes(payload, strict)
+            except PayloadPicklingError as exc:
+                raise PayloadPicklingError(
+                    exc.type_name, rank=channel[0], dest=channel[1],
+                    tag=channel[2], cause=exc.__cause__,
+                ) from exc
+            if signature is not None:
+                self._sizes[signature] = nbytes
+        elif self._sanitize and payload_bytes(payload) != nbytes:
+            from repro.analysis.sanitize import SanitizeError
+
+            raise SanitizeError(
+                f"size memo says {nbytes} bytes on channel {channel[0]} -> "
+                f"{channel[1]} tag={channel[2]!r}; the payload pickles to "
+                f"{payload_bytes(payload)}"
+            )
+        return nbytes
 
     def _flush_compute(self, states: List[_RankState]) -> bool:
         """Dispatch the parked compute batch through the backend.

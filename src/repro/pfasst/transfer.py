@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.analysis.sanitize import boundary
 from repro.sdc.quadrature import QuadratureRule, lagrange_interpolation_matrix
+from repro.sdc.quadrature import _node_matmul
 
 __all__ = ["TimeSpaceTransfer"]
 
@@ -50,9 +51,9 @@ class TimeSpaceTransfer:
     @boundary("restrict_nodes", arrays=["values_fine"])
     def restrict_nodes(self, values_fine: np.ndarray) -> np.ndarray:
         """Restrict node values fine -> coarse."""
-        return np.tensordot(self.R_time, values_fine, axes=(1, 0))
+        return _node_matmul(self.R_time, values_fine)
 
     @boundary("interpolate_nodes", arrays=["values_coarse"])
     def interpolate_nodes(self, values_coarse: np.ndarray) -> np.ndarray:
         """Interpolate node values coarse -> fine."""
-        return np.tensordot(self.P_time, values_coarse, axes=(1, 0))
+        return _node_matmul(self.P_time, values_coarse)

@@ -1,6 +1,7 @@
 """Tests for the deterministic simulated MPI."""
 
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from repro.parallel import (
     payload_bytes,
     reduce,
 )
+from repro.analysis import sanitize
+from repro.parallel.simmpi import _pickle_signature
 
 
 class TestPointToPoint:
@@ -200,6 +203,139 @@ class TestPayloadBytes:
 
     def test_pickled_object(self):
         assert payload_bytes({"a": 1}) > 8
+
+
+def _sent_bytes(payloads, scheduler=Scheduler):
+    """``mpi.bytes`` of a run in which rank 0 sends ``payloads`` in order."""
+
+    def prog(comm):
+        for i, payload in enumerate(payloads):
+            if comm.rank == 0:
+                yield comm.send(1, ("m", i), payload)
+            else:
+                yield comm.recv(0, ("m", i))
+
+    sched = scheduler(2, measure_compute=False)
+    sched.run(prog)
+    return sched.metrics.counter("mpi.bytes").value
+
+
+def _pickled(payload):
+    return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+#: payload factories: two calls give equal signatures and fresh data
+_MEMO_CASES = {
+    "0-d": lambda rng: [np.array(rng.random())],
+    "0-size": lambda rng: [np.empty((0, 3)), rng.random(2)],
+    "0-size-tuple": lambda rng: (np.empty((4, 0), dtype="f4"),),
+    "f8": lambda rng: [rng.random((2, 64, 3))],
+    "f4": lambda rng: [rng.random(7).astype("f4")],
+    "i8": lambda rng: [rng.integers(0, 9, size=(3, 2))],
+    "c16": lambda rng: [rng.random(4) + 1j * rng.random(4)],
+    "bool": lambda rng: [rng.random(5) > 0.5],
+    "fortran": lambda rng: [np.asfortranarray(rng.random((3, 4)))],
+    "non-contiguous": lambda rng: [rng.random((6, 4))[::2, 1:]],
+    "read-only": lambda rng: [_read_only(rng.random((2, 3)))],
+    "framed": lambda rng: [rng.random((2, 8192)), rng.random(3)],
+    "mixed": lambda rng: (rng.random(3), rng.integers(0, 9, size=3),
+                          rng.random(2)),
+    "aliased": lambda rng: [rng.random(3)] * 2,
+    "distinct": lambda rng: [rng.random(3), rng.random(3)],
+    "empty": lambda rng: [],
+}
+
+
+class TestSizeMemo:
+    """Lists and tuples of plain arrays are sized by structure, not by
+    pickling each message; the answer must be the pickled length."""
+
+    @pytest.mark.parametrize("case", sorted(_MEMO_CASES))
+    def test_memo_hit_equals_pickled_length(self, case, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        rng = np.random.default_rng(0)
+        first, second = (_MEMO_CASES[case](rng) for _ in range(2))
+        assert _pickle_signature(first) is not None
+        assert _pickle_signature(first) == _pickle_signature(second)
+        assert _sent_bytes([first, second]) == (
+            _pickled(first) + _pickled(second)
+        )
+        assert _pickled(first) == _pickled(second)
+
+    def test_aliasing_is_part_of_the_signature(self):
+        a = np.ones(3)
+        aliased, distinct = [a, a], [a, a.copy()]
+        assert _pickled(aliased) < _pickled(distinct)
+        assert _sent_bytes([aliased, distinct, aliased, distinct]) == 2 * (
+            _pickled(aliased) + _pickled(distinct)
+        )
+
+    def test_layouts_of_one_shape_are_told_apart(self):
+        rng = np.random.default_rng(1)
+        base = rng.random((3, 4))
+        layouts = [[base], [np.asfortranarray(base)],
+                   [rng.random((3, 8))[:, ::2]], [_read_only(base.copy())]]
+        assert len({_pickled(p) for p in layouts}) > 1
+        assert _sent_bytes(layouts + layouts[::-1]) == 2 * sum(
+            _pickled(p) for p in layouts
+        )
+
+    def test_dtypes_of_one_shape_are_told_apart(self):
+        payloads = [[np.ones(5, dtype=t)] for t in ("f8", "f4", "i8", "i4",
+                                                    "c16", "?", ">f8")]
+        assert len({_pickled(p) for p in payloads}) > 1
+        assert _sent_bytes(payloads + payloads[::-1]) == 2 * sum(
+            _pickled(p) for p in payloads
+        )
+
+    @pytest.mark.parametrize("dtype", [
+        np.dtype(float, metadata={"unit": "m"}),
+        np.dtype([("x", "f8")]),
+    ], ids=["metadata", "structured"])
+    def test_dtype_sharing_str_with_a_plain_one_is_pickled(self, dtype):
+        plain = [np.zeros(2, dtype=np.dtype(dtype.str))]
+        odd = [np.zeros(2, dtype=dtype)]
+        assert plain[0].dtype.str == odd[0].dtype.str
+        assert _pickled(odd) > _pickled(plain)
+        assert _pickle_signature(odd) is None
+        assert _sent_bytes([plain, odd]) == _pickled(plain) + _pickled(odd)
+
+    def test_other_payloads_are_not_memoised(self):
+        for payload in ([np.ones(2), 1.0], [np.ones(2, dtype=object)],
+                        [np.ma.ones(2)], {"a": np.ones(2)}, np.ones(2)):
+            assert _pickle_signature(payload) is None
+
+    def test_a_signature_is_pickled_once_per_run(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        payloads = [[np.full((2, 64, 3), float(i))] for i in range(5)]
+        size = _pickled(payloads[0])
+        calls = []
+        dumps = pickle.dumps
+        monkeypatch.setattr(pickle, "dumps",
+                            lambda *a, **k: calls.append(1) or dumps(*a, **k))
+        assert _sent_bytes(payloads) == 5 * size
+        assert len(calls) == 1
+
+    def test_sanitizer_cross_checks_memo_hits(self, monkeypatch):
+        payload = [np.ones(4)]
+
+        class Seeded(Scheduler):
+            def _reset_run_state(self):
+                super()._reset_run_state()
+                self._sizes[_pickle_signature(payload)] = 1
+
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        assert _sent_bytes([payload], Seeded) == 1
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        # looked up now: tests/test_sanitize.py reloads the module
+        with pytest.raises(sanitize.SanitizeError,
+                           match=r"channel 0 -> 1 tag=\('m', 0\)"):
+            _sent_bytes([payload], Seeded)
 
 
 @pytest.mark.parametrize("n_ranks", [1, 2, 3, 4, 7, 8])
