@@ -1,8 +1,13 @@
 """Kernel-execution backends for the batched tree engine.
 
 The batched tree engine (:mod:`repro.tree.engine`) cuts its near pass
-into *write-disjoint* batches: every batch owns the target rows it
-writes and shares only read-only state with the others.  A :class:`KernelBackend` decides how those batches are run:
+into *write-disjoint* batches that share only read-only state: an
+explicit-branch batch owns the target rows of its groups; in the
+expanded branch a chunk of rows runs its distance GEMMs, then its rows'
+pieces and its mirror shape classes, as batches that each write only
+their own rows of the chunk's buffers, and one serial reduction per
+chunk adds those into the targets in a fixed order.  A
+:class:`KernelBackend` decides how the batches are run:
 
 ``numpy``
     The reference — the base class itself: a serial in-order loop over
@@ -11,7 +16,8 @@ writes and shares only read-only state with the others.  A :class:`KernelBackend
 ``threaded``
     stdlib ``ThreadPoolExecutor`` over the batches
     (:mod:`repro.backends.threaded`).  Batches write disjoint rows and
-    each is internally serial, so the result is *bitwise identical* to
+    each is internally serial, and every sum over batches is the
+    engine's serial reduction, so the result is *bitwise identical* to
     ``numpy`` regardless of thread scheduling; the GEMMs release the
     GIL, so batches overlap on multi-core hosts.  Worker count:
     ``REPRO_BACKEND_THREADS`` or ``os.cpu_count()``.

@@ -1,10 +1,11 @@
 """Threaded CPU backend — a thread pool over the near-field batches.
 
 The engine's near-field batch closures are write-disjoint (each batch
-owns the target rows of its groups) and internally serial, so running
-them on a ``ThreadPoolExecutor`` is *bitwise identical* to the serial
-reference regardless of scheduling: no accumulation order changes, only
-which core runs which batch.  The heavy lifting inside a batch is BLAS
+writes only rows it owns: its groups' targets, or its own rows of a
+chunk's buffers, which a serial reduction then adds up) and internally
+serial, so running them on a ``ThreadPoolExecutor`` is *bitwise
+identical* to the serial reference regardless of scheduling: no
+accumulation order changes, only which core runs which batch.  The heavy lifting inside a batch is BLAS
 GEMMs and NumPy ufuncs, which release the GIL, so batches genuinely
 overlap on multi-core hosts — this is the repo's largest single-node
 lever on the ~90%-of-runtime near field.

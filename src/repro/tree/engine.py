@@ -6,21 +6,26 @@ dozens of small NumPy calls and a per-leaf ``np.concatenate``).  This
 module evaluates whole *batches of groups* at once, padded to rectangular
 blocks so the inner loops are dense matrix products:
 
-* **near**: in the production regime (smooth kernel, leaves a
-  few core sizes across) each batch gathers its sources as
-  structure-of-arrays rows, builds the per-source feature rows
-  ``[alpha | s x alpha | alpha (x) s | (s x alpha) (x) s]``, gets the
-  scaled squared distances ``rho^2`` of the whole block from one K = 5
-  GEMM over augmented operands (``[s, 1, |s|^2] . [-2 t, |t|^2, 1]``),
-  the two radial factors straight from ``rho^2``
+* **near**: in the production regime (smooth kernel, leaves a few
+  core sizes across) the pass runs over *leaf-pair radial blocks*,
+  row by row of target groups (:class:`_NearPlan`).  A row gathers its
+  source leaves as structure-of-arrays lanes, builds the per-source
+  feature rows ``[alpha | s x alpha | alpha (x) s | (s x alpha) (x)
+  s]``, gets the scaled squared distances ``rho^2`` of all its blocks
+  from one K = 5 GEMM over augmented operands (``[s, 1, |s|^2] . [-2 t,
+  |t|^2, 1]``), the two radial factors straight from ``rho^2``
   (:meth:`~repro.vortex.kernels.SmoothingKernel.f_g_from_rho2`: for the
   algebraic family one reciprocal, one square root and a Horner pair in
   ``u = 1/(1 + rho^2)``), and contracts them against the feature rows
-  with two GEMMs; the 6/24 contracted sums are stored per target slot
-  and one epilogue per evaluation reassembles velocity and gradient.
-  Outside the expansion gate (theta = 0 stress shapes, singular
-  kernels) a fully explicit ``r = t - s`` path keeps exact-zero
-  detection and reference-level rounding.
+  in 48-lane pieces.  A mirrored pair of large leaves gets its block
+  once, in the canonical frame (the centre of its first group in group
+  order): the row of that group contracts it, transposed, for the
+  other group's targets too.  Every target's 6/24 contracted sums are
+  added up in a fixed order of its near-list entries, stored per
+  target slot, and one epilogue per evaluation reassembles velocity
+  and gradient.  Outside the expansion gate (theta = 0 stress shapes,
+  singular kernels) a fully explicit ``r = t - s`` path keeps
+  exact-zero detection and reference-level rounding.
 * **far**: the multipole expansion is factored over the
   *cluster-frame* monomial basis (:mod:`repro.tree.localbasis`): every
   unique cluster node gets one weight matrix mapping the D-weighted
@@ -35,11 +40,12 @@ blocks so the inner loops are dense matrix products:
   scatters each chunk with one ``np.bincount`` per output component.
   Per-pair work is independent of how many groups share a cluster.
 
-Near batches are packed greedily under a temporary-memory budget, groups
-sorted by size so padding stays tight; a batch always contains at least
-one group, so any positive budget makes progress.  Scatter back onto the
-targets uses plain fancy indexing — leaves tile disjoint slot ranges, so
-target rows within a batch are unique.
+Near rows are packed, in group order, into chunks under a
+temporary-memory budget (explicit-branch batches: groups sorted by size
+so padding stays tight); a chunk always contains at least one row, so
+any positive budget makes progress.  Scatter back onto the targets uses
+plain fancy indexing — leaves tile disjoint slot ranges, so target rows
+within a batch, or within one row's mirrors, are unique.
 
 Interaction lists are laid out once per traversal by
 :func:`segment_layout`: a single ``np.bincount`` + ``cumsum`` gives the
@@ -54,9 +60,13 @@ memory is O(list entries), not O(particle pairs).
 
 **Backends.** The near pass takes an optional kernel backend
 (:mod:`repro.backends`) selecting the execution strategy: its batches
-are *write-disjoint* (each owns the target rows it writes), which is
-the invariant that lets the ``threaded`` backend run them on a thread
-pool bitwise-identically.  ``backend=None`` resolves through
+are *write-disjoint* — an explicit batch owns the target rows of its
+groups; an expanded chunk's batches (its rows' distance GEMMs, its
+rows' pieces, its mirror shape classes) each write only their own rows
+of the chunk's buffers, and one serial reduction per chunk then adds
+those into the targets in a fixed order.  That is the invariant that
+lets the ``threaded`` backend run them on a thread pool
+bitwise-identically.  ``backend=None`` resolves through
 ``REPRO_BACKEND`` and defaults to the serial NumPy reference.
 
 **Process safety.** The batched kernels are safe to run inside worker
@@ -99,14 +109,14 @@ _INV_FOUR_PI = 1.0 / (4.0 * np.pi)
 
 #: default temporary-memory budget per evaluation batch
 DEFAULT_BUDGET_BYTES = 64 * 2**20
-#: tighter default for the expanded near pass: blocks that stay
-#: cache-resident make its short elementwise sweeps (radial factors) run
-#: at cache bandwidth instead of streaming from memory.  The value holds
-#: a batch's blocks inside a 2 MiB L2: timings are flat from 1 to 3 MiB
-#: on an idle host, but with the shared last-level cache busy 3 MiB
-#: batches of the N=2048 sheet ran up to 1.8x slower (budget sweep on the
-#: N=8192 sheet benchmark, single-core BLAS).
-NEAR_GEMM_BUDGET_BYTES = 3 * 2**19
+#: default for the expanded near pass: a chunk of rows pays a fixed count
+#: of NumPy calls, and its short elementwise sweeps (radial factors) want
+#: its blocks near the core.  Measured on the 2-vCPU host (2 MiB L2, a
+#: shared last-level cache), single-core BLAS, min of 5 calls: against
+#: 3 MiB, 6 MiB chunks were 3-7% faster on the N=2048 start and evolved
+#: sheets and 1-18% on the N=16384 sheet; against 1.5 MiB, 12 MiB chunks
+#: lost 10-30%.
+NEAR_GEMM_BUDGET_BYTES = 6 * 2**20
 #: far-pass chunk budget.  It bounds the chunk-wide tables (slots, GEMM
 #: output rows); cache residency is the tile's business
 #: (``_FAR_TILE_PAIRS``).  Each chunk's 12 bincounts also pass over every
@@ -119,13 +129,16 @@ FAR_BUDGET_BYTES = 8 * 2**20
 # pair; the near "pair" bytes are per padded source lane.
 _NEAR_ELEM_BYTES = {True: 112, False: 56}
 _NEAR_PAIR_BYTES = {True: 264, False: 96}
-# the expanded (GEMM) near branch, counted from its batch body: the pair
-# blocks are u (the distance GEMM's output, overwritten in place),
-# u^(3/2), f and — with gradient — g; a source lane holds 3 position,
-# 5 distance-operand and 6 / 24 feature rows, its slot index and the
-# index expansion's temporary
-_NEAR_GEMM_ELEM_BYTES = {True: 32, False: 24}
-_NEAR_GEMM_PAIR_BYTES = {True: 272, False: 128}
+# the expanded (GEMM) near branch, counted from its chunk body: a
+# radial-block element is u (the distance GEMM's output, overwritten in
+# place), u^(3/2), f and — with gradient — g, plus its share of the
+# pieces' 30 / 6 output rows and of a mirror class's gathered blocks; a
+# lane (a row's source lane, target lane or mirror lane) holds 3
+# position, 5 distance-operand and 6 / 24 feature rows, its centre, a
+# mirror's output rows and its entry in the chunk's lane table (slot,
+# validity, frame and their expansion's temporaries)
+_NEAR_GEMM_ELEM_BYTES = {True: 40, False: 28}
+_NEAR_GEMM_PAIR_BYTES = {True: 336, False: 192}
 #: per (target, cluster-node) far lane of a chunk: its slot, the index
 #: expansion's temporary and the 12 / 3 GEMM output rows (counted from
 #: the body; ``TestFarPassBudget``)
@@ -135,7 +148,7 @@ _FAR_PAIR_BYTES = {True: 112, False: 40}
 #: measured; streaming the rows from memory cost 2x on the N=16384 sheet)
 _FAR_TILE_PAIRS = 2048
 #: far lanes per node segment are padded to whole 512-bit vectors of
-#: doubles, as near target lanes are (``_NEAR_TARGET_MULTIPLE``): every
+#: doubles, as a shared near leaf is (``_NEAR_TARGET_MULTIPLE``): every
 #: GEMM of the pass has pairs or nodes on its unit-stride axis, where
 #: BLAS rounds a trailing partial vector differently, so whole vectors
 #: keep a pair's bits independent of what else its chunk holds
@@ -150,14 +163,29 @@ _FAR_LANE_MULTIPLE = 8
 #: (|t| ~ 2 sigma) stay at reference accuracy while coarse-leaf stress
 #: shapes fall back to the explicit path.
 _NEAR_EXPAND_SIGMA = 4.0
-#: target lanes of an expanded near block are padded to whole 512-bit
-#: vectors of doubles.  Targets are the unit-stride axis of the block,
-#: and BLAS runs a trailing partial vector of them through an edge
-#: kernel that rounds differently from the full-vector one; with whole
-#: vectors a group's sums do not depend on which batch mate set the
-#: padded width, so a shard's batches reproduce the serial evaluator's
-#: bits (as the parent's fixed-width feature GEMM did).
+#: a shared near pair's leaf is padded to whole 512-bit vectors of
+#: doubles of its own size: its lanes are the mirror contraction's
+#: targets, and mirrors of one shape class share a GEMM call, so padding
+#: keeps the classes few.  Targets are the unit-stride axis of a
+#: contraction, where BLAS runs a trailing partial vector through an
+#: edge kernel that rounds differently from the full-vector one; that is
+#: why no GEMM's shape may depend on a chunk mate — a row's own targets
+#: need no padding, every GEMM of a row has shapes of that row alone
+#: (BLAS rounds a shape the same way every time), so a shard reproduces
+#: the serial evaluator's bits.
 _NEAR_TARGET_MULTIPLE = 8
+#: lanes (the GEMM's K) per piece of a near row's contraction.  A GEMM
+#: this small runs on one BLAS thread whatever the thread count, so
+#: its rounding does not depend on it (the per-group GEMM this replaced
+#: had K ~ 1300 at N=2048 and changed bits between 1 and 2 threads)
+_NEAR_PIECE = 48
+#: a mirrored near pair shares one radial block when the product of its
+#: leaves' padded lane counts reaches this.  Below it the mirror's own
+#: feature lanes, GEMM calls and output rows cost more than the radial
+#: work it saves: sharing every pair made the N=16384 sheet's pass
+#: 1.6-1.9x slower, 1024 (32 x 32 lanes) is the fastest of the
+#: thresholds measured on the N=2048 and N=16384 sheets
+_NEAR_SHARE_MIN = 1024
 
 
 def _cumsum0(a: np.ndarray) -> np.ndarray:
@@ -644,8 +672,9 @@ def batched_near_vortex(
     """Near-field direct pass, accumulated into sorted-order outputs.
 
     ``backend`` selects the kernel-execution backend
-    (:mod:`repro.backends`): batches are write-disjoint (each owns the
-    target rows of its groups), so they are dispatched through
+    (:mod:`repro.backends`): batches are write-disjoint (an explicit
+    batch owns the target rows of its groups, an expanded one its own
+    contribution buffer), so they are dispatched through
     :meth:`~repro.backends.KernelBackend.map_batches` — serial for
     ``numpy``, a thread pool for ``threaded``, both bitwise identical.
     ``None`` resolves via ``REPRO_BACKEND`` / the NumPy default.
@@ -673,14 +702,17 @@ def batched_near_vortex(
     When every target lies within ``_NEAR_EXPAND_SIGMA`` core sizes of
     its group center (the production tree regime: leaves a few ``sigma``
     across) the pass switches to a fully expanded form that never
-    materialises a (targets x sources x 3) pair tensor.  Per batch, the
-    scaled squared distances ``rho^2 = |t - s|^2 / sigma^2`` of the
-    whole block come from one K = 5 GEMM over augmented operands,
-    ``[s, 1, |s|^2] . [-2 t, |t|^2, 1]`` (group-local coordinates in
-    units of ``sigma``), the radial pair from
-    :meth:`~repro.vortex.kernels.SmoothingKernel.f_g_from_rho2`, and
-    the sums over the sources from 6 (velocity) / 24 (gradient)
-    per-source feature rows contracted by two GEMMs.  Operands are
+    materialises a (targets x sources x 3) pair tensor.  It runs over
+    leaf-pair radial blocks (:func:`_near_block_pass`): per block, the
+    scaled squared distances ``rho^2 = |t - s|^2 / sigma^2`` come from
+    a K = 5 GEMM over augmented operands, ``[s, 1, |s|^2] . [-2 t,
+    |t|^2, 1]`` (group-local coordinates in units of ``sigma``), the
+    radial pair from
+    :meth:`~repro.vortex.kernels.SmoothingKernel.f_g_from_rho2` — once
+    for both entries of a mirrored pair of large leaves — and the sums
+    over the sources from 6 (velocity) / 24 (gradient) per-source
+    feature rows contracted by GEMMs with K <= 48, added up per target
+    in a fixed order of its near-list entries.  Operands are
     structure-of-arrays (one contiguous row per component), the
     contracted sums are stored per target slot, and one epilogue per
     evaluation (:func:`_near_epilogue`) turns them into velocity and
@@ -709,54 +741,36 @@ def batched_near_vortex(
         budget = budget_bytes
     else:
         budget = NEAR_GEMM_BUDGET_BYTES if expand else DEFAULT_BUDGET_BYTES
-    # padded target lanes per group, and the temporaries per lane
-    tlanes = layout.group_count
-    if expand:
-        tlanes = -(-tlanes // _NEAR_TARGET_MULTIPLE) * _NEAR_TARGET_MULTIPLE
-        elem_bytes = _NEAR_GEMM_ELEM_BYTES[gradient]
-        pair_bytes = _NEAR_GEMM_PAIR_BYTES[gradient]
-    else:
-        elem_bytes = _NEAR_ELEM_BYTES[gradient]
-        pair_bytes = _NEAR_PAIR_BYTES[gradient]
-    batches = _pack_groups(
-        active, tlanes, counts, elem_bytes, pair_bytes, budget
-    )
     m = get_metrics()
+    bk = get_backend(backend)
+    if expand:
+        tloc, acc = _near_block_pass(
+            tree, charges_sorted, layout, kernel, sigma, gradient, budget,
+            bk, m,
+        )
+        _near_epilogue(
+            bk.to_device(np.flatnonzero(counts[layout.group_of_slot] > 0)),
+            tloc, acc[:, 0:6], acc[:, 6:30] if gradient else None, vel, grad,
+        )
+        return
+
+    tlanes = layout.group_count
+    batches = _pack_groups(
+        active, tlanes, counts, _NEAR_ELEM_BYTES[gradient],
+        _NEAR_PAIR_BYTES[gradient], budget,
+    )
     if m.enabled:
         m.counter("tree.near.batches").inc(len(batches))
         m.counter("tree.near.padded_pairs").inc(sum(
             b.size * int(tlanes[b].max()) * int(counts[b].max())
             for b in batches
         ))
-    bk = get_backend(backend)
     # ``to_device`` is the identity on both shipped backends and the
     # tests' hook into the body: operands pass through it once per
     # evaluation, per-batch index blocks as they are built.
     ctr = bk.to_device(layout.group_center)
-    if expand:
-        # structure-of-arrays operands, built once per evaluation:
-        # component rows of positions / charges for the per-batch source
-        # gathers, and per target slot the group-local coordinates plus
-        # the augmented distance operand ``[-2 t, |t|^2, 1]`` in units
-        # of sigma.  Batches only fill their rows of ``fsum`` / ``gsum``
-        # (the contracted feature sums); the velocity/gradient epilogue
-        # runs once over all target slots at the end.
-        n = vel.shape[0]
-        tloc = tree.positions - layout.group_center[layout.group_of_slot]
-        taug = np.empty((5, n), dtype=np.float64)
-        np.multiply(tloc.T, 1.0 / sigma, out=taug[0:3])
-        np.einsum("in,in->n", taug[0:3], taug[0:3], out=taug[3])
-        taug[0:3] *= -2.0
-        taug[4] = 1.0
-        tloc, taug = bk.to_device(tloc), bk.to_device(taug)
-        post = bk.to_device(np.ascontiguousarray(tree.positions.T))
-        chgt = bk.to_device(np.ascontiguousarray(charges_sorted.T))
-        nf = 24 if gradient else 6
-        fsum = np.zeros((n, 6), dtype=np.float64)
-        gsum = np.zeros((n, 24), dtype=np.float64) if gradient else None
-    else:
-        pos = bk.to_device(tree.positions)
-        chg = bk.to_device(charges_sorted)
+    pos = bk.to_device(tree.positions)
+    chg = bk.to_device(charges_sorted)
 
     def run_batch(batch: np.ndarray) -> None:
         b = batch.size
@@ -767,44 +781,6 @@ def batched_near_vortex(
         )
         smax = sidx.shape[1]
         flat = tidx[tvalid]
-
-        if expand:
-            # source rows (component, B, S): group-local positions, then
-            # the feature rows [a | s x a | a (x) s | (s x a) (x) s]
-            s = np.empty((3, b, smax), dtype=np.float64)
-            feat = np.empty((nf, b, smax), dtype=np.float64)
-            for c in range(3):
-                np.take(post[c], sidx, out=s[c])
-                np.take(chgt[c], sidx, out=feat[c])
-            s -= ctr[bk.to_device(batch)].T[:, :, None]
-            # every feature row is linear in the charge, so zeroed
-            # padded lanes contribute nothing to either feature GEMM
-            feat[0:3][:, ~svalid] = 0.0
-            _cross_rows(s, feat[0:3], feat[3:6])
-            if gradient:
-                np.multiply(
-                    feat[0:6].reshape(2, 3, 1, b, smax), s,
-                    out=feat[6:24].reshape(2, 3, 3, b, smax),
-                )
-            # rho^2 = |s - t|^2 / sigma^2 of the whole (B, S, C) block
-            # from one K = 5 GEMM: [s, 1, |s|^2] . [-2 t, |t|^2, 1]
-            saug = np.empty((5, b, smax), dtype=np.float64)
-            np.multiply(s, 1.0 / sigma, out=saug[0:3])
-            saug[3] = 1.0
-            saug[4] = np.einsum("ibs,ibs->bs", saug[0:3], saug[0:3])
-            rho2 = np.matmul(
-                saug.transpose(1, 2, 0),
-                np.take(taug, tidx, axis=1).transpose(1, 0, 2),
-            )
-            f, g = kernel.f_g_from_rho2(rho2, sigma, gradient)
-            # leaves tile disjoint slot ranges: plain assignment
-            fb = np.matmul(feat[0:6].transpose(1, 0, 2), f)  # (B, 6, C)
-            fsum[flat] = fb.transpose(0, 2, 1)[tvalid]
-            if gradient:
-                gb = np.matmul(feat.transpose(1, 0, 2), g)  # (B, 24, C)
-                gsum[flat] = gb.transpose(0, 2, 1)[tvalid]
-            return
-
         gc = ctr[bk.to_device(batch)][:, None, :]
         t = pos[tidx] - gc  # (B, C, 3), group-local frame
         s = pos[sidx] - gc  # (B, S, 3)
@@ -843,11 +819,389 @@ def batched_near_vortex(
             grad[flat] += gm[tvalid]
 
     bk.map_batches(run_batch, batches)
-    if expand:
-        _near_epilogue(
-            bk.to_device(np.flatnonzero(counts[layout.group_of_slot] > 0)),
-            tloc, fsum, gsum, vel, grad,
+
+
+@dataclass
+class _NearPlan:
+    """A near list laid out as rows of leaf-pair radial blocks.
+
+    Leaves are the target groups, so entry ``e`` (layout order: target
+    group, then list order) pairs target group ``target[e]`` with source
+    group ``source[e]``.  A pair of large leaves (padded lanes
+    multiplying to ``_NEAR_SHARE_MIN`` or more) is *shared*: its block
+    of radial factors is computed once, in the canonical frame — the
+    centre of the pair's first group in group order, in that group's
+    row — and serves the entry of its second group as a *mirror*.  Every
+    other entry is evaluated in its target's row, in the target's frame.
+
+    Row ``r`` stacks along K the source leaves of ``r``'s entries that
+    are not mirrors, in list order (a shared pair's leaf padded to whole
+    8-lane vectors of its own size, the rest unpadded), zero-padded to
+    whole ``_NEAR_PIECE``-lane pieces; then the other leaf of each shared
+    block of ``r`` that only a mirror needs — a one-sided entry, or the
+    half of a mutual pair that a shard's sub-list holds — in target
+    order.  Its targets, ``r``'s particles, are not padded.  Everything
+    here is per entry, per mirror or per group.
+    """
+
+    #: per entry: target and source group, whether a mirror serves it,
+    #: and (entries that are not mirrors) its lanes and lane offset in
+    #: its row
+    target: np.ndarray
+    source: np.ndarray
+    mirror: np.ndarray
+    width: np.ndarray
+    offset: np.ndarray
+    #: per group: particles, padded lanes, lanes of its entries, lanes
+    #: of its whole pieces, all lanes of its row
+    count: np.ndarray
+    lanes: np.ndarray
+    csum: np.ndarray
+    kc: np.ndarray
+    krow: np.ndarray
+    #: per mirror (entry order): serving row group, target group, the
+    #: block's lane offset in the row, and whether it sits after the
+    #: row's pieces (no row entry of its pair in this list)
+    mrow: np.ndarray
+    mtgt: np.ndarray
+    moff: np.ndarray
+    lone: np.ndarray
+
+
+def _near_plan(tree: Octree, layout: TraversalLayout) -> _NearPlan:
+    """Lay a near list out as rows of radial blocks (:class:`_NearPlan`)."""
+    n_groups = layout.group_count.size
+    count = layout.group_count
+    lanes = -(-count // _NEAR_TARGET_MULTIPLE) * _NEAR_TARGET_MULTIPLE
+    first = layout.near.starts
+    target = np.repeat(np.arange(n_groups, dtype=np.int64), layout.near.counts)
+    source = layout.group_of_slot[tree.node_start[layout.near.node]]
+    shared = (lanes[target] * lanes[source] >= _NEAR_SHARE_MIN) & (
+        target != source
+    )
+    mirror = shared & (target > source)
+    width = np.where(shared, lanes[source], count[source]) * ~mirror
+    wcum = _cumsum0(width)
+    csum = wcum[first[1:]] - wcum[first[:-1]]
+    kc = -(-csum // _NEAR_PIECE) * _NEAR_PIECE
+    offset = wcum[:-1] - np.repeat(wcum[first[:-1]], layout.near.counts)
+    # a mirror's block sits at its pair's entry in the source's row if
+    # the list holds it, else after that row's pieces, in target order
+    key = target * n_groups + source
+    korder = np.argsort(key, kind="stable")
+    mi = np.flatnonzero(mirror)
+    mrow, mtgt = source[mi], target[mi]
+    mkey = mrow * n_groups + mtgt
+    at = korder[np.minimum(np.searchsorted(key[korder], mkey), key.size - 1)]
+    lone = key[at] != mkey
+    moff = offset[at]
+    li = np.flatnonzero(lone)
+    li = li[np.lexsort((mtgt[li], mrow[li]))]
+    lwid = lanes[mtgt[li]]
+    lcum = _cumsum0(lwid)
+    moff[li] = kc[mrow[li]] + lcum[:-1] - lcum[np.searchsorted(mrow[li],
+                                                               mrow[li])]
+    krow = kc + np.bincount(mrow[li], weights=lwid, minlength=n_groups).astype(
+        np.int64
+    )
+    return _NearPlan(
+        target=target, source=source, mirror=mirror, width=width,
+        offset=offset, count=count, lanes=lanes, csum=csum, kc=kc,
+        krow=krow, mrow=mrow, mtgt=mtgt, moff=moff, lone=lone,
+    )
+
+
+def _near_row_bytes(
+    plan: _NearPlan, rows: np.ndarray, gradient: bool
+) -> np.ndarray:
+    """Temporary bytes of each row in ``rows`` (groups with a row), the
+    chunk budget's cost model: per radial-block element and per lane (a
+    row lane, a row target lane or a mirror lane)."""
+    targets = plan.count[rows]
+    mirrors = np.bincount(plan.mrow, minlength=plan.count.size)[rows]
+    return (
+        plan.krow[rows] * targets * _NEAR_GEMM_ELEM_BYTES[gradient]
+        + (plan.krow[rows] + targets * (1 + mirrors))
+        * _NEAR_GEMM_PAIR_BYTES[gradient]
+    )
+
+
+def _chunk_bounds(cost: np.ndarray, budget: int) -> List[int]:
+    """Bounds of runs of consecutive rows costing at most ``budget``
+    bytes each (at least one row, so any budget makes progress)."""
+    cum = _cumsum0(cost)
+    bounds = [0]
+    while bounds[-1] < cost.size:
+        b0 = bounds[-1]
+        b1 = int(np.searchsorted(cum, cum[b0] + budget, "right")) - 1
+        bounds.append(min(max(b1, b0 + 1), cost.size))
+    return bounds
+
+
+def _leaf_lanes(
+    start: np.ndarray, count: np.ndarray, width: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Slots of leaves laid end to end, leaf ``i`` padded from
+    ``count[i]`` to ``width[i]`` lanes by repeating its last slot, and
+    the lanes' validity mask."""
+    off = _cumsum0(width)
+    lane = np.arange(off[-1], dtype=np.int64)
+    lane -= np.repeat(off[:-1], width)
+    cnt = np.repeat(count, width)
+    valid = lane < cnt
+    np.minimum(lane, cnt - 1, out=lane)
+    lane += np.repeat(start, width)
+    return lane, valid
+
+
+def _source_rows(post, chgt, ctrt, slots, valid, frame, nf):
+    """Feature rows ``[a | s x a | a (x) s | (s x a) (x) s]`` (``nf`` of
+    them, structure of arrays) of the source lanes ``slots``, positions
+    ``s`` relative to the centre of group ``frame`` (per lane); padding
+    lanes carry zero charge.  Also returns ``s``."""
+    n = slots.size
+    s = np.empty((3, n), dtype=np.float64)
+    feat = np.empty((nf, n), dtype=np.float64)
+    centre = np.empty(n, dtype=np.float64)
+    for c in range(3):
+        np.take(post[c], slots, out=s[c])
+        np.take(ctrt[c], frame, out=centre)
+        s[c] -= centre
+        np.take(chgt[c], slots, out=feat[c])
+    # every feature row is linear in the charge, so zeroed padding
+    # lanes contribute nothing to any contraction
+    feat[0:3] *= valid
+    _cross_rows(s, feat[0:3], feat[3:6])
+    if nf == 24:
+        np.multiply(
+            feat[0:6].reshape(2, 3, 1, n), s, out=feat[6:24].reshape(2, 3, 3, n)
         )
+    return s, feat
+
+
+def _near_block_pass(
+    tree, charges_sorted, layout, kernel, sigma, gradient, budget, bk, m,
+):
+    """The expanded near pass over rows of leaf-pair radial blocks.
+
+    Returns the group-local target positions and the ``(n, 30)`` (``(n,
+    6)`` without gradient) contracted feature sums per target slot,
+    ``sum f [a | s x a]`` then ``sum g [a | s x a | a (x) s | (s x a)
+    (x) s]``, for :func:`_near_epilogue`.
+
+    Per row ``r`` (:class:`_NearPlan`): ``rho^2`` of all its blocks from
+    one K = 5 GEMM in ``r``'s frame, the radial pair ``f``, ``g`` once
+    per element, the pieces contracted for ``r``'s targets (the leaves'
+    feature rows in ``r``'s frame against the block rows, one GEMM per
+    piece) and each mirror contracted for its target group ``t`` (``r``'s
+    feature rows in ``t``'s frame against the transposed block).  Every
+    GEMM has K <= 48 and a shape that is a property of the pair or of
+    ``r``'s near list alone; a row's pieces, and the mirrors of one shape
+    class, are stacked into one call.  ``f`` and ``g`` are symmetric in
+    the pair, so a mirror is exact in exact arithmetic.
+
+    Rows run in group order, in chunks of whole rows of at most
+    ``budget`` bytes.  A chunk's rows and mirror classes are its
+    write-disjoint batches, each writing only its own buffer; one serial
+    reduction per chunk then adds the buffers into the targets, row by
+    row.  A target group ``t`` thus receives its mirrors one at a time
+    in group order of their rows, which is its list order (the traversal
+    emits a group's leaves level by level, node ids ascending), then its
+    own row's pieces summed in list order — a fixed order of its own
+    near-list entries, whatever the chunks or a shard's sub-list hold,
+    so a shard's segment reproduces the serial field bit for bit.
+    """
+    n = tree.n_particles
+    nf = 24 if gradient else 6
+    nw = 30 if gradient else 6
+    count, gstart = layout.group_count, layout.group_start
+    plan = _near_plan(tree, layout)
+    lanes, kc, csum = plan.lanes, plan.kc, plan.csum
+    rows = np.flatnonzero(plan.krow > 0)
+    rk, rc = plan.krow[rows], count[rows]
+    bounds = _chunk_bounds(_near_row_bytes(plan, rows, gradient), budget)
+    nchunk = len(bounds) - 1
+    row_chunk = np.repeat(np.arange(nchunk), np.diff(bounds))
+    chunk = np.zeros(count.size, dtype=np.int64)
+    chunk[rows] = row_chunk
+    if m.enabled:
+        m.counter("tree.near.batches").inc(nchunk)
+        m.counter("tree.near.padded_pairs").inc(int(rk @ rc))
+
+    # mirrors in work order: chunk, shape class (the target leaf's
+    # padded lanes K, the row group's particles C), row, target
+    mrow, mtgt, nmir = plan.mrow, plan.mtgt, plan.mrow.size
+    mshape = lanes[mtgt] * (int(lanes.max()) + 1) + count[mrow]
+    mw = np.lexsort((mtgt, mrow, mshape, chunk[mrow]))
+    li = np.flatnonzero(plan.lone)
+    mrow, mtgt, mshape, moff = mrow[mw], mtgt[mw], mshape[mw], plan.moff[mw]
+    mchunk = chunk[mrow]
+    mk, mc = lanes[mtgt], count[mrow]
+
+    # the lane segments, chunk by chunk: the rows' leaves in lane order
+    # (framed at the row group; a zero-charge segment fills a row's last
+    # piece), then the mirrors' lanes in work order (the row group's
+    # own, framed at the mirror's target); a chunk expands its segments
+    # into lanes
+    re = np.flatnonzero(~plan.mirror)
+    pad = np.flatnonzero(kc > csum)
+    seg_row = np.concatenate((plan.target[re], pad, plan.mrow[li]))
+    seg = np.lexsort((
+        np.concatenate((plan.offset[re], csum[pad], plan.moff[li],
+                        np.arange(nmir))),
+        np.concatenate((seg_row, np.full(nmir, count.size, dtype=np.int64))),
+        np.concatenate((chunk[seg_row], mchunk)),
+    ))
+    seg_width = np.concatenate((
+        plan.width[re], kc[pad] - csum[pad], lanes[plan.mtgt[li]], mc
+    ))
+    leaf = np.concatenate((plan.source[re], pad, plan.mtgt[li], mrow))[seg]
+    seg_width = seg_width[seg]
+    kind = seg - re.size
+    real = (kind < 0) | (kind >= pad.size)
+    seg_frame = np.concatenate((seg_row, mtgt))[seg]
+    seg_at = np.searchsorted(
+        np.concatenate((chunk[seg_row], mchunk))[seg], np.arange(nchunk + 1)
+    ).tolist()
+    del seg, kind
+
+    def lane_table(k):
+        """Slot, validity and frame of every lane of chunk ``k``."""
+        a, z = seg_at[k], seg_at[k + 1]
+        width = seg_width[a:z]
+        slot, valid = _leaf_lanes(gstart[leaf[a:z]], count[leaf[a:z]], width)
+        valid &= np.repeat(real[a:z], width)
+        return slot, valid, np.repeat(seg_frame[a:z], width)
+
+    # offsets from a row's or mirror's chunk start: lanes in the table,
+    # radial-block elements, target lanes, mirror output lanes
+    def from_chunk(cum, at):
+        return (cum[:-1] - cum[at]).tolist()
+
+    rbase = np.asarray(bounds[:-1], dtype=np.int64)[row_chunk]
+    lcum, xcum, tcum = _cumsum0(rk), _cumsum0(rk * rc), _cumsum0(rc)
+    lrow, xrow, trow = (from_chunk(c, rbase) for c in (lcum, xcum, tcum))
+    x_at, t_at = xcum[bounds].tolist(), tcum[bounds].tolist()
+    pieces = (kc[rows] // _NEAR_PIECE).tolist()
+    rk_l, rc_l = rk.tolist(), rc.tolist()
+    m_at = np.searchsorted(mchunk, np.arange(nchunk + 1))
+    mbase = m_at[mchunk]
+    mpos = np.searchsorted(rows, mrow)
+    mx = (xcum[mpos] - xcum[rbase[mpos]] + moff * mc).tolist()
+    mlcum, mdcum = _cumsum0(mc), _cumsum0(mk)
+    ml, md = from_chunk(mlcum, mbase), from_chunk(mdcum, mbase)
+    md_at = mdcum[m_at].tolist()
+    # mirror classes: runs of one (chunk, shape)
+    cut = np.flatnonzero((mshape[1:] != mshape[:-1])
+                         | (mchunk[1:] != mchunk[:-1]))
+    cfirst = np.concatenate(([0], cut + 1))[:nmir]
+    cls_at = np.searchsorted(mchunk[cfirst], np.arange(nchunk + 1)).tolist()
+    clast = np.append(cfirst[1:], nmir).tolist()
+    cfirst, mk_l, mc_l = cfirst.tolist(), mk.tolist(), mc.tolist()
+    # a row's mirrors go to distinct groups, so each row adds them in one
+    # step: their real output lanes in (row, target) order
+    mb = np.lexsort((mtgt, mrow))
+    mcnt = count[mtgt[mb]]
+    mcum = _cumsum0(mcnt)
+    mrun = mcum[np.append(np.searchsorted(mrow[mb], rows), nmir)].tolist()
+    mtarget = _leaf_lanes(gstart[mtgt[mb]], mcnt, mcnt)[0]
+    mlane = _leaf_lanes(mdcum[:-1][mb] - mdcum[mbase[mb]], mcnt, mcnt)[0]
+
+    # ``to_device`` is the identity on both shipped backends and the
+    # tests' hook into the body: the per-evaluation operands pass through
+    # it.  Per target slot: the group-local coordinates and the augmented
+    # distance operand ``[-2 t, |t|^2, 1]`` in units of sigma, gathered
+    # row by row; component rows of positions / charges / group centres
+    # for the per-chunk source gathers.
+    tloc = tree.positions - layout.group_center[layout.group_of_slot]
+    taug = np.empty((5, n), dtype=np.float64)
+    np.multiply(tloc.T, 1.0 / sigma, out=taug[0:3])
+    np.einsum("in,in->n", taug[0:3], taug[0:3], out=taug[3])
+    taug[0:3] *= -2.0
+    taug[4] = 1.0
+    tloc, taug = bk.to_device(tloc), bk.to_device(taug)
+    trows = np.take(taug, _leaf_lanes(gstart[rows], count[rows], rc)[0], axis=1)
+    post = bk.to_device(np.ascontiguousarray(tree.positions.T))
+    chgt = bk.to_device(np.ascontiguousarray(charges_sorted.T))
+    ctrt = bk.to_device(np.ascontiguousarray(layout.group_center.T))
+    acc = np.zeros((n, nw), dtype=np.float64)
+
+    for k in range(nchunk):
+        r0, r1 = bounds[k], bounds[k + 1]
+        c0, c1 = cls_at[k], cls_at[k + 1]
+        s, feat = _source_rows(post, chgt, ctrt, *lane_table(k), nf)
+        nlr = lrow[r1 - 1] + rk_l[r1 - 1]
+        saug = np.empty((5, nlr), dtype=np.float64)
+        np.multiply(s[:, :nlr], 1.0 / sigma, out=saug[0:3])
+        saug[3] = 1.0
+        np.einsum("in,in->n", saug[0:3], saug[0:3], out=saug[4])
+        tcan = trows[:, t_at[k]:t_at[k + 1]]
+        x = np.empty_like(taug, shape=x_at[k + 1] - x_at[k])
+        mout = np.empty((md_at[k + 1] - md_at[k], nw), dtype=np.float64)
+        cout = [None] * (r1 - r0)
+
+        def distances(r: int) -> None:
+            a, c, x0 = rk_l[r], rc_l[r], xrow[r]
+            np.matmul(
+                saug[:, lrow[r]:lrow[r] + a].T, tcan[:, trow[r]:trow[r] + c],
+                out=x[x0:x0 + a * c].reshape(a, c),
+            )
+
+        def contract(i: int) -> None:
+            if i < r1 - r0:
+                # row r's own targets: its pieces, one GEMM each
+                r = r0 + i
+                p, c, l0, x0 = pieces[r], rc_l[r], lrow[r], xrow[r]
+                if not p:
+                    return
+                lhs = feat[:, l0:l0 + p * _NEAR_PIECE]
+                lhs = lhs.reshape(nf, p, _NEAR_PIECE).transpose(1, 0, 2)
+                out = np.empty((p, nw, c), dtype=np.float64)
+                for a, rows_out in zip(radial, (out[:, 0:6], out[:, 6:30])):
+                    np.matmul(
+                        lhs[:, 0:rows_out.shape[1]],
+                        a[x0:x0 + p * _NEAR_PIECE * c].reshape(p, -1, c),
+                        out=rows_out,
+                    )
+                cout[i] = out
+                return
+            # a mirror class: the row groups' feature rows in the targets'
+            # frames against the transposed blocks
+            j = c0 + i - (r1 - r0)
+            a, z = cfirst[j], clast[j]
+            kk, c, b = mk_l[a], mc_l[a], z - a
+            lhs = feat[:, nlr + ml[a]:nlr + ml[a] + b * c]
+            lhs = lhs.reshape(nf, b, c).transpose(1, 0, 2)
+            out = mout[md[a]:md[a] + b * kk].reshape(b, kk, nw)
+            out = out.transpose(0, 2, 1)
+            for src, rows_out in zip(radial, (out[:, 0:6], out[:, 6:30])):
+                # the class's blocks: rows of a view of every run of
+                # kk * c consecutive elements
+                runs = np.ndarray((src.size - kk * c + 1, kk * c),
+                                  np.float64, src, strides=(8, 8))
+                blk = runs[mx[a:z]].reshape(b, kk, c)
+                np.matmul(lhs[:, 0:rows_out.shape[1]], blk.transpose(0, 2, 1),
+                          out=rows_out)
+
+        bk.map_batches(distances, range(r0, r1))
+        f, g = kernel.f_g_from_rho2(x, sigma, gradient)
+        radial = (f, g) if gradient else (f,)
+        bk.map_batches(contract, range(r1 - r0 + c1 - c0))
+
+        # the reduction, row by row: a row's pieces, summed in order, onto
+        # its targets; its mirrors onto distinct groups
+        e0 = mrun[r0]
+        mbuf = mout[mlane[e0:mrun[r1]]]
+        for i in range(r1 - r0):
+            r = r0 + i
+            if cout[i] is not None:
+                g0 = int(gstart[rows[r]])
+                acc[g0:g0 + rc_l[r]] += np.add.reduce(cout[i], axis=0).T
+            if mrun[r + 1] > mrun[r]:
+                acc[mtarget[mrun[r]:mrun[r + 1]]] += (
+                    mbuf[mrun[r] - e0:mrun[r + 1] - e0]
+                )
+    return tloc, acc
 
 
 def _near_epilogue(sel, tloc, ff, gg, vel, grad) -> None:

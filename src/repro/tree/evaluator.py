@@ -206,7 +206,7 @@ class TreeEvaluator(FieldEvaluator):
     batch_budget_bytes :
         Approximate temporary-memory budget per engine batch, applied to
         every pass; ``None`` lets each pass use its own engine default:
-        1.5 MiB for the GEMM-expanded near pass
+        6 MiB for the GEMM-expanded near pass
         (``NEAR_GEMM_BUDGET_BYTES``), 8 MiB for the chunk tables of the
         far pass (``FAR_BUDGET_BYTES``; its per-tile rows and the
         per-node weights come on top) and 64 MiB for the explicit near

@@ -276,18 +276,30 @@ class TestBatchCounters:
                 tree, ps.charges[tree.order], layout, kernel, cfg.sigma,
                 True, False, vel, grad,
             )
-        return layout, metrics.as_dict()["counters"]
+        return tree, layout, metrics.as_dict()["counters"]
 
     @pytest.mark.parametrize("theta", [0.3, 0.6])
     def test_repeat_exactly_and_bound_the_real_pairs(self, theta):
-        layout, first = self._counts(1500, theta)
-        _, second = self._counts(1500, theta)
+        tree, layout, first = self._counts(1500, theta)
+        _, _, second = self._counts(1500, theta)
         assert first == second
         assert first["tree.far.batches"] >= 1
-        assert 1 <= first["tree.near.batches"] <= layout.group_count.size
-        assert first["tree.near.padded_pairs"] >= layout.near_pairs
-        # groups arrive sorted by source count, so padding stays small
-        assert first["tree.near.padded_pairs"] <= 1.5 * layout.near_pairs
+        plan = engine._near_plan(tree, layout)
+        # chunks of whole rows, one row per group with entries
+        assert 1 <= first["tree.near.batches"] < np.count_nonzero(plan.krow)
+        # radial-block elements: a shared pair's block counts once, so
+        # they undercut the near pairs; padding (whole pieces, shared
+        # leaves to whole vectors) adds 1.16-1.19 to the pairs the rows
+        # compute
+        count = layout.group_count
+        padded = first["tree.near.padded_pairs"]
+        assert padded == int(plan.krow @ count)
+        computed = int(
+            (count[plan.target] * count[plan.source])[~plan.mirror].sum()
+            + (count[plan.mtgt] * count[plan.mrow])[plan.lone].sum()
+        )
+        assert computed < padded <= 1.25 * computed
+        assert padded < layout.near_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +316,11 @@ NEAR_STRIDE = 4
 
 
 def _near_case(name):
+    sigma, tree, charges_sorted, _, layout = _near_case_lists(name)
+    return sigma, tree, charges_sorted, layout
+
+
+def _near_case_lists(name):
     seed, theta = NEAR_SHEETS[name]
     cfg = SheetConfig(n=2048, sigma_over_h=3.0)
     ps = spherical_vortex_sheet(cfg)
@@ -316,7 +333,7 @@ def _near_case(name):
     moments = compute_vortex_moments(tree, charges)
     lists = dual_traversal(tree, theta, node_bmax=moments.bmax)
     layout = build_traversal_layout(tree, lists)
-    return cfg.sigma, tree, charges[tree.order], layout
+    return cfg.sigma, tree, charges[tree.order], lists, layout
 
 
 def _near_pass(sigma, tree, charges_sorted, layout, gradient,
@@ -340,15 +357,16 @@ def _max_rel(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
-def _block_shape(layout, batch):
-    """``(B, S, C)`` of the expanded branch's pair blocks for a batch."""
-    multiple = engine._NEAR_TARGET_MULTIPLE
-    lanes = -(-int(layout.group_count[batch].max()) // multiple) * multiple
-    return batch.size, int(layout.src_count[batch].max()), lanes
+def _rows(tree, layout):
+    """Row groups of the expanded branch, with their radial-block elements."""
+    plan = engine._near_plan(tree, layout)
+    rows = np.flatnonzero(plan.krow > 0)
+    return plan, rows, plan.krow[rows] * layout.group_count[rows]
 
 
 class _BatchProbe(KernelBackend):
-    """Serial host backend that hands every batch to a hook."""
+    """Serial host backend that hands every ``map_batches`` call — the
+    batch function and its batches — to a hook."""
 
     name = "batch-probe"
 
@@ -356,8 +374,7 @@ class _BatchProbe(KernelBackend):
         self.around = around
 
     def map_batches(self, fn, batches):
-        for batch in batches:
-            self.around(fn, batch)
+        self.around(fn, list(batches))
 
 
 @pytest.fixture(scope="module", params=sorted(NEAR_SHEETS))
@@ -397,24 +414,27 @@ class TestExpandedNearBody:
 
     @pytest.mark.parametrize("gradient", [True, False])
     def test_ragged_multi_group_batches(self, gradient):
-        # leaf 16 at theta 0.6: groups of 1..16 targets and 60..400
-        # sources, several to a batch under a small budget
+        # leaf 16 at theta 0.6: rows of 1..16 targets and 8..400 lanes,
+        # several to a chunk under a small budget
         _, cfg, ps, tree, _, layout = _jittered_sheet(1000, 23, 16, 0.6)
         chs = ps.charges[tree.order]
-        seen = []
+        plan, rows, _ = _rows(tree, layout)
+        chunks = []
 
-        def around(fn, batch):
-            seen.append(batch)
-            fn(batch)
+        def around(fn, batches):
+            if fn.__name__ == "distances":
+                chunks.append(batches)
+            for batch in batches:
+                fn(batch)
 
         vel, grad = _near_pass(cfg.sigma, tree, chs, layout, gradient,
                                budget_bytes=400_000,
                                backend=_BatchProbe(around))
-        tc, sc = layout.group_count, layout.src_count
+        tc = layout.group_count
         assert any(
-            b.size > 1 and np.ptp(sc[b]) > 0
-            and np.any(tc[b] % engine._NEAR_TARGET_MULTIPLE)
-            for b in seen
+            len(c) > 1 and np.ptp(plan.krow[rows[c]]) > 0
+            and np.any(tc[rows[c]] % engine._NEAR_TARGET_MULTIPLE)
+            for c in chunks
         )
         ref_vel, ref_grad = _near_pass(
             cfg.sigma, tree, chs, _explicit(layout), gradient
@@ -422,12 +442,14 @@ class TestExpandedNearBody:
         assert _max_rel(vel, ref_vel) <= 1e-12
         if gradient:
             assert _max_rel(grad, ref_grad) <= 1e-12
-        # the batch partition is not part of the result
-        one_vel, one_grad = _near_pass(cfg.sigma, tree, chs, layout,
-                                       gradient, budget_bytes=1)
-        assert _max_rel(vel, one_vel) <= 1e-13
-        if gradient:
-            assert _max_rel(grad, one_grad) <= 1e-13
+        # the chunk partition is not part of the result: every target's
+        # sums are added up in the same order whatever a chunk holds
+        for budget in (1, None):
+            other_vel, other_grad = _near_pass(cfg.sigma, tree, chs, layout,
+                                               gradient, budget_bytes=budget)
+            assert np.array_equal(vel, other_vel)
+            if gradient:
+                assert np.array_equal(grad, other_grad)
 
     @pytest.mark.parametrize("radius,expanded", [(3.9, True), (4.1, False)])
     def test_radius_gate_picks_the_branch(self, radius, expanded):
@@ -449,6 +471,96 @@ class TestExpandedNearBody:
         _near_pass(cfg.sigma, tree, ps.charges[tree.order], gated, True,
                    kernel=Spy())
         assert set(calls) == {"rho2" if expanded else "r2"}
+
+
+class TestNearPairs:
+    """Bookkeeping of the rows: every directed entry is computed exactly
+    once, the pairs add up, and a shard serves a mirrored entry whose
+    pair straddles shards from the canonical row, as the serial pass
+    does."""
+
+    def test_lists_name_leaves_in_group_order(self, near_case):
+        # the fixed order the rows add a target's sums up in rests on it
+        _, (_, tree, _, layout) = near_case
+        plan = engine._near_plan(tree, layout)
+        same = plan.target[1:] == plan.target[:-1]
+        assert np.all(plan.source[1:][same] > plan.source[:-1][same])
+
+    def test_every_directed_entry_is_consumed_once(self, near_case):
+        _, (_, tree, _, layout) = near_case
+        plan = engine._near_plan(tree, layout)
+        lanes, n_groups = plan.lanes, layout.group_count.size
+        # mirrors: shared pairs, served by the row of their first group
+        assert np.all(plan.target[plan.mirror] > plan.source[plan.mirror])
+        assert np.all(lanes[plan.mtgt] * lanes[plan.mrow]
+                      >= engine._NEAR_SHARE_MIN)
+        # a row's lanes are tiled exactly once by its entries that are
+        # not mirrors, the padding of its last piece and its lone blocks
+        own = ~plan.mirror
+        lone = plan.lone
+        starts = np.concatenate((plan.offset[own], plan.csum,
+                                 plan.moff[lone]))
+        widths = np.concatenate((plan.width[own], plan.kc - plan.csum,
+                                 lanes[plan.mtgt[lone]]))
+        row = np.concatenate((plan.target[own], np.arange(n_groups),
+                              plan.mrow[lone]))
+        order = np.lexsort((starts, row))
+        starts, widths, row = starts[order], widths[order], row[order]
+        first = np.r_[True, row[1:] != row[:-1]]
+        assert np.all(starts[first] == 0)
+        assert np.all(starts[~first] == (starts + widths)[:-1][~first[1:]])
+        ends = np.zeros(n_groups, np.int64)
+        np.maximum.at(ends, row, starts + widths)
+        assert np.array_equal(ends, plan.krow)
+        # a mirror reuses its pair's entry, else it is a lone block
+        entry = {(t, s): (o, w) for t, s, o, w in zip(
+            plan.target[own].tolist(), plan.source[own].tolist(),
+            plan.offset[own].tolist(), plan.width[own].tolist())}
+        for r, t, off, alone in zip(plan.mrow.tolist(), plan.mtgt.tolist(),
+                                    plan.moff.tolist(), lone.tolist()):
+            assert alone == ((r, t) not in entry)
+            if not alone:
+                assert entry[(r, t)] == (off, lanes[t])
+
+    def test_mutual_self_and_one_sided_pairs_add_up(self):
+        _, tree, _, layout = _near_case("deformed")
+        count = layout.group_count
+        assert count.min() < 8 and count.max() == 48  # unequal leaves
+        plan = engine._near_plan(tree, layout)
+        t, s = plan.target, plan.source
+        listed = set(zip(t.tolist(), s.tolist()))
+        mutual = np.array([(b, a) in listed for a, b in zip(t.tolist(),
+                                                            s.tolist())])
+        itself = t == s
+        mutual &= ~itself
+        pairs = count[t] * count[s]
+        assert np.count_nonzero(~mutual & ~itself) > 0  # one-sided entries
+        assert np.count_nonzero(plan.lone) > 0  # ... that large pairs serve
+        assert (pairs[mutual].sum() + pairs[itself].sum()
+                + pairs[~mutual & ~itself].sum()) == layout.near_pairs
+
+    @pytest.mark.parametrize("p_space", [2, 3, 4])
+    def test_cross_shard_mirror_uses_the_canonical_frame(self, p_space):
+        sigma, tree, chs, lists, layout = _near_case_lists("sheet")
+        vel, grad = _near_pass(sigma, tree, chs, layout, True)
+        crossing = 0
+        for rank in range(p_space):
+            sub = _shard_lists(tree, lists, p_space, rank)
+            shard = build_traversal_layout(tree, sub)
+            shard.multipole_regime = layout.multipole_regime
+            plan = engine._near_plan(tree, shard)
+            mine = np.zeros(layout.group_count.size, bool)
+            mine[np.unique(plan.target)] = True
+            # mirrors whose pair's first group is another shard's: served
+            # from that group's row, in its frame, as a lone block
+            away = ~mine[plan.mrow]
+            assert np.all(plan.lone[away])
+            crossing += np.count_nonzero(away)
+            seg_vel, seg_grad = _near_pass(sigma, tree, chs, shard, True)
+            own = mine[layout.group_of_slot]
+            assert np.array_equal(seg_vel[own], vel[own])
+            assert np.array_equal(seg_grad[own], grad[own])
+        assert crossing > 0
 
 
 class _CountingArray(np.ndarray):
@@ -481,61 +593,90 @@ class _CountingBackend(_BatchProbe):
 
 
 class TestNearPassBudget:
-    """Per-batch work of the expanded branch, counted — not timed."""
+    """Per-chunk work of the expanded branch, counted — not timed."""
 
-    #: full-block ufunc passes allowed per batch for algebraic6, the
-    #: distance GEMM included (measured 22 / 13; the body this replaced
-    #: took 36 / 24)
+    #: full-block ufunc passes per radial-block element for algebraic6,
+    #: the distance GEMMs included as one: measured 22 / 13, as for the
+    #: per-group body this replaced — a shared pair's block is one set
+    #: of elements instead of two, so the gain is in the element count
     BUDGET = {True: 26, False: 15}
 
     @pytest.mark.parametrize("gradient", [True, False])
     def test_full_block_passes_per_batch(self, gradient):
         _, cfg, ps, tree, _, layout = _jittered_sheet(1000, 23, 16, 0.6)
+        _, rows, elems = _rows(tree, layout)
         tally = []
 
-        def around(fn, batch):
-            _CountingArray.log.clear()
-            fn(batch)
-            block = _block_shape(layout, batch)
-            ops = [op for op, shape in _CountingArray.log if shape == block]
-            tally.append((len(ops), ops.count("matmul")))
+        def around(fn, batches):
+            if fn.__name__ == "distances":
+                _CountingArray.log.clear()
+                for batch in batches:
+                    fn(batch)
+                around.block = (int(elems[batches].sum()), len(batches))
+                return
+            # the distance GEMMs and the radial pair ran since
+            block, n_rows = around.block
+            gemms = [np.prod(shape) for op, shape in _CountingArray.log
+                     if op == "matmul"]
+            flat = [op for op, shape in _CountingArray.log
+                    if shape == (block,)]
+            tally.append((len(flat),
+                          len(gemms) == n_rows and sum(gemms) == block))
+            for batch in batches:
+                fn(batch)
 
         _near_pass(cfg.sigma, tree, ps.charges[tree.order], layout, gradient,
                    budget_bytes=400_000, backend=_CountingBackend(around))
         assert len(tally) > 3
-        passes, gemms = map(set, zip(*tally))
-        assert gemms == {1}  # the distance GEMM; the rest is elementwise
-        assert len(passes) == 1  # same work whatever the batch holds
-        assert 10 <= passes.pop() <= self.BUDGET[gradient]
+        passes, whole = zip(*tally)
+        assert all(whole)  # one GEMM per row, together the whole block
+        assert len(set(passes)) == 1  # same work whatever the chunk holds
+        assert 10 <= passes[0] + 1 <= self.BUDGET[gradient]
 
     @pytest.mark.parametrize("gradient", [True, False])
     def test_batch_temporaries_stay_inside_the_budget(self, gradient):
-        _, cfg, ps, tree, _, layout = _jittered_sheet(4096, 7, 16, 0.6)
-        budget = engine.NEAR_GEMM_BUDGET_BYTES
-        elem = engine._NEAR_GEMM_ELEM_BYTES[gradient]
-        lane = engine._NEAR_GEMM_PAIR_BYTES[gradient]
-        ratios = []
+        # a chunk is the batch of the expanded pass: one call's peak is
+        # its largest chunk plus the per-evaluation tables
+        for leaf_size, theta in ((16, 0.6), (48, 0.3)):
+            self._check_call_peak(gradient, leaf_size, theta)
 
-        def around(fn, batch):
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                fn(batch)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            size, smax, lanes = _block_shape(layout, batch)
-            model = size * smax * (lanes * elem + lane)
-            ratios.append((peak / model, peak / budget, size))
-
-        _near_pass(cfg.sigma, tree, ps.charges[tree.order], layout, gradient,
-                   backend=_BatchProbe(around))
-        packed = [r for r in ratios if r[2] > 1]
-        assert len(packed) > 3
-        # the byte constants describe the body: measured 0.98-1.00
-        assert all(0.8 <= r[0] <= 1.25 for r in ratios)
-        assert all(r[1] <= 1.25 for r in packed)
-
+    def _check_call_peak(self, gradient, leaf_size, theta):
+        _, cfg, ps, tree, _, layout = _jittered_sheet(4096, 7, leaf_size,
+                                                      theta)
+        plan, rows, _ = _rows(tree, layout)
+        cost = engine._near_row_bytes(plan, rows, gradient)
+        bounds = engine._chunk_bounds(cost, engine.NEAR_GEMM_BUDGET_BYTES)
+        chunks = [int(cost[a:b].sum()) for a, b in zip(bounds[:-1], bounds[1:])]
+        assert len(chunks) > 3
+        # packed chunks stay inside the budget (one row may exceed it)
+        assert all(c <= engine.NEAR_GEMM_BUDGET_BYTES
+                   for c, a, b in zip(chunks, bounds[:-1], bounds[1:])
+                   if b - a > 1)
+        n = tree.n_particles
+        vel = np.zeros((n, 3))
+        grad = np.zeros((n, 3, 3)) if gradient else None
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            engine.batched_near_vortex(
+                tree, ps.charges[tree.order], layout,
+                get_kernel("algebraic6"), cfg.sigma, gradient, False, vel,
+                grad,
+            )
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        model = (
+            max(chunks)
+            # per target: feature sums, distance operand, local and
+            # component-major positions, charges
+            + n * 8 * ((30 if gradient else 6) + 5 + 3 + 3 + 3)
+            # the row targets' distance operands, the per-entry tables
+            + 40 * int(layout.group_count[rows].sum())
+            + 80 * plan.target.size
+        )
+        # the byte constants describe the body: measured 0.98-1.18
+        assert 0.8 <= peak / model <= 1.25, (peak, model)
 
 
 class TestFarPassBudget:
