@@ -23,7 +23,15 @@ real runs amortise the cost over RHS evaluations):
   delivery) stays below five percent even with zero compute to hide
   behind.  The contract number is the best paired off/on window; the
   median of all windows is reported alongside, since on a shared
-  machine wall-clock noise alone spans several percent.
+  machine wall-clock noise alone spans several percent;
+* **derivation cost per delivery** — measured twice: on the ring above,
+  where every hop is a fresh channel, and on the same ring with every
+  link reusing one channel (``rounds`` messages per channel, the
+  pattern of a PFASST run's repeated collectives), where the
+  certificate's per-channel work shows.
+
+The row carries a ``machine`` block (CPU model, nproc, OpenBLAS
+threads) to read its timings against.
 
 Results go to ``BENCH_commgraph.json`` at the repository root.  Run
 directly (``python benchmarks/bench_commgraph_overhead.py [--quick]``);
@@ -34,6 +42,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import statistics
 import sys
 import time
@@ -53,12 +62,14 @@ REPEATS_DEFAULT = 12
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_commgraph.json"
 
 
-def _ring(rounds: int):
+def _ring(rounds: int, repeated: bool = False):
     """Rank program: ``rounds`` eager ring hops, then one allreduce.
 
-    Every hop is a fresh ``(head, round, src)`` channel, so the run is
-    orphan-free and race-free by construction and the wall clock is
-    dominated by scheduler bookkeeping, not payload handling.
+    Every hop is a fresh ``(head, round, src)`` channel — with
+    ``repeated``, every hop of a link the one ``(head, src)`` channel —
+    so the run is orphan-free and race-free by construction (a link's
+    sends are ordered by its sender's program order) and the wall clock
+    is dominated by scheduler bookkeeping, not payload handling.
     """
 
     def program(comm):
@@ -66,8 +77,9 @@ def _ring(rounds: int):
         right, left = (rank + 1) % size, (rank - 1) % size
         acc = float(rank)
         for r in range(rounds):
-            yield comm.send(right, ("bench-ring", r, rank), acc)
-            acc = yield comm.recv(left, ("bench-ring", r, left))
+            hop = () if repeated else (r,)
+            yield comm.send(right, ("bench-ring", *hop, rank), acc)
+            acc = yield comm.recv(left, ("bench-ring", *hop, left))
         total = yield from allreduce(comm, acc)
         return total
 
@@ -75,7 +87,7 @@ def _ring(rounds: int):
 
 
 def _run_once(certify: bool, ranks: int, rounds: int,
-              measure_compute: bool = True):
+              measure_compute: bool = True, repeated: bool = False):
     """One fresh-scheduler run; returns ``(scheduler, results, seconds)``.
 
     The collector is parked during the timed region: certification's
@@ -84,7 +96,7 @@ def _run_once(certify: bool, ranks: int, rounds: int,
     noise.
     """
     sched = Scheduler(ranks, certify=certify, measure_compute=measure_compute)
-    program = _ring(rounds)
+    program = _ring(rounds, repeated)
     gc.collect()
     gc.disable()
     try:
@@ -133,7 +145,8 @@ def identity_when_disabled(ranks: int, rounds: int) -> Dict:
     }
 
 
-def _hotpath_and_derivation(ranks: int, rounds: int) -> Tuple[float, float]:
+def _hotpath_and_derivation(ranks: int, rounds: int,
+                            repeated: bool = False) -> Tuple[float, float]:
     """``(t_hotpath, t_derive)`` for one certified run.
 
     The certificate step is stubbed out of the timed run, so the first
@@ -144,7 +157,7 @@ def _hotpath_and_derivation(ranks: int, rounds: int) -> Tuple[float, float]:
 
     sched = Scheduler(ranks, certify=True)
     sched._build_certificate = lambda: None  # type: ignore[method-assign]
-    program = _ring(rounds)
+    program = _ring(rounds, repeated)
     gc.collect()
     gc.disable()
     try:
@@ -187,6 +200,45 @@ def _paired_sessions(ranks: int, rounds: int,
     return sessions
 
 
+def machine() -> Dict:
+    """CPU model, nproc and the OpenBLAS thread count of this host."""
+    model = "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as cpuinfo:
+            for line in cpuinfo:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    nproc = os.cpu_count()
+    return {
+        "cpu_model": model,
+        "nproc": nproc,
+        # OpenBLAS starts one thread per core unless told otherwise
+        "openblas_threads": int(os.environ.get("OPENBLAS_NUM_THREADS",
+                                               nproc or 1)),
+    }
+
+
+def repeated_channel_derivation(ranks: int, rounds: int,
+                                repeats: int) -> Dict:
+    """Best-of-``repeats`` derivation cost when every link reuses one
+    channel for all its ``rounds`` messages."""
+    sched, _, _ = _run_once(True, ranks, rounds, repeated=True)
+    if not sched.certificate.race_free or sched.orphans:
+        raise RuntimeError("the repeated-channel ring must be race- and "
+                           "orphan-free")
+    derive_s = min(_hotpath_and_derivation(ranks, rounds, repeated=True)[1]
+                   for _ in range(repeats))
+    n_msgs = _traffic(sched)[0]
+    return {
+        "messages_per_channel": rounds,
+        "derive_certificate_s": round(derive_s, 6),
+        "derive_us_per_delivery": round(derive_s / n_msgs * 1e6, 3),
+    }
+
+
 def measure(ranks: int = RANKS_DEFAULT, rounds: int = ROUNDS_DEFAULT,
             repeats: int = REPEATS_DEFAULT) -> Dict:
     """Identity probes plus the certify-on overhead of the ring workload."""
@@ -210,6 +262,9 @@ def measure(ranks: int = RANKS_DEFAULT, rounds: int = ROUNDS_DEFAULT,
         "overhead_hotpath_median_pct": round(hotpath_median, 4),
         "overhead_total_pct": round(total_pct, 4),
         "derive_us_per_delivery": round(derive_s / n_msgs * 1e6, 3),
+        "repeated_channel": repeated_channel_derivation(ranks, rounds,
+                                                        repeats),
+        "machine": machine(),
     })
     return row
 
@@ -248,7 +303,8 @@ def main(argv: List[str]) -> None:
             "ranks": row["ranks"],
             "rounds": row["rounds"],
             "repeats": REPEATS_DEFAULT,
-            "workload": "eager ring exchange + final allreduce",
+            "workload": "eager ring exchange + final allreduce; the "
+                        "same ring on one channel per link",
         },
         "results": [row],
     }
@@ -261,7 +317,9 @@ def main(argv: List[str]) -> None:
           f"(hot path {row['overhead_hotpath_pct']:.2f}% best / "
           f"{row['overhead_hotpath_median_pct']:.2f}% median, "
           f"total {row['overhead_total_pct']:.2f}%, "
-          f"derive {row['derive_us_per_delivery']:.1f}us/delivery); "
+          f"derive {row['derive_us_per_delivery']:.1f}us/delivery, "
+          f"{row['repeated_channel']['derive_us_per_delivery']:.1f}"
+          f"us/delivery on repeated channels); "
           f"identity: structural={row['structural_zero_state']}, "
           f"deterministic={row['disabled_run_deterministic']}, "
           f"unperturbed={row['certify_does_not_perturb']}")

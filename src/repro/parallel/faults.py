@@ -42,7 +42,7 @@ import hashlib
 import struct
 import zlib
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -654,9 +654,11 @@ class FaultRuntime:
             log("drop")
             return []
         if disp.corrupt:
-            msg.checksum = payload_checksum(msg.payload)
+            msg = msg._replace(checksum=payload_checksum(msg.payload))
             self.shadow.setdefault(channel, deque()).append(msg)
-            msg = replace(msg, payload=corrupt_payload(msg.payload, disp.key))
+            msg = msg._replace(
+                payload=corrupt_payload(msg.payload, disp.key)
+            )
             log("corrupt", "bit-level payload corruption")
         for _ in range(disp.duplicates):
             log("duplicate")

@@ -50,16 +50,26 @@ Example
 from __future__ import annotations
 
 import pickle
-import time
 import warnings
-from collections import defaultdict, deque
+from collections import defaultdict, deque, namedtuple
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Generator, Hashable, List, Optional, Tuple
+from time import perf_counter
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.obs.ledger import LEDGER, new_run_id
-from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.obs.metrics import Counter, MetricsRegistry, get_metrics
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.parallel import tags as _tags
 from repro.parallel.executor import (
@@ -182,7 +192,7 @@ def _pickle_signature(payload: Any) -> Optional[Tuple[Any, ...]]:
         if dtype.isbuiltin != 1 or dtype.hasobject:
             return None
         signature.append((
-            item.shape, dtype.str, flags.c_contiguous, flags.f_contiguous,
+            item.shape, dtype, flags.c_contiguous, flags.f_contiguous,
             flags.writeable, seen.setdefault(id(item), len(seen)),
             seen.setdefault(id(dtype), len(seen)),
         ))
@@ -190,33 +200,51 @@ def _pickle_signature(payload: Any) -> Optional[Tuple[Any, ...]]:
 
 
 # -- operations a rank program may yield -----------------------------------
-@dataclass(frozen=True)
-class Send:
-    dest: int
-    tag: Hashable
-    payload: Any
+class _Record(tuple):
+    """Base of the op records: a named tuple, built in one step.
+
+    A record is immutable and equal only to a record of its own type with
+    equal fields (``Work(1.0)`` is not the tuple ``(1.0,)``).
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Recv:
-    source: int
-    tag: Hashable
-    #: virtual-second budget after which the receive gives up (lazy: only
-    #: expires when the scheduler has proven no progress is possible)
-    timeout: Optional[float] = None
-    #: bounded retransmit attempts for lost/corrupted messages
-    retries: int = 0
+class Send(namedtuple("Send", "dest tag payload"), _Record):
+    """Post ``payload`` to ``dest`` on ``tag`` (eager: the sender goes on)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Work:
+class Recv(namedtuple("Recv", "source tag timeout retries",
+                      defaults=(None, 0)), _Record):
+    """Block until the next message from ``source`` on ``tag`` arrives.
+
+    ``timeout`` is the virtual-second budget after which the receive
+    gives up (lazy: it only expires when the scheduler has proven no
+    progress is possible); ``retries`` bounds the retransmit attempts
+    for lost or corrupted messages.
+    """
+
+    __slots__ = ()
+
+
+class Work(namedtuple("Work", "seconds"), _Record):
     """Charge ``seconds`` of *modelled* compute time to the rank's clock."""
 
-    seconds: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Annotate:
+class Annotate(namedtuple("Annotate", "label data", defaults=(None,)),
+               _Record):
     """Record a labelled instant on the rank's virtual timeline.
 
     Used to reconstruct schedule diagrams (paper Fig. 6): a rank program
@@ -224,35 +252,32 @@ class Annotate:
     around its phases and the scheduler stores ``TraceEvent`` entries.
     ``begin:<label>`` / ``end:<label>`` pairs are additionally folded
     into virtual-time spans by an attached :class:`repro.obs.Tracer`.
+    ``data`` is an optional structured payload forwarded to the tracer
+    (residuals, ...).
     """
 
-    label: str
-    #: optional structured payload forwarded to the tracer (residuals, ...)
-    data: Optional[Dict[str, Any]] = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(namedtuple("TraceEvent", "rank label time data",
+                            defaults=(None,)), _Record):
     """One annotated instant: ``(rank, label, virtual_time)``."""
 
-    rank: int
-    label: str
-    time: float
-    data: Optional[Dict[str, Any]] = None
+    __slots__ = ()
 
 
-@dataclass
-class _Message:
-    payload: Any
-    arrival: float
-    #: pristine-payload checksum, set only on fault-injected channels
-    checksum: Optional[int] = None
-    #: sender's virtual clock at the send instant (orphan diagnostics)
-    sent: float = 0.0
-    #: sender's send stamp (a globally unique sequence number), set only
-    #: under ``certify``; the full vector clock is reconstructed offline
-    #: from the event log
-    vc: Optional[int] = None
+#: builds a record from a tuple of all its fields in one C call, the
+#: constructor of the hot paths
+_new = tuple.__new__
+
+#: a message on the wire: ``checksum`` is the pristine payload's, set
+#: only on fault-injected channels; ``sent`` the sender's virtual clock
+#: at the send instant (orphan diagnostics); ``vc`` the sender's send
+#: stamp (a globally unique sequence number), set only under
+#: ``certify`` — the full vector clock is reconstructed offline from
+#: the event log
+_Message = namedtuple("_Message", "payload arrival checksum sent vc",
+                      defaults=(None, 0.0, None))
 
 
 class VirtualComm:
@@ -263,6 +288,12 @@ class VirtualComm:
         yield comm.send(dest, tag, payload)
         value = yield comm.recv(source, tag)
         yield comm.work(0.01)
+
+    A view of this comm (:class:`SubComm`, :class:`EpochComm`) routes
+    in one hop: it carries the world rank of each member and the chain
+    of views whose heads wrap a tag, so ``send`` / ``recv`` on a view
+    nested any number of levels deep validate the peer once, look up
+    its world rank once and wrap the tag once per enclosing view.
     """
 
     def __init__(self, rank: int, size: int, scheduler: "Scheduler") -> None:
@@ -273,13 +304,26 @@ class VirtualComm:
         #: consistent across ranks because splits are collective (every
         #: member calls them in the same order, like MPI communicators)
         self._split_seq = 0
+        #: this rank's identity in the scheduler world
+        self.world_rank = rank
+        #: the world rank of each member of this comm
+        self._world: Sequence[int] = range(size)
+        #: views whose ``_head`` wraps a tag, this comm's first
+        self._views: Tuple["_TagView", ...] = ()
+        #: receive timeout / retries injected when a call passes none
+        self._default_timeout: Optional[float] = None
+        self._default_retries = 0
+        #: metric handles of :meth:`counter`
+        self._counters: Dict[Tuple[str, bool], Counter] = {}
 
     def send(self, dest: int, tag: Hashable, payload: Any) -> Send:
         if not 0 <= dest < self.size:
             raise ValueError(f"dest {dest} out of range 0..{self.size - 1}")
         if dest == self.rank:
             raise ValueError("self-sends are not supported")
-        return Send(dest, tag, payload)
+        for view in self._views:
+            tag = (view._head, tag)
+        return _new(Send, (self._world[dest], tag, payload))
 
     def recv(
         self,
@@ -292,11 +336,17 @@ class VirtualComm:
             raise ValueError(f"source {source} out of range 0..{self.size - 1}")
         if source == self.rank:
             raise ValueError("self-receives are not supported")
+        if timeout is None and self._default_timeout is not None:
+            timeout = self._default_timeout
+            if retries == 0:
+                retries = self._default_retries
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0 when given, got {timeout}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        return Recv(source, tag, timeout=timeout, retries=retries)
+        for view in self._views:
+            tag = (view._head, tag)
+        return _new(Recv, (self._world[source], tag, timeout, retries))
 
     def work(self, seconds: float) -> Work:
         if seconds < 0:
@@ -305,22 +355,30 @@ class VirtualComm:
 
     def annotate(self, label: str,
                  data: Optional[Dict[str, Any]] = None) -> Annotate:
-        return Annotate(label, data=data)
+        return _new(Annotate, (label, data))
 
     @property
     def clock(self) -> float:
-        """Current virtual time of this rank (seconds)."""
-        return self._scheduler.clocks[self.rank]
-
-    @property
-    def world_rank(self) -> int:
-        """This rank's identity in the scheduler world (= ``rank`` here)."""
-        return self.rank
+        """Current virtual time of this rank's world rank (seconds)."""
+        return self._scheduler.clocks[self.world_rank]
 
     @property
     def metrics(self) -> MetricsRegistry:
         """The scheduler's per-run metrics registry (for rank programs)."""
         return self._scheduler.metrics
+
+    def counter(self, name: str, per_rank: bool = False) -> Counter:
+        """The run's counter ``name`` (with ``per_rank``, its
+        ``{rank=<world rank>}`` series), resolved on this comm's first
+        call: a call site on the hot path pays one dict lookup."""
+        key = (name, per_rank)
+        found = self._counters.get(key)
+        if found is None:
+            labels = {"rank": self.world_rank} if per_rank else {}
+            found = self._counters[key] = self.metrics.counter(
+                name, **labels
+            )
+        return found
 
     def split(
         self, color: Optional[Hashable], key: Optional[int] = None
@@ -372,77 +430,39 @@ class VirtualComm:
 class _TagView(VirtualComm):
     """A communicator that is a pure tag-translation view of ``parent``.
 
-    Ops are constructed by the parent comm with peers mapped through
-    :meth:`_parent_rank` and tags wrapped by :meth:`_wrap`, so traffic on
-    different views can never collide even when they share scheduler-world
-    rank pairs.  The scheduler itself is untouched.
+    A tag ``t`` on the view travels as ``(self._head, t)`` on the parent,
+    so traffic on different views can never collide even when they share
+    scheduler-world rank pairs.  ``world`` maps the view's ranks to world
+    ranks; the parent's view chain and receive defaults are composed in
+    here once, so an op on the view never goes through the parent.  The
+    scheduler itself is untouched.
     """
 
-    def __init__(self, parent: VirtualComm, rank: int, size: int) -> None:
-        super().__init__(rank, size, parent._scheduler)
-        self.parent = parent
+    _head: Hashable
 
-    def _parent_rank(self, rank: int) -> int:
-        """Rank of this view's member ``rank`` on the parent comm."""
-        return rank
-
-    def _wrap(self, tag: Hashable) -> Hashable:
-        """The parent-level tag carrying this view's ``tag``."""
-        raise NotImplementedError
-
-    def send(self, dest: int, tag: Hashable, payload: Any) -> Send:
-        if not 0 <= dest < self.size:
-            raise ValueError(f"dest {dest} out of range 0..{self.size - 1}")
-        if dest == self.rank:
-            raise ValueError("self-sends are not supported")
-        return self.parent.send(
-            self._parent_rank(dest), self._wrap(tag), payload
-        )
-
-    def recv(
-        self,
-        source: int,
-        tag: Hashable,
-        timeout: Optional[float] = None,
-        retries: int = 0,
-    ) -> Recv:
-        if not 0 <= source < self.size:
-            raise ValueError(
-                f"source {source} out of range 0..{self.size - 1}"
-            )
-        if source == self.rank:
-            raise ValueError("self-receives are not supported")
-        return self.parent.recv(self._parent_rank(source), self._wrap(tag),
-                                timeout=timeout, retries=retries)
-
-    @property
-    def clock(self) -> float:
-        """Virtual time of the underlying world rank (not the sub-rank)."""
-        return self.parent.clock
-
-    @property
-    def world_rank(self) -> int:
-        return self.parent.world_rank
+    def __init__(self, parent: VirtualComm, rank: int,
+                 world: Sequence[int]) -> None:
+        super().__init__(rank, len(world), parent._scheduler)
+        self.world_rank = parent.world_rank
+        self._world = world
+        self._views = (self,) + parent._views
+        self._default_timeout = parent._default_timeout
+        self._default_retries = parent._default_retries
 
 
 class SubComm(_TagView):
     """A sub-communicator produced by :meth:`VirtualComm.split`.
 
-    Ranks map through the member list and tags wrap as
-    ``(comm_id, tag)``.
+    Ranks map through the member list (ranks of the parent) and tags
+    wrap as ``(comm_id, tag)``.
     """
 
     def __init__(self, parent: VirtualComm, members: List[int], rank: int,
                  comm_id: Hashable) -> None:
-        super().__init__(parent, rank, len(members))
         self.members = list(members)
-        self._comm_id = comm_id
-
-    def _parent_rank(self, rank: int) -> int:
-        return self.members[rank]
-
-    def _wrap(self, tag: Hashable) -> Hashable:
-        return (self._comm_id, tag)
+        super().__init__(parent, rank,
+                         [parent._world[m] for m in self.members])
+        self._head = comm_id
 
 
 class EpochComm(_TagView):
@@ -458,28 +478,27 @@ class EpochComm(_TagView):
 
     ``recv`` additionally injects a default ``timeout``/``retries`` when
     the call site passes none, so collectives written for the fault-free
-    path become abortable when a row peer dies.
+    path become abortable when a row peer dies.  Without a default of
+    its own the view keeps its parent's.
     """
 
     def __init__(self, parent: VirtualComm, timeout: Optional[float] = None,
                  retries: int = 0) -> None:
-        super().__init__(parent, parent.rank, parent.size)
+        super().__init__(parent, parent.rank, parent._world)
         #: monotonically increasing; never reset (inner tags may not
         #: carry a block component, so reuse across blocks would collide)
         self.epoch = 0
-        self._default_timeout = timeout
-        self._default_retries = retries
+        if timeout is not None:
+            self._default_timeout = timeout
+            self._default_retries = retries
 
-    def _wrap(self, tag: Hashable) -> Hashable:
-        return ((_tags.FTEPOCH, self.epoch), tag)
+    @property
+    def epoch(self) -> int:
+        return self._head[1]
 
-    def recv(self, source: int, tag: Hashable,
-             timeout: Optional[float] = None, retries: int = 0) -> Recv:
-        if timeout is None and self._default_timeout is not None:
-            timeout = self._default_timeout
-            if retries == 0:
-                retries = self._default_retries
-        return super().recv(source, tag, timeout=timeout, retries=retries)
+    @epoch.setter
+    def epoch(self, value: int) -> None:
+        self._head = (_tags.FTEPOCH, value)
 
 
 RankProgram = Callable[[VirtualComm], Generator[Any, Any, Any]]
@@ -488,10 +507,13 @@ RankProgram = Callable[[VirtualComm], Generator[Any, Any, Any]]
 _CLEAN = SendDisposition()
 
 
-@dataclass
+@dataclass(slots=True)
 class _RankState:
     gen: Generator[Any, Any, Any]
     blocked_on: Optional[Tuple[int, Hashable]] = None
+    #: the channel ``blocked_on`` names, held while blocked: the core
+    #: loop tries the receive only once something has arrived on it
+    inbox: Optional[deque] = None
     finished: bool = False
     result: Any = None
     send_value: Any = None  # value fed into the generator on next resume
@@ -507,16 +529,26 @@ class _RankState:
 class Scheduler:
     """Run ``n_ranks`` rank programs to completion under virtual time.
 
-    Three parts.  The *core loop* (``_service``) advances every
-    runnable rank, round after round; when none can run it flushes the
-    parked compute batch, expires one timed-out receive, or reports the
-    deadlock.  The *resume loop* (``_advance``) runs one generator until
-    it blocks, parks or finishes and hands each yielded operation to its
-    handler: ``_post`` is the one path of a send, ``_deliver`` the one
-    end of a receive, ``_retransmit`` a ``_deliver`` of a shadow copy.
-    The *fault layer* (:class:`~repro.parallel.faults.FaultRuntime`)
-    exists only under a ``fault_plan`` and owns what only a plan brings;
-    clocks, channels, lazy timeouts and ``recovered`` events stay here.
+    Three parts, under one op layer.  The *op layer* is what rank
+    programs build: ``Send`` / ``Recv`` / ``Work`` / ``Annotate`` are
+    immutable named-tuple records built in one step, and a comm view
+    (:class:`SubComm`, :class:`EpochComm`, nested to any depth) checks
+    the peer, maps it to its world rank and wraps the tag in one hop.
+    The *core loop* (``_service``) advances every runnable rank, round
+    after round, in ascending rank order; a rank blocked on a channel
+    that has received nothing since it last tried is passed over
+    without a poll (it holds that channel, so the check is one
+    truthiness test), which changes no advance and no delivery.  When
+    none can run it flushes the parked compute batch, expires one
+    timed-out receive, or reports the deadlock.  The *resume loop*
+    (``_advance``) runs one generator until it blocks, parks or
+    finishes, charging the rank's compute in its own loop, and hands
+    each yielded operation to its handler: ``_post`` is the
+    one path of a send, ``_deliver`` the one end of a receive,
+    ``_retransmit`` a ``_deliver`` of a shadow copy.  The *fault layer*
+    (:class:`~repro.parallel.faults.FaultRuntime`) exists only under a
+    ``fault_plan`` and owns what only a plan brings; clocks, channels,
+    lazy timeouts and ``recovered`` events stay here.
 
     Parameters
     ----------
@@ -781,32 +813,40 @@ class Scheduler:
         return [state.result for state in states]
 
     def _service(self, states: List[_RankState], descending: bool) -> None:
-        """The core loop: advance every runnable rank, round after round."""
-        pending = set(range(self.n_ranks))
+        """The core loop: advance every runnable rank, round after round.
+
+        Each round visits the unfinished ranks in ascending (``verify``
+        replay: descending) order.  A blocked rank whose channel has
+        received nothing since it last tried is passed over without a
+        poll: nothing it could do has changed, so skipping it keeps the
+        order of every advance and of every delivery.
+        """
+        pending = sorted(range(self.n_ranks), reverse=descending)
         while pending:
-            progressed = False
-            for rank in sorted(pending, reverse=descending):
+            progressed = done = False
+            for rank in pending:
                 state = states[rank]
                 if state.compute_pending is not None:
                     continue  # parked until the dispatch barrier
-                if (state.blocked_on is not None
-                        and not self._try_unblock(rank, state)):
-                    continue
+                if state.blocked_on is not None:
+                    if not state.inbox:
+                        continue  # nothing arrived since it last tried
+                    self._unblock(rank, state)
                 self._advance(rank, state)
                 progressed = True
-                if state.finished:
-                    pending.discard(rank)
+                done = done or state.finished
             if not progressed:
                 # ready set exhausted: the dispatch barrier of the parked
                 # compute batch first, then one lazy timeout
                 self.stalls += 1
-                if self._flush_compute(states):
-                    continue
-                if self._expire_one_timeout(states, pending):
-                    continue
-                self._raise_deadlock(
-                    {r: states[r].blocked_on for r in sorted(pending)}
-                )
+                if not (self._flush_compute(states)
+                        or self._expire_one_timeout(states, pending)):
+                    self._raise_deadlock(
+                        {r: states[r].blocked_on for r in sorted(pending)}
+                    )
+                done = True
+            if done:
+                pending = [r for r in pending if not states[r].finished]
 
     def _rank_died(self, detail: str) -> RankFailure:
         """The error of a run whose first crashed rank never recovered."""
@@ -914,18 +954,16 @@ class Scheduler:
                 )
 
     # -- receive side ----------------------------------------------------
-    def _try_unblock(self, rank: int, state: _RankState) -> bool:
-        """Deliver the next message on the channel ``state`` waits for."""
-        source, tag = state.blocked_on  # type: ignore[misc]
-        channel = self._channels.get((source, rank, tag))
-        if not channel:
-            return False
-        msg: _Message = channel.popleft()
+    def _unblock(self, rank: int, state: _RankState) -> None:
+        """Deliver the next message on the channel ``state`` waits for,
+        which is not empty, or raise its :class:`CorruptionError`."""
+        msg: _Message = state.inbox.popleft()  # type: ignore[union-attr]
         at = max(self.clocks[rank], msg.arrival)
         verdict = None if self._faults is None else self._faults.verdict(msg)
         if verdict is None:
             self._deliver(rank, state, msg, at)
-            return True
+            return
+        source, tag = state.blocked_on  # type: ignore[misc]
         self.resilience.recovered.append(
             FaultEvent(
                 kind="corruption-detected", time=at, rank=rank,
@@ -934,7 +972,7 @@ class Scheduler:
         )
         if self._retransmit(rank, state, at, 0.0,
                             "pristine copy delivered after corruption"):
-            return True
+            return
         retries = state.recv_op.retries  # type: ignore[union-attr]
         if retries == 0:
             verdict += "; receive specified no retries"
@@ -956,10 +994,13 @@ class Scheduler:
         t_blocked = self.clocks[rank]
         self.clocks[rank] = at
         state.blocked_on = None
-        state.recv_op = None
+        state.recv_op = state.inbox = None
         if msg is None:
             return
-        self._record_delivery(rank, source, tag, msg)
+        if self._events is not None:  # certify: log the delivery
+            self._events[rank].append(
+                (source, rank, tag, msg.vc, None, msg.sent, at)
+            )
         if self.tracer.enabled:
             track = f"rank{rank}"
             if at > t_blocked:
@@ -1007,7 +1048,7 @@ class Scheduler:
         return True
 
     def _expire_one_timeout(self, states: List[_RankState],
-                            pending: set) -> bool:
+                            pending: List[int]) -> bool:
         """Expire one timed-out receive at a global stall.
 
         Returns True when a receive was resolved — by shadow-copy
@@ -1052,8 +1093,6 @@ class Scheduler:
             state.pending_throw = RecvTimeout(rank, source, tag, expired)
             self._deliver(rank, state, None, expired)
         self._advance(rank, state)
-        if state.finished:
-            pending.discard(rank)
         return True
 
     # -- the resume loop and one handler per operation -------------------
@@ -1063,67 +1102,82 @@ class Scheduler:
         Each turn throws ``state.pending_throw`` or a crash come due
         into the generator, or else sends it ``state.send_value``, and
         hands the operation it yields to that operation's handler.
+        Under ``measure_compute`` the rank's clock is charged, in the
+        loop, the wall time the generator ran (handlers excluded) plus
+        what the ledger billed meanwhile.
         """
         if self._owners is not None:
             LEDGER.owner = self._owners[rank]
         self.resumes[rank] += 1
-        running = True
-        while running:
+        gen, clocks, ops, faults = state.gen, self.clocks, self.ops, self._faults
+        measure, tracer = self.measure_compute, self.tracer
+        while True:
             throw, state.pending_throw = state.pending_throw, None
-            if throw is None and self._faults is not None:
-                throw = self._faults.crash_due(
-                    rank, self.ops[rank], self.clocks[rank]
-                )
-            t_wall = time.perf_counter()
+            if throw is None and faults is not None:
+                throw = faults.crash_due(rank, ops[rank], clocks[rank])
+            finished, failure = False, None
+            t_wall = perf_counter() if measure else 0.0
             try:
                 if throw is None:
-                    op = state.gen.send(state.send_value)
+                    op = gen.send(state.send_value)
                 else:
-                    op = state.gen.throw(throw)
+                    op = gen.throw(throw)
                     if isinstance(throw, RankFailure):
-                        self.resilience.recovered.append(
-                            FaultEvent(
-                                kind="crash-handled", time=self.clocks[rank],
-                                rank=rank,
-                                detail="rank program caught RankFailure",
-                            )
-                        )
+                        self._recovered("crash-handled", rank,
+                                        "rank program caught RankFailure")
             except StopIteration as stop:
-                self._charge_compute(rank, t_wall)
-                state.finished = True
-                state.result = stop.value
-                return
-            except RankFailure as failure:
+                finished, state.result = True, stop.value
+            except RankFailure as exc:
                 # the program did not catch the crash: the rank is dead
-                self._charge_compute(rank, t_wall)
+                finished, state.result = True, exc
+                failure = exc
+            if measure:
+                elapsed = perf_counter() - t_wall
+                if LEDGER.billed_s:
+                    elapsed += LEDGER.drain()
+                t0 = clocks[rank]
+                clocks[rank] = t0 + elapsed
+                if tracer.enabled and elapsed > 0:
+                    tracer.vspan("compute", t0, clocks[rank],
+                                 track=f"rank{rank}", cat="compute")
+            if finished:
                 state.finished = True
-                state.result = failure
-                self._crashed[rank] = failure
-                self.resilience.recovered.append(
-                    FaultEvent(
-                        kind="crash-uncaught", time=self.clocks[rank],
-                        rank=rank, detail="rank died (policy: fail)",
-                    )
-                )
+                if failure is not None:
+                    self._crashed[rank] = failure
+                    self._recovered("crash-uncaught", rank,
+                                    "rank died (policy: fail)")
                 return
-            self._charge_compute(rank, t_wall)
             state.send_value = None
-            self.ops[rank] += 1
+            ops[rank] += 1
             kind = type(op)
             if kind is Send:
                 self._post(rank, op)  # eager: the rank keeps running
             elif kind is Recv:
-                running = self._on_recv(rank, state, op)
+                if not self._on_recv(rank, state, op):
+                    return
+            elif kind is Annotate:
+                self.trace.append(
+                    _new(TraceEvent, (rank, op.label, clocks[rank], op.data))
+                )
+                if tracer.enabled:
+                    tracer.annotate(f"rank{rank}", op.label, clocks[rank],
+                                    data=op.data)
             elif kind is Work:
                 self._spend(rank, "work", op.seconds)
-            elif kind is Annotate:
-                self._on_annotate(rank, op)
             elif kind is Compute:
-                running = self._on_compute(rank, state, op)
+                if not self._on_compute(rank, state, op):
+                    return
             else:
                 raise TypeError(
                     f"rank {rank} yielded unsupported operation {op!r}"
                 )
+
+    def _recovered(self, kind: str, rank: int, detail: str) -> None:
+        """Log a crash the rank program handled or died of."""
+        self.resilience.recovered.append(
+            FaultEvent(kind=kind, time=self.clocks[rank], rank=rank,
+                       detail=detail)
+        )
 
     def _post(self, rank: int, op: Send) -> None:
         """The one send path: price, stamp, count and enqueue ``op``.
@@ -1132,30 +1186,37 @@ class Scheduler:
         copies of the message reach the channel; without one, the clean
         disposition and the message itself.
         """
-        channel, faults = (rank, op.dest, op.tag), self._faults
-        disp = _CLEAN if faults is None else faults.on_send(*channel)
-        nbytes = self._sized(op.payload, channel, self._strict_payloads)
-        self.clocks[rank] += self.cost_model.send_overhead
-        sent = self.clocks[rank]
-        arrival = sent + self.cost_model.transfer_time(nbytes) + disp.extra_delay
-        # one logical send event: shadow copies and injected duplicates
-        # all carry the same send stamp, so their reconstructed vector
-        # clocks are *equal* under happens-before — what certify flags
-        msg = _Message(payload=op.payload, arrival=arrival, sent=sent,
-                       vc=self._stamp_send(rank))
-        self._count_message(rank, op.dest, op.tag, nbytes, arrival)
+        dest, tag, payload = op
+        channel, faults, cost = (rank, dest, tag), self._faults, self.cost_model
+        disp = _CLEAN if faults is None else faults.on_send(rank, dest, tag)
+        nbytes = self._sized(payload, channel, self._strict_payloads)
+        sent = self.clocks[rank] = self.clocks[rank] + cost.send_overhead
+        arrival = sent + cost.transfer_time(nbytes) + disp.extra_delay
+        stamp = None
+        if self._events is not None:
+            # certify: log the send event under a globally unique stamp,
+            # just enough for the offline vector-clock reconstruction.
+            # Shadow copies and injected duplicates all carry it, so
+            # their clocks are *equal* under happens-before (a race)
+            self._send_counter = stamp = self._send_counter + 1
+            self._events[rank].append(stamp)
+        msg = _Message(payload, arrival, None, sent, stamp)
         wire = (msg,) if faults is None else faults.inject(disp, channel, msg)
-        if wire:  # a dropped message leaves no (empty) channel behind
-            self._channels[channel].extend(wire)
-        for _ in wire[1:]:  # injected duplicates are wire messages too
-            self._count_message(rank, op.dest, op.tag, nbytes, arrival)
+        self._channels[channel].extend(wire)
+        # a dropped message was still sent once; a duplicate is one more
+        self._count_message(channel, nbytes, arrival, max(len(wire), 1))
 
     def _on_recv(self, rank: int, state: _RankState, op: Recv) -> bool:
         """Block on ``op``; True when its message was already there."""
-        state.blocked_on = (op.source, op.tag)
+        source, tag = op.source, op.tag
+        state.blocked_on = (source, tag)
         state.recv_op = op
         state.retries_left = op.retries
-        return self._try_unblock(rank, state)
+        state.inbox = self._channels[(source, rank, tag)]
+        if not state.inbox:
+            return False
+        self._unblock(rank, state)
+        return True
 
     def _spend(self, rank: int, name: str, seconds: float,
                args: Optional[Dict[str, Any]] = None) -> None:
@@ -1165,15 +1226,6 @@ class Scheduler:
         if self.tracer.enabled and seconds > 0:
             self.tracer.vspan(name, t0, self.clocks[rank],
                               track=f"rank{rank}", cat="compute", args=args)
-
-    def _on_annotate(self, rank: int, op: Annotate) -> None:
-        self.trace.append(
-            TraceEvent(rank=rank, label=op.label,
-                       time=self.clocks[rank], data=op.data)
-        )
-        if self.tracer.enabled:
-            self.tracer.annotate(f"rank{rank}", op.label,
-                                 self.clocks[rank], data=op.data)
 
     def _on_compute(self, rank: int, state: _RankState, op: Compute) -> bool:
         """Run ``op`` inline, or park the rank until the dispatch barrier."""
@@ -1278,48 +1330,13 @@ class Scheduler:
                 args={"rank": rank, "backend": self.executor.name},
             )
 
-    def _charge_compute(self, rank: int, t_start: float) -> None:
-        if self.measure_compute:
-            elapsed = time.perf_counter() - t_start
-            if LEDGER.billed_s:
-                elapsed += LEDGER.drain()
-            self._spend(rank, "compute", elapsed)
-
-    def _stamp_send(self, rank: int) -> Optional[int]:
-        """Log a send event; return its scalar stamp (certify only).
-
-        The stamp is a globally unique sequence number — just enough
-        for the offline reconstruction to identify the send event; no
-        vector clock is touched on the hot path.
-        """
-        if self._events is None:
-            return None
-        self._send_counter = seq = self._send_counter + 1
-        self._events[rank].append(seq)
-        return seq
-
-    def _record_delivery(self, rank: int, source: int, tag: Hashable,
-                         msg: _Message) -> None:
-        """Log a delivery event (certify only).
-
-        The record is a plain tuple ``(src, dst, tag, send_stamp, None,
-        sent_time, deliver_time)`` so the commgraph subsystem stays a
-        lazy import of the scheduler; :func:`repro.analysis.commgraph.
-        hb.reconstruct_vector_clocks` later replays the event logs and
-        fills the send/recv vector clocks.
-        """
-        if self._events is None:
-            return
-        self._events[rank].append(
-            (source, rank, tag, msg.vc, None, msg.sent, self.clocks[rank])
-        )
-
-    def _count_message(self, src: int, dest: int, tag: Hashable,
-                       nbytes: int, arrival: float) -> None:
-        """Account one sent message (counters, tracer instant)."""
+    def _count_message(self, channel: Channel, nbytes: int,
+                       arrival: float, copies: int) -> None:
+        """Account ``copies`` wire messages of one send (counters, one
+        tracer instant each)."""
+        src, dest, tag = channel
         if self.certify:
-            key = (src, dest, tag)
-            self._census[key] = self._census.get(key, 0) + 1
+            self._census[channel] = self._census.get(channel, 0) + copies
         counters = self._link_counters.get((src, dest))
         if counters is None:
             counter = self.metrics.counter
@@ -1330,11 +1347,11 @@ class Scheduler:
                 counter("mpi.bytes", src=src, dest=dest),
             )
         messages, volume, link_messages, link_volume = counters
-        messages.inc()
-        volume.inc(nbytes)
-        link_messages.inc()
-        link_volume.inc(nbytes)
-        if self.tracer.enabled:
+        messages.inc(copies)
+        volume.inc(copies * nbytes)
+        link_messages.inc(copies)
+        link_volume.inc(copies * nbytes)
+        for _ in range(copies if self.tracer.enabled else 0):
             self.tracer.instant(
                 "send", t=self.clocks[src], track=f"rank{src}", cat="comm",
                 args={"dest": dest, "tag": str(tag), "bytes": nbytes,

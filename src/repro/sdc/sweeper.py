@@ -131,8 +131,8 @@ class RhsContext:
             return np.stack(mine, axis=0)
         yield node.annotate("begin:node:rhs-allgather")
         nbytes = int(sum(np.asarray(f).nbytes for f in mine))
-        node.metrics.counter("node.rhs_bytes").inc(nbytes)
-        node.metrics.counter("node.rhs_bytes", rank=node.world_rank).inc(nbytes)
+        node.counter("node.rhs_bytes").inc(nbytes)
+        node.counter("node.rhs_bytes", per_rank=True).inc(nbytes)
         parts = yield from allgather(node, mine, tag=tags.NODE_F)
         yield node.annotate("end:node:rhs-allgather")
         return np.stack([f for part in parts for f in part], axis=0)

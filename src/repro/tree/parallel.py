@@ -460,11 +460,9 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
             state, shard, charges, charges_sorted, rank
         )
         nbytes = _payload_nbytes(payload)
-        metrics = space.metrics
-        wr = space.world_rank
-        metrics.counter("space.branch_bytes").inc(nbytes)
-        metrics.counter("space.branch_bytes", rank=wr).inc(nbytes)
-        metrics.counter("space.branch_cells", rank=wr).inc(
+        space.counter("space.branch_bytes").inc(nbytes)
+        space.counter("space.branch_bytes", per_rank=True).inc(nbytes)
+        space.counter("space.branch_cells", per_rank=True).inc(
             int(payload["key"].shape[0])
         )
         branches = yield from allgather(space, payload, tag=tags.SPACE_BRX)
@@ -491,7 +489,7 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
         # ---- allgather the RHS segments --------------------------------
         yield space.annotate("begin:space:rhs-allgather")
         seg_bytes = int(seg[0].nbytes + (seg[1].nbytes if gradient else 0))
-        metrics.counter("space.rhs_bytes", rank=wr).inc(seg_bytes)
+        space.counter("space.rhs_bytes", per_rank=True).inc(seg_bytes)
         segments = yield from allgather(space, seg, tag=tags.SPACE_RHS)
         vel_sorted = np.empty((n, 3))
         grad_sorted = np.empty((n, 3, 3)) if gradient else None

@@ -349,9 +349,14 @@ class TestCli:
         (): "2150a0aa9b44047a88982eb3229112f8",
         ("--p-time", "2", "--p-space", "1", "--p-nodes", "2",
          "--sweeper", "diagonal"): "c69a121cbc2d4a6f41559a997b4628c2",
+        # the grid shape of the ctrl-n64 end-to-end workload
+        ("--p-time", "4", "--p-space", "1", "--p-nodes", "3",
+         "--sweeper", "diagonal", "--steps", "4"):
+            "b3bc10a542a37122ab2e96f08aab0204",
     }
 
-    @pytest.mark.parametrize("shape", CERTIFIED, ids=["2x2x1", "2x1x2-diag"])
+    @pytest.mark.parametrize("shape", CERTIFIED,
+                             ids=["2x2x1", "2x1x2-diag", "4x1x3-diag"])
     def test_certify_digest_is_the_committed_one(self, shape, capsys):
         assert main(["certify", *shape, "--verify"]) == 0
         assert (f"certified deterministic (digest {self.CERTIFIED[shape]})"
