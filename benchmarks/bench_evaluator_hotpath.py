@@ -13,24 +13,19 @@ PFASST coarsening) at N in {2048, 8192, 32768}:
   every pipeline stage is a cache hit, only the far/near summation runs.
 
 Also reports the per-phase breakdown (tree_build / moments / traverse /
-layout / far_field / near_field) and the cache counters, and writes
-everything to ``BENCH_evaluator.json`` at the repository root.
+layout / far_field / near_field, from the ``phase`` spans a
+:class:`~repro.obs.Tracer` records around one cold fine evaluation) and
+the cache counters, and writes everything to ``BENCH_evaluator.json`` at
+the repository root, with a ``machine`` block (CPU count, platform,
+library versions).
 
 The hot path carries observability hooks (:mod:`repro.obs`): every row
 additionally times a warm evaluation with an *active* tracer and metrics
 registry and reports the relative overhead (``tracer_on_overhead_pct``,
 expected single-digit percent; with the default null tracer the hooks
-reduce to one attribute check per phase).  Pass ``--traced`` to also
+reduce to one call per phase).  Pass ``--traced`` to also
 write ``BENCH_evaluator_trace.json`` — the wall-clock phase spans of one
 traced evaluation, viewable with ``repro-trace summarize``.
-
-Every row is tagged with the kernel backend it ran on
-(:mod:`repro.backends`); pass ``--backend NAME`` (repeatable) to choose
-the set, defaulting to every usable backend.  Non-NumPy rows carry a
-``vs_numpy_speedup`` against the NumPy row of the same size, and the
-output records a ``machine`` block (CPU count, platform, library
-versions) — threaded speedups are only meaningful relative to
-``machine.cpu_count``.
 
 The ``direct_rhs`` block times the O(N^2) baseline the tree rows are
 judged against: ``VortexProblem.rhs`` over a :class:`DirectEvaluator` at
@@ -60,7 +55,6 @@ from typing import Dict, List, Optional
 import numpy as np
 import pytest
 
-from repro.backends import get_backend, usable_backends
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.tree import TreeEvaluator
 from repro.tree.reference import reference_vortex_field
@@ -91,7 +85,6 @@ def machine_spec() -> Dict:
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "backends_usable": list(usable_backends()),
     }
 
 
@@ -104,13 +97,8 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def bench_size(n: int, repeats: int = 3, backend: str = "numpy",
-               seed_s: Optional[float] = None) -> Dict:
-    """One measurement row for ``n`` particles on one kernel backend.
-
-    ``seed_s`` lets :func:`run_experiment` time the (backend-independent)
-    seed reference once per size and share it across backend rows.
-    """
+def bench_size(n: int, repeats: int = 3) -> Dict:
+    """One measurement row for ``n`` particles."""
     cfg = SheetConfig(n=n, sigma_over_h=3.0)
     ps = spherical_vortex_sheet(cfg)
     kernel = get_kernel("algebraic6")
@@ -122,11 +110,10 @@ def bench_size(n: int, repeats: int = 3, backend: str = "numpy",
         reference_vortex_field(pos, ch, kernel, cfg.sigma,
                                theta=THETA_COARSE, leaf_size=LEAF_SIZE)
 
-    if seed_s is None:
-        seed_s = _best_of(seed_pair, repeats)
+    seed_s = _best_of(seed_pair, repeats)
 
     fine = TreeEvaluator(kernel, cfg.sigma, theta=THETA_FINE,
-                         leaf_size=LEAF_SIZE, backend=backend)
+                         leaf_size=LEAF_SIZE)
     coarse = fine.coarsened(THETA_COARSE)
 
     def batched_pair_cold():
@@ -145,15 +132,19 @@ def bench_size(n: int, repeats: int = 3, backend: str = "numpy",
         traced_warm_s = _best_of(lambda: fine.field(pos, ch), repeats)
 
     fine.cache.clear()
-    fine.phases.reset()
-    t0 = time.perf_counter()
-    fine.field(pos, ch)
-    cold_fine_s = time.perf_counter() - t0
-    phases = {k: round(v, 6) for k, v in fine.phases.as_dict().items()}
+    tracer = Tracer()
+    with use_tracer(tracer):
+        t0 = time.perf_counter()
+        fine.field(pos, ch)
+        cold_fine_s = time.perf_counter() - t0
+    phases: Dict[str, float] = {}
+    for span in tracer.spans:
+        if span.cat == "phase":
+            phases[span.name] = phases.get(span.name, 0.0) + span.duration
+    phases = {k: round(v, 6) for k, v in phases.items()}
 
     return {
         "n": n,
-        "backend": fine.backend.name,
         "seed_pair_s": round(seed_s, 6),
         "batched_pair_cold_s": round(cold_s, 6),
         "pair_speedup": round(seed_s / cold_s, 3),
@@ -168,38 +159,18 @@ def bench_size(n: int, repeats: int = 3, backend: str = "numpy",
     }
 
 
-def run_experiment(sizes=SIZES, backends=None) -> Dict:
-    if backends is None:
-        backends = list(usable_backends())
-    if "numpy" in backends:  # numpy first: baseline for vs_numpy_speedup
-        backends = ["numpy"] + [b for b in backends if b != "numpy"]
-    rows = []
-    for n in sizes:
-        repeats = 3 if n <= 8192 else 1
-        seed_s = None
-        numpy_cold = None
-        for backend in backends:
-            row = bench_size(n, repeats=repeats, backend=backend,
-                             seed_s=seed_s)
-            seed_s = row["seed_pair_s"]
-            if backend == "numpy":
-                numpy_cold = row["batched_pair_cold_s"]
-            elif numpy_cold is not None:
-                row["vs_numpy_speedup"] = round(
-                    numpy_cold / row["batched_pair_cold_s"], 3)
-            rows.append(row)
+def run_experiment(sizes=SIZES) -> Dict:
+    rows = [bench_size(n, repeats=3 if n <= 8192 else 1) for n in sizes]
     return {
         "benchmark": "evaluator_hotpath",
         "description": "fine+coarse RHS pair: batched engine + TreeState "
-                       "cache vs seed per-group implementation, per "
-                       "kernel backend",
+                       "cache vs seed per-group implementation",
         "config": {
             "theta_fine": THETA_FINE,
             "theta_coarse": THETA_COARSE,
             "leaf_size": LEAF_SIZE,
             "kernel": "algebraic6",
             "gradient": True,
-            "backends": [get_backend(b).describe() for b in backends],
         },
         "machine": machine_spec(),
         "results": rows,
@@ -358,24 +329,6 @@ def export_phase_trace(n: int = 8192) -> Path:
     return save_trace(tracer, out, metrics=metrics)
 
 
-def _parse_backends(argv: List[str]) -> Optional[List[str]]:
-    """Collect ``--backend NAME`` occurrences; None means 'all usable'."""
-    names: List[str] = []
-    it = iter(range(len(argv)))
-    for i in it:
-        if argv[i] == "--backend":
-            if i + 1 >= len(argv):
-                raise SystemExit("--backend requires a name "
-                                 f"(one of: {', '.join(usable_backends())})")
-            names.append(argv[i + 1])
-            next(it, None)
-        elif argv[i].startswith("--backend="):
-            names.append(argv[i].split("=", 1)[1])
-    for name in names:
-        get_backend(name)  # fail fast with the actionable message
-    return names or None
-
-
 def _option(argv: List[str], name: str) -> Optional[str]:
     return argv[argv.index(name) + 1] if name in argv else None
 
@@ -388,7 +341,7 @@ def main(argv: List[str]) -> None:
         data = json.loads(OUT_PATH.read_text())
     else:
         sizes = SIZES[:2] if "--quick" in argv else SIZES
-        data = run_experiment(sizes, backends=_parse_backends(argv))
+        data = run_experiment(sizes)
     data["direct_rhs"] = bench_direct_rhs(
         parent_src=_option(argv, "--parent-src"))
     OUT_PATH.write_text(json.dumps(data, indent=2) + "\n")
@@ -405,14 +358,12 @@ def main(argv: List[str]) -> None:
     if "--direct" in argv:
         return
     for row in data["results"]:
-        extra = (f", vs numpy {row['vs_numpy_speedup']:.2f}x"
-                 if "vs_numpy_speedup" in row else "")
-        print(f"N={row['n']:>6} [{row['backend']}]: "
+        print(f"N={row['n']:>6}: "
               f"seed pair {row['seed_pair_s']:.3f}s, "
               f"batched pair {row['batched_pair_cold_s']:.3f}s "
               f"({row['pair_speedup']:.1f}x), cache-hit "
               f"{row['cache_hit_speedup']:.1f}x, tracer-on overhead "
-              f"{row['tracer_on_overhead_pct']:+.1f}%{extra}")
+              f"{row['tracer_on_overhead_pct']:+.1f}%")
     if "--traced" in argv:
         trace_path = export_phase_trace(sizes[-1])
         print(f"wrote {trace_path} "

@@ -25,7 +25,8 @@ Packages
 --------
 ``repro.vortex``    vortex particle method (kernels, RHS, initial data)
 ``repro.tree``      Barnes-Hut tree code ("PEPC")
-``repro.backends``  kernel backends for the tree engine (numpy / threaded)
+``repro.backends``  the tree engine's near-pass batch seam (serial NumPy)
+                    and the e2e probe's thread-pool backend
 ``repro.sdc``       spectral deferred corrections
 ``repro.pfasst``    PFASST parallel-in-time method and its speedup theory
 ``repro.parallel``  deterministic simulated MPI

@@ -95,14 +95,11 @@ HOT_MODULES: Tuple[str, ...] = (
     "tree/evaluate.py",
     "vortex/kernels.py",
     "vortex/rhs.py",
-    # kernel backends: every backend must uphold the same float64
-    # discipline the engine assumes (RPR004)
-    "backends/threaded.py",
 )
 
 #: modules allowed to read the wall clock (RPR002 scope) — the virtual
-#: clock bridge, the phase timers and the tracer; everything else must
-#: route timing through them
+#: clock bridge, the evaluators' stopwatch and the tracer; everything
+#: else must route timing through them
 WALLCLOCK_ALLOWED: Tuple[str, ...] = (
     "parallel/simmpi.py",
     "parallel/executor.py",

@@ -1,4 +1,5 @@
-"""Kernel-execution backends for the batched tree engine.
+"""The near pass's batch seam: the serial NumPy backend, and a thread pool
+kept for the end-to-end benchmark's near-pass probe.
 
 The batched tree engine (:mod:`repro.tree.engine`) cuts its near pass
 into *write-disjoint* batches that share only read-only state: an
@@ -6,152 +7,99 @@ explicit-branch batch owns the target rows of its groups; in the
 expanded branch a chunk of rows runs its distance GEMMs, then its rows'
 pieces and its mirror shape classes, as batches that each write only
 their own rows of the chunk's buffers, and one serial reduction per
-chunk adds those into the targets in a fixed order.  A
-:class:`KernelBackend` decides how the batches are run:
+chunk adds those into the targets in a fixed order.
+:class:`KernelBackend` runs them in order, one after the other; it is
+the engine's only backend.
 
-``numpy``
-    The reference — the base class itself: a serial in-order loop over
-    the batches.  Every equivalence statement in the test suite is
-    anchored to it.
-``threaded``
-    stdlib ``ThreadPoolExecutor`` over the batches
-    (:mod:`repro.backends.threaded`).  Batches write disjoint rows and
-    each is internally serial, and every sum over batches is the
-    engine's serial reduction, so the result is *bitwise identical* to
-    ``numpy`` regardless of thread scheduling; the GEMMs release the
-    GIL, so batches overlap on multi-core hosts.  Worker count:
-    ``REPRO_BACKEND_THREADS`` or ``os.cpu_count()``.
-
-Selection (:func:`get_backend`): an explicit name or instance wins, then
-the ``REPRO_BACKEND`` environment variable, then ``numpy``.
-
-``to_device`` is the test hook: the near-field pass hands its
-operands through it, the identity on both shipped backends, so a test
-backend can substitute arrays that count ufunc passes (the near body's
-pass budget) without touching the engine.
-
-Backends pickle as their registry name (``__reduce__``), so a
-:class:`~repro.tree.TreeEvaluator` configured with one survives
-dispatch into :class:`~repro.parallel.executor.ProcessExecutor`
-workers, which re-resolve it on arrival.
+It stays a class because the engine tests subclass it: ``map_batches``
+hands them every batch function and its batches (batch composition,
+pass counts), and ``to_device``, the identity here, every operand of
+the near body (arrays that count ufunc passes).  ``get_backend``,
+``usable_backends`` and :class:`ThreadedBackend` are kept for the
+end-to-end benchmark's near-pass probe, which times the pass once per
+name of ``usable_backends()`` and declares a ``threaded`` metric;
+ROADMAP item 6(e) deletes all three together with that probe.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Sequence, Tuple, Union
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = [
-    "ENV_VAR",
-    "DEFAULT_BACKEND",
-    "KernelBackend",
-    "register_backend",
-    "usable_backends",
-    "get_backend",
-]
-
-#: environment variable consulted when no explicit backend is given
-ENV_VAR = "REPRO_BACKEND"
-#: the reference backend every equivalence statement is anchored to
-DEFAULT_BACKEND = "numpy"
+__all__ = ["KernelBackend", "get_backend", "usable_backends"]
 
 
 class KernelBackend:
-    """Execution strategy for the batched near pass.
+    """Serial execution of the near pass's write-disjoint batches."""
 
-    The base class is the ``numpy`` reference backend: a serial loop
-    over batches.  Subclasses override the class attributes and
-    whichever hooks differ.  Instances are registered singletons;
-    identity comparisons (``backend is get_backend("numpy")``) are valid
-    within a process, and pickling reduces to the registry name so the
-    same identity is re-established across process boundaries.
-    """
-
-    #: registry name (also the ``REPRO_BACKEND`` value)
     name: str = "numpy"
     #: always ``"cpu"``; the end-to-end benchmark's near-pass probe reads it
     device: str = "cpu"
 
     def to_device(self, a: np.ndarray):
         """Hand an operand of the near pass to the batch body (the
-        identity; the test hook, see the module docstring)."""
+        identity; the tests' hook, see the module docstring)."""
         return a
 
-    # -- execution strategy -------------------------------------------------
     def map_batches(
         self, fn: Callable[[np.ndarray], None], batches: Sequence[np.ndarray]
     ) -> None:
-        """Run ``fn`` once per batch; batches must be write-disjoint.
-
-        The engine guarantees that distinct batches touch disjoint
-        output rows and share only read-only state, so any execution
-        order (or overlap) yields bitwise-identical results.  The base
-        implementation is the in-order serial loop.
-        """
+        """Run ``fn`` once per batch, in order."""
         for b in batches:
             fn(b)
 
-    # -- introspection / plumbing ------------------------------------------
-    def describe(self) -> Dict[str, object]:
-        """Diagnostic metadata (recorded into benchmark rows)."""
-        return {"name": self.name, "device": self.device}
 
-    def __reduce__(self):
-        # pickle as the registry name: executor workers re-resolve it
-        return (get_backend, (self.name,))
+class ThreadedBackend(KernelBackend):
+    """The same batches on a thread pool of ``max_workers`` threads
+    (default ``os.cpu_count()``).  Batches are write-disjoint and each
+    chunk's reduction stays serial, so the result is bitwise the serial
+    pass's; only the probe selects it."""
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<KernelBackend {self.name!r} ({self.device})>"
+    name = "threaded"
+
+    def __init__(self, max_workers: Optional[int] = None) -> None:
+        self.workers = max(1, max_workers or os.cpu_count() or 1)
+        self._pool: Optional[ThreadPoolExecutor] = None
+
+    def map_batches(
+        self, fn: Callable[[np.ndarray], None], batches: Sequence[np.ndarray]
+    ) -> None:
+        """Run the batches on the pool (serially for one worker or one
+        batch); a batch's exception re-raises here."""
+        batches = list(batches)
+        if self.workers == 1 or len(batches) <= 1:
+            super().map_batches(fn, batches)
+            return
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                self.workers, thread_name_prefix="repro-backend"
+            )
+        list(self._pool.map(fn, batches))
 
 
-_REGISTRY: Dict[str, KernelBackend] = {}
-
-
-def register_backend(backend: KernelBackend) -> KernelBackend:
-    """Register a backend instance under its ``name`` (last wins)."""
-    _REGISTRY[backend.name] = backend
-    return backend
+_BACKENDS = {b.name: b for b in (KernelBackend(), ThreadedBackend())}
 
 
 def usable_backends() -> Tuple[str, ...]:
-    """Names of the registered backends, sorted."""
-    return tuple(sorted(_REGISTRY))
+    """Names :func:`get_backend` resolves: ``("numpy", "threaded")``."""
+    return tuple(_BACKENDS)
 
 
 def get_backend(
     name: Union[str, KernelBackend, None] = None,
 ) -> KernelBackend:
-    """Resolve a backend: explicit name > ``REPRO_BACKEND`` > ``numpy``.
-
-    Accepts a registry name, an already-resolved :class:`KernelBackend`
-    (passed through), or ``None`` for the environment / default
-    resolution.  Raises ``ValueError`` with the valid names when the
-    name (or a mis-set ``REPRO_BACKEND``) is unknown.
-    """
+    """The backend of that name, one instance each (``None`` is
+    ``"numpy"``); an instance passes through.  Any other name raises
+    ``ValueError``."""
     if isinstance(name, KernelBackend):
         return name
-    source = "backend argument"
-    if name is None:
-        env = os.environ.get(ENV_VAR)
-        if env:
-            name, source = env, f"environment variable {ENV_VAR}"
-        else:
-            name = DEFAULT_BACKEND
-    backend = _REGISTRY.get(str(name).strip().lower())
+    backend = _BACKENDS.get("numpy" if name is None else name)
     if backend is None:
         raise ValueError(
-            f"unknown kernel backend {name!r} (from {source}); "
-            f"valid names: {', '.join(usable_backends())}. "
-            f"Unset {ENV_VAR} or pass backend= explicitly to override."
+            f"unknown kernel backend {name!r}; valid names: "
+            f"{', '.join(usable_backends())}"
         )
     return backend
-
-
-register_backend(KernelBackend())
-
-# self-registering on import
-from repro.backends.threaded import ThreadedBackend  # noqa: E402
-
-__all__ += ["ThreadedBackend"]

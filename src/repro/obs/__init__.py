@@ -9,8 +9,8 @@
   :func:`set_tracer` to record.
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with labeled
   series, same no-op-by-default pattern (:data:`NULL_METRICS`).
-* :mod:`repro.obs.timing` — the :class:`Timer` / :class:`TimingRegistry`
-  phase timers, bridged into the active tracer.
+* :mod:`repro.obs.timing` — the :class:`Timer` stopwatch behind the
+  evaluators' measured cost.
 * :mod:`repro.obs.ledger` — who is computing now and the compute seconds
   a shared cache bills to a rank's virtual clock.
 * :mod:`repro.obs.export` — native trace files, Chrome ``trace_event``
@@ -53,7 +53,7 @@ from repro.obs.metrics import (
     set_metrics,
     use_metrics,
 )
-from repro.obs.timing import Timer, TimingRegistry, timed
+from repro.obs.timing import Timer
 from repro.obs.tracer import (
     Instant,
     NULL_TRACER,
@@ -74,7 +74,7 @@ __all__ = [
     "Counter", "Gauge", "Histogram",
     "get_metrics", "set_metrics", "use_metrics",
     # timing
-    "Timer", "TimingRegistry", "timed",
+    "Timer",
     # export / rendering
     "TraceData", "save_trace", "load_trace",
     "chrome_trace", "export_chrome_trace", "spans_to_csv",

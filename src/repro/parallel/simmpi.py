@@ -689,7 +689,8 @@ class Scheduler:
         rather than silently accumulating the previous run's.
         """
         self.clocks: List[float] = [0.0] * self.n_ranks
-        #: messages in flight / delivered, FIFO per (src, dest, tag)
+        #: messages in flight, FIFO per (src, dest, tag); a delivery
+        #: that empties a channel drops it
         self._channels: Dict[Channel, deque] = defaultdict(deque)
         #: per-run message/byte/retransmission instruments
         self.metrics = MetricsRegistry()
@@ -993,6 +994,10 @@ class Scheduler:
         source, tag = state.blocked_on  # type: ignore[misc]
         t_blocked = self.clocks[rank]
         self.clocks[rank] = at
+        if not state.inbox:
+            # the channel's one receiver lets go of it here; a later
+            # send recreates it
+            del self._channels[(source, rank, tag)]
         state.blocked_on = None
         state.recv_op = state.inbox = None
         if msg is None:

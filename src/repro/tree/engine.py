@@ -58,16 +58,13 @@ a ``(count, shift)`` per ``(cluster node, target group)`` and per
 gather/scatter indices batch by batch (:func:`_pairs_to_slots`), so its
 memory is O(list entries), not O(particle pairs).
 
-**Backends.** The near pass takes an optional kernel backend
-(:mod:`repro.backends`) selecting the execution strategy: its batches
-are *write-disjoint* — an explicit batch owns the target rows of its
-groups; an expanded chunk's batches (its rows' distance GEMMs, its
-rows' pieces, its mirror shape classes) each write only their own rows
-of the chunk's buffers, and one serial reduction per chunk then adds
-those into the targets in a fixed order.  That is the invariant that
-lets the ``threaded`` backend run them on a thread pool
-bitwise-identically.  ``backend=None`` resolves through
-``REPRO_BACKEND`` and defaults to the serial NumPy reference.
+**Batches.** The near pass's batches are *write-disjoint* — an
+explicit batch owns the target rows of its groups; an expanded chunk's
+batches (its rows' distance GEMMs, its rows' pieces, its mirror shape
+classes) each write only their own rows of the chunk's buffers, and one
+serial reduction per chunk then adds those into the targets in a fixed
+order, which pins the bytes.  They run in order through a
+:class:`~repro.backends.KernelBackend`, the tests' seam into the body.
 
 **Process safety.** The batched kernels are safe to run inside worker
 processes of the executor backend (:mod:`repro.parallel.executor`):
@@ -671,13 +668,11 @@ def batched_near_vortex(
 ) -> None:
     """Near-field direct pass, accumulated into sorted-order outputs.
 
-    ``backend`` selects the kernel-execution backend
-    (:mod:`repro.backends`): batches are write-disjoint (an explicit
-    batch owns the target rows of its groups, an expanded one its own
-    contribution buffer), so they are dispatched through
-    :meth:`~repro.backends.KernelBackend.map_batches` — serial for
-    ``numpy``, a thread pool for ``threaded``, both bitwise identical.
-    ``None`` resolves via ``REPRO_BACKEND`` / the NumPy default.
+    Batches run through ``backend``'s
+    :meth:`~repro.backends.KernelBackend.map_batches` and operands pass
+    its ``to_device``; ``None`` is the serial NumPy backend, and tests
+    pass a subclass to observe the batches.  ``budget_bytes`` overrides
+    the branch's default chunk budget (tests only).
 
     Dense form of the pair sums of :mod:`repro.vortex.rhs`: with
     ``r = t - s`` the cross products split into per-target and
@@ -765,7 +760,7 @@ def batched_near_vortex(
             b.size * int(tlanes[b].max()) * int(counts[b].max())
             for b in batches
         ))
-    # ``to_device`` is the identity on both shipped backends and the
+    # ``to_device`` is the identity on the NumPy backend and the
     # tests' hook into the body: operands pass through it once per
     # evaluation, per-batch index blocks as they are built.
     ctr = bk.to_device(layout.group_center)
@@ -1107,7 +1102,7 @@ def _near_block_pass(
     mtarget = _leaf_lanes(gstart[mtgt[mb]], mcnt, mcnt)[0]
     mlane = _leaf_lanes(mdcum[:-1][mb] - mdcum[mbase[mb]], mcnt, mcnt)[0]
 
-    # ``to_device`` is the identity on both shipped backends and the
+    # ``to_device`` is the identity on the NumPy backend and the
     # tests' hook into the body: the per-evaluation operands pass through
     # it.  Per target slot: the group-local coordinates and the augmented
     # distance operand ``[-2 t, |t|^2, 1]`` in units of sigma, gathered

@@ -36,7 +36,6 @@ from typing import Callable, Hashable, Optional, Tuple, get_args
 import numpy as np
 
 from repro.analysis.sanitize import boundary
-from repro.backends import KernelBackend, get_backend
 from repro.tree.build import Octree
 from repro.tree.engine import (
     TraversalLayout,
@@ -45,7 +44,8 @@ from repro.tree.engine import (
     build_traversal_layout,
 )
 from repro.obs.metrics import get_metrics
-from repro.obs.timing import Timer, TimingRegistry
+from repro.obs.timing import Timer
+from repro.obs.tracer import get_tracer
 from repro.tree.mac import MACVariant
 from repro.tree.multipole import VortexMoments
 from repro.tree.profiles import supports_multipoles
@@ -137,7 +137,7 @@ def _engine_layout(
     key = (float(solver.theta), str(solver.mac_variant))
     layout = state.engine_layouts.get(key)
     if layout is None:
-        with solver.phases.phase("layout"):
+        with get_tracer().span("layout", cat="phase"):
             layout = build_traversal_layout(state.tree, lists)
         state.engine_layouts[key] = layout
     return layout
@@ -162,12 +162,10 @@ def _tree_stages(
     moments, lists, layout, cached)``; ``cached`` holds the ``build`` /
     ``moments`` / ``traversal`` flags of :class:`TreeStats`.
     """
-    state, build_cached = solver.cache.state(
-        positions, solver.leaf_size, solver.phases
-    )
-    moments, moments_cached = state.vortex_moments(charges, solver.phases)
+    state, build_cached = solver.cache.state(positions, solver.leaf_size)
+    moments, moments_cached = state.vortex_moments(charges)
     lists, traversal_cached = state.traversal(
-        solver.theta, solver.mac_variant, moments.bmax, solver.phases
+        solver.theta, solver.mac_variant, moments.bmax
     )
     if segment is None:
         layout = _engine_layout(solver, state, lists)
@@ -203,25 +201,11 @@ class TreeEvaluator(FieldEvaluator):
         several evaluators (e.g. a fine/coarse theta pair) share trees
         and moments; by default each evaluator owns a private cache
         (still reused across its own calls).
-    batch_budget_bytes :
-        Approximate temporary-memory budget per engine batch, applied to
-        every pass; ``None`` lets each pass use its own engine default:
-        6 MiB for the GEMM-expanded near pass
-        (``NEAR_GEMM_BUDGET_BYTES``), 8 MiB for the chunk tables of the
-        far pass (``FAR_BUDGET_BYTES``; its per-tile rows and the
-        per-node weights come on top) and 64 MiB for the explicit near
-        branch (``DEFAULT_BUDGET_BYTES``).
-    backend :
-        Kernel-execution backend for the batched near pass — a
-        registry name (``"numpy"``, ``"threaded"``), an
-        already-resolved :class:`~repro.backends.KernelBackend`, or
-        ``None`` to resolve via the ``REPRO_BACKEND`` environment
-        variable (default ``"numpy"``).  Resolution is eager, so an
-        unknown name raises ``ValueError`` here rather than mid-run.
-        The resolved backend pickles as its name and is re-resolved
-        inside :class:`~repro.parallel.executor.ProcessExecutor`
-        workers.  See ``docs/backends.md`` for the determinism
-        guarantee.
+
+    A traced run (:func:`repro.obs.use_tracer`) records each stage this
+    evaluator computes — ``tree_build``, ``moments``, ``traverse``,
+    ``layout``, ``far_field``, ``near_field`` — as a wall-clock span of
+    category ``"phase"``; a stage served from the cache records none.
     """
 
     def __init__(
@@ -233,8 +217,6 @@ class TreeEvaluator(FieldEvaluator):
         leaf_size: int = 32,
         mac_variant: MACVariant = "bh",
         cache: Optional[TreeStateCache] = None,
-        batch_budget_bytes: Optional[int] = None,
-        backend: "KernelBackend | str | None" = None,
     ) -> None:
         super().__init__()
         self.kernel = get_kernel(kernel) if isinstance(kernel, str) else kernel
@@ -261,9 +243,6 @@ class TreeEvaluator(FieldEvaluator):
             )
         self.leaf_size = int(leaf_size)
         self.cache = cache if cache is not None else TreeStateCache()
-        self.batch_budget_bytes = batch_budget_bytes
-        self.backend = get_backend(backend)
-        self.phases = TimingRegistry()
         self.last_stats = TreeStats()
         self._exclude_zero = (
             isinstance(self.kernel, SingularKernel)
@@ -291,8 +270,6 @@ class TreeEvaluator(FieldEvaluator):
             leaf_size=self.leaf_size,
             mac_variant=self.mac_variant,
             cache=self.cache,
-            batch_budget_bytes=self.batch_budget_bytes,
-            backend=self.backend,
         )
 
     # -- the memo of finished fields (last stage of the state cache) -----
@@ -309,8 +286,7 @@ class TreeEvaluator(FieldEvaluator):
             array_fingerprint(positions), array_fingerprint(charges),
             type(self.kernel), tuple(sorted(vars(self.kernel).items())),
             self.sigma, self.theta, self.mac_variant, self.order,
-            self.leaf_size, gradient, self._exclude_zero,
-            self.backend.name, self.batch_budget_bytes, segment,
+            self.leaf_size, gradient, self._exclude_zero, segment,
         )
 
     def _memoised(
@@ -369,18 +345,16 @@ class TreeEvaluator(FieldEvaluator):
         vel = np.zeros((n, 3))
         grad = np.zeros((n, 3, 3)) if gradient else None
 
-        with self.phases.phase("far_field"):
+        tracer = get_tracer()
+        with tracer.span("far_field", cat="phase"):
             batched_far_vortex(
                 tree, moments, layout, self.kernel, self.sigma,
                 self.order, gradient, vel, grad,
-                budget_bytes=self.batch_budget_bytes,
             )
-        with self.phases.phase("near_field"):
+        with tracer.span("near_field", cat="phase"):
             batched_near_vortex(
                 tree, charges[tree.order], layout, self.kernel, self.sigma,
                 gradient, self._exclude_zero, vel, grad,
-                budget_bytes=self.batch_budget_bytes,
-                backend=self.backend,
             )
 
         self.last_stats = _make_stats(tree, lists, *cached)

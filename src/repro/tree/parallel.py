@@ -65,6 +65,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.obs.tracer import get_tracer
 from repro.parallel import tags
 from repro.parallel.collectives import allgather
 from repro.parallel.simmpi import VirtualComm
@@ -371,7 +372,7 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
         shard = compute_shard(state, p_space)
         mask = shard.group_mask(rank, lists.n_groups)
         sub = _sub_lists(lists, mask)
-        with self.phases.phase("layout"):
+        with get_tracer().span("layout", cat="phase"):
             layout = build_traversal_layout(state.tree, sub)
         # the near expansion gate is a property of the traversal, not of
         # this shard's share of its far pairs
@@ -449,7 +450,7 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
         # The branch exchange needs the tree only; moments, interaction
         # lists and segment layout are (re)derived inside segment_field —
         # a cache hit inline, a per-worker warm-up under a process backend.
-        state, _ = self.cache.state(positions, self.leaf_size, self.phases)
+        state, _ = self.cache.state(positions, self.leaf_size)
         tree = state.tree
         shard = compute_shard(state, p_space)
         charges_sorted = charges[tree.order]

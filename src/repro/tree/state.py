@@ -27,10 +27,10 @@ state, moments are keyed by the charge-array fingerprint and traversals by
 looked up before any of them, keyed by the two fingerprints plus
 everything else the field depends on (the evaluator builds the key).  Hit/miss
 counters per stage are kept in :class:`CacheStats`; the evaluators
-surface per-call flags in ``TreeStats`` and only time the ``tree_build``
-/ ``moments`` / ``traverse`` phases on misses, so a
-:class:`~repro.obs.timing.TimingRegistry` report directly shows the work
-saved.  When a global metrics registry is active
+surface per-call flags in ``TreeStats``, and the ``tree_build`` /
+``moments`` / ``traverse`` phase spans of a traced run
+(:mod:`repro.obs.tracer`) are recorded on misses only, so a trace
+directly shows the work saved.  When a global metrics registry is active
 (:func:`repro.obs.use_metrics`), every hit/miss also increments a
 ``tree.cache.<stage>.<hits|misses>`` counter there, and every
 :meth:`TreeStateCache.state` call sets the ``tree.cache.bytes`` gauge to
@@ -59,7 +59,7 @@ from repro.tree.build import Octree, build_octree
 from repro.tree.multipole import VortexMoments, compute_vortex_moments
 from repro.obs.ledger import LEDGER
 from repro.obs.metrics import get_metrics
-from repro.obs.timing import TimingRegistry
+from repro.obs.tracer import get_tracer
 from repro.tree.traversal import InteractionLists, dual_traversal
 
 __all__ = ["array_fingerprint", "CacheStats", "TreeState", "TreeStateCache"]
@@ -175,7 +175,7 @@ class TreeState:
         return self._groups
 
     def vortex_moments(
-        self, charges: np.ndarray, phases: Optional[TimingRegistry] = None
+        self, charges: np.ndarray
     ) -> Tuple[VortexMoments, bool]:
         """Moments for vector charges; returns ``(moments, was_cached)``."""
         key = array_fingerprint(charges)
@@ -185,10 +185,7 @@ class TreeState:
             self._vortex_moments.move_to_end(key)
             return hit, True
         self._stats.count("moment", hit=False)
-        if phases is not None:
-            with phases.phase("moments"):
-                moments = compute_vortex_moments(self.tree, charges)
-        else:
+        with get_tracer().span("moments", cat="phase"):
             moments = compute_vortex_moments(self.tree, charges)
         self._vortex_moments[key] = moments
         while len(self._vortex_moments) > self._MOMENT_SLOTS:
@@ -200,7 +197,6 @@ class TreeState:
         theta: float,
         variant: str,
         node_bmax: np.ndarray,
-        phases: Optional[TimingRegistry] = None,
     ) -> Tuple[InteractionLists, bool]:
         """Interaction lists for ``(theta, variant)``; cached per state.
 
@@ -215,12 +211,7 @@ class TreeState:
             self._stats.count("traversal", hit=True)
             return hit, True
         self._stats.count("traversal", hit=False)
-        if phases is not None:
-            with phases.phase("traverse"):
-                lists = dual_traversal(
-                    self.tree, theta, node_bmax=node_bmax, variant=variant
-                )
-        else:
+        with get_tracer().span("traverse", cat="phase"):
             lists = dual_traversal(
                 self.tree, theta, node_bmax=node_bmax, variant=variant
             )
@@ -334,10 +325,7 @@ class TreeStateCache:
             self._fields.popitem(last=False)
 
     def state(
-        self,
-        positions: np.ndarray,
-        leaf_size: int,
-        phases: Optional[TimingRegistry] = None,
+        self, positions: np.ndarray, leaf_size: int
     ) -> Tuple[TreeState, bool]:
         """Tree state for a particle configuration; ``(state, was_cached)``."""
         key = (array_fingerprint(positions), int(leaf_size))
@@ -347,10 +335,7 @@ class TreeStateCache:
         if cached:
             self._states.move_to_end(key)
         else:
-            if phases is not None:
-                with phases.phase("tree_build"):
-                    tree = build_octree(positions, leaf_size=leaf_size)
-            else:
+            with get_tracer().span("tree_build", cat="phase"):
                 tree = build_octree(positions, leaf_size=leaf_size)
             state = TreeState(tree, self.stats)
             self._states[key] = state

@@ -1,47 +1,57 @@
-"""Kernel-backend seam: registry, selection, fallback, and equivalence.
+"""The near pass's batch seam: the serial NumPy backend and the probe's pool.
 
-Covers the :mod:`repro.backends` contract:
-
-* registry and resolution order (argument > ``REPRO_BACKEND`` > numpy);
-* actionable errors — unknown names list the valid ones;
-* the ``threaded`` backend is *bitwise identical* to the numpy
-  reference at theta = 0 and theta = 0.6, including with a forced
-  multi-worker pool and tiny batch budgets (many batches in flight);
-* backends pickle as their registry name, so evaluators survive
-  :class:`~repro.parallel.executor.ProcessExecutor` dispatch;
-* a whole PFASST run on ``threaded`` evaluators is bitwise the numpy run.
+Covers what :mod:`repro.backends` still promises: ``get_backend``
+resolves ``None`` / ``"numpy"`` / ``"threaded"`` to one instance each,
+passes an instance through and rejects any other name; ``map_batches``
+runs every batch in order; the ``threaded`` backend's near pass is
+bitwise the serial one at theta = 0 and theta = 0.6, with a forced
+multi-worker pool and a tiny batch budget (many batches in flight), and
+a batch's exception reaches the caller.
 """
 
 import os
-import pickle
 
 import numpy as np
 import pytest
 
+import repro.backends
 from repro.backends import (
-    DEFAULT_BACKEND,
-    ENV_VAR,
     KernelBackend,
     ThreadedBackend,
     get_backend,
     usable_backends,
 )
-from repro.tree import TreeEvaluator
-from repro.tree.parallel import SpaceParallelTreeEvaluator
+from repro.tree import (
+    build_octree,
+    build_traversal_layout,
+    compute_vortex_moments,
+    dual_traversal,
+)
+from repro.tree.engine import batched_near_vortex
 from repro.vortex import get_kernel, spherical_vortex_sheet
 from repro.vortex.sheet import SheetConfig
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def sheet():
     cfg = SheetConfig(n=600)
     return spherical_vortex_sheet(cfg), cfg, get_kernel("algebraic6")
 
 
-@pytest.fixture
-def clean_env(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    monkeypatch.delenv("REPRO_BACKEND_THREADS", raising=False)
+def _near(sheet, theta, gradient, backend):
+    ps, cfg, kernel = sheet
+    tree = build_octree(ps.positions, leaf_size=16)
+    moments = compute_vortex_moments(tree, ps.charges)
+    lists = dual_traversal(tree, theta, node_bmax=moments.bmax, variant="bh")
+    layout = build_traversal_layout(tree, lists)
+    n = ps.positions.shape[0]
+    vel = np.zeros((n, 3))
+    grad = np.zeros((n, 3, 3)) if gradient else None
+    batched_near_vortex(
+        tree, ps.charges[tree.order], layout, kernel, cfg.sigma, gradient,
+        False, vel, grad, budget_bytes=200_000, backend=backend,
+    )
+    return vel, grad
 
 
 class TestRegistryAndResolution:
@@ -50,12 +60,13 @@ class TestRegistryAndResolution:
         assert usable_backends() == ("numpy", "threaded")
 
     def test_cpu_backends_always_usable(self):
-        usable = usable_backends()
-        assert "numpy" in usable
-        assert "threaded" in usable
+        assert all(get_backend(n).device == "cpu" for n in usable_backends())
+        assert repro.backends.__all__ == [
+            "KernelBackend", "get_backend", "usable_backends",
+        ]
 
-    def test_default_is_numpy(self, clean_env):
-        assert get_backend() is get_backend(DEFAULT_BACKEND)
+    def test_default_is_numpy(self):
+        assert get_backend() is get_backend("numpy")
         assert get_backend().name == "numpy"
 
     def test_explicit_name_resolves_singleton(self):
@@ -63,193 +74,52 @@ class TestRegistryAndResolution:
         assert get_backend("numpy").device == "cpu"
 
     def test_instance_passes_through(self):
-        b = get_backend("numpy")
+        b = KernelBackend()
         assert get_backend(b) is b
-
-    def test_name_is_case_and_space_insensitive(self):
-        assert get_backend(" NumPy ") is get_backend("numpy")
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "threaded")
-        assert get_backend().name == "threaded"
-
-    def test_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "threaded")
-        assert get_backend("numpy").name == "numpy"
 
     def test_unknown_name_lists_valid_names(self):
         with pytest.raises(ValueError) as exc:
             get_backend("torch")
         msg = str(exc.value)
-        assert "torch" in msg
-        assert "numpy, threaded" in msg
+        assert "'torch'" in msg
+        assert "valid names: numpy, threaded" in msg
 
-    def test_misset_env_var_is_actionable(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "gpu-please")
-        with pytest.raises(ValueError) as exc:
-            get_backend()
-        msg = str(exc.value)
-        assert ENV_VAR in msg  # names the source of the bad value
-        assert "gpu-please" in msg
-        assert "numpy, threaded" in msg
 
-    def test_describe_reports_contract_fields(self):
-        for name in ("numpy", "threaded"):
-            info = get_backend(name).describe()
-            assert info["name"] == name
-            assert info["device"] == "cpu"
+class TestMapBatches:
+    def test_runs_every_batch_in_order(self):
+        seen = []
+        batches = [np.arange(k) for k in (3, 1, 2)]
+        get_backend().map_batches(lambda b: seen.append(b.size), batches)
+        assert seen == [3, 1, 2]
+
+    def test_to_device_is_the_identity(self):
+        a = np.arange(4.0)
+        assert get_backend().to_device(a) is a
 
 
 class TestThreadedEquivalence:
     @pytest.mark.parametrize("theta", [0.0, 0.6])
-    def test_bitwise_identical_to_numpy(self, sheet, theta, monkeypatch):
-        """The headline contract: threaded == numpy, byte for byte.
+    def test_bitwise_identical_to_numpy(self, sheet, theta):
+        ref = _near(sheet, theta, True, None)
+        out = _near(sheet, theta, True, ThreadedBackend(max_workers=4))
+        assert (out[0] == ref[0]).all()
+        assert (out[1] == ref[1]).all()
 
-        Forces a 4-worker pool and a tiny batch budget so many batches
-        are genuinely in flight even on a 1-core CI host.
-        """
-        monkeypatch.setenv("REPRO_BACKEND_THREADS", "4")
-        ps, cfg, kernel = sheet
-        kw = dict(theta=theta, leaf_size=16, batch_budget_bytes=200_000)
-        ref = TreeEvaluator(kernel, cfg.sigma, **kw).field(
-            ps.positions, ps.charges
-        )
-        out = TreeEvaluator(
-            kernel, cfg.sigma, backend="threaded", **kw
-        ).field(ps.positions, ps.charges)
-        assert (out.velocity == ref.velocity).all()
-        assert (out.gradient == ref.gradient).all()
+    def test_velocity_only_bitwise(self, sheet):
+        ref = _near(sheet, 0.6, False, None)
+        out = _near(sheet, 0.6, False, ThreadedBackend(max_workers=4))
+        assert (out[0] == ref[0]).all()
+        assert out[1] is None
 
-    def test_velocity_only_bitwise(self, sheet, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND_THREADS", "4")
-        ps, cfg, kernel = sheet
-        kw = dict(theta=0.6, leaf_size=16, batch_budget_bytes=200_000)
-        ref = TreeEvaluator(kernel, cfg.sigma, **kw).field(
-            ps.positions, ps.charges, gradient=False
-        )
-        out = TreeEvaluator(
-            kernel, cfg.sigma, backend="threaded", **kw
-        ).field(ps.positions, ps.charges, gradient=False)
-        assert (out.velocity == ref.velocity).all()
-        assert out.gradient is None and ref.gradient is None
-
-    def test_env_selection_reaches_engine(self, sheet, monkeypatch):
-        """REPRO_BACKEND alone must route the near pass (no kwargs)."""
-        ps, cfg, kernel = sheet
-        ref = TreeEvaluator(kernel, cfg.sigma, theta=0.6).field(
-            ps.positions, ps.charges
-        )
-        monkeypatch.setenv(ENV_VAR, "threaded")
-        monkeypatch.setenv("REPRO_BACKEND_THREADS", "2")
-        ev = TreeEvaluator(kernel, cfg.sigma, theta=0.6)
-        assert ev.backend.name == "threaded"
-        out = ev.field(ps.positions, ps.charges)
-        assert (out.velocity == ref.velocity).all()
-
-    @pytest.mark.parametrize(
-        "cls", [TreeEvaluator, SpaceParallelTreeEvaluator]
-    )
-    def test_coarsened_inherits_backend(self, sheet, cls):
-        ps, cfg, kernel = sheet
-        fine = cls(kernel, cfg.sigma, backend="threaded")
-        coarse = fine.coarsened(0.6)
-        assert type(coarse) is cls
-        assert coarse.backend is fine.backend
-
-    def test_worker_count_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND_THREADS", raising=False)
+    def test_worker_count_resolution(self):
         assert ThreadedBackend(max_workers=3).workers == 3
-        monkeypatch.setenv("REPRO_BACKEND_THREADS", "5")
-        assert ThreadedBackend().workers == 5
-        monkeypatch.setenv("REPRO_BACKEND_THREADS", "lots")
-        with pytest.raises(ValueError, match="REPRO_BACKEND_THREADS"):
-            ThreadedBackend().workers
+        assert ThreadedBackend().workers == (os.cpu_count() or 1)
 
-    def test_batch_exception_surfaces_at_call_site(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND_THREADS", "2")
-        b = ThreadedBackend()
-
+    def test_batch_exception_surfaces_at_call_site(self):
         def boom(batch):
             raise RuntimeError(f"batch {batch} failed")
 
         with pytest.raises(RuntimeError, match="batch"):
-            b.map_batches(boom, [np.arange(1), np.arange(2)])
-
-
-class TestExecutorSurvival:
-    """Backend choice must survive a pickle across a process boundary."""
-
-    def test_backend_pickles_to_singleton(self):
-        for name in ("numpy", "threaded"):
-            b = get_backend(name)
-            assert pickle.loads(pickle.dumps(b)) is b
-
-    def test_evaluator_with_backend_roundtrips(self, sheet):
-        ps, cfg, kernel = sheet
-        ev = TreeEvaluator(kernel, cfg.sigma, theta=0.6, backend="threaded")
-        ref = ev.field(ps.positions, ps.charges)
-        clone = pickle.loads(pickle.dumps(ev))
-        assert clone.backend is ev.backend
-        out = clone.field(ps.positions, ps.charges)
-        assert (out.velocity == ref.velocity).all()
-
-    def test_threaded_pool_is_not_pickled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND_THREADS", "2")
-        b = ThreadedBackend()
-        b.map_batches(lambda _: None, [np.arange(1), np.arange(2)])
-        assert b._pool is not None  # pool exists...
-        state = pickle.dumps(b)  # ...but pickling reduces to the name
-        assert b"ThreadPoolExecutor" not in state
-
-
-class TestRunPfasstPlumbing:
-    def test_backend_kwarg_rebinds_evaluators(self, sheet):
-        from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
-        from repro.vortex.problem import VortexProblem
-
-        ps, cfg, kernel = sheet
-
-        def specs(backend):
-            fine, coarse = (
-                VortexProblem(ps.volumes, TreeEvaluator(
-                    kernel, cfg.sigma, theta=theta, leaf_size=32,
-                    backend=backend,
-                ))
-                for theta in (0.3, 0.6)
+            ThreadedBackend(max_workers=2).map_batches(
+                boom, [np.arange(1), np.arange(2)]
             )
-            assert fine.evaluator.backend.name == backend
-            return [LevelSpec(fine, 3, 1), LevelSpec(coarse, 2, 1)]
-
-        u0 = ps.state()
-        config = PfasstConfig(t0=0.0, t_end=0.01, n_steps=2, iterations=1)
-        ref = run_pfasst(config, specs("numpy"), u0, p_time=2)
-        out = run_pfasst(config, specs("threaded"), u0, p_time=2)
-        # threaded is bitwise identical, so the whole run must be too
-        assert (out.u_end == ref.u_end).all()
-
-
-class TestCustomBackend:
-    def test_register_and_resolve_a_custom_backend(self):
-        """docs/backends.md 'adding a backend' recipe must keep working."""
-        from repro.backends import register_backend
-
-        calls = []
-
-        class RecordingBackend(KernelBackend):
-            name = "recording-test"
-            device = "cpu"
-
-            def map_batches(self, fn, batches):
-                calls.append(len(list(batches)))
-                for b in batches:
-                    fn(b)
-
-        try:
-            register_backend(RecordingBackend())
-            b = get_backend("recording-test")
-            b.map_batches(lambda _: None, [np.arange(2)] * 3)
-            assert calls == [3]
-        finally:
-            from repro import backends as _pkg
-
-            _pkg._REGISTRY.pop("recording-test", None)

@@ -243,6 +243,24 @@ def test_pfasst_controller_verifies_under_replay(p_time):
     assert scheduler.orphans == []
 
 
+def test_clean_pfasst_run_keeps_no_empty_channel():
+    """A delivery that empties a channel drops it: after a clean run
+    the scheduler holds no channel at all, empty or not."""
+    u0 = np.array([1.0])
+    cfg = PfasstConfig(t0=0.0, t_end=1.0, n_steps=8, iterations=2)
+    specs = [
+        LevelSpec(_ScalarODE(), 3, 1),
+        LevelSpec(_ScalarODE(), 2, 2),
+    ]
+    scheduler = Scheduler(4, measure_compute=False)
+    scheduler.run(
+        pfasst_rank_program, args=(cfg, specs, u0, SpaceTimeGrid(4))
+    )
+    assert scheduler.orphans == []
+    assert scheduler.metrics.counter("mpi.messages").value > 0
+    assert dict(scheduler._channels) == {}
+
+
 def test_run_pfasst_verify_passthrough(scalar_problem):
     u0 = np.array([1.0])
     cfg = PfasstConfig(t0=0.0, t_end=1.0, n_steps=2, iterations=2)

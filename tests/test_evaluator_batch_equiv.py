@@ -8,27 +8,22 @@ The batched engine (``repro.tree.engine``) must reproduce
   to summation-reordering accuracy: both walk the *same* interaction
   lists and evaluate the *same* expansion formulas, so any discrepancy
   beyond float addition order is an engine indexing bug.
-
-The direct-comparison grids run once per kernel backend
-(``repro.backends.usable_backends``): every backend must hold the exact
-same tolerances as the serial NumPy reference, because their batch
-decomposition is write-disjoint and each batch is evaluated with the
-identical serial arithmetic.
 """
 
 import numpy as np
 import pytest
 
-from repro.backends import usable_backends
 from repro.tree import TreeEvaluator
+from repro.tree.engine import (
+    batched_far_vortex,
+    batched_near_vortex,
+    build_traversal_layout,
+)
 from repro.tree.reference import reference_vortex_field
 from repro.vortex import DirectEvaluator, get_kernel, spherical_vortex_sheet
 from repro.vortex.sheet import SheetConfig
 
 THETA_TOL = {0.0: 1e-12, 0.3: 2e-3, 0.6: 2e-2}
-
-#: every registered backend
-BACKENDS = list(usable_backends())
 
 
 @pytest.fixture(scope="module")
@@ -45,14 +40,12 @@ def _rel_err(a, b):
 
 
 class TestVortexAgainstDirect:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("theta", [0.0, 0.3, 0.6])
     @pytest.mark.parametrize("variant", ["bh", "bmax"])
-    def test_velocity_within_theta_tolerance(self, sheet, theta, variant,
-                                             backend):
+    def test_velocity_within_theta_tolerance(self, sheet, theta, variant):
         ps, cfg, kernel, ref = sheet
         ev = TreeEvaluator(kernel, cfg.sigma, theta=theta, leaf_size=24,
-                           mac_variant=variant, backend=backend)
+                           mac_variant=variant)
         out = ev.field(ps.positions, ps.charges)
         if theta == 0.0:
             assert np.allclose(out.velocity, ref.velocity,
@@ -124,14 +117,27 @@ class TestVortexAgainstReference:
 
 class TestEngineBudget:
     def test_tiny_budget_matches_default(self, sheet):
-        """Batching must not change results — exercise many small batches."""
+        """Batching must not change results — exercise many small
+        batches: both engine passes at a 1-byte budget (one row or group
+        per batch) against the evaluator's default budgets."""
         ps, cfg, kernel, _ = sheet
-        ev_default = TreeEvaluator(kernel, cfg.sigma, theta=0.4, leaf_size=24)
-        ev_tiny = TreeEvaluator(kernel, cfg.sigma, theta=0.4, leaf_size=24,
-                                batch_budget_bytes=1)
-        out_d = ev_default.field(ps.positions, ps.charges)
-        out_t = ev_tiny.field(ps.positions, ps.charges)
-        assert np.allclose(out_t.velocity, out_d.velocity,
-                           atol=1e-13 * np.max(np.abs(out_d.velocity)))
-        assert np.allclose(out_t.gradient, out_d.gradient,
-                           atol=1e-13 * np.max(np.abs(out_d.gradient)))
+        ev = TreeEvaluator(kernel, cfg.sigma, theta=0.4, leaf_size=24)
+        out_d = ev.field(ps.positions, ps.charges)
+        state, _ = ev.cache.state(ps.positions, ev.leaf_size)
+        tree = state.tree
+        moments, _ = state.vortex_moments(ps.charges)
+        lists, _ = state.traversal(ev.theta, ev.mac_variant, moments.bmax)
+        layout = build_traversal_layout(tree, lists)
+        vel = np.zeros((ps.n, 3))
+        grad = np.zeros((ps.n, 3, 3))
+        batched_far_vortex(tree, moments, layout, kernel, cfg.sigma,
+                           ev.order, True, vel, grad, budget_bytes=1)
+        batched_near_vortex(tree, ps.charges[tree.order], layout, kernel,
+                            cfg.sigma, True, False, vel, grad,
+                            budget_bytes=1)
+        ref_vel = out_d.velocity[tree.order]
+        ref_grad = out_d.gradient[tree.order]
+        assert np.allclose(vel, ref_vel,
+                           atol=1e-13 * np.max(np.abs(ref_vel)))
+        assert np.allclose(grad, ref_grad,
+                           atol=1e-13 * np.max(np.abs(ref_grad)))

@@ -155,3 +155,24 @@ class TestActiveTracer:
         finally:
             set_tracer(None)
         assert get_tracer() is NULL_TRACER
+
+    def test_tree_evaluator_records_its_phases(self):
+        """A cold ``TreeEvaluator.field`` records the six tree stages as
+        ``phase`` spans; a field-memo hit records none."""
+        import numpy as np
+
+        from repro.tree import TreeEvaluator
+
+        rng = np.random.default_rng(5)
+        positions, charges = rng.normal(size=(2, 200, 3))
+        ev = TreeEvaluator("algebraic6", 0.3, theta=0.5, leaf_size=16)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            ev.field(positions, charges)
+            cold = [s.name for s in tracer.spans if s.cat == "phase"]
+            tracer.clear()
+            ev.field(positions, charges)
+        assert ev.last_stats.field_cached
+        assert cold == ["tree_build", "moments", "traverse", "layout",
+                        "far_field", "near_field"]
+        assert tracer.spans == []

@@ -29,16 +29,15 @@ from repro.tree.parallel import SpaceParallelTreeEvaluator
 
 _SIGMA = 0.35
 
-#: (kernel, sigma, theta, order, leaf_size, backend): a base evaluator
-#: and one variant per parameter
+#: (kernel, sigma, theta, order, leaf_size): a base evaluator and one
+#: variant per parameter
 _VARIANTS = (
-    ("algebraic6", _SIGMA, 0.3, 2, 24, "numpy"),
-    ("algebraic6", _SIGMA, 0.6, 2, 24, "numpy"),
-    ("algebraic6", _SIGMA, 0.3, 1, 24, "numpy"),
-    ("algebraic6", 1.5 * _SIGMA, 0.3, 2, 24, "numpy"),
-    ("algebraic2", _SIGMA, 0.3, 2, 24, "numpy"),
-    ("algebraic6", _SIGMA, 0.3, 2, 12, "numpy"),
-    ("algebraic6", _SIGMA, 0.3, 2, 24, "threaded"),
+    ("algebraic6", _SIGMA, 0.3, 2, 24),
+    ("algebraic6", _SIGMA, 0.6, 2, 24),
+    ("algebraic6", _SIGMA, 0.3, 1, 24),
+    ("algebraic6", 1.5 * _SIGMA, 0.3, 2, 24),
+    ("algebraic2", _SIGMA, 0.3, 2, 24),
+    ("algebraic6", _SIGMA, 0.3, 2, 12),
 )
 
 
@@ -50,10 +49,10 @@ _CHARGES = [0.1 * _RNG.normal(size=(180, 3)) for _ in range(3)]
 
 
 def _evaluator(variant, cache=None):
-    kernel, sigma, theta, order, leaf_size, backend = variant
+    kernel, sigma, theta, order, leaf_size = variant
     return SpaceParallelTreeEvaluator(
         kernel, sigma, theta=theta, order=order, leaf_size=leaf_size,
-        backend=backend, cache=cache,
+        cache=cache,
     )
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs import Tracer, use_tracer
 from repro.tree import TreeEvaluator, TreeStateCache, array_fingerprint
 from repro.vortex import get_kernel, spherical_vortex_sheet
 from repro.vortex.sheet import SheetConfig
@@ -126,10 +127,13 @@ class TestRepeatedEvaluation:
     def test_build_timed_only_on_miss(self, sheet):
         ps, _, _ = sheet
         ev = _fresh_evaluator(sheet)
-        ev.field(ps.positions, ps.charges)
-        builds = ev.phases.timers["tree_build"].count
-        ev.field(ps.positions, ps.charges)
-        assert ev.phases.timers["tree_build"].count == builds
+        tracer = Tracer()
+        with use_tracer(tracer):
+            ev.field(ps.positions, ps.charges)
+            ev.field(ps.positions, ps.charges, gradient=False)
+        assert ev.cache_stats.build_misses == 1
+        assert ev.cache_stats.build_hits == 1
+        assert [s.name for s in tracer.spans].count("tree_build") == 1
 
 
 class TestFineCoarseSharing:
