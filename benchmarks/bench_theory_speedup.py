@@ -1,4 +1,4 @@
-"""Eqs. 21-25 — theoretical speedup/efficiency landscape.
+"""Eqs. 24-26 — theoretical speedup/efficiency landscape.
 
 Regenerates the theory curves of Fig. 8 (dashed lines) at the paper's
 alpha values, the Eq. 25 bound, and the PFASST-vs-parareal efficiency
@@ -84,7 +84,7 @@ def main(argv: List[str]) -> None:
     t = run_experiment()
     rows = list(zip(t["p_t"], t["S_small"], t["S_large"], t["bound"],
                     t["parareal_K2"], t["eff_small"]))
-    print("Eqs. 21-25 — theoretical speedup "
+    print("Eqs. 24-26 — theoretical speedup "
           f"(alpha_small={ALPHA_SMALL:.3f}, alpha_large={ALPHA_LARGE:.3f},"
           f" Ks={KS}, Kp={KP})")
     print(format_table(

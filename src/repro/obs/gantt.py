@@ -18,8 +18,8 @@ segment (pure-digit or ``k<digit>`` tails are stripped).
 
 from __future__ import annotations
 
+import html
 from typing import Dict, Iterable, List, Optional, Sequence
-from xml.sax.saxutils import escape
 
 from repro.obs.tracer import Span
 
@@ -149,7 +149,7 @@ def render_svg(
         y = 10 + row * row_height
         parts.append(
             f'<text x="4" y="{y + row_height * 0.7:.1f}">'
-            f'{escape(str(track))}</text>')
+            f'{html.escape(str(track), quote=False)}</text>')
         parts.append(
             f'<line x1="{label_w}" y1="{y + row_height - 2}" '
             f'x2="{width - 10}" y2="{y + row_height - 2}" '
@@ -163,7 +163,8 @@ def render_svg(
             parts.append(
                 f'<rect x="{x:.2f}" y="{y + 2}" width="{w:.2f}" '
                 f'height="{row_height - 6}" fill="{color[fam]}" '
-                f'fill-opacity="0.85"><title>{escape(str(s.name))} '
+                f'fill-opacity="0.85"><title>'
+                f'{html.escape(str(s.name), quote=False)} '
                 f'[{s.t0:.6g}, {s.t1:.6g}]s</title></rect>')
     y0 = 20 + row_height * max(len(tracks), 1)
     parts.append(f'<text x="4" y="{y0}">legend (virtual time, '
@@ -172,6 +173,7 @@ def render_svg(
         y = y0 + 16 * (i + 1)
         parts.append(f'<rect x="8" y="{y - 9}" width="12" height="10" '
                      f'fill="{color[fam]}"/>')
-        parts.append(f'<text x="26" y="{y}">{escape(str(fam))}</text>')
+        parts.append(f'<text x="26" y="{y}">'
+                     f'{html.escape(str(fam), quote=False)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)

@@ -16,17 +16,14 @@ from repro.pfasst.checkpoint import (
     adopt_levels,
 )
 from repro.pfasst.theory import (
-    PfasstCostModel,
     speedup_two_level,
     efficiency_two_level,
     speedup_bound,
     parareal_speedup,
     alpha_from_measurements,
     measured_cost_ratio,
-    multi_level_speedup,
 )
 from repro.pfasst.analysis import (
-    rk_stability,
     sdc_stability,
     sdc_sweep_matrices,
 )
@@ -44,15 +41,12 @@ __all__ = [
     "RunCheckpointer",
     "snapshot_levels",
     "adopt_levels",
-    "PfasstCostModel",
     "speedup_two_level",
     "efficiency_two_level",
     "speedup_bound",
     "parareal_speedup",
     "alpha_from_measurements",
     "measured_cost_ratio",
-    "multi_level_speedup",
-    "rk_stability",
     "sdc_stability",
     "sdc_sweep_matrices",
 ]

@@ -1,37 +1,18 @@
-"""Linear stability analysis for the time integrators.
+"""Linear stability of explicit SDC sweeps on ``u' = z u``.
 
-Complements the runtime experiments with the classical linear theory on
-the Dahlquist test equation ``u' = z u``: stability functions ``R(z)``
-of the explicit RK baselines (via the Butcher formula) and of explicit
-SDC sweeps (via the exact matrix form of the node-to-node sweep).
-
-These back the paper's framing that SDC(k) reproduces ``exp(z)`` to
-order k.
+The stability function ``R(z)`` of ``K`` explicit sweeps, from the exact
+matrix form of the node-to-node sweep: the oracle the running sweeper is
+tested against, and the paper's framing that SDC(K) reproduces
+``exp(z)`` to order K.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.integrators.runge_kutta import ButcherTableau
 from repro.sdc.quadrature import make_rule
 
-__all__ = ["rk_stability", "sdc_stability", "sdc_sweep_matrices"]
-
-
-def rk_stability(tableau: ButcherTableau, z: complex | np.ndarray) -> np.ndarray:
-    """Stability function ``R(z) = 1 + z b^T (I - z A)^{-1} 1``."""
-    z = np.asarray(z, dtype=complex)
-    a = np.array(tableau.a, dtype=float)
-    b = np.array(tableau.b, dtype=float)
-    s = b.size
-    out = np.empty(z.shape, dtype=complex)
-    ones = np.ones(s)
-    identity = np.eye(s)
-    for idx in np.ndindex(z.shape):
-        m = identity - z[idx] * a
-        out[idx] = 1.0 + z[idx] * (b @ np.linalg.solve(m, ones))
-    return out if out.shape else out[()]
+__all__ = ["sdc_stability", "sdc_sweep_matrices"]
 
 
 def sdc_sweep_matrices(

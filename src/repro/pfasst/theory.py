@@ -1,4 +1,4 @@
-"""Theoretical cost, speedup and efficiency models (paper Eqs. 21-25).
+"""Theoretical speedup and efficiency models (paper Eqs. 24-26).
 
 Notation (two-level case, Eq. 24):
 
@@ -17,20 +17,15 @@ Notation (two-level case, Eq. 24):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 __all__ = [
-    "PfasstCostModel",
     "speedup_two_level",
     "efficiency_two_level",
     "speedup_bound",
     "parareal_speedup",
     "alpha_from_measurements",
     "measured_cost_ratio",
-    "multi_level_speedup",
 ]
 
 #: computed RHS evaluations per level behind :func:`measured_cost_ratio`
@@ -76,47 +71,6 @@ def measured_cost_ratio(fine, coarse, u0: np.ndarray) -> float:
     return fine.evaluator.mean_cost / coarse.evaluator.mean_cost
 
 
-@dataclass(frozen=True)
-class PfasstCostModel:
-    """Cost bookkeeping of a PFASST run (Eqs. 21-23)."""
-
-    ks: int  # serial sweeps
-    kp: int  # parallel iterations
-    n_sweeps: Sequence[int]  # sweeps per level per iteration, fine..coarse
-    upsilon: Sequence[float]  # cost of one sweep per level, fine..coarse
-    gamma: Sequence[float]  # FAS overhead per level per iteration
-
-    def __post_init__(self) -> None:
-        lengths = (len(self.n_sweeps), len(self.upsilon), len(self.gamma))
-        if len(set(lengths)) != 1:
-            raise ValueError(
-                "per-level sequences must have equal lengths, got "
-                f"n_sweeps/upsilon/gamma = {lengths}"
-            )
-        if self.ks < 1 or self.kp < 1:
-            raise ValueError("iteration counts must be >= 1")
-
-    def serial_cost(self, p_t: int | np.ndarray) -> float | np.ndarray:
-        """Eq. 21: ``Cs = P_T Ks Upsilon_0``."""
-        return p_t * self.ks * self.upsilon[0]
-
-    def parallel_cost(self, p_t: int | np.ndarray) -> float | np.ndarray:
-        """Eq. 22: ``Cp = P_T nL UpsilonL + Kp sum(n Upsilon + n Gamma)``."""
-        predictor = p_t * self.n_sweeps[-1] * self.upsilon[-1]
-        per_iter = sum(
-            n * (u + g)
-            for n, u, g in zip(self.n_sweeps, self.upsilon, self.gamma)
-        )
-        return predictor + self.kp * per_iter
-
-    def speedup(self, p_t: int | np.ndarray) -> float | np.ndarray:
-        """Eq. 23."""
-        return self.serial_cost(p_t) / self.parallel_cost(p_t)
-
-    def efficiency(self, p_t: int) -> float:
-        return self.speedup(p_t) / p_t
-
-
 def speedup_two_level(
     p_t: int | np.ndarray,
     alpha: float,
@@ -159,20 +113,3 @@ def parareal_speedup(
     p = np.asarray(p_t, dtype=np.float64)
     return p / (p * alpha + k * (1.0 + alpha))
 
-
-def multi_level_speedup(
-    p_t: int | np.ndarray,
-    ks: int,
-    kp: int,
-    n_sweeps: Sequence[int],
-    upsilon: Sequence[float],
-    gamma: Sequence[float] | None = None,
-) -> np.ndarray:
-    """General L-level speedup via Eq. 23, vectorised over ``p_t``.
-
-    ``gamma`` defaults to no FAS overhead on every level.
-    """
-    if gamma is None:
-        gamma = [0.0] * len(n_sweeps)
-    model = PfasstCostModel(ks, kp, n_sweeps, upsilon, gamma)
-    return model.speedup(np.asarray(p_t, dtype=np.float64))

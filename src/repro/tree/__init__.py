@@ -5,7 +5,6 @@ from repro.tree.morton import (
     BoundingCube,
     morton_encode,
     morton_decode,
-    hilbert_encode,
     quantize,
     cell_of_key,
 )
@@ -32,20 +31,12 @@ from repro.tree.engine import (
     segment_layout,
 )
 from repro.tree.evaluator import TreeStats, TreeEvaluator
-from repro.tree.domain import (
-    DomainDecomposition,
-    sfc_partition,
-    cover_key_range,
-    branch_counts,
-    partition_box_surface,
-)
 
 __all__ = [
     "MAX_DEPTH",
     "BoundingCube",
     "morton_encode",
     "morton_decode",
-    "hilbert_encode",
     "quantize",
     "cell_of_key",
     "Octree",
@@ -71,9 +62,4 @@ __all__ = [
     "segment_layout",
     "TreeStats",
     "TreeEvaluator",
-    "DomainDecomposition",
-    "sfc_partition",
-    "cover_key_range",
-    "branch_counts",
-    "partition_box_surface",
 ]

@@ -1,12 +1,8 @@
 """Space-filling curve keys for the hashed oct-tree (Warren & Salmon 1993).
 
 Particles are quantised onto a ``2^depth`` grid inside a cubic bounding box
-and assigned 63-bit keys, either
-
-* **Morton** (Z-order): bit interleaving of the three coordinates — cheap,
-  the classic PEPC choice; or
-* **Hilbert**: Skilling's transpose algorithm — better locality (fewer
-  partition-boundary crossings), used by the SFC-quality ablation.
+and assigned 63-bit **Morton** (Z-order) keys: bit interleaving of the
+three coordinates — cheap, the classic PEPC choice.
 
 Key layout follows PEPC: a *placeholder bit* is prepended above the
 ``3 * depth`` coordinate bits, so keys of different tree levels are
@@ -28,7 +24,6 @@ __all__ = [
     "BoundingCube",
     "morton_encode",
     "morton_decode",
-    "hilbert_encode",
     "quantize",
     "cell_of_key",
 ]
@@ -126,45 +121,6 @@ def morton_decode(keys: np.ndarray, depth: int = MAX_DEPTH) -> np.ndarray:
     )
 
 
-def hilbert_encode(ijk: np.ndarray, depth: int = MAX_DEPTH) -> np.ndarray:
-    """Hilbert keys (Skilling's transpose algorithm), with placeholder bit.
-
-    Vectorised over particles; loops only over the ``depth`` bit planes.
-    """
-    x = np.asarray(ijk, dtype=np.uint64).T.copy()  # (3, N)
-    n_dims = 3
-    m = np.uint64(1) << np.uint64(depth - 1)
-    # inverse undo excess work
-    q = m
-    while q > 1:
-        p = q - np.uint64(1)
-        for i in range(n_dims):
-            swap = (x[i] & q).astype(bool)
-            x[0] = np.where(swap, x[0] ^ p, x[0])
-            # exchange low bits between x[0] and x[i] where not swap
-            t = np.where(~swap, (x[0] ^ x[i]) & p, np.uint64(0))
-            x[0] ^= t
-            x[i] ^= t
-        q >>= np.uint64(1)
-    # Gray encode
-    for i in range(1, n_dims):
-        x[i] ^= x[i - 1]
-    t = np.zeros_like(x[0])
-    q = m
-    while q > 1:
-        t = np.where((x[n_dims - 1] & q).astype(bool), t ^ (q - np.uint64(1)), t)
-        q >>= np.uint64(1)
-    for i in range(n_dims):
-        x[i] ^= t
-    # interleave transposed bits into a single key (MSB-first per level)
-    key = np.zeros(x.shape[1], dtype=np.uint64)
-    for bit in range(depth - 1, -1, -1):
-        for dim in range(n_dims):
-            key = (key << np.uint64(1)) | ((x[dim] >> np.uint64(bit)) & np.uint64(1))
-    placeholder = np.uint64(1) << np.uint64(3 * depth)
-    return key | placeholder
-
-
 def cell_of_key(
     key_at_lvl: np.ndarray,
     level: "int | np.ndarray",
@@ -174,9 +130,7 @@ def cell_of_key(
     """Geometric (center, edge length) of level-``level`` Morton cells.
 
     ``level`` is one int for all keys, or an int array giving each key's
-    level (the edge is then an array too).  Only valid for
-    Morton keys (Hilbert keys do not nest geometrically by simple
-    truncation).
+    level (the edge is then an array too).
     """
     key = np.asarray(key_at_lvl, dtype=np.uint64)
     lvl = np.asarray(level, dtype=np.int64)

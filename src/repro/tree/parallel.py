@@ -6,12 +6,12 @@ space communicator (a row of the P_T x P_S grid, see
 tree RHS.  Following PEPC's Warren-Salmon structure (paper Sec. III-A,
 Fig. 3), each space rank
 
-1. owns a contiguous segment of the Morton space-filling curve (the
-   ``sfc_partition`` convention, snapped to leaf boundaries of the tree so
-   segments are whole target groups),
+1. owns a contiguous segment of the Morton space-filling curve (counts
+   balanced as in PEPC's uniform-weight key-space split, snapped to leaf
+   boundaries of the tree so segments are whole target groups),
 2. derives its *branch nodes* — the minimal set of aligned octree cells
-   covering its occupied key interval (:func:`repro.tree.domain.cover_key_range`)
-   — and computes their multipole moments (m0/m1/m2 about the cell
+   covering its occupied key interval (:func:`_cover_cells`) — and
+   computes their multipole moments (m0/m1/m2 about the cell
    centers) from its local particles alone, all cells in one vectorised
    pass, memoised on the tree state per charge set and rank,
 3. exchanges the branch payloads with an ``allgather`` ring collective
@@ -70,7 +70,6 @@ from repro.parallel import tags
 from repro.parallel.collectives import allgather
 from repro.parallel.simmpi import VirtualComm
 from repro.tree.build import Octree
-from repro.tree.domain import _cover_cells
 from repro.tree.engine import TraversalLayout, build_traversal_layout
 from repro.tree.evaluator import TreeEvaluator
 from repro.tree.morton import cell_of_key, morton_encode, quantize
@@ -129,6 +128,44 @@ def _particle_keys(tree: Octree) -> np.ndarray:
             "from a Morton sort over its own cube/depth"
         )
     return keys
+
+
+def _cover_cells(lo: int, hi: int, depth: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Minimal set of aligned octree cells covering keys ``[lo, hi]``.
+
+    Returns ascending ``(keys, levels)`` arrays of each cell's first
+    full-depth key and its level (a level-``l`` cell spans
+    ``8^(depth - l)`` keys): the branch nodes of a rank owning that
+    curve segment.  Computed per level, all levels at once: the aligned
+    cells lying wholly inside ``[lo, hi]`` that no such cell of the
+    level above contains — at most seven on either side of the parent
+    level's run.
+    """
+    if lo > hi:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    if lo < 0 or hi >= (1 << (3 * depth)):
+        raise ValueError(f"range [{lo}, {hi}] outside key space")
+    one = np.uint64(1)
+    # k = depth - level: a cell spans 8**k keys (8**21 = 2**63 fits)
+    k = np.arange(depth + 1, dtype=np.uint64)
+    span = one << (np.uint64(3) * k)
+    # [first, end): indices of the cells wholly inside [lo, hi]
+    first = (np.uint64(lo) + span - one) // span
+    end = (np.uint64(hi) + one) // span
+    # the parent level's run, in this level's cell indices
+    up = np.zeros(depth + 1, dtype=bool)
+    up[:-1] = first[1:] < end[1:]
+    up_first = np.append(first[1:] << np.uint64(3), np.uint64(0))
+    up_end = np.append(end[1:] << np.uint64(3), np.uint64(0))
+    starts = np.concatenate([first, np.where(up, up_end, end)])
+    stops = np.concatenate([np.where(up, up_first, end), end])
+    counts = np.where(stops > starts, stops - starts, 0).astype(np.int64)
+    run = np.repeat(np.arange(counts.size), counts)
+    offset = np.arange(run.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    shift = np.tile(k, 2)[run]
+    keys = (starts[run] + offset.astype(np.uint64)) * span[shift]
+    order = np.argsort(keys, kind="stable")
+    return keys[order], depth - shift[order].astype(np.int64)
 
 
 def compute_shard(state: TreeState, p_space: int) -> SpaceShard:
@@ -207,8 +244,7 @@ def branch_payload(
 ) -> Dict[str, np.ndarray]:
     """Branch cells and multipole payload of ``rank``'s key interval.
 
-    The branch set is :func:`~repro.tree.domain.cover_key_range` over
-    the keys the rank's particles actually occupy (the PEPC convention);
+    The branch set is :func:`_cover_cells` over the keys the rank's particles actually occupy (the PEPC convention);
     each branch carries monopole/dipole/quadrupole moments about its
     geometric cell center, computed from the rank's local particles
     only.

@@ -33,7 +33,6 @@ from repro.vortex.diagnostics import (
     linear_impulse,
     angular_impulse,
     enstrophy,
-    kinetic_energy,
 )
 from repro.vortex.problem import (
     ODEProblem,
@@ -65,7 +64,6 @@ __all__ = [
     "linear_impulse",
     "angular_impulse",
     "enstrophy",
-    "kinetic_energy",
     "ODEProblem",
     "FieldEvaluator",
     "DirectEvaluator",

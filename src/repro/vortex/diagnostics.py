@@ -8,9 +8,9 @@ solver (Cottet & Koumoutsakos 2000, Ch. 1):
 * linear impulse       ``I = (1/2) sum_p x_p x alpha_p``
 * angular impulse      ``A = (1/3) sum_p x_p x (x_p x alpha_p)``
 
-The kinetic energy and enstrophy reported here are particle-quadrature
-approximations of the corresponding field integrals; they are useful for
-*relative* drift monitoring rather than absolute values.
+The enstrophy reported here is a particle-quadrature approximation of the
+field integral; it is useful for *relative* drift monitoring rather than
+as an absolute value.
 """
 
 from __future__ import annotations
@@ -20,16 +20,13 @@ from typing import Dict
 
 import numpy as np
 
-from repro.vortex.kernels import SmoothingKernel
 from repro.vortex.particles import ParticleSystem
-from repro.vortex.rhs import biot_savart_direct
 
 __all__ = [
     "total_vorticity",
     "linear_impulse",
     "angular_impulse",
     "enstrophy",
-    "kinetic_energy",
     "FlowDiagnostics",
     "compute_diagnostics",
 ]
@@ -54,21 +51,6 @@ def angular_impulse(ps: ParticleSystem) -> np.ndarray:
 def enstrophy(ps: ParticleSystem) -> float:
     """Particle-quadrature enstrophy ``sum_p |omega_p|^2 vol_p``."""
     return float(np.einsum("ni,ni,n->", ps.vorticity, ps.vorticity, ps.volumes))
-
-
-def kinetic_energy(
-    ps: ParticleSystem, kernel: SmoothingKernel, sigma: float
-) -> float:
-    """Quadrature kinetic energy ``(1/2) sum_p |u(x_p)|^2 vol_p``.
-
-    Requires one O(N^2) velocity evaluation; intended for diagnostics of
-    small ensembles, not inner loops.
-    """
-    field = biot_savart_direct(
-        ps.positions, ps.positions, ps.charges, kernel, sigma, gradient=False
-    )
-    speed2 = np.einsum("ni,ni->n", field.velocity, field.velocity)
-    return float(0.5 * np.dot(speed2, ps.volumes))
 
 
 @dataclass(frozen=True)

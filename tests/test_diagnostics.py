@@ -15,7 +15,6 @@ from repro.vortex.diagnostics import (
     angular_impulse,
     compute_diagnostics,
     enstrophy,
-    kinetic_energy,
     linear_impulse,
     total_vorticity,
 )
@@ -47,11 +46,6 @@ class TestDefinitions:
     def test_enstrophy_positive(self, small_sheet):
         ps, _ = small_sheet
         assert enstrophy(ps) > 0
-
-    def test_kinetic_energy_positive(self, small_sheet):
-        ps, cfg = small_sheet
-        e = kinetic_energy(ps, get_kernel("algebraic6"), cfg.sigma)
-        assert e > 0
 
     def test_compute_diagnostics_dict(self, small_sheet):
         ps, _ = small_sheet

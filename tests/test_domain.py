@@ -1,61 +1,22 @@
-"""Tests for SFC domain decomposition and branch nodes."""
+"""Tests for the SFC domain decomposition the space-parallel evaluator runs:
+branch-node covers of a key range and the leaf-aligned shards they tile."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.tree.domain import (
-    branch_counts,
-    cover_key_range,
-    partition_box_surface,
-    sfc_partition,
+from repro.tree.morton import MAX_DEPTH
+from repro.tree.parallel import (
+    SpaceParallelTreeEvaluator,
+    _cover_cells,
+    compute_shard,
 )
 
 
-class TestPartition:
-    @pytest.mark.parametrize("curve", ["morton", "hilbert"])
-    def test_balanced_counts(self, rng, curve):
-        pos = rng.random((1000, 3))
-        d = sfc_partition(pos, 7, curve=curve)
-        assert d.counts.sum() == 1000
-        assert d.counts.max() - d.counts.min() <= 1
-        assert d.imbalance < 1.01
-
-    def test_rank_of_consistent_with_slices(self, rng):
-        pos = rng.random((300, 3))
-        d = sfc_partition(pos, 4)
-        for r in range(4):
-            idx = d.order[d.rank_start[r]:d.rank_end[r]]
-            assert np.all(d.rank_of[idx] == r)
-
-    def test_contiguous_key_ranges(self, rng):
-        """Rank key intervals are disjoint and ordered."""
-        pos = rng.random((500, 3))
-        d = sfc_partition(pos, 5)
-        for r in range(4):
-            last = d.keys_sorted[d.rank_end[r] - 1]
-            first_next = d.keys_sorted[d.rank_start[r + 1]]
-            assert last <= first_next
-
-    def test_single_rank(self, rng):
-        pos = rng.random((50, 3))
-        d = sfc_partition(pos, 1)
-        assert d.counts[0] == 50
-
-    def test_too_few_particles(self, rng):
-        with pytest.raises(ValueError, match="cannot split"):
-            sfc_partition(rng.random((3, 3)), 5)
-
-    def test_unknown_curve(self, rng):
-        with pytest.raises(ValueError, match="curve"):
-            sfc_partition(rng.random((10, 3)), 2, curve="peano")
-
-    def test_hilbert_surface_not_worse_than_morton(self, rng):
-        """The SFC-quality ablation claim (on a uniform cloud)."""
-        pos = rng.random((4000, 3))
-        sm = partition_box_surface(pos, sfc_partition(pos, 16, "morton"))
-        sh = partition_box_surface(pos, sfc_partition(pos, 16, "hilbert"))
-        assert sh <= sm * 1.1
+def cover_key_range(lo, hi, depth=MAX_DEPTH):
+    """``(cell_start_key, level)`` pairs of the cover, in key order."""
+    keys, levels = _cover_cells(lo, hi, depth)
+    return list(zip(keys.tolist(), levels.tolist()))
 
 
 class TestCoverKeyRange:
@@ -117,78 +78,33 @@ class TestCoverKeyRange:
         assert total == hi - lo + 1
 
 
-class TestBranchCounts:
-    def test_counts_positive(self, rng):
-        pos = rng.random((600, 3))
-        d = sfc_partition(pos, 8)
-        counts = branch_counts(d)
-        assert np.all(counts >= 1)
-
-    def test_single_rank_has_few_branches(self, rng):
-        pos = rng.random((600, 3))
-        d = sfc_partition(pos, 1)
-        counts = branch_counts(d)
-        # one rank covering its own key interval: O(depth) cells,
-        # roughly bounded by 2 * 7 * depth = 294 at depth 21
-        assert counts[0] < 300
-
-    def test_total_branches_grow_with_ranks(self, rng):
-        """The Fig. 5 saturation driver: more ranks => more branch
-        nodes to exchange in total."""
-        pos = rng.random((2000, 3))
-        totals = [branch_counts(sfc_partition(pos, p)).sum()
-                  for p in (2, 8, 32)]
-        assert totals[0] < totals[1] < totals[2]
-
-
 class TestBranchesVersusCover:
-    """branch_counts must agree, rank by rank, with a direct
-    cover_key_range over each rank's occupied key interval — and the
-    cover cells must tile exactly that rank's particles."""
+    """The branch cells of each live shard (the cover of the keys its
+    particles occupy) tile exactly that shard's particles."""
 
-    @pytest.mark.parametrize("curve", ["morton", "hilbert"])
-    @pytest.mark.parametrize("n_ranks", [3, 8])
-    def test_per_rank_counts_match_direct_cover(self, rng, curve, n_ranks):
-        pos = rng.random((900, 3))
-        d = sfc_partition(pos, n_ranks, curve=curve)
-        counts = branch_counts(d)
-        assert counts.shape == (n_ranks,)
-        for r in range(n_ranks):
-            s, e = int(d.rank_start[r]), int(d.rank_end[r])
-            cells = cover_key_range(
-                int(d.keys_sorted[s]), int(d.keys_sorted[e - 1])
-            )
-            assert counts[r] == len(cells)
-
-    @pytest.mark.parametrize("curve", ["morton", "hilbert"])
-    def test_cover_cells_tile_each_ranks_particles(self, rng, curve):
-        from repro.tree.morton import MAX_DEPTH
-
+    @pytest.mark.parametrize("p_space", [2, 3, 5])
+    def test_cover_cells_tile_each_ranks_particles(self, rng, p_space):
         pos = rng.random((700, 3))
-        d = sfc_partition(pos, 5, curve=curve)
-        keys = d.keys_sorted
-        for r in range(d.n_ranks):
-            s, e = int(d.rank_start[r]), int(d.rank_end[r])
-            seg = keys[s:e]
+        ev = SpaceParallelTreeEvaluator("algebraic2", sigma=0.05,
+                                        leaf_size=8)
+        state, _ = ev.cache.state(pos, ev.leaf_size)
+        depth = state.tree.depth
+        shard = compute_shard(state, p_space)
+        keys = shard.keys
+        for r in range(p_space):
+            s, e = int(shard.bounds[r]), int(shard.bounds[r + 1])
             total = 0
             prev_end = None
-            for key, level in cover_key_range(int(seg[0]), int(seg[-1])):
-                span = 1 << (3 * (MAX_DEPTH - level))
+            for key, level in cover_key_range(int(keys[s]), int(keys[e - 1]),
+                                              depth):
+                span = 1 << (3 * (depth - level))
                 assert key % span == 0  # cell-aligned
                 if prev_end is not None:
                     assert key == prev_end  # contiguous, disjoint
                 prev_end = key + span
-                lo = np.searchsorted(seg, np.uint64(key), side="left")
-                hi = np.searchsorted(seg, np.uint64(key + span), side="left")
+                # counted over all particles: a cell holding another
+                # shard's particle overcounts
+                lo = np.searchsorted(keys, np.uint64(key), side="left")
+                hi = np.searchsorted(keys, np.uint64(key + span), side="left")
                 total += int(hi - lo)
             assert total == e - s
-
-    def test_curves_disagree_on_layout_not_totals(self, rng):
-        """Hilbert and Morton order particles differently but both tile
-        all particles over the ranks."""
-        pos = rng.random((800, 3))
-        dm = sfc_partition(pos, 6, curve="morton")
-        dh = sfc_partition(pos, 6, curve="hilbert")
-        assert dm.counts.sum() == dh.counts.sum() == 800
-        assert np.all(branch_counts(dm) >= 1)
-        assert np.all(branch_counts(dh) >= 1)

@@ -9,7 +9,6 @@ from repro.tree.morton import (
     MAX_DEPTH,
     BoundingCube,
     cell_of_key,
-    hilbert_encode,
     morton_decode,
     morton_encode,
     quantize,
@@ -121,40 +120,6 @@ class TestCellOfKey:
             kl = keys >> np.uint64(3 * (MAX_DEPTH - level))
             centers, edge = cell_of_key(kl, level, cube)
             assert np.all(np.abs(pts - centers) <= edge / 2 + 1e-9)
-
-
-class TestHilbert:
-    def test_bijective_on_grid(self):
-        """All 512 cells of a 8^3 grid get distinct keys."""
-        g = np.arange(8, dtype=np.uint64)
-        ijk = np.array(np.meshgrid(g, g, g)).reshape(3, -1).T.copy()
-        keys = hilbert_encode(ijk, depth=3)
-        assert len(np.unique(keys)) == 512
-
-    def test_locality_better_than_morton(self, rng):
-        """Hilbert neighbours along the curve are (weakly) closer in
-        space than Morton neighbours on the same point set."""
-        pts = rng.random((4000, 3))
-        cube = BoundingCube.of_points(pts)
-        ijk = quantize(pts, cube, depth=8)
-        for encode in (morton_encode, hilbert_encode):
-            keys = encode(ijk, 8)
-            order = np.argsort(keys)
-            gaps = np.linalg.norm(np.diff(pts[order], axis=0), axis=1)
-            if encode is morton_encode:
-                morton_mean = gaps.mean()
-            else:
-                hilbert_mean = gaps.mean()
-        assert hilbert_mean <= morton_mean * 1.05
-
-    def test_curve_is_continuous_on_grid(self):
-        """Consecutive Hilbert indices are face-adjacent cells."""
-        g = np.arange(4, dtype=np.uint64)
-        ijk = np.array(np.meshgrid(g, g, g)).reshape(3, -1).T.copy()
-        keys = hilbert_encode(ijk, depth=2)
-        order = np.argsort(keys)
-        steps = np.abs(np.diff(ijk[order].astype(int), axis=0)).sum(axis=1)
-        assert np.all(steps == 1)
 
 
 @settings(max_examples=30, deadline=None)

@@ -159,3 +159,15 @@ class TestSvgEscaping:
         root = ET.fromstring(svg)
         fam = span_family(self.HOSTILE)
         assert fam in "".join(root.itertext())
+
+    def test_escapes_only_markup_characters(self):
+        """``&``, ``<`` and ``>`` are escaped; quotes in text stay as
+        they are (the SVG bytes of a hostile name are pinned)."""
+        from repro.obs.gantt import render_svg
+
+        tracer = Tracer()
+        tracer.vspan("a&<>\"'b:1", 0.0, 1.0, track="r&<>\"'0", cat="phase")
+        svg = render_svg(tracer.spans)
+        assert ">r&amp;&lt;&gt;\"'0</text>" in svg
+        assert "<title>a&amp;&lt;&gt;\"'b:1 [0, 1]s</title>" in svg
+        assert ">a&amp;&lt;&gt;\"'b</text>" in svg

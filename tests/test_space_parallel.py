@@ -295,7 +295,7 @@ class TestGridPfasst:
 
 
 def _old_cover(lo, hi, depth):
-    """The per-key cover loop ``cover_key_range`` ran before it was
+    """The per-key cover loop ``_cover_cells`` replaced when it was
     vectorised."""
     cells = []
     pos = lo

@@ -1,13 +1,11 @@
-"""Tests for the speedup/efficiency theory (paper Eqs. 21-25)."""
+"""Tests for the speedup/efficiency theory (paper Eqs. 24-26)."""
 
 import numpy as np
 import pytest
 
 from repro.pfasst.theory import (
-    PfasstCostModel,
     alpha_from_measurements,
     efficiency_two_level,
-    multi_level_speedup,
     parareal_speedup,
     speedup_bound,
     speedup_two_level,
@@ -81,6 +79,16 @@ class TestTwoLevelSpeedup:
         assert 5.0 < s_large < 8.5
         assert s_large > s_small
 
+    def test_speedup_consistency_with_closed_form(self):
+        """Eq. 24 at the paper's Eq. 26 ``alpha_small = 2/(2.65*3)
+        = 40/159``, Ks=4, Kp=2, nL=2, by hand: ``S = 4 P / (P 80/159
+        + 2 (1 + 80/159)) = 636 P / (80 P + 478)``."""
+        alpha_small = 2.0 / (2.65 * 3.0)
+        by_hand = {2: 636 / 319, 8: 2544 / 559, 32: 10176 / 1519}
+        for p, expected in by_hand.items():
+            s = speedup_two_level(p, alpha_small, ks=4, kp=2, n_coarse=2)
+            assert float(s) == pytest.approx(expected, rel=1e-14)
+
 
 class TestPararealContrast:
     def test_parareal_efficiency_bounded_by_inverse_k(self):
@@ -96,54 +104,3 @@ class TestPararealContrast:
         parareal_ceiling = p / 2
         # PFASST's ceiling is Ks/Kp * P = 2P; check it exceeds P/K here
         assert speedup_bound(p, 4, 2) > parareal_ceiling
-
-
-class TestCostModel:
-    def test_serial_cost_eq21(self):
-        m = PfasstCostModel(ks=4, kp=2, n_sweeps=[1, 2],
-                            upsilon=[1.0, 0.2], gamma=[0.0, 0.0])
-        assert m.serial_cost(8) == 8 * 4 * 1.0
-
-    def test_parallel_cost_eq22(self):
-        m = PfasstCostModel(ks=4, kp=2, n_sweeps=[1, 2],
-                            upsilon=[1.0, 0.2], gamma=[0.1, 0.05])
-        expected = 8 * 2 * 0.2 + 2 * (1 * (1.0 + 0.1) + 2 * (0.2 + 0.05))
-        assert m.parallel_cost(8) == pytest.approx(expected)
-
-    def test_speedup_consistency_with_closed_form(self):
-        """Eq. 23 with gamma=0 reduces to Eq. 24."""
-        alpha = 0.25
-        m = PfasstCostModel(ks=4, kp=2, n_sweeps=[1, 2],
-                            upsilon=[1.0, alpha], gamma=[0.0, 0.0])
-        for p in (2, 8, 32):
-            closed = speedup_two_level(p, alpha, 4, 2, 2)
-            assert m.speedup(p) == pytest.approx(float(closed))
-
-    def test_multi_level_speedup_matches_cost_model(self):
-        n_sweeps, upsilon = [1, 1, 2], [1.0, 0.4, 0.1]
-        m = PfasstCostModel(ks=4, kp=2, n_sweeps=n_sweeps,
-                            upsilon=upsilon, gamma=[0.0] * 3)
-        s = multi_level_speedup(16, 4, 2, n_sweeps, upsilon)
-        assert float(s) == pytest.approx(m.speedup(16))
-
-    def test_multi_level_speedup_vectorised_over_p(self):
-        p = np.array([1, 4, 16, 64])
-        s = multi_level_speedup(p, 4, 2, [1, 2], [1.0, 0.25])
-        assert s.shape == p.shape
-        assert np.array_equal(s, speedup_two_level(p, 0.25, 4, 2, 2))
-
-    def test_multi_level_speedup_rejects_mismatched_levels(self):
-        """Per-level sequences of different lengths are an error, not
-        truncated to the shortest (which would read 3.64, not 2.86)."""
-        with pytest.raises(ValueError, match="equal lengths"):
-            multi_level_speedup(4, 4, 2, [1, 2], [1.0, 0.3], gamma=[0.0])
-        with pytest.raises(ValueError, match="equal lengths"):
-            multi_level_speedup(4, 4, 2, [1, 2], [1.0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="equal lengths"):
-            PfasstCostModel(ks=4, kp=2, n_sweeps=[1], upsilon=[1.0, 0.2],
-                            gamma=[0.0, 0.0])
-        with pytest.raises(ValueError, match=">= 1"):
-            PfasstCostModel(ks=0, kp=2, n_sweeps=[1], upsilon=[1.0],
-                            gamma=[0.0])
