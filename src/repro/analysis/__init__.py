@@ -8,21 +8,22 @@ schedule-independent) and *numerical hygiene* of the batched tree engine
 equivalence the particle-coarsening result depends on).  This package
 machine-checks both:
 
-* :mod:`repro.analysis.lint` — ``repro-lint``, an AST-based project
-  linter (rules RPR001-RPR006: unseeded RNG, nondeterminism sources,
-  per-particle Python loops in hot modules, dtype drift, ``assert``-based
-  checks in library code, unpicklable compute tasks);
+* :mod:`repro.analysis.lint` — ``repro-lint``, the one static checker:
+  an AST-based project linter (rules RPR001-RPR006: unseeded RNG,
+  nondeterminism sources, per-particle Python loops in hot modules, dtype
+  drift, ``assert``-based checks in library code, unpicklable compute
+  tasks) plus tag discipline at comm call sites against the central tag
+  registry :mod:`repro.parallel.tags` (CG001-CG003: unregistered head,
+  foreign literal, arity);
 * :mod:`repro.analysis.commcheck` — protocol verification for the
   simulated MPI: wait-for-graph deadlock diagnostics, orphaned-message
   reports, and the byte-identity machinery behind
   ``Scheduler(verify=True)`` replay (a practical race detector for the
   event-driven runtime);
-* :mod:`repro.analysis.commgraph` — ``repro-comm``, communication
-  verification: static per-rank automata extracted from the
-  rank-program generators (tag checks CG001-CG003 against the central
-  tag registry :mod:`repro.parallel.tags`) and dynamic vector-clock
-  certification (happens-before DAG, message races, schedule-independent
-  determinism certificates);
+* :mod:`repro.analysis.commgraph` — ``repro-comm certify``, dynamic
+  communication verification: vector-clock certification
+  (happens-before DAG, message races, schedule-independent determinism
+  certificates);
 * :mod:`repro.analysis.sanitize` — opt-in NaN/Inf and shape/dtype
   contract decorators gated behind ``REPRO_SANITIZE=1``, compiled to
   zero-overhead no-ops when the flag is unset;

@@ -34,8 +34,7 @@ TOOLS: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = (
     ("repro-lint", "repro.analysis.lint", ()),
     ("repro-trace", "repro.obs.cli",
      ("summarize", "export", "gantt", "diff")),
-    ("repro-comm", "repro.analysis.commgraph.cli",
-     ("check", "certify", "graph")),
+    ("repro-comm", "repro.analysis.commgraph.cli", ("certify",)),
     ("python -m repro.parallel.chaos", "repro.parallel.chaos", ()),
     ("python -m repro.analysis.linkcheck", "repro.analysis.linkcheck", ()),
     ("python -m repro.analysis.clidoc", "repro.analysis.clidoc", ()),

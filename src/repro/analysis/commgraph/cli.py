@@ -1,18 +1,12 @@
-"""``repro-comm`` — the communication-verification command line.
+"""``repro-comm certify`` — the determinism-certificate command line.
 
-Subcommands:
-
-* ``check [paths...]`` — run the static layer (skeleton extraction +
-  checks CG001–CG003) over files/directories (default ``src/``).
-  Exit 1 when any finding is reported, 0 otherwise.
-* ``certify`` — run the P_T x P_S vortex smoke grid with
-  ``certify=True`` under the selected execution backend(s) and print the
-  :class:`~repro.analysis.commgraph.DeterminismCertificate`.  With
-  ``--executor both`` the serial and process digests must agree; with
-  ``--verify`` the reversed-service-order replay must reproduce the
-  digest.  Exit 1 on any race, digest mismatch or undelivered message.
-* ``graph [paths...]`` — render extracted skeletons as ASCII
-  (default) or Graphviz DOT (``--format dot``).
+It runs the P_T x P_S vortex smoke grid with ``certify=True`` under the
+selected execution backend(s) and prints the
+:class:`~repro.analysis.commgraph.DeterminismCertificate`.  With
+``--executor both`` the serial and process digests must agree; with
+``--verify`` the reversed-service-order replay must reproduce the
+digest.  Exit 1 on any race, digest mismatch or undelivered message.
+The static tag checks (CG001-CG003) run in ``repro-lint``.
 """
 
 from __future__ import annotations
@@ -23,28 +17,9 @@ import sys
 import warnings
 from typing import List, Optional, Sequence
 
-from repro.analysis.commgraph.checks import check_skeletons
-from repro.analysis.commgraph.skeleton import (
-    extract_paths,
-    render_skeleton,
-    to_dot,
-)
 from repro.sdc.sweeper import SWEEPERS
 
 __all__ = ["main"]
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    skeletons = extract_paths(args.paths or ["src/"])
-    if not skeletons:
-        print("repro-comm: no rank programs found", file=sys.stderr)
-        return 2
-    findings = check_skeletons(skeletons)
-    for f in findings:
-        print(f.render())
-    print(f"repro-comm: {len(skeletons)} skeleton(s), "
-          f"{len(findings)} finding(s)", file=sys.stderr)
-    return 1 if findings else 0
 
 
 def _smoke_problem(n: int, seed: int = 3, sweeper: str = "gauss-seidel"):
@@ -144,40 +119,13 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
-    skeletons = extract_paths(args.paths or ["src/"])
-    if not skeletons:
-        print("repro-comm: no rank programs found", file=sys.stderr)
-        return 2
-    selected = skeletons
-    if args.root:
-        selected = [s for s in skeletons
-                    if s.name == args.root
-                    or s.name.endswith("." + args.root)]
-        if not selected:
-            print(f"repro-comm: no skeleton named {args.root!r}",
-                  file=sys.stderr)
-            return 2
-    if args.format == "dot":
-        print(to_dot(selected))
-    else:
-        for sk in selected:
-            print(render_skeleton(sk))
-            print()
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-comm",
-        description="static + dynamic communication verification "
-                    "(commgraph: CG001-CG003, determinism certificates)",
+        description="dynamic communication verification (determinism "
+                    "certificates)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="static checks over rank programs")
-    p_check.add_argument("paths", nargs="*", default=["src/"])
-    p_check.set_defaults(fn=_cmd_check)
 
     p_cert = sub.add_parser(
         "certify", help="run the smoke grid and print its determinism "
@@ -206,13 +154,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_cert.add_argument("--json", metavar="PATH",
                         help="write the certificate(s) as JSON")
     p_cert.set_defaults(fn=_cmd_certify)
-
-    p_graph = sub.add_parser("graph", help="render extracted skeletons")
-    p_graph.add_argument("paths", nargs="*", default=["src/"])
-    p_graph.add_argument("--format", choices=["ascii", "dot"],
-                         default="ascii")
-    p_graph.add_argument("--root", help="render one skeleton by name")
-    p_graph.set_defaults(fn=_cmd_graph)
 
     args = parser.parse_args(argv)
     return args.fn(args)

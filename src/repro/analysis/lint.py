@@ -1,7 +1,8 @@
 """repro-lint — project-specific AST static analysis.
 
 The generic linters (flake8, ruff) cannot know which invariants this
-repository's results hang on; ``repro-lint`` encodes them as six rules:
+repository's results hang on; ``repro-lint`` encodes them as six
+reproducibility rules and three tag-discipline checks:
 
 RPR001
     Unseeded / legacy RNG: the module-level ``np.random.*`` API draws
@@ -42,6 +43,34 @@ RPR006
     the failure would only surface at runtime, under the process
     backend, as a :class:`~repro.parallel.executor.PayloadPicklingError`
     or worse).  Pass plain scalars/arrays and name methods statically.
+CG001
+    Unregistered tag head: a comm call site whose resolved tag head is
+    not declared in :mod:`repro.parallel.tags`.  Every channel namespace
+    must be owned.
+CG002
+    Foreign literal: a *raw literal* head that re-spells a family
+    registered to a different, non-shared subsystem, from a module of
+    another subsystem or of none.  The two channels would silently
+    interleave; registry constants cannot collide (registration is
+    duplicate-checked), so only literals are flagged.
+CG003
+    Tag arity mismatch: a directly constructed tag whose component count
+    contradicts the registered family arity (``(PRED, block)`` against
+    arity 3).
+
+The CG checks look at comm call sites only: ``yield X.send(dest, tag,
+...)`` / ``yield X.recv(src, tag, ...)`` with at least two positional
+arguments (a generator's ``.send(value)`` is not one), and every
+``bcast`` / ``reduce`` / ``allreduce`` / ``allgather`` call inside a
+``yield from`` expression, its tag found by position or ``tag=``, or
+the collective's default tag.  A tag resolves through the module's
+imports of the registry, the enclosing function's parameters and its
+single-name assignments in source order, to ``literal`` / ``registry``
+/ ``derived`` (a tuple wrapping a resolved tag, e.g. the split
+protocol's ``(tag, src)``) / ``param`` (the caller decides).  Protocol
+shape (a recv nobody sends, a collective one rank skips, a wait cycle)
+is left to the runtime, whose ``DeadlockError`` and
+``OrphanMessageWarning`` name the channel.
 
 Any violation can be suppressed for one line with a justified trailing
 comment::
@@ -65,7 +94,11 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
+
+from repro.parallel import tags as _tags
 
 __all__ = [
     "RULES",
@@ -86,6 +119,9 @@ RULES: Dict[str, str] = {
     "RPR004": "dtype drift in a hot module (allocation without dtype=, float32)",
     "RPR005": "assert-based check in library code (stripped under -O)",
     "RPR006": "unpicklable ComputeTask (lambda argument or non-literal method)",
+    "CG001": "comm tag head not declared in repro.parallel.tags",
+    "CG002": "literal tag head re-spelling another subsystem's family",
+    "CG003": "tag arity contradicting the registered family",
 }
 
 #: modules whose inner loops must stay vectorised (RPR003/RPR004 scope),
@@ -130,6 +166,26 @@ _PER_PARTICLE_ITER = re.compile(r"(?i)^(particles|pairs|targets|sources)$")
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Z0-9,\s]+)")
 
+#: collective generator name -> positional index of its ``tag`` argument
+_COLLECTIVE_TAG_POS = {"bcast": 3, "reduce": 4, "allreduce": 3, "allgather": 2}
+_COLLECTIVE_DEFAULT_TAG = {
+    "bcast": _tags.BCAST,
+    "reduce": _tags.REDUCE,
+    "allreduce": _tags.ALLREDUCE,
+    "allgather": _tags.ALLGATHER,
+}
+
+
+class _TagSite(NamedTuple):
+    """One comm call site's tag: ``head`` is None unless it resolved."""
+
+    kind: str  # send | recv | collective
+    line: int
+    head: Optional[str]
+    arity: Optional[int]  # components after the head; None if derived
+    source: str
+    via: str  # literal | registry | derived | param | unknown
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -168,6 +224,79 @@ def _suppressions(source: str) -> Dict[int, Set[str]]:
     return out
 
 
+def _module_subsystem(path: str) -> Optional[str]:
+    """Owning tag subsystem of a source file, by path convention."""
+    norm = path.replace("\\", "/")
+    if norm.endswith("parallel/collectives.py"):
+        return "collectives"
+    if norm.endswith("parallel/simmpi.py"):
+        return "simmpi"
+    if "/pfasst/" in norm:
+        return "pfasst"
+    if "/tree/" in norm:
+        return "space"
+    return None
+
+
+def _tag_env(tree: ast.Module) -> Dict[str, Any]:
+    """Names this module binds to the tag registry (module or constant)."""
+    env: Dict[str, Any] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if node.module == "repro.parallel" and alias.name == "tags":
+                    env[name] = _tags
+                elif node.module == "repro.parallel.tags":
+                    value = getattr(_tags, alias.name, None)
+                    if isinstance(value, str):
+                        env[name] = value
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "repro.parallel.tags" and alias.asname:
+                    env[alias.asname] = _tags
+    return env
+
+
+def _resolve(node: ast.AST, env: Dict[str, Any], params: Set[str],
+             local: Dict[str, tuple]) -> tuple:
+    """Symbolic value of a tag expression: ``("str", head, via)``,
+    ``("tuple", [values])``, ``("param", name)`` or ``("unknown", src)``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return ("str", node.value, "literal")
+    if isinstance(node, ast.Name):
+        if node.id in local:
+            return local[node.id]
+        if isinstance(env.get(node.id), str):
+            return ("str", env[node.id], "registry")
+        return ("param" if node.id in params else "unknown", node.id)
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and env.get(node.value.id) is _tags):
+        value = getattr(_tags, node.attr, None)
+        if isinstance(value, str):
+            return ("str", value, "registry")
+    if isinstance(node, ast.Tuple):
+        return ("tuple", [_resolve(e, env, params, local) for e in node.elts])
+    return ("unknown", ast.unparse(node))
+
+
+def _shape(value: tuple) -> Tuple[Optional[str], Optional[int], str]:
+    """``(head, arity, via)`` of a resolved tag; head None if unresolved."""
+    if value[0] == "str":
+        return value[1], 0, value[2]
+    if value[0] == "tuple":
+        if not value[1]:
+            return None, None, "unknown"
+        head = value[1][0]
+        if head[0] == "str":
+            return head[1], len(value[1]) - 1, head[2]
+        if head[0] == "tuple":
+            inner = _shape(head)[0]
+            return inner, None, "derived" if inner is not None else "unknown"
+        value = head  # a parameter or unknown head decides the tag
+    return None, None, "param" if value[0] == "param" else "unknown"
+
+
 def _path_matches(path: str, suffixes: Iterable[str]) -> bool:
     posix = Path(path).as_posix()
     return any(posix.endswith(sfx) for sfx in suffixes)
@@ -177,7 +306,8 @@ class _Linter(ast.NodeVisitor):
     """Single-file rule visitor.
 
     ``is_hot`` scopes RPR003/RPR004; ``wallclock_ok`` exempts the timing
-    modules from the wall-clock half of RPR002.
+    modules from the wall-clock half of RPR002.  Every comm call site's
+    tag is recorded in ``tag_sites`` and checked against CG001-CG003.
     """
 
     def __init__(self, path: str, is_hot: bool, wallclock_ok: bool) -> None:
@@ -185,8 +315,13 @@ class _Linter(ast.NodeVisitor):
         self.is_hot = is_hot
         self.wallclock_ok = wallclock_ok
         self.violations: List[Violation] = []
+        self.tag_sites: List[_TagSite] = []
         #: bare names imported from the time module (``from time import ...``)
         self._time_names: Set[str] = set()
+        self._subsystem = _module_subsystem(path)
+        self._tag_env: Dict[str, Any] = {}
+        #: (parameters, single-name tag assignments) per enclosing function
+        self._scopes: List[Tuple[Set[str], Dict[str, tuple]]] = []
 
     # -- plumbing ------------------------------------------------------
     def _flag(self, node: ast.AST, code: str, message: str) -> None:
@@ -416,6 +551,96 @@ class _Linter(ast.NodeVisitor):
         )
         self.generic_visit(node)
 
+    # -- CG001-CG003: tag discipline at comm call sites -------------------
+    def visit_Module(self, node: ast.Module) -> None:
+        self._tag_env = _tag_env(node)
+        self.generic_visit(node)
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        args = node.args
+        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        self._scopes.append((params, {}))
+        self.generic_visit(node)
+        self._scopes.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        self.generic_visit(node)
+        if (self._scopes and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            params, local = self._scopes[-1]
+            value = _resolve(node.value, self._tag_env, params, local)
+            if value[0] in ("str", "tuple"):
+                local[node.targets[0].id] = value
+
+    def visit_Yield(self, node: ast.Yield) -> None:
+        call = node.value
+        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr in ("send", "recv") and len(call.args) >= 2):
+            self._tag_site(node, call.func.attr, call.args[1], "")
+        self.generic_visit(node)
+
+    def visit_YieldFrom(self, node: ast.YieldFrom) -> None:
+        # a collective may sit anywhere in the delegated expression
+        # (``protocol(allreduce(...), "...")``)
+        calls = [c for c in ast.walk(node.value) if isinstance(c, ast.Call)]
+        for call in sorted(calls, key=lambda c: (c.lineno, c.col_offset)):
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else (
+                func.id if isinstance(func, ast.Name) else None)
+            if name not in _COLLECTIVE_TAG_POS:
+                continue
+            tag = next((kw.value for kw in call.keywords if kw.arg == "tag"),
+                       None)
+            if tag is None and len(call.args) > _COLLECTIVE_TAG_POS[name]:
+                tag = call.args[_COLLECTIVE_TAG_POS[name]]
+            self._tag_site(node, "collective", tag, name)
+        self.generic_visit(node)
+
+    def _tag_site(self, node: ast.expr, kind: str, tag: Optional[ast.expr],
+                  collective: str) -> None:
+        if tag is None:
+            site = _TagSite(kind, node.lineno,
+                            _COLLECTIVE_DEFAULT_TAG[collective], 0,
+                            f"<default:{collective}>", "registry")
+        else:
+            params, local = self._scopes[-1] if self._scopes else (set(), {})
+            head, arity, via = _shape(
+                _resolve(tag, self._tag_env, params, local))
+            site = _TagSite(kind, node.lineno, head, arity, ast.unparse(tag),
+                            via)
+        self.tag_sites.append(site)
+        if site.head is None:
+            return
+        family = _tags.REGISTRY.family_of(site.head)
+        if family is None:
+            self._flag(
+                node, "CG001",
+                f"tag head {site.head!r} (from {site.source}) is not "
+                "declared in repro.parallel.tags — register the family "
+                "or use an existing constant",
+            )
+            return
+        if (site.via == "literal" and not family.shared
+                and family.subsystem != self._subsystem):
+            where = (f"the {self._subsystem!r} subsystem" if self._subsystem
+                     else "a module no subsystem owns")
+            self._flag(
+                node, "CG002",
+                f"literal tag head {site.head!r} re-spells the "
+                f"{family.subsystem!r} subsystem's registered family from "
+                f"{where} — channels would silently interleave; use the "
+                "registry constant",
+            )
+        if None not in (family.arity, site.arity) and site.arity != family.arity:
+            self._flag(
+                node, "CG003",
+                f"tag {site.source} has {site.arity} component(s) after "
+                f"the head but family {site.head!r} declares arity "
+                f"{family.arity}",
+            )
+
 
 def lint_source(
     source: str,
@@ -460,7 +685,8 @@ def lint_paths(paths: Iterable[str]) -> List[Violation]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="project-specific reproducibility linter (RPR001-RPR006)",
+        description="project-specific reproducibility linter "
+                    "(RPR001-RPR006) and comm tag discipline (CG001-CG003)",
     )
     parser.add_argument("paths", nargs="*", default=["src/"],
                         help="files or directories to lint (default: src/)")

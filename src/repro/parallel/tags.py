@@ -20,8 +20,8 @@ The registry makes tag heads a checked namespace:
 * declaring the same head twice raises :class:`TagCollisionError` at
   import time;
 * call sites reference the exported constants (``PRED``, ``SPACE_BRX``,
-  ...) instead of re-spelling the literal — enforced by the
-  ``repro-comm check`` skeleton verifier;
+  ...) instead of re-spelling the literal — enforced by ``repro-lint``'s
+  tag checks CG001-CG003;
 * :func:`tag_class` maps any on-the-wire tag — including tags wrapped by
   nested :class:`~repro.parallel.simmpi.SubComm` translation
   ``(comm_id, tag)`` and the split protocol's derived forms — back to

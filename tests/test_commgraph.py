@@ -1,19 +1,16 @@
-"""Tests for the commgraph static layer: tag registry, skeleton
-extraction, checks CG001-CG003, the runtime's ownership of protocol
-shape, and the repro-comm CLI."""
+"""Tests for tag discipline: the tag registry, repro-lint's comm tag
+pass (CG001-CG003) and its census of tag sites in ``src/``, the
+runtime's ownership of protocol shape, and the repro-comm CLI."""
 
+import ast
 import re
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.commgraph import (
-    check_skeletons,
-    extract_paths,
-    render_skeleton,
-    to_dot,
-)
+from repro.analysis import lint
 from repro.analysis.commgraph.cli import main
 from repro.parallel import (
     DeadlockError,
@@ -101,55 +98,63 @@ class TestTagRegistry:
 
 
 # ---------------------------------------------------------------------------
-# extraction over the real modules
+# tag sites over the real modules
 # ---------------------------------------------------------------------------
+def _tag_sites(paths):
+    """(path relative to src/repro, site) of every comm call site."""
+    out = []
+    for f in lint._iter_py_files(paths):
+        linter = lint._Linter(str(f), is_hot=False, wallclock_ok=False)
+        linter.visit(ast.parse(f.read_text(encoding="utf-8")))
+        rel = f.resolve().relative_to(SRC / "repro").as_posix()
+        out.extend((rel, site) for site in linter.tag_sites)
+    return out
+
+
 class TestExtraction:
+    """The census pins what the pass sees in ``src/``: a checker that
+    stops recognising a call site or resolving a tag goes blind to
+    CG001-CG003 there without reporting anything."""
+
     @pytest.fixture(scope="class")
-    def skeletons(self):
-        return extract_paths(COMM_MODULES)
+    def sites(self):
+        return _tag_sites([str(SRC)])
 
-    def test_real_programs_extracted(self, skeletons):
-        names = {sk.name for sk in skeletons}
-        assert "pfasst_rank_program" in names
-        assert "VirtualComm.split" in names
-        assert "SpaceParallelTreeEvaluator.field_program" in names
-        assert {"bcast", "allreduce", "allgather"} <= names
+    def test_real_programs_extracted(self, sites):
+        assert Counter(path for path, _ in sites) == {
+            "pfasst/controller.py": 17,
+            "parallel/collectives.py": 8,
+            "parallel/simmpi.py": 4,
+            "tree/parallel.py": 2,
+            "sdc/sweeper.py": 1,
+        }
 
-    def test_every_comm_op_resolves_its_head(self):
-        # a tag the extractor cannot resolve (a module-level constant, a
-        # computed head) is invisible to CG001-CG003: every op in src/
+    def test_every_comm_op_resolves_its_head(self, sites):
+        # a tag the pass cannot resolve (a module-level constant, a
+        # computed head) is invisible to CG001-CG003: every site in src/
         # must resolve, or take its tag from the caller (collectives)
-        heads = set()
-        for sk in extract_paths([str(SRC)]):
-            for op in sk.ops:
-                if op.kind not in ("send", "recv", "collective"):
-                    continue
-                assert (op.tag.head is not None
-                        or op.tag.resolved_via == "param"), (sk.name, op)
-                heads.add(op.tag.head)
-        assert {"pred", "lvl", "ftsync", "ftpred", "ftub", "ftwarm",
-                "rtol", "blockend", "space:digest", "space:brx",
-                "node:f", "_split"} <= heads
+        assert len(sites) == 32
+        assert Counter(s.kind for _, s in sites) == {
+            "collective": 14, "send": 9, "recv": 9}
+        assert Counter(s.via for _, s in sites) == {
+            "registry": 20, "param": 8, "derived": 4}
+        for path, site in sites:
+            assert (site.head is not None) == (site.via != "param"), (
+                path, site)
+        assert {s.head for _, s in sites} - {None} == {
+            "pred", "lvl", "ftsync", "ftpred", "ftub", "ftwarm", "ftrow",
+            "rtol", "blockend", "space:digest", "space:brx", "space:rhs",
+            "node:f", "node:digest", "_split"}
 
-    def test_split_skeleton_has_both_phases(self, skeletons):
-        split = next(sk for sk in skeletons
-                     if sk.name == "VirtualComm.split")
-        kinds = [(op.kind, op.tag.head if op.tag else None)
-                 for op in split.comm_ops()]
-        assert ("send", tags.SPLIT) in kinds
-        assert ("recv", tags.SPLIT) in kinds
+    def test_split_skeleton_has_both_phases(self, sites):
+        split = {(s.kind, s.head, s.via) for path, s in sites
+                 if path == "parallel/simmpi.py"}
+        assert split == {("send", tags.SPLIT, "derived"),
+                         ("recv", tags.SPLIT, "derived")}
 
-    def test_render_and_dot(self, skeletons):
-        grid = next(sk for sk in skeletons
-                    if sk.name == "pfasst_rank_program")
-        text = render_skeleton(grid)
-        assert "space:digest" in text
-        dot = to_dot(skeletons)
-        assert dot.startswith("digraph") and "pfasst_rank_program" in dot
-
-    def test_nested_subcomm_split_extracted(self, tmp_path):
-        # a split of a split: the extractor sees both split ops and the
-        # send on the innermost subcomm with a registry tag
+    def test_nested_subcomm_split_extracted(self):
+        # a split of a split is no tag site; the send and recv on the
+        # innermost subcomm resolve their registry head
         src = textwrap.dedent("""
             from repro.parallel import tags
 
@@ -160,32 +165,32 @@ class TestExtraction:
                 x = yield cell.recv(0, (tags.PRED, 0, 0, 0))
                 return x
         """)
-        path = tmp_path / "nested.py"
-        path.write_text(src)
-        [sk] = extract_paths([str(path)])
-        splits = [op for op in sk.ops if op.kind == "split"]
-        assert len(splits) == 2
-        assert [op.comm for op in splits] == ["comm", "row"]
-        sends = [op for op in sk.ops if op.kind == "send"]
-        assert sends and sends[0].tag.head == "pred"
-        assert sends[0].comm == "cell"
+        linter = lint._Linter("pfasst/nested.py", False, False)
+        linter.visit(ast.parse(src))
+        assert [(s.kind, s.head, s.arity, s.via) for s in linter.tag_sites] \
+            == [("send", "pred", 3, "registry"),
+                ("recv", "pred", 3, "registry")]
+        assert lint.lint_source(src, "pfasst/nested.py") == []
 
 
 # ---------------------------------------------------------------------------
 # checks: the clean tree and one seeded mutation per rule
 # ---------------------------------------------------------------------------
 def _check_snippet(tmp_path, source, name="mod.py", subdir="pfasst"):
-    d = tmp_path / subdir
-    d.mkdir(exist_ok=True)
-    p = d / name
-    p.write_text(textwrap.dedent(source))
-    return check_skeletons(extract_paths([str(p)]))
+    return lint.lint_source(textwrap.dedent(source),
+                            str(tmp_path / subdir / name))
 
 
 class TestChecks:
     def test_repository_is_clean(self):
-        findings = check_skeletons(extract_paths(COMM_MODULES))
+        findings = [v for v in lint.lint_paths(COMM_MODULES)
+                    if v.code.startswith("CG")]
         assert findings == []
+
+    def test_no_tag_check_is_suppressed(self):
+        for f in sorted(SRC.rglob("*.py")):
+            text = f.read_text(encoding="utf-8")
+            assert not re.search(r"repro-lint:\s*disable=[^\n]*CG", text), f
 
     def test_cg001_unregistered_head(self, tmp_path):
         fs = _check_snippet(tmp_path, """
@@ -318,8 +323,9 @@ class TestProtocolShapeAtRunTime:
 # ---------------------------------------------------------------------------
 class TestCli:
     def test_check_clean_exit_zero(self, capsys):
-        assert main(["check", *COMM_MODULES]) == 0
-        assert "0 finding(s)" in capsys.readouterr().err
+        # the tag checks run in repro-lint; repro-comm only certifies
+        assert lint.main(COMM_MODULES) == 0
+        assert capsys.readouterr().out == ""
 
     def test_check_seeded_mutation_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "pfasst"
@@ -328,20 +334,17 @@ class TestCli:
             def prog(comm, rank):
                 x = yield comm.recv(rank - 1, ("bogus", 0))
         """))
-        assert main(["check", str(bad)]) == 1
+        assert lint.main([str(bad)]) == 1
         assert "CG001" in capsys.readouterr().out
 
-    def test_graph_ascii(self, capsys):
-        assert main(["graph", COMM_MODULES[0],
-                     "--root", "pfasst_rank_program"]) == 0
-        assert "space:digest" in capsys.readouterr().out
-
-    def test_graph_dot(self, capsys):
-        assert main(["graph", COMM_MODULES[3], "--format", "dot"]) == 0
-        assert capsys.readouterr().out.startswith("digraph")
-
-    def test_graph_unknown_root(self, capsys):
-        assert main(["graph", COMM_MODULES[0], "--root", "nope"]) == 2
+    def test_only_certify_is_offered(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "{certify}" in capsys.readouterr().out
+        for gone in ("check", "graph"):
+            with pytest.raises(SystemExit) as exc_info:
+                main([gone, "src/"])
+            assert exc_info.value.code == 2
 
     #: ``repro-comm certify --verify`` on the two shapes CI runs; the
     #: digests CHANGES.md quoted by hand from PR 21 on, now committed

@@ -1,4 +1,5 @@
-"""Tests for the repro-lint static analyser (rules RPR001-RPR006)."""
+"""Tests for the repro-lint static analyser (rules RPR001-RPR006; its
+tag checks CG001-CG003 are tested in test_commgraph.py)."""
 
 from pathlib import Path
 
@@ -296,7 +297,8 @@ class TestMachinery:
         assert v.render() == "a.py:3:7: RPR001 msg"
 
     def test_every_rule_has_catalogue_entry(self):
-        assert sorted(RULES) == [f"RPR00{i}" for i in range(1, 7)]
+        assert sorted(RULES) == ([f"CG00{i}" for i in range(1, 4)]
+                                 + [f"RPR00{i}" for i in range(1, 7)])
 
     def test_hot_modules_exist_in_repo(self):
         for sfx in HOT_MODULES:
