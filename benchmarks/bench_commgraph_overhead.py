@@ -1,18 +1,19 @@
-"""Vector-clock certification overhead — ``certify=False`` must be free.
+"""Happens-before certification overhead — ``certify=False`` must be free.
 
-``Scheduler(certify=True)`` logs a scalar send stamp and a per-rank
-event record on every send and delivery; the vector clocks of the
-happens-before DAG are reconstructed **offline** by
-:func:`repro.analysis.commgraph.hb.reconstruct_vector_clocks` when the
+``Scheduler(certify=True)`` numbers every send and delivery in its
+rank's program order and logs four ints per delivery — the
+happens-before DAG; the
 :class:`~repro.analysis.commgraph.hb.DeterminismCertificate` is derived
-after the run.  That split keeps certification off the scheduler's hot
-path, and this benchmark pins the contract on a message-heavy ring
-exchange (pure scheduler work, trivial payloads — the worst case, since
-real runs amortise the cost over RHS evaluations):
+from those logs **after** the run, in NumPy
+(:func:`repro.analysis.commgraph.hb.build_certificate`).  That split
+keeps certification off the scheduler's hot path, and this benchmark
+pins the contract on a message-heavy ring exchange (pure scheduler
+work, trivial payloads — the worst case, since real runs amortise the
+cost over RHS evaluations):
 
 * **identity when disabled** — a ``certify=False`` run allocates no
-  event logs at all (``_events is None``, ``certificate is None``), and
-  its results and message counters are byte-identical
+  logs at all (``_events is None``, no delivery log, ``certificate is
+  None``), and its results and message counters are byte-identical
   (:func:`repro.analysis.commcheck.freeze`) to a ``certify=True`` run of
   the same program: certification observes the schedule, it never
   perturbs it (virtual clocks are wall-measured under the default
@@ -31,11 +32,14 @@ real runs amortise the cost over RHS evaluations):
   certificate's per-channel work shows.
 
 The row carries a ``machine`` block (CPU model, nproc, OpenBLAS
-threads) to read its timings against.
+threads) to read its timings against.  ``--before PATH`` copies the
+derivation figures of an earlier ``BENCH_commgraph.json`` (say, this
+script's output at the parent commit) into the new row as ``before``.
 
 Results go to ``BENCH_commgraph.json`` at the repository root.  Run
-directly (``python benchmarks/bench_commgraph_overhead.py [--quick]``);
-the pytest entry points are marked ``slow`` and excluded from tier-1.
+directly (``python benchmarks/bench_commgraph_overhead.py [--quick]
+[--before PATH]``); the pytest entry points are marked ``slow`` and
+excluded from tier-1.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from typing import Dict, List, Tuple
 import pytest
 
 from repro.analysis.commcheck import freeze
-from repro.analysis.commgraph.hb import build_certificate
 from repro.parallel import Scheduler
 from repro.parallel.collectives import allreduce
 
@@ -126,7 +129,8 @@ def identity_when_disabled(ranks: int, rounds: int) -> Dict:
     off2, res_off2, _ = _run_once(False, ranks, rounds, measure_compute=False)
     on, res_on, _ = _run_once(True, ranks, rounds, measure_compute=False)
 
-    structural = off._events is None and off.certificate is None
+    structural = (off._events is None and not off._hb
+                  and off.certificate is None)
     deterministic = (
         freeze(res_off) == freeze(res_off2)
         and freeze(off.clocks) == freeze(off2.clocks)
@@ -151,10 +155,8 @@ def _hotpath_and_derivation(ranks: int, rounds: int,
 
     The certificate step is stubbed out of the timed run, so the first
     number is the pure in-run logging cost; the derivation is then run
-    for real on the raw event logs and timed on its own.
+    for real on the raw logs and timed on its own.
     """
-    from repro.analysis.commgraph.hb import reconstruct_vector_clocks
-
     sched = Scheduler(ranks, certify=True)
     sched._build_certificate = lambda: None  # type: ignore[method-assign]
     program = _ring(rounds, repeated)
@@ -165,10 +167,7 @@ def _hotpath_and_derivation(ranks: int, rounds: int,
         sched.run(program)
         t_hot = time.perf_counter() - t0
         t0 = time.perf_counter()
-        deliveries, clocks = reconstruct_vector_clocks(
-            sched.n_ranks, sched._events
-        )
-        build_certificate(sched.n_ranks, deliveries, sched._census, clocks)
+        Scheduler._build_certificate(sched)
         t_der = time.perf_counter() - t0
     finally:
         gc.enable()
@@ -290,12 +289,25 @@ def test_certify_hotpath_overhead_below_five_percent():
     assert row["overhead_hotpath_pct"] < 5.0, row
 
 
+def before(path: str) -> Dict:
+    """The derivation figures of an earlier ``BENCH_commgraph.json``."""
+    old = json.loads(Path(path).read_text(encoding="utf-8"))["results"][0]
+    return {
+        "derive_certificate_s": old["derive_certificate_s"],
+        "derive_us_per_delivery": old["derive_us_per_delivery"],
+        "repeated_channel": old["repeated_channel"],
+        "machine": old["machine"],
+    }
+
+
 def main(argv: List[str]) -> None:
     rounds = 100 if "--quick" in argv else ROUNDS_DEFAULT
     row = measure(rounds=rounds)
+    if "--before" in argv:
+        row["before"] = before(argv[argv.index("--before") + 1])
     data = {
         "benchmark": "commgraph_overhead",
-        "description": "vector-clock certification cost on a message-"
+        "description": "happens-before certification cost on a message-"
                        "heavy ring exchange (identity when disabled, "
                        "<5% in-run scheduler overhead when certifying; "
                        "certificate derivation is a one-shot post-pass)",

@@ -21,9 +21,8 @@ machine-checks both:
   ``Scheduler(verify=True)`` replay (a practical race detector for the
   event-driven runtime);
 * :mod:`repro.analysis.commgraph` — ``repro-comm certify``, dynamic
-  communication verification: vector-clock certification
-  (happens-before DAG, message races, schedule-independent determinism
-  certificates);
+  communication verification: happens-before DAG certification
+  (message races, schedule-independent determinism certificates);
 * :mod:`repro.analysis.sanitize` — opt-in NaN/Inf and shape/dtype
   contract decorators gated behind ``REPRO_SANITIZE=1``, compiled to
   zero-overhead no-ops when the flag is unset;

@@ -272,12 +272,11 @@ _new = tuple.__new__
 
 #: a message on the wire: ``checksum`` is the pristine payload's, set
 #: only on fault-injected channels; ``sent`` the sender's virtual clock
-#: at the send instant (orphan diagnostics); ``vc`` the sender's send
-#: stamp (a globally unique sequence number), set only under
-#: ``certify`` — the full vector clock is reconstructed offline from
-#: the event log
-_Message = namedtuple("_Message", "payload arrival checksum sent vc",
-                      defaults=(None, 0.0, None))
+#: at the send instant (orphan diagnostics); ``send`` the send's index
+#: among its sender's events and ``channel`` its channel's run-local
+#: id, both set only under ``certify`` (the delivery logs them)
+_Message = namedtuple("_Message", "payload arrival checksum sent send channel",
+                      defaults=(None, 0.0, None, None))
 
 
 class VirtualComm:
@@ -615,21 +614,23 @@ class Scheduler:
         payloads raise :class:`~repro.parallel.executor.
         PayloadPicklingError` instead of the advisory size warning.
     certify :
-        When True, the scheduler stamps every message with a scalar send
-        stamp and logs every send/delivery in per-rank program order —
-        one list append per event on the hot path; the **vector
-        clocks** of the happens-before DAG are reconstructed offline
-        from that log after the run.  Then,
+        When True, the scheduler numbers every rank's sends and
+        deliveries in program order (its events), every message carries
+        its send's index and its channel's id, and every delivery
+        appends ``(src, channel, send index, receive index)`` to its
+        destination's int log — the **happens-before DAG**, a few int
+        appends per event on the hot path.  After the run,
         :func:`repro.analysis.commgraph.hb.build_certificate` derives a
         :class:`~repro.analysis.commgraph.hb.DeterminismCertificate`
-        (service-order-independent clock digest + per-channel census,
-        kept in :attr:`certificate` and in the ``comm.certificate``
-        metric) and flags **message races**: deliveries on one exact
-        ``(src, dst, tag)`` channel whose send events are not ordered by
-        happens-before — e.g. fault-injected duplicates.  With
-        ``verify=True`` the replay's digest must match the primary's.
-        When False (default) the clock plumbing is never entered and
-        message streams are byte-identical to the plain scheduler.
+        (service-order-independent digest of the DAG, format
+        ``repro-hb-dag/2``, + per-channel census, kept in
+        :attr:`certificate` and in the ``comm.certificate`` metric) and
+        flags **message races**: deliveries on one exact
+        ``(src, dst, tag)`` channel whose send indices do not increase —
+        e.g. fault-injected duplicates.  With ``verify=True`` the
+        replay's digest must match the primary's.  When False (default)
+        nothing is logged and message streams are byte-identical to the
+        plain scheduler.
 
     Attributes
     ----------
@@ -707,23 +708,21 @@ class Scheduler:
         self.resilience = ResilienceReport()
         #: certificate of the last completed ``certify=True`` run
         self.certificate: Optional[Any] = None
-        #: per-rank program-order event logs (certify only): an ``int``
-        #: entry is a send stamp, a tuple entry is the raw delivery
-        #: record ``(src, dst, tag, send_stamp, None, sent, t)``; vector
-        #: clocks are reconstructed from these offline, keeping the hot
-        #: path to one list append per event
-        self._events: Optional[List[List[Any]]] = (
-            [[] for _ in range(self.n_ranks)] if self.certify else None
+        #: the happens-before log (certify only; plain ints so commgraph
+        #: stays a lazy import): per rank the number of its events so
+        #: far — each send and each delivery is the next one — ...
+        self._events: Optional[List[int]] = (
+            [0] * self.n_ranks if self.certify else None
         )
-        #: monotonically increasing send-stamp counter (certify only)
-        self._send_counter = 0
-        #: vector-clocked delivery records ``(src, dst, tag, send_vc,
-        #: recv_vc_after, sent, t)``, populated by the certificate's
-        #: offline reconstruction — plain tuples so commgraph stays a
-        #: lazy import
-        self._deliveries: List[Tuple[Any, ...]] = []
-        #: wire-message census per exact channel (certify only)
+        #: ... per destination four ints per delivery, ``(src, channel,
+        #: send index, receive index)``, and the delivery times ...
+        logs = self.n_ranks if self.certify else 0
+        self._hb: List[List[int]] = [[] for _ in range(logs)]
+        self._hb_times: List[List[float]] = [[] for _ in range(logs)]
+        #: ... and the census: each exact channel's run-local id, in
+        #: order of first send, and the wire copies sent on it
         self._census: Dict[Channel, int] = {}
+        self._copies: List[int] = []
         #: (rank, task) pairs awaiting the next dispatch barrier
         self._compute_queue: List[Tuple[int, ComputeTask]] = []
         #: ledger owner per rank, unique to this run so nothing paid for
@@ -896,17 +895,11 @@ class Scheduler:
 
     def _build_certificate(self) -> None:
         """Derive the run's happens-before certificate (certify only)."""
-        from repro.analysis.commgraph.hb import (
-            build_certificate,
-            reconstruct_vector_clocks,
-        )
+        from repro.analysis.commgraph.hb import build_certificate
 
-        deliveries, clocks = reconstruct_vector_clocks(
-            self.n_ranks, self._events or []
-        )
-        self._deliveries = deliveries
         cert = build_certificate(
-            self.n_ranks, deliveries, self._census, clocks,
+            self.n_ranks, self._census, self._copies, self._events or [],
+            self._hb, self._hb_times,
         )
         self.certificate = cert
         self.metrics.counter("comm.certificate", digest=cert.digest).inc()
@@ -1002,10 +995,12 @@ class Scheduler:
         state.recv_op = state.inbox = None
         if msg is None:
             return
-        if self._events is not None:  # certify: log the delivery
-            self._events[rank].append(
-                (source, rank, tag, msg.vc, None, msg.sent, at)
-            )
+        events = self._events
+        if events is not None:  # certify: the delivery is the next event
+            n = events[rank]
+            events[rank] = n + 1
+            self._hb[rank] += (source, msg.channel, msg.send, n)
+            self._hb_times[rank].append(at)
         if self.tracer.enabled:
             track = f"rank{rank}"
             if at > t_blocked:
@@ -1197,19 +1192,26 @@ class Scheduler:
         nbytes = self._sized(payload, channel, self._strict_payloads)
         sent = self.clocks[rank] = self.clocks[rank] + cost.send_overhead
         arrival = sent + cost.transfer_time(nbytes) + disp.extra_delay
-        stamp = None
-        if self._events is not None:
-            # certify: log the send event under a globally unique stamp,
-            # just enough for the offline vector-clock reconstruction.
-            # Shadow copies and injected duplicates all carry it, so
-            # their clocks are *equal* under happens-before (a race)
-            self._send_counter = stamp = self._send_counter + 1
-            self._events[rank].append(stamp)
-        msg = _Message(payload, arrival, None, sent, stamp)
+        events = self._events
+        send = cid = None
+        if events is not None:
+            # certify: the send is the rank's next event.  Shadow copies
+            # and injected duplicates all carry its index, so a second
+            # delivery of one send shows as a race
+            send = events[rank]
+            events[rank] = send + 1
+            cid = self._census.get(channel)
+            if cid is None:
+                cid = self._census[channel] = len(self._copies)
+                self._copies.append(0)
+        msg = _Message(payload, arrival, None, sent, send, cid)
         wire = (msg,) if faults is None else faults.inject(disp, channel, msg)
         self._channels[channel].extend(wire)
         # a dropped message was still sent once; a duplicate is one more
-        self._count_message(channel, nbytes, arrival, max(len(wire), 1))
+        copies = max(len(wire), 1)
+        if cid is not None:
+            self._copies[cid] += copies
+        self._count_message(channel, nbytes, arrival, copies)
 
     def _on_recv(self, rank: int, state: _RankState, op: Recv) -> bool:
         """Block on ``op``; True when its message was already there."""
@@ -1340,8 +1342,6 @@ class Scheduler:
         """Account ``copies`` wire messages of one send (counters, one
         tracer instant each)."""
         src, dest, tag = channel
-        if self.certify:
-            self._census[channel] = self._census.get(channel, 0) + copies
         counters = self._link_counters.get((src, dest))
         if counters is None:
             counter = self.metrics.counter

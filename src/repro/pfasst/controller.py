@@ -985,9 +985,10 @@ def run_pfasst(
     the driver-side counters read near zero — use the scheduler metrics
     (``executor.dispatches{...}``) for call accounting instead.
 
-    ``certify=True`` turns on the scheduler's vector-clock instrumentation
-    (:mod:`repro.analysis.commgraph`): every message carries the sender's
-    clock, deliveries build a happens-before DAG, and the run's
+    ``certify=True`` turns on the scheduler's happens-before log
+    (:mod:`repro.analysis.commgraph`): every message carries its send's
+    event index, deliveries log the DAG's send -> receive edges, and the
+    run's
     :class:`~repro.analysis.commgraph.DeterminismCertificate` (digest +
     channel census + any message races) lands in ``result.certificate``
     and in the ``comm.certificate`` metric.  Combined with ``verify=True``

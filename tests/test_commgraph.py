@@ -346,16 +346,16 @@ class TestCli:
                 main([gone, "src/"])
             assert exc_info.value.code == 2
 
-    #: ``repro-comm certify --verify`` on the two shapes CI runs; the
-    #: digests CHANGES.md quoted by hand from PR 21 on, now committed
+    #: ``repro-comm certify --verify`` on the three shapes CI runs, at
+    #: the happens-before digest format ``repro-hb-dag/2``
     CERTIFIED = {
-        (): "2150a0aa9b44047a88982eb3229112f8",
+        (): "50941b60696df5d8f89f2347c0bbb95f",
         ("--p-time", "2", "--p-space", "1", "--p-nodes", "2",
-         "--sweeper", "diagonal"): "c69a121cbc2d4a6f41559a997b4628c2",
+         "--sweeper", "diagonal"): "e60dbd96dac650c77c96891f86a622e2",
         # the grid shape of the ctrl-n64 end-to-end workload
         ("--p-time", "4", "--p-space", "1", "--p-nodes", "3",
          "--sweeper", "diagonal", "--steps", "4"):
-            "b3bc10a542a37122ab2e96f08aab0204",
+            "dfe4e78ebbfaae835d2a6adb155e7285",
     }
 
     @pytest.mark.parametrize("shape", CERTIFIED,

@@ -1,5 +1,9 @@
-"""Tests for the commgraph dynamic layer: vector clocks, message races
-and determinism certificates."""
+"""Tests for the commgraph dynamic layer: the happens-before log,
+message races and determinism certificates."""
+
+import collections
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,8 +118,8 @@ class TestRaces:
         [race] = [r for r in cert.races
                   if r.kind == "duplicate-delivery"]
         assert race.source == 0 and race.dest == 1
-        # the duplicate shares its original's send event, hence its clock
-        assert race.first_vc == race.second_vc
+        # the duplicate shares its original's send event
+        assert race.first_send == race.second_send == 0
         assert race.tag_class == "pred"
         assert "duplicate-delivery" in race.render()
         counters = sched.metrics.as_dict()["counters"]
@@ -135,28 +139,56 @@ class TestRaces:
         assert not sched.certificate.race_free
 
     def test_find_races_kinds(self):
-        # synthetic deliveries on one channel
-        def dv(svc, rvc, t):
-            return (0, 1, "t", svc, rvc, 0.0, t)
+        # synthetic deliveries 0 -> 1 carrying these send indices, on
+        # channel 0 unless a second channel is given
+        def races(*sends, channels=(0, 0)):
+            records = np.array([(0, c, s, k) for k, (c, s)
+                                in enumerate(zip(channels, sends))])
+            keys = [(0, 1, "t"), (0, 1, "u")]
+            return [r.kind for r in find_races(keys, records,
+                                               np.array([1.0, 2.0]))]
 
-        dup = find_races([dv((1, 0), (1, 1), 1.0),
-                          dv((1, 0), (1, 2), 2.0)])
-        assert [r.kind for r in dup] == ["duplicate-delivery"]
-        reorder = find_races([dv((2, 0), (2, 1), 1.0),
-                              dv((1, 0), (2, 2), 2.0)])
-        assert [r.kind for r in reorder] == ["reordered-delivery"]
-        ordered = find_races([dv((1, 0), (1, 1), 1.0),
-                              dv((2, 0), (2, 2), 2.0)])
-        assert ordered == []
+        assert races(1, 1) == ["duplicate-delivery"]
+        assert races(2, 1) == ["reordered-delivery"]
+        assert races(1, 2) == []
+        # a decrease across two channels is no race: no program order
+        # of one channel is violated
+        assert races(2, 1, channels=(0, 1)) == []
 
-    def test_concurrent_send_kind(self):
-        # incomparable clocks (can only arise with relaying/forwarding)
-        deliveries = [
-            (0, 1, "t", (1, 0, 0), (1, 1, 0), 0.0, 1.0),
-            (0, 1, "t", (0, 0, 1), (1, 2, 1), 0.0, 2.0),
-        ]
-        [race] = find_races(deliveries)
-        assert race.kind == "concurrent-send"
+    def test_swapped_send_match_is_reordered(self):
+        """Seeded swap: two deliveries on one channel match each other's
+        send.  Census and per-destination ``(src, tag)`` sequence are
+        unchanged; the DAG, hence the digest, is not, and the channel
+        reports the inversion."""
+        sched = Scheduler(2, certify=True)
+        sched.run(_stream)
+        honest = sched.certificate
+        assert honest.race_free
+        logs = [list(log) for log in sched._hb]
+        assert logs[1][2::4] == [0, 1, 2]  # send indices, in order
+        logs[1][2], logs[1][6] = logs[1][6], logs[1][2]
+        swapped = build_certificate(2, sched._census, sched._copies,
+                                    sched._events, logs, sched._hb_times)
+        # the (src, channel) columns did not move
+        assert [log[0::4] + log[1::4] for log in logs] == \
+            [log[0::4] + log[1::4] for log in sched._hb]
+        assert swapped.channels == honest.channels
+        assert swapped.digest != honest.digest
+        [race] = swapped.races
+        assert race.kind == "reordered-delivery"
+        assert (race.source, race.dest, race.tag) == \
+            (0, 1, (tags.PRED, 0, 0, 0))
+        assert (race.first_send, race.second_send) == (1, 0)
+
+    def test_log_is_the_dag(self):
+        # rank 0: three sends (events 0-2); rank 1: three deliveries of
+        # them on one channel (its events 0-2)
+        sched = Scheduler(2, certify=True)
+        sched.run(_stream)
+        assert sched._events == [3, 3]
+        assert sched._hb == [[], [0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 2, 2]]
+        assert list(sched._census) == [(0, 1, (tags.PRED, 0, 0, 0))]
+        assert sched._copies == [3]
 
 
 class TestVerifyIntegration:
@@ -179,14 +211,66 @@ class TestVerifyIntegration:
 
 class TestBuildCertificate:
     def test_empty_run(self):
-        cert = build_certificate(2, [], {}, [(0, 0), (0, 0)])
+        cert = build_certificate(2, {}, [], [0, 0], [[], []], [[], []])
         assert cert.race_free and cert.n_messages == 0
         assert cert.digest  # still a stable digest
 
     def test_digest_sensitive_to_census(self):
-        a = build_certificate(2, [], {(0, 1, "t"): 1}, [(1, 0), (0, 0)])
-        b = build_certificate(2, [], {(0, 1, "t"): 2}, [(1, 0), (0, 0)])
-        assert a.digest != b.digest
+        def digest(copies):
+            return build_certificate(2, {(0, 1, "t"): 0}, [copies], [1, 0],
+                                     [[], []], [[], []]).digest
+
+        assert digest(1) != digest(2)
+
+    def test_equal_tags_are_one_channel(self):
+        # 2 and np.int64(2) compare and hash equal: one census key, one
+        # channel, hashed under the repr of the first tag sent on it
+        sched = Scheduler(2, certify=True)
+
+        def program(comm):
+            if comm.rank == 0:
+                yield comm.send(1, ("t", 2), 1.0)
+                yield comm.send(1, ("t", np.int64(2)), 2.0)
+            else:
+                yield comm.recv(0, ("t", np.int64(2)))
+                yield comm.recv(0, ("t", 2))
+
+        sched.run(program)
+        [channel] = sched.certificate.channels
+        assert channel == (0, 1, "('t', 2)", 2)
+
+
+#: ``tests/data/golden_runs.json``'s certificate pairs: the only cases
+#: whose happens-before DAGs coincide (a sweeper or recovery policy that
+#: does not change the message pattern); every other certificate is
+#: unique
+GOLDEN_PAIRS = {
+    ("2x1x1-diagonal-cold-restart", "2x1x1-gauss-seidel-cold-restart"),
+    ("2x1x1-diagonal-fail", "2x1x1-gauss-seidel-fail"),
+    ("2x1x1-diagonal-warm-restart", "2x1x1-gauss-seidel-warm-restart"),
+    ("2x2x1-diagonal-cold-restart", "2x2x1-diagonal-warm-restart"),
+    ("2x2x2-diagonal-cold-restart", "2x2x2-diagonal-warm-restart"),
+    ("4x1x1-diagonal-cold-restart", "4x1x1-gauss-seidel-cold-restart"),
+    ("4x1x1-diagonal-fail", "4x1x1-gauss-seidel-fail"),
+    ("4x1x1-diagonal-warm-restart", "4x1x1-gauss-seidel-warm-restart"),
+    ("4x2x1-diagonal-cold-restart", "4x2x1-diagonal-warm-restart"),
+    ("4x2x1-gauss-seidel-cold-restart", "4x2x1-gauss-seidel-warm-restart"),
+}
+
+
+def test_golden_certificates_partition_the_cases():
+    """A digest that merges two runs' DAGs, or splits one, moves this
+    partition: 40 certificates, 30 values, 20 singletons, 10 pairs."""
+    golden = json.loads((Path(__file__).parent / "data"
+                         / "golden_runs.json").read_text(encoding="utf-8"))
+    classes = collections.defaultdict(list)
+    for case, fields in sorted(golden.items()):
+        if "certificate" in fields:
+            classes[fields["certificate"]].append(case)
+    assert sum(map(len, classes.values())) == 40
+    assert len(classes) == 30
+    assert {tuple(c) for c in classes.values() if len(c) > 1} == GOLDEN_PAIRS
+    assert sum(len(c) == 1 for c in classes.values()) == 20
 
 
 class TestPfasstIntegration:

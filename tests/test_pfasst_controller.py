@@ -380,7 +380,7 @@ class TestSweeperFactory:
 
 class TestOperationBudget:
     """``ctrl-n64``'s configuration at N=16 — the (4, 1, 3) grid, diagonal
-    sweeper, warm-restart protocol, vector clocks: what the scheduler did
+    sweeper, warm-restart protocol, certify: what the scheduler did
     is a function of the program, published as ``sched.*`` counters."""
 
     def _budget(self, **kw):
