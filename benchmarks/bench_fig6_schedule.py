@@ -31,6 +31,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pytest
 
+from repro.obs import Tracer
 from repro.parallel import CommCostModel
 from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
 from repro.vortex.problem import ODEProblem
@@ -75,24 +76,21 @@ def run_schedule(p_time: int = P_TIME, iterations: int = ITERATIONS,
     return res
 
 
-def intervals_by_rank(trace) -> Dict[int, List[Tuple[str, float, float]]]:
-    """Pair begin/end annotations into (label, t0, t1) per rank."""
-    open_events: Dict[Tuple[int, str], float] = {}
+def intervals_by_rank(tracer) -> Dict[int, List[Tuple[str, float, float]]]:
+    """The tracer's ``phase`` spans (its folded begin/end annotation
+    pairs) as (label, t0, t1) per rank, in the order they closed."""
     out: Dict[int, List[Tuple[str, float, float]]] = defaultdict(list)
-    for ev in trace:
-        kind, _, label = ev.label.partition(":")
-        if kind == "begin":
-            open_events[(ev.rank, label)] = ev.time
-        elif kind == "end":
-            t0 = open_events.pop((ev.rank, label))
-            out[ev.rank].append((label, t0, ev.time))
+    for span in tracer.spans:
+        if span.cat == "phase" and span.track.startswith("rank"):
+            out[int(span.track[4:])].append((span.name, span.t0, span.t1))
     return dict(out)
 
 
 @pytest.fixture(scope="module")
 def schedule():
-    res = run_schedule()
-    return intervals_by_rank(res.trace)
+    tracer = Tracer()
+    run_schedule(tracer=tracer)
+    return intervals_by_rank(tracer)
 
 
 def test_every_rank_has_all_phases(schedule):
@@ -157,7 +155,7 @@ def test_benchmark_traced_run(benchmark):
 
 
 def main(argv: List[str]) -> None:
-    from repro.obs import Tracer, export_chrome_trace, render_ascii, save_trace
+    from repro.obs import export_chrome_trace, render_ascii, save_trace
 
     tracer = Tracer(meta={"benchmark": "fig6_schedule", "p_time": P_TIME,
                           "iterations": ITERATIONS})

@@ -1,8 +1,9 @@
 """Traced PFASST run — record, export and render a Fig. 6 schedule.
 
 Runs PFASST(2 iterations, P_T=4) on a damped oscillator with a
-:class:`repro.obs.Tracer` attached to the simulated-MPI scheduler and a
-global metrics registry installed, then writes
+:class:`repro.obs.Tracer` attached to the simulated-MPI scheduler — the
+run's annotations live on the tracer, its counts in ``result.metrics`` —
+then writes
 
 * ``trace.json``        — the native repro-trace file (input to the
   ``repro-trace`` CLI: summarize / gantt / diff);
@@ -25,13 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.obs import (
-    MetricsRegistry,
     Tracer,
     export_chrome_trace,
     render_ascii,
     render_svg,
     save_trace,
-    use_metrics,
 )
 from repro.parallel import CommCostModel
 from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
@@ -50,7 +49,7 @@ class Oscillator(ODEProblem):
 
 
 def traced_run():
-    """Run PFASST with tracing on; returns (result, tracer, metrics)."""
+    """Run PFASST with tracing on; returns (result, tracer)."""
     problem = Oscillator()
     specs = [
         LevelSpec(problem, num_nodes=3, sweeps=1),
@@ -60,14 +59,11 @@ def traced_run():
         t0=0.0, t_end=1.0, n_steps=P_TIME, iterations=2, trace=True
     )
     tracer = Tracer(meta={"example": "traced_run", "p_time": P_TIME})
-    metrics = MetricsRegistry()
-    with use_metrics(metrics):
-        result = run_pfasst(
-            config, specs, np.array([1.0, 2.0]), p_time=P_TIME,
-            cost_model=CommCostModel(), measure_compute=True,
-            tracer=tracer,
-        )
-    return result, tracer, metrics
+    result = run_pfasst(
+        config, specs, np.array([1.0, 2.0]), p_time=P_TIME,
+        cost_model=CommCostModel(), measure_compute=True, tracer=tracer,
+    )
+    return result, tracer
 
 
 def main(argv=None) -> int:
@@ -79,9 +75,10 @@ def main(argv=None) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    result, tracer, metrics = traced_run()
+    result, tracer = traced_run()
 
-    trace_path = save_trace(tracer, outdir / "trace.json", metrics=metrics)
+    trace_path = save_trace(tracer, outdir / "trace.json",
+                            metrics=result.metrics)
     chrome_path = export_chrome_trace(tracer, outdir / "trace.chrome.json")
     svg_path = outdir / "schedule.svg"
     svg_path.write_text(render_svg(tracer.spans))
@@ -101,7 +98,7 @@ def main(argv=None) -> int:
     print(f"u(T) = {result.u_end}, virtual makespan "
           f"{result.makespan * 1e3:.3f} ms\n")
     print(render_ascii(tracer.spans))
-    counters = metrics.as_dict()["counters"]
+    counters = result.metrics["counters"]
     print(f"\nmessages: {counters.get('mpi.messages', 0):.0f}, "
           f"bytes: {counters.get('mpi.bytes', 0):.0f}")
     print(f"\nwrote {trace_path}, {chrome_path}, {svg_path}")

@@ -645,15 +645,13 @@ class _Linter(ast.NodeVisitor):
 def lint_source(
     source: str,
     path: str = "<string>",
-    hot_modules: Sequence[str] = HOT_MODULES,
-    wallclock_allowed: Sequence[str] = WALLCLOCK_ALLOWED,
 ) -> List[Violation]:
     """Lint one module's source text; returns unsuppressed violations."""
     tree = ast.parse(source, filename=path)
     linter = _Linter(
         path,
-        is_hot=_path_matches(path, hot_modules),
-        wallclock_ok=_path_matches(path, wallclock_allowed),
+        is_hot=_path_matches(path, HOT_MODULES),
+        wallclock_ok=_path_matches(path, WALLCLOCK_ALLOWED),
     )
     linter.visit(tree)
     disabled = _suppressions(source)

@@ -116,7 +116,7 @@ def check_payload(label: str, value: Any) -> None:
 
 
 def boundary(
-    label: str, arrays: Sequence[ArraySpec] = (), result: bool = True
+    label: str, arrays: Sequence[ArraySpec] = ()
 ) -> Callable[[Callable], Callable]:
     """Shape/finiteness contract decorator for a pipeline boundary.
 
@@ -130,8 +130,8 @@ def boundary(
         a :func:`check_array`-style shape (``None`` entries are
         wildcards).  Arguments that are ``None`` or not arrays are
         skipped, so optional parameters can be listed freely.
-    result :
-        Also guard every ndarray in the return value.
+
+    Every ndarray in the return value is guarded too.
 
     Returns the original function **unchanged** when the sanitizer flag
     is off — a zero-overhead no-op.
@@ -153,8 +153,7 @@ def boundary(
                 if isinstance(value, np.ndarray):
                     _check(f"{label}:{name}", value, shape)
             out = fn(*args, **kwargs)
-            if result:
-                _check_result(f"{label}:result", out)
+            _check_result(f"{label}:result", out)
             return out
 
         return wrapper

@@ -64,17 +64,13 @@ def _virtual_spans(spans: Iterable[Span]) -> List[Span]:
     return [s for s in spans if s.clock == "virtual"]
 
 
-def _glyph_map(families: Sequence[str],
-               glyphs: Optional[Dict[str, str]]) -> Dict[str, str]:
-    table = dict(DEFAULT_GLYPHS)
-    if glyphs:
-        table.update(glyphs)
+def _glyph_map(families: Sequence[str]) -> Dict[str, str]:
     out: Dict[str, str] = {}
-    used = set(table.values())
+    used = set(DEFAULT_GLYPHS.values())
     spare = [g for g in _FALLBACK_GLYPHS if g not in used]
     for fam in families:
-        if fam in table:
-            out[fam] = table[fam]
+        if fam in DEFAULT_GLYPHS:
+            out[fam] = DEFAULT_GLYPHS[fam]
         else:
             out[fam] = spare.pop(0) if spare else "?"
     return out
@@ -83,7 +79,6 @@ def _glyph_map(families: Sequence[str],
 def render_ascii(
     spans: Iterable[Span],
     width: int = 78,
-    glyphs: Optional[Dict[str, str]] = None,
     include: Optional[Sequence[str]] = None,
 ) -> str:
     """ASCII Gantt chart of the virtual-time spans, one row per track.
@@ -99,7 +94,7 @@ def render_ascii(
     t_max = max(s.t1 for s in vspans)
     t_max = max(t_max, 1e-12)
     families = sorted({span_family(s.name) for s in vspans})
-    glyph = _glyph_map(families, glyphs)
+    glyph = _glyph_map(families)
     tracks = sorted({s.track for s in vspans})
     label_w = max(len(t) for t in tracks)
 
@@ -122,11 +117,11 @@ def render_ascii(
 
 def render_svg(
     spans: Iterable[Span],
-    width: int = 900,
-    row_height: int = 22,
     include: Optional[Sequence[str]] = None,
 ) -> str:
-    """Standalone SVG Gantt chart of the virtual-time spans."""
+    """Standalone SVG Gantt chart of the virtual-time spans, 900 px wide
+    with 22 px per track."""
+    width, row_height = 900, 22
     cats = tuple(include) if include is not None else ("phase", "comm")
     vspans = [s for s in _virtual_spans(spans) if s.cat in cats]
     tracks = sorted({s.track for s in vspans})

@@ -28,12 +28,15 @@ Payload objects (problems with their evaluators and tree-state caches)
 are registered up front under stable string keys and shipped to the
 workers **once**, at pool start-up, via the pool initializer — per-task
 traffic is only the state array, the small ``args``/``tail`` scalars and
-the result.  Workers keep their (forked/unpickled) payload copies alive
-across tasks, so tree-state caches warm up per worker exactly as the
-in-process evaluator's cache does.  Because a rank's tasks always land on
-the same worker, the sequence of states a worker's cache sees is a
-property of the program, not of timing: cache hit/miss counts repeat
-exactly from run to run.
+the result.  :meth:`ExecutionBackend.key_of` answers the key an object
+is registered under, which is how an RHS call site
+(:meth:`repro.sdc.sweeper.RhsContext.rhs`) holding the executor names
+its problem in a task.  Workers keep their (forked/unpickled) payload
+copies alive across tasks, so tree-state caches warm up per worker
+exactly as the in-process evaluator's cache does.  Because a rank's
+tasks always land on the same worker, the sequence of states a worker's
+cache sees is a property of the program, not of timing: cache hit/miss
+counts repeat exactly from run to run.
 
 Every task runs under a fresh per-task :class:`MetricsRegistry`
 (installed via ``use_metrics``), and the deltas are bucketed per worker
@@ -41,6 +44,8 @@ id.  The scheduler folds the buckets into its own registry at the end of
 the run, **sorted by worker id**, so merged counter totals are
 deterministic and — for everything except cache hit/miss splits, which
 depend on which tasks share a cache — exactly equal between backends.
+Work the rank programs do in-process counts into that registry directly
+(the scheduler runs them under it), so ``executor=None`` totals agree too.
 
 Process-safety of the task descriptors is enforced statically by
 ``repro-lint`` rule RPR006 (no lambdas inside ``ComputeTask(...)``
@@ -66,7 +71,6 @@ __all__ = [
     "ComputeTask",
     "Compute",
     "DispatchResult",
-    "DispatchContext",
     "PayloadPicklingError",
     "ExecutionBackend",
     "SerialExecutor",
@@ -197,27 +201,6 @@ class DispatchResult:
     metrics: Optional[Dict[str, Any]] = None
 
 
-class DispatchContext:
-    """Maps live payload objects to their registered backend keys.
-
-    Threaded through the PFASST controller and sweeper so that RHS call
-    sites can turn ``problem.rhs(t, u)`` into a :class:`ComputeTask`
-    referencing the problem's registered key.  Objects are matched by
-    identity; an unregistered object simply evaluates inline.
-    """
-
-    def __init__(self, executor: "ExecutionBackend") -> None:
-        self.executor = executor
-        self._keys: Dict[int, str] = {}
-
-    def register(self, key: str, obj: Any) -> None:
-        self.executor.register(key, obj)
-        self._keys[id(obj)] = key
-
-    def key_of(self, obj: Any) -> Optional[str]:
-        return self._keys.get(id(obj))
-
-
 class ExecutionBackend:
     """Common payload registry + worker-metrics bookkeeping.
 
@@ -259,6 +242,14 @@ class ExecutionBackend:
                 "already started (payloads ship once, at start-up)"
             )
         self._payloads[key] = obj
+
+    def key_of(self, obj: Any) -> Optional[str]:
+        """The key ``obj`` is registered under (matched by identity), or
+        ``None``: an unregistered object evaluates inline."""
+        for key, payload in self._payloads.items():
+            if payload is obj:
+                return key
+        return None
 
     def _resolve(self, task: ComputeTask) -> Any:
         try:

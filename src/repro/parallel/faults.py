@@ -352,44 +352,12 @@ class FaultEvent:
             parts.append(f"({self.detail})")
         return " ".join(parts)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe form (tag tuples become nested lists)."""
-        return {
-            "kind": self.kind,
-            "time": self.time,
-            "rank": self.rank,
-            "source": self.source,
-            "dest": self.dest,
-            "tag": _jsonify_tag(self.tag),
-            "detail": self.detail,
-            "cost": self.cost,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultEvent":
-        return cls(
-            kind=data["kind"],
-            time=float(data["time"]),
-            rank=data.get("rank"),
-            source=data.get("source"),
-            dest=data.get("dest"),
-            tag=_tuplify_tag(data.get("tag")),
-            detail=data.get("detail", ""),
-            cost=float(data.get("cost", 0.0)),
-        )
-
 
 def _jsonify_tag(tag: Any) -> Any:
-    """Tuples to lists, recursively — the JSON image of a wire tag."""
+    """Tuples to lists, recursively — how a rule's tag is printed in
+    :meth:`FaultRuntime.activation_summary`."""
     if isinstance(tag, tuple):
         return [_jsonify_tag(t) for t in tag]
-    return tag
-
-
-def _tuplify_tag(tag: Any) -> Any:
-    """Inverse of :func:`_jsonify_tag`: lists back to tuples."""
-    if isinstance(tag, list):
-        return tuple(_tuplify_tag(t) for t in tag)
     return tag
 
 
@@ -457,29 +425,6 @@ class ResilienceReport:
                     ev.kind, t=ev.time, track=track, cat=cat,
                     args={k: v for k, v in args.items() if v is not None},
                 )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable image, invertible via :meth:`from_dict`.
-
-        ``json.dumps(report.to_dict())`` round-trips: wire tags (nested
-        tuples) are stored as nested lists and converted back on load.
-        """
-        return {
-            "injected": [ev.to_dict() for ev in self.injected],
-            "recovered": [ev.to_dict() for ev in self.recovered],
-            "rule_activations": [dict(r) for r in self.rule_activations],
-            "counts": self.counts(),
-            "recovery_cost": self.recovery_cost,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ResilienceReport":
-        return cls(
-            injected=[FaultEvent.from_dict(d) for d in data["injected"]],
-            recovered=[FaultEvent.from_dict(d) for d in data["recovered"]],
-            rule_activations=[dict(r) for r in
-                              data.get("rule_activations", [])],
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,12 @@ from typing import (
 import numpy as np
 
 from repro.obs.ledger import LEDGER, new_run_id
-from repro.obs.metrics import Counter, MetricsRegistry, get_metrics
+from repro.obs.metrics import (
+    Counter,
+    MetricsRegistry,
+    get_metrics,
+    use_metrics,
+)
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.parallel import tags as _tags
 from repro.parallel.executor import (
@@ -248,20 +253,16 @@ class Annotate(namedtuple("Annotate", "label data", defaults=(None,)),
     """Record a labelled instant on the rank's virtual timeline.
 
     Used to reconstruct schedule diagrams (paper Fig. 6): a rank program
-    yields ``comm.annotate("fine_sweep")`` / ``comm.annotate("end")``
-    around its phases and the scheduler stores ``TraceEvent`` entries.
-    ``begin:<label>`` / ``end:<label>`` pairs are additionally folded
-    into virtual-time spans by an attached :class:`repro.obs.Tracer`.
+    yields ``comm.annotate("begin:sweep")`` / ``comm.annotate("end:sweep")``
+    around its phases.  The scheduler stores nothing: it hands each
+    label, with the rank's virtual time, to the attached
+    :class:`repro.obs.Tracer` (:meth:`~repro.obs.Tracer.annotate`),
+    which folds ``begin:<label>`` / ``end:<label>`` pairs into
+    virtual-time ``phase`` spans and keeps other labels as instants.
     ``data`` is an optional structured payload forwarded to the tracer
-    (residuals, ...).
+    (residuals, ...).  Without a tracer the op still counts as an op
+    (crash triggers, the operation budget) and records nothing.
     """
-
-    __slots__ = ()
-
-
-class TraceEvent(namedtuple("TraceEvent", "rank label time data",
-                            defaults=(None,)), _Record):
-    """One annotated instant: ``(rank, label, virtual_time)``."""
 
     __slots__ = ()
 
@@ -590,9 +591,9 @@ class Scheduler:
         ``wait:recv``), ``send`` / ``recv`` instants, fault-injection
         and recovery instants, and folds the rank programs'
         ``begin:<x>`` / ``end:<x>`` annotations into named phase spans
-        — one Perfetto thread per rank after export.  The default is
-        the zero-cost no-op tracer; virtual clocks and results are
-        identical either way.
+        — one Perfetto thread per rank after export.  It is the only
+        record of the annotations.  The default is the zero-cost no-op
+        tracer; virtual clocks and results are identical either way.
     executor :
         Optional :class:`repro.parallel.executor.ExecutionBackend`
         handling :class:`~repro.parallel.executor.Compute` operations.
@@ -636,9 +637,14 @@ class Scheduler:
     ----------
     metrics :
         A :class:`repro.obs.MetricsRegistry` owned by the scheduler,
-        repopulated on every :meth:`run`: ``mpi.messages`` /
-        ``mpi.bytes`` (global and per ``{src,dest}`` pair) and
-        ``mpi.retransmissions``.
+        repopulated on every :meth:`run`, the run's one record of
+        counts: ``mpi.messages`` / ``mpi.bytes`` (global and per
+        ``{src,dest}`` pair), ``mpi.retransmissions``, what the rank
+        programs count in-process (the rank programs run under
+        ``use_metrics(metrics)``: ``tree.*`` of inline evaluations and
+        of the event loop's tree builds) and the executor's worker
+        deltas.  A registry active around :meth:`run` receives a copy
+        at the end of the run.
     ops, resumes, stalls :
         The operation budget: operations yielded and times switched in,
         per rank, and rounds in which no rank could run; folded into
@@ -686,7 +692,7 @@ class Scheduler:
         """Fresh per-run state; called from ``__init__`` and ``run``.
 
         A ``Scheduler`` instance may be reused: each ``run()`` starts
-        from zeroed clocks, statistics, trace, channels and fault state
+        from zeroed clocks, statistics, channels and fault state
         rather than silently accumulating the previous run's.
         """
         self.clocks: List[float] = [0.0] * self.n_ranks
@@ -700,8 +706,6 @@ class Scheduler:
         self._link_counters: Dict[Tuple[int, int], Tuple[Any, ...]] = {}
         #: pickled length per :func:`_pickle_signature` seen this run
         self._sizes: Dict[Tuple[Any, ...], int] = {}
-        #: annotated timeline instants (populated by Annotate ops)
-        self.trace: List[TraceEvent] = []
         #: undelivered-message report of the last completed run
         self.orphans: List[Any] = []
         #: injected faults and recovery actions of the last run
@@ -786,7 +790,9 @@ class Scheduler:
         """One pass, primary or (``descending``) ``verify`` replay:
         either leaves the ledger unowned and drained and the plan's rule
         activations (dormant rules included) folded, also when it
-        raises."""
+        raises.  The rank programs run under
+        ``use_metrics(self.metrics)``, so what they count in-process
+        lands in this scheduler's registry once."""
         states: List[_RankState] = []
         for rank in range(self.n_ranks):
             gen = program(VirtualComm(rank, self.n_ranks, self), *args)
@@ -797,7 +803,8 @@ class Scheduler:
                 )
             states.append(_RankState(gen=gen))
         try:
-            self._service(states, descending)
+            with use_metrics(self.metrics):
+                self._service(states, descending)
         finally:
             LEDGER.owner = None
             LEDGER.drain()
@@ -1156,9 +1163,6 @@ class Scheduler:
                 if not self._on_recv(rank, state, op):
                     return
             elif kind is Annotate:
-                self.trace.append(
-                    _new(TraceEvent, (rank, op.label, clocks[rank], op.data))
-                )
                 if tracer.enabled:
                     tracer.annotate(f"rank{rank}", op.label, clocks[rank],
                                     data=op.data)

@@ -59,7 +59,7 @@ import numpy as np
 from repro.obs.tracer import Tracer
 from repro.parallel import tags
 from repro.parallel.collectives import allgather, allreduce, bcast
-from repro.parallel.executor import DispatchContext, ExecutionBackend
+from repro.parallel.executor import ExecutionBackend
 from repro.parallel.faults import FaultPlan, RankFailure, RecvTimeout
 from repro.parallel.simmpi import (
     CommCostModel,
@@ -106,8 +106,9 @@ class PfasstConfig:
     #: optional residual-based early stopping, positive when given (adds
     #: one allreduce per iteration)
     residual_tol: Optional[float] = None
-    #: record begin/end annotations for every sweep on the scheduler's
-    #: trace — enables schedule diagrams like the paper's Fig. 6
+    #: yield begin/end annotations around every sweep, which the tracer
+    #: passed to ``run_pfasst(tracer=)`` folds into phase spans — the
+    #: schedule diagrams of the paper's Fig. 6
     trace: bool = False
     #: crash-recovery policy: ``"fail"`` (no protocol, byte-identical to
     #: the pre-fault-tolerance controller), ``"cold-restart"`` (redo the
@@ -157,12 +158,6 @@ class PfasstResult:
     #: iterations actually performed per block (== config.iterations unless
     #: residual_tol triggered early exit)
     iterations_done: List[int] = field(default_factory=list)
-    #: annotated schedule events when ``config.trace`` was set
-    trace: List[Any] = field(default_factory=list)
-    #: per-level evaluator bookkeeping (RHS calls, tree-cache hit/miss
-    #: counters) sampled from the level specs after the run; empty dicts
-    #: for problems without an instrumented evaluator
-    evaluator_stats: List[Dict[str, int]] = field(default_factory=list)
     #: V-cycle iterations *attempted* per block, including iterations
     #: discarded by a restart — ``total_iterations[b] -
     #: iterations_done[b]`` is the algorithmic recovery overhead
@@ -173,8 +168,10 @@ class PfasstResult:
     #: the scheduler's :class:`~repro.parallel.faults.ResilienceReport`
     #: (``None``-ish/empty when no fault plan was active)
     resilience: Optional[Any] = None
-    #: snapshot of the scheduler's metrics registry (``mpi.messages`` /
-    #: ``mpi.bytes`` globally and per rank pair, ``mpi.retransmissions``)
+    #: snapshot of the scheduler's metrics registry, the run's counts:
+    #: ``mpi.*`` messages, bytes and retransmissions, ``sched.*``,
+    #: ``executor.*`` and the ``tree.*`` work of every evaluation, inline
+    #: or dispatched (see :class:`~repro.parallel.simmpi.Scheduler`)
     metrics: Dict[str, Any] = field(default_factory=dict)
     #: the run's :class:`repro.analysis.commgraph.DeterminismCertificate`
     #: when ``certify=True`` was requested; ``None`` otherwise
@@ -269,7 +266,8 @@ class Step:
             self.recoveries = [dict(r) for r in resume.recoveries]
 
     def _mark(self, label: str, data: Optional[Dict[str, Any]] = None):
-        """Trace marker (generator): one event under ``config.trace``."""
+        """Trace marker (generator): one ``Annotate`` op under
+        ``config.trace``."""
         if self.config.trace:
             yield self.comm.annotate(label, data=data)
 
@@ -730,7 +728,7 @@ class Recovery:
 def pfasst_rank_program(
     comm: VirtualComm, config: PfasstConfig, specs: Sequence[LevelSpec],
     u0: np.ndarray, grid: SpaceTimeGrid,
-    dispatch: Optional[DispatchContext] = None,
+    executor: Optional[ExecutionBackend] = None,
     checkpointer: Optional[RunCheckpointer] = None,
     resume: Optional[RunCheckpoint] = None,
 ) -> Generator[Any, Any, Dict[str, Any]]:
@@ -749,10 +747,11 @@ def pfasst_rank_program(
     RHS evaluation runs: collectively over the space comm (sharding the
     tree work), sharded over the node comm in multi-node evaluation
     rounds (the diagonal sweeper's, the controller's restriction
-    re-evaluations), and/or as ``Compute`` ops through ``dispatch``,
-    which a process backend runs concurrently on real cores.  None of
-    the three changes the time algorithm: sharding is bitwise-neutral
-    (each RHS is computed exactly once from the same inputs).  All
+    re-evaluations), and/or as ``Compute`` ops on problems registered
+    with ``executor``, which a process backend runs concurrently on real
+    cores.  None of the three changes the time algorithm: sharding is
+    bitwise-neutral (each RHS is computed exactly once from the same
+    inputs).  All
     members of a time slice drive identical time logic over identical
     full states, so after the run the end values are cross-checked
     bitwise across the space row and the node group.
@@ -817,7 +816,7 @@ def pfasst_rank_program(
                 row = view((yield from comm.split(
                     color=t_idx, key=s_idx * grid.p_nodes + n_idx)))
     step = Step(
-        tcomm, config, specs, u0, RhsContext(space, node, dispatch),
+        tcomm, config, specs, u0, RhsContext(space, node, executor),
         checkpointer if (s_idx, n_idx) == (0, 0) else None, resume,
     )
     if row is not None:
@@ -865,27 +864,6 @@ def _run_config_digest(
     return hashlib.blake2b(
         repr(key).encode("utf-8"), digest_size=8
     ).hexdigest()
-
-
-def _collect_evaluator_stats(specs) -> List[Dict[str, int]]:
-    """RHS-call counts and tree-cache counters per level spec.
-
-    Note that ``run_pfasst`` instantiates one :class:`Level` hierarchy per
-    rank program around the *shared* spec problems, so the counters
-    aggregate over all ranks — which is exactly the total-work view the
-    benchmarks need.
-    """
-    out: List[Dict[str, int]] = []
-    for spec in specs:
-        entry: Dict[str, int] = {}
-        evaluator = getattr(spec.problem, "evaluator", None)
-        if evaluator is not None:
-            entry["calls"] = int(getattr(evaluator, "calls", 0))
-            cache_stats = getattr(evaluator, "cache_stats", None)
-            if cache_stats is not None:
-                entry.update(cache_stats.as_dict())
-        out.append(entry)
-    return out
 
 
 def run_pfasst(
@@ -969,21 +947,19 @@ def run_pfasst(
     virtual-time span per predictor step / sweep / restrict / interp
     (with per-iteration residual instants) per rank — export it with
     :func:`repro.obs.export_chrome_trace` or render it with
-    ``repro-trace gantt`` to reproduce the paper's Fig. 6.
+    ``repro-trace gantt`` to reproduce the paper's Fig. 6.  The tracer
+    is the one record of the annotations; the run's counts are in
+    ``result.metrics``.
 
     ``executor`` selects the *execution backend*
     (:mod:`repro.parallel.executor`): every level problem is registered
-    under a ``DispatchContext`` and RHS evaluations become scheduler
-    ``Compute`` ops.  With a
+    with it and RHS evaluations become scheduler ``Compute`` ops.  With a
     :class:`~repro.parallel.executor.ProcessExecutor` the independent
     evaluations of one scheduling round run concurrently on real cores;
     the numerics, message stream and (``measure_compute=False``) virtual
     clocks are byte-identical to :class:`~repro.parallel.executor.
-    SerialExecutor` and to ``executor=None``.  One caveat:
-    ``evaluator_stats`` counts RHS calls in the *driver* process, so
-    under a process backend the dispatched calls land in the workers and
-    the driver-side counters read near zero — use the scheduler metrics
-    (``executor.dispatches{...}``) for call accounting instead.
+    SerialExecutor` and to ``executor=None``, and so are the
+    ``tree.*`` work counters of ``result.metrics``.
 
     ``certify=True`` turns on the scheduler's happens-before log
     (:mod:`repro.analysis.commgraph`): every message carries its send's
@@ -1015,11 +991,9 @@ def run_pfasst(
         verify=verify, fault_plan=fault_plan,
         tracer=tracer, executor=executor, certify=certify,
     )
-    dispatch: Optional[DispatchContext] = None
     if executor is not None:
-        dispatch = DispatchContext(executor)
         for i, spec in enumerate(specs):
-            dispatch.register(f"level{i}", spec.problem)
+            executor.register(f"level{i}", spec.problem)
     run_digest = _run_config_digest(config, p_time, p_space, p_nodes)
     checkpointer: Optional[RunCheckpointer] = None
     if checkpoint is not None:
@@ -1046,7 +1020,7 @@ def run_pfasst(
     results = scheduler.run(
         pfasst_rank_program,
         args=(config, specs, np.asarray(u0),
-              SpaceTimeGrid(p_time, p_space, p_nodes), dispatch,
+              SpaceTimeGrid(p_time, p_space, p_nodes), executor,
               checkpointer, resume),
     )
     # space columns and node groups are bitwise-identical (checked inside
@@ -1061,8 +1035,6 @@ def run_pfasst(
         residuals=[r["residuals"] for r in by_rank],
         clocks=list(scheduler.clocks),
         iterations_done=by_rank[0]["iterations_done"],
-        trace=list(scheduler.trace),
-        evaluator_stats=_collect_evaluator_stats(specs),
         total_iterations=by_rank[0]["total_iterations"],
         recoveries=by_rank[0]["recoveries"],
         resilience=scheduler.resilience,

@@ -66,39 +66,42 @@ class RhsContext:
     Built once per rank program and handed to every sweeper/controller
     RHS site as ``ctx=``.  ``space`` is the rank's space communicator (a
     row of the paper's Fig. 2 grid), ``node`` its PFASST-ER node
-    communicator and ``dispatch`` a
-    :class:`repro.parallel.executor.DispatchContext`.  A communicator of
-    size 1 is as good as none, so the default context evaluates serially
-    with *zero* yields and serial op streams stay byte-identical to
-    direct ``problem.rhs`` calls.
+    communicator and ``executor`` the scheduler's
+    :class:`~repro.parallel.executor.ExecutionBackend`, whose
+    :meth:`~repro.parallel.executor.ExecutionBackend.key_of` names a
+    registered problem.  A communicator of size 1 is as good as none, so
+    the default context evaluates serially with *zero* yields and serial
+    op streams stay byte-identical to direct ``problem.rhs`` calls.
     """
 
     space: Optional[Any] = None
     node: Optional[Any] = None
-    dispatch: Optional[Any] = None
+    executor: Optional[Any] = None
 
     def rhs(self, problem: ODEProblem, t: float, u: np.ndarray):
-        """One RHS evaluation (generator).
+        """One RHS evaluation (generator); the one place that chooses how.
 
-        With a live space comm and a problem exposing ``rhs_program`` the
-        evaluation is driven collectively over the row.  Otherwise, when
-        the problem is registered with the dispatch context's execution
-        backend, the call is yielded as a
-        :class:`~repro.parallel.executor.Compute` operation — the
+        With a live space comm and a problem whose evaluator exposes
+        ``field_program`` (the space-parallel tree evaluator) the
+        evaluation is driven collectively over the row by
+        ``problem.rhs_program``, which yields the rank's field segment as
+        a :class:`~repro.parallel.executor.Compute` operation when the
+        problem is registered with the executor.  Otherwise a registered
+        problem's whole call is yielded as a ``Compute`` operation — the
         scheduler's dispatch unit: on a process backend, independent
         evaluations across time ranks run concurrently on real cores.
         Failing both it is a plain ``problem.rhs`` call.
         """
-        space, dispatch = self.space, self.dispatch
-        program = getattr(problem, "rhs_program", None)
-        if space is not None and space.size > 1 and program is not None:
-            return (yield from program(space, t, u, dispatch=dispatch))
-        if dispatch is not None:
-            key = dispatch.key_of(problem)
-            if key is not None:
-                return (yield Compute(
-                    ComputeTask(key, "rhs", args=(t,), arrays=(u,))
-                ))
+        space, executor = self.space, self.executor
+        key = None if executor is None else executor.key_of(problem)
+        evaluator = getattr(problem, "evaluator", None)
+        if (space is not None and space.size > 1
+                and hasattr(evaluator, "field_program")):
+            return (yield from problem.rhs_program(space, t, u, key))
+        if key is not None:
+            return (yield Compute(
+                ComputeTask(key, "rhs", args=(t,), arrays=(u,))
+            ))
         return problem.rhs(t, u)
 
     def node_values(self, problem: ODEProblem, times, values, known=None):

@@ -460,8 +460,7 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
         positions: np.ndarray,
         charges: np.ndarray,
         gradient: bool = True,
-        dispatch=None,
-        payload_key: Optional[str] = None,
+        key: Optional[str] = None,
     ) -> Generator[Any, Any, VelocityField]:
         """Space-collective field evaluation; returns the full field.
 
@@ -470,13 +469,13 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
         The returned :class:`VelocityField` covers *all* particles and is
         identical on every space rank.
 
-        With ``dispatch`` and ``payload_key`` set (by
-        ``VortexProblem.rhs_program`` when an execution backend is
-        attached), the far/near GEMM segment — :meth:`segment_field` —
-        is yielded as a :class:`~repro.parallel.executor.Compute`
-        operation instead of running inline; the branch exchange, the
-        top-of-tree verification and the RHS allgather stay in the event
-        loop either way.
+        With ``key`` set (by ``VortexProblem.rhs_program``: the key the
+        problem is registered under with the scheduler's execution
+        backend), the far/near GEMM segment — :meth:`segment_field` — is
+        yielded as a :class:`~repro.parallel.executor.Compute` operation
+        on that payload's ``field_segment`` instead of running inline;
+        the branch exchange, the top-of-tree verification and the RHS
+        allgather stay in the event loop either way.
         """
         if space is None or space.size == 1:
             return self.field(positions, charges, gradient=gradient)
@@ -509,11 +508,11 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
         # ---- local far/near evaluation ---------------------------------
         yield space.annotate("begin:space:compute")
         n = positions.shape[0]
-        if dispatch is not None and payload_key is not None:
+        if key is not None:
             from repro.parallel.executor import Compute, ComputeTask
 
             seg = yield Compute(ComputeTask(
-                payload_key, "field_segment",
+                key, "field_segment",
                 arrays=(positions, charges),
                 tail=(rank, p_space, gradient),
             ))

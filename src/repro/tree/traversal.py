@@ -78,7 +78,6 @@ def dual_traversal(
     tree: Octree,
     theta: float,
     node_bmax: Optional[np.ndarray] = None,
-    group_radius: Optional[np.ndarray] = None,
     variant: MACVariant = "bh",
 ) -> InteractionLists:
     """Build interaction lists for all tree leaves as target groups.
@@ -91,12 +90,9 @@ def dual_traversal(
         Multipole acceptance parameter (paper's ``theta``); 0 reproduces
         direct summation.
     node_bmax :
-        Cluster radii per node (from the moment pass).  Required for the
-        ``bmax`` MAC variant; also used as the default group radii.
-    group_radius :
-        Bounding radii of the target groups about their cell centers;
-        defaults to ``node_bmax`` of the leaves, else half the cell
-        diagonal.
+        Cluster radii per node (from the moment pass), else half the
+        cell diagonal.  Required for the ``bmax`` MAC variant; the
+        leaves' entries are the target groups' bounding radii.
     variant :
         MAC flavour (``"bh"`` classical, ``"bmax"`` Salmon-Warren style).
     """
@@ -107,8 +103,7 @@ def dual_traversal(
     if node_bmax is None:
         # conservative fallback: half cell diagonal
         node_bmax = 0.5 * np.sqrt(3.0) * tree.node_size
-    if group_radius is None:
-        group_radius = node_bmax[groups]
+    group_radius = node_bmax[groups]
     group_center = tree.node_center[groups]
 
     far_g: list[np.ndarray] = []

@@ -86,12 +86,10 @@ class DirectEvaluator(FieldEvaluator):
         self,
         kernel: SmoothingKernel | str,
         sigma: float,
-        chunk: Optional[int] = None,
     ) -> None:
         super().__init__()
         self.kernel = get_kernel(kernel) if isinstance(kernel, str) else kernel
         self.sigma = check_positive("sigma", sigma)
-        self.chunk = chunk
 
     def _evaluate(
         self, positions: np.ndarray, charges: np.ndarray, gradient: bool
@@ -103,7 +101,6 @@ class DirectEvaluator(FieldEvaluator):
             self.kernel,
             self.sigma,
             gradient=gradient,
-            chunk=self.chunk,
         )
 
 
@@ -145,43 +142,28 @@ class VortexProblem(ODEProblem):
         field = self.evaluator.field(positions, charges, gradient=True)
         return pack_state(field.velocity, field.stretching(vorticity, self.scheme))
 
-    def rhs_program(self, space, t: float, u: np.ndarray, dispatch=None):
-        """Generator form of :meth:`rhs` for space-parallel evaluation.
+    def rhs_program(self, space, t: float, u: np.ndarray,
+                    key: Optional[str]):
+        """Generator form of :meth:`rhs`, collective over ``space``.
 
-        When ``space`` is a live communicator (size > 1) and the
-        evaluator exposes ``field_program`` (see
-        :class:`repro.tree.parallel.SpaceParallelTreeEvaluator`), the
-        field solve is driven collectively over the space ranks via
-        ``yield from``.  Otherwise this degenerates to :meth:`rhs` with
-        *zero* yields, so serial op streams stay byte-identical.
-
-        ``dispatch`` (a :class:`repro.parallel.executor.DispatchContext`
-        under which this problem is registered) routes the compute-heavy
-        segments to the scheduler's execution backend: the whole RHS on
-        the serial-space path, the per-rank far/near GEMM segment on the
-        space-parallel path (branch exchange and RHS allgather stay in
-        the event loop — they are communication, not compute).
+        The field solve is driven over the space ranks by the
+        evaluator's ``field_program`` (see
+        :class:`repro.tree.parallel.SpaceParallelTreeEvaluator`);
+        :meth:`repro.sdc.sweeper.RhsContext.rhs` calls this only with a
+        live communicator and such an evaluator.  ``key`` (this problem's
+        key with the scheduler's execution backend) is handed on: the
+        rank's far/near segment then runs as a ``Compute`` operation,
+        while the branch exchange and the RHS allgather stay in the event
+        loop — they are communication, not compute.
         """
-        program = getattr(self.evaluator, "field_program", None)
-        key = dispatch.key_of(self) if dispatch is not None else None
-        if space is None or space.size == 1 or program is None:
-            if key is not None:
-                from repro.parallel.executor import Compute, ComputeTask
-
-                result = yield Compute(
-                    ComputeTask(key, "rhs", args=(t,), arrays=(u,))
-                )
-                return result
-            return self.rhs(t, u)
         positions, vorticity = unpack_state(u)
         if positions.shape[0] != self.n:
             raise ValueError(
                 f"state carries {positions.shape[0]} particles, expected {self.n}"
             )
         charges = vorticity * self.volumes[:, None]
-        field = yield from program(
-            space, positions, charges, gradient=True,
-            dispatch=dispatch, payload_key=key,
+        field = yield from self.evaluator.field_program(
+            space, positions, charges, gradient=True, key=key,
         )
         return pack_state(field.velocity, field.stretching(vorticity, self.scheme))
 

@@ -17,7 +17,6 @@ from repro.obs.tracer import Tracer
 from repro.parallel.executor import (
     ComputeTask,
     Compute,
-    DispatchContext,
     PayloadPicklingError,
     ProcessExecutor,
     SerialExecutor,
@@ -49,9 +48,8 @@ def _config(**kw):
 def _frozen(res):
     """Backend-invariant fingerprint: numerics + virtual clocks.
 
-    Deliberately excludes ``evaluator_stats`` (driver-side RHS call
-    counters read ~0 when the calls run in workers) and wall-clock
-    artefacts.
+    Deliberately excludes the metrics (``TestMetricsContract`` compares
+    them) and wall-clock artefacts.
     """
     return (
         freeze(res.u_end),
@@ -266,6 +264,45 @@ class TestMetricsContract:
         total_p = cache_total(process, "hits") + cache_total(process, "misses")
         assert total_p == total_s
 
+    def test_tree_counters_equal_on_every_backend(self):
+        """The 2x2 smoke grid counts its tree work once in
+        ``result.metrics``, whichever backend runs it: inline evaluations
+        and the event loop's branch-exchange builds into the run's
+        registry directly, dispatched ones through the worker buckets."""
+        from repro.analysis.commgraph.cli import _smoke_problem
+
+        def run(executor):
+            u0, specs = _smoke_problem(96)  # fresh caches for every run
+            config = _config(t_end=0.05, n_steps=4, iterations=2)
+            return run_pfasst(config, specs, u0, p_time=2, p_space=2,
+                              executor=executor).metrics["counters"]
+
+        inline = run(None)
+        serial = run(SerialExecutor())
+        with ProcessExecutor(max_workers=2) as ex:
+            process = run(ex)
+
+        def cache_total(counters):
+            return sum(v for k, v in counters.items()
+                       if k.startswith("tree.cache.")
+                       and k.endswith(("hits", "misses")))
+
+        for counters in (serial, process):
+            for name in ("tree.evaluations", "tree.mac_tests",
+                         "tree.far_pairs", "tree.near_pairs"):
+                assert counters[name] == inline[name] > 0, name
+            assert cache_total(counters) == cache_total(inline) > 0
+        # each dispatched call is one ``Compute`` op more
+        assert serial["sched.ops"] - inline["sched.ops"] == \
+            serial["executor.dispatches{backend=serial}"] > 0
+        placement = ("executor.", "sched.")
+
+        def comparable(counters):
+            return {k: v for k, v in counters.items()
+                    if not k.startswith(placement)}
+
+        assert comparable(serial) == comparable(inline)
+
     def test_registry_merge_accepts_registry_and_snapshot(self):
         from repro.obs.metrics import MetricsRegistry
 
@@ -317,7 +354,7 @@ class TestPicklingErrors:
         assert "edge" in str(info.value)
 
     def test_worker_exception_rethrown_into_program(self):
-        def prog(comm, dispatch):
+        def prog(comm):
             with pytest.raises(ValueError, match="boom"):
                 yield Compute(
                     ComputeTask("p", "rhs", args=(1.5,), arrays=(np.ones(3),))
@@ -326,20 +363,22 @@ class TestPicklingErrors:
 
         for ex in (SerialExecutor(), ProcessExecutor(max_workers=1)):
             with ex:
-                ctx = DispatchContext(ex)
-                ctx.register("p", _Exploding())
-                out = Scheduler(1, executor=ex).run(prog, args=(ctx,))
+                ex.register("p", _Exploding())
+                out = Scheduler(1, executor=ex).run(prog)
             assert out == ["survived"]
 
 
 class TestDispatchContext:
+    """The executor's payload keys: what names a dispatched call."""
+
     def test_key_of_identity_matching(self):
         ex = SerialExecutor()
-        ctx = DispatchContext(ex)
         obj = object()
-        ctx.register("k", obj)
-        assert ctx.key_of(obj) == "k"
-        assert ctx.key_of(object()) is None
+        ex.register("k", obj)
+        assert ex.key_of(obj) == "k"
+        assert ex.key_of(object()) is None
+        # the verify replay's serial twin shares the registry
+        assert ex.serial_clone().key_of(obj) == "k"
 
     def test_register_conflicting_object_rejected(self):
         ex = SerialExecutor()

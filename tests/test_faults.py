@@ -25,6 +25,7 @@ from repro.parallel.faults import (
     corrupt_payload,
     payload_checksum,
 )
+from support import record_golden
 
 MODEL = CommCostModel(latency=1.0, bandwidth=1e30, send_overhead=0.0)
 
@@ -409,51 +410,6 @@ class TestReport:
         assert sched.resilience.recovery_cost > 0.0
 
 
-class TestReportSerialization:
-    """ResilienceReport.to_dict()/from_dict() JSON round trip."""
-
-    def _report_from_run(self):
-        def prog(comm):
-            if comm.rank == 0:
-                yield comm.send(1, ("lvl", 0), 1.0)
-            else:
-                return (yield comm.recv(0, ("lvl", 0), timeout=0.5,
-                                        retries=1))
-
-        plan = FaultPlan(messages=(MessageFault(kind="drop"),))
-        sched = Scheduler(
-            2, cost_model=MODEL, measure_compute=False, fault_plan=plan
-        )
-        sched.run(prog)
-        return sched.resilience
-
-    def test_json_round_trip(self):
-        import json
-
-        report = self._report_from_run()
-        blob = json.dumps(report.to_dict())  # must be JSON-serializable
-        again = ResilienceReport.from_dict(json.loads(blob))
-        assert again.counts() == report.counts()
-        assert again.recovery_cost == report.recovery_cost
-        assert len(again.injected) == len(report.injected)
-        for a, b in zip(again.injected, report.injected):
-            assert (a.kind, a.rank, a.source, a.dest, a.tag, a.time) == \
-                (b.kind, b.rank, b.source, b.dest, b.tag, b.time)
-        assert again.rule_activations == report.rule_activations
-
-    def test_tuple_tags_survive_round_trip(self):
-        report = self._report_from_run()
-        tags = [e.tag for e in report.injected if e.tag is not None]
-        assert tags and all(isinstance(t, tuple) for t in tags)
-        again = ResilienceReport.from_dict(report.to_dict())
-        assert [e.tag for e in again.injected if e.tag is not None] == tags
-
-    def test_empty_report_round_trip(self):
-        again = ResilienceReport.from_dict(ResilienceReport().to_dict())
-        assert again.injected == [] and again.recovered == []
-        assert "no faults" in again.summary()
-
-
 class TestRuleActivations:
     """Zero-activation accounting: rules that never fire are reported."""
 
@@ -721,9 +677,5 @@ class TestGoldenLinkFaults:
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_faults.py --record")
-    GOLDEN_LINK.write_text(
-        json.dumps({name: run_link_case(name) for name in sorted(LINK_CASES)},
-                   indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"recorded {len(LINK_CASES)} cases into {GOLDEN_LINK}")
+    record_golden(GOLDEN_LINK,
+                  {name: run_link_case(name) for name in LINK_CASES})

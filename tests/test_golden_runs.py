@@ -4,10 +4,11 @@
 sweeper x recovery policy, the determinism-certificate digest, the bytes
 of ``u_end``, the residual history, the virtual clocks, the message count,
 the number of recoveries and a digest of the annotation stream (the
-``begin:`` / ``end:`` / ``residual`` events the Fig. 6 Gantt export and the
-tracer spans are folded from).  Nothing else in tier-1 compares op streams
-*across commits*: a refactor can change split colours or tag shapes and
-drift every certificate while each run stays self-consistent.
+``begin:`` / ``end:`` / ``residual`` labels the tracer folds into the
+Fig. 6 spans, read in op order off the run's tracer).  Nothing else in
+tier-1 compares op streams *across commits*: a refactor can change split
+colours or tag shapes and drift every certificate while each run stays
+self-consistent.
 
 Re-record (only when a change is *meant* to alter the op stream) with
 ``PYTHONPATH=src python tests/test_golden_runs.py --record``; it prints
@@ -27,6 +28,7 @@ import pytest
 from repro.analysis.commgraph.cli import _smoke_problem
 from repro.parallel.faults import FaultPlan, RankCrash
 from repro.pfasst import PfasstConfig, run_pfasst
+from support import AnnotationLog, record_golden
 
 GOLDEN = Path(__file__).parent / "data" / "golden_runs.json"
 
@@ -54,14 +56,15 @@ def run_case(case) -> dict:
         plan = FaultPlan(
             seed=1, crashes=[RankCrash(rank=world - 1, after_ops=60)]
         )
+    log = AnnotationLog()
     try:
         res = run_pfasst(cfg, specs, u0, p_time=p_time, p_space=p_space,
                          p_nodes=p_nodes, fault_plan=plan, certify=True,
-                         measure_compute=False)
+                         measure_compute=False, tracer=log)
     except Exception as exc:  # the failure itself is the pinned behaviour
         return {"raises": type(exc).__name__, "message": str(exc)[:160]}
     u_end = np.ascontiguousarray(res.u_end).tobytes()
-    trace = repr([(ev.rank, ev.label, ev.time) for ev in res.trace])
+    trace = repr(log.events)
     return {
         "certificate": res.certificate.digest,
         "u_end": hashlib.blake2b(u_end, digest_size=16).hexdigest(),
@@ -91,20 +94,4 @@ def test_run_matches_golden(case, golden):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_golden_runs.py --record")
-    before = (json.loads(GOLDEN.read_text(encoding="utf-8"))
-              if GOLDEN.exists() else {})
-    recorded = {case_id(c): run_case(c) for c in CASES}
-    changed = 0
-    for cid in sorted(set(before) | set(recorded)):
-        was, now = before.get(cid, {}), recorded.get(cid, {})
-        fields = sorted(k for k in set(was) | set(now)
-                        if was.get(k) != now.get(k))
-        if fields:
-            changed += 1
-            print(f"{cid}: {', '.join(fields)}")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(
-        json.dumps(recorded, indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"recorded {len(CASES)} cases into {GOLDEN}, {changed} changed")
+    record_golden(GOLDEN, {case_id(c): run_case(c) for c in CASES})

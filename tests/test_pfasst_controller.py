@@ -487,9 +487,9 @@ class TestStructure:
         # one rank program for every grid shape
         params = inspect.signature(pfasst_rank_program).parameters
         assert list(params) == ["comm", "config", "specs", "u0", "grid",
-                                "dispatch", "checkpointer", "resume"]
+                                "executor", "checkpointer", "resume"]
         assert all(params[name].default is None
-                   for name in ("dispatch", "checkpointer", "resume"))
+                   for name in ("executor", "checkpointer", "resume"))
 
     def test_runtime_settings_are_pinned(self):
         """Every setting of the parallel runtime and the diagonal sweeper

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from repro.parallel.simmpi import TraceEvent
 from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
 from repro.sdc import SDCStepper
+from support import AnnotationLog
 
 
 def _specs(problem):
@@ -28,32 +28,37 @@ class TestFUpdateModes:
         assert np.allclose(res.u_end, ref, atol=1e-11)
 
 
+def _annotations(problem, **kw):
+    """The run's annotations, as the attached tracer saw them."""
+    log = AnnotationLog()
+    cfg = PfasstConfig(t0=0.0, t_end=1.0, n_steps=2, **kw)
+    run_pfasst(cfg, _specs(problem), np.array([1.0]), p_time=2, tracer=log)
+    return log
+
+
 class TestTracing:
     def test_trace_disabled_by_default(self, scalar_problem):
-        cfg = PfasstConfig(t0=0.0, t_end=1.0, n_steps=2, iterations=1)
-        res = run_pfasst(cfg, _specs(scalar_problem), np.array([1.0]),
-                         p_time=2)
-        assert res.trace == []
+        log = _annotations(scalar_problem, iterations=1)
+        assert log.events == []
+        assert not [s for s in log.spans if s.cat == "phase"]
 
     def test_trace_records_sweeps(self, scalar_problem):
-        cfg = PfasstConfig(t0=0.0, t_end=1.0, n_steps=2, iterations=2,
-                           trace=True)
-        res = run_pfasst(cfg, _specs(scalar_problem), np.array([1.0]),
-                         p_time=2)
-        assert all(isinstance(ev, TraceEvent) for ev in res.trace)
-        labels = {ev.label for ev in res.trace}
+        log = _annotations(scalar_problem, iterations=2, trace=True)
+        labels = {label for _, label, _ in log.events}
         assert "begin:sweep:L0:k0" in labels
         assert "end:sweep:L1:k1" in labels
         assert "begin:predict:0" in labels
+        phases = {s.name for s in log.spans if s.cat == "phase"}
+        assert {"sweep:L0:k0", "sweep:L1:k1", "predict:0"} <= phases
 
     def test_trace_begin_end_pairing(self, scalar_problem):
-        cfg = PfasstConfig(t0=0.0, t_end=1.0, n_steps=2, iterations=2,
-                           trace=True)
-        res = run_pfasst(cfg, _specs(scalar_problem), np.array([1.0]),
-                         p_time=2)
-        begins = sum(1 for ev in res.trace if ev.label.startswith("begin:"))
-        ends = sum(1 for ev in res.trace if ev.label.startswith("end:"))
+        log = _annotations(scalar_problem, iterations=2, trace=True)
+        begins = sum(1 for _, label, _ in log.events
+                     if label.startswith("begin:"))
+        ends = sum(1 for _, label, _ in log.events
+                   if label.startswith("end:"))
         assert begins == ends
+        assert begins == sum(1 for s in log.spans if s.cat == "phase")
 
     def test_trace_does_not_change_numerics(self, scalar_problem):
         u0 = np.array([1.0])

@@ -423,14 +423,8 @@ class TestSchedulerReuse:
     def test_second_run_matches_first(self):
         model = CommCostModel(latency=0.5, bandwidth=1e6, send_overhead=0.1)
         s = Scheduler(2, cost_model=model, measure_compute=False)
-        first = (
-            s.run(self._prog), tuple(s.clocks), s.metrics.as_dict(),
-            len(s.trace),
-        )
-        second = (
-            s.run(self._prog), tuple(s.clocks), s.metrics.as_dict(),
-            len(s.trace),
-        )
+        first = (s.run(self._prog), tuple(s.clocks), s.metrics.as_dict())
+        second = (s.run(self._prog), tuple(s.clocks), s.metrics.as_dict())
         assert first == second
 
     def test_stats_do_not_accumulate_across_runs(self):

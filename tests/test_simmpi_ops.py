@@ -1,11 +1,10 @@
 """The op layer's contract: records, one-hop views, peer and tag checks.
 
 Rank programs build ``Send`` / ``Recv`` / ``Work`` / ``Annotate`` records
-through a comm, and the scheduler logs ``TraceEvent`` records.  Records
-are immutable values.  A view nested any number of levels deep
-(``SubComm`` over ``EpochComm`` over ``SubComm``) names the world peer
-and the fully wrapped tag in one step, and every level validates its
-arguments with the same messages.
+through a comm.  Records are immutable values.  A view nested any number
+of levels deep (``SubComm`` over ``EpochComm`` over ``SubComm``) names
+the world peer and the fully wrapped tag in one step, and every level
+validates its arguments with the same messages.
 """
 
 import pytest
@@ -17,7 +16,6 @@ from repro.parallel.simmpi import (
     Scheduler,
     Send,
     SubComm,
-    TraceEvent,
     VirtualComm,
     Work,
 )
@@ -27,7 +25,6 @@ RECORDS = [
     Recv(0, ("lvl", 1), 2.0, 3),
     Work(0.5),
     Annotate("begin:x", {"k": 1}),
-    TraceEvent(2, "end:x", 1.5),
 ]
 
 
@@ -51,13 +48,13 @@ class TestRecords:
 
     def test_equal_fields_of_another_type_are_not_equal(self):
         assert Work(1.0) != (1.0,)
-        assert Recv(0, "t", None, 0) != TraceEvent(0, "t", None, 0)
+        assert Recv(0, "t", None, 0) != (0, "t", None, 0)
+        assert Annotate("t", None) != ("t", None)
         assert Send(1, "t", 2) != (1, "t", 2)
 
     def test_defaults_and_repr(self):
         assert Recv(1, "t") == Recv(1, "t", None, 0)
         assert Annotate("a").data is None
-        assert TraceEvent(0, "a", 0.0).data is None
         assert repr(Send(1, "t", 2)) == "Send(dest=1, tag='t', payload=2)"
 
 

@@ -337,9 +337,17 @@ class TestStatsPlumbing:
             LevelSpec(coarse, num_nodes=2, sweeps=2),
         ]
         result = run_pfasst(config, specs, ps.state(), p_time=1)
-        assert len(result.evaluator_stats) == 2
-        for entry in result.evaluator_stats:
-            assert entry["calls"] > 0
+        counters = result.metrics["counters"]
+        calls = (fine_ev.calls, coarse.evaluator.calls)
+        assert min(calls) > 0
+        # the run's registry counts every evaluation of both levels once
+        assert counters["tree.evaluations"] == sum(calls)
+        stats = fine_ev.cache_stats  # shared by the coarse evaluator
+        assert coarse.evaluator.cache_stats is stats
+        for stage in ("build", "moment", "traversal", "field"):
+            for kind in ("hits", "misses"):
+                assert counters.get(f"tree.cache.{stage}.{kind}", 0) == \
+                    getattr(stats, f"{stage}_{kind}")
         # FAS restriction re-evaluates the coarse RHS at fine states whose
         # trees were just built — the shared cache must see build hits
-        assert result.evaluator_stats[1]["build_hits"] > 0
+        assert counters["tree.cache.build.hits"] > 0

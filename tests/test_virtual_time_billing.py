@@ -10,7 +10,7 @@ code outside any scheduler — is free.
 
 import pytest
 
-from repro.obs import MetricsRegistry, use_metrics
+from repro.obs import MetricsRegistry, Tracer, use_metrics
 from repro.obs.ledger import LEDGER
 from repro.parallel import Scheduler
 from repro.parallel.executor import (
@@ -60,9 +60,17 @@ def _relay(evaluate):
     return program
 
 
+def _marks(scheduler, rank):
+    """Label -> virtual time of ``rank``'s annotations on the scheduler's
+    tracer, which keeps a label without a ``begin:`` / ``end:`` prefix as
+    an instant (the last run's, when the scheduler ran twice)."""
+    return {i.name: i.t for i in scheduler.tracer.instants
+            if i.track == f"rank{rank}" and i.cat == "mark"}
+
+
 def _eval_clock_s(scheduler, rank):
     """Virtual seconds between a rank's ``begin`` and ``end``."""
-    times = {e.label: e.time for e in scheduler.trace if e.rank == rank}
+    times = _marks(scheduler, rank)
     return times["end"] - times["begin"]
 
 
@@ -83,7 +91,7 @@ class TestInline:
             vortex.rhs(0.0, u)
             hits.append(evaluator.last_stats.field_cached)
 
-        scheduler = Scheduler(2, measure_compute=True)
+        scheduler = Scheduler(2, measure_compute=True, tracer=Tracer())
         counters = _run(scheduler, _relay(evaluate))
         assert hits == [False, True]
         assert evaluator.cache_stats.field_hits == 1
@@ -105,11 +113,11 @@ class TestInline:
             vortex.rhs(0.0, u)
             yield comm.annotate("repeat")
 
-        scheduler = Scheduler(1, measure_compute=True)
+        scheduler = Scheduler(1, measure_compute=True, tracer=Tracer())
         counters = _run(scheduler, program)
         assert vortex.evaluator.cache_stats.field_hits == 1
         assert BILLED not in counters
-        times = {e.label: e.time for e in scheduler.trace}
+        times = _marks(scheduler, 0)
         assert times["repeat"] - times["end"] < 0.5 * (
             times["end"] - times["begin"]
         )
@@ -123,7 +131,7 @@ class TestInline:
             vortex.rhs(0.0, u)
             vortex.rhs(0.0, u)
 
-        scheduler = Scheduler(2, measure_compute=True)
+        scheduler = Scheduler(2, measure_compute=True, tracer=Tracer())
         counters = _run(scheduler, _relay(evaluate))
         assert vortex.evaluator.cache_stats.field_hits == 3
         # one evaluation's seconds, not two: rank 0's clock covers its
@@ -165,7 +173,7 @@ class TestInline:
         def evaluate():
             vortex.rhs(0.0, u)
 
-        scheduler = Scheduler(1, measure_compute=True)
+        scheduler = Scheduler(1, measure_compute=True, tracer=Tracer())
         assert BILLED not in _run(scheduler, _relay(evaluate))
         # same scheduler, same rank, next run: a real rank 0 of this run
         # starts with nothing
@@ -182,7 +190,7 @@ class TestInline:
             owners.append(LEDGER.owner)
             vortex.rhs(0.0, u)
 
-        scheduler = Scheduler(2, measure_compute=False)
+        scheduler = Scheduler(2, measure_compute=False, tracer=Tracer())
         counters = _run(scheduler, _relay(evaluate))
         assert vortex.evaluator.cache_stats.field_hits == 1
         assert owners == [None, None]
@@ -222,7 +230,8 @@ class TestDispatched:
         with make_executor() as executor:
             executor.register("p", vortex)
             recorded = _Recorded(executor)
-            scheduler = Scheduler(2, measure_compute=True, executor=executor)
+            scheduler = Scheduler(2, measure_compute=True, executor=executor,
+                                  tracer=Tracer())
             scheduler.run(_relay(evaluate))
             counters = scheduler.metrics.as_dict()["counters"]
         first, second = recorded.results
