@@ -5,8 +5,7 @@ needs to resume mid-block and reproduce the uninterrupted run *bitwise*:
 the per-time-rank level state (U, F, tau, initial values with their
 RHS and the restriction snapshots), the block-initial value
 ``u_block``, residual histories, the attempt counter of the active
-block, per-block iteration bookkeeping, an optional RNG state slot and
-a metrics snapshot.  The
+block, per-block iteration bookkeeping and a metrics snapshot.  The
 container on disk is ``REPROCKPT1 + CRC32 + npz``, written via the
 atomic temp-file + fsync + ``os.replace`` path of :mod:`repro.io` — a
 driver-process kill can never leave a torn checkpoint, and bit rot is
@@ -21,9 +20,8 @@ and numerics of the run byte-identical to an unobserved run.  A
 checkpoint for ``(block, k)`` is written once the slowest rank passes
 iteration ``k`` (ranks pipeline freely between status collectives).
 
-The solver itself is deterministic and draws from no RNG; the
-``rng_state`` slot exists for drivers (e.g. the chaos harness, sampling
-campaigns) that want their generator state to survive a restart.
+The solver is deterministic and draws from no RNG, so a checkpoint
+holds no generator state (an ``rng_state`` key in older files is ignored).
 """
 
 from __future__ import annotations
@@ -118,7 +116,6 @@ class RunCheckpoint:
     total_iterations: List[int]
     recoveries: List[Dict[str, Any]]
     iters_attempted: int
-    rng_state: Optional[bytes] = None
     metrics: Dict[str, Any] = field(default_factory=dict)
     version: int = CHECKPOINT_VERSION
 
@@ -149,8 +146,6 @@ class RunCheckpoint:
             "total_iterations": list(self.total_iterations),
             "recoveries": self.recoveries,
             "iters_attempted": self.iters_attempted,
-            "rng_state": (None if self.rng_state is None
-                          else self.rng_state.hex()),
             "metrics": self.metrics,
         }
         arrays["meta"] = np.frombuffer(
@@ -198,8 +193,6 @@ class RunCheckpoint:
                 total_iterations=[int(x) for x in meta["total_iterations"]],
                 recoveries=meta["recoveries"],
                 iters_attempted=int(meta["iters_attempted"]),
-                rng_state=(None if meta["rng_state"] is None
-                           else bytes.fromhex(meta["rng_state"])),
                 metrics=meta["metrics"],
                 version=int(meta["version"]),
             )
@@ -225,7 +218,6 @@ class RunCheckpointer:
         interval: int = 1,
         config_digest: str = "",
         metrics_source: Optional[Callable[[], Dict[str, Any]]] = None,
-        rng_state: Optional[bytes] = None,
     ) -> None:
         if interval < 1:
             raise ValueError(f"interval must be >= 1, got {interval}")
@@ -234,7 +226,6 @@ class RunCheckpointer:
         self.interval = interval
         self.config_digest = config_digest
         self.metrics_source = metrics_source
-        self.rng_state = rng_state
         self.writes = 0
         self.last_written: Optional[tuple] = None
         self._pending: Dict[tuple, Dict[int, Dict[str, Any]]] = {}
@@ -280,7 +271,6 @@ class RunCheckpointer:
             total_iterations=rank0["total_iterations"],
             recoveries=rank0["recoveries"],
             iters_attempted=rank0["iters_attempted"],
-            rng_state=self.rng_state,
             metrics=(self.metrics_source() if self.metrics_source else {}),
         )
         ckpt.save(self.path)

@@ -128,21 +128,6 @@ def _count_evaluation(stats: TreeStats) -> TreeStats:
     return stats
 
 
-def _engine_layout(
-    solver: "TreeEvaluator",
-    state: TreeState,
-    lists: InteractionLists,
-) -> TraversalLayout:
-    """Per-traversal engine layout, cached on the state object."""
-    key = (float(solver.theta), str(solver.mac_variant))
-    layout = state.engine_layouts.get(key)
-    if layout is None:
-        with get_tracer().span("layout", cat="phase"):
-            layout = build_traversal_layout(state.tree, lists)
-        state.engine_layouts[key] = layout
-    return layout
-
-
 def _tree_stages(
     solver: "TreeEvaluator",
     positions: np.ndarray,
@@ -168,7 +153,10 @@ def _tree_stages(
         solver.theta, solver.mac_variant, moments.bmax
     )
     if segment is None:
-        layout = _engine_layout(solver, state, lists)
+        layout, _ = state.product(
+            ("layout", solver.theta, solver.mac_variant, None),
+            lambda: build_traversal_layout(state.tree, lists),
+        )
     else:
         lists, layout = solver._segment_layout(state, lists, *segment)
     return state, moments, lists, layout, (

@@ -13,7 +13,7 @@ Fig. 3), each space rank
    covering its occupied key interval (:func:`_cover_cells`) — and
    computes their multipole moments (m0/m1/m2 about the cell
    centers) from its local particles alone, all cells in one vectorised
-   pass, memoised on the tree state per charge set and rank,
+   pass,
 3. exchanges the branch payloads with an ``allgather`` ring collective
    (:func:`repro.parallel.collectives.allgather`), byte-counted into the
    scheduler metrics (``space.branch_bytes{...}``) — the traffic Fig. 5
@@ -37,7 +37,10 @@ real multipole payloads, and step 4 proves the exchanged data is
 sufficient to reconstruct the shared coarse tree — the quantity the
 virtual-time model measures.  The arithmetic work of steps 2/5 is
 genuinely sharded: each rank computes only its own segment sums and its
-own far/near interactions.
+own far/near interactions.  The shard, branch payloads and segment
+layouts are products of that state
+(:meth:`~repro.tree.state.TreeState.product`): this module names their
+keys and compute functions and holds no cache of its own.
 
 Every segment takes the same near-field path as the serial
 :class:`~repro.tree.evaluator.TreeEvaluator` (the expansion gate is
@@ -65,7 +68,6 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.tracer import get_tracer
 from repro.parallel import tags
 from repro.parallel.collectives import allgather
 from repro.parallel.simmpi import VirtualComm
@@ -170,16 +172,12 @@ def _cover_cells(lo: int, hi: int, depth: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def compute_shard(state: TreeState, p_space: int) -> SpaceShard:
     """The (cached) leaf-aligned P_S-way shard of a tree state."""
-    shards: Optional[Dict[int, SpaceShard]] = getattr(
-        state, "_space_shards", None
-    )
-    if shards is None:
-        shards = {}
-        state._space_shards = shards  # type: ignore[attr-defined]
-    found = shards.get(p_space)
-    if found is not None:
-        return found
+    return state.product(
+        ("shard", p_space), lambda: _leaf_shard(state, p_space)
+    )[0]
 
+
+def _leaf_shard(state: TreeState, p_space: int) -> SpaceShard:
     tree = state.tree
     groups = state.groups
     n_leaves = int(groups.shape[0])
@@ -211,10 +209,8 @@ def compute_shard(state: TreeState, p_space: int) -> SpaceShard:
     bounds[0], bounds[-1] = 0, n
     bounds[1:-1] = sorted_starts[leaf_bounds[1:-1]]
 
-    shard = SpaceShard(p_space, bounds, leaf_bounds, leaf_order,
-                       _particle_keys(tree))
-    shards[p_space] = shard
-    return shard
+    return SpaceShard(p_space, bounds, leaf_bounds, leaf_order,
+                      _particle_keys(tree))
 
 
 def _sub_lists(lists: InteractionLists, mask: np.ndarray) -> InteractionLists:
@@ -283,36 +279,6 @@ def branch_payload(
         "key": ckey, "level": clevel, "count": counts, "center": centers,
         "m0": m0, "m1": m1, "m2": m2,
     }
-
-
-def _cached_branch_payload(
-    state: TreeState,
-    shard: SpaceShard,
-    charges: np.ndarray,
-    charges_sorted: np.ndarray,
-    rank: int,
-) -> Dict[str, np.ndarray]:
-    """:func:`branch_payload`, memoised on the state per ``(charges
-    fingerprint, p_space, rank)``: a repeated evaluation of a state (a
-    field-memo hit in the segment) does not rebuild its branches."""
-    key = (array_fingerprint(charges), shard.p_space, rank)
-    memo = state.branch_payloads
-    payload = memo.get(key)
-    if payload is None:
-        payload = branch_payload(state.tree, shard, charges_sorted, rank)
-        memo[key] = payload
-        while len(memo) > TreeState._MOMENT_SLOTS * shard.p_space:
-            memo.popitem(last=False)
-    else:
-        memo.move_to_end(key)
-    return payload
-
-
-def _payload_nbytes(payload: Dict[str, np.ndarray]) -> int:
-    total = 0
-    for arr in payload.values():
-        total += int(arr.nbytes)
-    return total
 
 
 def assemble_root(
@@ -400,22 +366,17 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
         rank: int,
     ) -> Tuple[InteractionLists, TraversalLayout]:
         """Masked interaction lists + engine layout for one segment."""
-        key = (float(self.theta), str(self.mac_variant),
-               ("seg", p_space, rank))
-        found = state.engine_layouts.get(key)
-        if found is not None:
-            return found
-        shard = compute_shard(state, p_space)
-        mask = shard.group_mask(rank, lists.n_groups)
-        sub = _sub_lists(lists, mask)
-        with get_tracer().span("layout", cat="phase"):
+        def compute():
+            shard = compute_shard(state, p_space)
+            sub = _sub_lists(lists, shard.group_mask(rank, lists.n_groups))
             layout = build_traversal_layout(state.tree, sub)
-        # the near expansion gate is a property of the traversal, not of
-        # this shard's share of its far pairs
-        layout.multipole_regime = lists.far_group.size > 0
-        found = (sub, layout)
-        state.engine_layouts[key] = found
-        return found
+            # the near expansion gate is a property of the traversal, not
+            # of this shard's share of its far pairs
+            layout.multipole_regime = lists.far_group.size > 0
+            return sub, layout
+
+        key = ("layout", self.theta, self.mac_variant, (p_space, rank))
+        return state.product(key, compute)[0]
 
     def segment_field(
         self,
@@ -492,10 +453,13 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
 
         # ---- branch exchange (paper Fig. 3 / Fig. 5) -------------------
         yield space.annotate("begin:space:branch-exchange")
-        payload = _cached_branch_payload(
-            state, shard, charges, charges_sorted, rank
+        # memoised per charge set: a repeated evaluation of a state (a
+        # field-memo hit in the segment) does not rebuild its branches
+        payload, _ = state.product(
+            ("branch", array_fingerprint(charges), p_space, rank),
+            lambda: branch_payload(tree, shard, charges_sorted, rank),
         )
-        nbytes = _payload_nbytes(payload)
+        nbytes = sum(a.nbytes for a in payload.values())
         space.counter("space.branch_bytes").inc(nbytes)
         space.counter("space.branch_bytes", per_rank=True).inc(nbytes)
         space.counter("space.branch_cells", per_rank=True).inc(

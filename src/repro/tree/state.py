@@ -1,5 +1,5 @@
-"""Reusable tree state: build + moments + traversal + finished fields
-behind one cache.
+"""Reusable tree state: build + moments + traversal + layouts + finished
+fields behind one cache.
 
 PFASST calls the tree code over and over: M quadrature nodes x K sweeps x
 iterations, on two levels that share the *same particle set* and differ
@@ -20,21 +20,27 @@ amount of state-identical work:
 :class:`TreeStateCache` realises both.  States are keyed by a cheap
 content fingerprint (BLAKE2 over the raw array bytes) of ``positions``
 plus the build parameters, so in-place mutation of a caller array simply
-produces a miss — there is no way to observe a stale tree.  Within a
-state, moments are keyed by the charge-array fingerprint and traversals by
-``(theta, mac_variant)``.  The last stage, a memo of finished fields
-(:meth:`TreeStateCache.field` / :meth:`TreeStateCache.store_field`), is
-looked up before any of them, keyed by the two fingerprints plus
-everything else the field depends on (the evaluator builds the key).  Hit/miss
-counters per stage are kept in :class:`CacheStats`; the evaluators
-surface per-call flags in ``TreeStats``, and the ``tree_build`` /
-``moments`` / ``traverse`` phase spans of a traced run
-(:mod:`repro.obs.tracer`) are recorded on misses only, so a trace
-directly shows the work saved.  When a global metrics registry is active
-(:func:`repro.obs.use_metrics`), every hit/miss also increments a
-``tree.cache.<stage>.<hits|misses>`` counter there, and every
-:meth:`TreeStateCache.state` call sets the ``tree.cache.bytes`` gauge to
-the bytes the cache holds (:attr:`TreeStateCache.nbytes`).
+produces a miss — there is no way to observe a stale tree.  Everything
+derived from a state's tree is a keyed product of
+:meth:`TreeState.product`, the one place a tree product is looked up,
+counted, computed, timed and stored: moments per charge fingerprint,
+traversals per ``(theta, mac_variant)``, engine layouts per ``(theta,
+mac_variant, segment)``, and the space-parallel evaluator's shards,
+branch payloads and leaf groups.  The last stage, a memo of finished
+fields (:meth:`TreeStateCache.field` / :meth:`TreeStateCache.store_field`),
+is looked up before any of them, keyed by the two fingerprints plus
+everything else the field depends on (the evaluator builds the key).
+States, products and fields sit in one kind of bounded LRU that sizes
+each entry once when it is stored, so :attr:`TreeStateCache.nbytes` is
+a running total.  Hit/miss counters per stage are kept in
+:class:`CacheStats`; the evaluators surface per-call flags in
+``TreeStats``, and the ``tree_build`` / ``moments`` / ``traverse`` /
+``layout`` phase spans of a traced run (:mod:`repro.obs.tracer`) are
+recorded on misses only, so a trace directly shows the work saved.  When
+a global metrics registry is active (:func:`repro.obs.use_metrics`),
+every hit/miss also increments a ``tree.cache.<stage>.<hits|misses>``
+counter there, and every :meth:`TreeStateCache.state` call sets the
+``tree.cache.bytes`` gauge to the bytes the cache holds.
 
 **Virtual time.**  The memo is shared by every rank program of a
 simulated-MPI run, but a real rank only has what it computed itself.
@@ -50,8 +56,11 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, Iterator, Optional, Set, Tuple,
+)
 
 import numpy as np
 
@@ -66,9 +75,14 @@ __all__ = ["array_fingerprint", "CacheStats", "TreeState", "TreeStateCache"]
 
 
 def _nbytes(obj: object) -> int:
-    """Bytes held by a cached product: its own ``nbytes`` when it reports
-    one (arrays, engine layouts), else the sum over its ndarray
-    attributes (tree, moments, interaction lists); tuples are summed."""
+    """Bytes held by a cached product, taken once when it is stored: its
+    own ``nbytes`` when it reports one (arrays, engine layouts), else the
+    sum over its ndarray attributes (tree, moments, interaction lists,
+    shards); tuples and dict values are summed, ``None`` holds none."""
+    if obj is None:
+        return 0
+    if isinstance(obj, dict):
+        obj = tuple(obj.values())
     if isinstance(obj, tuple):
         return sum(_nbytes(o) for o in obj)
     own = getattr(obj, "nbytes", None)
@@ -130,67 +144,119 @@ class CacheStats:
         }
 
 
-class TreeState:
-    """One built octree plus its derived, lazily-cached products.
+class _LRU:
+    """A bounded least-recently-used map with a running byte count.
 
-    Holds the tree itself, multipole moments per charge set and
-    interaction lists per ``(theta, mac_variant)``.  Created and owned by
-    :class:`TreeStateCache`; evaluators never build trees directly.
+    Each value is stored with the bytes it holds, sized once by the
+    caller; :attr:`nbytes` is kept up to date on every store and
+    eviction, so reading it walks no arrays.  Plain attributes only: it
+    pickles with the cache it belongs to (evaluators ship to
+    ``ProcessExecutor`` workers).
     """
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self.nbytes = 0
+        self._items: "OrderedDict[Hashable, Tuple[Any, int]]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def values(self) -> Iterator[Any]:
+        return (value for value, _ in self._items.values())
+
+    def get(self, key: Hashable) -> Any:
+        """The value under ``key``, now the most recent, or ``None``."""
+        item = self._items.get(key)
+        if item is None:
+            return None
+        self._items.move_to_end(key)
+        return item[0]
+
+    def put(self, key: Hashable, value: Any, nbytes: int) -> None:
+        """Store ``value``, which holds ``nbytes``, under a new ``key``;
+        drop the least recent entries past ``cap``."""
+        self._items[key] = (value, nbytes)
+        self.nbytes += nbytes
+        while len(self._items) > self.cap:
+            _, (_, dropped) = self._items.popitem(last=False)
+            self.nbytes -= dropped
+
+    def clear(self) -> None:
+        self._items.clear()
+        self.nbytes = 0
+
+
+#: product kind (``key[0]``) -> the :class:`CacheStats` stage it counts
+#: in and the ``phase`` span its computation opens; other kinds have none
+_STAGES = {
+    "moment": ("moment", "moments"),
+    "traversal": ("traversal", "traverse"),
+    "layout": (None, "layout"),
+}
+
+
+class TreeState:
+    """One built octree plus the products derived from it.
+
+    Every product lives in one keyed memo, :meth:`product`: moments per
+    charge set, interaction lists per ``(theta, mac_variant)``, engine
+    layouts per traversal and segment, the space shards and branch
+    payloads of the space-parallel evaluator, and the leaf groups.
+    Created and owned by :class:`TreeStateCache`; evaluators never build
+    trees directly.
+    """
+
+    #: products kept per state, least recently used dropped first.  A
+    #: P_T = 2 x P_S = 2 grid run holds at most 14 on one state.
+    _PRODUCT_SLOTS = 32
 
     def __init__(self, tree: Octree, stats: CacheStats) -> None:
         self.tree = tree
         self._stats = stats
-        self._vortex_moments: "OrderedDict[bytes, VortexMoments]" = OrderedDict()
-        self._traversals: Dict[Tuple[float, str], InteractionLists] = {}
-        #: per-traversal engine layouts, attached by the batched engine
-        #: (keyed like ``_traversals``; opaque to this module)
-        self.engine_layouts: Dict[Tuple[float, str], object] = {}
-        #: branch payloads of the space-parallel evaluator, keyed by
-        #: ``(charges fingerprint, p_space, rank)`` (opaque to this module)
-        self.branch_payloads: "OrderedDict[Hashable, Dict[str, np.ndarray]]" = (
-            OrderedDict()
-        )
-        self._groups: Optional[np.ndarray] = None
-
-    # A handful of charge sets may coexist per state; keep the map tiny.
-    _MOMENT_SLOTS = 4
+        self._tree_nbytes = _nbytes(tree)
+        self._memo = _LRU(self._PRODUCT_SLOTS)
 
     @property
     def nbytes(self) -> int:
-        """Bytes this state keeps alive: tree, moment sets, interaction
-        lists, engine layouts and branch payloads."""
-        held = [
-            self.tree, *self._vortex_moments.values(),
-            *self._traversals.values(), *self.engine_layouts.values(),
-            *(a for p in self.branch_payloads.values() for a in p.values()),
-        ]
-        return sum(_nbytes(h) for h in held)
+        """Bytes this state keeps alive: the tree and every product."""
+        return self._tree_nbytes + self._memo.nbytes
+
+    def product(
+        self, key: Tuple[Hashable, ...], compute: Callable[[], Any]
+    ) -> Tuple[Any, bool]:
+        """The product memoised under ``key``, or ``compute()`` stored
+        there; returns ``(product, was_cached)``.
+
+        ``key[0]`` names the product kind, the rest everything its value
+        depends on beyond this state's tree.  Lookups of a counted kind
+        count a hit or miss in :class:`CacheStats`, and a timed kind
+        computes inside its ``phase`` span (``_STAGES``).
+        """
+        stage, span = _STAGES.get(key[0], (None, None))
+        found = self._memo.get(key)
+        if stage is not None:
+            self._stats.count(stage, hit=found is not None)
+        if found is not None:
+            return found, True
+        with get_tracer().span(span, cat="phase") if span else nullcontext():
+            found = compute()
+        self._memo.put(key, found, _nbytes(found))
+        return found, False
 
     @property
     def groups(self) -> np.ndarray:
-        """Leaf node ids (traversal target groups), computed once."""
-        if self._groups is None:
-            self._groups = self.tree.leaves()
-        return self._groups
+        """Leaf node ids (traversal target groups)."""
+        return self.product(("groups",), self.tree.leaves)[0]
 
     def vortex_moments(
         self, charges: np.ndarray
     ) -> Tuple[VortexMoments, bool]:
         """Moments for vector charges; returns ``(moments, was_cached)``."""
-        key = array_fingerprint(charges)
-        hit = self._vortex_moments.get(key)
-        if hit is not None:
-            self._stats.count("moment", hit=True)
-            self._vortex_moments.move_to_end(key)
-            return hit, True
-        self._stats.count("moment", hit=False)
-        with get_tracer().span("moments", cat="phase"):
-            moments = compute_vortex_moments(self.tree, charges)
-        self._vortex_moments[key] = moments
-        while len(self._vortex_moments) > self._MOMENT_SLOTS:
-            self._vortex_moments.popitem(last=False)
-        return moments, False
+        return self.product(
+            ("moment", array_fingerprint(charges)),
+            lambda: compute_vortex_moments(self.tree, charges),
+        )
 
     def traversal(
         self,
@@ -205,18 +271,12 @@ class TreeState:
         every charge set over the same tree — safe to key the traversal
         by ``(theta, variant)`` alone.
         """
-        key = (float(theta), str(variant))
-        hit = self._traversals.get(key)
-        if hit is not None:
-            self._stats.count("traversal", hit=True)
-            return hit, True
-        self._stats.count("traversal", hit=False)
-        with get_tracer().span("traverse", cat="phase"):
-            lists = dual_traversal(
+        return self.product(
+            ("traversal", float(theta), str(variant)),
+            lambda: dual_traversal(
                 self.tree, theta, node_bmax=node_bmax, variant=variant
-            )
-        self._traversals[key] = lists
-        return lists, False
+            ),
+        )
 
 
 @dataclass
@@ -256,12 +316,9 @@ class TreeStateCache:
     def __init__(self, maxsize: int = 8) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = int(maxsize)
         self.stats = CacheStats()
-        self._states: "OrderedDict[Tuple[bytes, int], TreeState]" = OrderedDict()
-        self._fields: "OrderedDict[Tuple[Hashable, ...], _FieldEntry]" = (
-            OrderedDict()
-        )
+        self._states = _LRU(int(maxsize))
+        self._fields = _LRU(self._FIELD_SLOTS)
 
     def __len__(self) -> int:
         return len(self._states)
@@ -273,10 +330,9 @@ class TreeStateCache:
     @property
     def nbytes(self) -> int:
         """Bytes held by all cached states (see :attr:`TreeState.nbytes`)
-        and memoised fields."""
-        return sum(state.nbytes for state in self._states.values()) + sum(
-            a.nbytes for entry in self._fields.values()
-            for a in entry.arrays if a is not None
+        and memoised fields: running totals, O(states) to read."""
+        return self._fields.nbytes + sum(
+            state.nbytes for state in self._states.values()
         )
 
     def field(
@@ -295,7 +351,6 @@ class TreeStateCache:
         if entry is None:
             self.stats.count("field", hit=False)
             return None
-        self._fields.move_to_end(key)
         for stage in ("build", "moment", "traversal", "field"):
             self.stats.count(stage, hit=True)
         owner = LEDGER.owner
@@ -318,11 +373,10 @@ class TreeStateCache:
         arrays are copied, the oldest entry beyond ``_FIELD_SLOTS``
         dropped."""
         payers = set() if LEDGER.owner is None else {LEDGER.owner}
-        self._fields[key] = _FieldEntry(
-            _copies(arrays), stats, seconds, payers
+        arrays = _copies(arrays)
+        self._fields.put(
+            key, _FieldEntry(arrays, stats, seconds, payers), _nbytes(arrays)
         )
-        while len(self._fields) > self._FIELD_SLOTS:
-            self._fields.popitem(last=False)
 
     def state(
         self, positions: np.ndarray, leaf_size: int
@@ -332,15 +386,12 @@ class TreeStateCache:
         state = self._states.get(key)
         cached = state is not None
         self.stats.count("build", hit=cached)
-        if cached:
-            self._states.move_to_end(key)
-        else:
+        if not cached:
             with get_tracer().span("tree_build", cat="phase"):
                 tree = build_octree(positions, leaf_size=leaf_size)
             state = TreeState(tree, self.stats)
-            self._states[key] = state
-            while len(self._states) > self.maxsize:
-                self._states.popitem(last=False)
+            # a state's bytes are its own running total (TreeState.nbytes)
+            self._states.put(key, state, 0)
         m = get_metrics()
         if m.enabled:
             m.gauge("tree.cache.bytes").set(self.nbytes)

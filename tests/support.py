@@ -23,19 +23,25 @@ class AnnotationLog(Tracer):
         super().annotate(track, label, t, data)
 
 
-def record_golden(path: Path, recorded: Dict[str, Dict[str, Any]]) -> None:
+def record_golden(path: Path, recorded: Dict[str, Any]) -> None:
     """Write ``recorded`` to the golden file ``path``, printing every case
-    that moved with the fields that moved, then the ``N changed`` total."""
+    that moved — the fields that moved for a record, ``old -> new`` for a
+    flat value — then the ``N changed`` total."""
     before = (json.loads(path.read_text(encoding="utf-8"))
               if path.exists() else {})
     changed = 0
     for case in sorted(set(before) | set(recorded)):
-        was, now = before.get(case, {}), recorded.get(case, {})
-        fields = sorted(k for k in set(was) | set(now)
-                        if was.get(k) != now.get(k))
-        if fields:
-            changed += 1
-            print(f"{case}: {', '.join(fields)}")
+        was, now = before.get(case), recorded.get(case)
+        if was == now:
+            continue
+        changed += 1
+        if isinstance(was, dict) or isinstance(now, dict):
+            was, now = was or {}, now or {}
+            moved = ", ".join(sorted(k for k in set(was) | set(now)
+                                     if was.get(k) != now.get(k)))
+        else:
+            moved = f"{was} -> {now}"
+        print(f"{case}: {moved}")
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")

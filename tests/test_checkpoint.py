@@ -120,6 +120,21 @@ class TestCheckpointWriting:
         ]
 
 
+def _rewrite(path, edit, keep=lambda name: True):
+    """Rewrite the checkpoint at ``path`` as another build would have
+    written it: ``edit(meta)`` applied, only the arrays ``keep`` accepts."""
+    with np.load(io.BytesIO(read_crc_container(path, CHECKPOINT_MAGIC))
+                 ) as data:
+        arrays = {k: data[k] for k in data.files if k != "meta" and keep(k)}
+        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+    edit(meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                   dtype=np.uint8)
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **arrays)
+    write_crc_container(path, CHECKPOINT_MAGIC, buf.getvalue())
+
+
 class TestRoundTrip:
     def test_save_load_round_trip(self, linear_problem, u0, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -143,6 +158,12 @@ class TestRoundTrip:
                         assert a[name] is None
                     else:
                         assert np.array_equal(a[name], b[name])
+        # files written before the rng_state slot was dropped hold
+        # ``"rng_state": null`` in their meta
+        _rewrite(path2, lambda meta: meta.update(rng_state=None))
+        older = RunCheckpoint.load(path2)
+        assert older.block == ckpt.block and older.k == ckpt.k
+        assert np.array_equal(older.u_block, ckpt.u_block)
 
     def test_snapshot_adopt_levels_round_trip(self, linear_problem):
         from repro.pfasst.controller import _build_levels
@@ -165,19 +186,13 @@ class TestRoundTrip:
         run_pfasst(
             _config(), _specs(linear_problem), u0, p_time=2, checkpoint=path
         )
-        with np.load(io.BytesIO(read_crc_container(path, CHECKPOINT_MAGIC))
-                     ) as data:
-            arrays = {k: data[k] for k in data.files
-                      if k != "meta" and not k.endswith("_f0")}
-            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        meta["version"] = 1
-        meta["u0_dirty"] = {str(r): [True] * meta["n_levels"]
-                            for r in meta.pop("ranks")}
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
-                                       dtype=np.uint8)
-        buf = io.BytesIO()
-        np.savez_compressed(buf, **arrays)
-        write_crc_container(path, CHECKPOINT_MAGIC, buf.getvalue())
+
+        def to_version_1(meta):
+            meta["version"] = 1
+            meta["u0_dirty"] = {str(r): [True] * meta["n_levels"]
+                                for r in meta.pop("ranks")}
+
+        _rewrite(path, to_version_1, keep=lambda k: not k.endswith("_f0"))
         old = RunCheckpoint.load(path)
         assert old.version == 1 and sorted(old.levels) == [0, 1]
         for blob in old.levels.values():

@@ -11,7 +11,8 @@ layout, batching helpers) must pass this file unedited.
 
 Re-record (only when a change is *meant* to alter the summation order)
 with ``PYTHONPATH=src python tests/test_golden_tree_fields.py --record``;
-it prints every case whose digest differs from the committed file.
+it prints every case whose digest differs from the committed file
+(``tests/support.py::record_golden``, the recorder of every golden file).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import pytest
 from repro.tree import TreeEvaluator
 from repro.tree.parallel import SpaceParallelTreeEvaluator
 from repro.vortex import SheetConfig, get_kernel, spherical_vortex_sheet
+from support import record_golden
 
 GOLDEN = Path(__file__).parent / "data" / "golden_tree_fields.json"
 
@@ -130,16 +132,4 @@ def test_segment_digest(golden, case):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_golden_tree_fields.py --record")
-    before = (json.loads(GOLDEN.read_text(encoding="utf-8"))
-              if GOLDEN.exists() else {})
-    recorded = {cid: run(case) for cid, run, case in _all_cases()}
-    changed = sorted(cid for cid in set(before) | set(recorded)
-                     if before.get(cid) != recorded.get(cid))
-    for cid in changed:
-        print(f"{cid}: {before.get(cid)} -> {recorded.get(cid)}")
-    GOLDEN.write_text(
-        json.dumps(recorded, indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"recorded {len(recorded)} cases into {GOLDEN}, "
-          f"{len(changed)} changed")
+    record_golden(GOLDEN, {cid: run(case) for cid, run, case in _all_cases()})

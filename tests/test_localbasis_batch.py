@@ -239,5 +239,5 @@ class TestNearGemmBranch:
         ev = TreeEvaluator(kernel, cfg.sigma, theta=0.0, leaf_size=24)
         ev.field(ps.positions, ps.charges)
         st = next(iter(ev.cache._states.values()))
-        layout = st.engine_layouts[(0.0, "bh")]
+        layout = st._memo.get(("layout", 0.0, "bh", None))
         assert layout.far_pairs == 0

@@ -138,8 +138,8 @@ class TestShardGate:
         ]
         state, _ = par.cache.state(ps.positions, par.leaf_size)
         order = state.tree.order
-        far = [layout.far_pairs for key, (_, layout)
-               in state.engine_layouts.items() if len(key) == 3]
+        far = [value[1].far_pairs for key, (value, _)
+               in state._memo._items.items() if key[0] == "layout"]
         if p_space == 4:
             assert min(far) == 0 < max(far)  # the case under test
         vel = np.concatenate([seg[0] for seg in segments])
@@ -407,7 +407,7 @@ class TestBranchExchangeCost:
         self._run(ev, positions, charges * 2.0)
         assert built == [0, 1, 0, 1]  # a new charge set is rebuilt
         state, _ = ev.cache.state(positions, ev.leaf_size)
-        assert len(state.branch_payloads) == 4
+        assert sum(key[0] == "branch" for key in state._memo._items) == 4
 
     def test_process_event_loop_runs_no_moment_pass(self, monkeypatch):
         """Under a process backend the event loop builds trees for the

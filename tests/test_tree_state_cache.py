@@ -1,5 +1,7 @@
 """TreeState cache: hits, invalidation, fine/coarse sharing, counters."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -190,8 +192,7 @@ class TestFineCoarseSharing:
 class TestEviction:
     def test_lru_bound_holds(self, sheet, rng):
         ps, _, _ = sheet
-        ev = _fresh_evaluator(sheet)
-        ev.cache.maxsize = 2
+        ev = _fresh_evaluator(sheet, cache=TreeStateCache(maxsize=2))
         configs = [ps.positions + 0.01 * k for k in range(4)]
         for pos in configs:
             ev.field(pos, ps.charges)
@@ -224,7 +225,7 @@ class TestCacheBytes:
         tree_only = state.nbytes
         assert tree_only >= state.tree.positions.nbytes
         out = ev.field(ps.positions, ps.charges)
-        (layout,) = state.engine_layouts.values()
+        layout = state._memo.get(("layout", 0.3, "bh", None))
         moments, _ = state.vortex_moments(ps.charges)
         assert state.nbytes >= tree_only + layout.nbytes + moments.m2.nbytes
         # one state plus one memoised field
@@ -234,8 +235,7 @@ class TestCacheBytes:
 
     def test_monotone_under_inserts_and_drops_on_eviction(self, sheet):
         ps, _, _ = sheet
-        ev = _fresh_evaluator(sheet)
-        ev.cache.maxsize = 2
+        ev = _fresh_evaluator(sheet, cache=TreeStateCache(maxsize=2))
         assert ev.cache.nbytes == 0
         sizes = []
         for k in range(2):
@@ -267,6 +267,118 @@ class TestCacheBytes:
         # no registry, no gauge (and no cost)
         ev.field(ps.positions + 0.01, ps.charges)
         assert metrics.as_dict()["gauges"]["tree.cache.bytes"] == second
+
+    def test_running_total_covers_shards_and_groups(self, sheet,
+                                                    monkeypatch):
+        """After a P_S = 2 evaluation the state also holds the space
+        shard (8 bytes of Morton key per particle) and the leaf groups;
+        the byte count is every array the state and the field memo
+        reach, and reading it sizes no array."""
+        import repro.tree.state as state_module
+        from repro.parallel.simmpi import Scheduler
+        from repro.tree.parallel import (
+            SpaceParallelTreeEvaluator,
+            compute_shard,
+        )
+
+        ps, cfg, kernel = sheet
+        ev = SpaceParallelTreeEvaluator(kernel, cfg.sigma, theta=0.3,
+                                        leaf_size=24)
+
+        def program(comm):
+            return (yield from ev.field_program(
+                comm, ps.positions, ps.charges
+            ))
+
+        Scheduler(2).run(program)
+        (state,) = ev.cache._states.values()
+        shard = compute_shard(state, 2)
+        assert shard.keys.nbytes == 8 * ps.positions.shape[0]
+        products = {k: v for k, v in vars(state).items()
+                    if k not in ("tree", "_stats")}
+        reached = _reachable_bytes(products)
+        assert reached > _reachable_bytes(shard) + state.groups.nbytes
+        tree_bytes = sum(a.nbytes for a in vars(state.tree).values()
+                         if isinstance(a, np.ndarray))
+        assert state.nbytes == tree_bytes + reached
+        assert ev.cache.nbytes == state.nbytes + _reachable_bytes(
+            ev.cache._fields
+        )
+        sized = []
+        monkeypatch.setattr(state_module, "_nbytes", sized.append)
+        assert ev.cache.nbytes > 0 and sized == []
+        # evaluators ship to ProcessExecutor workers with their cache
+        shipped = pickle.loads(pickle.dumps(ev.cache))
+        assert shipped.nbytes == ev.cache.nbytes and len(shipped) == 1
+
+
+#: ``tree.cache.<stage>.<hits|misses>`` of two fixed runs, measured with
+#: every per-state product kept (the per-state cap never binds on them)
+_PINNED_COUNTERS = {
+    # inline PFASST(2,2,4) at N=256, the fig8-n2k smoke shape
+    "fig8-smoke": {
+        "build": (31, 43), "moment": (30, 44), "traversal": (21, 53),
+        "field": (21, 53),
+    },
+    # P_T = 2 x P_S = 2 inline grid, N=512: up to 14 products per state
+    "grid-2x2": {
+        "build": (219, 37), "moment": (88, 40), "traversal": (77, 51),
+        "field": (22, 106),
+    },
+}
+
+
+def _pinned_run(name):
+    from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
+    from repro.tree.parallel import SpaceParallelTreeEvaluator
+    from repro.vortex import VortexProblem
+
+    kernel = get_kernel("algebraic6")
+    if name == "fig8-smoke":
+        cfg = SheetConfig(n=256, sigma_over_h=3.0)
+        ev = TreeEvaluator(kernel, cfg.sigma, theta=0.3, leaf_size=48)
+        grid = dict(p_time=4)
+    else:
+        cfg = SheetConfig(n=512)
+        ev = SpaceParallelTreeEvaluator(kernel, cfg.sigma, theta=0.3,
+                                        leaf_size=48)
+        grid = dict(p_time=2, p_space=2)
+    ps = spherical_vortex_sheet(cfg)
+    fine = VortexProblem(ps.volumes, ev)
+    specs = [
+        LevelSpec(fine, num_nodes=3, sweeps=1),
+        LevelSpec(fine.coarsened(0.6), num_nodes=2, sweeps=2),
+    ]
+    return run_pfasst(PfasstConfig(0.0, 0.5, 4, 2), specs, ps.state(),
+                      **grid)
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_COUNTERS))
+def test_cache_counters_are_pinned(name):
+    """Every stage's hits and misses of two fixed runs, exactly: a cache
+    policy change that loses (or invents) a hit fails here."""
+    counters = _pinned_run(name).metrics["counters"]
+    got = {
+        stage: tuple(counters.get(f"tree.cache.{stage}.{kind}", 0)
+                     for kind in ("hits", "misses"))
+        for stage in _PINNED_COUNTERS[name]
+    }
+    assert got == _PINNED_COUNTERS[name]
+
+
+def _reachable_bytes(obj) -> int:
+    """Bytes of every array reachable from ``obj`` through attributes,
+    dict values and tuples (a shared array counts once per path, as in
+    the cache's own count)."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        return sum(_reachable_bytes(v) for v in obj.values())
+    if isinstance(obj, (tuple, list)):
+        return sum(_reachable_bytes(v) for v in obj)
+    if hasattr(obj, "__dict__"):
+        return _reachable_bytes(vars(obj))
+    return 0
 
 
 class TestStatsPlumbing:
