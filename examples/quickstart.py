@@ -1,14 +1,13 @@
 """Quickstart — run the space-time parallel N-body solver end to end.
 
 Builds the paper's model problem (a spherical vortex sheet discretised by
-regularised vortex particles), then solves it three ways:
+regularised vortex particles), then solves it two ways:
 
-1. classical serial RK4 (the textbook vortex-method baseline),
-2. serial SDC(4) (the paper's time-serial reference scheme),
-3. PFASST(2, 2, 4) on the Barnes-Hut tree code with MAC coarsening
+1. serial SDC(4) (the paper's time-serial reference scheme),
+2. PFASST(2, 2, 4) on the Barnes-Hut tree code with MAC coarsening
    (theta 0.3 fine / 0.6 coarse) — the paper's space-time parallel solver.
 
-All three must agree on the resulting flow; PFASST additionally reports
+Both must agree on the resulting flow; PFASST additionally reports
 alpha (Eq. 26) from the measured fine/coarse cost ratio that drives its
 parallel speedup.
 
@@ -28,7 +27,6 @@ from repro import (
     run_pfasst,
     spherical_vortex_sheet,
 )
-from repro.integrators import get_integrator
 from repro.pfasst import alpha_from_measurements, measured_cost_ratio
 from repro.vortex.diagnostics import compute_diagnostics
 
@@ -49,11 +47,6 @@ def main() -> None:
         return VortexProblem(particles.volumes,
                              DirectEvaluator("algebraic6", sheet.sigma))
 
-    def rk4():
-        problem = direct()
-        u = get_integrator("rk4").run(problem, u0, 0.0, t_end, dt)
-        return u, problem, None
-
     def sdc():
         problem = direct()
         u = SDCStepper(problem, sweeps=4).run(u0, 0.0, t_end, dt)
@@ -70,8 +63,7 @@ def main() -> None:
         u = run_pfasst(config, specs, u0, p_time=4).u_end
         return u, fine, coarse
 
-    runs = {"RK4 (direct)": rk4, "SDC(4) (direct)": sdc,
-            "PFASST(2,2,4) (tree)": pfasst}
+    runs = {"SDC(4) (direct)": sdc, "PFASST(2,2,4) (tree)": pfasst}
 
     finals = {}
     for name, run in runs.items():

@@ -27,10 +27,11 @@ Packages
 ``repro.tree``      Barnes-Hut tree code ("PEPC")
 ``repro.backends``  the tree engine's near-pass batch seam (serial NumPy)
                     and the e2e probe's thread-pool backend
-``repro.sdc``       spectral deferred corrections
+``repro.sdc``       spectral deferred corrections, the one serial time
+                    stepper (2 Lobatto nodes give forward Euler with 1
+                    sweep and Heun's RK2 with 2)
 ``repro.pfasst``    PFASST parallel-in-time method and its speedup theory
 ``repro.parallel``  deterministic simulated MPI
-``repro.integrators`` classical Runge-Kutta baselines
 """
 
 from repro.vortex import (

@@ -3,9 +3,9 @@
 Commands
 --------
 ``info``
-    Print version, installed subsystems and available kernels/integrators.
+    Print version, installed subsystems and available kernels/time steppers.
 ``sheet``
-    Run the spherical vortex sheet with a chosen integrator and print
+    Run the spherical vortex sheet with serial SDC or PFASST and print
     invariant drift (a quick end-to-end smoke run).
 ``speedup``
     Miniature Fig. 8: measured vs theoretical PFASST speedup.
@@ -38,9 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     sheet.add_argument("-n", type=int, default=400, help="particle count")
     sheet.add_argument("--t-end", type=float, default=2.0)
     sheet.add_argument("--dt", type=float, default=0.5)
-    sheet.add_argument("--method", default="sdc",
-                       choices=["euler", "rk2", "rk3", "rk4", "sdc",
-                                "pfasst"])
+    sheet.add_argument("--method", default="sdc", choices=["sdc", "pfasst"])
     sheet.add_argument("--evaluator", default="tree",
                        choices=["direct", "tree"])
     sheet.add_argument("--theta", type=float, default=0.3)
@@ -77,20 +75,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_info() -> int:
     import repro
-    from repro.integrators import available_integrators
     from repro.sdc.nodes import available_node_types
     from repro.vortex import available_kernels
 
     print(f"repro {repro.__version__} — space-time parallel N-body solver")
     print(f"kernels:      {', '.join(available_kernels())}")
-    print(f"integrators:  {', '.join(available_integrators())}, sdc, pfasst")
+    print("integrators:  sdc, pfasst")
     print(f"node types:   {', '.join(available_node_types())}")
-    print("subsystems:   vortex, tree, sdc, pfasst, parallel, integrators")
+    print("subsystems:   vortex, tree, sdc, pfasst, parallel")
     return 0
 
 
 def _cmd_sheet(args: argparse.Namespace) -> int:
-    from repro.integrators import get_integrator
     from repro.pfasst import (LevelSpec, PfasstConfig,
                               alpha_from_measurements, measured_cost_ratio,
                               run_pfasst)
@@ -119,7 +115,7 @@ def _cmd_sheet(args: argparse.Namespace) -> int:
         stepper = SDCStepper(fine, num_nodes=3, sweeps=4,
                              sweeper=args.sweeper)
         u_end = stepper.run(u0, 0.0, args.t_end, args.dt)
-    elif args.method == "pfasst":
+    else:
         n_steps = uniform_step_count(0.0, args.t_end, args.dt)
         config = PfasstConfig(t0=0.0, t_end=args.t_end, n_steps=n_steps,
                               iterations=2)
@@ -127,9 +123,6 @@ def _cmd_sheet(args: argparse.Namespace) -> int:
                  LevelSpec(coarse, 2, 2, sweeper=args.sweeper)]
         u_end = run_pfasst(config, specs, u0, p_time=args.p_time,
                            p_nodes=args.p_nodes).u_end
-    else:
-        u_end = get_integrator(args.method).run(fine, u0, 0.0, args.t_end,
-                                                args.dt)
     final = ps.with_state(u_end)
     after = compute_diagnostics(final, time=args.t_end).as_dict()
     print(f"method={args.method} evaluator={args.evaluator} N={args.n} "

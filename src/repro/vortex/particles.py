@@ -1,6 +1,6 @@
 """Particle state containers for the vortex method.
 
-The time integrators (SDC, PFASST, RK) operate on plain ``float64`` ndarrays
+The time integrators (SDC, PFASST) operate on plain ``float64`` ndarrays
 so that quadrature and FAS algebra stay vectorised and state-agnostic.  A
 vortex particle ensemble is packed as an array of shape ``(2, N, 3)``::
 

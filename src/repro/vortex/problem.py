@@ -1,6 +1,6 @@
 """ODE-problem view of the vortex particle method.
 
-The time integrators (RK, SDC, PFASST) see an initial value problem
+The time integrators (SDC, PFASST) see an initial value problem
 ``du/dt = f(t, u)`` over packed ``(2, N, 3)`` states.  The right-hand side
 is delegated to a :class:`FieldEvaluator`, which is either
 

@@ -6,7 +6,11 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+from scipy.integrate import solve_ivp
+
 from repro.obs import Tracer
+from repro.vortex.problem import ODEProblem
 
 
 class AnnotationLog(Tracer):
@@ -21,6 +25,18 @@ class AnnotationLog(Tracer):
                  data: Optional[Dict[str, Any]] = None) -> None:
         self.events.append((int(track[len("rank"):]), label, t))
         super().annotate(track, label, t, data)
+
+
+def reference_solution(problem: ODEProblem, u0: np.ndarray,
+                       t_end: float) -> np.ndarray:
+    """``u(t_end)`` from ``u(0) = u0`` by SciPy's adaptive Dormand-Prince
+    RK (DOP853) at tight tolerances: a time reference that shares no code
+    with SDC or PFASST."""
+    sol = solve_ivp(lambda t, y: problem.rhs(t, y.reshape(u0.shape)).ravel(),
+                    (0.0, t_end), u0.ravel(), method="DOP853", rtol=1e-12,
+                    atol=1e-14)
+    assert sol.success, sol.message
+    return sol.y[:, -1].reshape(u0.shape)
 
 
 def record_golden(path: Path, recorded: Dict[str, Any]) -> None:

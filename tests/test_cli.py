@@ -39,13 +39,13 @@ class TestCommands:
         assert "algebraic6" in out
         assert "pfasst" in out
 
-    def test_sheet_rk2_direct(self, capsys):
-        code = main(["sheet", "-n", "80", "--method", "rk2",
+    def test_sheet_sdc_direct(self, capsys):
+        code = main(["sheet", "-n", "80", "--method", "sdc",
                      "--evaluator", "direct", "--t-end", "0.5",
                      "--dt", "0.5"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "fine RHS evaluations: 2" in out
+        assert "fine RHS evaluations: 9 (" in out  # f(u0) + 4 sweeps x 2
         assert "enstrophy" in out
 
     def test_sheet_pfasst_reports_alpha(self, capsys):
@@ -56,7 +56,7 @@ class TestCommands:
 
     def test_sheet_save(self, tmp_path, capsys):
         target = tmp_path / "final.npz"
-        code = main(["sheet", "-n", "60", "--method", "euler",
+        code = main(["sheet", "-n", "60", "--method", "sdc",
                      "--evaluator", "direct", "--t-end", "0.5",
                      "--dt", "0.5", "--save", str(target)])
         assert code == 0
@@ -107,9 +107,6 @@ class TestCommands:
 #: fine RHS evaluations ``repro sheet -n 80 --t-end 1 --dt 0.5 --p-time 2``
 #: makes per method (extra arguments, expected count)
 SHEET_RHS_COUNTS = {
-    "euler": ([], 2),
-    "rk2": ([], 4),
-    "rk4": ([], 8),
     "sdc": ([], 17),
     "pfasst": ([], 11),
     "pfasst-direct-diagonal": (["--evaluator", "direct", "--p-nodes", "3",

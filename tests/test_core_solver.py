@@ -1,19 +1,19 @@
 """Tests for the solver's core run path: the plain objects a run is built
 from (``VortexProblem`` with a tree or direct evaluator, the theta
-coarsening, ``get_integrator`` / ``SDCStepper`` / ``run_pfasst``), wired
-the way ``repro sheet`` wires them."""
+coarsening, ``SDCStepper`` / ``run_pfasst``), wired the way ``repro
+sheet`` wires them."""
 
 import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.integrators import get_integrator
 from repro.pfasst import (LevelSpec, PfasstConfig, alpha_from_measurements,
                           run_pfasst)
 from repro.sdc import SDCStepper
 from repro.tree import TreeEvaluator
 from repro.vortex import (DirectEvaluator, SheetConfig, VortexProblem,
                           spherical_vortex_sheet)
+from support import reference_solution
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +36,9 @@ def _pfasst(fine, coarse, u0, t_end, dt, iterations, p_time):
 
 class TestConfigValidation:
     def test_bad_method(self):
-        with pytest.raises(ValueError, match="unknown integrator"):
-            get_integrator("leapfrog")
+        # the Runge-Kutta baselines are SDC configurations, not methods
+        with pytest.raises(SystemExit):
+            main(["sheet", "--method", "rk2"])
 
     def test_bad_evaluator(self):
         with pytest.raises(SystemExit):
@@ -48,8 +49,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="dt"):
             SDCStepper(_direct(ps, cfg)).run(ps.state(), 0.0, 1.0, -0.5)
         with pytest.raises(ValueError, match="dt"):
-            get_integrator("rk2").run(_direct(ps, cfg), ps.state(), 0.0, 1.0,
-                                      -0.5)
+            SDCStepper(_direct(ps, cfg), num_nodes=2, sweeps=2).run(
+                ps.state(), 0.0, 1.0, 0.0)
 
     def test_n_steps(self):
         config = PfasstConfig(t0=0.0, t_end=4.0, n_steps=8, iterations=2)
@@ -66,13 +67,6 @@ class TestConfigValidation:
 
 
 class TestRuns:
-    def test_rk_run(self, sheet):
-        ps, cfg = sheet
-        problem = _direct(ps, cfg)
-        u_end = get_integrator("rk2").run(problem, ps.state(), 0.0, 1.0, 0.5)
-        assert ps.with_state(u_end).n == ps.n
-        assert problem.evaluator.calls == 4  # 2 steps x 2 stages
-
     def test_sdc_run(self, sheet):
         ps, cfg = sheet
         problem = _direct(ps, cfg)
@@ -92,28 +86,28 @@ class TestRuns:
         assert len(res.residuals) == 4
 
     def test_methods_agree_on_final_state(self, sheet):
-        """All integrators must land on (approximately) the same flow."""
+        """SDC and PFASST must land on (approximately) the same flow as an
+        independent high-order reference."""
         ps, cfg = sheet
         u0 = ps.state()
         results = {
-            "rk4": get_integrator("rk4").run(_direct(ps, cfg), u0, 0.0, 1.0,
-                                             0.5),
+            "reference": reference_solution(_direct(ps, cfg), u0, 1.0),
             "sdc": SDCStepper(_direct(ps, cfg), sweeps=4).run(u0, 0.0, 1.0,
                                                               0.5),
             "pfasst": _pfasst(_direct(ps, cfg), _direct(ps, cfg), u0, 1.0,
                               0.5, 3, 2).u_end,
         }
         results = {k: ps.with_state(u).positions for k, u in results.items()}
-        scale = np.max(np.abs(results["rk4"]))
-        assert np.max(np.abs(results["sdc"] - results["rk4"])) < 1e-4 * scale
+        scale = np.max(np.abs(results["reference"]))
+        assert (np.max(np.abs(results["sdc"] - results["reference"]))
+                < 1e-4 * scale)
         assert np.max(np.abs(results["pfasst"] - results["sdc"])) < 1e-4 * scale
 
     def test_callback_receives_states(self, sheet):
         ps, cfg = sheet
         seen = []
-        get_integrator("euler").run(
-            _direct(ps, cfg), ps.state(), 0.0, 1.0, 0.5,
-            callback=lambda t, u: seen.append(t),
+        SDCStepper(_direct(ps, cfg), num_nodes=2, sweeps=1).run(
+            ps.state(), 0.0, 1.0, 0.5, callback=lambda t, u: seen.append(t),
         )
         assert seen == pytest.approx([0.0, 0.5, 1.0])
 
@@ -121,10 +115,9 @@ class TestRuns:
         ps, cfg = sheet
         tree = VortexProblem(ps.volumes, TreeEvaluator(
             "algebraic6", cfg.sigma, theta=0.2, leaf_size=24))
-        rk2 = get_integrator("rk2")
-        r_direct = ps.with_state(rk2.run(_direct(ps, cfg), ps.state(), 0.0,
-                                         0.5, 0.5)).positions
-        r_tree = ps.with_state(rk2.run(tree, ps.state(), 0.0, 0.5,
-                                       0.5)).positions
+        r_direct, r_tree = (
+            ps.with_state(SDCStepper(problem, num_nodes=2, sweeps=2).run(
+                ps.state(), 0.0, 0.5, 0.5)).positions
+            for problem in (_direct(ps, cfg), tree))
         scale = np.max(np.abs(r_direct))
         assert np.max(np.abs(r_tree - r_direct)) < 1e-4 * scale

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.integrators import get_integrator
+from repro.sdc import SDCStepper
 from repro.vortex import (
     DirectEvaluator,
     ParticleSystem,
@@ -69,8 +69,8 @@ class TestConservation:
         prob = VortexProblem(
             ps.volumes, DirectEvaluator(get_kernel("algebraic6"), cfg.sigma)
         )
-        rk4 = get_integrator("rk4")
-        u_end = rk4.run(prob, ps.state(), 0.0, 2.0, 0.25)
+        u_end = SDCStepper(prob, num_nodes=3, sweeps=4).run(
+            ps.state(), 0.0, 2.0, 0.25)
         return ps, ps.with_state(u_end)
 
     def test_total_vorticity_conserved(self, evolved):

@@ -11,7 +11,6 @@ from repro import (
     run_pfasst,
     spherical_vortex_sheet,
 )
-from repro.integrators import get_integrator
 from repro.vortex import (
     DirectEvaluator,
     VortexProblem,
@@ -20,6 +19,7 @@ from repro.vortex import (
 from repro.vortex.diagnostics import linear_impulse, total_vorticity
 from repro.vortex.particles import ParticleSystem
 from repro.vortex.sheet import SheetConfig
+from support import reference_solution
 
 
 @pytest.fixture(scope="module")
@@ -89,10 +89,9 @@ class TestFullStack:
         ps, cfg, kernel = setup
         fine = VortexProblem(ps.volumes,
                              DirectEvaluator(kernel, cfg.sigma))
-        rk4 = get_integrator("rk4")
-        u_rk = rk4.run(fine, ps.state(), 0.0, 1.0, 0.125)
+        ref = reference_solution(fine, ps.state(), 1.0)
         pf = PfasstConfig(t0=0.0, t_end=1.0, n_steps=4, iterations=4)
         specs = [LevelSpec(fine, 3, 1), LevelSpec(fine, 2, 2)]
         res = run_pfasst(pf, specs, ps.state(), p_time=4)
-        rel = np.max(np.abs(res.u_end[0] - u_rk[0])) / np.max(np.abs(u_rk[0]))
+        rel = np.max(np.abs(res.u_end[0] - ref[0])) / np.max(np.abs(ref[0]))
         assert rel < 1e-4

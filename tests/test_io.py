@@ -51,7 +51,7 @@ class TestParticleCheckpoints:
 
     def test_loaded_system_usable(self, tmp_path):
         """A loaded checkpoint can continue an integration run."""
-        from repro.integrators import get_integrator
+        from repro.sdc import SDCStepper
         from repro.vortex import DirectEvaluator, VortexProblem, get_kernel
 
         cfg = SheetConfig(n=60)
@@ -61,7 +61,8 @@ class TestParticleCheckpoints:
         prob = VortexProblem(
             ps2.volumes, DirectEvaluator(get_kernel("algebraic6"), cfg.sigma)
         )
-        u = get_integrator("rk2").run(prob, ps2.state(), t0, t0 + 0.5, 0.5)
+        u = SDCStepper(prob, num_nodes=2, sweeps=2).run(ps2.state(), t0,
+                                                        t0 + 0.5, 0.5)
         assert np.all(np.isfinite(u))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sdc import SDCStepper, available_node_types
+from repro.vortex.problem import ODEProblem
 
 
 class TestValidation:
@@ -25,6 +26,17 @@ class TestValidation:
         s = SDCStepper(scalar_problem)
         with pytest.raises(ValueError, match="dt"):
             s.run(np.array([1.0]), 0.0, 1.0, -0.5)
+
+    def test_zero_span_returns_initial(self, linear_problem):
+        u0 = np.array([1.0, 2.0])
+        u = SDCStepper(linear_problem).run(u0, 0.0, 0.0, 0.1)
+        assert np.array_equal(u, u0) and u is not u0
+
+    def test_initial_state_not_mutated(self, linear_problem):
+        u0 = np.array([1.0, 0.0])
+        keep = u0.copy()
+        SDCStepper(linear_problem).run(u0, 0.0, 1.0, 0.5)
+        assert np.array_equal(u0, keep)
 
     @pytest.mark.parametrize("tol", [-5.0, float("nan")])
     def test_residual_tol_must_be_positive(self, scalar_problem, tol):
@@ -107,3 +119,56 @@ class TestCarriedRhs:
         per_step, scalar_problem.evals = scalar_problem.evals, 0
         assert np.array_equal(s.run(u0, 0.0, 1.0, 0.25), u)
         assert scalar_problem.evals == per_step - 3
+
+
+class Counted(ODEProblem):
+    """Counts the right-hand-side calls of the problem it wraps."""
+
+    def __init__(self, inner: ODEProblem) -> None:
+        self.inner, self.calls = inner, 0
+
+    def rhs(self, t, u):
+        self.calls += 1
+        return self.inner.rhs(t, u)
+
+
+class TestEulerAndHeun:
+    """On two Lobatto nodes SDC is a Runge-Kutta method: one sweep from
+    the spread initial value is forward Euler, two sweeps are Heun's
+    RK2 (the paper's Fig. 1 scheme).  The repo has no other stepper, so
+    these identities are what its Euler and RK2 runs rest on."""
+
+    STEPS = 4
+
+    @pytest.fixture(params=["linear", "sheet"])
+    def case(self, request, linear_problem, vortex_problem):
+        if request.param == "linear":
+            return linear_problem, np.array([1.0, 0.5]), 0.25
+        problem, u0, _ = vortex_problem
+        return problem, u0, 0.5
+
+    @staticmethod
+    def euler(f, u, dt):
+        return u + dt * f(u)
+
+    @staticmethod
+    def heun(f, u, dt):
+        f0 = f(u)
+        return u + dt / 2 * (f0 + f(u + dt * f0))
+
+    @pytest.mark.parametrize("sweeps,scheme", [(1, "euler"), (2, "heun")])
+    def test_closed_form_steps(self, case, sweeps, scheme):
+        problem, u0, dt = case
+        f = lambda u: problem.rhs(0.0, u)  # both problems are autonomous
+        expected = u0
+        for _ in range(self.STEPS):
+            expected = getattr(self, scheme)(f, expected, dt)
+        counted = Counted(problem)
+        u = SDCStepper(counted, num_nodes=2, sweeps=sweeps).run(
+            u0, 0.0, self.STEPS * dt, dt)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(u - expected)) <= 1e-15 * scale
+        # f(u0) once, then one call per sweep and step: the step's end
+        # RHS is carried as the next step's f(u0) (Euler makes n calls,
+        # Heun 2n)
+        assert counted.calls == sweeps * self.STEPS + 1
