@@ -1,8 +1,8 @@
-"""Checkpoint I/O for particle states and run metadata.
+"""Checkpoint I/O for particle states.
 
 Long vortex-method runs (and the paper-scale benchmark configurations)
 need restartable state.  Particle systems are stored as compressed ``.npz``
-archives with a format version; run summaries as plain JSON.
+archives with a format version.
 
 Durability contract (shared by the particle checkpoints here and the
 PFASST :class:`~repro.pfasst.checkpoint.RunCheckpoint` container built on
@@ -20,13 +20,12 @@ PFASST :class:`~repro.pfasst.checkpoint.RunCheckpoint` container built on
 from __future__ import annotations
 
 import io as _io
-import json
 import os
 import pathlib
 import tempfile
 import zipfile
 import zlib
-from typing import Any, Dict, Union
+from typing import Any, Union
 
 import numpy as np
 
@@ -41,7 +40,9 @@ __all__ = [
     "read_crc_container",
 ]
 
-_FORMAT_VERSION = 2
+#: version 3 drops the ``metadata`` entry of version 2, which loads with
+#: that entry ignored
+_FORMAT_VERSION = 3
 
 PathLike = Union[str, pathlib.Path]
 
@@ -123,8 +124,7 @@ def _npz_bytes(**arrays: Any) -> bytes:
 # particle checkpoints
 # ---------------------------------------------------------------------------
 def save_particles(
-    path: PathLike, ps: ParticleSystem, time: float = 0.0,
-    metadata: Dict[str, Any] | None = None,
+    path: PathLike, ps: ParticleSystem, time: float = 0.0
 ) -> pathlib.Path:
     """Write a particle system (and simulation time) to ``path`` (.npz).
 
@@ -141,7 +141,6 @@ def save_particles(
         positions=ps.positions,
         vorticity=ps.vorticity,
         volumes=ps.volumes,
-        metadata=json.dumps(metadata or {}),
         crc=np.uint32(crc),
     )
     atomic_write_bytes(path, payload)
@@ -158,8 +157,8 @@ def _particles_crc(
     return crc & 0xFFFFFFFF
 
 
-def load_particles(path: PathLike) -> tuple[ParticleSystem, float, Dict[str, Any]]:
-    """Read a particle checkpoint; returns ``(system, time, metadata)``.
+def load_particles(path: PathLike) -> tuple[ParticleSystem, float]:
+    """Read a particle checkpoint; returns ``(system, time)``.
 
     Raises :class:`CheckpointCorruptionError` when the file is truncated
     (not a readable archive) or its stored CRC does not match the array
@@ -185,7 +184,6 @@ def load_particles(path: PathLike) -> tuple[ParticleSystem, float, Dict[str, Any
                 data["volumes"].copy(),
             )
             time = float(data["time"])
-            metadata = json.loads(str(data["metadata"]))
             stored_crc = int(data["crc"]) if "crc" in data.files else None
     except (zipfile.BadZipFile, zlib.error, OSError, KeyError) as exc:
         # np.load raises BadZipFile on a truncated archive
@@ -202,4 +200,4 @@ def load_particles(path: PathLike) -> tuple[ParticleSystem, float, Dict[str, Any
                 f"(stored {stored_crc:#010x}, computed {actual:#010x}); "
                 "the array bytes are corrupt"
             )
-    return ps, time, metadata
+    return ps, time

@@ -21,7 +21,7 @@ Outcome classes:
     the crash landed inside a recovery collective (the documented
     unrecoverable window) and the run aborted with a protocol error.
 ``exhausted``
-    recovery gave up after ``max_restarts`` attempts.
+    recovery gave up after the block's three allowed restarts.
 ``rank-death``
     a :class:`~repro.parallel.faults.RankFailure` propagated (expected
     when the trial runs with ``recovery="fail"``).

@@ -16,9 +16,10 @@ The :class:`RunCheckpointer` is a plain in-process object shared by all
 rank programs of one scheduler world.  Ranks *contribute* their
 iteration-end state with ordinary function calls — no messages, no extra
 ops — so attaching a checkpointer leaves the op stream, virtual clocks
-and numerics of the run byte-identical to an unobserved run.  A
-checkpoint for ``(block, k)`` is written once the slowest rank passes
-iteration ``k`` (ranks pipeline freely between status collectives).
+and numerics of the run byte-identical to an unobserved run.  Every
+iteration is checkpointed: the one for ``(block, k)`` is written once the
+slowest rank passes iteration ``k`` (ranks pipeline freely between status
+collectives), and each write replaces the previous one.
 
 The solver is deterministic and draws from no RNG, so a checkpoint
 holds no generator state (an ``rng_state`` key in older files is ignored).
@@ -204,9 +205,9 @@ class RunCheckpointer:
     One instance is shared (in-process) by every rank program of a run.
     ``contribute`` is called by each time rank after finishing iteration
     ``k`` of ``block``; once all ``p_time`` ranks have contributed for
-    the same ``(block, k, attempt)`` and ``k`` falls on the configured
-    interval, the bundle is serialised and atomically written to
-    ``path`` (each write replaces the previous checkpoint).  On the
+    the same ``(block, k, attempt)``, the bundle is serialised and
+    atomically written to ``path`` (each write replaces the previous
+    checkpoint).  On the
     space-time grid only the ``s = 0`` column contributes — row state is
     replicated bitwise, so one column describes the whole grid.
     """
@@ -215,36 +216,22 @@ class RunCheckpointer:
         self,
         path: PathLike,
         p_time: int,
-        interval: int = 1,
         config_digest: str = "",
         metrics_source: Optional[Callable[[], Dict[str, Any]]] = None,
     ) -> None:
-        if interval < 1:
-            raise ValueError(f"interval must be >= 1, got {interval}")
         self.path = pathlib.Path(path)
         self.p_time = p_time
-        self.interval = interval
         self.config_digest = config_digest
         self.metrics_source = metrics_source
         self.writes = 0
         self.last_written: Optional[tuple] = None
         self._pending: Dict[tuple, Dict[int, Dict[str, Any]]] = {}
 
-    def wants(self, k: int) -> bool:
-        """True when iteration ``k`` falls on the checkpoint interval.
-
-        Callers use this to skip building the (copy-heavy) state
-        snapshot for iterations that would be discarded anyway.
-        """
-        return (k + 1) % self.interval == 0
-
     def contribute(
         self, rank: int, block: int, k: int, attempt: int,
         state: Dict[str, Any],
     ) -> None:
         """Record rank state for iteration ``k``; write when complete."""
-        if not self.wants(k):
-            return
         key = (block, k, attempt)
         bucket = self._pending.setdefault(key, {})
         bucket[rank] = state

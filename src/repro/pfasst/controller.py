@@ -89,6 +89,8 @@ __all__ = [
 ]
 
 RECOVERY_POLICIES = ("fail", "cold-restart", "warm-restart")
+#: restarts allowed per block before a recovering run gives up
+_MAX_RESTARTS = 3
 
 
 @dataclass(frozen=True)
@@ -122,11 +124,9 @@ class PfasstConfig:
     #: link-layer retransmits per receive before a timeout/corruption is
     #: escalated to the recovery protocol
     recovery_retries: int = 1
-    #: restarts allowed per block before the run gives up
-    max_restarts: int = 3
 
     def __post_init__(self) -> None:
-        for name in ("n_steps", "iterations", "max_restarts"):
+        for name in ("n_steps", "iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be >= 1, got {getattr(self, name)}"
@@ -452,7 +452,7 @@ class Step:
                         )
                     if worst <= config.residual_tol:
                         break
-                if ckpt is not None and ckpt.wants(k):
+                if ckpt is not None:
                     # a plain in-process call — no ops, no clock movement:
                     # attaching a checkpointer keeps the run byte-identical
                     ckpt.contribute(self.rank, block, k, self.attempt, {
@@ -589,10 +589,10 @@ class Recovery:
                 )
             return worst, failed
         phase = "predictor" if k is None else "iteration"
-        if step.attempt + 1 > config.max_restarts:
+        if step.attempt + 1 > _MAX_RESTARTS:
             raise RuntimeError(
                 f"PFASST recovery gave up: block {step.block} exceeded "
-                f"max_restarts={config.max_restarts} (policy "
+                f"{_MAX_RESTARTS} restarts (policy "
                 f"{config.recovery!r}, last failure in {phase} phase, "
                 f"failed ranks {sorted(failed)})"
             )
@@ -881,7 +881,6 @@ def run_pfasst(
     executor: Optional[ExecutionBackend] = None,
     certify: bool = False,
     checkpoint: Optional[Any] = None,
-    checkpoint_interval: int = 1,
     resume_from: Optional[Any] = None,
 ) -> PfasstResult:
     """Execute PFASST with ``p_time`` simulated time ranks.
@@ -922,9 +921,9 @@ def run_pfasst(
     The run cross-checks bitwise agreement across each node group.
 
     ``checkpoint=`` (a path) writes a durable, versioned
-    :class:`~repro.pfasst.checkpoint.RunCheckpoint` every
-    ``checkpoint_interval`` iterations — atomic temp-file + fsync +
-    rename, CRC-protected; each write replaces the previous checkpoint.
+    :class:`~repro.pfasst.checkpoint.RunCheckpoint` after every
+    iteration — atomic temp-file + fsync + rename, CRC-protected; each
+    write replaces the previous checkpoint.
     ``resume_from=`` (a path or a loaded ``RunCheckpoint``) restarts a
     killed run from its last checkpoint: the resumed run adopts the
     level state bitwise, skips the completed blocks and iterations, and
@@ -974,10 +973,6 @@ def run_pfasst(
     check_positive("p_space", p_space)
     check_positive("p_nodes", p_nodes)
     _check_run_shape(config, specs, p_time)
-    if checkpoint_interval < 1:
-        raise ValueError(
-            f"checkpoint_interval must be >= 1, got {checkpoint_interval}"
-        )
     if certify and resume_from is not None:
         raise NotImplementedError(
             "certify=True cannot be combined with resume_from=: a "
@@ -998,8 +993,7 @@ def run_pfasst(
     checkpointer: Optional[RunCheckpointer] = None
     if checkpoint is not None:
         checkpointer = RunCheckpointer(
-            checkpoint, p_time, interval=checkpoint_interval,
-            config_digest=run_digest,
+            checkpoint, p_time, config_digest=run_digest,
             metrics_source=lambda: scheduler.metrics.as_dict(),
         )
     resume: Optional[RunCheckpoint] = None

@@ -4,6 +4,8 @@
 spread provisional solution; with a first-order corrector the result is
 formally ``O(dt^K)`` accurate (bounded by the quadrature order).  This is
 the serial reference against which PFASST speedup is measured (Eq. 21).
+Every step makes exactly ``K`` sweeps, as the paper's runs do; the
+collocation residual after the last one is recorded, not acted on.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from repro.sdc.quadrature import QuadratureRule, make_rule
 from repro.sdc.sweeper import make_sweeper
-from repro.utils.validation import check_positive, uniform_step_count
+from repro.utils.validation import uniform_step_count
 from repro.vortex.problem import ODEProblem
 
 __all__ = ["SDCStepper", "SDCRunStats"]
@@ -47,9 +49,6 @@ class SDCStepper:
         Correction sweeps per step (``K`` in ``SDC(K)``).
     node_type :
         Collocation family (default ``"lobatto"``).
-    residual_tol :
-        Optional early exit: stop sweeping once the collocation residual
-        falls below this tolerance (positive when given).
     sweeper :
         ``"gauss-seidel"`` (the node-to-node substitution chain, default)
         or ``"diagonal"`` (the PFASST-ER Jacobi-style
@@ -63,18 +62,14 @@ class SDCStepper:
         num_nodes: int = 3,
         sweeps: int = 4,
         node_type: str = "lobatto",
-        residual_tol: Optional[float] = None,
         sweeper: str = "gauss-seidel",
     ) -> None:
         if sweeps < 1:
             raise ValueError(f"need at least 1 sweep, got {sweeps}")
-        if residual_tol is not None:
-            check_positive("residual_tol", residual_tol)
         self.problem = problem
         self.rule: QuadratureRule = make_rule(num_nodes, node_type)
         self.sweeper = make_sweeper(problem, self.rule, sweeper)
         self.sweeps = int(sweeps)
-        self.residual_tol = residual_tol
         self.stats = SDCRunStats()
 
     def step(self, t0: float, dt: float, u0: np.ndarray) -> np.ndarray:
@@ -87,18 +82,11 @@ class SDCStepper:
         step's ``f0``)."""
         U, F = self.sweeper.initialize(t0, dt, u0, f0=f0)
         f0 = F[0]
-        residual = float("inf")
         for _ in range(self.sweeps):
             U, F = self.sweeper.sweep(t0, dt, U, F, u0=u0, f0=f0)
             self.stats.sweeps += 1
-            if self.residual_tol is not None:
-                residual = self.sweeper.residual(dt, U, F, u0)
-                if residual <= self.residual_tol:
-                    break
-        if self.residual_tol is None:
-            residual = self.sweeper.residual(dt, U, F, u0)
         self.stats.steps += 1
-        self.stats.residuals.append(residual)
+        self.stats.residuals.append(self.sweeper.residual(dt, U, F, u0))
         return U[-1], F[-1]
 
     def run(

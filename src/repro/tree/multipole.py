@@ -45,6 +45,40 @@ def _segment_sum(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np
     return cum[ends] - cum[starts]
 
 
+def _p2m(alpha, pos, starts, ends, centers):
+    """``(m0, m1, m2)`` of the charges ``alpha`` at ``pos`` summed over
+    [start, end) segments, about one center per segment (P2M)."""
+    s0 = _segment_sum(alpha, starts, ends)
+    s1 = _segment_sum(np.einsum("ni,nj->nij", alpha, pos), starts, ends)
+    s2 = _segment_sum(
+        np.einsum("ni,nj,nk->nijk", alpha, pos, pos), starts, ends
+    )
+    # raw sums about the origin shifted to the centers c:
+    # M1_ij = s1_ij - s0_i c_j,
+    # M2_ijk = 1/2 (s2 - s1_ij c_k - s1_ik c_j + s0_i c_j c_k)
+    m1 = s1 - np.einsum("li,lj->lij", s0, centers)
+    m2 = 0.5 * (
+        s2
+        - np.einsum("lij,lk->lijk", s1, centers)
+        - np.einsum("lik,lj->lijk", s1, centers)
+        + np.einsum("li,lj,lk->lijk", s0, centers, centers)
+    )
+    return s0, m1, m2
+
+
+def _m2m(k0, k1, k2, s):
+    """Children's moments (K, ...) shifted by ``s = center_c - center_P``
+    and summed into their parent's (M2M)."""
+    m1 = (k1 + np.einsum("ki,kj->kij", k0, s)).sum(axis=0)
+    m2 = (
+        k2
+        + 0.5 * np.einsum("kij,kl->kijl", k1, s)
+        + 0.5 * np.einsum("kil,kj->kijl", k1, s)
+        + 0.5 * np.einsum("ki,kj,kl->kijl", k0, s, s)
+    ).sum(axis=0)
+    return k0.sum(axis=0), m1, m2
+
+
 @dataclass
 class VortexMoments:
     """Per-node multipole moments for vector (vortex) charges."""
@@ -84,24 +118,8 @@ def compute_vortex_moments(
     # ---- leaves: direct vectorised segment sums ----------------------
     leaves = tree.leaves()
     starts, ends = tree.node_start[leaves], tree.node_end[leaves]
-    # raw sums about the origin
-    s0 = _segment_sum(alpha, starts, ends)  # (L, 3)
-    s1 = _segment_sum(
-        np.einsum("ni,nj->nij", alpha, pos), starts, ends
-    )  # (L, 3, 3)
-    s2 = _segment_sum(
-        np.einsum("ni,nj,nk->nijk", alpha, pos, pos), starts, ends
-    )  # (L, 3, 3, 3)
-    c = center[leaves]  # (L, 3)
-    m0[leaves] = s0
-    # shift to leaf centers: M1_ij = s1_ij - s0_i c_j
-    m1[leaves] = s1 - np.einsum("li,lj->lij", s0, c)
-    # M2_ijk = 1/2 (s2 - s1_ij c_k - s1_ik c_j + s0_i c_j c_k)
-    m2[leaves] = 0.5 * (
-        s2
-        - np.einsum("lij,lk->lijk", s1, c)
-        - np.einsum("lik,lj->lijk", s1, c)
-        + np.einsum("li,lj,lk->lijk", s0, c, c)
+    m0[leaves], m1[leaves], m2[leaves] = _p2m(
+        alpha, pos, starts, ends, center[leaves]
     )
     abs_charge[leaves] = _segment_sum(
         np.linalg.norm(alpha, axis=1), starts, ends
@@ -126,15 +144,9 @@ def compute_vortex_moments(
         for node in internal:
             kids = tree.children(node)
             s = center[kids] - center[node]  # (K, 3)
-            k0, k1, k2 = m0[kids], m1[kids], m2[kids]
-            m0[node] = k0.sum(axis=0)
-            m1[node] = (k1 + np.einsum("ki,kj->kij", k0, s)).sum(axis=0)
-            m2[node] = (
-                k2
-                + 0.5 * np.einsum("kij,kl->kijl", k1, s)
-                + 0.5 * np.einsum("kil,kj->kijl", k1, s)
-                + 0.5 * np.einsum("ki,kj,kl->kijl", k0, s, s)
-            ).sum(axis=0)
+            m0[node], m1[node], m2[node] = _m2m(
+                m0[kids], m1[kids], m2[kids], s
+            )
             abs_charge[node] = abs_charge[kids].sum()
             bmax[node] = np.max(
                 bmax[kids] + np.linalg.norm(s, axis=1)

@@ -75,7 +75,7 @@ from repro.tree.build import Octree
 from repro.tree.engine import TraversalLayout, build_traversal_layout
 from repro.tree.evaluator import TreeEvaluator
 from repro.tree.morton import cell_of_key, morton_encode, quantize
-from repro.tree.multipole import _segment_sum
+from repro.tree.multipole import _m2m, _p2m
 from repro.tree.state import TreeState, array_fingerprint
 from repro.tree.traversal import InteractionLists
 from repro.vortex.rhs import VelocityField
@@ -262,19 +262,8 @@ def branch_payload(
         )
     centers, _ = cell_of_key(ckey >> below, clevel, tree.cube, depth)
 
-    alpha = charges_sorted[p_lo:p_hi]
-    pos = tree.positions[p_lo:p_hi]
-    s0 = _segment_sum(alpha, bs, be)
-    s1 = _segment_sum(np.einsum("ni,nj->nij", alpha, pos), bs, be)
-    s2 = _segment_sum(np.einsum("ni,nj,nk->nijk", alpha, pos, pos), bs, be)
-    m0 = s0
-    m1 = s1 - np.einsum("bi,bj->bij", s0, centers)
-    m2 = 0.5 * (
-        s2
-        - np.einsum("bij,bk->bijk", s1, centers)
-        - np.einsum("bik,bj->bijk", s1, centers)
-        + np.einsum("bi,bj,bk->bijk", s0, centers, centers)
-    )
+    m0, m1, m2 = _p2m(charges_sorted[p_lo:p_hi], tree.positions[p_lo:p_hi],
+                      bs, be, centers)
     return {
         "key": ckey, "level": clevel, "count": counts, "center": centers,
         "m0": m0, "m1": m1, "m2": m2,
@@ -295,18 +284,8 @@ def assemble_root(
         np.concatenate([b[name] for b in branches])
         for name in ("m0", "m1", "m2", "center")
     )
-    s = center - tree.node_center[0]  # (B, 3)
     count = sum(int(b["count"].sum()) for b in branches)
-    m0 = b0.sum(axis=0)
-    m1 = b1.sum(axis=0) + b0.T @ s
-    half = 0.5 * b1.reshape(-1, 9).T @ s  # (ij, l)
-    m2 = (
-        b2.sum(axis=0)
-        + half.reshape(3, 3, 3)
-        + half.reshape(3, 3, 3).transpose(0, 2, 1)
-        + 0.5 * np.einsum("bi,bj,bl->ijl", b0, s, s)
-    )
-    return count, m0, m1, m2
+    return (count, *_m2m(b0, b1, b2, center - tree.node_center[0]))
 
 
 def _verify_top(

@@ -307,20 +307,21 @@ class TreeStateCache:
 
     One cache instance may be *shared* by several evaluators — the paper's
     fine/coarse pair shares one tree and one moment pass and re-runs only
-    its own traversal.  ``maxsize`` bounds the number of distinct particle
-    configurations kept alive (PFASST touches a handful per time slice).
+    its own traversal.
     """
+
+    #: distinct particle configurations kept alive (PFASST touches a
+    #: handful per time slice)
+    _STATE_SLOTS = 8
 
     #: finished fields kept.  On the Fig. 8 run (PFASST(2,2,4), 4 time
     #: ranks in one process) no repeat lies more than 18 distinct
     #: evaluations behind its original.
     _FIELD_SLOTS = 24
 
-    def __init__(self, maxsize: int = 8) -> None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
+    def __init__(self) -> None:
         self.stats = CacheStats()
-        self._states = _LRU(int(maxsize))
+        self._states = _LRU(self._STATE_SLOTS)
         self._fields = _LRU(self._FIELD_SLOTS)
 
     def __len__(self) -> int:

@@ -132,15 +132,22 @@ class VortexProblem(ODEProblem):
     def n(self) -> int:
         return self.volumes.shape[0]
 
-    def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
+    def _sources(self, u: np.ndarray):
+        """``(positions, vorticity, charges)`` of a packed state."""
         positions, vorticity = unpack_state(u)
         if positions.shape[0] != self.n:
             raise ValueError(
                 f"state carries {positions.shape[0]} particles, expected {self.n}"
             )
-        charges = vorticity * self.volumes[:, None]
-        field = self.evaluator.field(positions, charges, gradient=True)
+        return positions, vorticity, vorticity * self.volumes[:, None]
+
+    def _pack(self, field: VelocityField, vorticity: np.ndarray) -> np.ndarray:
         return pack_state(field.velocity, field.stretching(vorticity, self.scheme))
+
+    def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
+        positions, vorticity, charges = self._sources(u)
+        field = self.evaluator.field(positions, charges, gradient=True)
+        return self._pack(field, vorticity)
 
     def rhs_program(self, space, t: float, u: np.ndarray,
                     key: Optional[str]):
@@ -156,16 +163,11 @@ class VortexProblem(ODEProblem):
         while the branch exchange and the RHS allgather stay in the event
         loop — they are communication, not compute.
         """
-        positions, vorticity = unpack_state(u)
-        if positions.shape[0] != self.n:
-            raise ValueError(
-                f"state carries {positions.shape[0]} particles, expected {self.n}"
-            )
-        charges = vorticity * self.volumes[:, None]
+        positions, vorticity, charges = self._sources(u)
         field = yield from self.evaluator.field_program(
             space, positions, charges, gradient=True, key=key,
         )
-        return pack_state(field.velocity, field.stretching(vorticity, self.scheme))
+        return self._pack(field, vorticity)
 
     def field_segment(
         self,

@@ -10,16 +10,15 @@ and core radius follow the paper:
 
     h = sqrt(4 pi / N),   vol_p = h,   sigma ~= 18.53 h.
 
-The paper does not specify the point distribution on the sphere; we default
-to the Fibonacci (golden-spiral) lattice, which is deterministic and nearly
-equal-area, and also provide latitude-longitude rings and uniform-random
-placements for comparison.
+The paper does not specify the point distribution on the sphere; we use
+the Fibonacci (golden-spiral) lattice, which is deterministic and nearly
+equal-area.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal
 
 import numpy as np
 
@@ -31,18 +30,19 @@ __all__ = ["SheetConfig", "spherical_vortex_sheet", "sphere_points"]
 #: core-size-to-spacing ratio used throughout the paper
 SIGMA_OVER_H = 18.53
 
-Placement = Literal["fibonacci", "latlon", "random"]
-
 
 @dataclass(frozen=True)
 class SheetConfig:
-    """Parameters of the spherical vortex sheet setup."""
+    """Parameters of the spherical vortex sheet setup.
+
+    ``placement`` names the point set: ``"fibonacci"`` is the only one,
+    :func:`spherical_vortex_sheet` raises ``ValueError`` on any other.
+    """
 
     n: int = 1000
     radius: float = 1.0
     sigma_over_h: float = SIGMA_OVER_H
-    placement: Placement = "fibonacci"
-    seed: Optional[int] = 0
+    placement: Literal["fibonacci"] = "fibonacci"
 
     @property
     def h(self) -> float:
@@ -55,53 +55,16 @@ class SheetConfig:
         return self.sigma_over_h * self.h
 
 
-def sphere_points(
-    n: int,
-    placement: Placement = "fibonacci",
-    seed: Optional[int] = 0,
-) -> np.ndarray:
-    """Points on the unit sphere, shape (n, 3).
-
-    ``fibonacci``: golden-spiral lattice (deterministic, near-uniform).
-    ``latlon``: rings of constant latitude (matches classical vortex-sheet
-    setups; ring counts scale with sin(theta) for near-equal area).
-    ``random``: i.i.d. uniform on the sphere (needs ``seed``).
-    """
+def sphere_points(n: int) -> np.ndarray:
+    """Golden-spiral lattice of ``n`` points on the unit sphere, (n, 3)."""
     if n < 1:
         raise ValueError(f"need n >= 1 points, got {n}")
-    if placement == "fibonacci":
-        k = np.arange(n, dtype=np.float64)
-        # offset 0.5 avoids placing points exactly at the poles
-        z = 1.0 - 2.0 * (k + 0.5) / n
-        phi = k * (np.pi * (3.0 - np.sqrt(5.0)))  # golden angle
-        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
-    if placement == "latlon":
-        n_rings = max(2, int(round(np.sqrt(n * np.pi / 4.0))))
-        thetas = (np.arange(n_rings) + 0.5) * np.pi / n_rings
-        weights = np.sin(thetas)
-        counts = np.maximum(
-            1, np.round(weights / weights.sum() * n).astype(int)
-        )
-        # fix rounding drift so exactly n points come back
-        while counts.sum() > n:
-            counts[np.argmax(counts)] -= 1
-        while counts.sum() < n:
-            counts[np.argmax(weights)] += 1
-        pts = []
-        for theta, count in zip(thetas, counts):
-            phis = 2.0 * np.pi * (np.arange(count) + 0.5) / count
-            st, ct = np.sin(theta), np.cos(theta)
-            pts.append(
-                np.column_stack([st * np.cos(phis), st * np.sin(phis),
-                                 np.full(count, ct)])
-            )
-        return np.concatenate(pts, axis=0)
-    if placement == "random":
-        rng = np.random.default_rng(seed)
-        v = rng.normal(size=(n, 3))
-        return v / np.linalg.norm(v, axis=1, keepdims=True)
-    raise ValueError(f"unknown placement {placement!r}")
+    k = np.arange(n, dtype=np.float64)
+    # offset 0.5 avoids placing points exactly at the poles
+    z = 1.0 - 2.0 * (k + 0.5) / n
+    phi = k * (np.pi * (3.0 - np.sqrt(5.0)))  # golden angle
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
 
 
 def spherical_vortex_sheet(config: SheetConfig | None = None, **kwargs) -> ParticleSystem:
@@ -119,8 +82,10 @@ def spherical_vortex_sheet(config: SheetConfig | None = None, **kwargs) -> Parti
         raise TypeError("pass either a SheetConfig or keyword arguments, not both")
     check_positive("radius", config.radius)
     check_positive("sigma_over_h", config.sigma_over_h)
+    if config.placement != "fibonacci":
+        raise ValueError(f"unknown placement {config.placement!r}")
 
-    unit = sphere_points(config.n, config.placement, config.seed)
+    unit = sphere_points(config.n)
     positions = config.radius * unit
 
     # spherical angles of each particle

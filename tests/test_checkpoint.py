@@ -25,7 +25,6 @@ from repro.parallel.faults import FaultPlan, RankCrash, RankFailure
 from repro.pfasst.checkpoint import (
     CHECKPOINT_MAGIC,
     RunCheckpoint,
-    RunCheckpointer,
     adopt_levels,
     snapshot_levels,
 )
@@ -89,35 +88,6 @@ class TestCheckpointWriting:
         assert ckpt.block == _config().n_steps // 2 - 1
         assert ckpt.k == len(res.residuals[0]) - 1
         assert ckpt.p_time == 2
-
-    def test_interval_thins_writes(self, linear_problem, u0, tmp_path):
-        """interval=k writes only every k-th iteration's state."""
-        counts = {}
-        for interval in (1, 4):
-            path = tmp_path / f"run{interval}.ckpt"
-            run_pfasst(
-                _config(), _specs(linear_problem), u0, p_time=2,
-                checkpoint=path, checkpoint_interval=interval,
-            )
-            ckpt = RunCheckpoint.load(path)
-            counts[interval] = ckpt.k
-            assert (ckpt.k + 1) % interval == 0
-        assert counts[1] == _config().iterations - 1
-
-    def test_interval_validation(self, linear_problem, u0, tmp_path):
-        with pytest.raises(ValueError, match="checkpoint_interval"):
-            run_pfasst(
-                _config(), _specs(linear_problem), u0, p_time=2,
-                checkpoint=tmp_path / "x.ckpt", checkpoint_interval=0,
-            )
-        with pytest.raises(ValueError, match="interval"):
-            RunCheckpointer(tmp_path / "y.ckpt", p_time=2, interval=0)
-
-    def test_wants_follows_interval(self, tmp_path):
-        cp = RunCheckpointer(tmp_path / "z.ckpt", p_time=2, interval=3)
-        assert [cp.wants(k) for k in range(6)] == [
-            False, False, True, False, False, True
-        ]
 
 
 def _rewrite(path, edit, keep=lambda name: True):
@@ -297,10 +267,11 @@ class TestKillAndResume:
         messages the uninterrupted run sends for it, so no level
         re-evaluates an ``f0`` the checkpoint held.
 
-        One block, one checkpoint after iteration 1 of 3: the tail is
-        iteration 2 (the 3-iteration run minus the 2-iteration run) plus
-        what every run sends outside the iterations (a resume from the
-        end of the 2-iteration block)."""
+        One block, killed in iteration 2 of 3, so the last checkpoint is
+        the one after iteration 1: the tail is iteration 2 (the
+        3-iteration run minus the 2-iteration run) plus what every run
+        sends outside the iterations (a resume from the end of the
+        2-iteration block)."""
         u0, specs = _smoke_problem(96)
 
         def run(iterations, **kw):
@@ -309,8 +280,10 @@ class TestKillAndResume:
             res = run_pfasst(cfg, specs, u0, p_time=2, p_space=2, **kw)
             return res, res.metrics["counters"]["mpi.messages"]
 
-        full, m3 = run(3, checkpoint=tmp_path / "k1.ckpt",
-                       checkpoint_interval=2)
+        full, m3 = run(3)
+        crash = FaultPlan(crashes=(RankCrash(rank=0, after_ops=150),))
+        with pytest.raises(RankFailure):
+            run(3, checkpoint=tmp_path / "k1.ckpt", fault_plan=crash)
         _, m2 = run(2, checkpoint=tmp_path / "end.ckpt")
         _, outside = run(2, resume_from=tmp_path / "end.ckpt")
         resumed, tail = run(3, resume_from=tmp_path / "k1.ckpt")

@@ -62,7 +62,7 @@ class TestCommands:
         assert code == 0
         from repro.io import load_particles
 
-        ps, time, _ = load_particles(target)
+        ps, time = load_particles(target)
         assert ps.n == 60
         assert time == 0.5
 

@@ -18,11 +18,9 @@ from repro.vortex.sheet import SheetConfig
 class TestParticleCheckpoints:
     def test_roundtrip(self, tmp_path):
         ps = spherical_vortex_sheet(SheetConfig(n=100))
-        path = save_particles(tmp_path / "state.npz", ps, time=2.5,
-                              metadata={"theta": 0.3})
-        ps2, time, meta = load_particles(path)
+        path = save_particles(tmp_path / "state.npz", ps, time=2.5)
+        ps2, time = load_particles(path)
         assert time == 2.5
-        assert meta == {"theta": 0.3}
         assert np.array_equal(ps2.positions, ps.positions)
         assert np.array_equal(ps2.vorticity, ps.vorticity)
         assert np.array_equal(ps2.volumes, ps.volumes)
@@ -32,13 +30,6 @@ class TestParticleCheckpoints:
         path = save_particles(tmp_path / "state", ps)
         assert path.suffix == ".npz"
         assert path.exists()
-
-    def test_default_metadata_empty(self, tmp_path):
-        ps = spherical_vortex_sheet(SheetConfig(n=10))
-        path = save_particles(tmp_path / "s.npz", ps)
-        _, time, meta = load_particles(path)
-        assert time == 0.0
-        assert meta == {}
 
     def test_future_version_rejected(self, tmp_path):
         ps = spherical_vortex_sheet(SheetConfig(n=10))
@@ -57,7 +48,7 @@ class TestParticleCheckpoints:
         cfg = SheetConfig(n=60)
         ps = spherical_vortex_sheet(cfg)
         path = save_particles(tmp_path / "c.npz", ps, time=0.0)
-        ps2, t0, _ = load_particles(path)
+        ps2, t0 = load_particles(path)
         prob = VortexProblem(
             ps2.volumes, DirectEvaluator(get_kernel("algebraic6"), cfg.sigma)
         )
@@ -80,7 +71,7 @@ class TestDurability:
     def test_overwrite_is_atomic_replace(self, tmp_path):
         ps, path = self._saved(tmp_path)
         save_particles(path, ps, time=9.0)  # replaces in place
-        _, time, _ = load_particles(path)
+        _, time = load_particles(path)
         assert time == 9.0
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
@@ -112,9 +103,22 @@ class TestDurability:
             arrays = {k: data[k] for k in data.files if k != "crc"}
         arrays["format_version"] = np.int64(1)
         np.savez_compressed(path, **arrays)
-        ps2, time, _ = load_particles(path)
+        ps2, time = load_particles(path)
         assert time == 1.5
         assert np.array_equal(ps2.positions, ps.positions)
+
+
+    def test_v2_archive_with_metadata_still_loads(self, tmp_path):
+        """Back-compat: version 2 wrote a JSON ``metadata`` entry."""
+        ps, path = self._saved(tmp_path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["format_version"] = np.int64(2)
+        arrays["metadata"] = np.array('{"theta": 0.3}')
+        np.savez_compressed(path, **arrays)
+        ps2, time = load_particles(path)
+        assert time == 1.5
+        assert np.array_equal(ps2.vorticity, ps.vorticity)
 
 
 class TestCrcContainer:

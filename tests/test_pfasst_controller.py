@@ -470,7 +470,7 @@ class TestStructure:
             "config", "specs", "u0", "p_time", "cost_model",
             "measure_compute", "verify", "fault_plan",
             "tracer", "p_space", "p_nodes", "executor",
-            "certify", "checkpoint", "checkpoint_interval", "resume_from",
+            "certify", "checkpoint", "resume_from",
         ]
         defaults = {
             name: p.default
@@ -481,8 +481,7 @@ class TestStructure:
             "cost_model": None, "measure_compute": False, "verify": False,
             "fault_plan": None, "tracer": None, "p_space": 1,
             "p_nodes": 1, "executor": None, "certify": False,
-            "checkpoint": None, "checkpoint_interval": 1,
-            "resume_from": None,
+            "checkpoint": None, "resume_from": None,
         }
         # one rank program for every grid shape
         params = inspect.signature(pfasst_rank_program).parameters
@@ -492,13 +491,19 @@ class TestStructure:
                    for name in ("executor", "checkpointer", "resume"))
 
     def test_runtime_settings_are_pinned(self):
-        """Every setting of the parallel runtime and the diagonal sweeper
-        has a non-test caller; a knob that comes back fails here."""
+        """Every setting of the parallel runtime, the solver layers and
+        the sheet setup has a non-test caller; a knob that comes back
+        fails here."""
+        from repro.io import save_particles
         from repro.parallel.collectives import (allgather, allreduce, bcast,
                                                 reduce)
         from repro.parallel.executor import ProcessExecutor
         from repro.parallel.simmpi import EpochComm, Scheduler, VirtualComm
+        from repro.pfasst.checkpoint import RunCheckpointer
+        from repro.sdc import SDCStepper
         from repro.sdc.diagonal import DiagonalSDCSweeper
+        from repro.tree.state import TreeStateCache
+        from repro.vortex.sheet import SheetConfig, sphere_points
 
         link = ["timeout", "retries"]
         pinned = {
@@ -513,6 +518,17 @@ class TestStructure:
             allgather: ["comm", "value", "tag", *link],
             ProcessExecutor.__init__: ["self", "max_workers"],
             DiagonalSDCSweeper.__init__: ["self", "problem", "rule"],
+            PfasstConfig: ["t0", "t_end", "n_steps", "iterations",
+                           "residual_tol", "trace", "recovery",
+                           "recovery_timeout", "recovery_retries"],
+            SDCStepper.__init__: ["self", "problem", "num_nodes", "sweeps",
+                                  "node_type", "sweeper"],
+            RunCheckpointer.__init__: ["self", "path", "p_time",
+                                       "config_digest", "metrics_source"],
+            TreeStateCache.__init__: ["self"],
+            SheetConfig: ["n", "radius", "sigma_over_h", "placement"],
+            sphere_points: ["n"],
+            save_particles: ["path", "ps", "time"],
         }
         for fn, names in pinned.items():
             assert list(inspect.signature(fn).parameters) == names, fn

@@ -12,6 +12,7 @@ import pytest
 from repro.analysis.commcheck import freeze
 from repro.parallel import CommCostModel
 from repro.parallel.faults import FaultPlan, MessageFault, RankCrash, RankFailure
+from repro.pfasst import controller
 from repro.pfasst.controller import PfasstConfig, run_pfasst
 from repro.pfasst.level import LevelSpec
 
@@ -54,10 +55,6 @@ class TestConfigValidation:
     def test_retries_nonnegative(self):
         with pytest.raises(ValueError, match="recovery_retries"):
             _config(recovery_retries=-1)
-
-    def test_max_restarts_positive(self):
-        with pytest.raises(ValueError, match="max_restarts"):
-            _config(max_restarts=0)
 
 
 class TestFailPolicy:
@@ -152,20 +149,27 @@ class TestCrashRecovery:
         assert res.total_iterations[0] == res.iterations_done[0]
         assert res.total_iterations[1] > res.iterations_done[1]
 
-    def test_give_up_after_max_restarts(self, linear_problem, u0):
+    def test_give_up_after_max_restarts(self, linear_problem, u0,
+                                        monkeypatch):
+        """Two crashes in one block need two restarts: within the
+        controller's budget of three the run recovers, with a budget of
+        one it gives up on the second."""
         rank, ops = ITER_CRASH[4]
-        # two distinct crashes, budget of one restart
         plan = FaultPlan(crashes=(
             RankCrash(rank=rank, after_ops=ops),
-            RankCrash(rank=rank, after_ops=ops + 12),
+            RankCrash(rank=0, after_ops=ops + 30),
         ))
-        with pytest.raises(
-            (RuntimeError, RankFailure), match="crash|gave up"
-        ):
-            run_pfasst(
-                _config(recovery="cold-restart", max_restarts=1),
+
+        def run():
+            return run_pfasst(
+                _config(recovery="cold-restart"),
                 _specs(linear_problem), u0, p_time=4, fault_plan=plan,
             )
+
+        assert len(run().recoveries) == 2
+        monkeypatch.setattr(controller, "_MAX_RESTARTS", 1)
+        with pytest.raises(RuntimeError, match="gave up: block 0 exceeded 1"):
+            run()
 
 
 class TestLossyLinks:

@@ -38,13 +38,6 @@ class TestValidation:
         SDCStepper(linear_problem).run(u0, 0.0, 1.0, 0.5)
         assert np.array_equal(u0, keep)
 
-    @pytest.mark.parametrize("tol", [-5.0, float("nan")])
-    def test_residual_tol_must_be_positive(self, scalar_problem, tol):
-        """A tolerance no residual can meet would silently disable the
-        early exit."""
-        with pytest.raises(ValueError, match="residual_tol"):
-            SDCStepper(scalar_problem, residual_tol=tol)
-
 
 class TestAccuracy:
     def test_matches_exact_linear_solution(self, linear_problem):
@@ -83,14 +76,6 @@ class TestStats:
         assert s.stats.steps == 4
         assert s.stats.sweeps == 12
         assert len(s.stats.residuals) == 4
-
-    def test_residual_tolerance_early_exit(self, linear_problem):
-        s = SDCStepper(
-            linear_problem, num_nodes=3, sweeps=50, residual_tol=1e-10
-        )
-        s.run(np.array([1.0, 0.0]), 0.0, 0.2, 0.2)
-        assert s.stats.sweeps < 50
-        assert s.stats.final_residual <= 1e-10
 
     def test_final_residual_nan_when_unused(self, linear_problem):
         s = SDCStepper(linear_problem)

@@ -12,33 +12,31 @@ from repro.vortex.sheet import (
 
 
 class TestSpherePoints:
-    @pytest.mark.parametrize("placement", ["fibonacci", "latlon", "random"])
+    @pytest.mark.parametrize("placement", ["fibonacci"])
     def test_count_and_radius(self, placement):
-        pts = sphere_points(500, placement, seed=1)
-        assert pts.shape == (500, 3)
-        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
+        ps = spherical_vortex_sheet(n=500, placement=placement)
+        assert np.array_equal(ps.positions, sphere_points(500))
+        assert ps.positions.shape == (500, 3)
+        assert np.allclose(np.linalg.norm(ps.positions, axis=1), 1.0,
+                           atol=1e-12)
 
     def test_fibonacci_deterministic(self):
-        a = sphere_points(100, "fibonacci")
-        b = sphere_points(100, "fibonacci")
-        assert np.array_equal(a, b)
+        assert np.array_equal(sphere_points(100), sphere_points(100))
 
     def test_fibonacci_near_uniform(self):
         """Octant occupancy should be within 25% of N/8."""
-        pts = sphere_points(4000, "fibonacci")
+        pts = sphere_points(4000)
         octant = (pts[:, 0] > 0).astype(int) * 4 + \
                  (pts[:, 1] > 0).astype(int) * 2 + (pts[:, 2] > 0).astype(int)
         counts = np.bincount(octant, minlength=8)
         assert counts.min() > 0.75 * 500
         assert counts.max() < 1.25 * 500
 
-    def test_latlon_exact_count_various_n(self):
-        for n in (7, 64, 313, 1000):
-            assert sphere_points(n, "latlon").shape == (n, 3)
-
     def test_invalid_placement(self):
-        with pytest.raises(ValueError, match="placement"):
-            sphere_points(10, "grid")
+        """The lattice is the only point set: any other name is refused."""
+        for placement in ("latlon", "random", "grid"):
+            with pytest.raises(ValueError, match="placement"):
+                spherical_vortex_sheet(n=10, placement=placement)
 
     def test_zero_points_rejected(self):
         with pytest.raises(ValueError, match="n >= 1"):

@@ -166,7 +166,7 @@ class TestFineCoarseSharing:
 
     def test_explicit_shared_cache_parameter(self, sheet):
         ps, cfg, kernel = sheet
-        cache = TreeStateCache(maxsize=4)
+        cache = TreeStateCache()
         a = TreeEvaluator(kernel, cfg.sigma, theta=0.3, leaf_size=24,
                           cache=cache)
         b = TreeEvaluator(kernel, cfg.sigma, theta=0.6, leaf_size=24,
@@ -190,9 +190,10 @@ class TestFineCoarseSharing:
 
 
 class TestEviction:
-    def test_lru_bound_holds(self, sheet, rng):
+    def test_lru_bound_holds(self, sheet, rng, monkeypatch):
+        monkeypatch.setattr(TreeStateCache, "_STATE_SLOTS", 2)
         ps, _, _ = sheet
-        ev = _fresh_evaluator(sheet, cache=TreeStateCache(maxsize=2))
+        ev = _fresh_evaluator(sheet, cache=TreeStateCache())
         configs = [ps.positions + 0.01 * k for k in range(4)]
         for pos in configs:
             ev.field(pos, ps.charges)
@@ -212,10 +213,6 @@ class TestEviction:
         ev.field(ps.positions, ps.charges)
         assert not ev.last_stats.build_cached
 
-    def test_bad_maxsize_rejected(self):
-        with pytest.raises(ValueError, match="maxsize"):
-            TreeStateCache(maxsize=0)
-
 
 class TestCacheBytes:
     def test_state_bytes_cover_every_product(self, sheet):
@@ -233,9 +230,11 @@ class TestCacheBytes:
             state.nbytes + out.velocity.nbytes + out.gradient.nbytes
         )
 
-    def test_monotone_under_inserts_and_drops_on_eviction(self, sheet):
+    def test_monotone_under_inserts_and_drops_on_eviction(self, sheet,
+                                                          monkeypatch):
+        monkeypatch.setattr(TreeStateCache, "_STATE_SLOTS", 2)
         ps, _, _ = sheet
-        ev = _fresh_evaluator(sheet, cache=TreeStateCache(maxsize=2))
+        ev = _fresh_evaluator(sheet, cache=TreeStateCache())
         assert ev.cache.nbytes == 0
         sizes = []
         for k in range(2):
