@@ -33,7 +33,7 @@ import pytest
 
 from repro.obs import Tracer
 from repro.parallel import CommCostModel
-from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
+from repro.pfasst import PfasstConfig, paper_levels, run_pfasst
 from repro.vortex.problem import ODEProblem
 
 P_TIME = 3
@@ -64,10 +64,7 @@ def run_schedule(p_time: int = P_TIME, iterations: int = ITERATIONS,
     problem = _CostedScalar()
     cfg = PfasstConfig(t0=0.0, t_end=1.0 * p_time, n_steps=p_time,
                        iterations=iterations, trace=True)
-    specs = [
-        LevelSpec(problem, num_nodes=3, sweeps=1),
-        LevelSpec(problem, num_nodes=2, sweeps=2),
-    ]
+    specs = paper_levels(problem, problem, "gauss-seidel")
     res = run_pfasst(
         cfg, specs, np.array([1.0]), p_time=p_time,
         cost_model=CommCostModel(), measure_compute=True,

@@ -25,7 +25,7 @@ from common import (
     rel_max_position_error,
     sheet_problem,
 )
-from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
+from repro.pfasst import LevelSpec, PfasstConfig, paper_levels, run_pfasst
 from repro.sdc import SDCStepper
 
 CI_SCALE = Scale(n_particles=150, t_end=2.0, dts=(0.5, 0.25),
@@ -129,10 +129,7 @@ def test_benchmark_pfasst_block(benchmark):
     problem, u0, _ = sheet_problem(CI_SCALE.n_particles,
                                    sigma_over_h=CI_SCALE.sigma_over_h)
     cfg = PfasstConfig(t0=0.0, t_end=2.0, n_steps=4, iterations=2)
-    specs = [
-        LevelSpec(problem, num_nodes=3, sweeps=1),
-        LevelSpec(problem, num_nodes=2, sweeps=2),
-    ]
+    specs = paper_levels(problem, problem, "gauss-seidel")
     benchmark(lambda: run_pfasst(cfg, specs, u0, p_time=4))
 
 

@@ -41,19 +41,13 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-import pytest
 
-from common import format_table, sheet_problem
-from repro.obs.ledger import ComputeLedger
-from repro.parallel import CommCostModel, Scheduler, simmpi
-from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
-from repro.sdc import DiagonalSDCSweeper, SDCStepper, make_rule
-from repro.vortex import VortexProblem
+from common import counted_makespan, format_table, sheet_problem, tree_pair
+from repro.pfasst.level import COARSE_SWEEPS, FINE_NODES
+from repro.pfasst.theory import KP, paper_pfasst_run, serial_sdc_makespan
+from repro.sdc import DiagonalSDCSweeper, make_rule
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_nodeparallel.json"
-
-KS, KP, N_COARSE = 4, 2, 2  # SDC(4) baseline, PFASST(2,2,.)
-M_FINE, M_COARSE = 3, 2  # collocation nodes per level
 
 
 @dataclass(frozen=True)
@@ -84,90 +78,11 @@ PAPER_SCALE = NodeScale(n_particles=125_000, n_steps=32, dt=0.5,
 SWEEPERS = ("gauss-seidel", "diagonal")
 
 
-def _problems(scale: NodeScale):
-    fine_problem, u0, _ = sheet_problem(
-        scale.n_particles, evaluator="tree", theta=scale.theta_fine,
-        leaf_size=scale.leaf_size, sigma_over_h=scale.sigma_over_h,
-    )
-    coarse_problem = fine_problem.coarsened(theta=scale.theta_coarse)
-    return fine_problem, coarse_problem, u0
-
-
-def _specs(fine_problem, coarse_problem, sweeper: str):
-    return [
-        LevelSpec(fine_problem, num_nodes=M_FINE, sweeps=1,
-                  sweeper=sweeper),
-        LevelSpec(coarse_problem, num_nodes=M_COARSE, sweeps=N_COARSE,
-                  sweeper=sweeper),
-    ]
-
-
-def measure_serial_time(scale: NodeScale) -> float:
-    """Virtual wall-clock of time-serial SDC(4) on one rank."""
-    fine_problem, _, u0 = _problems(scale)
-
-    def rank_program(comm):
-        stepper = SDCStepper(fine_problem, num_nodes=M_FINE, sweeps=KS)
-        stepper.run(u0, 0.0, scale.n_steps * scale.dt, scale.dt)
-        yield comm.work(0.0)
-
-    sched = Scheduler(1, measure_compute=True)
-    sched.run(rank_program)
-    return sched.makespan
-
-
 def run_grid(scale: NodeScale, sweeper: str, p_time: int, p_nodes: int,
              measure: bool = True):
     """One PFASST(2,2,p_time) run on the P_T x 1 x P_N grid."""
-    fine_problem, coarse_problem, u0 = _problems(scale)
-    cfg = PfasstConfig(
-        t0=0.0, t_end=scale.n_steps * scale.dt, n_steps=scale.n_steps,
-        iterations=KP,
-    )
-    return run_pfasst(
-        cfg, _specs(fine_problem, coarse_problem, sweeper), u0,
-        p_time=p_time, p_nodes=p_nodes,
-        cost_model=CommCostModel(), measure_compute=measure,
-    )
-
-
-#: modelled seconds of one RHS evaluation in :func:`counted_makespan`
-RHS_CHARGE_S = 0.01
-
-
-class _RhsClock:
-    """Stand-in for the scheduler's ``perf_counter``: the RHS calls made
-    so far times a fixed charge."""
-
-    def __init__(self, charge: float) -> None:
-        self.calls, self.charge = 0, charge
-
-    def __call__(self) -> float:
-        return self.calls * self.charge
-
-
-def counted_makespan(monkeypatch, sweeper: str, p_nodes: int) -> float:
-    """Virtual makespan of :func:`run_grid` on ``TEST_SCALE`` (P_T = 2)
-    with counted instead of measured compute.
-
-    The scheduler charges a rank the ``perf_counter`` time between its
-    yields; here that clock advances by ``RHS_CHARGE_S`` per RHS call
-    and nothing else, so the makespan is the critical path of RHS calls
-    plus modelled message costs and repeats exactly.  A shared-cache hit
-    is a call a real rank would compute, so it is counted, and the
-    cache's wall-time bill for it is dropped.
-    """
-    clock = _RhsClock(RHS_CHARGE_S)
-    rhs = VortexProblem.rhs
-
-    def counted(self, t, u):
-        clock.calls += 1
-        return rhs(self, t, u)
-
-    monkeypatch.setattr(VortexProblem, "rhs", counted)
-    monkeypatch.setattr(simmpi, "perf_counter", clock)
-    monkeypatch.setattr(ComputeLedger, "bill", lambda self, seconds: None)
-    return run_grid(TEST_SCALE, sweeper, 2, p_nodes).makespan
+    return paper_pfasst_run(*tree_pair(scale), scale.n_steps, scale.dt,
+                            p_time, p_nodes, sweeper, measure_compute=measure)
 
 
 def check_bitwise_gate(scale: NodeScale) -> None:
@@ -189,7 +104,8 @@ def check_bitwise_gate(scale: NodeScale) -> None:
 
 
 def run_experiment(scale: NodeScale) -> Dict:
-    serial = measure_serial_time(scale)
+    fine_problem, _, u0 = tree_pair(scale)
+    serial = serial_sdc_makespan(fine_problem, u0, scale.n_steps, scale.dt)
     cores = os.cpu_count() or 1
     rows: List[Dict] = []
     for sweeper in SWEEPERS:
@@ -230,13 +146,16 @@ def test_diagonal_gains_from_node_parallelism():
     assert three < one * 0.9
 
 
-def test_gauss_seidel_gains_little_from_node_parallelism(monkeypatch):
+def test_gauss_seidel_gains_little_from_node_parallelism():
     """Gauss-Seidel sweeps are node-sequential — ``P_N`` shards only
     the auxiliary RHS rounds, so the makespan barely moves (and must
     not *grow* materially either).  Compute is counted, not timed: two
     timed makespans this close differ by host noise alone."""
-    one = counted_makespan(monkeypatch, "gauss-seidel", 1)
-    three = counted_makespan(monkeypatch, "gauss-seidel", 3)
+    one, three = (
+        counted_makespan(lambda: run_grid(TEST_SCALE, "gauss-seidel", 2,
+                                          p_nodes).makespan)
+        for p_nodes in (1, 3)
+    )
     assert three < one * 1.1
 
 
@@ -258,7 +177,7 @@ def test_benchmark_diagonal_sweep(benchmark):
         theta=TEST_SCALE.theta_fine,
         sigma_over_h=TEST_SCALE.sigma_over_h,
     )
-    sw = DiagonalSDCSweeper(problem, make_rule(M_FINE))
+    sw = DiagonalSDCSweeper(problem, make_rule(FINE_NODES))
     U, F = sw.initialize(0.0, TEST_SCALE.dt, u0)
     benchmark(lambda: sw.sweep(0.0, TEST_SCALE.dt, U, F, u0=u0))
 
@@ -288,7 +207,7 @@ def main(argv: List[str]) -> None:
             "dt": scale.dt,
             "theta": [scale.theta_fine, scale.theta_coarse],
             "iterations": KP,
-            "coarse_sweeps": N_COARSE,
+            "coarse_sweeps": COARSE_SWEEPS,
             "p_space_nodes": scale.p_space_nodes,
             "smoke": smoke,
         },

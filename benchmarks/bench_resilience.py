@@ -30,7 +30,7 @@ import pytest
 
 from repro.parallel import CommCostModel
 from repro.parallel.faults import FaultPlan, MessageFault, RankCrash
-from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
+from repro.pfasst import PfasstConfig, paper_levels, run_pfasst
 from repro.vortex.problem import ODEProblem
 
 P_TIME = 4
@@ -55,11 +55,7 @@ class Oscillator(ODEProblem):
 
 def _setup():
     problem = Oscillator()
-    specs = [
-        LevelSpec(problem, num_nodes=3, sweeps=1),
-        LevelSpec(problem, num_nodes=2, sweeps=2),
-    ]
-    return specs, np.array([1.0, 2.0])
+    return paper_levels(problem, problem, "gauss-seidel"), np.array([1.0, 2.0])
 
 
 def _config(recovery: str = "fail") -> PfasstConfig:

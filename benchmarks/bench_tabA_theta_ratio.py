@@ -19,7 +19,7 @@ from typing import Dict, List
 import pytest
 
 from common import format_table, sheet_problem
-from repro.pfasst import alpha_from_measurements, measured_cost_ratio
+from repro.pfasst.theory import measured_cost_ratio, paper_alpha
 
 CI_SIZES = {"small": 1000, "large": 4000}
 PAPER_SIZES = {"small": 125_000, "large": 4_000_000}
@@ -41,7 +41,7 @@ def measure_ratio(n: int, sigma_over_h: float = 3.0) -> Dict[str, float]:
         for p in (fine, coarse)
     ]
     out["work_ratio"] = work[0] / work[1]
-    out["alpha"] = alpha_from_measurements(2, 3, out["ratio"])
+    out["alpha"] = paper_alpha(out["ratio"])
     return out
 
 

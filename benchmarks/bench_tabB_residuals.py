@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from common import format_table, sheet_problem
-from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
+from repro.pfasst import PfasstConfig, paper_levels, run_pfasst
 
 N_CI, N_PAPER = 600, 125_000
 LARGE_PT_CI, LARGE_PT_PAPER = 8, 32
@@ -36,10 +36,7 @@ def run_residuals(n: int, p_time: int, theta_coarse: float,
     coarse_problem = fine_problem.coarsened(theta=theta_coarse)
     config = PfasstConfig(t0=0.0, t_end=0.5 * p_time, n_steps=p_time,
                           iterations=2)
-    specs = [
-        LevelSpec(fine_problem, num_nodes=3, sweeps=1),
-        LevelSpec(coarse_problem, num_nodes=2, sweeps=2),
-    ]
+    specs = paper_levels(fine_problem, coarse_problem, "gauss-seidel")
     res = run_pfasst(config, specs, u0, p_time=p_time)
     return [r[-1] for r in res.residuals]
 
@@ -84,10 +81,7 @@ def test_benchmark_pfasst22_two_slices(benchmark):
                                           theta=0.3)
     coarse_problem = fine_problem.coarsened(theta=0.6)
     config = PfasstConfig(t0=0.0, t_end=1.0, n_steps=2, iterations=2)
-    specs = [
-        LevelSpec(fine_problem, num_nodes=3, sweeps=1),
-        LevelSpec(coarse_problem, num_nodes=2, sweeps=2),
-    ]
+    specs = paper_levels(fine_problem, coarse_problem, "gauss-seidel")
     benchmark(lambda: run_pfasst(config, specs, u0, p_time=2))
 
 

@@ -14,31 +14,25 @@ import numpy as np
 import pytest
 
 from common import format_table
-from repro.pfasst import (
-    alpha_from_measurements,
-    efficiency_two_level,
-    parareal_speedup,
-    speedup_bound,
-    speedup_two_level,
-)
+from repro.pfasst.level import COARSE_SWEEPS
+from repro.pfasst.theory import (KP, KS, efficiency_two_level, paper_alpha,
+                                 paper_speedup, parareal_speedup,
+                                 speedup_bound)
 
 P_T = (1, 2, 4, 8, 16, 32, 64, 128)
-ALPHA_SMALL = alpha_from_measurements(2, 3, 2.65)  # paper Eq. 26
-ALPHA_LARGE = alpha_from_measurements(2, 3, 3.23)
-KS, KP, NL = 4, 2, 2
+ALPHA_SMALL = paper_alpha(2.65)  # paper Eq. 26
+ALPHA_LARGE = paper_alpha(3.23)
 
 
 def run_experiment():
     return {
         "p_t": list(P_T),
-        "S_small": list(speedup_two_level(np.array(P_T), ALPHA_SMALL,
-                                          KS, KP, NL)),
-        "S_large": list(speedup_two_level(np.array(P_T), ALPHA_LARGE,
-                                          KS, KP, NL)),
+        "S_small": list(paper_speedup(np.array(P_T), ALPHA_SMALL)),
+        "S_large": list(paper_speedup(np.array(P_T), ALPHA_LARGE)),
         "bound": list(speedup_bound(np.array(P_T), KS, KP)),
         "parareal_K2": list(parareal_speedup(np.array(P_T), ALPHA_SMALL, 2)),
         "eff_small": list(efficiency_two_level(np.array(P_T), ALPHA_SMALL,
-                                               KS, KP, NL)),
+                                               KS, KP, COARSE_SWEEPS)),
     }
 
 
@@ -77,7 +71,7 @@ def test_pfasst_exceeds_parareal_at_scale(theory):
 
 def test_benchmark_theory_eval(benchmark):
     p = np.arange(1, 4097)
-    benchmark(lambda: speedup_two_level(p, ALPHA_SMALL, KS, KP, NL))
+    benchmark(lambda: paper_speedup(p, ALPHA_SMALL))
 
 
 def main(argv: List[str]) -> None:

@@ -42,7 +42,7 @@ import pytest
 
 from repro.analysis.commcheck import freeze
 from repro.parallel.executor import ProcessExecutor, SerialExecutor
-from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
+from repro.pfasst import PfasstConfig, paper_levels, run_pfasst
 
 from common import sheet_problem
 
@@ -95,10 +95,7 @@ def _lpt_makespan(tasks: List[float], workers: int) -> float:
 
 def _setup(n: int):
     problem, u0, _ = sheet_problem(n)
-    specs = [
-        LevelSpec(problem, num_nodes=3, sweeps=1),
-        LevelSpec(problem, num_nodes=2, sweeps=2),
-    ]
+    specs = paper_levels(problem, problem, "gauss-seidel")
     config = PfasstConfig(t0=0.0, t_end=0.4, n_steps=P_TIME, iterations=3)
     return config, specs, u0
 

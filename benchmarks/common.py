@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
+import pytest
 
+from repro.obs.ledger import ComputeLedger
+from repro.parallel import simmpi
 from repro.sdc import SDCStepper
 from repro.vortex import (
     DirectEvaluator,
@@ -33,6 +36,8 @@ from repro.vortex import (
 __all__ = [
     "Scale",
     "sheet_problem",
+    "tree_pair",
+    "counted_makespan",
     "reference_solution",
     "rel_max_position_error",
     "observed_orders",
@@ -78,6 +83,59 @@ def sheet_problem(n: int, evaluator: str = "direct", theta: float = 0.3,
         raise ValueError(f"unknown evaluator {evaluator!r}")
     problem = VortexProblem(ps.volumes, ev)
     return problem, ps.state(), cfg
+
+
+def tree_pair(scale):
+    """Fig. 8's problem pair ``(fine, coarse, u0)``: the sheet of
+    ``scale.n_particles`` on tree evaluators at ``scale.theta_fine`` and
+    ``scale.theta_coarse``, the coarse one sharing the fine tree-state
+    cache (one tree + moment pass per state, theta-specific traversals)."""
+    fine, u0, _ = sheet_problem(
+        scale.n_particles, evaluator="tree", theta=scale.theta_fine,
+        leaf_size=scale.leaf_size, sigma_over_h=scale.sigma_over_h,
+    )
+    return fine, fine.coarsened(theta=scale.theta_coarse), u0
+
+
+#: modelled seconds of one RHS evaluation in :func:`counted_makespan`
+RHS_CHARGE_S = 0.01
+
+
+class _RhsClock:
+    """Stand-in for the scheduler's ``perf_counter``: the RHS calls made
+    so far times a fixed charge."""
+
+    def __init__(self, charge: float) -> None:
+        self.calls, self.charge = 0, charge
+
+    def __call__(self) -> float:
+        return self.calls * self.charge
+
+
+def counted_makespan(run: Callable[[], float]) -> float:
+    """The virtual makespan ``run()`` returns, with counted instead of
+    measured compute.
+
+    The scheduler charges a rank the ``perf_counter`` time between its
+    yields; here that clock advances by ``RHS_CHARGE_S`` per
+    ``VortexProblem.rhs`` call (fine or coarse) and nothing else, so the
+    makespan is the critical path of RHS calls plus modelled message
+    costs and repeats exactly.  A shared-cache hit is a call a real rank
+    would compute, so it is counted, and the cache's wall-time bill for
+    it is dropped.
+    """
+    clock = _RhsClock(RHS_CHARGE_S)
+    rhs = VortexProblem.rhs
+
+    def counted(self, t, u):
+        clock.calls += 1
+        return rhs(self, t, u)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(VortexProblem, "rhs", counted)
+        mp.setattr(simmpi, "perf_counter", clock)
+        mp.setattr(ComputeLedger, "bill", lambda self, seconds: None)
+        return run()
 
 
 def reference_solution(problem, u0, t_end: float, ref_dt: float) -> np.ndarray:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from repro import SheetConfig, spherical_vortex_sheet
-from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
+from repro.pfasst import PfasstConfig, paper_levels, run_pfasst
 from repro.sdc import SDCStepper
 from repro.vortex import DirectEvaluator, VortexProblem, get_kernel
 
@@ -59,10 +59,7 @@ def main() -> None:
             cfg = PfasstConfig(t0=0.0, t_end=T_END,
                                n_steps=int(round(T_END / dt)),
                                iterations=iters)
-            specs = [
-                LevelSpec(problem, num_nodes=3, sweeps=1),
-                LevelSpec(problem, num_nodes=2, sweeps=2),
-            ]
+            specs = paper_levels(problem, problem, "gauss-seidel")
             errs.append(error(run_pfasst(cfg, specs, u0, p_time=4).u_end))
         rows.append((f"PFASST({iters},2,4)", errs))
 

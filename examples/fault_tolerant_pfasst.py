@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from repro.parallel import FaultPlan, RankCrash, RankFailure
-from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
+from repro.pfasst import PfasstConfig, paper_levels, run_pfasst
 from repro.vortex.problem import ODEProblem
 
 P_TIME = 4
@@ -41,12 +41,7 @@ class Oscillator(ODEProblem):
 
 def build():
     problem = Oscillator()
-    specs = [
-        LevelSpec(problem, num_nodes=3, sweeps=1),
-        LevelSpec(problem, num_nodes=2, sweeps=2),
-    ]
-    u0 = np.array([1.0, 2.0])
-    return specs, u0
+    return paper_levels(problem, problem, "gauss-seidel"), np.array([1.0, 2.0])
 
 
 def config(recovery: str) -> PfasstConfig:

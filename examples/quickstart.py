@@ -18,16 +18,16 @@ import numpy as np
 
 from repro import (
     DirectEvaluator,
-    LevelSpec,
     PfasstConfig,
     SDCStepper,
     SheetConfig,
     TreeEvaluator,
     VortexProblem,
+    paper_levels,
     run_pfasst,
     spherical_vortex_sheet,
 )
-from repro.pfasst import alpha_from_measurements, measured_cost_ratio
+from repro.pfasst.theory import measured_cost_ratio, paper_alpha
 from repro.vortex.diagnostics import compute_diagnostics
 
 
@@ -58,8 +58,7 @@ def main() -> None:
         coarse = fine.coarsened(theta=0.6)  # shares the fine tree cache
         config = PfasstConfig(t0=0.0, t_end=t_end,
                               n_steps=int(round(t_end / dt)), iterations=2)
-        specs = [LevelSpec(fine, num_nodes=3, sweeps=1),
-                 LevelSpec(coarse, num_nodes=2, sweeps=2)]
+        specs = paper_levels(fine, coarse, "gauss-seidel")
         u = run_pfasst(config, specs, u0, p_time=4).u_end
         return u, fine, coarse
 
@@ -73,8 +72,7 @@ def main() -> None:
                 f"wall in evaluator: {fine.evaluator.timer.elapsed:6.2f}s")
         if coarse is not None:
             coarse_evals = coarse.evaluator.calls
-            alpha = alpha_from_measurements(
-                2, 3, measured_cost_ratio(fine, coarse, u0))
+            alpha = paper_alpha(measured_cost_ratio(fine, coarse, u0))
             line += (f"  coarse evals: {coarse_evals:4d}  "
                      f"alpha measured: {alpha:.2f}")
         print(line)

@@ -33,7 +33,7 @@ from repro.obs import (
     save_trace,
 )
 from repro.parallel import CommCostModel
-from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
+from repro.pfasst import PfasstConfig, paper_levels, run_pfasst
 from repro.vortex.problem import ODEProblem
 
 P_TIME = 4
@@ -51,10 +51,7 @@ class Oscillator(ODEProblem):
 def traced_run():
     """Run PFASST with tracing on; returns (result, tracer)."""
     problem = Oscillator()
-    specs = [
-        LevelSpec(problem, num_nodes=3, sweeps=1),
-        LevelSpec(problem, num_nodes=2, sweeps=2),
-    ]
+    specs = paper_levels(problem, problem, "gauss-seidel")
     config = PfasstConfig(
         t0=0.0, t_end=1.0, n_steps=P_TIME, iterations=2, trace=True
     )

@@ -8,8 +8,9 @@ multipole acceptance criterion.
 
 Quickstart::
 
-    from repro import (LevelSpec, PfasstConfig, SheetConfig, TreeEvaluator,
-                       VortexProblem, run_pfasst, spherical_vortex_sheet)
+    from repro import (PfasstConfig, SheetConfig, TreeEvaluator,
+                       VortexProblem, paper_levels, run_pfasst,
+                       spherical_vortex_sheet)
 
     sheet = SheetConfig(n=2000)
     particles = spherical_vortex_sheet(sheet)
@@ -17,8 +18,7 @@ Quickstart::
                          TreeEvaluator("algebraic6", sheet.sigma, theta=0.3))
     coarse = fine.coarsened(theta=0.6)  # MAC coarsening, shared tree
     config = PfasstConfig(t0=0.0, t_end=2.0, n_steps=4, iterations=2)
-    specs = [LevelSpec(fine, num_nodes=3, sweeps=1),
-             LevelSpec(coarse, num_nodes=2, sweeps=2)]
+    specs = paper_levels(fine, coarse, "gauss-seidel")  # 3x1 / 2x2
     result = run_pfasst(config, specs, particles.state(), p_time=4)
 
 Packages
@@ -44,7 +44,7 @@ from repro.vortex import (
 )
 from repro.tree import TreeEvaluator, build_octree
 from repro.sdc import SDCStepper
-from repro.pfasst import LevelSpec, PfasstConfig, run_pfasst
+from repro.pfasst import LevelSpec, PfasstConfig, paper_levels, run_pfasst
 
 __version__ = "1.0.0"
 
@@ -60,6 +60,7 @@ __all__ = [
     "SDCStepper",
     "LevelSpec",
     "PfasstConfig",
+    "paper_levels",
     "run_pfasst",
     "__version__",
 ]

@@ -87,9 +87,10 @@ def _cmd_info() -> int:
 
 
 def _cmd_sheet(args: argparse.Namespace) -> int:
-    from repro.pfasst import (LevelSpec, PfasstConfig,
-                              alpha_from_measurements, measured_cost_ratio,
-                              run_pfasst)
+    from repro.pfasst import (PfasstConfig, measured_cost_ratio,
+                              paper_levels, run_pfasst)
+    from repro.pfasst.level import FINE_NODES
+    from repro.pfasst.theory import KP, KS, paper_alpha
     from repro.sdc import SDCStepper
     from repro.tree import TreeEvaluator
     from repro.utils.validation import uniform_step_count
@@ -112,17 +113,15 @@ def _cmd_sheet(args: argparse.Namespace) -> int:
     u0 = ps.state()
     before = compute_diagnostics(ps).as_dict()
     if args.method == "sdc":
-        stepper = SDCStepper(fine, num_nodes=3, sweeps=4,
+        stepper = SDCStepper(fine, num_nodes=FINE_NODES, sweeps=KS,
                              sweeper=args.sweeper)
         u_end = stepper.run(u0, 0.0, args.t_end, args.dt)
     else:
         n_steps = uniform_step_count(0.0, args.t_end, args.dt)
         config = PfasstConfig(t0=0.0, t_end=args.t_end, n_steps=n_steps,
-                              iterations=2)
-        specs = [LevelSpec(fine, 3, 1, sweeper=args.sweeper),
-                 LevelSpec(coarse, 2, 2, sweeper=args.sweeper)]
-        u_end = run_pfasst(config, specs, u0, p_time=args.p_time,
-                           p_nodes=args.p_nodes).u_end
+                              iterations=KP)
+        u_end = run_pfasst(config, paper_levels(fine, coarse, args.sweeper),
+                           u0, p_time=args.p_time, p_nodes=args.p_nodes).u_end
     final = ps.with_state(u_end)
     after = compute_diagnostics(final, time=args.t_end).as_dict()
     print(f"method={args.method} evaluator={args.evaluator} N={args.n} "
@@ -133,7 +132,7 @@ def _cmd_sheet(args: argparse.Namespace) -> int:
         # Eq. 26: (M_c / M_f) over the fine/coarse cost ratio, measured
         # on distinct states like ``repro speedup`` (resets the counts)
         ratio = measured_cost_ratio(fine, coarse, u0)
-        print(f"measured alpha: {alpha_from_measurements(2, 3, ratio):.3f}")
+        print(f"measured alpha: {paper_alpha(ratio):.3f}")
     for key in ("total_vorticity_norm", "linear_impulse_norm", "enstrophy"):
         print(f"{key}: {before[key]:.6g} -> {after[key]:.6g}")
     if args.save:
@@ -145,11 +144,9 @@ def _cmd_sheet(args: argparse.Namespace) -> int:
 
 
 def _cmd_speedup(args: argparse.Namespace) -> int:
-    from repro.parallel import CommCostModel, Scheduler
-    from repro.pfasst import (LevelSpec, PfasstConfig,
-                              alpha_from_measurements, measured_cost_ratio,
-                              run_pfasst, speedup_two_level)
-    from repro.sdc import SDCStepper
+    from repro.pfasst.theory import (measured_cost_ratio, paper_alpha,
+                                     paper_pfasst_run, paper_speedup,
+                                     serial_sdc_makespan)
     from repro.tree import TreeEvaluator
     from repro.vortex import VortexProblem, get_kernel, spherical_vortex_sheet
     from repro.vortex.sheet import SheetConfig
@@ -164,17 +161,8 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
     coarse = fine.coarsened(theta=0.6)
     u0 = ps.state()
     ratio = measured_cost_ratio(fine, coarse, u0)
-    alpha = alpha_from_measurements(2, 3, ratio)
-
-    def serial(comm):
-        SDCStepper(fine, num_nodes=3, sweeps=4).run(
-            u0, 0.0, args.steps * 0.5, 0.5
-        )
-        yield comm.work(0.0)
-
-    sched = Scheduler(1, measure_compute=True)
-    sched.run(serial)
-    base = sched.makespan
+    alpha = paper_alpha(ratio)
+    base = serial_sdc_makespan(fine, u0, args.steps, 0.5)
     print(f"alpha = {alpha:.3f} (cost ratio {ratio:.2f}); "
           f"serial SDC(4): {base:.2f}s")
     if args.p_nodes > 1:
@@ -182,14 +170,10 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
               f"({args.sweeper} sweeps)")
     print(f"{'P_T':>4} {'speedup':>8} {'theory':>7}")
     for p_t in args.p_times:
-        cfg = PfasstConfig(t0=0.0, t_end=args.steps * 0.5,
-                           n_steps=args.steps, iterations=2)
-        specs = [LevelSpec(fine, 3, 1, sweeper=args.sweeper),
-                 LevelSpec(coarse, 2, 2, sweeper=args.sweeper)]
-        res = run_pfasst(cfg, specs, u0, p_time=p_t,
-                         p_nodes=args.p_nodes,
-                         cost_model=CommCostModel(), measure_compute=True)
-        theory = float(speedup_two_level(p_t, alpha, 4, 2, 2))
+        res = paper_pfasst_run(fine, coarse, u0, args.steps, 0.5, p_t,
+                               args.p_nodes, args.sweeper,
+                               measure_compute=True)
+        theory = float(paper_speedup(p_t, alpha))
         print(f"{p_t:>4} {base / res.makespan:>8.2f} {theory:>7.2f}")
     return 0
 

@@ -46,7 +46,7 @@ import numpy as np
 from repro.parallel.executor import ProcessExecutor, SerialExecutor
 from repro.parallel.faults import FaultPlan, RankCrash, RankFailure
 from repro.pfasst.controller import PfasstConfig, run_pfasst
-from repro.pfasst.level import LevelSpec
+from repro.pfasst.level import paper_levels
 from repro.vortex.problem import ODEProblem
 
 __all__ = [
@@ -67,13 +67,6 @@ class ChaosODE(ODEProblem):
 
     def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
         return self.matrix @ u
-
-
-def _specs(problem: ODEProblem) -> List[LevelSpec]:
-    return [
-        LevelSpec(problem, num_nodes=3, sweeps=1),
-        LevelSpec(problem, num_nodes=2, sweeps=2),
-    ]
 
 
 def _config(**kw: Any) -> PfasstConfig:
@@ -187,6 +180,7 @@ def _classify(exc: BaseException) -> Tuple[str, str]:
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Execute a campaign; deterministic in ``cfg`` (seed included)."""
     problem = ChaosODE()
+    specs = paper_levels(problem, problem, "gauss-seidel")
     u0 = np.array([1.0, 2.0])
     world = cfg.p_time * cfg.p_space
     report = CampaignReport(config=dict(
@@ -199,12 +193,12 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         if executor_name == "process":
             with ProcessExecutor(max_workers=cfg.max_workers) as ex:
                 return run_pfasst(
-                    specs=_specs(problem), u0=u0, p_time=cfg.p_time,
+                    specs=specs, u0=u0, p_time=cfg.p_time,
                     p_space=cfg.p_space, executor=ex, **kw,
                 )
         executor = SerialExecutor() if executor_name == "serial" else None
         return run_pfasst(
-            specs=_specs(problem), u0=u0, p_time=cfg.p_time,
+            specs=specs, u0=u0, p_time=cfg.p_time,
             p_space=cfg.p_space, executor=executor, **kw,
         )
 

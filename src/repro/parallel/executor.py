@@ -408,9 +408,8 @@ def _worker_exec(
     tail: Tuple[Any, ...],
     shm_specs: List[Tuple[Tuple[int, int], str, Tuple[int, ...], str]],
     owner: Optional[Tuple[int, int]],
-) -> Tuple[int, float, float, float, float, Any, Optional[BaseException],
-           Dict[str, Any]]:
-    """Run one task against shared-memory array views; return the outcome.
+) -> DispatchResult:
+    """:func:`_run_task` on shared-memory array views, in a worker.
 
     The views are mapped read-only: task methods receive *inputs* through
     shared memory and must allocate their own outputs (which return
@@ -422,46 +421,33 @@ def _worker_exec(
     """
     from repro.analysis.sanitize import SanitizeError, enabled
 
-    registry = MetricsRegistry()
-    value: Any = None
-    error: Optional[BaseException] = None
-    t0 = time.perf_counter()
+    blocks = [_worker_block(key, name) for key, name, _, _ in shm_specs]
+    held = [sys.getrefcount(shm._mmap) for shm in blocks]
+    arrays = []
+    for shm, (_, _, shape, dtype) in zip(blocks, shm_specs):
+        arrays.append(np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf))
+        arrays[-1].flags.writeable = False
+    task = ComputeTask(payload_key, method, args, tuple(arrays), tail, owner)  # repro-lint: disable=RPR006 -- worker-side reconstruction, already across the boundary
+    del arrays
+    result = _run_task(_WORKER_PAYLOADS[payload_key], task)
+    del task
+    result.worker = _WORKER_ID
+    if result.error is None and enabled() and held != [
+            sys.getrefcount(shm._mmap) for shm in blocks]:
+        result.value = None
+        result.error = SanitizeError(
+            f"compute task {payload_key}.{method} kept a view of its "
+            f"shared-memory inputs, which the next dispatch rewrites"
+        )
     try:
-        blocks = [_worker_block(key, name) for key, name, _, _ in shm_specs]
-        held = [sys.getrefcount(shm._mmap) for shm in blocks]
-        arrays = []
-        for shm, (_, _, shape, dtype) in zip(blocks, shm_specs):
-            view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-            view.flags.writeable = False
-            arrays.append(view)
-        obj = _WORKER_PAYLOADS[payload_key]
-        task = ComputeTask(payload_key, method, args, tuple(arrays), tail)  # repro-lint: disable=RPR006 -- worker-side reconstruction, already across the boundary
-        LEDGER.owner = owner
-        with use_metrics(registry):
-            value = task.invoke(obj)
-        del task, arrays
-        view = None
-        if enabled() and held != [sys.getrefcount(shm._mmap)
-                                  for shm in blocks]:
-            raise SanitizeError(
-                f"compute task {payload_key}.{method} kept a view of its "
-                f"shared-memory inputs, which the next dispatch rewrites"
-            )
-    except Exception as exc:
-        try:
-            pickle.dumps(exc)
-            error = exc
-        except Exception:
-            error = RuntimeError(
-                f"compute task {payload_key}.{method} failed with an "
-                f"unpicklable exception: {exc!r}"
-            )
-        value = None
-    finally:
-        LEDGER.owner = None
-    elapsed = time.perf_counter() - t0
-    return (_WORKER_ID, t0, t0 + elapsed, elapsed, LEDGER.drain(), value,
-            error, registry.as_dict())
+        pickle.dumps(result.error)
+    except Exception:
+        result.error = RuntimeError(
+            f"compute task {payload_key}.{method} failed with an "
+            f"unpicklable exception: {result.error!r}"
+        )
+        result.value = None
+    return result
 
 
 class ProcessExecutor(ExecutionBackend):
@@ -679,15 +665,8 @@ class ProcessExecutor(ExecutionBackend):
             # dispatch rewrites the blocks these tasks read (a dead worker
             # fails only its own pool's futures)
             wait(futures)
-        results = []
-        for fut, nbytes in zip(futures, shm_per_task):
-            (wid, t0, t1, elapsed, billed_s, value, error,
-             metrics) = fut.result()
-            results.append(DispatchResult(
-                value=value, error=error, worker=wid, elapsed=elapsed,
-                billed_s=billed_s, wall_t0=t0, wall_t1=t1,
-                shm_bytes=nbytes, metrics=metrics,
-            ))
-        for result in results:
+        results = [fut.result() for fut in futures]
+        for result, nbytes in zip(results, shm_per_task):
+            result.shm_bytes = nbytes
             self._bucket(result)
         return results

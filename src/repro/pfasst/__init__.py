@@ -1,6 +1,6 @@
 """PFASST: parallel full approximation scheme in space and time."""
 
-from repro.pfasst.level import Level, LevelSpec
+from repro.pfasst.level import Level, LevelSpec, paper_levels
 from repro.pfasst.transfer import TimeSpaceTransfer
 from repro.pfasst.fas import fas_correction
 from repro.pfasst.controller import (
@@ -31,6 +31,7 @@ from repro.pfasst.analysis import (
 __all__ = [
     "Level",
     "LevelSpec",
+    "paper_levels",
     "TimeSpaceTransfer",
     "fas_correction",
     "PfasstConfig",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -18,7 +18,11 @@ from repro.sdc.sweeper import (
 from repro.utils.validation import check_in
 from repro.vortex.problem import ODEProblem
 
-__all__ = ["LevelSpec", "Level"]
+__all__ = ["LevelSpec", "Level", "paper_levels"]
+
+#: the paper's two levels: 3 fine nodes x 1 sweep, 2 coarse nodes x Y = 2
+#: sweeps (the ``2, 2`` of PFASST(2, 2, P_T) is iterations and Y)
+FINE_NODES, COARSE_NODES, COARSE_SWEEPS = 3, 2, 2
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,15 @@ class LevelSpec:
             raise ValueError(f"need >= 1 sweep per level, got {self.sweeps}")
         check_in("sweeper", self.sweeper, SWEEPERS)
         check_in("node_type", self.node_type, available_node_types())
+
+
+def paper_levels(fine: ODEProblem, coarse: ODEProblem,
+                 sweeper: str) -> List[LevelSpec]:
+    """The paper's level pair: ``fine`` on :data:`FINE_NODES` Lobatto
+    nodes with one sweep, ``coarse`` on :data:`COARSE_NODES` with
+    :data:`COARSE_SWEEPS` sweeps, both swept by ``sweeper``."""
+    return [LevelSpec(fine, FINE_NODES, 1, sweeper=sweeper),
+            LevelSpec(coarse, COARSE_NODES, COARSE_SWEEPS, sweeper=sweeper)]
 
 
 class Level:

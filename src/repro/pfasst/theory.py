@@ -13,11 +13,21 @@ Notation (two-level case, Eq. 24):
 * ``beta`` — per-iteration overhead relative to a fine sweep.
 
 ``S(P_T; alpha) <= (Ks/Kp) P_T`` (Eq. 25) relaxes parareal's ``P_T / K``.
+
+Fig. 8 (serial SDC(4) against PFASST(2, 2, P_T), the Eq. 24 curve at the
+Eq. 26 alpha) is written once below, for ``repro speedup`` and both
+``benchmarks/bench_fig8_*.py`` scripts.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.parallel import CommCostModel, Scheduler
+from repro.pfasst.controller import PfasstConfig, PfasstResult, run_pfasst
+from repro.pfasst.level import (COARSE_NODES, COARSE_SWEEPS, FINE_NODES,
+                                paper_levels)
+from repro.sdc import SDCStepper
 
 __all__ = [
     "speedup_two_level",
@@ -26,10 +36,17 @@ __all__ = [
     "parareal_speedup",
     "alpha_from_measurements",
     "measured_cost_ratio",
+    "paper_alpha",
+    "paper_speedup",
+    "serial_sdc_makespan",
+    "paper_pfasst_run",
 ]
 
 #: computed RHS evaluations per level behind :func:`measured_cost_ratio`
 COST_SAMPLES = 3
+
+#: Fig. 8: serial SDC(Ks) against PFASST(Kp, Y, P_T), Y = ``COARSE_SWEEPS``
+KS, KP = 4, 2
 
 
 def alpha_from_measurements(
@@ -113,3 +130,42 @@ def parareal_speedup(
     p = np.asarray(p_t, dtype=np.float64)
     return p / (p * alpha + k * (1.0 + alpha))
 
+
+def paper_alpha(theta_cost_ratio: float) -> float:
+    """Eq. 26 for :func:`~repro.pfasst.level.paper_levels`, from a
+    fine/coarse RHS cost ratio such as :func:`measured_cost_ratio`'s."""
+    return alpha_from_measurements(COARSE_NODES, FINE_NODES, theta_cost_ratio)
+
+
+def paper_speedup(p_t: int | np.ndarray, alpha: float) -> np.ndarray:
+    """Eq. 24 for Fig. 8's PFASST(2, 2, P_T) over SDC(4)."""
+    return speedup_two_level(p_t, alpha, KS, KP, COARSE_SWEEPS)
+
+
+def serial_sdc_makespan(fine, u0: np.ndarray, n_steps: int,
+                        dt: float) -> float:
+    """Fig. 8's baseline: virtual seconds of time-serial SDC(4) over
+    ``n_steps`` steps of ``dt`` on one rank, compute measured."""
+    def rank_program(comm):
+        SDCStepper(fine, num_nodes=FINE_NODES, sweeps=KS).run(
+            u0, 0.0, n_steps * dt, dt)
+        yield comm.work(0.0)
+
+    sched = Scheduler(1, measure_compute=True)
+    sched.run(rank_program)
+    return sched.makespan
+
+
+def paper_pfasst_run(fine, coarse, u0: np.ndarray, n_steps: int, dt: float,
+                     p_time: int, p_nodes: int, sweeper: str,
+                     measure_compute: bool) -> PfasstResult:
+    """Fig. 8's parallel side: PFASST(2, 2, ``p_time``) on
+    :func:`~repro.pfasst.level.paper_levels` over the steps of
+    :func:`serial_sdc_makespan`, with modelled message costs; under
+    ``measure_compute`` its ``makespan`` is comparable to the baseline."""
+    config = PfasstConfig(t0=0.0, t_end=n_steps * dt, n_steps=n_steps,
+                          iterations=KP)
+    return run_pfasst(config, paper_levels(fine, coarse, sweeper), u0,
+                      p_time=p_time, p_nodes=p_nodes,
+                      cost_model=CommCostModel(),
+                      measure_compute=measure_compute)

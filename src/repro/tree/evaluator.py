@@ -128,6 +128,20 @@ def _count_evaluation(stats: TreeStats) -> TreeStats:
     return stats
 
 
+def _caller_order(
+    order: np.ndarray, vel: np.ndarray, grad: Optional[np.ndarray]
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Scatter Morton-ordered velocity (and gradient, unless ``None``)
+    back to the caller's particle order, ``order`` being ``tree.order``."""
+    out_v = np.empty_like(vel)
+    out_v[order] = vel
+    out_g = None
+    if grad is not None:
+        out_g = np.empty_like(grad)
+        out_g[order] = grad
+    return out_v, out_g
+
+
 def _tree_stages(
     solver: "TreeEvaluator",
     positions: np.ndarray,
@@ -353,16 +367,7 @@ class TreeEvaluator(FieldEvaluator):
     def _evaluate(
         self, positions: np.ndarray, charges: np.ndarray, gradient: bool
     ) -> VelocityField:
-        def scatter(state, vel, grad):
-            # from Morton order back to caller order
-            out_v = np.empty_like(vel)
-            out_v[state.tree.order] = vel
-            out_g = None
-            if gradient:
-                out_g = np.empty_like(grad)
-                out_g[state.tree.order] = grad
-            return out_v, out_g
-
         return VelocityField(*self._pipeline(
-            positions, charges, gradient, None, scatter
+            positions, charges, gradient, None,
+            lambda state, v, g: _caller_order(state.tree.order, v, g),
         ))

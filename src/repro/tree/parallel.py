@@ -73,7 +73,7 @@ from repro.parallel.collectives import allgather
 from repro.parallel.simmpi import VirtualComm
 from repro.tree.build import Octree
 from repro.tree.engine import TraversalLayout, build_traversal_layout
-from repro.tree.evaluator import TreeEvaluator
+from repro.tree.evaluator import TreeEvaluator, _caller_order
 from repro.tree.morton import cell_of_key, morton_encode, quantize
 from repro.tree.multipole import _m2m, _p2m
 from repro.tree.state import TreeState, array_fingerprint
@@ -479,11 +479,5 @@ class SpaceParallelTreeEvaluator(TreeEvaluator):
                 grad_sorted[a:b] = segments[r][1]
         yield space.annotate("end:space:rhs-allgather")
 
-        # scatter from Morton order back to caller order
-        out_v = np.empty_like(vel_sorted)
-        out_v[tree.order] = vel_sorted
-        out_g = None
-        if gradient:
-            out_g = np.empty_like(grad_sorted)
-            out_g[tree.order] = grad_sorted
-        return VelocityField(out_v, out_g)
+        return VelocityField(
+            *_caller_order(tree.order, vel_sorted, grad_sorted))

@@ -19,7 +19,7 @@ from repro.vortex.particles import (
     pack_state,
     unpack_state,
 )
-from repro.vortex.rhs import VelocityField, biot_savart_direct, stretching_rhs
+from repro.vortex.rhs import VelocityField, biot_savart_direct
 from repro.vortex.sheet import (
     SheetConfig,
     spherical_vortex_sheet,
@@ -53,7 +53,6 @@ __all__ = [
     "unpack_state",
     "VelocityField",
     "biot_savart_direct",
-    "stretching_rhs",
     "SheetConfig",
     "spherical_vortex_sheet",
     "sphere_points",

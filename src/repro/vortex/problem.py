@@ -115,7 +115,7 @@ class VortexProblem(ODEProblem):
         Field evaluator used for ``f``; swap for a tree evaluator with a
         larger ``theta`` to obtain the paper's coarse propagator.
     scheme :
-        Stretching scheme, ``"transpose"`` (paper) or ``"classical"``.
+        Stretching scheme; ``"transpose"`` (paper Eq. 6) is the only one.
     """
 
     def __init__(
@@ -126,6 +126,8 @@ class VortexProblem(ODEProblem):
     ) -> None:
         self.volumes = check_array("volumes", volumes, shape=(None,), dtype=np.float64)
         self.evaluator = evaluator
+        if scheme != "transpose":
+            raise ValueError(f"unknown stretching scheme {scheme!r}")
         self.scheme: StretchingScheme = scheme
 
     @property
@@ -142,7 +144,7 @@ class VortexProblem(ODEProblem):
         return positions, vorticity, vorticity * self.volumes[:, None]
 
     def _pack(self, field: VelocityField, vorticity: np.ndarray) -> np.ndarray:
-        return pack_state(field.velocity, field.stretching(vorticity, self.scheme))
+        return pack_state(field.velocity, field.stretching(vorticity))
 
     def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
         positions, vorticity, charges = self._sources(u)

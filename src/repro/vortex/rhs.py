@@ -44,12 +44,11 @@ from repro.vortex.kernels import SmoothingKernel
 __all__ = [
     "VelocityField",
     "biot_savart_direct",
-    "stretching_rhs",
 ]
 
 _INV_FOUR_PI = 1.0 / (4.0 * np.pi)
 
-StretchingScheme = Literal["transpose", "classical"]
+StretchingScheme = Literal["transpose"]
 
 
 @dataclass
@@ -63,21 +62,13 @@ class VelocityField:
     velocity: np.ndarray
     gradient: Optional[np.ndarray] = None
 
-    def stretching(
-        self, vorticity: np.ndarray, scheme: StretchingScheme = "transpose"
-    ) -> np.ndarray:
-        """Vortex stretching term ``domega/dt`` for the given vorticity.
-
-        ``transpose`` (paper Eq. 6): ``domega_i = omega_j du_j/dx_i``;
-        ``classical``: ``domega_i = omega_j du_i/dx_j``.
-        """
+    def stretching(self, vorticity: np.ndarray) -> np.ndarray:
+        """Vortex stretching term ``domega/dt`` for the given vorticity,
+        in the transpose scheme of paper Eq. 6:
+        ``domega_i = omega_j du_j/dx_i``."""
         if self.gradient is None:
             raise ValueError("gradient was not computed; pass gradient=True")
-        if scheme == "transpose":
-            return np.einsum("nji,nj->ni", self.gradient, vorticity)
-        if scheme == "classical":
-            return np.einsum("nij,nj->ni", self.gradient, vorticity)
-        raise ValueError(f"unknown stretching scheme {scheme!r}")
+        return np.einsum("nji,nj->ni", self.gradient, vorticity)
 
 
 #: index triples (i, j, k) with eps_ijk = +1
@@ -207,26 +198,3 @@ def biot_savart_direct(
             velocity[lo:hi], grad[lo:hi] if gradient else None,
         )
     return VelocityField(velocity, grad)
-
-
-@boundary("stretching_rhs", arrays=[
-    ("positions", (None, 3)), ("vorticity", (None, 3)),
-])
-def stretching_rhs(
-    positions: np.ndarray,
-    vorticity: np.ndarray,
-    volumes: np.ndarray,
-    kernel: SmoothingKernel,
-    sigma: float,
-    scheme: StretchingScheme = "transpose",
-    chunk: Optional[int] = None,
-) -> np.ndarray:
-    """Full right-hand side of Eqs. (5)-(6) as a packed (2, N, 3) array.
-
-    Returns ``rhs[0] = dx/dt = u(x_p)`` and ``rhs[1] = domega/dt``.
-    """
-    charges = vorticity * np.asarray(volumes, dtype=np.float64)[:, None]
-    field = biot_savart_direct(
-        positions, positions, charges, kernel, sigma, gradient=True, chunk=chunk
-    )
-    return np.stack([field.velocity, field.stretching(vorticity, scheme)], axis=0)

@@ -10,7 +10,7 @@ from repro.vortex import (
     pack_state,
     unpack_state,
 )
-from repro.vortex.rhs import stretching_rhs
+from repro.vortex.rhs import biot_savart_direct
 
 
 class TestDirectEvaluator:
@@ -47,10 +47,10 @@ class TestVortexProblem:
         prob = VortexProblem(ps.volumes, DirectEvaluator(kernel, cfg.sigma))
         u = ps.state()
         out = prob.rhs(0.0, u)
-        expected = stretching_rhs(
-            ps.positions, ps.vorticity, ps.volumes, kernel, cfg.sigma
-        )
-        assert np.allclose(out, expected)
+        field = biot_savart_direct(ps.positions, ps.positions, ps.charges,
+                                   kernel, cfg.sigma, gradient=True)
+        stretching = np.einsum("nji,nj->ni", field.gradient, ps.vorticity)
+        assert np.allclose(out, np.stack([field.velocity, stretching]))
 
     def test_rhs_shape_mismatch_raises(self, small_sheet):
         ps, cfg = small_sheet
@@ -79,16 +79,3 @@ class TestVortexProblem:
         u = np.zeros((2, 3, 3))
         u[1, 2, 0] = -7.0
         assert prob.norm(u) == 7.0
-
-    def test_classical_scheme_differs(self, small_sheet):
-        ps, cfg = small_sheet
-        kernel = get_kernel("algebraic6")
-        ev = DirectEvaluator(kernel, cfg.sigma)
-        p_t = VortexProblem(ps.volumes, ev, "transpose")
-        p_c = VortexProblem(ps.volumes, ev, "classical")
-        u = ps.state()
-        rt = p_t.rhs(0.0, u)
-        rc = p_c.rhs(0.0, u)
-        # positions evolve identically; vorticity RHS differs
-        assert np.allclose(rt[0], rc[0])
-        assert not np.allclose(rt[1], rc[1])

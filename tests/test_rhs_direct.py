@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.vortex.kernels import AlgebraicKernel, SingularKernel, get_kernel
-from repro.vortex.rhs import biot_savart_direct, stretching_rhs
+from repro.vortex import DirectEvaluator, VortexProblem
+from repro.vortex.rhs import biot_savart_direct
 
 KERNEL = get_kernel("algebraic6")
 SIGMA = 0.4
@@ -310,41 +311,33 @@ class TestLongdoubleOracle:
 
 
 class TestStretchingSchemes:
-    def test_transpose_vs_classical_differ(self, rng):
-        src = rng.normal(size=(20, 3))
-        ch = rng.normal(size=(20, 3))
-        out = biot_savart_direct(src, src, ch, KERNEL, SIGMA)
-        w = rng.normal(size=(20, 3))
-        t = out.stretching(w, "transpose")
-        c = out.stretching(w, "classical")
-        assert not np.allclose(t, c)
-
     def test_transpose_definition(self, rng):
         src = rng.normal(size=(5, 3))
         ch = rng.normal(size=(5, 3))
         out = biot_savart_direct(src, src, ch, KERNEL, SIGMA)
         w = rng.normal(size=(5, 3))
         expected = np.einsum("nji,nj->ni", out.gradient, w)
-        assert np.allclose(out.stretching(w, "transpose"), expected)
+        assert np.allclose(out.stretching(w), expected)
 
-    def test_unknown_scheme_raises(self, rng):
-        src = rng.normal(size=(2, 3))
-        out = biot_savart_direct(src, src, np.ones((2, 3)), KERNEL, SIGMA)
-        with pytest.raises(ValueError, match="unknown stretching"):
-            out.stretching(np.ones((2, 3)), "bogus")
+    def test_unknown_scheme_raises(self):
+        """Only the paper's transpose scheme is implemented."""
+        ev = DirectEvaluator(KERNEL, SIGMA)
+        for scheme in ("classical", "bogus"):
+            with pytest.raises(ValueError, match="unknown stretching"):
+                VortexProblem(np.ones(2), ev, scheme)
 
     def test_stretching_rhs_shape(self, rng):
-        x = rng.normal(size=(8, 3))
-        w = rng.normal(size=(8, 3))
         vol = np.abs(rng.normal(size=8)) + 0.1
-        out = stretching_rhs(x, w, vol, KERNEL, SIGMA)
+        problem = VortexProblem(vol, DirectEvaluator(KERNEL, SIGMA))
+        out = problem.rhs(0.0, rng.normal(size=(2, 8, 3)))
         assert out.shape == (2, 8, 3)
 
     def test_stretching_rhs_velocity_component(self, rng):
         x = rng.normal(size=(8, 3))
         w = rng.normal(size=(8, 3))
         vol = np.abs(rng.normal(size=8)) + 0.1
-        out = stretching_rhs(x, w, vol, KERNEL, SIGMA)
+        problem = VortexProblem(vol, DirectEvaluator(KERNEL, SIGMA))
+        out = problem.rhs(0.0, np.stack([x, w]))
         field = biot_savart_direct(x, x, w * vol[:, None], KERNEL, SIGMA,
                                    gradient=False)
         assert np.allclose(out[0], field.velocity)
